@@ -125,13 +125,16 @@ def blind_rotate_batch(
     accumulator data.
 
     Per BSK row ``i`` the samples whose digit ``a~_i`` is non-zero are
-    gathered, rotated-and-differenced in one fused gather (no intermediate
-    :class:`GlweCiphertext` copies), and pushed through the shared einsum
-    external-product kernel against the eagerly transformed BSK entry -
-    exactly the 2D VPE-array schedule: one BSK row amortized over all
-    in-flight bootstraps.  ``precision`` picks the BSK table mode
-    (``"double"`` is bit-identical to the scalar path; ``"single"`` keeps
-    the MAC in complex64, see :meth:`KeySet.bsk_spectrum_table`).
+    gathered and pushed through one pass - rotate-diff as a contiguous
+    read of the signed extension, carry-free decomposition written
+    straight into the FFT input, forward transform, einsum MAC against the
+    eagerly transformed BSK entry, inverse transform with the rounding
+    fused into its unfold - with no intermediate :class:`GlweCiphertext`
+    or digit array.  This is exactly the 2D VPE-array schedule: one BSK
+    row amortized over all in-flight bootstraps.  ``precision`` picks the
+    BSK table mode (``"double"`` is bit-identical to the scalar path;
+    ``"single"`` keeps the MAC in complex64, see
+    :meth:`KeySet.bsk_spectrum_table`).
     """
     params = keyset.params
     k, l_b, n_poly = params.k, params.l_b, params.N
@@ -141,16 +144,18 @@ def blind_rotate_batch(
     tp = np.broadcast_to(np.asarray(test_polys, dtype=TORUS_DTYPE), (batch, n_poly))
     acc = np.zeros((batch, k + 1, n_poly), dtype=TORUS_DTYPE)
     acc[:, k, :] = monomial_rotate_batch(tp, -np.asarray(b_tilde, dtype=np.int64))
-    total_steps = 0
-    for i in range(params.n):
-        t = a_tilde[:, i]
-        active = np.nonzero(t)[0]
-        steps = int(active.size)
+    active_counts = np.count_nonzero(a_tilde, axis=0).tolist()
+    for i, steps in enumerate(active_counts):
         if steps == 0:
             continue
-        sub = acc if steps == batch else acc[active]
-        # Fused rotate-diff: diff = X^{a~_i} * ACC - ACC in one gather.
-        diff = monomial_rotate_batch(sub, t[active, None])
+        t = a_tilde[:, i]
+        if steps == batch:
+            sub, shifts = acc, t[:, None]
+        else:
+            active = np.nonzero(t)[0]
+            sub, shifts = acc[active], t[active, None]
+        # Fused rotate-diff: diff = X^{a~_i} * ACC - ACC.
+        diff = monomial_rotate_batch(sub, shifts)
         diff -= sub
         update = external_product_spectrum_batch(
             table[i], diff, params.beta_bits, l_b
@@ -159,13 +164,13 @@ def blind_rotate_batch(
             acc += update
         else:
             acc[active] = sub + update
-        total_steps += steps
-        if trace is not None:
-            trace.external_products += steps
-            trace.rotations += steps
-            trace.forward_transforms += steps * (k + 1) * l_b
-            trace.inverse_transforms += steps * (k + 1)
-            trace.pointwise_mult_polys += steps * (k + 1) ** 2 * l_b
+    total_steps = sum(active_counts)
+    if trace is not None:
+        trace.external_products += total_steps
+        trace.rotations += total_steps
+        trace.forward_transforms += total_steps * (k + 1) * l_b
+        trace.inverse_transforms += total_steps * (k + 1)
+        trace.pointwise_mult_polys += total_steps * (k + 1) ** 2 * l_b
     if total_steps and _METRICS.enabled:
         _BR_STEPS.inc(total_steps)
         _EXTERNAL_PRODUCTS.inc(total_steps, engine="transform")

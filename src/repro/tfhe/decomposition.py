@@ -16,9 +16,13 @@ Hardware-wise this is the Decomposition Unit's bit-slice + round step
 from __future__ import annotations
 
 import numpy as np
+from numpy.typing import DTypeLike
+
+from .torus import u32
 
 __all__ = [
     "decompose",
+    "decompose_folded",
     "recompose",
     "decomposition_error_bound",
 ]
@@ -62,6 +66,55 @@ def decompose(values: np.ndarray, beta_bits: int, levels: int, q_bits: int = 32)
         # Move the digit axis next to the coefficient axis.
         digits[..., j, :] = d
     return digits
+
+
+def decompose_folded(
+    values: np.ndarray,
+    beta_bits: int,
+    levels: int,
+    q_bits: int = 32,
+    dtype: DTypeLike = np.complex128,
+) -> np.ndarray:
+    """The digits of :func:`decompose`, laid out as negacyclic-FFT input.
+
+    Returns a complex array of shape ``values.shape[:-1] + (levels, N/2)``
+    whose entry ``[..., j, m]`` is ``d_j[m] + i * d_j[m + N/2]`` - digit
+    level ``j`` of each polynomial, already folded for
+    :func:`repro.transforms.negacyclic.negacyclic_fft_folded`.  This is
+    the external product's decomposition: no int64 digit array, no float
+    copy of it and no fold copy are ever materialized.
+
+    The digits are extracted carry-free in ``uint32``.  Balanced digits
+    ``d_j in [-beta/2, beta/2)`` with ``v = sum_j d_j beta**j`` (mod
+    ``beta**levels``) are unique, and adding the bias ``sum_j (beta/2)
+    beta**j`` turns each into ``d_j + beta/2 in [0, beta)`` - the plain
+    base-``beta`` digits of ``v + bias``, which are bit fields.  So
+    ``d_j = (((v + bias) >> j*beta_bits) & (beta - 1)) - beta/2`` with no
+    carry chain.  The rounding add and the bias share one constant
+    (``bias`` is pre-shifted past the dropped bits), and ``uint32``
+    wraparound of that add only touches bits the masks discard.
+    """
+    if beta_bits * levels > q_bits:
+        raise ValueError("decomposition exceeds the modulus width")
+    half_beta = 1 << (beta_bits - 1)
+    drop_bits = q_bits - beta_bits * levels
+    bias = sum(half_beta << (drop_bits + beta_bits * j) for j in range(levels))
+    rounding = (1 << (drop_bits - 1)) if drop_bits else 0
+    v = np.asarray(values, dtype=np.uint32) + u32(bias + rounding)
+    half_n = v.shape[-1] // 2
+    folded = np.empty(v.shape[:-1] + (levels, half_n), dtype=dtype)
+    real, imag = folded.real, folded.imag
+    digit = np.empty(v.shape, dtype=np.uint32)
+    signed = digit.view(np.int32)
+    low, high = signed[..., :half_n], signed[..., half_n:]
+    for j in range(levels):
+        # Level j carries weight q / beta**(j+1): level 0 is the top field.
+        np.right_shift(v, q_bits - beta_bits * (j + 1), out=digit)
+        digit &= np.uint32(2 * half_beta - 1)
+        signed -= half_beta
+        real[..., j, :] = low
+        imag[..., j, :] = high
+    return folded
 
 
 def recompose(digits: np.ndarray, beta_bits: int, q_bits: int = 32) -> np.ndarray:

@@ -20,20 +20,21 @@ Two functional engines are provided, mirroring the hardware exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..transforms.backends import active_backend
-from ..transforms.negacyclic import negacyclic_fft
-from .decomposition import decompose
-from .glwe import GlweCiphertext, GlweSecretKey, glwe_encrypt
+from ..transforms.negacyclic import negacyclic_fft, negacyclic_fft_folded
+from .decomposition import decompose, decompose_folded
+from .glwe import GlweCiphertext, GlweSecretKey, glwe_encrypt_zeros
 from .polynomial import from_spectrum, poly_mul
-from .torus import TORUS_DTYPE, to_torus, u32
+from .torus import TORUS_DTYPE, to_torus
 
 __all__ = [
     "GgswCiphertext",
     "ggsw_encrypt",
+    "ggsw_encrypt_batch",
     "external_product",
     "external_product_transform",
     "external_product_spectrum_batch",
@@ -81,10 +82,44 @@ class GgswCiphertext:
         buffer.
         """
         if self._spectrum is None:
-            # repro: allow[RPR002] declared FFT boundary: centered lift feeds the transform engine
-            centered = self.rows.astype(np.int32).astype(np.float64)
-            self._spectrum = negacyclic_fft(centered)
+            # Declared FFT boundary: the centered lift (uint32 read as int32)
+            # is cast to float by the transform's fold.
+            self._spectrum = negacyclic_fft(self.rows.view(np.int32))
         return self._spectrum
+
+
+def ggsw_encrypt_batch(
+    ms: Sequence[int],
+    key: GlweSecretKey,
+    beta_bits: int,
+    l_b: int,
+    rng: np.random.Generator,
+    noise_log2: float = -25.0,
+    q_bits: int = 32,
+) -> List[GgswCiphertext]:
+    """Encrypt each small integer in ``ms`` as a GGSW (a whole BSK at once).
+
+    All ``len(ms)*(k+1)*l_b`` rows are zero encryptions drawn in GGSW-major,
+    row-minor order - the order one :func:`ggsw_encrypt` per plaintext
+    draws in - with the key-mask products batched
+    (:func:`repro.tfhe.glwe.glwe_encrypt_zeros`).
+    """
+    k, n = key.k, key.N
+    plain = np.asarray(ms, dtype=np.int64)
+    rows = glwe_encrypt_zeros(
+        plain.size * (k + 1) * l_b, key, rng, noise_log2
+    ).reshape(plain.size, k + 1, l_b, k + 1, n)
+    # Gadget term: add m * q/beta**(j+1) to the constant coefficient of
+    # component i (row (i,j) of Z + m*G).
+    weights = np.array(
+        [1 << (q_bits - beta_bits * (j + 1)) for j in range(l_b)], dtype=np.int64
+    )
+    gadget = to_torus(plain[:, None] * weights[None, :])
+    for i in range(k + 1):
+        rows[:, i, :, i, 0] += gadget
+    return [
+        GgswCiphertext(g.reshape((k + 1) * l_b, k + 1, n), beta_bits) for g in rows
+    ]
 
 
 def ggsw_encrypt(
@@ -97,18 +132,7 @@ def ggsw_encrypt(
     q_bits: int = 32,
 ) -> GgswCiphertext:
     """Encrypt a small integer plaintext (typically a key bit) as GGSW."""
-    k, n = key.k, key.N
-    zero = np.zeros(n, dtype=TORUS_DTYPE)
-    rows = np.empty(((k + 1) * l_b, k + 1, n), dtype=TORUS_DTYPE)
-    for i in range(k + 1):
-        for j in range(l_b):
-            enc = glwe_encrypt(zero, key, rng, noise_log2)
-            # Gadget term: add m * q/beta**(j+1) to the constant coefficient
-            # of component i (row (i,j) of Z + m*G).
-            weight = to_torus(np.int64(m) * (1 << (q_bits - beta_bits * (j + 1))))
-            enc.data[i, 0] = u32(int(enc.data[i, 0]) + int(weight))
-            rows[i * l_b + j] = enc.data
-    return GgswCiphertext(rows, beta_bits)
+    return ggsw_encrypt_batch([m], key, beta_bits, l_b, rng, noise_log2, q_bits)[0]
 
 
 def _decompose_glwe(ct: GlweCiphertext, beta_bits: int, l_b: int) -> np.ndarray:
@@ -148,28 +172,28 @@ def external_product_spectrum_batch(
       accumulators sharing that GGSW - the software analogue of one BSK
       row fanned across the VPE-array rows.
 
-    One batched forward transform of all ``B*(k+1)*l_b`` decomposed digits
-    (Input reuse), a single einsum contraction over ``(component, level)``
-    per frequency bin (the VPE pointwise MACs with Output reuse in the
-    POLY-ACC-REG), and one batched inverse transform for all ``B*(k+1)``
-    outputs.  No Python loops anywhere in the MAC.
+    One pass: the carry-free decomposition writes the ``B*(k+1)*l_b``
+    digit polynomials straight into the folded FFT input
+    (:func:`repro.tfhe.decomposition.decompose_folded`), one batched
+    forward transform covers them all (Input reuse), a single einsum
+    contracts over ``(component, level)`` per frequency bin (the VPE
+    pointwise MACs with Output reuse in the POLY-ACC-REG), and one batched
+    inverse transform with the rounding fused into its unfold produces all
+    ``B*(k+1)`` outputs.  No Python loops anywhere in the MAC.
 
     The contraction inherits ``row_spec``'s precision: a ``complex64``
-    table runs the whole MAC in single precision.  With the default
-    ``complex128`` table the result is bit-identical for every batch size
-    (the reduction order over ``(i, j)`` is fixed and the transforms are
-    elementwise along the batch axes).
+    table runs the whole pass in single precision (the digits are small
+    centered ints, exact in float32).  With the default ``complex128``
+    table the result is bit-identical for every batch size (the reduction
+    order over ``(i, j)`` is fixed and the transforms are elementwise
+    along the batch axes).
 
     Returns ``(B, k+1, N)`` torus data.
     """
     n = glwe_data.shape[-1]
     kp1 = glwe_data.shape[-2]
-    digits = decompose(glwe_data, beta_bits, l_b)  # (B, k+1, l_b, N) int64
-    # repro: allow[RPR003] single-precision mode is a declared FFT boundary: the
-    # digits are small centered ints, exactly representable in float32
-    real_dtype = np.float32 if row_spec.dtype == np.complex64 else np.float64
-    # repro: allow[RPR002] declared FFT boundary: decomposed digits are small signed ints
-    digit_spec = negacyclic_fft(digits.astype(real_dtype))  # (B, k+1, l_b, N/2)
+    folded = decompose_folded(glwe_data, beta_bits, l_b, dtype=row_spec.dtype)
+    digit_spec = negacyclic_fft_folded(folded)  # (B, k+1, l_b, N/2)
     rows = row_spec.reshape(kp1, l_b, kp1, n // 2)
     # The VPE pointwise MACs, dispatched through the active compute
     # backend; the base implementation keeps numpy's fixed reduction

@@ -21,6 +21,7 @@ __all__ = [
     "GlweCiphertext",
     "glwe_keygen",
     "glwe_encrypt",
+    "glwe_encrypt_zeros",
     "glwe_decrypt_phase",
     "glwe_trivial",
     "glwe_add",
@@ -119,6 +120,61 @@ def _key_mask_product(masks: np.ndarray, key: GlweSecretKey) -> np.ndarray:
         idx = (n - ones)[:, None] + base[None, :]
         acc += ext[idx].sum(axis=0)
     return acc
+
+
+def _key_mask_products(masks: np.ndarray, key: GlweSecretKey) -> np.ndarray:
+    """:func:`_key_mask_product` for a ``(R, k, N)`` stack of masks at once.
+
+    ``sum_i A_i * S_i`` is linear in the mask coefficients, so all ``R``
+    rows are one product against the ``(k*N, N)`` negacyclic matrix of the
+    key, ``M[i*N + m, j] = S~_i[j - m]`` with ``S~`` the signed extension
+    (``X^N = -1``).  The product runs as a float64 GEMM, which is exact
+    here: the entries of ``M`` are in ``{-1, 0, 1}`` and the masks are
+    below ``2**32``, so every partial sum is an integer of magnitude at
+    most ``k*N*2**32 < 2**53`` whatever order BLAS adds in.  Returns the
+    same int64 values as the per-row function; the matrix is a temporary
+    of this call.
+    """
+    rows, k, n = masks.shape
+    if k * n * (1 << 32) >= 1 << 53:
+        raise ValueError(
+            f"k*N = {k * n} is too large for an exact float64 key-mask product"
+        )
+    # repro: allow[RPR002] key signs in {-1, 0, 1}, not torus data
+    signed_ext = np.concatenate((-key.polys, key.polys), axis=-1).astype(np.float64)
+    windows = np.lib.stride_tricks.sliding_window_view
+    # Row m of block i is the window [N-m, 2N-m) of concat(-S_i, S_i).
+    matrix = np.concatenate([windows(signed_ext[i], n)[n:0:-1] for i in range(k)])
+    flat = masks.reshape(rows, k * n)
+    out = np.empty((rows, n), dtype=np.int64)
+    # Row blocks keep the float copies of the masks and products ~2 MB.
+    block = max(1, (1 << 18) // (k * n))
+    for start in range(0, rows, block):
+        # repro: allow[RPR002] uint32 masks are exact in float64 (see the bound above)
+        out[start : start + block] = flat[start : start + block].astype(np.float64) @ matrix
+    return out
+
+
+def glwe_encrypt_zeros(
+    count: int,
+    key: GlweSecretKey,
+    rng: np.random.Generator,
+    noise_log2: float = -25.0,
+) -> np.ndarray:
+    """``count`` fresh GLWE encryptions of zero as one ``(count, k+1, N)`` array.
+
+    Draws from ``rng`` in the order ``count`` :func:`glwe_encrypt` calls
+    would (mask, then noise, per sample), so a seed yields the same
+    ciphertexts; only the key-mask products are batched.  This is what
+    makes secure-set key generation cheap: a BSK is thousands of zero
+    encryptions plus gadget terms.
+    """
+    data = np.empty((count, key.k + 1, key.N), dtype=TORUS_DTYPE)
+    for r in range(count):
+        data[r, :-1] = rng.integers(0, 1 << 32, size=(key.k, key.N), dtype=np.uint64)
+        data[r, -1] = gaussian_torus_noise(rng, noise_log2, shape=(key.N,))
+    data[:, -1] += to_torus(_key_mask_products(data[:, :-1], key))
+    return data
 
 
 def glwe_encrypt(

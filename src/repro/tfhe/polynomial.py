@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..transforms.negacyclic import negacyclic_fft, negacyclic_ifft
+from ..transforms.negacyclic import negacyclic_fft, negacyclic_ifft, negacyclic_ifft_folded
 from .torus import TORUS_DTYPE, to_torus
 
 __all__ = [
@@ -94,21 +94,23 @@ def monomial_rotate_batch(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Per-row monomial multiply ``X^{t} * p`` with a vector of exponents.
 
     ``p`` has shape ``(..., N)``; ``t`` is an integer array broadcastable
-    to ``p.shape[:-1]`` with entries taken modulo ``2N``.  One gather per
-    coefficient replaces the roll-and-negate of :func:`monomial_mul`:
-    ``out[..., j] = s * p[..., (j - t) mod N]`` with ``s = -1`` exactly
-    when ``(j - t) mod 2N >= N`` (the ``X^N = -1`` wraparound).  This is
-    the batched double-pointer rotator: every VPE row reads the same
-    accumulator layout at its own offset.
+    to ``p.shape[:-1]`` with entries taken modulo ``2N``.  Against the
+    signed extension ``ext = concat(p, -p, p)`` (index ``>= N`` reads the
+    ``X^N = -1`` wraparound) the rotation is one contiguous read per row:
+    ``out = ext[s : s + N]`` with ``s = -t mod 2N``.  This is the batched
+    double-pointer rotator: every VPE row reads the same accumulator
+    layout at its own offset - no per-coefficient index is ever built.
     """
     p = np.asarray(p, dtype=TORUS_DTYPE)
     n = p.shape[-1]
-    t = np.broadcast_to(np.asarray(t, dtype=np.int64), p.shape[:-1])
-    idx = (np.arange(n, dtype=np.int64) - t[..., None]) % (2 * n)
-    wrapped = idx >= n
-    idx -= wrapped * n
-    out = np.take_along_axis(p, idx, axis=-1)
-    np.negative(out, out=out, where=wrapped)
+    ext = np.concatenate((p, np.negative(p), p), axis=-1).reshape(-1, 3 * n)
+    starts = np.zeros(p.shape[:-1], dtype=np.int64)
+    starts -= t  # broadcasts t over the rows that share an exponent
+    starts &= 2 * n - 1
+    out = np.empty_like(p)
+    rows = out.reshape(-1, n)
+    for r, s in enumerate(starts.reshape(-1).tolist()):
+        rows[r] = ext[r, s : s + n]
     return out
 
 
@@ -174,9 +176,19 @@ def to_spectrum(p_signed: np.ndarray) -> np.ndarray:
 
 
 def from_spectrum(spectrum: np.ndarray, n: int) -> np.ndarray:
-    """Round an accumulated spectrum back to torus numerators."""
-    coeffs = negacyclic_ifft(spectrum, n)
-    return to_torus(np.round(coeffs).astype(np.int64))
+    """Round an accumulated spectrum back to torus numerators.
+
+    The rounding is fused into the unfold: the real and imaginary parts of
+    the folded inverse transform are rounded (half to even) straight into
+    the low and high coefficient halves, and the int64 -> uint32 cast is
+    the reduction modulo ``q``.
+    """
+    folded = negacyclic_ifft_folded(spectrum, n)
+    half = n // 2
+    coeffs = np.empty(folded.shape[:-1] + (n,), dtype=np.int64)
+    np.rint(folded.real, out=coeffs[..., :half], casting="unsafe")
+    np.rint(folded.imag, out=coeffs[..., half:], casting="unsafe")
+    return coeffs.astype(TORUS_DTYPE)
 
 
 def poly_mul_spectrum(a_spec: np.ndarray, b_spec: np.ndarray) -> np.ndarray:

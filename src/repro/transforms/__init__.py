@@ -1,4 +1,4 @@
-"""Transform substrate: from-scratch FFT, negacyclic folding, merge-split.
+"""Transform substrate: FFT backends, negacyclic folding, merge-split.
 
 Functional transforms (:mod:`~repro.transforms.fft`,
 :mod:`~repro.transforms.negacyclic`, :mod:`~repro.transforms.merge_split`)

@@ -1,11 +1,19 @@
-"""From-scratch radix-2 decimation-in-time FFT.
+"""Counted FFT entry points and the radix-2 reference engine.
 
-Morphling's datapath is built around pipelined FFT hardware; this module is
-the *functional* counterpart: an iterative radix-2 FFT implemented directly
-(no ``numpy.fft``), vectorized with numpy so the TFHE substrate stays fast.
-The iterative butterfly structure mirrors the multi-delay-commutator
-pipeline modelled in :mod:`repro.transforms.pipeline_model` - ``log2(n)``
-stages of butterflies with per-stage twiddle factors.
+:func:`fft` / :func:`ifft` are the only transform entry points the rest
+of the repo calls: they count every transform (so telemetry is identical
+on every engine) and dispatch to the active compute backend
+(:mod:`repro.transforms.backends`).  The production backend, ``numpy``,
+is numpy's pocketfft.
+
+The rest of this module is the ``radix2`` backend: an iterative radix-2
+decimation-in-time FFT implemented directly (no ``numpy.fft``),
+vectorized with numpy.  It is kept for two jobs, neither of which is
+speed: it is the *reference oracle* the fast engines are tested against,
+and it is the functional twin of Morphling's pipelined FFT hardware -
+its ``log2(n)`` butterfly stages with per-stage twiddle factors mirror
+the multi-delay-commutator pipeline modelled in
+:mod:`repro.transforms.pipeline_model`.
 
 The butterfly engine is allocation-lean: one bit-reversal gather produces
 the working array, every stage then updates it in place through a single
@@ -99,7 +107,9 @@ def _fft_core(x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     if n == 1:
         return x.copy()
-    out = x[..., bit_reverse_permutation(n)]  # fancy indexing copies
+    # take() copies into a C-contiguous array; `x[..., perm]` would hand
+    # back a transposed layout that slows every later consumer.
+    out = np.take(x, bit_reverse_permutation(n), axis=-1)
     batch_shape = x.shape[:-1]
     scratch = np.empty(batch_shape + (n // 2,), dtype=out.dtype)
     for stage, tw in enumerate(_stage_twiddles(n, out.dtype)):
@@ -135,15 +145,15 @@ def _as_complex(x: np.ndarray) -> np.ndarray:
 def fft(x: np.ndarray) -> np.ndarray:
     """Forward FFT of a complex vector (or batch of vectors on axis -1).
 
-    Iterative radix-2 decimation-in-time: bit-reverse the input then apply
-    ``log2(n)`` butterfly stages.  Accepts any shape; the transform runs
-    along the last axis, which must be a power of two.  ``float32`` /
-    ``complex64`` inputs stay in single precision end to end.
+    Accepts any shape; the transform runs along the last axis, which
+    must be a power of two.  ``float32`` / ``complex64`` inputs stay in
+    single precision end to end.
 
     Dispatches to the active compute backend
-    (:mod:`repro.transforms.backends`); the default ``numpy`` backend is
-    the butterfly engine in this module.  Metric counting happens here,
-    before dispatch, so every backend is accounted identically.
+    (:mod:`repro.transforms.backends`): pocketfft under the default
+    ``numpy`` backend, this module's butterfly engine under ``radix2``.
+    Metric counting happens here, before dispatch, so every backend is
+    accounted identically.
     """
     x = _as_complex(x)
     if _METRICS.enabled:

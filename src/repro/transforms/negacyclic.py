@@ -31,7 +31,9 @@ from .fft import fft, ifft
 
 __all__ = [
     "negacyclic_fft",
+    "negacyclic_fft_folded",
     "negacyclic_ifft",
+    "negacyclic_ifft_folded",
     "negacyclic_convolve_fft",
     "negacyclic_convolve_exact",
     "transform_length",
@@ -62,17 +64,20 @@ def transform_length(n: int) -> int:
     return n // 2
 
 
-def _twist(n: int, dtype: DTypeLike = np.complex128) -> np.ndarray:
+def _twist(n: int, dtype: DTypeLike = np.complex128, inverse: bool = False) -> np.ndarray:
     """Twisting factors ``exp(i*pi*j/n)`` for the folded transform.
 
-    Cached per ``(n, dtype)`` so the ``complex64`` precision mode never
+    ``inverse`` returns their conjugates (the untwist).  Cached per
+    ``(n, dtype, inverse)`` so the ``complex64`` precision mode never
     upcasts through a double-precision twist multiply.
     """
-    key = (n, np.dtype(dtype))
+    key = (n, np.dtype(dtype), inverse)
     tw = _TWIST_CACHE.get(key)
     if tw is None:
-        half = n // 2
-        tw = np.exp(1j * np.pi * np.arange(half) / n).astype(dtype)
+        if inverse:
+            tw = np.conj(_twist(n, dtype))
+        else:
+            tw = np.exp(1j * np.pi * np.arange(n // 2) / n).astype(dtype)
         _TWIST_CACHE[key] = tw
     return tw
 
@@ -87,24 +92,35 @@ def negacyclic_fft(p: np.ndarray) -> np.ndarray:
     """
     p = np.asarray(p)
     cdtype = _COMPLEX_FOR_REAL.get(p.dtype, np.complex128)
-    if p.dtype not in (np.float32, np.float64):
-        p = p.astype(np.float64)
-    n = p.shape[-1]
-    half = transform_length(n)
-    if _METRICS.enabled:
-        _NEGACYCLIC.inc(_count_polys(p.shape), direction="forward")
+    half = transform_length(p.shape[-1])
     folded = np.empty(p.shape[:-1] + (half,), dtype=cdtype)
     folded.real = p[..., :half]
     folded.imag = p[..., half:]
-    folded *= _twist(n, cdtype)
+    return negacyclic_fft_folded(folded)
+
+
+def negacyclic_fft_folded(folded: np.ndarray) -> np.ndarray:
+    """Forward negacyclic transform of already-folded input.
+
+    ``folded[..., j] = p[j] + i * p[j + N/2]`` (step 1 of the module
+    docstring) for ``N = 2 * folded.shape[-1]``; callers that produce
+    their coefficients in halves write them straight into such a buffer
+    and skip the fold copy.  ``folded`` is twisted **in place** and must
+    not be reused.
+    """
+    n = 2 * folded.shape[-1]
+    if _METRICS.enabled:
+        _NEGACYCLIC.inc(_count_polys(folded.shape), direction="forward")
+    folded *= _twist(n, folded.dtype)
     return fft(folded)
 
 
-def negacyclic_ifft(spectrum: np.ndarray, n: int) -> np.ndarray:
-    """Inverse negacyclic transform back to ``n`` real coefficients.
+def negacyclic_ifft_folded(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """Inverse negacyclic transform, left folded.
 
-    The output precision follows the spectrum: ``complex64`` spectra
-    produce ``float32`` coefficients.
+    Returns the ``N/2`` complex points ``p[j] + i * p[j + N/2]`` of the
+    ``n`` real coefficients; :func:`negacyclic_ifft` unfolds them, callers
+    that round anyway fuse the unfold into the rounding.
     """
     half = transform_length(n)
     if spectrum.shape[-1] != half:
@@ -114,7 +130,18 @@ def negacyclic_ifft(spectrum: np.ndarray, n: int) -> np.ndarray:
     if _METRICS.enabled:
         _NEGACYCLIC.inc(_count_polys(spectrum.shape), direction="inverse")
     folded = ifft(spectrum)
-    folded *= np.conj(_twist(n, folded.dtype))
+    folded *= _twist(n, folded.dtype, inverse=True)
+    return folded
+
+
+def negacyclic_ifft(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """Inverse negacyclic transform back to ``n`` real coefficients.
+
+    The output precision follows the spectrum: ``complex64`` spectra
+    produce ``float32`` coefficients.
+    """
+    folded = negacyclic_ifft_folded(spectrum, n)
+    half = n // 2
     real_dtype = np.float32 if folded.dtype == np.complex64 else np.float64
     out = np.empty(spectrum.shape[:-1] + (n,), dtype=real_dtype)
     out[..., :half] = folded.real

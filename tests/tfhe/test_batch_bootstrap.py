@@ -27,8 +27,12 @@ from repro.tfhe import (
 from repro.tfhe.decomposition import decompose
 from repro.tfhe.ops import TfheContext
 from repro.tfhe.torus import TORUS_DTYPE, to_torus
+from repro.transforms.backends import available_backends, use_backend
 
 P = 8
+
+#: Every transform engine that can run here; ``radix2`` is the oracle.
+ENGINES = [name for name in ("radix2", "numpy", "scipy") if name in available_backends()]
 
 
 def _assert_bit_identical(batch_outs, scalar_outs):
@@ -80,9 +84,9 @@ class TestBitIdentity:
         for m, out in zip(msgs, batch):
             assert ctx.decrypt(out, P) == m
 
-    def test_batch_matches_scalar_secure_set(self):
+    def test_batch_matches_scalar_secure_set(self, ctx_set_one):
         """Bit-identity holds on a secure Table III set, not just toys."""
-        ctx = TfheContext.create(PARAM_SETS["I"], seed=1)
+        ctx = ctx_set_one
         msgs = [0, 2, 3]
         cts = [ctx.encrypt(m, P) for m in msgs]
         tp = identity_test_polynomial(ctx.params, P)
@@ -92,6 +96,82 @@ class TestBitIdentity:
         )
         for m, out in zip(msgs, batch):
             assert ctx.decrypt(out, P) == m
+
+
+@pytest.fixture(scope="module")
+def ctx_set_one():
+    return TfheContext.create(PARAM_SETS["I"], seed=1)
+
+
+class TestEngineDifferential:
+    """The single-pass kernel gives the same words on every transform engine.
+
+    In ``complex128`` the float error of any correct FFT stays far below
+    the rounding threshold, so whole bootstraps must agree bit for bit
+    between the production pocketfft engines and the radix-2 oracle.
+    """
+
+    def _run(self, cts, tps, keyset, **kwargs):
+        outs = {}
+        for engine in ENGINES:
+            with use_backend(engine):
+                outs[engine] = programmable_bootstrap_batch(cts, tps, keyset, **kwargs)
+        return outs
+
+    def _zero_some_digits(self, cts, n_poly):
+        """Force ``a~_i == 0`` for part of the batch (the partial-active
+        gather path) and for a whole column (the skipped step)."""
+        cts[0].a[:4] = 0
+        cts[1].a[2:6] = (1 << 32) // (8 * n_poly)  # below half a Z_2N bucket
+        for ct in cts:
+            ct.a[7] = 0
+
+    @pytest.mark.parametrize("which", ["toy", "setI"])
+    def test_bit_identical_across_engines(self, which, ctx, ctx_set_one):
+        c = ctx if which == "toy" else ctx_set_one
+        msgs = [0, 1, 2, 3, 1]
+        cts = [c.encrypt(m, P) for m in msgs]
+        self._zero_some_digits(cts, c.params.N)
+        identity = identity_test_polynomial(c.params, P)
+        square = make_test_polynomial(
+            np.array([(x * x) % P for x in range(P // 2)], dtype=np.int64), c.params, P
+        )
+        tps = np.stack([identity, square, identity, square, identity])
+        outs = self._run(cts, tps, c.keyset)
+        for engine in ENGINES[1:]:
+            _assert_bit_identical(outs[engine], outs[ENGINES[0]])
+        # Per-sample LUTs, partial batches and B=1 are views of one kernel.
+        with use_backend("numpy"):
+            alone = [
+                programmable_bootstrap_batch([ct], tp, c.keyset)[0]
+                for ct, tp in zip(cts, tps)
+            ]
+        _assert_bit_identical(outs["numpy"], alone)
+
+    def test_single_precision_across_engines(self, ctx):
+        """complex64 error is far above one ulp of the torus, so engines
+        differ in the low bits (even numpy's and scipy's pocketfft builds);
+        every engine must still decode."""
+        msgs = [0, 1, 2, 3]
+        cts = [ctx.encrypt(m, P) for m in msgs]
+        tp = identity_test_polynomial(ctx.params, P)
+        outs = self._run(cts, tp, ctx.keyset, precision="single")
+        for engine, results in outs.items():
+            assert [ctx.decrypt(out, P) for out in results] == msgs, engine
+
+    def test_toy_bootstrap_matches_exact_integer_engine(self, ctx):
+        """With the float error below 1/2 the rounded transform product *is*
+        the integer product, so the fast path must reproduce the O(N^2)
+        integer reference bit for bit."""
+        ct = ctx.encrypt(3, P)
+        ct.a[5] = 0  # one skipped CMux
+        tp = identity_test_polynomial(ctx.params, P)
+        exact = programmable_bootstrap(ct, tp, ctx.keyset, engine="exact")
+        for engine in ENGINES:
+            with use_backend(engine):
+                _assert_bit_identical(
+                    programmable_bootstrap_batch([ct], tp, ctx.keyset), [exact]
+                )
 
 
 class TestPrecisionModes:

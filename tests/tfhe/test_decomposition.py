@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.tfhe.decomposition import (
     decompose,
+    decompose_folded,
     decomposition_error_bound,
     recompose,
 )
@@ -65,6 +66,64 @@ class TestRecomposition:
         v = np.array([value], dtype=np.uint32)
         back = recompose(decompose(v, beta_bits, levels), beta_bits)
         assert centered_error(v, back)[0] <= decomposition_error_bound(beta_bits, levels)
+
+
+def unfold(folded):
+    """Folded FFT input back to the ``(..., levels, N)`` digit layout."""
+    assert not (folded.real % 1).any() and not (folded.imag % 1).any()
+    return np.concatenate((folded.real, folded.imag), axis=-1).astype(np.int64)
+
+
+CONFIGS = [(4, 3), (6, 4), (7, 3), (8, 4), (10, 2), (10, 3), (16, 1), (16, 2), (23, 1)]
+
+
+class TestCarryFreeDecomposition:
+    """``decompose_folded`` is the carry-chain ``decompose``, digit for digit."""
+
+    @pytest.mark.parametrize("beta_bits,levels", CONFIGS)
+    def test_boundary_values(self, beta_bits, levels):
+        drop = 32 - beta_bits * levels
+        tie = 1 << (drop - 1) if drop else 0  # the rounding tie at the dropped bits
+        half_digit = 1 << (beta_bits - 1)  # where a digit balances to -beta/2
+        values = {0, 1, (1 << 31) - 1, 1 << 31, (1 << 31) + 1, 0xFFFFFFFE, 0xFFFFFFFF}
+        for base in (0, 1 << 31, 0xFFFFFFFF, half_digit << drop, (half_digit - 1) << drop):
+            for delta in (-1, 0, 1):
+                values.add((base + tie + delta) & 0xFFFFFFFF)
+                values.add((base - tie + delta) & 0xFFFFFFFF)
+        for j in range(levels):  # every digit exactly at +-beta/2
+            values.add((half_digit << (drop + beta_bits * j)) & 0xFFFFFFFF)
+        # Doubled so the length is even: the fold splits the last axis in halves.
+        v = np.array(sorted(values) * 2, dtype=np.uint64).astype(np.uint32)
+        assert np.array_equal(
+            unfold(decompose_folded(v, beta_bits, levels)), decompose(v, beta_bits, levels)
+        )
+
+    @pytest.mark.parametrize("beta_bits,levels", CONFIGS)
+    def test_random_batched(self, beta_bits, levels, rng):
+        v = rng.integers(0, 1 << 32, size=(3, 2, 64), dtype=np.uint64).astype(np.uint32)
+        folded = decompose_folded(v, beta_bits, levels)
+        assert folded.shape == (3, 2, levels, 32) and folded.dtype == np.complex128
+        assert np.array_equal(unfold(folded), decompose(v, beta_bits, levels))
+
+    def test_single_precision_holds_the_same_digits(self, rng):
+        v = rng.integers(0, 1 << 32, size=(2, 16), dtype=np.uint64).astype(np.uint32)
+        folded = decompose_folded(v, 16, 2, dtype=np.complex64)
+        assert folded.dtype == np.complex64
+        assert np.array_equal(unfold(folded), decompose(v, 16, 2))
+
+    @given(st.lists(st.integers(0, (1 << 32) - 1), min_size=2, max_size=2),
+           st.sampled_from(CONFIGS))
+    @settings(max_examples=300, deadline=None)
+    def test_property_equals_decompose(self, pair, config):
+        beta_bits, levels = config
+        v = np.array(pair, dtype=np.uint64).astype(np.uint32)
+        assert np.array_equal(
+            unfold(decompose_folded(v, beta_bits, levels)), decompose(v, beta_bits, levels)
+        )
+
+    def test_rejects_overwide_decomposition(self):
+        with pytest.raises(ValueError):
+            decompose_folded(np.zeros(4, dtype=np.uint32), beta_bits=8, levels=5)
 
 
 class TestErrorBound:

@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 
 from repro import TEST_PARAMS
+from repro.params import PARAM_SETS
+from repro.tfhe.glwe import (
+    _key_mask_product,
+    _key_mask_products,
+    glwe_encrypt,
+    glwe_encrypt_zeros,
+    glwe_keygen,
+)
 from repro.tfhe.keys import generate_keyset, make_ksk
 from repro.tfhe.lwe import lwe_keygen
+from repro.tfhe.torus import u32
+from repro.transforms.backends import use_backend
 
 
 class TestKeySetStructure:
@@ -56,6 +66,106 @@ class TestSpectrumTableCache:
         rebuilt = keyset.bsk_spectrum_table("double")
         assert rebuilt is not table
         np.testing.assert_array_equal(rebuilt, table)
+
+
+class TestSpectrumTableLayout:
+    """The per-step einsum needs C order; a transposed table is 3.5x slower."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "radix2"])
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_table_is_c_contiguous(self, backend, precision):
+        fresh = generate_keyset(TEST_PARAMS, np.random.default_rng(3))
+        with use_backend(backend):
+            table = fresh.bsk_spectrum_table(precision)
+        assert table.flags.c_contiguous
+
+    def test_adopt_rejects_a_non_contiguous_table(self, keyset):
+        table = keyset.bsk_spectrum_table("double")
+        transposed = np.ascontiguousarray(table.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+        assert transposed.shape == table.shape and not transposed.flags.c_contiguous
+        fresh = generate_keyset(TEST_PARAMS, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            fresh.adopt_spectrum_table(transposed)
+        assert fresh.adopt_spectrum_table(table) is table
+
+
+def _row_by_row_keyset(params, rng, ggsw_indices):
+    """Keygen as it ran before the key-mask products were batched.
+
+    Draws exactly what :func:`generate_keyset` draws, in order, but
+    encrypts one GLWE row at a time through :func:`glwe_encrypt`; the
+    (slow) per-row product is only computed for the GGSWs asked for.
+    Returns ``({index: rows}, ksk)``.
+    """
+    lwe_key = lwe_keygen(params.n, rng)
+    glwe_key = glwe_keygen(params.k, params.N, rng)
+    zero = np.zeros(params.N, dtype=np.uint32)
+    wanted = {}
+    for index, bit in enumerate(lwe_key.bits):
+        rows = np.empty(((params.k + 1) * params.l_b, params.k + 1, params.N), dtype=np.uint32)
+        for i in range(params.k + 1):
+            for j in range(params.l_b):
+                if index in ggsw_indices:
+                    enc = glwe_encrypt(zero, glwe_key, rng, params.glwe_noise_log2).data
+                    weight = int(bit) << (params.q_bits - params.beta_bits * (j + 1))
+                    enc[i, 0] = u32(int(enc[i, 0]) + weight)
+                    rows[i * params.l_b + j] = enc
+                else:  # same draws, product skipped
+                    rng.integers(0, 1 << 32, size=(params.k, params.N), dtype=np.uint64)
+                    rng.normal(0.0, 1.0, size=(params.N,))
+        if index in ggsw_indices:
+            wanted[index] = rows
+    ksk = make_ksk(
+        glwe_key.extracted_lwe_bits(), lwe_key, params.beta_ks_bits, params.l_k, rng,
+        noise_log2=params.lwe_noise_log2, q_bits=params.q_bits,
+    )
+    return wanted, ksk
+
+
+class TestBatchedKeygen:
+    """Batching the key-mask products changes no key bit and no RNG draw."""
+
+    @pytest.mark.parametrize("params,sampled", [
+        (TEST_PARAMS, range(TEST_PARAMS.n)),
+        (PARAM_SETS["I"], (0, 249, 499)),
+    ], ids=["toy", "setI"])
+    def test_keys_bit_identical_to_row_by_row(self, params, sampled):
+        keyset = generate_keyset(params, np.random.default_rng(21))
+        wanted, ksk = _row_by_row_keyset(params, np.random.default_rng(21), set(sampled))
+        assert sorted(wanted) == sorted(sampled)
+        for index, rows in wanted.items():
+            np.testing.assert_array_equal(keyset.bsk[index].rows, rows)
+        # The KSK is drawn after the BSK: equal only if every draw lined up.
+        np.testing.assert_array_equal(keyset.ksk.masks, ksk.masks)
+        np.testing.assert_array_equal(keyset.ksk.bodies, ksk.bodies)
+
+    @pytest.mark.parametrize("k,n", [(1, 1024), (2, 64), (3, 16)])
+    def test_products_equal_the_per_row_function(self, k, n, rng):
+        key = glwe_keygen(k, n, rng)
+        masks = rng.integers(0, 1 << 32, size=(5, k, n), dtype=np.uint64).astype(np.uint32)
+        masks[0] = 0xFFFFFFFF  # the largest sum the exactness bound must cover
+        got = _key_mask_products(masks, key)
+        assert got.dtype == np.int64
+        for row, want in zip(got, (_key_mask_product(m, key) for m in masks)):
+            np.testing.assert_array_equal(row, want)
+
+    def test_exactness_bound_is_enforced(self):
+        """k*N*2**32 must stay below 2**53 for the float64 GEMM to be exact."""
+        n = 1 << 21
+        key = type("Key", (), {"k": 1, "N": n, "polys": np.zeros((1, n), dtype=np.int64)})()
+        with pytest.raises(ValueError, match="exact"):
+            _key_mask_products(np.zeros((1, 1, n), dtype=np.uint32), key)
+
+    def test_zero_encryptions_decrypt_to_noise(self, rng):
+        from repro.tfhe.glwe import GlweCiphertext, glwe_decrypt_phase
+        from repro.tfhe.torus import to_signed
+
+        key = glwe_keygen(2, 64, rng)
+        data = glwe_encrypt_zeros(6, key, rng, noise_log2=-26.0)
+        assert data.shape == (6, 3, 64) and data.dtype == np.uint32
+        for row in data:
+            phase = to_signed(glwe_decrypt_phase(GlweCiphertext(row), key))
+            assert np.abs(phase).max() < 1 << 12  # ~2**6 sigma, far below a message bit
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.tfhe.polynomial import (
     from_spectrum,
     monomial_mul,
+    monomial_rotate_batch,
     poly_add,
     poly_mul,
     poly_mul_spectrum,
@@ -83,6 +84,41 @@ class TestMonomialMul:
             np.testing.assert_array_equal(out[i], monomial_mul(a[i], 5))
 
 
+class TestMonomialRotateBatch:
+    """The batched rotator is ``monomial_mul`` row by row."""
+
+    def test_every_exponent(self, rng):
+        p = random_torus_poly(rng)
+        t = np.arange(-2 * N, 4 * N + 1)  # covers 0, N, 2N and negative / wrapped exponents
+        got = monomial_rotate_batch(np.broadcast_to(p, (t.size, N)), t)
+        for row, shift in zip(got, t):
+            np.testing.assert_array_equal(row, monomial_mul(p, int(shift)))
+
+    def test_exponent_shared_across_components(self, rng):
+        """The blind-rotation call shape: ``(B, k+1, N)`` data, ``(B, 1)`` exponents."""
+        p = np.stack([[random_torus_poly(rng) for _ in range(3)] for _ in range(4)])
+        t = np.array([[0], [N], [5], [2 * N - 1]])
+        got = monomial_rotate_batch(p, t)
+        assert got.shape == p.shape and got.dtype == np.uint32
+        for b in range(4):
+            np.testing.assert_array_equal(got[b], monomial_mul(p[b], int(t[b, 0])))
+
+    def test_scalar_exponent_and_single_row(self, rng):
+        p = random_torus_poly(rng)
+        np.testing.assert_array_equal(monomial_rotate_batch(p, 7), monomial_mul(p, 7))
+
+    def test_does_not_alias_input(self, rng):
+        p = random_torus_poly(rng)[None, :]
+        saved = p.copy()
+        out = monomial_rotate_batch(p, np.array([0]))
+        out += 1
+        np.testing.assert_array_equal(p, saved)
+
+    def test_rejects_unbroadcastable_exponents(self, rng):
+        with pytest.raises(ValueError):
+            monomial_rotate_batch(np.zeros((3, N), dtype=np.uint32), np.arange(2))
+
+
 class TestPolyMul:
     def test_engines_agree(self, rng):
         small = rng.integers(-64, 64, size=N)
@@ -131,6 +167,15 @@ class TestSpectrumPath:
         np.testing.assert_array_equal(
             from_spectrum(spec, N), poly_mul(small, big, engine="exact")
         )
+
+    def test_from_spectrum_rounds_half_to_even_and_wraps(self):
+        """The fused round+unfold equals rounding the unfolded coefficients."""
+        from repro.transforms.negacyclic import negacyclic_fft, negacyclic_ifft
+
+        coeffs = np.array([0.5, 1.5, -0.5, -1.5, 2.0**32 + 3, -(2.0**31), 2.0**40 + 1, -7.0])
+        spec = negacyclic_fft(coeffs)
+        want = to_torus(np.round(negacyclic_ifft(spec, coeffs.size)).astype(np.int64))
+        np.testing.assert_array_equal(from_spectrum(spec, coeffs.size), want)
 
     def test_spectrum_accumulation_linearity(self, rng):
         """Accumulating in the transform domain == accumulating coefficients.

@@ -14,6 +14,7 @@ fft_mod = sys.modules["repro.transforms.fft"]
 from repro.transforms.backends import (
     BACKEND_ENV_VAR,
     NumpyBackend,
+    Radix2Backend,
     active_backend,
     active_backend_name,
     available_backends,
@@ -24,7 +25,9 @@ from repro.transforms.backends import (
     use_backend,
 )
 
-scipy = pytest.importorskip("scipy", reason="scipy parity tests need scipy")
+requires_scipy = pytest.mark.skipif(
+    "scipy" not in available_backends(), reason="scipy parity tests need scipy"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -38,6 +41,7 @@ class TestRegistry:
         assert "numpy" in registered_backends()
         assert "numpy" in available_backends()
 
+    @requires_scipy
     def test_scipy_detected(self):
         assert "scipy" in available_backends()
 
@@ -52,6 +56,15 @@ class TestRegistry:
         assert "available backends" in message
         assert "numpy" in message
 
+    def test_radix2_oracle_always_listed(self):
+        """The butterfly engine stays selectable by name now that it is no
+        longer the default, and the unknown-backend hint offers it."""
+        assert "radix2" in registered_backends()
+        assert "radix2" in available_backends()
+        assert isinstance(get_backend("radix2"), Radix2Backend)
+        with pytest.raises(ValueError, match="radix2"):
+            get_backend("fftpack9000")
+
     def test_unavailable_backend_error_names_it(self):
         if "pyfftw" in available_backends():
             pytest.skip("pyfftw importable here; nothing to probe")
@@ -64,6 +77,7 @@ class TestRegistry:
         assert active_backend_name() == "numpy"
         assert isinstance(active_backend(), NumpyBackend)
 
+    @requires_scipy
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "scipy")
         reset_backend()
@@ -75,27 +89,83 @@ class TestRegistry:
         with pytest.raises(ValueError, match="nope"):
             active_backend()
 
+    @requires_scipy
     def test_set_backend_overrides_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "scipy")
         set_backend("numpy")
         assert active_backend_name() == "numpy"
 
+    @requires_scipy
     def test_use_backend_restores_previous(self):
         set_backend("numpy")
         with use_backend("scipy"):
             assert active_backend_name() == "scipy"
         assert active_backend_name() == "numpy"
 
+    @requires_scipy
     def test_use_backend_none_keeps_current(self):
         set_backend("scipy")
         with use_backend(None):
             assert active_backend_name() == "scipy"
 
+    @requires_scipy
     def test_describe_names_the_backend(self):
         assert "numpy" in get_backend("numpy").describe()
         assert "scipy" in get_backend("scipy").describe()
 
 
+class TestDtypeContract:
+    """``complex64`` in means ``complex64`` out, on every always-on engine."""
+
+    @pytest.mark.parametrize("name", ["numpy", "radix2"])
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_dtype_preserved(self, name, dtype, rng):
+        x = (rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))).astype(dtype)
+        backend = get_backend(name)
+        assert backend.fft(x).dtype == dtype
+        assert backend.ifft(x).dtype == dtype
+
+    def test_numpy_backend_casts_back_when_numpy_upcasts(self, rng, monkeypatch):
+        """numpy < 2 (allowed by pyproject) computes every FFT in complex128."""
+        backend = NumpyBackend()
+        upcasting = {
+            "_np_fft": lambda x, axis: np.fft.fft(x.astype(np.complex128), axis=axis),
+            "_np_ifft": lambda x, axis: np.fft.ifft(x.astype(np.complex128), axis=axis),
+        }
+        for attr, fn in upcasting.items():
+            monkeypatch.setattr(backend, attr, fn)
+        x = (rng.standard_normal(32) + 1j * rng.standard_normal(32)).astype(np.complex64)
+        spec = backend.fft(x)
+        assert spec.dtype == np.complex64
+        back = backend.ifft(spec)
+        assert back.dtype == np.complex64
+        np.testing.assert_allclose(back, x, rtol=1e-5, atol=1e-5)
+
+
+class TestRadix2Oracle:
+    """The production engine is certified against the in-repo butterflies."""
+
+    @pytest.mark.parametrize("n", [2, 8, 64, 512, 1024])
+    def test_numpy_engine_matches_the_oracle(self, n, rng):
+        x = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+        with use_backend("radix2"):
+            ref_fwd, ref_inv = fft_mod.fft(x), fft_mod.ifft(x)
+        with use_backend("numpy"):
+            got_fwd, got_inv = fft_mod.fft(x), fft_mod.ifft(x)
+        np.testing.assert_allclose(got_fwd, ref_fwd, rtol=1e-12, atol=1e-12 * n)
+        np.testing.assert_allclose(got_inv, ref_inv, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["numpy", "radix2"])
+    def test_output_is_c_contiguous_and_input_untouched(self, name, rng):
+        x = rng.standard_normal((4, 2, 64)) + 0j
+        saved = x.copy()
+        with use_backend(name):
+            out = fft_mod.fft(x)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(x, saved)
+
+
+@requires_scipy
 class TestParity:
     """numpy and scipy must agree: bit-for-bit at complex128 (both are
     exact enough that the negacyclic fold/round digests identically),
@@ -170,6 +240,7 @@ class TestParity:
         assert all(e.fields.get("backend") == "scipy" for e in requests)
 
 
+@requires_scipy
 class TestCounters:
     def test_fft_counted_identically_across_backends(self, rng):
         from repro import observability as obs
