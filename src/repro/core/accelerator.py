@@ -64,6 +64,8 @@ class MorphlingConfig:
             raise ValueError("VPE array must be at least 1x1")
         if self.fft_units_per_xpu < 1 or self.ifft_units_per_xpu < 1:
             raise ValueError("need at least one FFT and one IFFT unit per XPU")
+        if self.vpu_lane_groups < 1 or self.vpu_lanes_per_group < 1:
+            raise ValueError("VPU needs at least one lane group of at least one lane")
         if self.rotator not in ("double_pointer", "shifter"):
             raise ValueError(f"unknown rotator style: {self.rotator!r}")
         if self.xpu_hbm_channels + self.vpu_hbm_channels > self.hbm_channels:

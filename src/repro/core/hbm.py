@@ -78,23 +78,34 @@ class HbmModel:
             test_poly_bytes=params.glwe_bytes / ksk_reuse,
         )
 
+    def bytes_per_second(self, group: str) -> float:
+        """Bandwidth of channel group ``group`` (``"xpu"`` or ``"vpu"``)."""
+        cfg = self.config
+        gbs = cfg.xpu_bandwidth_gbs if group == "xpu" else cfg.vpu_bandwidth_gbs
+        return gbs * 1e9
+
+    def record_transfer(self, data_bytes: float, group: str) -> None:
+        """Account one modelled transfer on the metrics and perf counters.
+
+        Called by whoever *executes* the transfer: the ``*_transfer_seconds``
+        pair below, and the HW-scheduler, which prices DMA instructions
+        from the cached :meth:`bytes_per_second`.
+        """
+        if _METRICS.enabled:
+            _HBM_BYTES.inc(data_bytes, channel=group)
+            _HBM_TRANSFERS.inc(channel=group)
+        if _COUNTERS.enabled:
+            self._count_channel_bytes(data_bytes, group=group)
+
     def xpu_transfer_seconds(self, data_bytes: float) -> float:
         """Seconds to move ``data_bytes`` over the XPU channel group."""
-        if _METRICS.enabled:
-            _HBM_BYTES.inc(data_bytes, channel="xpu")
-            _HBM_TRANSFERS.inc(channel="xpu")
-        if _COUNTERS.enabled:
-            self._count_channel_bytes(data_bytes, group="xpu")
-        return data_bytes / (self.config.xpu_bandwidth_gbs * 1e9)
+        self.record_transfer(data_bytes, "xpu")
+        return data_bytes / self.bytes_per_second("xpu")
 
     def vpu_transfer_seconds(self, data_bytes: float) -> float:
         """Seconds to move ``data_bytes`` over the VPU channel group."""
-        if _METRICS.enabled:
-            _HBM_BYTES.inc(data_bytes, channel="vpu")
-            _HBM_TRANSFERS.inc(channel="vpu")
-        if _COUNTERS.enabled:
-            self._count_channel_bytes(data_bytes, group="vpu")
-        return data_bytes / (self.config.vpu_bandwidth_gbs * 1e9)
+        self.record_transfer(data_bytes, "vpu")
+        return data_bytes / self.bytes_per_second("vpu")
 
     def _count_channel_bytes(self, data_bytes: float, group: str) -> None:
         """Per-channel perf counters: traffic interleaves evenly in-group.
@@ -123,6 +134,6 @@ class HbmModel:
         disjoint traffic); the tighter group wins.
         """
         traffic = self.per_bootstrap_traffic(params, bsk_reuse, ksk_reuse)
-        xpu_rate = (self.config.xpu_bandwidth_gbs * 1e9) / max(traffic.xpu_bytes, 1e-12)
-        vpu_rate = (self.config.vpu_bandwidth_gbs * 1e9) / max(traffic.vpu_bytes, 1e-12)
+        xpu_rate = self.bytes_per_second("xpu") / max(traffic.xpu_bytes, 1e-12)
+        vpu_rate = self.bytes_per_second("vpu") / max(traffic.vpu_bytes, 1e-12)
         return min(xpu_rate, vpu_rate)

@@ -10,9 +10,7 @@ paper schedules at (Fig. 6).
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Engine",
@@ -22,7 +20,7 @@ __all__ = [
     "Instruction",
     "InstructionStream",
     "engine_of",
-    "OP_ENGINES",
+    "engine_queue",
 ]
 
 
@@ -32,18 +30,30 @@ class Engine(enum.Enum):
     DMA = "dma"
 
 
-class XpuOp(enum.Enum):
+class _Opcode(enum.Enum):
+    """Base of the per-engine opcode enums.
+
+    Every member carries the engine that dispatches it as a plain
+    attribute: the schedulers and the verifier read it per instruction,
+    and hashing an enum member into a table (``Enum.__hash__`` runs in
+    Python) costs several times an attribute read.
+    """
+
+    engine: Engine
+
+
+class XpuOp(_Opcode):
     BLIND_ROTATE = "blind_rotate"
 
 
-class VpuOp(enum.Enum):
+class VpuOp(_Opcode):
     MODULUS_SWITCH = "modulus_switch"
     SAMPLE_EXTRACT = "sample_extract"
     KEY_SWITCH = "key_switch"
     P_ALU = "p_alu"
 
 
-class DmaOp(enum.Enum):
+class DmaOp(_Opcode):
     LOAD_LWE = "load_lwe"
     LOAD_BSK = "load_bsk"
     LOAD_KSK = "load_ksk"
@@ -51,72 +61,115 @@ class DmaOp(enum.Enum):
     STORE_LWE = "store_lwe"
 
 
-#: Opcode -> engine table (the decoder's dispatch map).  Read-only from
-#: the outside; use :func:`engine_of` for lookups that may fail.
-OP_ENGINES = {
-    **{op: Engine.XPU for op in XpuOp},
-    **{op: Engine.VPU for op in VpuOp},
-    **{op: Engine.DMA for op in DmaOp},
-}
-_OP_ENGINES = OP_ENGINES  # backwards-compatible private alias
+for _ops, _engine in ((XpuOp, Engine.XPU), (VpuOp, Engine.VPU), (DmaOp, Engine.DMA)):
+    for _op in _ops:
+        _op.engine = _engine
 
 
 def engine_of(op: object) -> Optional[Engine]:
     """Engine an opcode dispatches to, or ``None`` for unknown opcodes."""
-    return OP_ENGINES.get(op)
+    return op.engine if isinstance(op, _Opcode) else None
 
 
-@dataclass(frozen=True)
 class Instruction:
     """One scheduled operation.
 
     ``count`` is the number of ciphertexts the op covers (batch size for
     XPU/VPU ops); ``data_bytes`` the DMA payload; ``macs`` the P-ALU work.
     ``depends_on`` lists instruction ids that must retire first.
+    ``engine`` is the opcode's engine, resolved once here.
+
+    Slotted (no per-instance ``__dict__``): a DeepCNN-100 stream is 18 736
+    of these.  Instructions are values - compared and hashed by their
+    fields - and nothing mutates one after construction.
     """
 
-    inst_id: int
-    op: object
-    group: int
-    count: int = 0
-    data_bytes: int = 0
-    macs: int = 0
-    depends_on: Tuple[int, ...] = ()
+    __slots__ = ("inst_id", "op", "group", "count", "data_bytes", "macs",
+                 "depends_on", "engine")
 
-    @property
-    def engine(self) -> Engine:
-        return OP_ENGINES[self.op]
-
-    def __post_init__(self) -> None:
-        if self.op not in OP_ENGINES:
-            raise ValueError(f"unknown opcode: {self.op!r}")
-        if self.count < 0 or self.data_bytes < 0 or self.macs < 0:
+    def __init__(
+        self, inst_id: int, op: object, group: int, count: int = 0,
+        data_bytes: int = 0, macs: int = 0, depends_on: Tuple[int, ...] = (),
+    ) -> None:
+        if not isinstance(op, _Opcode):
+            raise ValueError(f"unknown opcode: {op!r}")
+        if count < 0 or data_bytes < 0 or macs < 0:
             raise ValueError("instruction sizes must be non-negative")
+        self.inst_id = inst_id
+        self.op = op
+        self.group = group
+        self.count = count
+        self.data_bytes = data_bytes
+        self.macs = macs
+        self.depends_on = depends_on
+        self.engine = op.engine
+
+    def _fields(self) -> tuple:
+        return (self.inst_id, self.op, self.group, self.count,
+                self.data_bytes, self.macs, self.depends_on)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Instruction):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Instruction(inst_id={self.inst_id!r}, op={self.op!r}, "
+            f"group={self.group!r}, count={self.count!r}, "
+            f"data_bytes={self.data_bytes!r}, macs={self.macs!r}, "
+            f"depends_on={self.depends_on!r})"
+        )
+
+
+def engine_queue(inst: Instruction, lane_groups: int) -> str:
+    """In-order hardware queue ``inst`` issues on.
+
+    All XPUs form one pool; the VPU is split into ``lane_groups`` lane
+    groups, each serving the scheduler groups congruent to it (Section
+    V-B: groups are programmed individually); the BSK rides the XPU HBM
+    channel group and every other transfer the VPU's.  The HW-scheduler
+    and the verifier's occupancy model both queue through here, so they
+    agree on one resource model.
+    """
+    engine = inst.engine
+    if engine is Engine.DMA:
+        return "dma_xpu" if inst.op is DmaOp.LOAD_BSK else "dma_vpu"
+    if engine is Engine.VPU:
+        return f"vpu{inst.group % lane_groups}"
+    return "xpu"
 
 
 class InstructionStream:
-    """An append-only, dependency-checked instruction list."""
+    """An append-only, dependency-checked instruction list.
+
+    Instruction ids are emission indices, so "already emitted" is an
+    integer comparison rather than a set of seen ids.
+    """
 
     def __init__(self) -> None:
         self._instructions: List[Instruction] = []
-        self._ids = itertools.count()
-        self._known_ids: Set[int] = set()
 
     def emit(
         self,
         op: object,
         group: int,
         depends_on: Iterable[int] = (),
-        **sizes: int,
+        count: int = 0,
+        data_bytes: int = 0,
+        macs: int = 0,
     ) -> Instruction:
         """Append an instruction; dependencies must already exist."""
         deps = tuple(depends_on)
+        inst_id = len(self._instructions)
         for d in deps:
-            if d not in self._known_ids:
+            if not 0 <= d < inst_id:
                 raise ValueError(f"dependency {d} not yet emitted")
-        inst = Instruction(next(self._ids), op, group, depends_on=deps, **sizes)
+        inst = Instruction(inst_id, op, group, count, data_bytes, macs, deps)
         self._instructions.append(inst)
-        self._known_ids.add(inst.inst_id)
         return inst
 
     def __iter__(self) -> Iterator[Instruction]:
@@ -133,11 +186,9 @@ class InstructionStream:
 
     def validate_dependencies(self) -> None:
         """Check the stream is a DAG in emission order (deps point backwards)."""
-        seen: Set[int] = set()
         for inst in self._instructions:
             for d in inst.depends_on:
-                if d not in seen:
+                if not 0 <= d < inst.inst_id:
                     raise ValueError(
                         f"instruction {inst.inst_id} depends on unretired {d}"
                     )
-            seen.add(inst.inst_id)

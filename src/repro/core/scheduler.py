@@ -14,7 +14,7 @@ resource model of the paper's pipelined execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import (cycle at runtime)
     from ..verify.occupancy import OccupancyProof
@@ -30,7 +30,15 @@ from ..params import TFHEParams
 from .accelerator import MorphlingConfig
 from .buffers import acc_stream_capacity
 from .hbm import HbmModel
-from .isa import DmaOp, Engine, Instruction, InstructionStream, VpuOp, XpuOp
+from .isa import (
+    DmaOp,
+    Engine,
+    Instruction,
+    InstructionStream,
+    VpuOp,
+    XpuOp,
+    engine_queue,
+)
 from .vpu import VpuModel
 from .xpu import XpuModel
 
@@ -39,6 +47,7 @@ __all__ = [
     "SwScheduler",
     "HwScheduler",
     "ScheduleResult",
+    "list_schedule",
     "run_workload",
 ]
 
@@ -112,13 +121,17 @@ class SwScheduler:
         double-buffering role of the Private-A2 buffer.
         """
         stream = InstructionStream()
+        emit = stream.emit
         p = self.params
+        lwe_bytes = p.lwe_bytes
+        bsk_bytes = p.bsk_transform_bytes
+        ksk_bytes = p.ksk_bytes
         group_id = 0
         barrier = ()  # ids the next layer must wait on
         for layer in layers:
             layer_tail = []
             if layer.linear_macs:
-                palu = stream.emit(
+                palu = emit(
                     VpuOp.P_ALU, group_id, depends_on=barrier, macs=layer.linear_macs
                 )
                 layer_tail.append(palu.inst_id)
@@ -136,41 +149,40 @@ class SwScheduler:
             # Phase 1: prefetch every group's operands.
             loads = []
             for batch in batches:
-                load = stream.emit(
-                    DmaOp.LOAD_LWE, group_id + len(loads), depends_on=linear_dep,
-                    count=batch, data_bytes=batch * p.lwe_bytes,
+                group = group_id + len(loads)
+                load = emit(
+                    DmaOp.LOAD_LWE, group, depends_on=linear_dep,
+                    count=batch, data_bytes=batch * lwe_bytes,
                 )
-                bsk = stream.emit(
-                    DmaOp.LOAD_BSK, group_id + len(loads), depends_on=linear_dep,
-                    data_bytes=p.bsk_transform_bytes,
+                bsk = emit(
+                    DmaOp.LOAD_BSK, group, depends_on=linear_dep,
+                    data_bytes=bsk_bytes,
                 )
-                ksk = stream.emit(
-                    DmaOp.LOAD_KSK, group_id + len(loads), depends_on=linear_dep,
-                    data_bytes=p.ksk_bytes,
+                ksk = emit(
+                    DmaOp.LOAD_KSK, group, depends_on=linear_dep,
+                    data_bytes=ksk_bytes,
                 )
-                loads.append((load, bsk, ksk))
+                loads.append((load.inst_id, bsk.inst_id, ksk.inst_id))
             # Phase 2: the dependent compute chain per group.
             for batch, (load, bsk, ksk) in zip(batches, loads):
-                ms = stream.emit(
-                    VpuOp.MODULUS_SWITCH, group_id,
-                    depends_on=(load.inst_id,), count=batch,
+                ms = emit(
+                    VpuOp.MODULUS_SWITCH, group_id, depends_on=(load,), count=batch,
                 )
-                br = stream.emit(
+                br = emit(
                     XpuOp.BLIND_ROTATE, group_id,
-                    depends_on=(ms.inst_id, bsk.inst_id), count=batch,
+                    depends_on=(ms.inst_id, bsk), count=batch,
                 )
-                se = stream.emit(
+                se = emit(
                     VpuOp.SAMPLE_EXTRACT, group_id,
                     depends_on=(br.inst_id,), count=batch,
                 )
-                ks = stream.emit(
+                ks = emit(
                     VpuOp.KEY_SWITCH, group_id,
-                    depends_on=(se.inst_id, ksk.inst_id), count=batch,
+                    depends_on=(se.inst_id, ksk), count=batch,
                 )
-                store = stream.emit(
-                    DmaOp.STORE_LWE, group_id,
-                    depends_on=(ks.inst_id,),
-                    count=batch, data_bytes=batch * p.lwe_bytes,
+                store = emit(
+                    DmaOp.STORE_LWE, group_id, depends_on=(ks.inst_id,),
+                    count=batch, data_bytes=batch * lwe_bytes,
                 )
                 layer_tail.append(store.inst_id)
                 group_id += 1
@@ -200,15 +212,10 @@ class SwScheduler:
             id_map = {}
             max_group = -1
             for inst in sub:
-                new_deps = tuple(id_map[d] for d in inst.depends_on)
-                sizes = {}
-                if inst.data_bytes:
-                    sizes["data_bytes"] = inst.data_bytes
-                if inst.macs:
-                    sizes["macs"] = inst.macs
                 new = merged.emit(
-                    inst.op, group_base + inst.group, depends_on=new_deps,
-                    count=inst.count, **sizes,
+                    inst.op, group_base + inst.group,
+                    depends_on=[id_map[d] for d in inst.depends_on],
+                    count=inst.count, data_bytes=inst.data_bytes, macs=inst.macs,
                 )
                 id_map[inst.inst_id] = new.inst_id
                 max_group = max(max_group, inst.group)
@@ -217,13 +224,48 @@ class SwScheduler:
         return merged
 
 
+def list_schedule(
+    instructions: Iterable[Instruction], durations: Iterable[float],
+    lane_groups: int, origin: float,
+) -> Iterator[Tuple[str, float, float, float]]:
+    """The list-scheduling recurrence, once: yields ``(queue, start, end,
+    duration)`` per instruction, in stream order.
+
+    Each :func:`~repro.core.isa.engine_queue` issues in order, and an
+    instruction starts at ``max(queue ready, dependencies retired)``
+    counted from ``origin``.  :class:`HwScheduler` feeds modelled seconds
+    (``origin`` 0.0); the verifier's occupancy model feeds unit steps
+    (``origin`` 0).  A dependency on an id the stream never defined is
+    treated as already retired - rejecting it is the verifier's job
+    (VER001), and the occupancy pass must survive such streams.
+    """
+    ready: dict = {}
+    finish: dict = {}
+    for inst, duration in zip(instructions, durations):
+        queue = engine_queue(inst, lane_groups)
+        start = ready.get(queue, origin)
+        for dep in inst.depends_on:
+            retired = finish.get(dep, origin)
+            if retired > start:
+                start = retired
+        end = start + duration
+        ready[queue] = finish[inst.inst_id] = end
+        yield queue, start, end, duration
+
+
 class HwScheduler:
     """List-scheduler executing an instruction stream on the timing models.
 
     Engines (all XPUs as one pool, the VPU, the two DMA channel groups)
     process their queues in order; an instruction starts at
-    ``max(engine ready, dependencies retired)``.  This reproduces the
-    decoupled XPU/VPU pipelining through the Shared buffer.
+    ``max(engine ready, dependencies retired)`` (:func:`list_schedule`).
+    This reproduces the decoupled XPU/VPU pipelining through the Shared
+    buffer.
+
+    The per-unit costs every instruction is priced from - one blind
+    rotation, the VPU stage cycles, the HBM channel-group rates - depend
+    only on ``(config, params)``, so they are derived once here and held
+    on the instance.
     """
 
     def __init__(self, config: MorphlingConfig, params: TFHEParams) -> None:
@@ -232,6 +274,15 @@ class HwScheduler:
         self.xpu = XpuModel(config, params)
         self.vpu = VpuModel(config, params)
         self.hbm = HbmModel(config)
+        stages = self.vpu.stage_cycles()
+        self._bootstrap_cores = config.bootstrap_cores
+        self._clock_hz = config.clock_ghz * 1e9
+        self._blind_rotation_seconds = self.xpu.blind_rotation_seconds()
+        self._modulus_switch_cycles = stages.modulus_switch
+        self._sample_extract_cycles = stages.sample_extract
+        self._key_switch_cycles = stages.key_switch
+        self._xpu_bytes_per_second = self.hbm.bytes_per_second("xpu")
+        self._vpu_bytes_per_second = self.hbm.bytes_per_second("vpu")
 
     def occupancy_proof(self, stream: InstructionStream) -> "OccupancyProof":
         """Static occupancy proof for ``stream`` - the admission-control
@@ -245,37 +296,29 @@ class HwScheduler:
 
     # -- per-instruction timing ----------------------------------------
     def _duration(self, inst: Instruction) -> float:
-        cfg, p = self.config, self.params
-        clock = cfg.clock_ghz * 1e9
-        if inst.engine is Engine.XPU:
+        op = inst.op
+        engine = inst.engine
+        if engine is Engine.DMA:
+            # BSK rides the XPU channel group, everything else the VPU's.
+            if op is DmaOp.LOAD_BSK:
+                return inst.data_bytes / self._xpu_bytes_per_second
+            return inst.data_bytes / self._vpu_bytes_per_second
+        if engine is Engine.XPU:
             # Blind-rotate `count` ciphertexts: ceil(count/cores) resident
             # waves, each one full blind rotation.
-            waves = -(-inst.count // cfg.bootstrap_cores)
-            return waves * self.xpu.blind_rotation_seconds()
-        if inst.engine is Engine.VPU:
-            # One lane group (1/vpu_lane_groups of the MAC width) serves
-            # each scheduled group, so consecutive groups post-process in
-            # parallel (Section V-B: groups are programmed individually).
-            scale = self.config.vpu_lane_groups
-            stages = self.vpu.stage_cycles()
-            if inst.op is VpuOp.MODULUS_SWITCH:
-                return scale * inst.count * stages.modulus_switch / clock
-            if inst.op is VpuOp.SAMPLE_EXTRACT:
-                return scale * inst.count * stages.sample_extract / clock
-            if inst.op is VpuOp.KEY_SWITCH:
-                return scale * inst.count * stages.key_switch / clock
-            return scale * self.vpu.linear_op_cycles(inst.macs) / clock
-        # DMA: BSK rides the XPU channel group, everything else the VPU's.
-        if inst.op is DmaOp.LOAD_BSK:
-            return self.hbm.xpu_transfer_seconds(inst.data_bytes)
-        return self.hbm.vpu_transfer_seconds(inst.data_bytes)
-
-    def _engine_key(self, inst: Instruction) -> str:
-        if inst.engine is Engine.DMA:
-            return "dma_xpu" if inst.op is DmaOp.LOAD_BSK else "dma_vpu"
-        if inst.engine is Engine.VPU:
-            return f"vpu{inst.group % self.config.vpu_lane_groups}"
-        return inst.engine.value
+            waves = -(-inst.count // self._bootstrap_cores)
+            return waves * self._blind_rotation_seconds
+        # One lane group (1/vpu_lane_groups of the MAC width) serves
+        # each scheduled group, so consecutive groups post-process in
+        # parallel (Section V-B: groups are programmed individually).
+        scale = self.config.vpu_lane_groups
+        if op is VpuOp.MODULUS_SWITCH:
+            return scale * inst.count * self._modulus_switch_cycles / self._clock_hz
+        if op is VpuOp.SAMPLE_EXTRACT:
+            return scale * inst.count * self._sample_extract_cycles / self._clock_hz
+        if op is VpuOp.KEY_SWITCH:
+            return scale * inst.count * self._key_switch_cycles / self._clock_hz
+        return scale * self.vpu.linear_op_cycles(inst.macs) / self._clock_hz
 
     def execute(
         self, stream: InstructionStream, record_spans: bool = False,
@@ -295,14 +338,17 @@ class HwScheduler:
             from ..verify import verify_or_raise
 
             verify_or_raise(stream, config=self.config, params=self.params)
-        ready = {"xpu": 0.0, "dma_xpu": 0.0, "dma_vpu": 0.0}
-        ready.update({f"vpu{g}": 0.0 for g in range(self.config.vpu_lane_groups)})
-        busy = dict.fromkeys(ready, 0.0)
-        finish = {}
+        cores = self._bootstrap_cores
+        lane_groups = self.config.vpu_lane_groups
+        busy = {"xpu": 0.0, "dma_xpu": 0.0, "dma_vpu": 0.0}
+        busy.update({f"vpu{g}": 0.0 for g in range(lane_groups)})
+        total = 0.0
         scheduled_slots = 0
         used_slots = 0
         spans = [] if record_spans else None
-        clock_hz = self.config.clock_ghz * 1e9
+        # Read once per run: the per-instruction publishing (`_observe`)
+        # stays off the path of a run nobody is watching.
+        observed = _METRICS.enabled or _TRACER.enabled or _COUNTERS.enabled
         # Shared-buffer pressure: (time, byte delta) pairs collected while
         # scheduling, replayed in time order afterwards into one sampled
         # perf-counter track.  BR results land in Shared when the XPU
@@ -312,65 +358,37 @@ class HwScheduler:
         # the completion time of its `count` requests (since t=0), the
         # population the SLO monitor prices p50/p95/p99 over.
         requests = [] if (_BUS.enabled or _METRICS.enabled) else None
-        for inst in stream:
-            duration = self._duration(inst)
-            if inst.op is XpuOp.BLIND_ROTATE:
-                scheduled_slots += self.config.bootstrap_cores * (
-                    -(-inst.count // self.config.bootstrap_cores)
-                )
-                used_slots += inst.count
-            key = self._engine_key(inst)
-            deps_done = max((finish[d] for d in inst.depends_on), default=0.0)
-            start = max(ready[key], deps_done)
-            end = start + duration
-            ready[key] = end
+        timeline = list_schedule(
+            stream, map(self._duration, stream), lane_groups, 0.0
+        )
+        for inst, (key, start, end, duration) in zip(stream, timeline):
             busy[key] += duration
-            finish[inst.inst_id] = end
-            if requests is not None and inst.op is DmaOp.STORE_LWE and inst.count:
+            if end > total:
+                total = end
+            op = inst.op
+            if op is XpuOp.BLIND_ROTATE:
+                scheduled_slots += cores * -(-inst.count // cores)
+                used_slots += inst.count
+            elif requests is not None and op is DmaOp.STORE_LWE and inst.count:
                 requests.append((end, inst.count, inst.group))
             if spans is not None:
-                spans.append((key, inst.op.value, inst.group, start, end))
-            if _METRICS.enabled:
-                _SCHED_INSTRUCTIONS.inc(op=inst.op.value)
-            if _TRACER.enabled:
-                _TRACER.add_span(
-                    inst.op.value, ts_us=start * 1e6, dur_us=duration * 1e6,
-                    category="schedule", track=f"hw/{key}",
-                    args={"group": inst.group, "count": inst.count},
-                )
-            if pressure is not None:
-                _COUNTERS.add_cycles(f"sched/engine/{key}", duration * clock_hz)
-                if inst.op is XpuOp.BLIND_ROTATE:
-                    waves = -(-inst.count // self.config.bootstrap_cores)
-                    self.xpu.record_blind_rotations(waves * self.config.num_xpus)
-                    pressure.append((end, inst.count * self.params.glwe_bytes))
-                elif inst.op in (
-                    VpuOp.MODULUS_SWITCH, VpuOp.SAMPLE_EXTRACT, VpuOp.KEY_SWITCH
-                ):
-                    cycles = self.vpu.stage_cycles().stage_cycle_map()[inst.op.value]
-                    _COUNTERS.add_cycles(
-                        f"vpu/stage/{inst.op.value}", inst.count * cycles
-                    )
-                    if inst.op is VpuOp.SAMPLE_EXTRACT:
-                        pressure.append(
-                            (end, -inst.count * self.params.glwe_bytes)
-                        )
+                spans.append((key, op.value, inst.group, start, end))
+            if observed:
+                self._observe(inst, key, start, end, duration, pressure)
         if pressure:
             level = 0.0
             _COUNTERS.sample("sched/shared_inflight_bytes", 0.0, 0.0)
             for t, delta in sorted(pressure):
                 level += delta
                 _COUNTERS.sample("sched/shared_inflight_bytes", t, level)
-        total = max(finish.values(), default=0.0)
         waste = 1.0 - used_slots / scheduled_slots if scheduled_slots else 0.0
         if scheduled_slots:
             _SCHED_PADDING.inc(scheduled_slots - used_slots)
         # Collapse the per-lane-group VPU engines into one "vpu" row,
         # normalized so utilization stays a fraction of the whole unit.
-        groups = self.config.vpu_lane_groups
         merged = {
             "xpu": busy["xpu"],
-            "vpu": sum(v for k, v in busy.items() if k.startswith("vpu")) / groups,
+            "vpu": sum(v for k, v in busy.items() if k.startswith("vpu")) / lane_groups,
             "dma_xpu": busy["dma_xpu"],
             "dma_vpu": busy["dma_vpu"],
         }
@@ -400,6 +418,38 @@ class HwScheduler:
                 _BUS.publish("batch", "sched/slots", value=float(used_slots),
                              capacity=scheduled_slots)
         return result
+
+    def _observe(
+        self, inst: Instruction, key: str, start: float, end: float,
+        duration: float, pressure: Optional[list],
+    ) -> None:
+        """Publish one executed instruction to whichever telemetry is on."""
+        op = inst.op
+        if inst.engine is Engine.DMA:
+            self.hbm.record_transfer(
+                inst.data_bytes, "xpu" if op is DmaOp.LOAD_BSK else "vpu"
+            )
+        if _METRICS.enabled:
+            _SCHED_INSTRUCTIONS.inc(op=op.value)
+        if _TRACER.enabled:
+            _TRACER.add_span(
+                op.value, ts_us=start * 1e6, dur_us=duration * 1e6,
+                category="schedule", track=f"hw/{key}",
+                args={"group": inst.group, "count": inst.count},
+            )
+        if pressure is not None:
+            _COUNTERS.add_cycles(f"sched/engine/{key}", duration * self._clock_hz)
+            if op is XpuOp.BLIND_ROTATE:
+                waves = -(-inst.count // self._bootstrap_cores)
+                self.xpu.record_blind_rotations(waves * self.config.num_xpus)
+                pressure.append((end, inst.count * self.params.glwe_bytes))
+            elif op in (
+                VpuOp.MODULUS_SWITCH, VpuOp.SAMPLE_EXTRACT, VpuOp.KEY_SWITCH
+            ):
+                cycles = self.vpu.stage_cycles().stage_cycle_map()[op.value]
+                _COUNTERS.add_cycles(f"vpu/stage/{op.value}", inst.count * cycles)
+                if op is VpuOp.SAMPLE_EXTRACT:
+                    pressure.append((end, -inst.count * self.params.glwe_bytes))
 
 
 def render_schedule(result: ScheduleResult, width: int = 72) -> str:

@@ -140,7 +140,7 @@ def _render_catalog() -> str:
 def verify_binary(path: str) -> VerifyReport:
     """Decode an ``isa_encoding`` blob from ``path`` and verify it.
 
-    Exercises the duck-typed pass path end to end: the decoded stream
+    Exercises the context-free pass path end to end: the decoded stream
     carries no config or parameter set, so capacity/compatibility passes
     that need them skip while the structural passes run in full.
     """

@@ -31,7 +31,7 @@ from typing import Dict, Iterator, Optional, Sequence
 
 from ..core.isa import DmaOp, VpuOp, XpuOp
 from .diagnostics import Diagnostic, Severity
-from .program import VerifyContext, register_program_pass
+from .program import VerifyContext, normalise, register_program_pass
 
 __all__ = [
     "STATIC_NOISE_SCHEMA_VERSION",
@@ -41,6 +41,11 @@ __all__ = [
 ]
 
 STATIC_NOISE_SCHEMA_VERSION = 1
+
+#: Ops whose result carries their operand's variance onward (KEY_SWITCH
+#: adds its own terms on top).
+_PROPAGATING = (VpuOp.KEY_SWITCH, VpuOp.SAMPLE_EXTRACT, DmaOp.STORE_LWE)
+
 
 def gate_decision_margin(params: object) -> float:
     """Worst-case boolean-gate decision margin for ``params`` (torus units).
@@ -150,27 +155,30 @@ def static_noise_report(
     br_variance = blind_rotation_noise_variance(params)
     ms_variance = modulus_switch_noise_variance(params)
 
+    # Only BR / SE / KS / STORE results carry variance: every other
+    # instruction's output is noise-free and simply absent from the map.
     variance: Dict[object, float] = {}
+    key_switched: Dict[float, float] = {}  # operand variance -> KS output
     bootstraps = 0
     terminal = 0.0  # worst fully key-switched output variance observed
-    for idx, inst in enumerate(instructions):
-        op = getattr(inst, "op", None)
-        inst_id = getattr(inst, "inst_id", idx)
-        operand = max(
-            (variance.get(d, 0.0) for d in getattr(inst, "depends_on", ())),
-            default=0.0,
-        )
+    for inst in normalise(instructions):
+        op = inst.op
         if op is XpuOp.BLIND_ROTATE:
-            variance[inst_id] = br_variance
-            bootstraps += max(int(getattr(inst, "count", 0)), 0)
-        elif op is VpuOp.KEY_SWITCH:
-            out = key_switch_noise_variance(params, operand)
-            variance[inst_id] = out
-            terminal = max(terminal, out)
-        elif op in (VpuOp.SAMPLE_EXTRACT, DmaOp.STORE_LWE):
-            variance[inst_id] = operand
-        else:
-            variance[inst_id] = 0.0
+            variance[inst.inst_id] = br_variance
+            bootstraps += max(inst.count, 0)
+        elif op in _PROPAGATING:
+            out = 0.0
+            for dep in inst.depends_on:
+                out = max(out, variance.get(dep, 0.0))
+            if op is VpuOp.KEY_SWITCH:
+                operand = out
+                out = key_switched.get(operand)
+                if out is None:
+                    out = key_switched[operand] = key_switch_noise_variance(
+                        params, operand
+                    )
+                terminal = max(terminal, out)
+            variance[inst.inst_id] = out
     if terminal <= 0.0:
         # No key-switch in the stream (a bare rotation program): fall
         # back to the closed-form bootstrap output variance.
@@ -218,7 +226,7 @@ def _check_noise_budget(ctx: VerifyContext) -> Iterator[Diagnostic]:
         return
     first_br: Optional[int] = None
     for idx, inst in enumerate(ctx.instructions):
-        if getattr(inst, "op", None) is XpuOp.BLIND_ROTATE:
+        if inst.op is XpuOp.BLIND_ROTATE:
             first_br = idx
             break
     yield Diagnostic(

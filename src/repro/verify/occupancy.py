@@ -35,11 +35,13 @@ verifier and the scheduler share one resource model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.isa import DmaOp, Engine, XpuOp, engine_of
+from ..core.isa import XpuOp
+from ..core.scheduler import list_schedule
 from .diagnostics import Diagnostic, Severity
-from .program import VerifyContext, register_program_pass
+from .program import VerifyContext, normalise, register_program_pass
 
 __all__ = [
     "BufferHighWater",
@@ -138,6 +140,7 @@ class OccupancyModel:
 
         self.config = config
         self.params = params
+        self.lane_groups = int(getattr(config, "vpu_lane_groups"))
         glwe = int(getattr(params, "glwe_bytes"))
         self.shared_per_ct = glwe
         self.a1_per_ct = glwe * A1_STREAM_OVERHEAD
@@ -155,73 +158,50 @@ class OccupancyModel:
         }
 
     # -- abstract timeline ---------------------------------------------
-    def _engine_key(self, inst: object) -> str:
-        op = getattr(inst, "op", None)
-        engine = engine_of(op)
-        if engine is Engine.DMA:
-            return "dma_xpu" if op is DmaOp.LOAD_BSK else "dma_vpu"
-        if engine is Engine.VPU:
-            lane_groups = max(1, int(getattr(self.config, "vpu_lane_groups", 1)))
-            return f"vpu{int(getattr(inst, 'group', 0)) % lane_groups}"
-        return "xpu"
-
-    def _abstract_schedule(
-        self, instructions: Sequence[object]
-    ) -> Tuple[List[int], List[int], Dict[object, int]]:
-        """Unit-duration list schedule; returns (start, end, finish-by-id)."""
-        ready: Dict[str, int] = {}
-        finish: Dict[object, int] = {}
-        start: List[int] = []
-        end: List[int] = []
-        for idx, inst in enumerate(instructions):
-            key = self._engine_key(inst)
-            deps_done = max(
-                (finish.get(d, 0) for d in getattr(inst, "depends_on", ())),
-                default=0,
-            )
-            s = max(ready.get(key, 0), deps_done)
-            e = s + 1
-            ready[key] = e
-            finish[getattr(inst, "inst_id", idx)] = e
-            start.append(s)
-            end.append(e)
-        return start, end, finish
+    def _abstract_schedule(self, instructions: Sequence[Any]) -> List[int]:
+        """Unit-duration list schedule: the step each instruction retires
+        at (it occupies its queue for the one step before that)."""
+        timeline = list_schedule(instructions, repeat(1), self.lane_groups, 0)
+        return [end for _queue, _start, end, _duration in timeline]
 
     # -- liveness intervals --------------------------------------------
     def _intervals(
-        self, instructions: Sequence[object],
-        start: List[int], end: List[int],
+        self, instructions: Sequence[Any], end: List[int],
     ) -> Dict[str, List[Tuple[int, int, int, int]]]:
         """Per-buffer ``(from, to, bytes, producer index)`` live ranges."""
-        consumers: Dict[object, List[int]] = {}
+        rotations = [
+            idx for idx, inst in enumerate(instructions)
+            if inst.op is XpuOp.BLIND_ROTATE
+        ]
+        results = {instructions[idx].inst_id for idx in rotations}
+        # Retire step of each rotation result's last consumer.
+        drained: Dict[object, int] = {}
         for idx, inst in enumerate(instructions):
-            for dep in getattr(inst, "depends_on", ()):
-                consumers.setdefault(dep, []).append(idx)
+            for dep in inst.depends_on:
+                if dep in results and end[idx] > drained.get(dep, 0):
+                    drained[dep] = end[idx]
         horizon = (max(end) if end else 0) + 1
         intervals: Dict[str, List[Tuple[int, int, int, int]]] = {
             b: [] for b in _BUFFERS
         }
-        for idx, inst in enumerate(instructions):
-            if getattr(inst, "op", None) is not XpuOp.BLIND_ROTATE:
-                continue
-            count = int(getattr(inst, "count", 0))
-            inst_id = getattr(inst, "inst_id", idx)
+        for idx in rotations:
+            inst = instructions[idx]
+            count = inst.count
+            retired = end[idx]
             # ACC streams + the resident BSK slice live while rotating.
             intervals["private_a1"].append(
-                (start[idx], end[idx], count * self.a1_per_ct, idx)
+                (retired - 1, retired, count * self.a1_per_ct, idx)
             )
             intervals["private_a2"].append(
-                (start[idx], end[idx], self.a2_resident, idx)
+                (retired - 1, retired, self.a2_resident, idx)
             )
             # The rotation result sits in Shared until its last consumer
             # (the SE per VER005) retires; unconsumed results leak to the
             # end of the program.
-            drained = max(
-                (end[c] for c in consumers.get(inst_id, ())), default=horizon
-            )
-            intervals["shared"].append(
-                (end[idx], max(drained, end[idx] + 1), count * self.shared_per_ct, idx)
-            )
+            intervals["shared"].append((
+                retired, max(drained.get(inst.inst_id, horizon), retired + 1),
+                count * self.shared_per_ct, idx,
+            ))
         return intervals
 
     # -- the proof ------------------------------------------------------
@@ -229,9 +209,9 @@ class OccupancyModel:
         self, instructions: Sequence[object], subject: str = "<stream>"
     ) -> OccupancyProof:
         """High-water-mark proof for ``instructions``."""
-        insts = list(instructions)
-        start, end, _finish = self._abstract_schedule(insts)
-        intervals = self._intervals(insts, start, end)
+        insts = normalise(instructions)
+        end = self._abstract_schedule(insts)
+        intervals = self._intervals(insts, end)
         marks: List[BufferHighWater] = []
         for buffer in _BUFFERS:
             # Sweep allocation/release events in time order; releases
@@ -313,9 +293,8 @@ def _check_occupancy(ctx: VerifyContext) -> Iterator[Diagnostic]:
     for hw in proof.buffers:
         if hw.ok:
             continue
-        inst = (ctx.instructions[hw.at_instruction]
-                if hw.at_instruction is not None else None)
-        op = getattr(inst, "op", None)
+        op = (ctx.instructions[hw.at_instruction].op
+              if hw.at_instruction is not None else None)
         yield Diagnostic(
             code="VER007", severity=Severity.ERROR,
             message=(

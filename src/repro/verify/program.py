@@ -35,13 +35,14 @@ Pass catalog
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
-from ..core.isa import DmaOp, Engine, VpuOp, XpuOp, engine_of
+from ..core.isa import DmaOp, Engine, Instruction, VpuOp, XpuOp, engine_of
 from .diagnostics import Diagnostic, RuleInfo, Severity, VerificationError, VerifyReport
 
 __all__ = [
     "VerifyContext",
+    "normalise",
     "ProgramPass",
     "PROGRAM_PASSES",
     "register_program_pass",
@@ -51,26 +52,64 @@ __all__ = [
 ]
 
 
+class _Foreign:
+    """An instruction-shaped foreign object, normalised to the
+    :class:`~repro.core.isa.Instruction` field set.
+
+    Hand-built or third-party records may lack fields or carry an opcode
+    the ISA constructor would refuse; the passes must still report on
+    them.  Missing fields take the neutral defaults here, once, so every
+    pass reads plain attributes.
+    """
+
+    __slots__ = Instruction.__slots__
+
+    def __init__(self, index: int, inst: object) -> None:
+        self.inst_id = getattr(inst, "inst_id", index)
+        self.op = getattr(inst, "op", None)
+        self.group = getattr(inst, "group", 0)
+        self.count = getattr(inst, "count", 0)
+        self.data_bytes = getattr(inst, "data_bytes", 0)
+        self.macs = getattr(inst, "macs", 0)
+        self.depends_on = tuple(getattr(inst, "depends_on", ()))
+        self.engine = engine_of(self.op)
+
+
+_NORMAL = (Instruction, _Foreign)
+
+
+def normalise(stream: Iterable[object]) -> List[Any]:
+    """``stream`` as a list whose items all expose the instruction fields.
+
+    The stream's own :class:`~repro.core.isa.Instruction` objects are
+    kept (never copied); anything else is wrapped in a :class:`_Foreign`,
+    so passes read ``inst.op`` / ``inst.engine`` / ``inst.depends_on``
+    directly.
+    """
+    return [
+        inst if type(inst) in _NORMAL else _Foreign(idx, inst)
+        for idx, inst in enumerate(stream)
+    ]
+
+
 @dataclass
 class VerifyContext:
     """Everything a pass may inspect.
 
-    ``config``/``params`` are optional: capacity and transfer-size
-    checks degrade gracefully (skip) when the architectural context is
-    unknown, so the verifier still works on bare decoded binaries.
+    ``instructions`` is a :func:`normalise`-d list.  ``config``/``params``
+    are optional: capacity and transfer-size checks degrade gracefully
+    (skip) when the architectural context is unknown, so the verifier
+    still works on bare decoded binaries.
     """
 
-    instructions: List[object]
+    instructions: List[Any]
     config: Optional[object] = None
     params: Optional[object] = None
-    by_id: Dict[int, object] = field(default_factory=dict)
+    by_id: Dict[int, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.by_id:
-            self.by_id = {
-                getattr(i, "inst_id", idx): i
-                for idx, i in enumerate(self.instructions)
-            }
+            self.by_id = {inst.inst_id: inst for inst in self.instructions}
 
 
 PassFn = Callable[[VerifyContext], Iterator[Diagnostic]]
@@ -115,9 +154,9 @@ def program_rule_catalog() -> List[RuleInfo]:
     return [p.info for p in PROGRAM_PASSES]
 
 
-def _diag(code: str, idx: int, inst: object, message: str,
+def _diag(code: str, idx: int, inst: Any, message: str,
           severity: Severity = Severity.ERROR) -> Diagnostic:
-    op = getattr(inst, "op", None)
+    op = inst.op
     return Diagnostic(
         code=code, severity=severity, message=message,
         instruction_index=idx, op=getattr(op, "value", str(op)),
@@ -132,7 +171,7 @@ def _diag(code: str, idx: int, inst: object, message: str,
 def _check_def_before_use(ctx: VerifyContext) -> Iterator[Diagnostic]:
     seen: set = set()
     for idx, inst in enumerate(ctx.instructions):
-        for dep in getattr(inst, "depends_on", ()):
+        for dep in inst.depends_on:
             if dep not in seen:
                 kind = ("forward reference" if dep in ctx.by_id
                         else "unknown instruction")
@@ -141,7 +180,7 @@ def _check_def_before_use(ctx: VerifyContext) -> Iterator[Diagnostic]:
                     f"dependency {dep} is a {kind}: operands must be "
                     f"defined before use",
                 )
-        seen.add(getattr(inst, "inst_id", idx))
+        seen.add(inst.inst_id)
 
 
 # ----------------------------------------------------------------------
@@ -152,16 +191,16 @@ def _check_def_before_use(ctx: VerifyContext) -> Iterator[Diagnostic]:
 def _check_identity(ctx: VerifyContext) -> Iterator[Diagnostic]:
     seen_ids: set = set()
     for idx, inst in enumerate(ctx.instructions):
-        inst_id = getattr(inst, "inst_id", idx)
+        inst_id = inst.inst_id
         if inst_id in seen_ids:
             yield _diag("VER002", idx, inst,
                         f"duplicate instruction id {inst_id}")
         seen_ids.add(inst_id)
-        deps = tuple(getattr(inst, "depends_on", ()))
+        deps = inst.depends_on
         if inst_id in deps:
             yield _diag("VER002", idx, inst,
                         f"instruction {inst_id} depends on itself")
-        if len(deps) != len(set(deps)):
+        if len(deps) > 1 and len(deps) != len(set(deps)):
             yield _diag("VER002", idx, inst,
                         f"instruction {inst_id} lists a dependency twice",
                         Severity.WARNING)
@@ -174,35 +213,32 @@ def _check_identity(ctx: VerifyContext) -> Iterator[Diagnostic]:
            "payload fields must match the opcode's engine")
 def _check_opcode_engine(ctx: VerifyContext) -> Iterator[Diagnostic]:
     for idx, inst in enumerate(ctx.instructions):
-        op = getattr(inst, "op", None)
-        engine = engine_of(op)
+        op = inst.op
+        engine = inst.engine
         if engine is None:
             yield _diag("VER003", idx, inst,
                         f"unknown opcode {op!r}: no engine dispatches it")
             continue
-        count = getattr(inst, "count", 0)
-        data_bytes = getattr(inst, "data_bytes", 0)
-        macs = getattr(inst, "macs", 0)
         if engine is Engine.DMA:
-            if macs:
+            if inst.macs:
                 yield _diag("VER003", idx, inst,
                             "DMA instructions carry data_bytes, not MACs")
         elif op is VpuOp.P_ALU:
-            if not macs:
+            if not inst.macs:
                 yield _diag("VER003", idx, inst,
                             "P_ALU instruction with no MAC work")
-            if count:
+            if inst.count:
                 yield _diag("VER003", idx, inst,
                             "P_ALU covers MACs, not ciphertexts")
         else:  # XPU blind-rotate or VPU bootstrap stages
-            if not count:
+            if not inst.count:
                 yield _diag("VER003", idx, inst,
                             f"{engine.value.upper()} compute op covers "
                             f"zero ciphertexts")
-            if data_bytes:
+            if inst.data_bytes:
                 yield _diag("VER003", idx, inst,
                             "compute ops do not carry DMA payloads")
-            if macs:
+            if inst.macs:
                 yield _diag("VER003", idx, inst,
                             "bootstrap-stage ops do not carry MAC work")
 
@@ -223,10 +259,8 @@ def _check_capacity(ctx: VerifyContext) -> Iterator[Diagnostic]:
                VpuOp.SAMPLE_EXTRACT, VpuOp.KEY_SWITCH,
                DmaOp.LOAD_LWE, DmaOp.STORE_LWE)
     for idx, inst in enumerate(ctx.instructions):
-        if getattr(inst, "op", None) not in batched:
-            continue
-        count = getattr(inst, "count", 0)
-        if count > capacity:
+        count = inst.count
+        if count > capacity and inst.op in batched:
             yield _diag(
                 "VER004", idx, inst,
                 f"batch of {count} ciphertexts exceeds the scheduler "
@@ -239,32 +273,29 @@ def _check_capacity(ctx: VerifyContext) -> Iterator[Diagnostic]:
 # ----------------------------------------------------------------------
 # VER005 - stage-order hazards
 # ----------------------------------------------------------------------
-_STAGE_ORDER = {
-    VpuOp.MODULUS_SWITCH: 0,
-    XpuOp.BLIND_ROTATE: 1,
-    VpuOp.SAMPLE_EXTRACT: 2,
-    VpuOp.KEY_SWITCH: 3,
-    DmaOp.STORE_LWE: 4,
-}
-#: op -> the upstream stage it must (transitively) consume (RAW edges).
-_RAW_PRODUCER = {
-    XpuOp.BLIND_ROTATE: VpuOp.MODULUS_SWITCH,
-    VpuOp.SAMPLE_EXTRACT: XpuOp.BLIND_ROTATE,
-    VpuOp.KEY_SWITCH: VpuOp.SAMPLE_EXTRACT,
-    DmaOp.STORE_LWE: VpuOp.KEY_SWITCH,
-}
+#: The per-group bootstrap chain in stage order.  A stage's position is
+#: its order, and its predecessor is the upstream stage it must consume
+#: (the RAW edge); MODULUS_SWITCH heads the chain and has none.
+_CHAIN = (
+    VpuOp.MODULUS_SWITCH,
+    XpuOp.BLIND_ROTATE,
+    VpuOp.SAMPLE_EXTRACT,
+    VpuOp.KEY_SWITCH,
+    DmaOp.STORE_LWE,
+)
 
 
 @_register("VER005", "stage-order-hazard",
            "per-group bootstrap chains must order MS -> BR -> SE -> KS -> STORE")
 def _check_stage_order(ctx: VerifyContext) -> Iterator[Diagnostic]:
     last_stage: Dict[int, int] = {}
+    by_id = ctx.by_id
     for idx, inst in enumerate(ctx.instructions):
-        op = getattr(inst, "op", None)
-        stage = _STAGE_ORDER.get(op)
-        if stage is None:
+        op = inst.op
+        if op not in _CHAIN:
             continue
-        group = getattr(inst, "group", 0)
+        stage = _CHAIN.index(op)
+        group = inst.group
         prev = last_stage.get(group)
         if prev is not None and stage < prev:
             yield _diag(
@@ -274,19 +305,15 @@ def _check_stage_order(ctx: VerifyContext) -> Iterator[Diagnostic]:
                 f"reorder writes (WAR hazard)",
             )
         last_stage[group] = stage
-        producer = _RAW_PRODUCER.get(op)
-        if producer is None:
+        if stage == 0:
             continue
-        feeds = False
-        for dep in getattr(inst, "depends_on", ()):
-            dep_inst = ctx.by_id.get(dep)
-            if dep_inst is None:
-                continue
-            if (getattr(dep_inst, "op", None) is producer
-                    and getattr(dep_inst, "group", None) == group):
-                feeds = True
+        producer = _CHAIN[stage - 1]
+        for dep in inst.depends_on:
+            dep_inst = by_id.get(dep)
+            if (dep_inst is not None and dep_inst.op is producer
+                    and dep_inst.group == group):
                 break
-        if not feeds:
+        else:
             yield _diag(
                 "VER005", idx, inst,
                 f"{op.value!r} in group {group} does not depend on the "
@@ -301,14 +328,18 @@ def _check_stage_order(ctx: VerifyContext) -> Iterator[Diagnostic]:
 @_register("VER006", "hbm-transfer-sanity",
            "DMA payloads must be non-empty, word-aligned and count-consistent")
 def _check_transfers(ctx: VerifyContext) -> Iterator[Diagnostic]:
+    params: Any = ctx.params
     word = 4  # torus coefficients are 32-bit words on every channel
-    if ctx.params is not None:
-        word = ctx.params.coeff_bytes
+    if params is not None:
+        word = params.coeff_bytes
+        lwe_bytes = params.lwe_bytes
+        bsk_sizes = (params.bsk_transform_bytes, params.bsk_bytes)
+        ksk_bytes = params.ksk_bytes
     for idx, inst in enumerate(ctx.instructions):
-        op = getattr(inst, "op", None)
-        if engine_of(op) is not Engine.DMA:
+        if inst.engine is not Engine.DMA:
             continue
-        data_bytes = getattr(inst, "data_bytes", 0)
+        op = inst.op
+        data_bytes = inst.data_bytes
         if data_bytes <= 0:
             yield _diag("VER006", idx, inst,
                         "DMA transfer moves zero bytes")
@@ -319,35 +350,33 @@ def _check_transfers(ctx: VerifyContext) -> Iterator[Diagnostic]:
                 f"transfer of {data_bytes} B is not a multiple of the "
                 f"{word} B coefficient word",
             )
-        if ctx.params is None:
+        if params is None:
             continue
-        if op in (DmaOp.LOAD_LWE, DmaOp.STORE_LWE):
-            count = getattr(inst, "count", 0)
-            expected = count * ctx.params.lwe_bytes
-            if count and data_bytes != expected:
+        if op is DmaOp.LOAD_LWE or op is DmaOp.STORE_LWE:
+            count = inst.count
+            if count and data_bytes != count * lwe_bytes:
                 yield _diag(
                     "VER006", idx, inst,
                     f"LWE transfer of {data_bytes} B does not match "
-                    f"{count} ciphertexts x {ctx.params.lwe_bytes} B "
-                    f"= {expected} B",
+                    f"{count} ciphertexts x {lwe_bytes} B "
+                    f"= {count * lwe_bytes} B",
                 )
         elif op is DmaOp.LOAD_BSK:
-            if data_bytes not in (ctx.params.bsk_transform_bytes,
-                                  ctx.params.bsk_bytes):
+            if data_bytes not in bsk_sizes:
                 yield _diag(
                     "VER006", idx, inst,
                     f"BSK transfer of {data_bytes} B matches neither the "
-                    f"transform-domain ({ctx.params.bsk_transform_bytes} B) "
-                    f"nor the coefficient-domain ({ctx.params.bsk_bytes} B) "
+                    f"transform-domain ({bsk_sizes[0]} B) "
+                    f"nor the coefficient-domain ({bsk_sizes[1]} B) "
                     f"key footprint",
                     Severity.WARNING,
                 )
         elif op is DmaOp.LOAD_KSK:
-            if data_bytes != ctx.params.ksk_bytes:
+            if data_bytes != ksk_bytes:
                 yield _diag(
                     "VER006", idx, inst,
                     f"KSK transfer of {data_bytes} B does not match the "
-                    f"key footprint of {ctx.params.ksk_bytes} B",
+                    f"key footprint of {ksk_bytes} B",
                     Severity.WARNING,
                 )
 
@@ -368,7 +397,7 @@ def verify_stream(
     codes.  The stream may be an :class:`InstructionStream`, a decoded
     binary program, or any list of instruction-shaped objects.
     """
-    ctx = VerifyContext(list(stream), config=config, params=params)
+    ctx = VerifyContext(normalise(stream), config=config, params=params)
     report = VerifyReport(subject=subject)
     wanted = set(passes) if passes is not None else None
     for p in PROGRAM_PASSES:

@@ -1,0 +1,84 @@
+"""Shared scenario behind the scheduler golden test.
+
+The golden file pins what ``run_workload(verify=True)`` computes for the
+five Table VI applications on set III under the ``morphling`` and
+``no_reuse`` configurations: makespan and every engine's busy time as
+``float.hex`` (bit-exact), instruction and group counts, padding waste.
+The ``telemetry`` entry pins what the same path *publishes* with every
+telemetry system on (XG-Boost, ``morphling``): the perf-counter snapshot
+digest, ``sched_instructions_total`` by op and a digest of the span list.
+A host-side speed-up of the scheduler or verifier must leave the file
+untouched; a deliberate timing-model change regenerates it with
+``PYTHONPATH=src python tests/core/_sim_golden.py``.
+"""
+
+import hashlib
+import json
+import os
+
+GOLDEN_DOC = os.path.join(os.path.dirname(__file__), "golden", "sim_apps.json")
+
+
+def build_document():
+    from repro.apps import deepcnn_workload, vgg9_workload, xgboost_workload
+    from repro.core import MorphlingConfig, run_workload
+    from repro.params import get_params
+
+    params = get_params("III")
+    apps = [xgboost_workload(), deepcnn_workload(20), deepcnn_workload(50),
+            deepcnn_workload(100), vgg9_workload()]
+    document = {}
+    for config in (MorphlingConfig.morphling(), MorphlingConfig.no_reuse()):
+        for app in apps:
+            result = run_workload(config, params, list(app.layers), verify=True)
+            document[f"{config.name}/{app.name}"] = {
+                "total_seconds": result.total_seconds.hex(),
+                "engine_busy_seconds": {
+                    engine: busy.hex()
+                    for engine, busy in sorted(result.engine_busy_seconds.items())
+                },
+                "instructions": result.instructions,
+                "groups": result.groups,
+                "padding_waste": result.padding_waste.hex(),
+            }
+    document["telemetry"] = _telemetry_section(params, apps[0])
+    return document
+
+
+def _telemetry_section(params, app):
+    from repro import observability as obs
+    from repro.core import MorphlingConfig, run_workload
+
+    with obs.telemetry():
+        run_workload(MorphlingConfig.morphling(), params, list(app.layers), verify=True)
+        counters = obs.COUNTERS.digest()
+        by_op = {
+            row["labels"]["op"]: row["value"]
+            for row in obs.REGISTRY.get("sched_instructions_total").snapshot()["values"]
+        }
+        spans = [
+            [s.name, s.ts_us.hex(), s.dur_us.hex(), s.category, s.track,
+             sorted(s.args.items())]
+            for s in obs.TRACER.spans() if s.category == "schedule"
+        ]
+    obs.reset()
+    payload = json.dumps(spans, separators=(",", ":"))
+    return {
+        "workload": app.name,
+        "counters_digest": counters,
+        "sched_instructions_total": by_op,
+        "spans": len(spans),
+        "spans_digest": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+    }
+
+
+def regenerate():
+    os.makedirs(os.path.dirname(GOLDEN_DOC), exist_ok=True)
+    with open(GOLDEN_DOC, "w") as fh:
+        json.dump(build_document(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    regenerate()
+    print(f"regenerated {GOLDEN_DOC}")

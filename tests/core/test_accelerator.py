@@ -49,6 +49,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             MorphlingConfig(vpe_rows=0)
 
+    @pytest.mark.parametrize("field", ["vpu_lane_groups", "vpu_lanes_per_group"])
+    def test_rejects_empty_vpu(self, field):
+        # Used to pass construction and die in the HW-scheduler with a
+        # bare ZeroDivisionError (while the occupancy model clamped to 1).
+        with pytest.raises(ValueError):
+            MorphlingConfig(**{field: 0})
+
 
 class TestOverrides:
     def test_with_overrides_copies(self):

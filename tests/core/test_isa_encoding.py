@@ -61,10 +61,10 @@ class TestSingleInstruction:
     )
     @settings(max_examples=100, deadline=None)
     def test_property_roundtrip(self, op, group, count, inst_id, deps):
-        from repro.core.isa import Engine, _OP_ENGINES
+        from repro.core.isa import Engine
 
         sizes = {}
-        if _OP_ENGINES[op] is Engine.DMA:
+        if op.engine is Engine.DMA:
             sizes["data_bytes"] = count * 64
         elif op is VpuOp.P_ALU:
             sizes["macs"] = count * 7

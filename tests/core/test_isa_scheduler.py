@@ -23,6 +23,21 @@ class TestInstruction:
         with pytest.raises(ValueError):
             Instruction(0, "not-an-op", 0)
 
+    def test_every_opcode_carries_its_engine(self):
+        assert {op.engine for op in XpuOp} == {Engine.XPU}
+        assert {op.engine for op in VpuOp} == {Engine.VPU}
+        assert {op.engine for op in DmaOp} == {Engine.DMA}
+
+    def test_instances_are_slotted_values(self):
+        # No per-instance __dict__: a Table VI stream is tens of
+        # thousands of these.
+        inst = Instruction(3, VpuOp.KEY_SWITCH, 1, count=2, depends_on=(1, 2))
+        assert not hasattr(inst, "__dict__")
+        twin = Instruction(3, VpuOp.KEY_SWITCH, 1, count=2, depends_on=(1, 2))
+        assert inst == twin and hash(inst) == hash(twin)
+        assert inst != Instruction(4, VpuOp.KEY_SWITCH, 1, count=2, depends_on=(1, 2))
+        assert "KEY_SWITCH" in repr(inst)
+
 
 class TestInstructionStream:
     def test_emit_assigns_sequential_ids(self):

@@ -16,13 +16,13 @@ from repro.core.machine import MorphlingMachine
 from repro.core.scheduler import LayerDemand, SwScheduler
 from repro.observability import COUNTERS, counting
 from repro.tfhe import identity_test_polynomial
-from repro.verify.program import _STAGE_ORDER
+from repro.verify.program import _CHAIN
 
 P = 8
 
 #: The VER005 model keyed by the ISA op *value* - the same strings the
 #: machine emits as event names.
-_ORDER_BY_NAME = {op.value: rank for op, rank in _STAGE_ORDER.items()}
+_ORDER_BY_NAME = {op.value: rank for rank, op in enumerate(_CHAIN)}
 
 
 @pytest.fixture()

@@ -280,6 +280,31 @@ class TestDriver:
         report = verify_or_raise(_chain(params), config=config, params=params)
         assert report.ok
 
+    def test_streams_own_instructions_are_not_copied(self, config, params):
+        """``verify_stream`` may allocate index structures, never a
+        per-instruction record: its extra peak on the DeepCNN-100 stream
+        stays within what it was before the passes read fields directly
+        (5.8 MB, 1.2x the stream itself)."""
+        import tracemalloc
+
+        from repro.apps import deepcnn_workload
+        from repro.core.scheduler import SwScheduler
+
+        layers = list(deepcnn_workload(100).layers)
+        tracemalloc.start()
+        try:
+            stream = SwScheduler(config, params).schedule(layers)
+            stream_bytes, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            report = verify_stream(stream, config=config, params=params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        extra = peak - stream_bytes
+        assert extra <= 5_809_720
+        assert extra <= 1.2 * stream_bytes
+
     def test_pass_subset_restricts_checks(self):
         # Stream violates VER003; restricting to VER001 must not see it.
         stream = [Fake(0, "bogus_op")]
