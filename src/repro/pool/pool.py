@@ -12,8 +12,9 @@ the pool changes *where* samples run, never *what* they compute.
 Key-material economics (the whole point): the driver publishes the
 pre-transformed BSK spectrum table once into shared memory
 (:mod:`repro.pool.shm`); each worker maps it zero-copy and adopts it
-into its keyset cache.  No worker ever runs the FFT-heavy table
-pre-transform - asserted in tests via the ``transforms_fft_total``
+into its keyset cache, and so does the driver once the copy is made, so
+the table exists once per machine.  No worker ever runs the FFT-heavy
+table pre-transform - asserted in tests via the ``transforms_fft_total``
 counter each worker reports with its results.
 
 Workers are forked (the keyset rides fork inheritance; platforms
@@ -247,6 +248,9 @@ class BootstrapPool:
                                 precision=self.precision)
 
         self._shared = SharedSpectrumTable.publish(self.keyset, self.precision)
+        # One image on the driver too: its keyset reads the segment from
+        # here on, and close() evicts it.
+        self._shared.install(self.keyset)
         atexit.register(self._atexit_cleanup)
         self._result_q = mp.Queue()
         for i in range(self.workers):
@@ -301,7 +305,7 @@ class BootstrapPool:
                 proc.terminate()
                 proc.join(timeout=5.0)
         if self._shared is not None:
-            self._shared.close()
+            self._shared.close(self.keyset)
             self._shared = None
         for task_q in self._task_qs:
             try:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .lwe import LweCiphertext, gaussian_torus_noise
 from .polynomial import monomial_mul, poly_add, poly_sub
-from .torus import TORUS_DTYPE, to_torus
+from .torus import STREAM_BLOCK_BYTES, TORUS_DTYPE, to_torus
 
 __all__ = [
     "GlweSecretKey",
@@ -122,20 +122,17 @@ def _key_mask_product(masks: np.ndarray, key: GlweSecretKey) -> np.ndarray:
     return acc
 
 
-def _key_mask_products(masks: np.ndarray, key: GlweSecretKey) -> np.ndarray:
-    """:func:`_key_mask_product` for a ``(R, k, N)`` stack of masks at once.
+def _key_matrix(key: GlweSecretKey) -> np.ndarray:
+    """The ``(k*N, N)`` negacyclic matrix of the key, as exact float64.
 
-    ``sum_i A_i * S_i`` is linear in the mask coefficients, so all ``R``
-    rows are one product against the ``(k*N, N)`` negacyclic matrix of the
-    key, ``M[i*N + m, j] = S~_i[j - m]`` with ``S~`` the signed extension
-    (``X^N = -1``).  The product runs as a float64 GEMM, which is exact
-    here: the entries of ``M`` are in ``{-1, 0, 1}`` and the masks are
-    below ``2**32``, so every partial sum is an integer of magnitude at
-    most ``k*N*2**32 < 2**53`` whatever order BLAS adds in.  Returns the
-    same int64 values as the per-row function; the matrix is a temporary
-    of this call.
+    ``M[i*N + m, j] = S~_i[j - m]`` with ``S~`` the signed extension
+    (``X^N = -1``), so ``sum_i A_i * S_i`` for a flattened mask row is one
+    row-times-matrix product.  Entries are in ``{-1, 0, 1}`` and masks are
+    below ``2**32``, so a float64 GEMM against it is exact - every partial
+    sum is an integer of magnitude at most ``k*N*2**32 < 2**53`` whatever
+    order BLAS adds in - and a key too large for that bound is refused.
     """
-    rows, k, n = masks.shape
+    k, n = key.k, key.N
     if k * n * (1 << 32) >= 1 << 53:
         raise ValueError(
             f"k*N = {k * n} is too large for an exact float64 key-mask product"
@@ -144,15 +141,21 @@ def _key_mask_products(masks: np.ndarray, key: GlweSecretKey) -> np.ndarray:
     signed_ext = np.concatenate((-key.polys, key.polys), axis=-1).astype(np.float64)
     windows = np.lib.stride_tricks.sliding_window_view
     # Row m of block i is the window [N-m, 2N-m) of concat(-S_i, S_i).
-    matrix = np.concatenate([windows(signed_ext[i], n)[n:0:-1] for i in range(k)])
-    flat = masks.reshape(rows, k * n)
-    out = np.empty((rows, n), dtype=np.int64)
-    # Row blocks keep the float copies of the masks and products ~2 MB.
-    block = max(1, (1 << 18) // (k * n))
-    for start in range(0, rows, block):
-        # repro: allow[RPR002] uint32 masks are exact in float64 (see the bound above)
-        out[start : start + block] = flat[start : start + block].astype(np.float64) @ matrix
-    return out
+    return np.concatenate([windows(signed_ext[i], n)[n:0:-1] for i in range(k)])
+
+
+def _key_mask_products(masks: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """:func:`_key_mask_product` for a ``(R, k, N)`` stack of masks at once.
+
+    ``matrix`` is the key's :func:`_key_matrix`; the product is linear in
+    the mask coefficients, so all ``R`` rows are one exact float64 GEMM.
+    Returns the same int64 values as the per-row function.  The float
+    copy of the masks and the result are each ``R*N*8`` bytes: callers
+    pass row blocks, not a whole key.
+    """
+    # repro: allow[RPR002] uint32 masks are exact in float64 (see _key_matrix)
+    flat = masks.reshape(masks.shape[0], -1).astype(np.float64)
+    return (flat @ matrix).astype(np.int64)
 
 
 def glwe_encrypt_zeros(
@@ -165,15 +168,21 @@ def glwe_encrypt_zeros(
 
     Draws from ``rng`` in the order ``count`` :func:`glwe_encrypt` calls
     would (mask, then noise, per sample), so a seed yields the same
-    ciphertexts; only the key-mask products are batched.  This is what
-    makes secure-set key generation cheap: a BSK is thousands of zero
-    encryptions plus gadget terms.
+    ciphertexts; only the key-mask products are batched, one
+    ``STREAM_BLOCK_BYTES`` row block at a time and reduced to torus words
+    as they come, so the key matrix is the only temporary larger than a
+    block.  This is what makes secure-set key generation cheap: a BSK is
+    thousands of zero encryptions plus gadget terms.
     """
     data = np.empty((count, key.k + 1, key.N), dtype=TORUS_DTYPE)
-    for r in range(count):
-        data[r, :-1] = rng.integers(0, 1 << 32, size=(key.k, key.N), dtype=np.uint64)
-        data[r, -1] = gaussian_torus_noise(rng, noise_log2, shape=(key.N,))
-    data[:, -1] += to_torus(_key_mask_products(data[:, :-1], key))
+    matrix = _key_matrix(key)
+    block = max(1, STREAM_BLOCK_BYTES // (8 * key.k * key.N))
+    for start in range(0, count, block):
+        rows = data[start : start + block]
+        for row in rows:
+            row[:-1] = rng.integers(0, 1 << 32, size=(key.k, key.N), dtype=np.uint64)
+            row[-1] = gaussian_torus_noise(rng, noise_log2, shape=(key.N,))
+        rows[:, -1] += to_torus(_key_mask_products(rows[:, :-1], matrix))
     return data
 
 

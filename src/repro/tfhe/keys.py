@@ -19,7 +19,7 @@ from ..transforms.negacyclic import negacyclic_fft_folded
 from .ggsw import ggsw_encrypt_batch
 from .glwe import GlweSecretKey, glwe_keygen
 from .lwe import LweSecretKey, gaussian_torus_noise, lwe_keygen
-from .torus import TORUS_DTYPE, to_torus, torus_dot
+from .torus import STREAM_BLOCK_BYTES, TORUS_DTYPE, to_torus, torus_dot
 
 __all__ = ["KeySwitchingKey", "KeySet", "generate_keyset", "make_ksk"]
 
@@ -65,13 +65,22 @@ def make_ksk(
     noise_log2: float = -15.0,
     q_bits: int = 32,
 ) -> KeySwitchingKey:
-    """Build a key-switching key from ``in_bits`` to ``out_key``."""
+    """Build a key-switching key from ``in_bits`` to ``out_key``.
+
+    The masks are drawn at their resident width (the 32-bit draw consumes
+    the RNG exactly as the 64-bit one did) and dotted with the key one
+    ``STREAM_BLOCK_BYTES`` row block at a time, so the 64-bit products
+    never reach the KSK's size.
+    """
     in_bits = np.asarray(in_bits, dtype=np.int64)
     m = in_bits.shape[0]
     n = out_key.n
-    masks = rng.integers(0, 1 << 32, size=(m, l_k, n), dtype=np.uint64).astype(TORUS_DTYPE)
+    masks = rng.integers(0, 1 << 32, size=(m, l_k, n), dtype=TORUS_DTYPE)
     noise = gaussian_torus_noise(rng, noise_log2, shape=(m, l_k))
-    mask_dot = torus_dot(masks, out_key.bits[None, None, :])
+    mask_dot = np.empty((m, l_k), dtype=TORUS_DTYPE)
+    block = max(1, STREAM_BLOCK_BYTES // (8 * l_k * n))
+    for start in range(0, m, block):
+        mask_dot[start : start + block] = torus_dot(masks[start : start + block], out_key.bits)
     weights = np.array(
         [1 << (q_bits - beta_ks_bits * (j + 1)) for j in range(l_k)], dtype=np.int64
     )
@@ -95,18 +104,16 @@ class KeySet:
     ksk: KeySwitchingKey
     _bsk_tables: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
-    def bsk_spectra(self) -> list:
-        """Pre-compute (and cache) every BSK GGSW transform image."""
-        return [g.spectrum() for g in self.bsk]
-
     def bsk_spectrum_table(self, precision: str = "double") -> np.ndarray:
-        """Eagerly transform the whole BSK as one batched FFT (cached).
+        """Eagerly transform the whole BSK, block-streamed (cached).
 
         Returns a ``(n, (k+1)*l_b, k+1, N/2)`` complex array: the
-        transform-domain image of every GGSW row of every BSK entry,
-        computed in a single batched negacyclic FFT - the software
-        analogue of pre-loading the Private-A2 buffer once instead of
-        transforming each GGSW lazily on first touch.
+        transform-domain image of every GGSW row of every BSK entry - the
+        software analogue of pre-loading the Private-A2 buffer once
+        instead of transforming each GGSW lazily on first touch.  The
+        table is filled ``STREAM_BLOCK_BYTES`` of folded input at a time
+        (32 GGSWs on set I), as the hardware streams BSK rows from HBM, so
+        building it costs the table plus two blocks, not two tables.
 
         ``precision`` selects ``"double"`` (``complex128``, the default,
         bit-compatible with the lazy per-GGSW spectra) or ``"single"``
@@ -120,22 +127,27 @@ class KeySet:
             )
         table = self._bsk_tables.get(precision)
         if table is None:
-            stacked = np.stack([g.rows for g in self.bsk])  # (n, (k+1)l_b, k+1, N)
-            half = stacked.shape[-1] // 2
             # The "single" table is a declared reduced-precision mode; its
             # rounding error is validated against the noise envelope.
             cdtype = np.complex128 if precision == "double" else np.complex64
-            # Declared FFT boundary: the centered lift (uint32 read as int32)
-            # is folded straight into the transform input, so the only
-            # full-size temporaries are the fold and the spectrum.
-            centered = stacked.view(np.int32)
-            folded = np.empty(stacked.shape[:-1] + (half,), dtype=cdtype)
-            folded.real = centered[..., :half]
-            folded.imag = centered[..., half:]
-            del stacked, centered
-            # Every consumer (the per-step einsum, pool workers mapping the
-            # table) relies on C order, whatever the backend hands back.
-            table = np.ascontiguousarray(negacyclic_fft_folded(folded))
+            ggsw_shape = self.bsk[0].rows.shape  # ((k+1)*l_b, k+1, N)
+            half = ggsw_shape[-1] // 2
+            # Filling a preallocated table keeps it C-ordered (the per-step
+            # einsum and pool workers mapping it rely on that) whatever the
+            # backend hands back.
+            table = np.empty((len(self.bsk),) + ggsw_shape[:-1] + (half,), dtype=cdtype)
+            # Clamped to the key: a toy BSK is smaller than one block.
+            block = min(len(self.bsk), max(1, STREAM_BLOCK_BYTES // table[0].nbytes))
+            folded = np.empty((block,) + table.shape[1:], dtype=cdtype)
+            for start in range(0, len(self.bsk), block):
+                ggsws = self.bsk[start : start + block]
+                for dst, g in zip(folded, ggsws):
+                    # Declared FFT boundary: the centered lift (uint32 read
+                    # as int32) is folded straight into the transform input.
+                    centered = g.rows.view(np.int32)
+                    dst.real = centered[..., :half]
+                    dst.imag = centered[..., half:]
+                table[start : start + block] = negacyclic_fft_folded(folded[: len(ggsws)])
             self._bsk_tables[precision] = table
         return table
 
@@ -177,11 +189,11 @@ class KeySet:
         """Release every cached transform-domain image.
 
         Clears the eager per-precision tables *and* the lazy per-GGSW
-        spectra, so the next :meth:`bsk_spectrum_table` /
-        :meth:`bsk_spectra` call recomputes from the coefficient-domain
-        BSK.  Pool workers call this right after fork, before mapping
-        the shared segment, so the only transform-domain image a worker
-        holds is the shared one.
+        spectra, so the next :meth:`bsk_spectrum_table` or
+        ``GgswCiphertext.spectrum`` call recomputes from the
+        coefficient-domain BSK.  Pool workers call this right after fork,
+        before mapping the shared segment, so the only transform-domain
+        image a worker holds is the shared one.
         """
         self._bsk_tables.clear()
         for g in self.bsk:

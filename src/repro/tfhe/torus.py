@@ -20,6 +20,7 @@ __all__ = [
     "u32",
     "Q_BITS",
     "Q",
+    "STREAM_BLOCK_BYTES",
     "to_torus",
     "from_double",
     "to_double",
@@ -39,6 +40,13 @@ __all__ = [
 TORUS_DTYPE = np.uint32
 Q_BITS = 32
 Q = 1 << Q_BITS
+
+#: Byte budget of one streamed temporary.  Key generation and the BSK
+#: pre-transform walk their multi-megabyte arrays in blocks this large, so
+#: peak memory is the resident key material plus about this much: a freed
+#: full-size temporary raises glibc's mmap threshold and strands later
+#: arrays on the heap (docs/perf.md, "Allocation discipline").
+STREAM_BLOCK_BYTES = 1 << 21
 
 
 def u32(value) -> np.uint32:
@@ -132,9 +140,8 @@ def torus_dot(a, b, axis: int = -1) -> np.ndarray:
     reduction into ``T_q`` - the mod-q MAC-tree arithmetic every LWE
     phase computation uses.  Inputs broadcast like ``a * b``.
     """
-    prod = (
-        np.asarray(a, TORUS_DTYPE).astype(np.uint64)
-        * np.asarray(b, TORUS_DTYPE).astype(np.uint64)
+    prod = np.multiply(
+        np.asarray(a, TORUS_DTYPE), np.asarray(b, TORUS_DTYPE), dtype=np.uint64
     )
     return (prod.sum(axis=axis) & np.uint64(Q - 1)).astype(TORUS_DTYPE)
 

@@ -131,6 +131,16 @@ class TestSharedSpectrum:
             assert worker["fft_forward"] < cold_forward
             assert worker["bootstraps"] == len(shards[i])
 
+    def test_driver_keeps_one_image_while_the_pool_is_open(self, ctx):
+        private = ctx.keyset.bsk_spectrum_table("double")
+        with BootstrapPool(ctx.keyset, workers=1) as pool:
+            adopted = ctx.keyset.bsk_spectrum_table("double")
+            # The keyset reads the segment; its private copy is released.
+            assert adopted is pool._shared.array and adopted is not private
+            np.testing.assert_array_equal(adopted, private)
+        assert "double" not in ctx.keyset._bsk_tables  # evicted with the segment
+        np.testing.assert_array_equal(ctx.keyset.bsk_spectrum_table("double"), private)
+
     def test_unknown_backend_fails_with_available_list(self, ctx):
         with pytest.raises(ValueError, match="available backends"):
             BootstrapPool(ctx.keyset, workers=2, backend="not-a-backend")

@@ -1,21 +1,38 @@
 """Direct tests for key material generation (BSK, KSK, KeySet)."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro import TEST_PARAMS
-from repro.params import PARAM_SETS
+from repro.params import PARAM_SETS, get_params
 from repro.tfhe.glwe import (
     _key_mask_product,
     _key_mask_products,
+    _key_matrix,
     glwe_encrypt,
     glwe_encrypt_zeros,
     glwe_keygen,
 )
 from repro.tfhe.keys import generate_keyset, make_ksk
 from repro.tfhe.lwe import lwe_keygen
-from repro.tfhe.torus import u32
-from repro.transforms.backends import use_backend
+from repro.tfhe.serialization import load_keyset, save_keyset
+from repro.tfhe.torus import STREAM_BLOCK_BYTES, u32
+from repro.transforms.backends import active_backend_name, use_backend
+from repro.transforms.negacyclic import negacyclic_fft
+
+from ._keys_golden import GOLDEN_DOC, PARAM_SET_NAMES, SEED, keyset_digests
+
+
+@pytest.fixture(scope="module")
+def golden_keysets():
+    """The golden's keysets (toy and set I, seed 7), generated once."""
+    return {
+        name: generate_keyset(get_params(name), np.random.default_rng(SEED))
+        for name in PARAM_SET_NAMES
+    }
 
 
 class TestKeySetStructure:
@@ -35,9 +52,10 @@ class TestKeySetStructure:
         assert keyset.ksk.l_k == p.l_k
 
     def test_bsk_spectra_cached(self, keyset):
-        spectra = keyset.bsk_spectra()
-        assert len(spectra) == TEST_PARAMS.n
-        assert spectra[0] is keyset.bsk[0].spectrum()
+        g = keyset.bsk[0]
+        spectrum = g.spectrum()
+        assert spectrum.shape == g.rows.shape[:-1] + (TEST_PARAMS.N // 2,)
+        assert g.spectrum() is spectrum
 
 
 class TestSpectrumTableCache:
@@ -56,7 +74,8 @@ class TestSpectrumTableCache:
 
     def test_drop_spectrum_cache_clears_everything(self, keyset):
         table = keyset.bsk_spectrum_table("double")
-        keyset.bsk_spectra()  # populate the lazy per-GGSW spectra too
+        for g in keyset.bsk:  # populate the lazy per-GGSW spectra too
+            g.spectrum()
         assert any(g._spectrum is not None for g in keyset.bsk)
 
         keyset.drop_spectrum_cache()
@@ -87,6 +106,73 @@ class TestSpectrumTableLayout:
         with pytest.raises(ValueError, match="C-contiguous"):
             fresh.adopt_spectrum_table(transposed)
         assert fresh.adopt_spectrum_table(table) is table
+
+
+class TestKeysGolden:
+    """Same keys per seed: digests recorded before keygen was block-streamed."""
+
+    @pytest.mark.parametrize("name", PARAM_SET_NAMES)
+    def test_digests_match_the_golden(self, name, golden_keysets):
+        with open(GOLDEN_DOC) as fh:
+            golden = json.load(fh)
+        got, want = keyset_digests(golden_keysets[name]), golden[name]
+        if np.__version__ != golden["numpy"] or active_backend_name() != "numpy":
+            # The table is numpy.fft float output: pinned under the engine
+            # that recorded it, checked against a one-shot build below.
+            del got["bsk_spectrum_table_double"], want["bsk_spectrum_table_double"]
+        assert got == want
+
+
+class TestBlockStreamedKeys:
+    """Keygen and the BSK pre-transform never hold a key-sized temporary."""
+
+    @pytest.mark.parametrize("precision,cdtype", [
+        ("double", np.complex128), ("single", np.complex64),
+    ])
+    def test_setI_table_equals_the_one_shot_transform(self, precision, cdtype, golden_keysets):
+        keyset = golden_keysets["I"]
+        stacked = np.stack([g.rows for g in keyset.bsk])
+        table = keyset.bsk_spectrum_table(precision)
+        # 500 GGSWs are 15 blocks of 32 plus 20 (double), 7 of 64 plus 52 (single).
+        assert len(keyset.bsk) % (STREAM_BLOCK_BYTES // table[0].nbytes) != 0
+        centered = stacked.view(np.int32)
+        reference = negacyclic_fft(
+            centered if precision == "double" else centered.astype(np.float32)
+        )
+        assert table.dtype == cdtype and table.flags.c_contiguous
+        np.testing.assert_array_equal(table, reference)
+
+    def test_setI_keygen_peak_is_live_bytes_plus_blocks(self):
+        tracemalloc.start()
+        keyset = generate_keyset(PARAM_SETS["I"], np.random.default_rng(SEED))
+        live, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert len(keyset.bsk) == PARAM_SETS["I"].n
+        # The 8 MB key matrix plus a few 2 MB blocks; full-size draws,
+        # products and int64 sums took this to live + 31 MB.
+        assert peak <= live + 12 * 2**20, (
+            f"keygen peaked at {peak / 2**20:.1f} MiB for {live / 2**20:.1f} MiB live"
+        )
+
+    def test_setI_table_build_peak_is_the_table_plus_blocks(self, golden_keysets):
+        keyset = golden_keysets["I"]
+        keyset.drop_spectrum_cache()
+        tracemalloc.start()
+        table = keyset.bsk_spectrum_table("double")
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # The one-shot build held the stacked BSK, its fold and the spectrum: 2.04x.
+        assert peak <= 1.25 * table.nbytes, (
+            f"table build peaked at {peak / 2**20:.1f} MiB for a "
+            f"{table.nbytes / 2**20:.1f} MiB table"
+        )
+
+    def test_saved_and_loaded_keyset_builds_the_same_table(self, keyset, tmp_path):
+        save_keyset(tmp_path / "keys.npz", keyset)
+        loaded = load_keyset(tmp_path / "keys.npz")
+        np.testing.assert_array_equal(
+            loaded.bsk_spectrum_table("double"), keyset.bsk_spectrum_table("double")
+        )
 
 
 def _row_by_row_keyset(params, rng, ggsw_indices):
@@ -144,7 +230,7 @@ class TestBatchedKeygen:
         key = glwe_keygen(k, n, rng)
         masks = rng.integers(0, 1 << 32, size=(5, k, n), dtype=np.uint64).astype(np.uint32)
         masks[0] = 0xFFFFFFFF  # the largest sum the exactness bound must cover
-        got = _key_mask_products(masks, key)
+        got = _key_mask_products(masks, _key_matrix(key))
         assert got.dtype == np.int64
         for row, want in zip(got, (_key_mask_product(m, key) for m in masks)):
             np.testing.assert_array_equal(row, want)
@@ -154,7 +240,7 @@ class TestBatchedKeygen:
         n = 1 << 21
         key = type("Key", (), {"k": 1, "N": n, "polys": np.zeros((1, n), dtype=np.int64)})()
         with pytest.raises(ValueError, match="exact"):
-            _key_mask_products(np.zeros((1, 1, n), dtype=np.uint32), key)
+            _key_matrix(key)
 
     def test_zero_encryptions_decrypt_to_noise(self, rng):
         from repro.tfhe.glwe import GlweCiphertext, glwe_decrypt_phase
