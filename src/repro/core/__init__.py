@@ -52,7 +52,6 @@ from .scheduler import (
     run_workload,
 )
 from .simulator import MorphlingSimulator, SimulationReport, simulate_bootstrap
-from .sweep import SweepPoint, pareto_frontier, sweep
 from .trace import PipelineTrace, StageSpan, render_timeline, trace_blind_rotation
 from .vpe_array import ArrayMapping, VpeArray, map_external_product
 from .vpu import VpuModel, VpuStageCycles
@@ -120,9 +119,6 @@ __all__ = [
     "MorphlingSimulator",
     "SimulationReport",
     "simulate_bootstrap",
-    "SweepPoint",
-    "sweep",
-    "pareto_frontier",
     "ArrayMapping",
     "VpeArray",
     "map_external_product",

@@ -74,7 +74,6 @@ from .export import (
     noise_trace_events,
     pipeline_trace_events,
     render_prometheus,
-    schedule_trace_events,
     to_jsonable,
     write_chrome_trace,
 )
@@ -195,7 +194,6 @@ __all__ = [
     "counter_track_events",
     "noise_trace_events",
     "pipeline_trace_events",
-    "schedule_trace_events",
     "merged_trace_events",
     "flight_trace_events",
     "write_chrome_trace",

@@ -8,9 +8,8 @@ Three consumers, one data model:
   CLI surface: it converts dataclasses (``SimulationReport``,
   ``IterationBreakdown``...), numpy scalars/arrays, enums and nested
   containers into plain JSON types;
-- the ``*_trace_events`` family renders spans - recorded by the tracer,
-  replayed from a :class:`~repro.core.trace.PipelineTrace`, or taken
-  from a scheduler :class:`~repro.core.scheduler.ScheduleResult` - as
+- the ``*_trace_events`` family renders spans - recorded by the tracer
+  or replayed from a :class:`~repro.core.trace.PipelineTrace` - as
   Chrome trace-event dicts (``ph: "X"`` complete events plus ``ph: "M"``
   thread-name metadata), which :func:`write_chrome_trace` wraps into a
   file that loads directly in Perfetto or ``chrome://tracing``.
@@ -35,7 +34,6 @@ __all__ = [
     "counter_track_events",
     "noise_trace_events",
     "pipeline_trace_events",
-    "schedule_trace_events",
     "merged_trace_events",
     "flight_trace_events",
     "write_chrome_trace",
@@ -213,32 +211,6 @@ def pipeline_trace_events(trace: Any, clock_ghz: Optional[float] = None) -> List
                 "pid": _PID,
                 "tid": track_ids[s.stage],
                 "args": {"iteration": s.iteration, "cycles": s.duration},
-            }
-        )
-    return events
-
-
-def schedule_trace_events(result: Any) -> List[dict]:
-    """Render a scheduler :class:`ScheduleResult` (``record_spans=True``).
-
-    Each engine becomes a row; each instruction a complete event with its
-    group id in the args.  Times are seconds of simulated time -> us.
-    """
-    if not result.spans:
-        raise ValueError("execute the stream with record_spans=True first")
-    track_ids = _track_ids({s[0] for s in result.spans})
-    events = _thread_metadata(track_ids)
-    for engine, op, group, start, end in result.spans:
-        events.append(
-            {
-                "name": op,
-                "cat": "schedule",
-                "ph": "X",
-                "ts": start * 1e6,
-                "dur": (end - start) * 1e6,
-                "pid": _PID,
-                "tid": track_ids[engine],
-                "args": {"group": group},
             }
         )
     return events

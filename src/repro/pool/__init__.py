@@ -4,7 +4,7 @@
 processes: one shared-memory copy of the pre-transformed BSK spectrum
 (:mod:`~repro.pool.shm`), N forked lanes running the real pipeline
 (:mod:`~repro.pool.pool`), and a scaling harness
-(:mod:`~repro.pool.scaling`) behind ``repro pool`` and the pool bench.
+(:mod:`~repro.pool.scaling`) behind ``repro pool``.
 Results are bit-identical to the single-process batch in ``complex128``.
 """
 

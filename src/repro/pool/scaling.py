@@ -4,8 +4,8 @@ Runs the same batched-bootstrap workload single-process and under pools
 of increasing width, reporting bootstraps/s and the scaling ratio per
 worker count - the software analogue of the multi-chiplet scaling
 sweep: identical lanes, shared key material, near-linear throughput.
-Backs both the ``repro pool`` CLI verb and the
-``benchmarks/bench_pool_scaling.py`` bench.
+Backs the ``repro pool`` CLI verb; measured ratios on set I are in
+``docs/perf.md`` ("Pool on set I").
 """
 
 from __future__ import annotations

@@ -7,6 +7,10 @@ five Table VI applications on set III under the ``morphling`` and
 The ``telemetry`` entry pins what the same path *publishes* with every
 telemetry system on (XG-Boost, ``morphling``): the perf-counter snapshot
 digest, ``sched_instructions_total`` by op and a digest of the span list.
+The ``bootstrap`` entry pins ``simulate_bootstrap`` itself on the six
+canonical pairs (``morphling`` on sets I-IV, ``no-reuse`` and
+``input-reuse`` on set III): throughput and latency as ``float.hex``, the
+bottleneck and scheduler shape, and the ``counting()`` digest of the call.
 A host-side speed-up of the scheduler or verifier must leave the file
 untouched; a deliberate timing-model change regenerates it with
 ``PYTHONPATH=src python tests/core/_sim_golden.py``.
@@ -42,7 +46,33 @@ def build_document():
                 "padding_waste": result.padding_waste.hex(),
             }
     document["telemetry"] = _telemetry_section(params, apps[0])
+    document["bootstrap"] = _bootstrap_section()
     return document
+
+
+def _bootstrap_section():
+    from repro.core import MorphlingConfig, simulate_bootstrap
+    from repro.observability import counting
+    from repro.params import get_params
+
+    pairs = [(MorphlingConfig.morphling(), pset) for pset in ("I", "II", "III", "IV")]
+    pairs += [(MorphlingConfig.no_reuse(), "III"), (MorphlingConfig.input_reuse(), "III")]
+    section = {}
+    for config, pset in pairs:
+        with counting() as bank:
+            report = simulate_bootstrap(config, get_params(pset))
+            digest = bank.digest()
+        section[f"{config.name}@{pset}"] = {
+            "throughput_bs": report.throughput_bs.hex(),
+            "bootstrap_latency_ms": report.bootstrap_latency_ms.hex(),
+            "bottleneck": report.bottleneck,
+            "group_size": report.group_size,
+            "acc_streams": report.acc_streams,
+            "bsk_reuse": report.bsk_reuse,
+            "ksk_reuse": report.ksk_reuse,
+            "counters_digest": digest,
+        }
+    return section
 
 
 def _telemetry_section(params, app):

@@ -50,6 +50,11 @@ class TestTableIVRegression:
         big = AreaPowerModel(MorphlingConfig(num_xpus=8)).total().area_mm2
         assert big > small
 
+    def test_doubling_xpus_adds_four_blocks_and_their_noc_ports(self, model):
+        grown = AreaPowerModel(MorphlingConfig(num_xpus=8)).total().area_mm2
+        expected = 4 * model.xpu_cost().area_mm2 + model.noc_cost().area_mm2
+        assert grown - model.total().area_mm2 == pytest.approx(expected, abs=1e-9)
+
     def test_area_scales_with_buffers(self):
         mib = 1024 * 1024
         small = AreaPowerModel(MorphlingConfig(private_a1_bytes=2 * mib)).total()
@@ -106,9 +111,11 @@ class TestHbm:
     def test_sustainable_rate_monotone_in_reuse(self):
         hbm = HbmModel(MorphlingConfig())
         p = get_params("I")
+        r4 = hbm.sustainable_bootstrap_rate(p, 4, 64)
         r16 = hbm.sustainable_bootstrap_rate(p, 16, 64)
         r64 = hbm.sustainable_bootstrap_rate(p, 64, 64)
         assert r64 > r16
+        assert r64 > 15 * r4  # near-linear in the BSK reuse factor
 
     def test_default_memory_feeds_compute(self):
         """With full reuse the memory system outruns the XPUs (set I)."""

@@ -87,6 +87,10 @@ class TestStream:
         blob = encode_stream(program)
         assert len(blob) == stream_size_bytes(program)
 
+    def test_program_is_tiny_next_to_its_data(self, program):
+        data_bytes = sum(inst.data_bytes for inst in program)
+        assert len(encode_stream(program)) < data_bytes / 1000
+
     def test_empty_stream(self):
         assert decode_stream(b"") == []
         assert encode_stream(InstructionStream()) == b""

@@ -86,7 +86,9 @@ class TestFig3Numbers:
         """Fig. 3's observation: more (k, l_b) -> more reduction."""
         r1 = reduction_vs_no_reuse(k, l_b, ReuseType.INPUT_OUTPUT_REUSE)
         r2 = reduction_vs_no_reuse(k + 1, l_b, ReuseType.INPUT_OUTPUT_REUSE)
+        r3 = reduction_vs_no_reuse(k, l_b + 1, ReuseType.INPUT_OUTPUT_REUSE)
         assert r2 >= r1 - 1e-12
+        assert r3 >= r1 - 1e-12
 
 
 class TestReuseFactors:

@@ -44,6 +44,13 @@ class TestLatencyFractions:
         r = simulate_bootstrap(MorphlingConfig(), get_params(pset))
         assert r.latency_fractions()["xpu_blind_rotation"] > 0.85
 
+    def test_set_iv_is_the_weakest_xpu_share(self):
+        """Set IV (l_b = 1) has the cheapest blind rotation, so key
+        switching takes its largest share there; MS stays negligible."""
+        fr = simulate_bootstrap(MorphlingConfig(), get_params("IV")).latency_fractions()
+        assert fr["xpu_blind_rotation"] > 0.70
+        assert fr["vpu_key_switch"] > 20 * fr["vpu_modulus_switch"]
+
     def test_fractions_sum_to_one(self):
         fr = simulate_bootstrap(MorphlingConfig(), get_params("I")).latency_fractions()
         assert sum(fr.values()) == pytest.approx(1.0)
@@ -130,6 +137,15 @@ class TestResourceSensitivity:
             simulate_bootstrap(fat, p).throughput_bs
             >= simulate_bootstrap(base, p).throughput_bs
         )
+
+    def test_vpu_channels_keep_key_switch_off_the_critical_path(self):
+        """Section IV-C: six of the eight channels feed the KSK; handing
+        them to the XPU would starve key switching."""
+        p = get_params("I")
+        r = simulate_bootstrap(MorphlingConfig(), p)
+        assert r.ksk_transfer_s < r.xpu_busy_s
+        starved = MorphlingConfig(xpu_hbm_channels=7, vpu_hbm_channels=1)
+        assert simulate_bootstrap(starved, p).ksk_transfer_s > 3 * r.ksk_transfer_s
 
     def test_zero_capacity_stall_degrades_not_crashes(self):
         cfg = MorphlingConfig(private_a1_bytes=64 * 1024)

@@ -8,8 +8,10 @@ from repro.experiments import (
     morphling_throughputs,
     run_all,
     run_fig3,
+    run_fig6,
     run_fig8a,
     run_fig8b,
+    run_table3,
     run_table5,
     run_table6,
 )
@@ -68,12 +70,35 @@ class TestDrivers:
     def test_fig8a_knee(self):
         result = run_fig8a()
         thr = dict(zip(result.column("A1 (KB)"), result.column("throughput (BS/s)")))
-        assert thr[2048] < thr[4096] == thr[8192]
+        assert thr[512] < thr[2048] < thr[4096] == thr[8192] == thr[16384]
+        assert list(thr.values()) == sorted(thr.values())
 
     def test_fig8b_degradation(self):
         result = run_fig8b()
-        thr = dict(zip(result.column("XPUs"), result.column("throughput (BS/s)")))
+        xpus = result.column("XPUs")
+        thr = dict(zip(xpus, result.column("throughput (BS/s)")))
         assert thr[5] < thr[4]
+        bottleneck = dict(zip(xpus, result.column("bottleneck")))
+        assert {bottleneck[n] for n in (5, 6, 8)} == {"bsk_bandwidth"}
+        per_xpu = dict(zip(xpus, result.column("per-XPU (BS/s)")))
+        assert per_xpu[5] < 0.6 * per_xpu[4]
+
+    def test_fig6_pipelines_groups_back_to_back(self):
+        result = run_fig6()
+        engines = set(result.column("engine"))
+        assert {"xpu", "dma_xpu"} <= engines
+        assert any(e.startswith("vpu") for e in engines)
+        spans = {}  # operation -> [(start ms, end ms)]
+        for _, op, _, start, end in result.rows:
+            spans.setdefault(op, []).append((start, end))
+        brs = sorted(spans["blind_rotate"])
+        for (_, prev_end), (start, _) in zip(brs, brs[1:]):
+            assert abs(start - prev_end) < 0.02
+        # the first BSK prefetch lands before the first blind rotation
+        assert min(end for _, end in spans["load_bsk"]) <= brs[0][0] + 1e-9
+
+    def test_table3_lists_the_sets_in_paper_order(self):
+        assert run_table3().column("set") == ["I", "II", "III", "IV", "A", "B", "C"]
 
     def test_morphling_throughputs_keys(self):
         thr = morphling_throughputs()
@@ -95,6 +120,16 @@ class TestTable6:
         morph = result.column("Morphling (s)")
         for c, m in zip(cpu, morph):
             assert 80 < c / m < 160
+
+    def test_latency_shape(self, result):
+        """Sub-second except DeepCNN-50/100, linear in trunk depth, and in
+        the paper's order."""
+        s = dict(zip(result.column("application"), result.column("Morphling (s)")))
+        assert s["XG-Boost"] < 0.1
+        assert s["VGG-9"] < 1.0
+        per_layer = (s["DeepCNN-50"] - s["DeepCNN-20"]) / 30
+        assert (s["DeepCNN-100"] - s["DeepCNN-50"]) / 50 == pytest.approx(per_layer, rel=0.15)
+        assert s["XG-Boost"] < s["DeepCNN-20"] < s["DeepCNN-100"]
 
 
 class TestRunner:

@@ -90,6 +90,7 @@ class TestValidation:
 class TestTableI:
     def test_tfhe_is_small_parameter(self):
         assert SCHEME_PROFILES["TFHE"].is_small_parameter
+        assert not SCHEME_PROFILES["TFHE"].needs_rns
 
     def test_large_parameter_schemes(self):
         for scheme in ("CKKS", "BGV", "BFV"):
