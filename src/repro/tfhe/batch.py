@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from typing import Optional
-
-from .bootstrap import BootstrapTrace, programmable_bootstrap, programmable_bootstrap_batch
+from .bootstrap import programmable_bootstrap_batch
 from .keys import KeySet
 from .lwe import LweCiphertext, LweSecretKey, gaussian_torus_noise
 from .torus import (
@@ -137,8 +135,6 @@ def bootstrap_batch(
     test_poly: np.ndarray,
     keyset: KeySet,
     group_size: int = 64,
-    engine: str = "transform",
-    trace: Optional[BootstrapTrace] = None,
 ) -> LweBatch:
     """Bootstrap every ciphertext, processed in scheduler-shaped groups.
 
@@ -146,21 +142,12 @@ def bootstrap_batch(
     :func:`~repro.tfhe.bootstrap.programmable_bootstrap_batch` kernel
     (one BSK pass shared by the whole group, mirroring how the HW
     scheduler streams 64 LWE ciphertexts through the VPE rows).  Results
-    are bit-identical for every ``group_size``.  The reference engines
-    (``"fft"``/``"exact"``) keep the per-sample path.
+    are bit-identical for every ``group_size``.
     """
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
     outputs = []
     for start in range(0, batch.size, group_size):
         group = [batch[i] for i in range(start, min(start + group_size, batch.size))]
-        if engine == "transform":
-            outputs.extend(
-                programmable_bootstrap_batch(group, test_poly, keyset, trace=trace)
-            )
-        else:
-            outputs.extend(
-                programmable_bootstrap(ct, test_poly, keyset, engine=engine, trace=trace)
-                for ct in group
-            )
+        outputs.extend(programmable_bootstrap_batch(group, test_poly, keyset))
     return LweBatch.from_ciphertexts(outputs)

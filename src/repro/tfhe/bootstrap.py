@@ -3,30 +3,28 @@
 The four stages map one-to-one onto Morphling's hardware:
 
 - :func:`modulus_switch` - VPU scalar multiply + round (memory-light);
-- :func:`blind_rotate` - the XPU's ``n`` sequential CMux external
+- :func:`blind_rotate_batch` - the XPU's ``n`` sequential CMux external
   products, each a rotation -> decomposition -> transform-domain
   matrix-vector product;
-- sample extraction (:func:`repro.tfhe.glwe.sample_extract`) - pure data
-  regrouping on the VPU;
-- :func:`key_switch` - the memory-bound KSK contraction on the VPU.
+- sample extraction (:func:`repro.tfhe.glwe.sample_extract_batch`) - pure
+  data regrouping on the VPU;
+- :func:`key_switch_batch` - the memory-bound KSK contraction on the VPU.
 
-:func:`programmable_bootstrap` composes them and optionally records
-per-stage operation counts through a :class:`BootstrapTrace` so the
-analysis layer (Fig. 1) can account real executions rather than formulas.
+:func:`programmable_bootstrap_batch` is the one place they are composed
+with telemetry; executed work is measured where it is dispatched
+(``transforms_fft_total``, ``tfhe_blind_rotation_steps_total``,
+``tfhe_external_products_total``, ``tfhe_key_switches_total``).
 
-The execution path is *batch-first*: :func:`blind_rotate_batch` runs ``B``
+The pipeline is *batch-first*: :func:`blind_rotate_batch` runs ``B``
 independent accumulators through every BSK row together - the software
 analogue of the paper's 2D VPE array, where each row processes a
 different bootstrap against the shared, pre-transformed BSK entry.  The
-scalar entry points are batch-of-one views of the same kernel, so scalar
-and batched results are bit-identical in the default double-precision
-mode.
+scalar entry points are batch-of-one calls of the same pipeline.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,8 +38,8 @@ from ..observability import (
 )
 from ..transforms.backends import active_backend_name as _active_backend_name
 from .decomposition import decompose
-from .ggsw import cmux, external_product_spectrum_batch
-from .glwe import GlweCiphertext, glwe_rotate, glwe_trivial, sample_extract, sample_extract_batch
+from .ggsw import external_product_spectrum_batch
+from .glwe import sample_extract_batch
 from .keys import KeySet, KeySwitchingKey
 from .lwe import LweCiphertext
 from .noise import (
@@ -53,9 +51,7 @@ from .polynomial import monomial_rotate_batch
 from .torus import TORUS_DTYPE, modswitch, to_signed, to_torus, u32
 
 __all__ = [
-    "BootstrapTrace",
     "modulus_switch",
-    "blind_rotate",
     "blind_rotate_batch",
     "key_switch",
     "key_switch_batch",
@@ -83,22 +79,6 @@ _BOOTSTRAP_LATENCY = _METRICS.quantile(
 )
 
 
-@dataclass
-class BootstrapTrace:
-    """Counters filled in by an instrumented bootstrap run."""
-
-    external_products: int = 0
-    forward_transforms: int = 0
-    inverse_transforms: int = 0
-    pointwise_mult_polys: int = 0
-    rotations: int = 0
-    ks_scalar_mults: int = 0
-    ms_operations: int = 0
-
-    def total_transforms(self) -> int:
-        return self.forward_transforms + self.inverse_transforms
-
-
 def modulus_switch(ct: LweCiphertext, N: int) -> tuple:
     """Rescale an LWE ciphertext to modulus ``2N`` (Algorithm 1, line 1).
 
@@ -114,7 +94,6 @@ def blind_rotate_batch(
     b_tilde: np.ndarray,
     test_polys: np.ndarray,
     keyset: KeySet,
-    trace: Optional[BootstrapTrace] = None,
     precision: str = "double",
 ) -> np.ndarray:
     """Blind-rotate ``B`` independent accumulators through one BSK pass.
@@ -132,13 +111,18 @@ def blind_rotate_batch(
     fused into its unfold - with no intermediate :class:`GlweCiphertext`
     or digit array.  This is exactly the 2D VPE-array schedule: one BSK
     row amortized over all in-flight bootstraps.  ``precision`` picks the
-    BSK table mode (``"double"`` is bit-identical to the scalar path;
+    BSK table mode (``"double"`` is bit-identical on every backend;
     ``"single"`` keeps the MAC in complex64, see
     :meth:`KeySet.bsk_spectrum_table`).
     """
     params = keyset.params
     k, l_b, n_poly = params.k, params.l_b, params.N
     a_tilde = np.asarray(a_tilde, dtype=np.int64)
+    if a_tilde.shape[-1] != params.n:
+        raise ValueError(
+            f"ciphertext dimension {a_tilde.shape[-1]} does not match "
+            f"the bootstrapping key's LWE dimension {params.n}"
+        )
     batch = a_tilde.shape[0]
     table = keyset.bsk_spectrum_table(precision)
     tp = np.broadcast_to(np.asarray(test_polys, dtype=TORUS_DTYPE), (batch, n_poly))
@@ -165,63 +149,9 @@ def blind_rotate_batch(
         else:
             acc[active] = sub + update
     total_steps = sum(active_counts)
-    if trace is not None:
-        trace.external_products += total_steps
-        trace.rotations += total_steps
-        trace.forward_transforms += total_steps * (k + 1) * l_b
-        trace.inverse_transforms += total_steps * (k + 1)
-        trace.pointwise_mult_polys += total_steps * (k + 1) ** 2 * l_b
     if total_steps and _METRICS.enabled:
         _BR_STEPS.inc(total_steps)
         _EXTERNAL_PRODUCTS.inc(total_steps, engine="transform")
-    return acc
-
-
-def blind_rotate(
-    a_tilde: np.ndarray,
-    b_tilde: int,
-    test_poly: np.ndarray,
-    keyset: KeySet,
-    engine: str = "transform",
-    trace: Optional[BootstrapTrace] = None,
-) -> GlweCiphertext:
-    """Blind rotation: ACC <- X^{-b~} * TP, then ``n`` CMux iterations.
-
-    After the loop the accumulator holds ``X^{-phase} * TP`` where
-    ``phase = b~ - sum a~_i s_i`` - the noisy encoded message in ``Z_{2N}``.
-    The default ``"transform"`` engine is a batch-of-one view of
-    :func:`blind_rotate_batch`; the ``"fft"``/``"exact"`` reference
-    engines keep the per-CMux loop.
-    """
-    params = keyset.params
-    if engine == "transform":
-        acc_batch = blind_rotate_batch(
-            np.asarray(a_tilde, dtype=np.int64)[None, :],
-            np.asarray([b_tilde], dtype=np.int64),
-            np.asarray(test_poly, dtype=TORUS_DTYPE),
-            keyset,
-            trace=trace,
-        )
-        return GlweCiphertext(acc_batch[0])
-    acc = glwe_trivial(test_poly, params.k)
-    acc = glwe_rotate(acc, -b_tilde)
-    steps = 0
-    for i in range(params.n):
-        t = int(a_tilde[i])
-        if t == 0:
-            continue
-        rotated = glwe_rotate(acc, t)
-        acc = cmux(keyset.bsk[i], acc, rotated, engine=engine)
-        steps += 1
-        if trace is not None:
-            trace.external_products += 1
-            trace.rotations += 1
-            trace.forward_transforms += (params.k + 1) * params.l_b
-            trace.inverse_transforms += params.k + 1
-            trace.pointwise_mult_polys += (params.k + 1) ** 2 * params.l_b
-    if steps and _METRICS.enabled:
-        _BR_STEPS.inc(steps)
-        _EXTERNAL_PRODUCTS.inc(steps, engine=engine)
     return acc
 
 
@@ -229,7 +159,6 @@ def key_switch_batch(
     a: np.ndarray,
     b: np.ndarray,
     ksk: KeySwitchingKey,
-    trace: Optional[BootstrapTrace] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Switch ``B`` extracted LWE samples back to the original key.
 
@@ -248,26 +177,18 @@ def key_switch_batch(
     d64 = digits.transpose(0, 2, 1)  # (B, kN, l_k)
     mask_acc = -np.einsum("bml,mln->bn", d64, ksk.masks)
     body_acc = np.asarray(b).astype(np.int64) - np.einsum("bml,ml->b", d64, ksk.bodies)
-    if trace is not None:
-        trace.ks_scalar_mults += int(digits.size) * (ksk.out_dimension + 1)
     _KEY_SWITCHES.inc(a.shape[0])
     return to_torus(mask_acc), to_torus(body_acc)
 
 
-def key_switch(
-    ct: LweCiphertext,
-    ksk: KeySwitchingKey,
-    trace: Optional[BootstrapTrace] = None,
-) -> LweCiphertext:
+def key_switch(ct: LweCiphertext, ksk: KeySwitchingKey) -> LweCiphertext:
     """Switch an extracted LWE ciphertext back to the original key.
 
     ``c'' = (0, ..., b') - sum_i sum_j Decomp(a'_i)_j * KSK_(i,j)``
     (Algorithm 1, line 6), a batch-of-one view of
     :func:`key_switch_batch`.
     """
-    out_a, out_b = key_switch_batch(
-        ct.a[None, :], np.asarray([ct.b]), ksk, trace=trace
-    )
+    out_a, out_b = key_switch_batch(ct.a[None, :], np.asarray([ct.b]), ksk)
     return LweCiphertext(out_a[0], out_b[0])
 
 
@@ -329,48 +250,20 @@ def _track_bootstrap(
 
 
 def programmable_bootstrap(
-    ct: LweCiphertext,
-    test_poly: np.ndarray,
-    keyset: KeySet,
-    engine: str = "transform",
-    trace: Optional[BootstrapTrace] = None,
+    ct: LweCiphertext, test_poly: np.ndarray, keyset: KeySet
 ) -> LweCiphertext:
     """Full programmable bootstrap of one LWE ciphertext (Algorithm 1).
 
-    ``engine`` picks the external-product datapath: ``"transform"``
-    (Morphling's reuse datapath, shared with the batched pipeline),
-    ``"fft"`` (per-product transforms) or ``"exact"`` (integer reference).
+    A batch-of-one call of :func:`programmable_bootstrap_batch`,
+    telemetry included.
     """
-    params = keyset.params
-    t0 = time.perf_counter() if (_METRICS.enabled or _BUS.enabled) else None
-    with _TRACER.span("programmable_bootstrap", category="tfhe",
-                      engine=engine, n=params.n, N=params.N):
-        a_tilde, b_tilde = modulus_switch(ct, params.N)
-        if trace is not None:
-            trace.ms_operations += params.n + 1
-        acc = blind_rotate(
-            a_tilde, b_tilde, test_poly, keyset, engine=engine, trace=trace
-        )
-        extracted = sample_extract(acc, 0)
-        result = key_switch(extracted, keyset.ksk, trace=trace)
-    _BOOTSTRAPS.inc()
-    if t0 is not None:
-        elapsed = time.perf_counter() - t0
-        _BOOTSTRAP_LATENCY.observe(elapsed, batch=1, engine=engine)
-        if _BUS.enabled:
-            _BUS.publish("request", "tfhe/bootstrap", value=elapsed,
-                         count=1, batch=1, n=params.n, N=params.N,
-                         engine=engine, backend=_active_backend_name())
-    if _NOISE.enabled:
-        _track_bootstrap(result, ct, test_poly, keyset, "programmable_bootstrap")
-    return result
+    return programmable_bootstrap_batch([ct], test_poly, keyset)[0]
 
 
 def programmable_bootstrap_batch(
     cts: Sequence[LweCiphertext],
     test_polys: np.ndarray,
     keyset: KeySet,
-    trace: Optional[BootstrapTrace] = None,
     precision: str = "double",
     noise_labels: Optional[Sequence[str]] = None,
 ) -> List[LweCiphertext]:
@@ -379,9 +272,9 @@ def programmable_bootstrap_batch(
     ``test_polys`` is one shared ``(N,)`` LUT or a per-sample ``(B, N)``
     stack (the multi-LUT case: independent bootstraps, each with its own
     test polynomial, sharing every BSK row).  All four stages run
-    vectorized over the batch; in the default ``"double"`` precision the
-    outputs are bit-identical to ``B`` scalar :func:`programmable_bootstrap`
-    calls.  The noise tracker shadows every sample individually
+    vectorized over the batch; in the default ``"double"`` precision each
+    output is bit-identical to bootstrapping that sample alone.  The noise
+    tracker shadows every sample individually
     (``noise_labels`` optionally tags sample ``r``'s records, so batched
     gates report the same per-gate provenance as scalar ones).
     """
@@ -399,13 +292,11 @@ def programmable_bootstrap_batch(
                           batch=batch, n=params.n, N=params.N, precision=precision):
             a_tilde = modswitch(a, 2 * params.N)
             b_tilde = modswitch(b, 2 * params.N)
-            if trace is not None:
-                trace.ms_operations += batch * (params.n + 1)
             acc = blind_rotate_batch(
-                a_tilde, b_tilde, tps, keyset, trace=trace, precision=precision
+                a_tilde, b_tilde, tps, keyset, precision=precision
             )
             ext_a, ext_b = sample_extract_batch(acc)
-            out_a, out_b = key_switch_batch(ext_a, ext_b, keyset.ksk, trace=trace)
+            out_a, out_b = key_switch_batch(ext_a, ext_b, keyset.ksk)
     except Exception as exc:
         _report_anomaly("exception", where="programmable_bootstrap_batch",
                         error=repr(exc), batch=batch)

@@ -17,16 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..observability import NOISE as _NOISE, REGISTRY as _METRICS, TRACER as _TRACER
-from .bootstrap import (
-    _track_bootstrap,
-    blind_rotate,
-    blind_rotate_batch,
-    key_switch,
-    key_switch_batch,
-    modulus_switch,
-)
-from .glwe import sample_extract, sample_extract_batch
+from ..observability import NOISE as _NOISE, REGISTRY as _METRICS
+from .bootstrap import programmable_bootstrap_batch
 from .keys import KeySet
 from .lwe import (
     LweCiphertext,
@@ -36,7 +28,7 @@ from .lwe import (
     lwe_encrypt,
     lwe_neg,
 )
-from .torus import TORUS_DTYPE, modswitch, to_torus, u32
+from .torus import TORUS_DTYPE, to_torus, u32
 
 __all__ = [
     "encrypt_bool",
@@ -92,55 +84,24 @@ def _sign_test_polynomial(params) -> np.ndarray:
 
 
 def bootstrap_to_sign(ct: LweCiphertext, keyset: KeySet) -> LweCiphertext:
-    """Refresh a ``+-1/8`` ciphertext to exactly ``+-1/8`` + fresh noise.
-
-    Negacyclic sign extraction: with a constant ``1/8`` test polynomial,
-    phases in the positive half-torus give ``+1/8`` and the negative half
-    ``-1/8``.
-    """
-    params = keyset.params
-    with _TRACER.span("bootstrap_to_sign", category="tfhe", n=params.n):
-        a_tilde, b_tilde = modulus_switch(ct, params.N)
-        # Gate outputs land at +-1/8 or +-3/8, a 1/8 margin from the
-        # half-torus decision boundaries at 0 and 1/2 - noise budget enough.
-        test_poly = _sign_test_polynomial(params)
-        acc = blind_rotate(a_tilde, b_tilde, test_poly, keyset)
-        extracted = sample_extract(acc, 0)
-        result = key_switch(extracted, keyset.ksk)
-    _GATE_BOOTSTRAPS.inc()
-    if _NOISE.enabled:
-        _track_bootstrap(result, ct, test_poly, keyset, "bootstrap_to_sign")
-    return result
+    """Sign-refresh one ciphertext: :func:`bootstrap_to_sign_batch` of one."""
+    return bootstrap_to_sign_batch([ct], keyset)[0]
 
 
 def bootstrap_to_sign_batch(cts: list, keyset: KeySet) -> list:
-    """Sign-refresh several independent ``+-1/8`` ciphertexts in one pass.
+    """Refresh ``+-1/8`` ciphertexts to exactly ``+-1/8`` + fresh noise.
 
-    One batched MS -> BR -> SE -> KS with the shared constant test
-    polynomial: every BSK row is applied to all samples together (the 2D
-    VPE-array schedule), bit-identical to per-sample
-    :func:`bootstrap_to_sign` calls.
+    Negacyclic sign extraction: with a constant ``1/8`` test polynomial,
+    phases in the positive half-torus give ``+1/8`` and the negative half
+    ``-1/8``.  Gate outputs land at +-1/8 or +-3/8, a 1/8 margin from the
+    half-torus decision boundaries at 0 and 1/2 - noise budget enough.
+    One :func:`programmable_bootstrap_batch` over all samples.
     """
-    cts = list(cts)
-    if not cts:
-        return []
-    params = keyset.params
-    with _TRACER.span("bootstrap_to_sign_batch", category="tfhe",
-                      batch=len(cts), n=params.n):
-        a = np.stack([ct.a for ct in cts])
-        b = np.asarray([ct.b for ct in cts], dtype=TORUS_DTYPE)
-        test_poly = _sign_test_polynomial(params)
-        acc = blind_rotate_batch(
-            modswitch(a, 2 * params.N), modswitch(b, 2 * params.N),
-            test_poly, keyset,
-        )
-        ext_a, ext_b = sample_extract_batch(acc)
-        out_a, out_b = key_switch_batch(ext_a, ext_b, keyset.ksk)
-    _GATE_BOOTSTRAPS.inc(len(cts))
-    results = [LweCiphertext(out_a[r], out_b[r]) for r in range(len(cts))]
-    if _NOISE.enabled:
-        for res, ct in zip(results, cts):
-            _track_bootstrap(res, ct, test_poly, keyset, "bootstrap_to_sign")
+    results = programmable_bootstrap_batch(
+        cts, _sign_test_polynomial(keyset.params), keyset
+    )
+    if results:
+        _GATE_BOOTSTRAPS.inc(len(results))
     return results
 
 

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..observability import NOISE as _NOISE
 from ..params import TFHEParams
-from .bootstrap import blind_rotate, key_switch, modulus_switch
+from .bootstrap import _track_bootstrap, blind_rotate_batch, key_switch_batch, modulus_switch
 from .encoding import extend_lut_antiperiodic
-from .glwe import sample_extract
+from .glwe import sample_extract_batch
 from .keys import KeySet
 from .lwe import LweCiphertext
 from .noise import bootstrap_output_noise_std_log2
+from .polynomial import monomial_mul, monomial_rotate_batch
 from .torus import encode_message
 
 __all__ = [
@@ -68,28 +70,31 @@ def make_multi_test_polynomial(luts, params: TFHEParams, p: int) -> np.ndarray:
     return encode_message(coeffs, p, params.q_bits)
 
 
-def multi_lut_bootstrap(
-    ct: LweCiphertext,
-    luts,
-    keyset: KeySet,
-    p: int,
-    engine: str = "transform",
-) -> list:
+def multi_lut_bootstrap(ct: LweCiphertext, luts, keyset: KeySet, p: int) -> list:
     """Evaluate every table in ``luts`` with ONE blind rotation.
 
     Returns one LWE ciphertext per table, each key-switched back to the
     input key - ``L`` results for roughly the cost of one bootstrap.
+    Coefficient ``j * s`` of the accumulator is coefficient 0 of
+    ``X^{-j*s} * ACC``, so the ``L`` extractions are ``L`` rotated rows
+    through the batch sample-extract and key-switch stages.
     """
     params = keyset.params
     L = len(luts)
     test_poly = make_multi_test_polynomial(luts, params, p)
     stride = (2 * params.N) // (p * L)
+    offsets = stride * np.arange(L)
     a_tilde, b_tilde = modulus_switch(ct, params.N)
-    acc = blind_rotate(a_tilde, b_tilde, test_poly, keyset, engine=engine)
-    outputs = []
-    for j in range(L):
-        extracted = sample_extract(acc, j * stride)
-        outputs.append(key_switch(extracted, keyset.ksk))
+    acc = blind_rotate_batch(a_tilde[None, :], [b_tilde], test_poly, keyset)
+    rows = monomial_rotate_batch(np.repeat(acc, L, axis=0), -offsets[:, None])
+    out_a, out_b = key_switch_batch(*sample_extract_batch(rows), keyset.ksk)
+    outputs = [LweCiphertext(out_a[j], out_b[j]) for j in range(L)]
+    if _NOISE.enabled:
+        for out, offset in zip(outputs, offsets.tolist()):
+            _track_bootstrap(
+                out, ct, monomial_mul(test_poly, -offset), keyset,
+                "multi_lut_bootstrap",
+            )
     return outputs
 
 

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from typing import Optional
-
 from ..observability import NOISE as _NOISE
 from ..params import TFHEParams
-from .bootstrap import BootstrapTrace, programmable_bootstrap, programmable_bootstrap_batch
+from .bootstrap import programmable_bootstrap_batch
 from .encoding import make_test_polynomial, message_to_signed, signed_to_message
 from .keys import KeySet, generate_keyset
 from .lwe import (
@@ -56,8 +54,6 @@ class TfheContext:
 
     keyset: KeySet
     default_p: int = 8
-    engine: str = "transform"
-    trace: Optional[BootstrapTrace] = None
 
     # -- construction -------------------------------------------------
     @classmethod
@@ -116,10 +112,7 @@ class TfheContext:
     # -- bootstrapped operations ---------------------------------------
     def apply_lut(self, ct: LweCiphertext, lut_half, p: int = None) -> LweCiphertext:
         """Programmable bootstrap evaluating ``lut_half`` over ``[0, p/2)``."""
-        p = p or self.default_p
-        tp = self._lut_test_poly(lut_half, p)
-        return programmable_bootstrap(ct, tp, self.keyset,
-                                      engine=self.engine, trace=self.trace)
+        return self.apply_lut_batch([ct], [lut_half], p)[0]
 
     def _lut_test_poly(self, lut_half, p: int) -> np.ndarray:
         lut = np.asarray([lut_half(x) if callable(lut_half) else lut_half[x]
@@ -131,24 +124,13 @@ class TfheContext:
         """Bootstrap several ciphertexts in one batched pass.
 
         ``lut_halves[r]`` programs sample ``r`` (per-sample test
-        polynomials riding the same BSK pass).  Falls back to scalar
-        bootstraps for the reference engines.  Bit-identical to mapping
+        polynomials riding the same BSK pass).  Bit-identical to mapping
         :meth:`apply_lut` over the inputs.
         """
         p = p or self.default_p
-        if self.engine != "transform":
-            outs = []
-            for r, (ct, lut_half) in enumerate(zip(cts, lut_halves)):
-                label = noise_labels[r] if noise_labels is not None else None
-                if label is not None and _NOISE.enabled:
-                    with _NOISE.labelled(label):
-                        outs.append(self.apply_lut(ct, lut_half, p))
-                else:
-                    outs.append(self.apply_lut(ct, lut_half, p))
-            return outs
         tps = np.stack([self._lut_test_poly(lut_half, p) for lut_half in lut_halves])
         return programmable_bootstrap_batch(
-            cts, tps, self.keyset, trace=self.trace, noise_labels=noise_labels
+            cts, tps, self.keyset, noise_labels=noise_labels
         )
 
     def gate_batch(self, names: list, xs: list, ys: list) -> list:
@@ -182,14 +164,7 @@ class TfheContext:
 
     def gate(self, name: str, x: LweCiphertext, y: LweCiphertext) -> LweCiphertext:
         """Evaluate a binary gate on bit ciphertexts encrypted with p=8."""
-        try:
-            lut = GATE_LUTS[name]
-        except KeyError:
-            raise ValueError(f"unknown gate {name!r}; known: {sorted(GATE_LUTS)}") from None
-        if _NOISE.enabled:
-            with _NOISE.labelled(f"gate:{name}"):
-                return self.apply_lut(lwe_add(x, y), lut, p=8)
-        return self.apply_lut(lwe_add(x, y), lut, p=8)
+        return self.gate_batch([name], [x], [y])[0]
 
     def lwe_not(self, x: LweCiphertext) -> LweCiphertext:
         """NOT of a bit: 1 - x, linear (no bootstrap needed)."""

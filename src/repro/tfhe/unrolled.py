@@ -22,115 +22,9 @@ quantifies it for the performance model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from ..params import TFHEParams
-from .bootstrap import key_switch
-from .ggsw import GgswCiphertext, external_product_transform, ggsw_encrypt
-from .glwe import GlweCiphertext, glwe_rotate, glwe_trivial, sample_extract
-from .keys import KeySet
-from .lwe import LweCiphertext
-from .bootstrap import modulus_switch
 
-__all__ = [
-    "UnrolledBsk",
-    "generate_unrolled_bsk",
-    "blind_rotate_unrolled",
-    "programmable_bootstrap_unrolled",
-    "unrolled_blind_rotation_tradeoff",
-]
-
-
-@dataclass
-class UnrolledBsk:
-    """Unrolled bootstrapping key: 3 GGSWs per key-bit pair.
-
-    ``pairs[p] = (bsk_11, bsk_10, bsk_01)`` encrypting ``s_i*s_j``,
-    ``s_i*(1-s_j)`` and ``(1-s_i)*s_j`` for the pair ``(2p, 2p+1)``.
-    An odd trailing bit keeps its ordinary GGSW in ``tail``.
-    """
-
-    pairs: list
-    tail: GgswCiphertext = None
-
-    @property
-    def num_pairs(self) -> int:
-        return len(self.pairs)
-
-    def ggsw_count(self) -> int:
-        return 3 * self.num_pairs + (1 if self.tail is not None else 0)
-
-
-def generate_unrolled_bsk(keyset: KeySet, rng: np.random.Generator) -> UnrolledBsk:
-    """Build the unrolled key from the secret LWE key bits.
-
-    Requires the client-side secret key (key generation is a client
-    operation in TFHE; the server only ever sees the GGSW outputs).
-    """
-    if keyset.lwe_key is None:
-        raise ValueError("unrolled key generation needs the secret LWE key")
-    params = keyset.params
-    bits = keyset.lwe_key.bits
-    pairs = []
-    i = 0
-    while i + 1 < params.n:
-        s_i, s_j = int(bits[i]), int(bits[i + 1])
-        enc = lambda m: ggsw_encrypt(
-            m, keyset.glwe_key, params.beta_bits, params.l_b, rng,
-            noise_log2=params.glwe_noise_log2, q_bits=params.q_bits,
-        )
-        pairs.append((enc(s_i * s_j), enc(s_i * (1 - s_j)), enc((1 - s_i) * s_j)))
-        i += 2
-    tail = keyset.bsk[params.n - 1] if params.n % 2 else None
-    return UnrolledBsk(pairs, tail)
-
-
-def _cmux_term(ggsw: GgswCiphertext, acc: GlweCiphertext, rotation: int) -> np.ndarray:
-    """``GGSW ⊡ (X^rotation * ACC - ACC)`` as raw component data."""
-    diff = GlweCiphertext(glwe_rotate(acc, rotation).data - acc.data)
-    return external_product_transform(ggsw, diff).data
-
-
-def blind_rotate_unrolled(
-    a_tilde: np.ndarray,
-    b_tilde: int,
-    test_poly: np.ndarray,
-    keyset: KeySet,
-    unrolled: UnrolledBsk,
-) -> GlweCiphertext:
-    """Blind rotation with two mask elements consumed per iteration."""
-    params = keyset.params
-    acc = glwe_rotate(glwe_trivial(test_poly, params.k), -b_tilde)
-    for p, (bsk_11, bsk_10, bsk_01) in enumerate(unrolled.pairs):
-        t_i = int(a_tilde[2 * p])
-        t_j = int(a_tilde[2 * p + 1])
-        if t_i == 0 and t_j == 0:
-            continue
-        data = acc.data.copy()
-        data = data + _cmux_term(bsk_11, acc, t_i + t_j)
-        data = data + _cmux_term(bsk_10, acc, t_i)
-        data = data + _cmux_term(bsk_01, acc, t_j)
-        acc = GlweCiphertext(data)
-    if unrolled.tail is not None:
-        t = int(a_tilde[params.n - 1])
-        if t:
-            acc = GlweCiphertext(acc.data + _cmux_term(unrolled.tail, acc, t))
-    return acc
-
-
-def programmable_bootstrap_unrolled(
-    ct: LweCiphertext,
-    test_poly: np.ndarray,
-    keyset: KeySet,
-    unrolled: UnrolledBsk,
-) -> LweCiphertext:
-    """Full bootstrap using the unrolled blind rotation."""
-    params = keyset.params
-    a_tilde, b_tilde = modulus_switch(ct, params.N)
-    acc = blind_rotate_unrolled(a_tilde, b_tilde, test_poly, keyset, unrolled)
-    return key_switch(sample_extract(acc, 0), keyset.ksk)
+__all__ = ["unrolled_blind_rotation_tradeoff"]
 
 
 def unrolled_blind_rotation_tradeoff(params: TFHEParams) -> dict:

@@ -12,8 +12,6 @@ from .backends import (
     active_backend_name,
     available_backends,
     get_backend,
-    register_backend,
-    registered_backends,
     reset_backend,
     set_backend,
     use_backend,
@@ -56,8 +54,6 @@ __all__ = [
     "active_backend_name",
     "available_backends",
     "get_backend",
-    "register_backend",
-    "registered_backends",
     "reset_backend",
     "set_backend",
     "use_backend",

@@ -8,18 +8,13 @@ touching any call site:
 
 - ``numpy`` (default) - ``numpy.fft``, i.e. numpy's own C++ pocketfft
   (numpy >= 2.0; older numpy ships the C pocketfft and upcasts
-  ``complex64``, which the backend casts back).  Always available, costs
-  ~1 ms / 0.25 MB to import, and is ~10x faster than the butterfly
-  engine at bootstrap shapes;
+  ``complex64``, which the backend casts back).  Costs ~1 ms / 0.25 MB
+  to import and is ~10x faster than the butterfly engine at bootstrap
+  shapes;
 - ``radix2`` - the repo's own radix-2 butterfly engine
-  (:mod:`repro.transforms.fft`): the reference oracle the fast engines
-  are tested against and the functional twin of the pipelined-FFT
-  hardware model.  Always available, never the production path;
-- ``scipy`` - ``scipy.fft``, the same pocketfft as ``numpy`` with the
-  same timings at our shapes.  Not the default because importing
-  ``scipy.fft`` costs ~+25 MB RSS and ~+0.3 s for nothing in return, and
-  scipy is an optional dependency; auto-detected when importable;
-- ``pyfftw`` - FFTW via pyFFTW, auto-detected when importable.
+  (:mod:`repro.transforms.fft`): the reference oracle the production
+  engine is tested against and the functional twin of the pipelined-FFT
+  hardware model.  Never the production path.
 
 Backends only replace the *transform engine*; the negacyclic
 fold/twist, metric counting, decomposition, and rounding all stay in
@@ -42,7 +37,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -50,10 +45,6 @@ __all__ = [
     "ComputeBackend",
     "NumpyBackend",
     "Radix2Backend",
-    "ScipyBackend",
-    "PyFFTWBackend",
-    "register_backend",
-    "registered_backends",
     "available_backends",
     "get_backend",
     "active_backend",
@@ -82,7 +73,7 @@ class ComputeBackend:
     results stay bit-stable across backends.
     """
 
-    #: Registry name; subclasses override.
+    #: Name :func:`get_backend` knows it by; subclasses override.
     name: str = "abstract"
 
     def fft(self, x: np.ndarray) -> np.ndarray:
@@ -97,13 +88,9 @@ class ComputeBackend:
         """Tensor contraction with a fixed (unoptimized) reduction order."""
         return np.einsum(subscripts, *operands, optimize=False)
 
-    def describe(self) -> str:
-        """One-line human description for CLI output."""
-        return f"{self.name} ({type(self).__name__})"
-
 
 class NumpyBackend(ComputeBackend):
-    """``numpy.fft`` (pocketfft): the production engine, always available."""
+    """``numpy.fft`` (pocketfft): the production engine."""
 
     name = "numpy"
 
@@ -145,139 +132,33 @@ class Radix2Backend(ComputeBackend):
         return self._ifft_core(x)
 
 
-class ScipyBackend(ComputeBackend):
-    """``scipy.fft`` (pocketfft).  Raises ImportError when scipy is absent."""
-
-    name = "scipy"
-
-    def __init__(self) -> None:
-        import scipy.fft as _sp_fft  # gated: scipy is an optional dependency
-
-        self._sp_fft = _sp_fft.fft
-        self._sp_ifft = _sp_fft.ifft
-
-    def fft(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._sp_fft(x, axis=-1))
-
-    def ifft(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._sp_ifft(x, axis=-1))
-
-
-class PyFFTWBackend(ComputeBackend):
-    """FFTW via pyFFTW's numpy-compatible interface (optional dependency)."""
-
-    name = "pyfftw"
-
-    def __init__(self) -> None:
-        import pyfftw.interfaces.numpy_fft as _fftw  # gated optional dep
-        import pyfftw.interfaces.cache as _fftw_cache
-
-        _fftw_cache.enable()  # keep FFTW plans across calls
-        self._fftw_fft = _fftw.fft
-        self._fftw_ifft = _fftw.ifft
-
-    def fft(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._fftw_fft(x, axis=-1))
-
-    def ifft(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._fftw_ifft(x, axis=-1))
-
-
-def _probe_module(module: str) -> bool:
-    """True when ``module`` is importable (without importing it fully)."""
-    import importlib.util
-
-    try:
-        return importlib.util.find_spec(module) is not None
-    except (ImportError, ValueError):
-        return False
-
-
-BackendFactory = Callable[[], ComputeBackend]
-
-# name -> (factory, availability probe); insertion order is listing order.
-_REGISTRY: Dict[str, Tuple[BackendFactory, Callable[[], bool]]] = {}
+# name -> class; insertion order is listing order.
+_BACKENDS = {"numpy": NumpyBackend, "radix2": Radix2Backend}
 _INSTANCES: Dict[str, ComputeBackend] = {}
 _ACTIVE: Optional[ComputeBackend] = None
 _LOCK = threading.Lock()
 
 
-def register_backend(
-    name: str,
-    factory: BackendFactory,
-    probe: Optional[Callable[[], bool]] = None,
-) -> None:
-    """Register a backend factory under ``name``.
-
-    ``probe`` reports availability without constructing the backend
-    (e.g. "is scipy importable"); omitted means always available.
-    """
-    if probe is None:
-        probe = _always_available
-    with _LOCK:
-        _REGISTRY[name] = (factory, probe)
-        _INSTANCES.pop(name, None)
-
-
-def _always_available() -> bool:
-    return True
-
-
-def _scipy_available() -> bool:
-    return _probe_module("scipy.fft")
-
-
-def _pyfftw_available() -> bool:
-    return _probe_module("pyfftw")
-
-
-register_backend("numpy", NumpyBackend)
-register_backend("radix2", Radix2Backend)
-register_backend("scipy", ScipyBackend, probe=_scipy_available)
-register_backend("pyfftw", PyFFTWBackend, probe=_pyfftw_available)
-
-
-def registered_backends() -> List[str]:
-    """All registered backend names, available or not."""
-    return list(_REGISTRY)
-
-
 def available_backends() -> List[str]:
-    """Backend names whose availability probe passes on this machine."""
-    return [name for name, (_, probe) in _REGISTRY.items() if probe()]
+    """Names :func:`get_backend` accepts."""
+    return list(_BACKENDS)
 
 
 def get_backend(name: str) -> ComputeBackend:
     """Return (constructing and caching if needed) the backend ``name``.
 
-    Unknown names and registered-but-unavailable backends both raise
-    ``ValueError`` listing the backends that *are* usable here, so a CLI
-    typo fails with the fix in the message.
+    Unknown names raise ``ValueError`` listing the backends that exist,
+    so a CLI typo fails with the fix in the message.
     """
-    entry = _REGISTRY.get(name)
-    avail = ", ".join(available_backends())
-    if entry is None:
+    if name not in _BACKENDS:
         raise ValueError(
-            f"unknown compute backend {name!r}; available backends: {avail}"
+            f"unknown compute backend {name!r}; available backends: "
+            + ", ".join(_BACKENDS)
         )
-    factory, probe = entry
     with _LOCK:
         inst = _INSTANCES.get(name)
-        if inst is not None:
-            return inst
-        if not probe():
-            raise ValueError(
-                f"compute backend {name!r} is not available on this machine "
-                f"(optional dependency not importable); available backends: {avail}"
-            )
-        try:
-            inst = factory()
-        except ImportError as exc:
-            raise ValueError(
-                f"compute backend {name!r} failed to import ({exc}); "
-                f"available backends: {avail}"
-            ) from exc
-        _INSTANCES[name] = inst
+        if inst is None:
+            inst = _INSTANCES[name] = _BACKENDS[name]()
         return inst
 
 
@@ -293,8 +174,7 @@ def active_backend() -> ComputeBackend:
     inst = _ACTIVE
     if inst is None:
         name = os.environ.get(BACKEND_ENV_VAR, "").strip() or DEFAULT_BACKEND
-        inst = get_backend(name)
-        _ACTIVE = inst
+        inst = _ACTIVE = get_backend(name)
     return inst
 
 
@@ -306,8 +186,7 @@ def active_backend_name() -> str:
 def set_backend(name: str) -> ComputeBackend:
     """Select the process-wide active backend; returns it."""
     global _ACTIVE
-    inst = get_backend(name)
-    _ACTIVE = inst
+    inst = _ACTIVE = get_backend(name)
     return inst
 
 
@@ -323,9 +202,6 @@ def use_backend(name: Optional[str]) -> Iterator[ComputeBackend]:
     global _ACTIVE
     prev = _ACTIVE
     try:
-        if name is None:
-            yield active_backend()
-        else:
-            yield set_backend(name)
+        yield active_backend() if name is None else set_backend(name)
     finally:
         _ACTIVE = prev

@@ -61,7 +61,7 @@ class TestFunctionalBootstrapTelemetry:
         # real FFT work happened underneath
         assert _counter("transforms_fft_total", direction="forward") > 0
         names = [s.name for s in obs.TRACER.spans()]
-        assert "programmable_bootstrap" in names
+        assert "programmable_bootstrap_batch" in names
 
 
 class TestSimulatorTelemetry:

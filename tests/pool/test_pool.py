@@ -145,12 +145,11 @@ class TestSharedSpectrum:
         with pytest.raises(ValueError, match="available backends"):
             BootstrapPool(ctx.keyset, workers=2, backend="not-a-backend")
 
-    def test_pool_runs_scipy_backend(self, ctx, workload):
-        pytest.importorskip("scipy")
+    def test_pool_runs_radix2_backend(self, ctx, workload):
         _, cts, tp = workload
         ref = programmable_bootstrap_batch(cts, tp, ctx.keyset)
-        with BootstrapPool(ctx.keyset, workers=2, backend="scipy") as pool:
-            assert pool.backend == "scipy"
+        with BootstrapPool(ctx.keyset, workers=2, backend="radix2") as pool:
+            assert pool.backend == "radix2"
             out = pool.bootstrap_batch(cts, tp)
         _assert_same(ref, out)
 

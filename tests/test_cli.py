@@ -572,11 +572,10 @@ class TestPoolCommand:
         assert [e["workers"] for e in doc["entries"]] == [1]
         assert doc["entries"][0]["bootstraps_per_s"] > 0
 
-    def test_pool_scipy_backend_stamped(self, capsys):
-        pytest.importorskip("scipy")
+    def test_pool_radix2_backend_stamped(self, capsys):
         assert main(["pool", "--workers", "1", "--batch", "4",
-                     "--rounds", "1", "--backend", "scipy", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["backend"] == "scipy"
+                     "--rounds", "1", "--backend", "radix2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["backend"] == "radix2"
 
     def test_pool_unknown_backend_exit_2(self, capsys):
         assert main(["pool", "--workers", "1", "--batch", "4",

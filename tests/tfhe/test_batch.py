@@ -134,13 +134,14 @@ class TestBatchBootstrap:
         )
 
     def test_trace_accumulates_across_group(self, ctx, batch_rng):
-        from repro.tfhe import BootstrapTrace
+        from repro import observability as obs
 
         batch = make_batch(ctx, [1, 2], batch_rng)
         tp = identity_test_polynomial(ctx.params, P)
-        trace = BootstrapTrace()
-        bootstrap_batch(batch, tp, ctx.keyset, trace=trace)
-        assert trace.external_products > ctx.params.n  # two bootstraps' worth
+        with obs.telemetry() as (registry, _tracer):
+            bootstrap_batch(batch, tp, ctx.keyset, group_size=1)
+            products = registry.get("tfhe_external_products_total").value(engine="transform")
+        assert products > ctx.params.n  # two bootstraps' worth
 
     def test_rejects_bad_group_size(self, ctx, batch_rng):
         batch = make_batch(ctx, [1], batch_rng)

@@ -27,12 +27,14 @@ from repro.tfhe import (
 from repro.tfhe.decomposition import decompose
 from repro.tfhe.ops import TfheContext
 from repro.tfhe.torus import TORUS_DTYPE, to_torus
-from repro.transforms.backends import available_backends, use_backend
+from repro.transforms.backends import use_backend
+
+from ._oracle import reference_bootstrap
 
 P = 8
 
-#: Every transform engine that can run here; ``radix2`` is the oracle.
-ENGINES = [name for name in ("radix2", "numpy", "scipy") if name in available_backends()]
+#: Both transform engines; ``radix2`` is the oracle.
+ENGINES = ("radix2", "numpy")
 
 
 def _assert_bit_identical(batch_outs, scalar_outs):
@@ -150,8 +152,7 @@ class TestEngineDifferential:
 
     def test_single_precision_across_engines(self, ctx):
         """complex64 error is far above one ulp of the torus, so engines
-        differ in the low bits (even numpy's and scipy's pocketfft builds);
-        every engine must still decode."""
+        differ in the low bits; every engine must still decode."""
         msgs = [0, 1, 2, 3]
         cts = [ctx.encrypt(m, P) for m in msgs]
         tp = identity_test_polynomial(ctx.params, P)
@@ -166,7 +167,7 @@ class TestEngineDifferential:
         ct = ctx.encrypt(3, P)
         ct.a[5] = 0  # one skipped CMux
         tp = identity_test_polynomial(ctx.params, P)
-        exact = programmable_bootstrap(ct, tp, ctx.keyset, engine="exact")
+        exact = reference_bootstrap(ct, tp, ctx.keyset, "exact")
         for engine in ENGINES:
             with use_backend(engine):
                 _assert_bit_identical(

@@ -95,6 +95,22 @@ class TestMultiLut:
         outs = multi_lut_bootstrap(ctx.encrypt(2, P), luts, ctx.keyset, P)
         assert [ctx.decrypt(o, P) for o in outs] == [2, 1, 1]
 
+    def test_outputs_keep_their_noise_provenance(self, ctx):
+        from repro.observability import noise_tracking
+        from repro.tfhe.torus import decode_message
+
+        luts = [lambda x: x, lambda x: (3 - x) % 4]
+        with noise_tracking() as tracker:
+            ct = ctx.encrypt(1, P)
+            outs = multi_lut_bootstrap(ct, luts, ctx.keyset, P)
+            for out, lut in zip(outs, luts):
+                record = tracker.record_of(out)
+                assert record.parents == (tracker.record_of(ct).op_id,)
+                assert decode_message(record.expected, P) == lut(1)
+                assert ctx.decrypt(out, P) == lut(1)
+            kinds = [p.kind for p in tracker.failure_points()]
+        assert kinds.count("bootstrap_decision") == kinds.count("decode") == 2
+
     def test_sequence_tables_accepted(self, ctx):
         outs = multi_lut_bootstrap(ctx.encrypt(1, P), [[0, 1, 2, 3]], ctx.keyset, P)
         assert ctx.decrypt(outs[0], P) == 1

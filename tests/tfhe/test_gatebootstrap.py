@@ -66,6 +66,23 @@ class TestGates:
         )
         assert decrypt_bool(out, ctx.keyset) == (w1 if sel else w0)
 
+    def test_mux_is_visible_to_bootstrap_telemetry(self, ctx, gate_rng):
+        """Sign bootstraps run the one pipeline, so ``repro top`` / ``slo``
+        see them: a MUX is three bootstraps in two requests."""
+        from repro import observability as obs
+
+        bits = [encrypt_bool(b, ctx.keyset, gate_rng) for b in (1, 0, 1)]
+        events = []
+        with obs.telemetry() as (registry, _tracer):
+            obs.BUS.subscribe(events.append)
+            try:
+                mux_gate(*bits, ctx.keyset)
+            finally:
+                obs.BUS.unsubscribe(events.append)
+            assert registry.get("tfhe_bootstraps_total").value() == 3
+            assert registry.get("tfhe_gate_bootstraps_total").value() == 3
+        assert [e.fields["batch"] for e in events if e.kind == "request"] == [2, 1]
+
     def test_gates_compose_deeply(self, ctx, gate_rng):
         """A chain of NANDs: output noise stays fresh after each gate."""
         ct = encrypt_bool(1, ctx.keyset, gate_rng)

@@ -1,60 +1,9 @@
-"""Tests for bootstrapping-key unrolling (MATCHA's technique, refs [59][60])."""
+"""Tests for the bootstrapping-key unrolling trade-off (MATCHA's technique, refs [59][60])."""
 
-import numpy as np
 import pytest
 
 from repro.params import get_params
-from repro.tfhe import identity_test_polynomial, make_test_polynomial, programmable_bootstrap
-from repro.tfhe.keys import KeySet
-from repro.tfhe.unrolled import (
-    generate_unrolled_bsk,
-    programmable_bootstrap_unrolled,
-    unrolled_blind_rotation_tradeoff,
-)
-
-P = 8
-
-
-@pytest.fixture(scope="module")
-def unrolled(ctx):
-    return generate_unrolled_bsk(ctx.keyset, np.random.default_rng(97))
-
-
-class TestUnrolledKey:
-    def test_pair_count(self, ctx, unrolled):
-        assert unrolled.num_pairs == ctx.params.n // 2
-
-    def test_ggsw_count_is_1_5x(self, ctx, unrolled):
-        # Even n: 3 GGSWs per 2 bits vs 2.
-        assert unrolled.ggsw_count() == 3 * ctx.params.n // 2
-
-    def test_requires_secret_key(self, ctx):
-        stripped = KeySet(ctx.params, None, None, ctx.keyset.bsk, ctx.keyset.ksk)
-        with pytest.raises(ValueError):
-            generate_unrolled_bsk(stripped, np.random.default_rng(0))
-
-
-class TestUnrolledBootstrap:
-    @pytest.mark.parametrize("m", range(4))
-    def test_identity_all_messages(self, ctx, unrolled, m):
-        tp = identity_test_polynomial(ctx.params, P)
-        out = programmable_bootstrap_unrolled(ctx.encrypt(m, P), tp, ctx.keyset, unrolled)
-        assert ctx.decrypt(out, P) == m
-
-    def test_lut_matches_plain_bootstrap(self, ctx, unrolled):
-        lut = np.array([1, 3, 0, 2], dtype=np.int64)
-        tp = make_test_polynomial(lut, ctx.params, P)
-        ct = ctx.encrypt(2, P)
-        plain = programmable_bootstrap(ct, tp, ctx.keyset)
-        fast = programmable_bootstrap_unrolled(ct, tp, ctx.keyset, unrolled)
-        assert ctx.decrypt(plain, P) == ctx.decrypt(fast, P) == 0
-
-    def test_output_feeds_next_bootstrap(self, ctx, unrolled):
-        tp = identity_test_polynomial(ctx.params, P)
-        ct = ctx.encrypt(3, P)
-        once = programmable_bootstrap_unrolled(ct, tp, ctx.keyset, unrolled)
-        twice = programmable_bootstrap_unrolled(once, tp, ctx.keyset, unrolled)
-        assert ctx.decrypt(twice, P) == 3
+from repro.tfhe.unrolled import unrolled_blind_rotation_tradeoff
 
 
 class TestTradeoff:
