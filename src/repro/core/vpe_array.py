@@ -93,9 +93,10 @@ class VpeArray:
         rows* - the BSK reuse the paper exploits.  Output accumulators
         leave the array through one inverse transform per column.
 
-        The MAC itself is the scheme substrate's shared batched einsum
-        kernel (:func:`~repro.tfhe.ggsw.external_product_spectrum_batch`):
-        the functional machine and the scheme path execute literally the
+        The MAC itself is the scheme substrate's shared batched
+        row-ordered kernel
+        (:func:`~repro.tfhe.ggsw.external_product_spectrum_batch`): the
+        functional machine and the scheme path execute literally the
         same contraction, with the array model contributing the
         row/column capacity checks.
         """

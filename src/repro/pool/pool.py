@@ -5,7 +5,7 @@
 ``B`` ciphertexts is split into contiguous shards, one per worker
 process, and every worker runs the full MS -> BR -> SE -> KS pipeline on
 its shard.  Because the batched kernel is elementwise along the batch
-axis with a fixed einsum reduction order, a sharded run is bit-identical
+axis with a fixed MAC row order, a sharded run is bit-identical
 to the single-process batch in the default ``complex128`` precision -
 the pool changes *where* samples run, never *what* they compute.
 

@@ -48,7 +48,7 @@ from .noise import (
     modulus_switch_noise_variance,
 )
 from .polynomial import monomial_rotate_batch
-from .torus import TORUS_DTYPE, modswitch, to_signed, to_torus, u32
+from .torus import STREAM_BLOCK_BYTES, TORUS_DTYPE, modswitch, to_signed, to_torus, u32
 
 __all__ = [
     "modulus_switch",
@@ -106,8 +106,8 @@ def blind_rotate_batch(
     Per BSK row ``i`` the samples whose digit ``a~_i`` is non-zero are
     gathered and pushed through one pass - rotate-diff as a contiguous
     read of the signed extension, carry-free decomposition written
-    straight into the FFT input, forward transform, einsum MAC against the
-    eagerly transformed BSK entry, inverse transform with the rounding
+    straight into the FFT input, forward transform, row-ordered MAC against
+    the eagerly transformed BSK entry, inverse transform with the rounding
     fused into its unfold - with no intermediate :class:`GlweCiphertext`
     or digit array.  This is exactly the 2D VPE-array schedule: one BSK
     row amortized over all in-flight bootstraps.  ``precision`` picks the
@@ -162,23 +162,37 @@ def key_switch_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Switch ``B`` extracted LWE samples back to the original key.
 
-    ``a`` has shape ``(B, kN)``, ``b`` shape ``(B,)``.  The KSK
-    contraction runs as one einsum, ``out = -sum_{m,j} d[b,m,j] *
-    KSK[m,j]``, which streams the uint32 KSK through the buffered
-    iterator - no ``(kN, l_k, n)`` int64 intermediate is ever
-    materialized (the old broadcast-multiply peaked at hundreds of MB on
-    the secure sets).  Exact integer arithmetic: |digit| <= beta_ks/2 and
-    kN*l_k terms of < 2^32 keep the int64 accumulator far from overflow.
+    ``a`` has shape ``(B, kN)``, ``b`` shape ``(B,)``.  The contraction
+    ``out = -sum_{m,j} d[b,m,j] * KSK[m,j]`` runs as the paper's KSK reuse
+    (Section V-B): an exact float64 GEMM of the ``(B, kN*l_k)`` digit
+    matrix against the key, one ``STREAM_BLOCK_BYTES`` row block at a time
+    through one reused buffer, so every block is read once for all ``B``
+    ciphertexts and no KSK-sized temporary exists.  Key words are read as
+    centred int32 (that moves each product by a multiple of ``2**32``,
+    which :func:`to_torus` discards); with |digit| <= beta_ks/2 every
+    partial sum is then an integer below ``2**53`` whatever order BLAS
+    adds in - :class:`KeySwitchingKey` refuses a key that breaks the bound.
     """
     a = np.asarray(a, dtype=TORUS_DTYPE)
     if a.shape[-1] != ksk.in_dimension:
         raise ValueError("ciphertext dimension does not match KSK input dimension")
-    digits = decompose(a, ksk.beta_ks_bits, ksk.l_k)  # (B, l_k, kN)
-    d64 = digits.transpose(0, 2, 1)  # (B, kN, l_k)
-    mask_acc = -np.einsum("bml,mln->bn", d64, ksk.masks)
-    body_acc = np.asarray(b).astype(np.int64) - np.einsum("bml,ml->b", d64, ksk.bodies)
-    _KEY_SWITCHES.inc(a.shape[0])
-    return to_torus(mask_acc), to_torus(body_acc)
+    batch, n = a.shape[0], ksk.out_dimension
+    digits = decompose(a, ksk.beta_ks_bits, ksk.l_k).transpose(0, 2, 1)  # (B, kN, l_k)
+    # repro: allow[RPR002] GEMM boundary: |digit| <= beta_ks/2 is exact in float64
+    digits = digits.astype(np.float64, order="C").reshape(batch, -1)
+    masks = ksk.masks.reshape(-1, n).view(np.int32)
+    block = max(1, STREAM_BLOCK_BYTES // (8 * n))
+    rows = np.empty((min(block, len(masks)), n))
+    mask_acc = np.zeros((batch, n))
+    for start in range(0, len(masks), block):
+        chunk = masks[start : start + block]
+        rows[: len(chunk)] = chunk  # GEMM boundary: the block's float64 lift
+        mask_acc += digits[:, start : start + block] @ rows[: len(chunk)]
+    # repro: allow[RPR002] GEMM boundary: centred 32-bit bodies are exact in float64
+    body_dot = digits @ ksk.bodies.reshape(-1).view(np.int32).astype(np.float64)
+    body_acc = np.asarray(b).astype(np.int64) - body_dot.astype(np.int64)
+    _KEY_SWITCHES.inc(batch)
+    return to_torus(-mask_acc.astype(np.int64)), to_torus(body_acc)
 
 
 def key_switch(ct: LweCiphertext, ksk: KeySwitchingKey) -> LweCiphertext:

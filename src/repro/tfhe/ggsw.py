@@ -24,7 +24,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..transforms.backends import active_backend
 from ..transforms.negacyclic import negacyclic_fft, negacyclic_fft_folded
 from .decomposition import decompose, decompose_folded
 from .glwe import GlweCiphertext, GlweSecretKey, glwe_encrypt_zeros
@@ -175,18 +174,18 @@ def external_product_spectrum_batch(
     One pass: the carry-free decomposition writes the ``B*(k+1)*l_b``
     digit polynomials straight into the folded FFT input
     (:func:`repro.tfhe.decomposition.decompose_folded`), one batched
-    forward transform covers them all (Input reuse), a single einsum
-    contracts over ``(component, level)`` per frequency bin (the VPE
+    forward transform covers them all (Input reuse), the ``(k+1)*l_b``
+    row products accumulate one after the other per frequency bin (the VPE
     pointwise MACs with Output reuse in the POLY-ACC-REG), and one batched
     inverse transform with the rounding fused into its unfold produces all
-    ``B*(k+1)`` outputs.  No Python loops anywhere in the MAC.
+    ``B*(k+1)`` outputs.
 
     The contraction inherits ``row_spec``'s precision: a ``complex64``
     table runs the whole pass in single precision (the digits are small
     centered ints, exact in float32).  With the default ``complex128``
-    table the result is bit-identical for every batch size (the reduction
-    order over ``(i, j)`` is fixed and the transforms are elementwise
-    along the batch axes).
+    table the result is bit-identical for every batch size (the row
+    order is fixed and the products, the accumulation and the transforms
+    are elementwise along the batch axis).
 
     Returns ``(B, k+1, N)`` torus data.
     """
@@ -194,13 +193,13 @@ def external_product_spectrum_batch(
     kp1 = glwe_data.shape[-2]
     folded = decompose_folded(glwe_data, beta_bits, l_b, dtype=row_spec.dtype)
     digit_spec = negacyclic_fft_folded(folded)  # (B, k+1, l_b, N/2)
-    rows = row_spec.reshape(kp1, l_b, kp1, n // 2)
-    # The VPE pointwise MACs, dispatched through the active compute
-    # backend; the base implementation keeps numpy's fixed reduction
-    # order so results stay bit-stable across backends.
-    acc_spec = active_backend().einsum(
-        "aijf,ijcf->acf", digit_spec, rows
-    )  # (B, k+1, N/2)
+    d = digit_spec.reshape(-1, kp1 * l_b, 1, n // 2)
+    # The VPE pointwise MACs in POLY-ACC-REG order: one GGSW row after the
+    # other, so no temporary outgrows the accumulator (a one-shot multiply
+    # + reduce needs a (rows x outputs) one and is slower inside the loop).
+    acc_spec = d[:, 0] * row_spec[0]  # (B, k+1, N/2)
+    for r in range(1, kp1 * l_b):
+        acc_spec += d[:, r] * row_spec[r]
     return from_spectrum(acc_spec, n)
 
 

@@ -19,7 +19,7 @@ from ..transforms.negacyclic import negacyclic_fft_folded
 from .ggsw import ggsw_encrypt_batch
 from .glwe import GlweSecretKey, glwe_keygen
 from .lwe import LweSecretKey, gaussian_torus_noise, lwe_keygen
-from .torus import STREAM_BLOCK_BYTES, TORUS_DTYPE, to_torus, torus_dot
+from .torus import Q_BITS, STREAM_BLOCK_BYTES, TORUS_DTYPE, to_torus, torus_dot
 
 __all__ = ["KeySwitchingKey", "KeySet", "generate_keyset", "make_ksk"]
 
@@ -42,6 +42,16 @@ class KeySwitchingKey:
         self.bodies = np.asarray(self.bodies, dtype=TORUS_DTYPE)
         if self.masks.ndim != 3 or self.bodies.shape != self.masks.shape[:2]:
             raise ValueError("inconsistent KSK shapes")
+        bits, terms = self.beta_ks_bits * self.l_k, self.in_dimension * self.l_k
+        if bits > Q_BITS:
+            raise ValueError(f"beta_ks_bits * l_k = {bits} exceeds the {Q_BITS}-bit modulus")
+        # key_switch_batch contracts in float64: |digit| <= beta_ks/2 times
+        # centred 32-bit key words, summed over every term, must stay exact.
+        if terms << (self.beta_ks_bits + Q_BITS - 2) >= 1 << 53:
+            raise ValueError(
+                f"in_dimension * l_k = {terms} terms of beta_ks_bits = "
+                f"{self.beta_ks_bits} are too many for an exact float64 key switch"
+            )
 
     @property
     def in_dimension(self) -> int:
@@ -133,7 +143,7 @@ class KeySet:
             ggsw_shape = self.bsk[0].rows.shape  # ((k+1)*l_b, k+1, N)
             half = ggsw_shape[-1] // 2
             # Filling a preallocated table keeps it C-ordered (the per-step
-            # einsum and pool workers mapping it rely on that) whatever the
+            # MAC and pool workers mapping it rely on that) whatever the
             # backend hands back.
             table = np.empty((len(self.bsk),) + ggsw_shape[:-1] + (half,), dtype=cdtype)
             # Clamped to the key: a toy BSK is smaller than one block.
@@ -179,8 +189,8 @@ class KeySet:
             )
         if not table.flags.c_contiguous:
             raise ValueError(
-                "spectrum table must be C-contiguous (the per-step einsum is "
-                "3.5x slower on a transposed layout)"
+                "spectrum table must be C-contiguous (the per-step MAC reads "
+                "one key row after the other)"
             )
         self._bsk_tables[precision] = table
         return table

@@ -1,8 +1,7 @@
 """Pluggable compute backends for the transform-domain hot path.
 
-The functional substrate spends essentially all of its time in two
-kernels: the (negacyclic-folded) FFT and the external-product einsum
-contraction.  This module puts both behind a uniform
+The functional substrate spends most of its time in the
+(negacyclic-folded) FFT.  This module puts it behind a uniform
 :class:`ComputeBackend` interface so a run can swap the engine without
 touching any call site:
 
@@ -25,8 +24,9 @@ variable, then the default (``numpy``).  The active backend's name is
 stamped into bench JSON and telemetry events so every recorded number
 names the engine that produced it.
 
-Bit-compatibility: the external-product einsum runs with a fixed
-reduction order (``optimize=False``) on every backend, and in
+Bit-compatibility: the external product's spectrum MAC is plain numpy
+in a fixed row order on every backend
+(:func:`repro.tfhe.ggsw.external_product_spectrum_batch`), and in
 ``complex128`` the bootstrap's float error stays far below the rounding
 threshold, so full bootstraps are bit-identical across backends even
 though raw FFT spectra may differ in the last ulps.
@@ -64,13 +64,11 @@ DEFAULT_BACKEND = "numpy"
 
 
 class ComputeBackend:
-    """Uniform interface over the FFT + einsum hot path.
+    """Uniform interface over the FFT hot path.
 
     Subclasses provide :meth:`fft`/:meth:`ifft` along the last axis of a
     complex array (power-of-two length, dtype-preserving: ``complex64``
-    in means ``complex64`` out) and may override :meth:`einsum`.  The
-    default einsum keeps numpy's fixed left-to-right reduction order so
-    results stay bit-stable across backends.
+    in means ``complex64`` out).
     """
 
     #: Name :func:`get_backend` knows it by; subclasses override.
@@ -85,7 +83,12 @@ class ComputeBackend:
         raise NotImplementedError
 
     def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        """Tensor contraction with a fixed (unoptimized) reduction order."""
+        """Tensor contraction with a fixed (unoptimized) reduction order.
+
+        Nothing in ``src/`` calls it since the spectrum MAC went row-ordered;
+        it stays for the repo benchmark's ``backends.einsum_mac_ms`` probe
+        (``benchmarks/e2e/pbs.py``) until ROADMAP item 1 re-points that.
+        """
         return np.einsum(subscripts, *operands, optimize=False)
 
 

@@ -1,8 +1,8 @@
 """Batched bootstrap pipeline: bit-identity, precision modes, reuse accounting.
 
 The batch-first hot path must be a pure reshape of the scalar path: the
-same einsum contraction with a fixed reduction order, the same FFT
-butterflies applied elementwise along the batch axes.  These tests pin
+same row-ordered spectrum MAC, the same FFT butterflies applied
+elementwise along the batch axes.  These tests pin
 that down as *bit*-identity (``np.array_equal`` on raw torus words, not
 approximate decryption agreement), on the toy sets and on a secure
 Table III parameter set, and check the telemetry actually proves the
@@ -10,10 +10,14 @@ Input/Output-reuse transform counts the paper claims.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import repro.tfhe.bootstrap as bootstrap_module
 from repro import observability as obs
 from repro.params import PARAM_SETS, TEST_PARAMS_K2
 from repro.tfhe import (
@@ -26,7 +30,7 @@ from repro.tfhe import (
 )
 from repro.tfhe.decomposition import decompose
 from repro.tfhe.ops import TfheContext
-from repro.tfhe.torus import TORUS_DTYPE, to_torus
+from repro.tfhe.torus import STREAM_BLOCK_BYTES, TORUS_DTYPE, to_torus
 from repro.transforms.backends import use_backend
 
 from ._oracle import reference_bootstrap
@@ -296,8 +300,9 @@ class TestKeySwitchMemory:
             assert out_b[r] == ref_b
 
     def test_peak_allocation_regression(self):
+        """Set-III shapes at B = 8: one block buffer, no KSK-sized temporary."""
         rng = np.random.default_rng(3)
-        m, l_k, n, batch = 2048, 4, 500, 2
+        m, l_k, n, batch = 2048, 4, 592, 8
         ksk = self._make_ksk(rng, m, l_k, n)
         a = rng.integers(0, 1 << 32, size=(batch, m), dtype=np.uint64).astype(TORUS_DTYPE)
         b = rng.integers(0, 1 << 32, size=(batch,), dtype=np.uint64).astype(TORUS_DTYPE)
@@ -306,9 +311,80 @@ class TestKeySwitchMemory:
         key_switch_batch(a, b, ksk)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        # The broadcast formula materialized (B, m, l_k, n) int64 partials.
-        naive_bytes = batch * m * l_k * n * 8
-        assert peak < naive_bytes / 8, (
-            f"key_switch_batch peaked at {peak / 2**20:.1f} MiB; "
-            f"the naive product would be {naive_bytes / 2**20:.1f} MiB"
+        # The design's own budget: the block buffer (twice over, for slack),
+        # the int64 digits with their float64 copy, and the output words.
+        digit_bytes = batch * m * l_k * 8
+        budget = 2 * STREAM_BLOCK_BYTES + 2 * digit_bytes + batch * (n + 1) * 8
+        assert budget < ksk.masks.nbytes / 3  # so no KSK-sized temporary fits in it
+        assert peak <= budget, (
+            f"key_switch_batch peaked at {peak / 2**20:.1f} MiB against a "
+            f"{budget / 2**20:.1f} MiB budget; the KSK is {ksk.masks.nbytes / 2**20:.1f} MiB"
         )
+
+
+def _int64_key_switch(a, b, ksk):
+    """The contraction in exact int64 (the pre-GEMM einsum), as reference."""
+    d64 = decompose(a, ksk.beta_ks_bits, ksk.l_k).transpose(0, 2, 1)
+    mask_acc = -np.einsum("bml,mln->bn", d64, ksk.masks)
+    body_acc = np.asarray(b).astype(np.int64) - np.einsum("bml,ml->b", d64, ksk.bodies)
+    return to_torus(mask_acc), to_torus(body_acc)
+
+
+class TestKeySwitchExactness:
+    """The float64 GEMM is exact at its bound, not only on random inputs."""
+
+    @pytest.mark.parametrize("name", ["I", "II", "III", "IV"])
+    def test_worst_case_operands_on_the_secure_shapes(self, name):
+        """Every digit at -beta_ks/2 against every key word at the centred
+        extremes: the largest partial sums the exactness bound allows."""
+        p = PARAM_SETS[name]
+        m, half_beta = p.k * p.N, 1 << (p.beta_ks_bits - 1)
+        # The word whose balanced digits are all -beta_ks/2.
+        kept = p.beta_ks_bits * p.l_k
+        all_low = -half_beta * sum(1 << (p.beta_ks_bits * j) for j in range(p.l_k))
+        word = (all_low % (1 << kept)) << (32 - kept)
+        a = np.full((8, m), word, dtype=TORUS_DTYPE)
+        assert np.all(decompose(a, p.beta_ks_bits, p.l_k) == -half_beta)
+        b = np.arange(8, dtype=TORUS_DTYPE)
+        ksk = KeySwitchingKey(
+            np.empty((m, p.l_k, p.n), dtype=TORUS_DTYPE),
+            np.empty((m, p.l_k), dtype=TORUS_DTYPE),
+            p.beta_ks_bits,
+        )
+        for extreme in (0x8000_0000, 0x7FFF_FFFF):
+            ksk.masks[...] = extreme
+            ksk.bodies[...] = extreme
+            for batch in (1, 8):
+                got_a, got_b = key_switch_batch(a[:batch], b[:batch], ksk)
+                ref_a, ref_b = _int64_key_switch(a[:batch], b[:batch], ksk)
+                assert np.array_equal(got_a, ref_a)
+                assert np.array_equal(got_b, ref_b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 9),
+        m=st.integers(1, 24),
+        l_k=st.integers(1, 4),
+        beta_ks_bits=st.integers(1, 8),
+        n=st.integers(1, 9),
+        block_rows=st.integers(2, 11),
+    )
+    def test_random_shapes_with_a_remainder_block(
+        self, seed, batch, m, l_k, beta_ks_bits, n, block_rows
+    ):
+        """Row blocks that do not divide kN*l_k: the last block is short."""
+        assume((m * l_k) % block_rows)
+        rng = np.random.default_rng(seed)
+        ksk = KeySwitchingKey(
+            rng.integers(0, 1 << 32, size=(m, l_k, n), dtype=TORUS_DTYPE),
+            rng.integers(0, 1 << 32, size=(m, l_k), dtype=TORUS_DTYPE),
+            beta_ks_bits,
+        )
+        a = rng.integers(0, 1 << 32, size=(batch, m), dtype=TORUS_DTYPE)
+        b = rng.integers(0, 1 << 32, size=(batch,), dtype=TORUS_DTYPE)
+        with mock.patch.object(bootstrap_module, "STREAM_BLOCK_BYTES", 8 * n * block_rows):
+            got_a, got_b = key_switch_batch(a, b, ksk)
+        ref_a, ref_b = _int64_key_switch(a, b, ksk)
+        assert np.array_equal(got_a, ref_a)
+        assert np.array_equal(got_b, ref_b)

@@ -3,14 +3,24 @@
 import numpy as np
 import pytest
 
+import repro.tfhe.ggsw as ggsw_module
 from repro.tfhe.ggsw import (
     cmux,
     external_product,
+    external_product_spectrum_batch,
     external_product_transform,
     ggsw_encrypt,
 )
-from repro.tfhe.glwe import glwe_decrypt_phase, glwe_encrypt, glwe_keygen, glwe_trivial
+from repro.tfhe.glwe import (
+    GlweCiphertext,
+    glwe_decrypt_phase,
+    glwe_encrypt,
+    glwe_keygen,
+    glwe_trivial,
+)
 from repro.tfhe.torus import encode_message
+from repro.transforms.backends import use_backend
+from repro.transforms.negacyclic import negacyclic_fft
 
 K, N = 1, 64
 BETA_BITS, L_B = 7, 3
@@ -96,6 +106,51 @@ class TestExternalProduct:
         ct = glwe_trivial(m, K)
         out = external_product(enc_bit(1, gkey, module_rng), ct)
         assert phase_error(glwe_decrypt_phase(out, gkey), m) < (1 << 16)
+
+
+class TestSpectrumMacRowOrder:
+    """The row-ordered MAC on a shape that is not set I's: k = 2, l_b = 3
+    (nine GGSW rows into three output polynomials)."""
+
+    @pytest.fixture(scope="class")
+    def operands(self):
+        rng = np.random.default_rng(17)
+        g = ggsw_encrypt(1, glwe_keygen(2, N, rng), BETA_BITS, 3, rng, noise_log2=NOISE)
+        data = rng.integers(0, 1 << 32, size=(8, 3, N), dtype=np.uint32)
+        return g, data
+
+    @pytest.mark.parametrize("engine", ["numpy", "radix2"])
+    def test_equals_the_exact_coefficient_domain_product(self, engine, operands):
+        g, data = operands
+        with use_backend(engine):
+            spectrum = negacyclic_fft(g.rows.view(np.int32))
+            got = external_product_spectrum_batch(spectrum, data[:3], g.beta_bits, g.l_b)
+        for sample, out in zip(data[:3], got):
+            want = external_product(g, GlweCiphertext(sample), engine="exact")
+            np.testing.assert_array_equal(out, want.data)
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    def test_a_batch_equals_its_samples_one_at_a_time(self, batch, operands):
+        g, data = operands
+        spectrum = g.spectrum()
+        assert spectrum.dtype == np.complex128
+        together = external_product_spectrum_batch(spectrum, data[:batch], g.beta_bits, g.l_b)
+        for r in range(batch):
+            alone = external_product_spectrum_batch(spectrum, data[r : r + 1], g.beta_bits, g.l_b)
+            np.testing.assert_array_equal(together[r], alone[0])
+
+    def test_a_single_precision_table_is_not_upcast(self, operands, monkeypatch):
+        g, data = operands
+        accumulators = []
+        from_spectrum = ggsw_module.from_spectrum
+        monkeypatch.setattr(
+            ggsw_module, "from_spectrum",
+            lambda spec, n: accumulators.append(spec) or from_spectrum(spec, n),
+        )
+        table = g.spectrum().astype(np.complex64)
+        out = external_product_spectrum_batch(table, data[:3], g.beta_bits, g.l_b)
+        assert [acc.dtype for acc in accumulators] == [np.complex64]
+        assert accumulators[0].shape == (3, 3, N // 2) and out.shape == (3, 3, N)
 
 
 class TestCMux:

@@ -16,7 +16,7 @@ from repro.tfhe.glwe import (
     glwe_encrypt_zeros,
     glwe_keygen,
 )
-from repro.tfhe.keys import generate_keyset, make_ksk
+from repro.tfhe.keys import KeySwitchingKey, generate_keyset, make_ksk
 from repro.tfhe.lwe import lwe_keygen
 from repro.tfhe.serialization import load_keyset, save_keyset
 from repro.tfhe.torus import STREAM_BLOCK_BYTES, u32
@@ -88,7 +88,7 @@ class TestSpectrumTableCache:
 
 
 class TestSpectrumTableLayout:
-    """The per-step einsum needs C order; a transposed table is 3.5x slower."""
+    """The per-step MAC reads one contiguous key row after the other."""
 
     @pytest.mark.parametrize("backend", ["numpy", "radix2"])
     @pytest.mark.parametrize("precision", ["double", "single"])
@@ -296,3 +296,46 @@ class TestMakeKsk:
                 np.zeros((4, 3), dtype=np.uint32),  # mismatched levels
                 4,
             )
+
+
+def _blank_ksk(in_dimension, l_k, beta_ks_bits, out_dimension=1):
+    return KeySwitchingKey(
+        np.zeros((in_dimension, l_k, out_dimension), dtype=np.uint32),
+        np.zeros((in_dimension, l_k), dtype=np.uint32),
+        beta_ks_bits,
+    )
+
+
+class TestKskRefusedWhenBuilt:
+    """A key the float64 key switch cannot contract exactly never exists."""
+
+    def test_a_decomposition_wider_than_the_modulus(self):
+        assert _blank_ksk(4, 4, 8).l_k == 4  # 32 bits: the whole word
+        with pytest.raises(ValueError, match=r"beta_ks_bits \* l_k = 36"):
+            _blank_ksk(4, 12, 3)
+
+    def test_more_terms_than_float64_adds_exactly(self):
+        """(beta_ks/2) * terms * 2**31 must stay below 2**53."""
+        assert _blank_ksk(63, 2, 16).in_dimension == 63  # 2**15 * 126 * 2**31
+        with pytest.raises(ValueError, match="128 terms .* exact float64"):
+            _blank_ksk(64, 2, 16)
+
+    @pytest.mark.parametrize(
+        "params",
+        [*PARAM_SETS.values(), get_params("fig1"), TEST_PARAMS, get_params("test-k2")],
+        ids=lambda p: p.name,
+    )
+    def test_every_shipped_parameter_set_is_accepted(self, params):
+        ksk = _blank_ksk(params.k * params.N, params.l_k, params.beta_ks_bits)
+        assert (ksk.in_dimension, ksk.l_k) == (params.k * params.N, params.l_k)
+
+    def test_a_bad_key_file_fails_at_load(self, keyset, tmp_path):
+        save_keyset(tmp_path / "keys.npz", keyset)
+        with np.load(tmp_path / "keys.npz") as data:
+            arrays = dict(data)
+        # Twice the levels the recorded beta_ks_bits can address (36 > 32 bits).
+        arrays["ksk_masks"] = np.repeat(arrays["ksk_masks"], 2, axis=1)
+        arrays["ksk_bodies"] = np.repeat(arrays["ksk_bodies"], 2, axis=1)
+        np.savez(tmp_path / "bad.npz", **arrays)
+        with pytest.raises(ValueError, match="beta_ks_bits"):
+            load_keyset(tmp_path / "bad.npz")
