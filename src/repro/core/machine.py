@@ -96,6 +96,7 @@ class MorphlingMachine:
             )
             for acc, (_, b_t) in zip(accs, switched)
         ]
+        table = self.keyset.bsk_spectrum_table("double")
         for i in range(params.n):
             # Rows whose switched mask element is zero skip this CMux.
             active = [
@@ -106,7 +107,7 @@ class MorphlingMachine:
             if not active:
                 continue
             diffs = [self._rotated_difference(accs[row], t) for row, t in active]
-            products = self.array.external_product_batch(self.keyset.bsk[i], diffs)
+            products = self.array.external_product_batch(table[i], params.beta_bits, diffs)
             for (row, _), product in zip(active, products):
                 accs[row] = GlweCiphertext(accs[row].data + product.data)
         return accs

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..params import TFHEParams
-from ..tfhe.ggsw import GgswCiphertext, external_product_spectrum_batch
+from ..tfhe.ggsw import external_product_spectrum_batch
 from ..tfhe.glwe import GlweCiphertext
 from .accelerator import MorphlingConfig
 
@@ -85,9 +85,11 @@ class VpeArray:
         self.rows = rows
         self.cols = cols
 
-    def external_product_batch(self, ggsw: GgswCiphertext, acc_inputs: list) -> list:
+    def external_product_batch(self, row_spec: np.ndarray, beta_bits: int, acc_inputs: list) -> list:
         """External products of every row's GLWE against one shared BSK_i.
 
+        ``row_spec`` is BSK_i as Private-A2 holds it: its row of the
+        keyset's spectrum table (or a standalone GGSW's ``spectrum()``).
         Each row streams its decomposed input spectra left-to-right; the
         BSK column spectra stream top-to-bottom and are *shared by all
         rows* - the BSK reuse the paper exploits.  Output accumulators
@@ -104,16 +106,14 @@ class VpeArray:
             raise ValueError(
                 f"batch of {len(acc_inputs)} exceeds {self.rows} array rows"
             )
-        k, l_b = ggsw.k, ggsw.l_b
-        if k + 1 > self.cols:
+        rows, kp1, half = row_spec.shape
+        if kp1 > self.cols:
             raise ValueError(
-                f"k+1 = {k + 1} output columns exceed {self.cols} array columns"
+                f"k+1 = {kp1} output columns exceed {self.cols} array columns"
             )
         for glwe in acc_inputs:
-            if glwe.N != ggsw.N or glwe.k != k:
+            if glwe.N != 2 * half or glwe.k + 1 != kp1:
                 raise ValueError("GLWE operand does not match the GGSW")
         stacked = np.stack([glwe.data for glwe in acc_inputs])
-        out = external_product_spectrum_batch(
-            ggsw.spectrum(), stacked, ggsw.beta_bits, l_b
-        )
+        out = external_product_spectrum_batch(row_spec, stacked, beta_bits, rows // kp1)
         return [GlweCiphertext(out[r]) for r in range(len(acc_inputs))]

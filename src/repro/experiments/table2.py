@@ -26,7 +26,7 @@ def run_table2(params: TFHEParams = None) -> ExperimentResult:
         ["l_k", "key-switching key level", p.l_k, "TFHEParams.l_k"],
         ["BSK_i", "bootstrapping key at iteration i",
          f"(k+1)l_b x (k+1) = {(p.k + 1) * p.l_b} x {p.k + 1} polys",
-         "tfhe.keys.KeySet.bsk"],
+         "tfhe.keys.KeySet.bsk_table[i]"],
         ["ACC_i", "accumulation ciphertext at iteration i",
          f"(k+1) = {p.k + 1} polys", "tfhe.glwe.GlweCiphertext"],
         ["KSK_(i,j)", "KSK for LWE mask i and level j",

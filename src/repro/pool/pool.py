@@ -13,8 +13,9 @@ Key-material economics (the whole point): the driver publishes the
 pre-transformed BSK spectrum table once into shared memory
 (:mod:`repro.pool.shm`); each worker maps it zero-copy and adopts it
 into its keyset cache, and so does the driver once the copy is made, so
-the table exists once per machine.  No worker ever runs the FFT-heavy
-table pre-transform - asserted in tests via the ``transforms_fft_total``
+the table exists once per machine.  Closing the pool hands that keyset
+a private copy back.  No worker ever runs the FFT-heavy table
+pre-transform - asserted in tests via the ``transforms_fft_total``
 counter each worker reports with its results.
 
 Workers are forked (the keyset rides fork inheritance; platforms
@@ -116,9 +117,8 @@ def _pool_worker_main(
     from ..tfhe.bootstrap import programmable_bootstrap_batch
 
     _backends.set_backend(backend_name)
-    # Drop everything inherited over fork so the *only* transform-domain
-    # image this process holds is the shared mapping.
-    keyset.drop_spectrum_cache()
+    # Adopting replaces the table inherited over fork (never written, so it
+    # cost nothing): the only image this process holds is the shared one.
     shared = SharedSpectrumTable.attach(handle)
     shared.install(keyset)
 
@@ -249,7 +249,7 @@ class BootstrapPool:
 
         self._shared = SharedSpectrumTable.publish(self.keyset, self.precision)
         # One image on the driver too: its keyset reads the segment from
-        # here on, and close() evicts it.
+        # here on, and close() gives it a private copy back.
         self._shared.install(self.keyset)
         atexit.register(self._atexit_cleanup)
         self._result_q = mp.Queue()

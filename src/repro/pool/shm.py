@@ -1,16 +1,16 @@
 """Shared-memory publication of the pre-transformed BSK spectrum table.
 
-The eager BSK table (:meth:`repro.tfhe.keys.KeySet.bsk_spectrum_table`)
-is by far the largest transform-domain object a bootstrap server holds
-- ``n * (k+1)*l_b * (k+1) * N/2`` complex values.  When work shards
-across worker processes, re-computing it per worker wastes the FFT-heavy
-setup N times over, and even fork copy-on-write duplicates the pages as
+The BSK table (:meth:`repro.tfhe.keys.KeySet.bsk_spectrum_table`) is the
+only form of the bootstrapping key a keyset holds and by far the largest
+object a bootstrap server holds - ``n * (k+1)*l_b * (k+1) * N/2`` complex
+values.  Across worker processes, fork copy-on-write duplicates the pages as
 soon as any worker touches them for writing.  Instead the driver
 publishes the table **once** into a named
 :mod:`multiprocessing.shared_memory` segment; every worker maps the
-same physical pages read-only and installs the mapping into its own
-:class:`~repro.tfhe.keys.KeySet` cache via
-:meth:`~repro.tfhe.keys.KeySet.adopt_spectrum_table`.  This is the
+same physical pages read-only and makes the mapping its own
+:class:`~repro.tfhe.keys.KeySet`'s table via
+:meth:`~repro.tfhe.keys.KeySet.adopt_spectrum_table` (the pages it
+inherited over fork are never written, so they cost nothing).  This is the
 software analogue of a multi-chiplet accelerator sharing one key-store:
 replicated compute lanes, single copy of the key material.
 
@@ -143,25 +143,24 @@ class SharedSpectrumTable:
         return cls(handle, shm, arr, owner=False)
 
     def install(self, keyset: "KeySet") -> np.ndarray:
-        """Adopt the mapped table into ``keyset``'s spectrum cache."""
+        """Make the mapped table ``keyset``'s table (its own is released)."""
         if self.array is None:
             raise RuntimeError("shared spectrum table already closed")
         return keyset.adopt_spectrum_table(self.array, self.handle.precision)
 
     def close(self, keyset: Optional["KeySet"] = None) -> None:
-        """Drop the local mapping (both sides); optionally evict ``keyset``.
+        """Drop the local mapping (both sides); optionally hand ``keyset`` back.
 
         The ndarray view keeps the mapping's buffer exported, so every
-        reference (including an installed keyset cache entry) must be
-        dropped before the segment can be closed; pass the keyset the
-        table was installed into and it is evicted first.  A still
-        -exported buffer is tolerated - the OS reclaims the mapping at
-        process exit - because close must never mask the caller's error.
+        reference must be dropped before the segment can be closed.  Pass
+        the keyset the table was installed into and it gets a private copy
+        first (the table is its only BSK).  A still-exported buffer is
+        tolerated - the OS reclaims the mapping at process exit - because
+        close must never mask the caller's error.
         """
-        if keyset is not None:
-            tables = keyset._bsk_tables
-            for prec in [p for p, t in tables.items() if t is self.array]:
-                del tables[prec]
+        precision = self.handle.precision
+        if keyset is not None and keyset.bsk_spectrum_table(precision) is self.array:
+            keyset.adopt_spectrum_table(self.array.copy(), precision)
         self.array = None
         if self._shm is not None:
             try:

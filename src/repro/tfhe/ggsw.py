@@ -20,20 +20,20 @@ Two functional engines are provided, mirroring the hardware exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..transforms.negacyclic import negacyclic_fft, negacyclic_fft_folded
 from .decomposition import decompose, decompose_folded
-from .glwe import GlweCiphertext, GlweSecretKey, glwe_encrypt_zeros
+from .glwe import GlweCiphertext, GlweSecretKey, _encrypt_zeros, _key_matrix
 from .polynomial import from_spectrum, poly_mul
 from .torus import TORUS_DTYPE, to_torus
 
 __all__ = [
     "GgswCiphertext",
     "ggsw_encrypt",
-    "ggsw_encrypt_batch",
+    "ggsw_encrypt_blocks",
     "external_product",
     "external_product_transform",
     "external_product_spectrum_batch",
@@ -87,38 +87,40 @@ class GgswCiphertext:
         return self._spectrum
 
 
-def ggsw_encrypt_batch(
+def ggsw_encrypt_blocks(
     ms: Sequence[int],
     key: GlweSecretKey,
     beta_bits: int,
     l_b: int,
     rng: np.random.Generator,
+    block: int,
     noise_log2: float = -25.0,
     q_bits: int = 32,
-) -> List[GgswCiphertext]:
-    """Encrypt each small integer in ``ms`` as a GGSW (a whole BSK at once).
+) -> Iterator[np.ndarray]:
+    """Encrypt each small integer in ``ms`` as a GGSW, yielding row stacks
+    of ``block`` GGSWs at a time (so a whole BSK never exists at once).
 
-    All ``len(ms)*(k+1)*l_b`` rows are zero encryptions drawn in GGSW-major,
-    row-minor order - the order one :func:`ggsw_encrypt` per plaintext
-    draws in - with the key-mask products batched
-    (:func:`repro.tfhe.glwe.glwe_encrypt_zeros`).
+    All rows are zero encryptions drawn in GGSW-major, row-minor order -
+    the order one :func:`ggsw_encrypt` per plaintext draws in, whatever
+    ``block`` is - with the key-mask products batched against one key
+    matrix (:func:`repro.tfhe.glwe.glwe_encrypt_zeros`).
     """
     k, n = key.k, key.N
     plain = np.asarray(ms, dtype=np.int64)
-    rows = glwe_encrypt_zeros(
-        plain.size * (k + 1) * l_b, key, rng, noise_log2
-    ).reshape(plain.size, k + 1, l_b, k + 1, n)
+    matrix = _key_matrix(key)
     # Gadget term: add m * q/beta**(j+1) to the constant coefficient of
     # component i (row (i,j) of Z + m*G).
     weights = np.array(
         [1 << (q_bits - beta_bits * (j + 1)) for j in range(l_b)], dtype=np.int64
     )
-    gadget = to_torus(plain[:, None] * weights[None, :])
-    for i in range(k + 1):
-        rows[:, i, :, i, 0] += gadget
-    return [
-        GgswCiphertext(g.reshape((k + 1) * l_b, k + 1, n), beta_bits) for g in rows
-    ]
+    for start in range(0, plain.size, block):
+        chunk = plain[start : start + block]
+        rows = _encrypt_zeros(chunk.size * (k + 1) * l_b, matrix, rng, noise_log2)
+        rows = rows.reshape(chunk.size, k + 1, l_b, k + 1, n)
+        gadget = to_torus(chunk[:, None] * weights[None, :])
+        for i in range(k + 1):
+            rows[:, i, :, i, 0] += gadget
+        yield rows.reshape(chunk.size, (k + 1) * l_b, k + 1, n)
 
 
 def ggsw_encrypt(
@@ -131,7 +133,8 @@ def ggsw_encrypt(
     q_bits: int = 32,
 ) -> GgswCiphertext:
     """Encrypt a small integer plaintext (typically a key bit) as GGSW."""
-    return ggsw_encrypt_batch([m], key, beta_bits, l_b, rng, noise_log2, q_bits)[0]
+    (rows,) = ggsw_encrypt_blocks([m], key, beta_bits, l_b, rng, 1, noise_log2, q_bits)
+    return GgswCiphertext(rows[0], beta_bits)
 
 
 def _decompose_glwe(ct: GlweCiphertext, beta_bits: int, l_b: int) -> np.ndarray:

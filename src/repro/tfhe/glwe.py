@@ -174,14 +174,22 @@ def glwe_encrypt_zeros(
     block.  This is what makes secure-set key generation cheap: a BSK is
     thousands of zero encryptions plus gadget terms.
     """
-    data = np.empty((count, key.k + 1, key.N), dtype=TORUS_DTYPE)
-    matrix = _key_matrix(key)
-    block = max(1, STREAM_BLOCK_BYTES // (8 * key.k * key.N))
+    return _encrypt_zeros(count, _key_matrix(key), rng, noise_log2)
+
+
+def _encrypt_zeros(
+    count: int, matrix: np.ndarray, rng: np.random.Generator, noise_log2: float
+) -> np.ndarray:
+    """:func:`glwe_encrypt_zeros` against a prebuilt :func:`_key_matrix`."""
+    n = matrix.shape[1]
+    k = matrix.shape[0] // n
+    data = np.empty((count, k + 1, n), dtype=TORUS_DTYPE)
+    block = max(1, STREAM_BLOCK_BYTES // (8 * k * n))
     for start in range(0, count, block):
         rows = data[start : start + block]
         for row in rows:
-            row[:-1] = rng.integers(0, 1 << 32, size=(key.k, key.N), dtype=np.uint64)
-            row[-1] = gaussian_torus_noise(rng, noise_log2, shape=(key.N,))
+            row[:-1] = rng.integers(0, 1 << 32, size=(k, n), dtype=np.uint64)
+            row[-1] = gaussian_torus_noise(rng, noise_log2, shape=(n,))
         rows[:, -1] += to_torus(_key_mask_products(rows[:, :-1], matrix))
     return data
 

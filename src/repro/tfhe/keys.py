@@ -4,24 +4,27 @@ The BSK is ``n`` GGSW encryptions of the LWE key bits under the GLWE key
 (Section II-A); the KSK is ``k*N x l_k`` LWE encryptions of the scaled
 extracted-GLWE key bits under the original LWE key.  ``KeySet`` bundles
 everything a server needs to bootstrap (no secret material beyond what the
-scheme itself publishes as evaluation keys).
+scheme itself publishes as evaluation keys).  Like Morphling's Private-A2
+buffer, a keyset holds the BSK only in the transform domain: keygen
+streams each block of GGSWs straight into the spectrum table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Iterable, Optional
 
 import numpy as np
 
 from ..params import TFHEParams
 from ..transforms.negacyclic import negacyclic_fft_folded
-from .ggsw import ggsw_encrypt_batch
+from .ggsw import GgswCiphertext, ggsw_encrypt_blocks
 from .glwe import GlweSecretKey, glwe_keygen
 from .lwe import LweSecretKey, gaussian_torus_noise, lwe_keygen
+from .polynomial import from_spectrum
 from .torus import Q_BITS, STREAM_BLOCK_BYTES, TORUS_DTYPE, to_torus, torus_dot
 
-__all__ = ["KeySwitchingKey", "KeySet", "generate_keyset", "make_ksk"]
+__all__ = ["KeySwitchingKey", "KeySet", "generate_keyset", "make_ksk", "transform_bsk"]
 
 
 @dataclass
@@ -99,133 +102,144 @@ def make_ksk(
     return KeySwitchingKey(masks, bodies, beta_ks_bits)
 
 
+def _table_dtype(precision: str) -> np.dtype:
+    if precision not in ("double", "single"):
+        raise ValueError(f"precision must be 'double' or 'single', got {precision!r}")
+    return np.dtype(np.complex128 if precision == "double" else np.complex64)
+
+
+def _table_block(params: TFHEParams) -> int:
+    """GGSWs per ``STREAM_BLOCK_BYTES`` of folded complex128 input (32 on set I)."""
+    return max(1, STREAM_BLOCK_BYTES // (8 * (params.k + 1) ** 2 * params.l_b * params.N))
+
+
+def _fill_table(params: TFHEParams, blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """Fold and transform GGSW row blocks, in key order, into one table.
+
+    Filling a preallocated table keeps it C-ordered (the per-step MAC and
+    pool workers mapping it rely on that) whatever the backend hands back.
+    """
+    half = params.N // 2
+    table = np.empty((params.n, (params.k + 1) * params.l_b, params.k + 1, half), np.complex128)
+    start = 0
+    for rows in blocks:
+        # Declared FFT boundary: the centered lift (uint32 read as int32) is
+        # folded straight into the transform input.
+        centered = rows.view(np.int32)
+        folded = np.empty(centered.shape[:-1] + (half,), dtype=np.complex128)
+        folded.real = centered[..., :half]
+        folded.imag = centered[..., half:]
+        table[start : start + len(rows)] = negacyclic_fft_folded(folded)
+        start += len(rows)
+    return table
+
+
+def transform_bsk(params: TFHEParams, rows: np.ndarray) -> np.ndarray:
+    """Spectrum table of a coefficient-domain BSK ``(n, (k+1)*l_b, k+1, N)``.
+
+    Streamed in the blocks keygen uses, so a BSK loaded from an archive
+    gets the table its keygen built, word for word.
+    """
+    block = _table_block(params)
+    return _fill_table(params, (rows[s : s + block] for s in range(0, len(rows), block)))
+
+
 @dataclass
 class KeySet:
     """Everything needed to evaluate bootstrapping on a server.
 
     ``lwe_key``/``glwe_key`` are the client's secret keys - kept here so
     tests and examples can decrypt, never consumed by the evaluation path.
+    ``bsk_table`` is the only form of the BSK a keyset holds: the
+    ``(n, (k+1)*l_b, k+1, N/2)`` complex128 spectra of every GGSW row, the
+    software analogue of the pre-loaded Private-A2 buffer.
     """
 
     params: TFHEParams
     lwe_key: LweSecretKey
     glwe_key: GlweSecretKey
-    bsk: list
+    bsk_table: np.ndarray
     ksk: KeySwitchingKey
-    _bsk_tables: Dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    _single: Optional[np.ndarray] = field(default=None, repr=False)
 
-    def bsk_spectrum_table(self, precision: str = "double") -> np.ndarray:
-        """Eagerly transform the whole BSK, block-streamed (cached).
+    def __post_init__(self) -> None:
+        self.bsk_table = self._checked(self.bsk_table, "double")
 
-        Returns a ``(n, (k+1)*l_b, k+1, N/2)`` complex array: the
-        transform-domain image of every GGSW row of every BSK entry - the
-        software analogue of pre-loading the Private-A2 buffer once
-        instead of transforming each GGSW lazily on first touch.  The
-        table is filled ``STREAM_BLOCK_BYTES`` of folded input at a time
-        (32 GGSWs on set I), as the hardware streams BSK rows from HBM, so
-        building it costs the table plus two blocks, not two tables.
-
-        ``precision`` selects ``"double"`` (``complex128``, the default,
-        bit-compatible with the lazy per-GGSW spectra) or ``"single"``
-        (``complex64``, half the memory and a faster MAC; adds rounding
-        noise that must be validated against the noise envelope - see
-        docs/perf.md).
-        """
-        if precision not in ("double", "single"):
-            raise ValueError(
-                f"precision must be 'double' or 'single', got {precision!r}"
-            )
-        table = self._bsk_tables.get(precision)
-        if table is None:
-            # The "single" table is a declared reduced-precision mode; its
-            # rounding error is validated against the noise envelope.
-            cdtype = np.complex128 if precision == "double" else np.complex64
-            ggsw_shape = self.bsk[0].rows.shape  # ((k+1)*l_b, k+1, N)
-            half = ggsw_shape[-1] // 2
-            # Filling a preallocated table keeps it C-ordered (the per-step
-            # MAC and pool workers mapping it rely on that) whatever the
-            # backend hands back.
-            table = np.empty((len(self.bsk),) + ggsw_shape[:-1] + (half,), dtype=cdtype)
-            # Clamped to the key: a toy BSK is smaller than one block.
-            block = min(len(self.bsk), max(1, STREAM_BLOCK_BYTES // table[0].nbytes))
-            folded = np.empty((block,) + table.shape[1:], dtype=cdtype)
-            for start in range(0, len(self.bsk), block):
-                ggsws = self.bsk[start : start + block]
-                for dst, g in zip(folded, ggsws):
-                    # Declared FFT boundary: the centered lift (uint32 read
-                    # as int32) is folded straight into the transform input.
-                    centered = g.rows.view(np.int32)
-                    dst.real = centered[..., :half]
-                    dst.imag = centered[..., half:]
-                table[start : start + block] = negacyclic_fft_folded(folded[: len(ggsws)])
-            self._bsk_tables[precision] = table
-        return table
-
-    def adopt_spectrum_table(self, table: np.ndarray, precision: str = "double") -> np.ndarray:
-        """Install an externally computed BSK spectrum table into the cache.
-
-        This is how pool workers map the driver's shared-memory table
-        zero-copy instead of re-running the FFT-heavy pre-transform:
-        after :meth:`adopt_spectrum_table`, :meth:`bsk_spectrum_table`
-        returns ``table`` directly.  Shape and dtype are validated
-        against ``params`` so a mismatched segment fails loudly.
-        """
-        if precision not in ("double", "single"):
-            raise ValueError(
-                f"precision must be 'double' or 'single', got {precision!r}"
-            )
+    def _checked(self, table: np.ndarray, precision: str) -> np.ndarray:
+        """``table`` if it fits this key as the ``precision`` table, else raise."""
+        dtype = _table_dtype(precision)
         p = self.params
         expected_shape = (p.n, (p.k + 1) * p.l_b, p.k + 1, p.N // 2)
-        expected_dtype = np.complex128 if precision == "double" else np.complex64
         table = np.asarray(table)
         if table.shape != expected_shape:
-            raise ValueError(
-                f"spectrum table shape {table.shape} != expected {expected_shape}"
-            )
-        if table.dtype != np.dtype(expected_dtype):
+            raise ValueError(f"spectrum table shape {table.shape} != expected {expected_shape}")
+        if table.dtype != dtype:
             raise ValueError(
                 f"spectrum table dtype {table.dtype} != expected "
-                f"{np.dtype(expected_dtype)} for precision {precision!r}"
+                f"{dtype} for precision {precision!r}"
             )
-        if not table.flags.c_contiguous:
-            raise ValueError(
-                "spectrum table must be C-contiguous (the per-step MAC reads "
-                "one key row after the other)"
-            )
-        self._bsk_tables[precision] = table
+        if not table.flags.c_contiguous:  # the per-step MAC reads key rows in order
+            raise ValueError("spectrum table must be C-contiguous")
         return table
 
-    def drop_spectrum_cache(self) -> None:
-        """Release every cached transform-domain image.
+    def bsk_spectrum_table(self, precision: str = "double") -> np.ndarray:
+        """The BSK's transform-domain table in ``precision``.
 
-        Clears the eager per-precision tables *and* the lazy per-GGSW
-        spectra, so the next :meth:`bsk_spectrum_table` or
-        ``GgswCiphertext.spectrum`` call recomputes from the
-        coefficient-domain BSK.  Pool workers call this right after fork,
-        before mapping the shared segment, so the only transform-domain
-        image a worker holds is the shared one.
+        ``"double"`` is :attr:`bsk_table` itself (``complex128``, bit-equal
+        to the lazy per-GGSW spectra).  ``"single"`` is its cached
+        ``complex64`` cast: half the memory, with rounding noise that must
+        be validated against the noise envelope (see docs/perf.md).
         """
-        self._bsk_tables.clear()
-        for g in self.bsk:
-            g._spectrum = None
+        dtype = _table_dtype(precision)
+        if precision == "double":
+            return self.bsk_table
+        if self._single is None:
+            self._single = self.bsk_table.astype(dtype)
+        return self._single
+
+    def adopt_spectrum_table(self, table: np.ndarray, precision: str = "double") -> np.ndarray:
+        """Replace the ``precision`` table with an externally held one.
+
+        This is how pool workers map one shared-memory table zero-copy
+        instead of keeping their own.  Shape, dtype and layout are
+        validated against ``params`` so a mismatched segment fails loudly.
+        """
+        table = self._checked(table, precision)
+        if precision == "double":
+            self.bsk_table, self._single = table, None  # the cast follows the table
+        else:
+            self._single = table
+        return table
+
+    def bsk_ggsw(self, i: int) -> GgswCiphertext:
+        """BSK entry ``i``'s coefficient rows, recovered exactly from its table row.
+
+        The inverse of a complex128 spectrum of centered 32-bit words lands
+        within ~2**-18 of each integer, far inside the 1/2 rounding margin
+        (docs/perf.md).  Serialization and reference paths read rows here;
+        nothing caches them.
+        """
+        p = self.params
+        return GgswCiphertext(from_spectrum(self.bsk_table[i], p.N), p.beta_bits)
 
 
 def generate_keyset(params: TFHEParams, rng: np.random.Generator) -> KeySet:
     """Generate the full TFHE key material for ``params``.
 
     The BSK encrypts each LWE key bit ``s_i`` as a GGSW under the GLWE
-    key; the KSK switches the extracted ``k*N``-dimension key back down to
-    the original ``n``-dimension LWE key.
+    key, one table block at a time, each transformed into the table as it
+    comes: no coefficient-domain BSK ever exists whole.  The KSK switches
+    the extracted ``k*N``-dimension key back down to the ``n``-dimension one.
     """
     lwe_key = lwe_keygen(params.n, rng)
     glwe_key = glwe_keygen(params.k, params.N, rng)
-    bsk = ggsw_encrypt_batch(
-        lwe_key.bits, glwe_key, params.beta_bits, params.l_b, rng,
+    table = _fill_table(params, ggsw_encrypt_blocks(
+        lwe_key.bits, glwe_key, params.beta_bits, params.l_b, rng, _table_block(params),
         noise_log2=params.glwe_noise_log2, q_bits=params.q_bits,
-    )
+    ))
     ksk = make_ksk(
         glwe_key.extracted_lwe_bits(), lwe_key,
         params.beta_ks_bits, params.l_k, rng,
         noise_log2=params.lwe_noise_log2, q_bits=params.q_bits,
     )
-    return KeySet(params, lwe_key, glwe_key, bsk, ksk)
+    return KeySet(params, lwe_key, glwe_key, table, ksk)

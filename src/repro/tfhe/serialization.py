@@ -21,10 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..params import TFHEParams
-from .ggsw import GgswCiphertext
 from .glwe import GlweSecretKey
-from .keys import KeySet, KeySwitchingKey
+from .keys import KeySet, KeySwitchingKey, transform_bsk
 from .lwe import LweCiphertext, LweSecretKey
+from .torus import TORUS_DTYPE
 
 __all__ = [
     "FORMAT_VERSION",
@@ -53,12 +53,12 @@ def _params_from_record(record: np.ndarray, name: str) -> TFHEParams:
 
 
 def _common_arrays(keyset: KeySet) -> dict:
-    bsk_rows = np.stack([g.rows for g in keyset.bsk])
     return {
         "version": np.array([FORMAT_VERSION]),
         "params": _params_record(keyset.params),
         "params_name": np.array([keyset.params.name]),
-        "bsk_rows": bsk_rows,
+        # Format 1 keeps coefficient rows, recovered exactly from the table.
+        "bsk_rows": np.stack([keyset.bsk_ggsw(i).rows for i in range(keyset.params.n)]),
         "ksk_masks": keyset.ksk.masks,
         "ksk_bodies": keyset.ksk.bodies,
     }
@@ -72,9 +72,13 @@ def _check_version(data) -> None:
 
 def _rebuild_keys(data, with_secrets: bool) -> KeySet:
     params = _params_from_record(data["params"], str(data["params_name"][0]))
-    bsk = [
-        GgswCiphertext(rows, params.beta_bits) for rows in data["bsk_rows"]
-    ]
+    rows = data["bsk_rows"]
+    # Refused here, against the archive's own params, not at the first bootstrap.
+    expected = (params.n, (params.k + 1) * params.l_b, params.k + 1, params.N)
+    if rows.shape != expected:
+        raise ValueError(f"bsk_rows shape {rows.shape} != expected {expected} (params record)")
+    if rows.dtype != TORUS_DTYPE:
+        raise ValueError(f"bsk_rows dtype {rows.dtype} != expected {np.dtype(TORUS_DTYPE)}")
     ksk = KeySwitchingKey(data["ksk_masks"], data["ksk_bodies"], params.beta_ks_bits)
     if with_secrets:
         lwe_key = LweSecretKey(data["lwe_key"])
@@ -82,7 +86,7 @@ def _rebuild_keys(data, with_secrets: bool) -> KeySet:
     else:
         lwe_key = None
         glwe_key = None
-    return KeySet(params, lwe_key, glwe_key, bsk, ksk)
+    return KeySet(params, lwe_key, glwe_key, transform_bsk(params, rows), ksk)
 
 
 def save_keyset(path, keyset: KeySet) -> None:

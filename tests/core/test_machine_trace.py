@@ -7,8 +7,14 @@ from repro.core.accelerator import MorphlingConfig
 from repro.core.machine import MorphlingMachine
 from repro.core.trace import render_timeline, trace_blind_rotation
 from repro.core.xpu import XpuModel
-from repro.params import get_params
-from repro.tfhe import identity_test_polynomial, make_test_polynomial, programmable_bootstrap
+from repro.params import TEST_PARAMS, get_params
+from repro.tfhe import (
+    TfheContext,
+    identity_test_polynomial,
+    make_test_polynomial,
+    programmable_bootstrap,
+    programmable_bootstrap_batch,
+)
 
 P = 8
 
@@ -40,6 +46,22 @@ class TestMorphlingMachine:
         via_machine = machine.bootstrap(ct, tp)
         via_reference = programmable_bootstrap(ct, tp, ctx.keyset)
         assert ctx.decrypt(via_machine, P) == ctx.decrypt(via_reference, P) == 2
+
+    def test_equals_the_batch_pipeline_word_for_word(self):
+        """The machine reads BSK_i as a row of the keyset's table: same words
+        as the scheme pipeline, and no second transform-domain image."""
+        ctx = TfheContext.create(TEST_PARAMS, seed=5)
+        machine = MorphlingMachine(MorphlingConfig(), ctx.keyset)
+        tp = identity_test_polynomial(ctx.params, P)
+        cts = [ctx.encrypt(m, P) for m in (3, 0, 2, 1)]
+        cts[1].a[:5] = 0  # a row that skips some CMuxes
+        via_machine = machine.bootstrap_batch(cts, tp)
+        via_pipeline = programmable_bootstrap_batch(cts, tp, ctx.keyset)
+        for got, want in zip(via_machine, via_pipeline):
+            assert np.array_equal(got.a, want.a) and got.b == want.b
+        images = [v for v in vars(ctx.keyset).values()
+                  if isinstance(v, np.ndarray) and np.iscomplexobj(v)]
+        assert len(images) == 1 and images[0] is ctx.keyset.bsk_spectrum_table("double")
 
     def test_rejects_oversized_batch(self, ctx, machine):
         tp = identity_test_polynomial(ctx.params, P)

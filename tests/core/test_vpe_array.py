@@ -50,7 +50,7 @@ class TestFunctionalArray:
                          noise_log2=-30.0)
             for _ in range(3)
         ]
-        outputs = array.external_product_batch(g, batch)
+        outputs = array.external_product_batch(g.spectrum(), g.beta_bits, batch)
         for ct, out in zip(batch, outputs):
             expected = external_product_transform(g, ct)
             np.testing.assert_array_equal(out.data, expected.data)
@@ -60,7 +60,7 @@ class TestFunctionalArray:
         g = ggsw_encrypt(1, gkey, 7, 2, rng)
         batch = [glwe_encrypt(np.zeros(N, np.uint32), gkey, rng) for _ in range(3)]
         with pytest.raises(ValueError):
-            array.external_product_batch(g, batch)
+            array.external_product_batch(g.spectrum(), g.beta_bits, batch)
 
     def test_rejects_too_many_columns(self, rng):
         wide_key = glwe_keygen(4, N, rng)  # k+1 = 5 > 4 columns
@@ -68,7 +68,7 @@ class TestFunctionalArray:
         array = VpeArray(rows=4, cols=4)
         ct = glwe_encrypt(np.zeros(N, np.uint32), wide_key, rng)
         with pytest.raises(ValueError):
-            array.external_product_batch(g, [ct])
+            array.external_product_batch(g.spectrum(), g.beta_bits, [ct])
 
     def test_rejects_mismatched_operand(self, gkey, rng):
         array = VpeArray()
@@ -76,7 +76,7 @@ class TestFunctionalArray:
         other_key = glwe_keygen(K, 2 * N, rng)
         ct = glwe_encrypt(np.zeros(2 * N, np.uint32), other_key, rng)
         with pytest.raises(ValueError):
-            array.external_product_batch(g, [ct])
+            array.external_product_batch(g.spectrum(), g.beta_bits, [ct])
 
     def test_rejects_degenerate_array(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from repro import observability as obs
 from repro.observability.distrib import aggregate_shards, discover_shards
 from repro.pool import BootstrapPool, PoolWorkerLost, leaked_segments
 from repro.tfhe.bootstrap import programmable_bootstrap_batch
+from repro.tfhe.keys import generate_keyset
 
 BATCH = 8
 P = 8
@@ -89,10 +90,10 @@ class TestSharedSpectrum:
         _, cts, tp = workload
         shards = np.array_split(np.arange(len(cts)), 2)
 
-        # Cold reference: shard 0 with an empty spectrum cache pays the
-        # BSK pre-transform inside the run.
-        ctx.keyset.drop_spectrum_cache()
+        # Cold reference: a keyset generated inside the window pays the
+        # BSK pre-transform (keygen builds the table) before shard 0 runs.
         with obs.telemetry() as (registry, _tracer):
+            generate_keyset(ctx.params, np.random.default_rng(0))
             programmable_bootstrap_batch(
                 [cts[r] for r in shards[0]], tp, ctx.keyset
             )
@@ -138,8 +139,10 @@ class TestSharedSpectrum:
             # The keyset reads the segment; its private copy is released.
             assert adopted is pool._shared.array and adopted is not private
             np.testing.assert_array_equal(adopted, private)
-        assert "double" not in ctx.keyset._bsk_tables  # evicted with the segment
-        np.testing.assert_array_equal(ctx.keyset.bsk_spectrum_table("double"), private)
+        # Closing hands the keyset a private copy: the table is its only BSK.
+        after = ctx.keyset.bsk_spectrum_table("double")
+        assert after is not adopted and after.flags.writeable
+        np.testing.assert_array_equal(after, private)
 
     def test_unknown_backend_fails_with_available_list(self, ctx):
         with pytest.raises(ValueError, match="available backends"):

@@ -42,6 +42,7 @@ class TestPublishAttach:
         assert leaked_segments() == []
 
     def test_install_adopts_into_cache(self, keyset):
+        original = keyset.bsk_spectrum_table("double")
         with SharedSpectrumTable.publish(keyset, "double") as shared:
             attached = SharedSpectrumTable.attach(shared.handle)
             adopted = attached.install(keyset)
@@ -49,9 +50,11 @@ class TestPublishAttach:
                 assert keyset.bsk_spectrum_table("double") is adopted
                 assert adopted is attached.array
             finally:
-                attached.close(keyset)  # evicts the mapping from the cache
-        assert "double" not in keyset._bsk_tables
-        keyset.bsk_spectrum_table("double")  # recomputes cleanly
+                attached.close(keyset)  # hands the keyset a private copy back
+        private = keyset.bsk_spectrum_table("double")
+        assert private is not adopted and private is not original
+        assert private.flags.writeable and private.flags.c_contiguous
+        np.testing.assert_array_equal(private, original)
 
     def test_unlink_idempotent_and_attach_fails_after(self, keyset):
         shared = SharedSpectrumTable.publish(keyset, "double")

@@ -15,6 +15,7 @@ def reference_bootstrap(ct, test_poly, keyset, engine):
 
     ``engine`` is :func:`repro.tfhe.cmux`'s: ``"transform"``, ``"fft"``
     (per-product transforms) or ``"exact"`` (O(N^2) integer reference).
+    Each CMux reads its GGSW's coefficient rows recovered from the table.
     """
     params = keyset.params
     a_tilde, b_tilde = modulus_switch(ct, params.N)
@@ -22,5 +23,5 @@ def reference_bootstrap(ct, test_poly, keyset, engine):
     for i in range(params.n):
         t = int(a_tilde[i])
         if t:
-            acc = cmux(keyset.bsk[i], acc, glwe_rotate(acc, t), engine=engine)
+            acc = cmux(keyset.bsk_ggsw(i), acc, glwe_rotate(acc, t), engine=engine)
     return key_switch(sample_extract(acc, 0), keyset.ksk)

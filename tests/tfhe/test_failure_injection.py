@@ -46,7 +46,7 @@ class TestWrongKeys:
         """Bootstrapping with another party's BSK must not preserve data."""
         franken = KeySet(
             ctx.params, ctx.keyset.lwe_key, ctx.keyset.glwe_key,
-            other_ctx.keyset.bsk, ctx.keyset.ksk,
+            other_ctx.keyset.bsk_table, ctx.keyset.ksk,
         )
         tp = identity_test_polynomial(ctx.params, P)
         wrong = 0
@@ -64,7 +64,7 @@ class TestCorruptedKeys:
         broken = copy.deepcopy(ctx.keyset.ksk)
         broken.bodies = broken.bodies + np.uint32(1 << 28)  # blast the bodies
         franken = KeySet(ctx.params, ctx.keyset.lwe_key, ctx.keyset.glwe_key,
-                         ctx.keyset.bsk, broken)
+                         ctx.keyset.bsk_table, broken)
         tp = identity_test_polynomial(ctx.params, P)
         wrong = 0
         for m in range(4):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro import TEST_PARAMS
-from repro.params import PARAM_SETS, get_params
+from repro.params import PARAM_SETS, TFHEParams, get_params
+from repro.tfhe.ggsw import ggsw_encrypt_blocks
 from repro.tfhe.glwe import (
     _key_mask_product,
     _key_mask_products,
@@ -16,12 +17,12 @@ from repro.tfhe.glwe import (
     glwe_encrypt_zeros,
     glwe_keygen,
 )
-from repro.tfhe.keys import KeySwitchingKey, generate_keyset, make_ksk
+from repro.tfhe.keys import KeySet, KeySwitchingKey, generate_keyset, make_ksk, transform_bsk
 from repro.tfhe.lwe import lwe_keygen
 from repro.tfhe.serialization import load_keyset, save_keyset
 from repro.tfhe.torus import STREAM_BLOCK_BYTES, u32
 from repro.transforms.backends import active_backend_name, use_backend
-from repro.transforms.negacyclic import negacyclic_fft
+from repro.transforms.negacyclic import negacyclic_fft, negacyclic_ifft_folded
 
 from ._keys_golden import GOLDEN_DOC, PARAM_SET_NAMES, SEED, keyset_digests
 
@@ -35,13 +36,21 @@ def golden_keysets():
     }
 
 
+def _transform_images(keyset):
+    """Every complex array a keyset holds (the BSK table, the "single" cast)."""
+    return [v for v in vars(keyset).values()
+            if isinstance(v, np.ndarray) and np.iscomplexobj(v)]
+
+
 class TestKeySetStructure:
     def test_bsk_has_one_ggsw_per_key_bit(self, keyset):
-        assert len(keyset.bsk) == TEST_PARAMS.n
+        assert len(keyset.bsk_spectrum_table()) == TEST_PARAMS.n
 
     def test_bsk_ggsw_shapes(self, keyset):
         p = TEST_PARAMS
-        for ggsw in keyset.bsk[:3]:
+        assert keyset.bsk_table.shape == (p.n, (p.k + 1) * p.l_b, p.k + 1, p.N // 2)
+        for i in range(3):
+            ggsw = keyset.bsk_ggsw(i)
             assert ggsw.rows.shape == ((p.k + 1) * p.l_b, p.k + 1, p.N)
             assert ggsw.beta_bits == p.beta_bits
 
@@ -52,15 +61,21 @@ class TestKeySetStructure:
         assert keyset.ksk.l_k == p.l_k
 
     def test_bsk_spectra_cached(self, keyset):
-        g = keyset.bsk[0]
+        """A recovered GGSW's lazy spectrum is its table row, bit for bit,
+        and recovering it leaves nothing behind on the keyset."""
+        before = dict(vars(keyset))
+        g = keyset.bsk_ggsw(1)
         spectrum = g.spectrum()
-        assert spectrum.shape == g.rows.shape[:-1] + (TEST_PARAMS.N // 2,)
         assert g.spectrum() is spectrum
+        assert np.array_equal(spectrum, keyset.bsk_table[1])
+        assert vars(keyset).keys() == before.keys()
+        assert all(vars(keyset)[name] is value for name, value in before.items())
 
 
 class TestSpectrumTableCache:
     def test_second_call_is_a_cache_hit(self, keyset):
         first = keyset.bsk_spectrum_table("double")
+        assert first is keyset.bsk_table
         assert keyset.bsk_spectrum_table("double") is first
 
     def test_precisions_cached_independently(self, keyset):
@@ -71,20 +86,18 @@ class TestSpectrumTableCache:
         assert single.dtype == np.complex64
         assert keyset.bsk_spectrum_table("double") is double
         assert keyset.bsk_spectrum_table("single") is single
+        # "single" is the cast of the resident table, not a second transform.
+        np.testing.assert_array_equal(single, double.astype(np.complex64))
 
-    def test_drop_spectrum_cache_clears_everything(self, keyset):
-        table = keyset.bsk_spectrum_table("double")
-        for g in keyset.bsk:  # populate the lazy per-GGSW spectra too
-            g.spectrum()
-        assert any(g._spectrum is not None for g in keyset.bsk)
-
-        keyset.drop_spectrum_cache()
-        assert keyset._bsk_tables == {}
-        assert all(g._spectrum is None for g in keyset.bsk)
-
-        rebuilt = keyset.bsk_spectrum_table("double")
-        assert rebuilt is not table
-        np.testing.assert_array_equal(rebuilt, table)
+    def test_the_table_is_the_only_bsk_image(self):
+        fresh = generate_keyset(TEST_PARAMS, np.random.default_rng(3))
+        table = fresh.bsk_spectrum_table("double")
+        assert _transform_images(fresh) == [table]
+        assert not any(isinstance(v, list) for v in vars(fresh).values())
+        # Adopting a replacement double table drops the "single" cast with it.
+        fresh.bsk_spectrum_table("single")
+        adopted = fresh.adopt_spectrum_table(table.copy())
+        assert _transform_images(fresh) == [adopted]
 
 
 class TestSpectrumTableLayout:
@@ -123,44 +136,62 @@ class TestKeysGolden:
         assert got == want
 
 
+def _one_shot_bsk_rows(params, seed):
+    """The whole coefficient-domain BSK keygen draws for ``seed``, in one block."""
+    rng = np.random.default_rng(seed)
+    lwe_key = lwe_keygen(params.n, rng)
+    glwe_key = glwe_keygen(params.k, params.N, rng)
+    (rows,) = ggsw_encrypt_blocks(
+        lwe_key.bits, glwe_key, params.beta_bits, params.l_b, rng, params.n,
+        noise_log2=params.glwe_noise_log2, q_bits=params.q_bits,
+    )
+    return rows
+
+
 class TestBlockStreamedKeys:
-    """Keygen and the BSK pre-transform never hold a key-sized temporary."""
+    """Keygen streams the BSK into its table; no key-sized temporary exists."""
 
     @pytest.mark.parametrize("precision,cdtype", [
         ("double", np.complex128), ("single", np.complex64),
     ])
     def test_setI_table_equals_the_one_shot_transform(self, precision, cdtype, golden_keysets):
         keyset = golden_keysets["I"]
-        stacked = np.stack([g.rows for g in keyset.bsk])
+        stacked = _one_shot_bsk_rows(PARAM_SETS["I"], SEED)
         table = keyset.bsk_spectrum_table(precision)
-        # 500 GGSWs are 15 blocks of 32 plus 20 (double), 7 of 64 plus 52 (single).
-        assert len(keyset.bsk) % (STREAM_BLOCK_BYTES // table[0].nbytes) != 0
-        centered = stacked.view(np.int32)
-        reference = negacyclic_fft(
-            centered if precision == "double" else centered.astype(np.float32)
-        )
+        # 500 GGSWs are 15 blocks of 32 plus 20.
+        assert len(stacked) % (STREAM_BLOCK_BYTES // keyset.bsk_table[0].nbytes) != 0
+        reference = negacyclic_fft(stacked.view(np.int32)).astype(cdtype)
         assert table.dtype == cdtype and table.flags.c_contiguous
         np.testing.assert_array_equal(table, reference)
 
     def test_setI_keygen_peak_is_live_bytes_plus_blocks(self):
+        params = PARAM_SETS["I"]
         tracemalloc.start()
-        keyset = generate_keyset(PARAM_SETS["I"], np.random.default_rng(SEED))
-        live, peak = tracemalloc.get_traced_memory()
+        keyset = generate_keyset(params, np.random.default_rng(SEED))
+        _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert len(keyset.bsk) == PARAM_SETS["I"].n
-        # The 8 MB key matrix plus a few 2 MB blocks; full-size draws,
-        # products and int64 sums took this to live + 31 MB.
-        assert peak <= live + 12 * 2**20, (
-            f"keygen peaked at {peak / 2**20:.1f} MiB for {live / 2**20:.1f} MiB live"
+        table, ksk = keyset.bsk_spectrum_table(), keyset.ksk
+        key_matrix = params.k * params.N * params.N * 8
+        budget = (table.nbytes + ksk.masks.nbytes + ksk.bodies.nbytes
+                  + key_matrix + 2 * STREAM_BLOCK_BYTES)
+        # The table, the KSK, the 8 MB key matrix and two 2 MB blocks: a
+        # 15.6 MB uint32 BSK held beside the table and the KSK cannot fit.
+        bsk_words = params.n * (params.k + 1) ** 2 * params.l_b * params.N * 4
+        assert table.nbytes + ksk.masks.nbytes + bsk_words > budget
+        assert peak <= budget, (
+            f"keygen peaked at {peak / 2**20:.1f} MiB against a "
+            f"{budget / 2**20:.1f} MiB budget"
         )
 
     def test_setI_table_build_peak_is_the_table_plus_blocks(self, golden_keysets):
-        keyset = golden_keysets["I"]
-        keyset.drop_spectrum_cache()
+        """Building the table from a whole coefficient BSK (the load path)
+        allocates the table and a block's worth of temporaries, no more."""
+        rows = _one_shot_bsk_rows(PARAM_SETS["I"], SEED)
         tracemalloc.start()
-        table = keyset.bsk_spectrum_table("double")
+        table = transform_bsk(PARAM_SETS["I"], rows)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
+        np.testing.assert_array_equal(table, golden_keysets["I"].bsk_table)
         # The one-shot build held the stacked BSK, its fold and the spectrum: 2.04x.
         assert peak <= 1.25 * table.nbytes, (
             f"table build peaked at {peak / 2**20:.1f} MiB for a "
@@ -173,6 +204,32 @@ class TestBlockStreamedKeys:
         np.testing.assert_array_equal(
             loaded.bsk_spectrum_table("double"), keyset.bsk_spectrum_table("double")
         )
+
+
+class TestBskRecovery:
+    """Rows recovered from the table are the words it was built from."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "radix2"])
+    @pytest.mark.parametrize("n_poly", [256, 512, 1024, 2048])
+    def test_round_trip_is_exact_at_the_extremes(self, backend, n_poly):
+        shape = (3, 4, 2, n_poly)  # three GGSWs of set I's shape (k = 1, l_b = 2)
+        cases = {
+            "all 0x8000_0000": np.full(shape, 0x8000_0000, dtype=np.uint32),
+            "all 0x7FFF_FFFF": np.full(shape, 0x7FFF_FFFF, dtype=np.uint32),
+            "random": np.random.default_rng(n_poly).integers(
+                0, 1 << 32, size=shape, dtype=np.uint32),
+        }
+        params = TFHEParams("round-trip", N=n_poly, n=3, k=1, l_b=2, lam=0)
+        with use_backend(backend):
+            for name, rows in cases.items():
+                table = transform_bsk(params, rows)
+                keyset = KeySet(params, None, None, table, _blank_ksk(1, 1, 4))
+                for i, want in enumerate(rows):
+                    np.testing.assert_array_equal(keyset.bsk_ggsw(i).rows, want, err_msg=name)
+                # The margin the rounding has: measured ~2**-18.5 of the 1/2 it may use.
+                folded = negacyclic_ifft_folded(table, n_poly)
+                worst = max(np.abs(x - np.rint(x)).max() for x in (folded.real, folded.imag))
+                assert worst < 2.0**-8, f"{name}: |x - rint x| reached {worst:.3g}"
 
 
 def _row_by_row_keyset(params, rng, ggsw_indices):
@@ -220,7 +277,7 @@ class TestBatchedKeygen:
         wanted, ksk = _row_by_row_keyset(params, np.random.default_rng(21), set(sampled))
         assert sorted(wanted) == sorted(sampled)
         for index, rows in wanted.items():
-            np.testing.assert_array_equal(keyset.bsk[index].rows, rows)
+            np.testing.assert_array_equal(keyset.bsk_ggsw(index).rows, rows)
         # The KSK is drawn after the BSK: equal only if every draw lined up.
         np.testing.assert_array_equal(keyset.ksk.masks, ksk.masks)
         np.testing.assert_array_equal(keyset.ksk.bodies, ksk.bodies)
@@ -259,14 +316,14 @@ class TestDeterminism:
         a = generate_keyset(TEST_PARAMS, np.random.default_rng(5))
         b = generate_keyset(TEST_PARAMS, np.random.default_rng(5))
         np.testing.assert_array_equal(a.lwe_key.bits, b.lwe_key.bits)
-        np.testing.assert_array_equal(a.bsk[0].rows, b.bsk[0].rows)
+        np.testing.assert_array_equal(a.bsk_table, b.bsk_table)
         np.testing.assert_array_equal(a.ksk.bodies, b.ksk.bodies)
 
     def test_different_seeds_differ(self):
         a = generate_keyset(TEST_PARAMS, np.random.default_rng(5))
         b = generate_keyset(TEST_PARAMS, np.random.default_rng(6))
         assert not np.array_equal(a.lwe_key.bits, b.lwe_key.bits) or not np.array_equal(
-            a.bsk[0].rows, b.bsk[0].rows
+            a.bsk_table, b.bsk_table
         )
 
 

@@ -26,7 +26,7 @@ class TestKeysetRoundtrip:
         np.testing.assert_array_equal(loaded.lwe_key.bits, ctx.keyset.lwe_key.bits)
         np.testing.assert_array_equal(loaded.glwe_key.polys, ctx.keyset.glwe_key.polys)
         assert loaded.params.N == ctx.params.N
-        assert len(loaded.bsk) == ctx.params.n
+        np.testing.assert_array_equal(loaded.bsk_table, ctx.keyset.bsk_table)
 
     def test_loaded_keys_bootstrap_correctly(self, ctx, tmp_path):
         """The round-tripped keyset must still run real bootstraps."""
@@ -45,7 +45,7 @@ class TestKeysetRoundtrip:
         loaded = load_evaluation_keys(path)
         assert loaded.lwe_key is None
         assert loaded.glwe_key is None
-        assert len(loaded.bsk) == ctx.params.n
+        np.testing.assert_array_equal(loaded.bsk_table, ctx.keyset.bsk_table)
 
     def test_evaluation_keys_still_bootstrap(self, ctx, tmp_path):
         """Server-side keys suffice for evaluation (decryption is client-side)."""
@@ -67,9 +67,45 @@ class TestKeysetRoundtrip:
     def test_saving_secretless_keyset_fails(self, ctx, tmp_path):
         from repro.tfhe.keys import KeySet
 
-        stripped = KeySet(ctx.params, None, None, ctx.keyset.bsk, ctx.keyset.ksk)
+        stripped = KeySet(ctx.params, None, None, ctx.keyset.bsk_table, ctx.keyset.ksk)
         with pytest.raises(ValueError):
             save_keyset(tmp_path / "x.npz", stripped)
+
+
+class TestTamperedArchives:
+    """A malformed BSK is refused at load, naming what the params record
+    expects, instead of failing inside the first bootstrap."""
+
+    def _tampered(self, ctx, tmp_path, edit):
+        save_evaluation_keys(tmp_path / "eval.npz", ctx.keyset)
+        with np.load(tmp_path / "eval.npz") as data:
+            arrays = dict(data)
+        arrays["bsk_rows"] = edit(arrays["bsk_rows"])
+        np.savez(tmp_path / "bad.npz", **arrays)
+        return tmp_path / "bad.npz"
+
+    def test_one_ggsw_short(self, ctx, tmp_path):
+        path = self._tampered(ctx, tmp_path, lambda rows: rows[:-1])
+        p = ctx.params
+        with pytest.raises(ValueError, match=rf"bsk_rows shape \({p.n - 1}, .* \({p.n}, "):
+            load_evaluation_keys(path)
+
+    def test_polynomial_size_halved(self, ctx, tmp_path):
+        n_poly = ctx.params.N
+        path = self._tampered(ctx, tmp_path, lambda rows: rows[..., : n_poly // 2])
+        with pytest.raises(ValueError, match=rf"{n_poly // 2}\) != expected .*{n_poly}\)"):
+            load_evaluation_keys(path)
+
+    def test_wrong_level_count(self, ctx, tmp_path):
+        kp1 = ctx.params.k + 1
+        path = self._tampered(ctx, tmp_path, lambda rows: rows[:, :-kp1])  # one level short
+        with pytest.raises(ValueError, match="bsk_rows shape"):
+            load_evaluation_keys(path)
+
+    def test_wrong_word_size(self, ctx, tmp_path):
+        path = self._tampered(ctx, tmp_path, lambda rows: rows.astype(np.int64))
+        with pytest.raises(ValueError, match="bsk_rows dtype int64 != expected uint32"):
+            load_evaluation_keys(path)
 
 
 class TestCiphertextRoundtrip:
