@@ -27,7 +27,6 @@ import numpy as np
 from repro import TEST_PARAMS, observability as obs
 from repro.observability.bus import TelemetryBus
 from repro.observability.counters import PerfCounters
-from repro.observability.flightrec import FlightRecorder
 from repro.observability.noise import NoiseTracker
 from repro.observability.registry import MetricsRegistry
 from repro.observability.tracer import Tracer
@@ -110,50 +109,32 @@ class _ProbeBus(TelemetryBus):
         pass
 
 
-class _ProbeFlight(FlightRecorder):
-    """Flight recorder whose ``enabled`` read is counted (always False)."""
-
-    checks = 0
-
-    @property
-    def enabled(self):
-        _ProbeFlight.checks += 1
-        return False
-
-    @enabled.setter
-    def enabled(self, value):
-        pass
-
-
 def _count_enabled_checks(run_once) -> int:
     """How many telemetry enabled-checks one gate bootstrap performs."""
     _ProbeRegistry.checks = _ProbeTracer.checks = 0
     _ProbeCounters.checks = _ProbeNoise.checks = 0
-    _ProbeBus.checks = _ProbeFlight.checks = 0
+    _ProbeBus.checks = 0
     obs.REGISTRY.__class__ = _ProbeRegistry
     obs.TRACER.__class__ = _ProbeTracer
     obs.COUNTERS.__class__ = _ProbeCounters
     obs.NOISE.__class__ = _ProbeNoise
     obs.BUS.__class__ = _ProbeBus
-    obs.FLIGHT.__class__ = _ProbeFlight
     try:
         run_once()
         return (_ProbeRegistry.checks + _ProbeTracer.checks
                 + _ProbeCounters.checks + _ProbeNoise.checks
-                + _ProbeBus.checks + _ProbeFlight.checks)
+                + _ProbeBus.checks)
     finally:
         obs.REGISTRY.__class__ = MetricsRegistry
         obs.TRACER.__class__ = Tracer
         obs.COUNTERS.__class__ = PerfCounters
         obs.NOISE.__class__ = NoiseTracker
         obs.BUS.__class__ = TelemetryBus
-        obs.FLIGHT.__class__ = FlightRecorder
         obs.REGISTRY.enabled = False
         obs.TRACER.enabled = False
         obs.COUNTERS.enabled = False
         obs.NOISE.enabled = False
         obs.BUS.enabled = False
-        obs.FLIGHT.enabled = False
 
 
 def _per_check_seconds(iterations: int = 200_000) -> float:
@@ -300,116 +281,6 @@ def test_disabled_bus_allocates_nothing_on_gate_and_simulator_paths():
     assert blocks == 0, f"disabled bus allocated {blocks} blocks: {stats}"
 
 
-def test_disabled_flight_recorder_allocates_nothing():
-    """The recorder's subscriber must be a pure read-and-branch when off.
-
-    The recorder stays subscribed to the bus at all times ("always-on"),
-    so its disabled cost is paid on *every* published event - prove the
-    whole workload run allocates zero blocks in flightrec.py while the
-    recorder is off (bus off too: the common production state).
-    """
-    from repro.core.accelerator import MorphlingConfig
-    from repro.core.scheduler import LayerDemand, run_workload
-    from repro.params import get_params
-
-    config, params = MorphlingConfig(), get_params("I")
-    layers = [LayerDemand("bench", bootstraps=128)]
-    run_workload(config, params, layers)  # warm caches outside the trace
-    obs.disable()
-    tracemalloc.start()
-    try:
-        run_workload(config, params, layers)
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    stats = snapshot.filter_traces(
-        [tracemalloc.Filter(True, "*observability/flightrec.py")]
-    ).statistics("filename")
-    blocks = sum(stat.count for stat in stats)
-    assert blocks == 0, (
-        f"disabled flight recorder allocated {blocks} blocks: {stats}"
-    )
-
-
-def test_disabled_slo_instrumentation_allocates_nothing():
-    """With telemetry off the request-latency sites must stay untouched.
-
-    The SLO engine adds quantile-metric observes and ``"request"`` bus
-    publishes to the scheduler, simulator and tfhe bootstrap hot paths -
-    all behind the same single read-and-branch.  ``tracemalloc`` filtered
-    to sketch.py and slo.py proves a full scheduled workload plus a
-    batched bootstrap allocates *zero* objects in either module while
-    disabled - even with an (idle, detached-bus) monitor constructed.
-    """
-    from repro.core.accelerator import MorphlingConfig
-    from repro.core.scheduler import LayerDemand, run_workload
-    from repro.observability.slo import SLORegistry
-    from repro.params import get_params
-
-    ctx = TfheContext.create(TEST_PARAMS, seed=11)
-    config, params = MorphlingConfig(), get_params("I")
-    layers = [LayerDemand("bench", bootstraps=128)]
-    run_workload(config, params, layers)  # warm caches outside the trace
-    ctx.decrypt(ctx.gate("nand", ctx.encrypt(1), ctx.encrypt(0)))  # warm
-    slos = SLORegistry()
-    slos.latency("p99", 0.99, 1.0)
-    obs.disable()
-    tracemalloc.start()
-    try:
-        run_workload(config, params, layers)
-        ctx.decrypt(ctx.gate("nand", ctx.encrypt(1), ctx.encrypt(0)))
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    stats = snapshot.filter_traces([
-        tracemalloc.Filter(True, "*observability/sketch.py"),
-        tracemalloc.Filter(True, "*observability/slo.py"),
-    ]).statistics("filename")
-    blocks = sum(stat.count for stat in stats)
-    assert blocks == 0, (
-        f"disabled SLO instrumentation allocated {blocks} blocks: {stats}"
-    )
-
-
-def test_disabled_trace_context_allocates_nothing_on_hot_paths():
-    """The distributed-identity stamp must be free while telemetry is off.
-
-    The bus consults :mod:`repro.observability.context` (ambient trace
-    context + worker id) only *after* its ``enabled`` check passed, and
-    the tracer resolves its span context behind the same branch -
-    ``tracemalloc`` filtered to context.py and distrib.py proves a gate
-    bootstrap plus a simulator run allocates *zero* objects in either
-    module while disabled, even inside an active trace context.
-    """
-    from repro.core.accelerator import MorphlingConfig
-    from repro.core.simulator import simulate_bootstrap
-    from repro.observability import context
-    from repro.params import get_params
-
-    ctx = TfheContext.create(TEST_PARAMS, seed=11)
-    config, params = MorphlingConfig(), get_params("I")
-    ctx.decrypt(ctx.gate("nand", ctx.encrypt(1), ctx.encrypt(0)))  # warm
-    simulate_bootstrap(config, params)  # warm
-    root = context.start_trace()  # allocated outside the trace window
-    obs.disable()
-    with context.use_context(root):
-        tracemalloc.start()
-        try:
-            ctx.decrypt(ctx.gate("nand", ctx.encrypt(1), ctx.encrypt(0)))
-            simulate_bootstrap(config, params)
-            snapshot = tracemalloc.take_snapshot()
-        finally:
-            tracemalloc.stop()
-    stats = snapshot.filter_traces([
-        tracemalloc.Filter(True, "*observability/context.py"),
-        tracemalloc.Filter(True, "*observability/distrib.py"),
-    ]).statistics("filename")
-    blocks = sum(stat.count for stat in stats)
-    assert blocks == 0, (
-        f"disabled trace-context stamping allocated {blocks} blocks: {stats}"
-    )
-
-
 def test_counter_recording_is_deterministic_across_runs():
     """Two identical simulator runs must produce byte-identical digests."""
     from repro.core.accelerator import MorphlingConfig
@@ -430,8 +301,5 @@ if __name__ == "__main__":
     test_disabled_counters_allocate_nothing_on_simulator_hot_path()
     test_disabled_noise_tracker_allocates_nothing_on_gate_path()
     test_disabled_bus_allocates_nothing_on_gate_and_simulator_paths()
-    test_disabled_flight_recorder_allocates_nothing()
-    test_disabled_slo_instrumentation_allocates_nothing()
-    test_disabled_trace_context_allocates_nothing_on_hot_paths()
     test_counter_recording_is_deterministic_across_runs()
     print("overhead guard: OK")

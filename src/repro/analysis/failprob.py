@@ -215,12 +215,8 @@ def estimate_app_failure(params, bootstraps: int,
 
     ``margin`` is the decision margin per bootstrap in torus units; the
     default ``1/8`` is the boolean-gate margin (quarter-torus plaintexts,
-    the decision phase lands half a step from the boundary).  Reports a
-    ``failure_budget`` anomaly through the flight recorder when the
-    budget is overrun, so a breach during a telemetry-enabled run dumps
-    the window that produced it.
+    the decision phase lands half a step from the boundary).
     """
-    from ..observability.flightrec import report_anomaly
     from ..tfhe.noise import (
         blind_rotation_noise_variance,
         key_switch_noise_variance,
@@ -238,7 +234,7 @@ def estimate_app_failure(params, bootstraps: int,
     count = max(int(bootstraps), 1)
     total = min(per_point + math.log2(count), 0.0)
     total = max(total, LOG2_PROB_FLOOR)
-    report = AppFailureReport(
+    return AppFailureReport(
         schema_version=FAILPROB_SCHEMA_VERSION,
         params_name=params.name,
         bootstraps=count,
@@ -249,11 +245,6 @@ def estimate_app_failure(params, bootstraps: int,
         total_log2_prob=total,
         log2_budget=log2_budget,
     )
-    if not report.within_budget:
-        report_anomaly("failure_budget", params=params.name,
-                       bootstraps=count, total_log2_prob=total,
-                       log2_budget=log2_budget)
-    return report
 
 
 def estimate_failure_probability(tracker: NoiseTracker) -> WorkloadFailureReport:

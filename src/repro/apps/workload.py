@@ -11,15 +11,9 @@ for activations/requantization, linear algebra in between.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..core.scheduler import LayerDemand
 from ..observability import BUS as _BUS
-
-if TYPE_CHECKING:  # lazy at runtime to keep apps importable without core
-    from ..core.accelerator import MorphlingConfig
-    from ..observability.slo import SLORegistry
-    from ..params import TFHEParams
 
 __all__ = ["Workload"]
 
@@ -59,28 +53,11 @@ class Workload:
             f"{self.total_linear_macs:,} linear MACs"
         )
 
-    def slos(self, config: "MorphlingConfig", params: "TFHEParams",
-             slack: float = 2.0) -> "SLORegistry":
-        """Price this workload's default SLO contract from the cycle model.
-
-        Returns an :class:`repro.observability.slo.SLORegistry` with
-        p50/p95/p99 completion-time objectives sized to this workload's
-        bootstrap population on ``(config, params)``, a throughput floor,
-        and the standard decryption-failure budget.  Price *before*
-        enabling telemetry - the reference simulation publishes its own
-        events.
-        """
-        from ..observability.slo import price_slos
-
-        return price_slos(config, params,
-                          total_bootstraps=self.total_bootstraps, slack=slack)
-
     def announce(self) -> None:
         """Publish the workload descriptor on the telemetry bus.
 
-        Runners call this before scheduling so the dashboard and any
-        flight-recorder bundle name the workload the events belong to.
-        No-op when the bus is disabled.
+        Runners call this before scheduling so an event log names the
+        workload the events belong to.  No-op when the bus is disabled.
         """
         if _BUS.enabled:
             _BUS.publish("workload", self.name,

@@ -27,21 +27,8 @@ Commands
                  decryption-failure probability (``--measure`` decrypts
                  with the debug key for predicted-vs-measured pairs;
                  ``--json``/``--chrome`` export the noise waterfall)
-``top``          live telemetry dashboard: drive a workload under the
-                 event bus and redraw bootstraps/s, batch occupancy,
-                 stage fractions, HBM traffic, drift verdicts and recent
-                 anomalies between rounds
-``record``       run a workload with the flight recorder armed; write
-                 the event-window bundle (and, with ``--jsonl``, the
-                 full structured event log) for offline replay
-``replay``       load flight-recorder bundle(s): print a summary or
-                 render spans + counter tracks + noise waterfall as one
-                 merged Chrome timeline (``--chrome``); several bundles
-                 merge onto one timeline
-``fleet``        aggregate per-worker telemetry shards (from a
-                 multi-process run) into one fleet report: merged
-                 timeline, exact fleet latency percentiles, per-worker
-                 rows and dead-worker detection (exit 1 on worker_lost)
+``pool``         shard bootstrap batches over forked worker lanes and
+                 print the scaling table
 """
 
 from __future__ import annotations
@@ -62,7 +49,7 @@ def _print_json(payload) -> None:
     print(json.dumps(to_jsonable(payload), indent=2, sort_keys=True))
 
 
-#: Workload names shared by ``workload``, ``top`` and ``record``.
+#: Workload names ``workload`` accepts.
 _WORKLOADS = ("xgboost", "deepcnn-20", "deepcnn-50", "deepcnn-100", "vgg9")
 
 
@@ -223,103 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the noise waterfall as a Chrome/Perfetto "
                           "trace-event JSON file")
 
-    top = sub.add_parser(
-        "top",
-        help="live telemetry dashboard over repeated workload rounds",
-    )
-    top.add_argument("--workload", default="xgboost",
-                     choices=sorted(_WORKLOADS))
-    top.add_argument("--set", default="III", dest="param_set",
-                     choices=sorted(PARAM_SETS))
-    top.add_argument("--iterations", type=int, default=3,
-                     help="workload rounds to drive (one redraw per round)")
-    top.add_argument("--interval", type=float, default=0.0,
-                     help="seconds to sleep between redraws")
-    top.add_argument("--json", action="store_true",
-                     help="print the final aggregated snapshot as JSON "
-                          "instead of redrawing the panel")
-    top.add_argument("--from", dest="from_files", metavar="JSONL",
-                     action="append", default=None,
-                     help="fold a recorded JSONL event log (repro record "
-                          "--jsonl) offline instead of running a workload; "
-                          "repeat the flag to merge several worker shards "
-                          "into one fleet view (all must share one event "
-                          "schema version)")
-
-    slo = sub.add_parser(
-        "slo",
-        help="run a workload under the latency SLO engine and report "
-             "objective compliance",
-    )
-    slo.add_argument("--workload", default="xgboost",
-                     choices=sorted(_WORKLOADS))
-    slo.add_argument("--set", default="III", dest="param_set",
-                     choices=sorted(PARAM_SETS))
-    slo.add_argument("--slack", type=float, default=2.0,
-                     help="objective slack multiplier over the cycle-model "
-                          "pricing (default 2.0)")
-    slo.add_argument("--degrade", action="store_true",
-                     help="run on the equal-resource No-Reuse config while "
-                          "keeping Morphling-priced objectives (induces a "
-                          "p99 breach; for drills and tests)")
-    slo.add_argument("--dump", metavar="DIR", default=None,
-                     help="flight-recorder dump directory for slo_burn "
-                          "bundles")
-    slo.add_argument("--json", action="store_true",
-                     help="print the schema-versioned SLO report as JSON")
-
-    rec = sub.add_parser(
-        "record",
-        help="run a workload with the flight recorder armed, save the bundle",
-    )
-    rec.add_argument("--workload", default="xgboost",
-                     choices=sorted(_WORKLOADS))
-    rec.add_argument("--set", default="III", dest="param_set",
-                     choices=sorted(PARAM_SETS))
-    rec.add_argument("-o", "--output", metavar="PATH", default="flight.json",
-                     help="bundle file to write (default: flight.json)")
-    rec.add_argument("--jsonl", metavar="PATH", default=None,
-                     help="also stream every bus event to this JSONL log")
-    rec.add_argument("--latency-budget", type=float, default=None,
-                     metavar="SECONDS",
-                     help="arm the latency-spike trigger at this makespan")
-    rec.add_argument("--window", type=float, default=None, metavar="SECONDS",
-                     help="flight-recorder dump window (default 30s)")
-
-    rep = sub.add_parser(
-        "replay",
-        help="summarize a flight bundle or render it as a merged timeline",
-    )
-    rep.add_argument("bundles", nargs="+", metavar="bundle",
-                     help="flight-recorder bundle JSON file(s); several "
-                          "merge into one timeline (all must share one "
-                          "event schema version)")
-    rep.add_argument("--chrome", metavar="PATH", default=None,
-                     help="write the bundle as one merged Chrome/Perfetto "
-                          "timeline: spans + counter tracks + noise "
-                          "waterfall in a single file")
-    rep.add_argument("--json", action="store_true",
-                     help="print the bundle summary as JSON")
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="aggregate per-worker telemetry shards into one fleet report",
-    )
-    fleet.add_argument("shards", nargs="+", metavar="SHARD",
-                       help="per-worker JSONL shards (events-<id>.jsonl), "
-                            "or a directory containing them")
-    fleet.add_argument("--miss-factor", type=float, default=None,
-                       metavar="K",
-                       help="declare a worker lost after K missed heartbeat "
-                            "intervals (default 3.0)")
-    fleet.add_argument("--dump", metavar="DIR", default=None,
-                       help="write worker_lost evidence bundles here")
-    fleet.add_argument("--chrome", metavar="PATH", default=None,
-                       help="write the merged fleet timeline as a "
-                            "Chrome/Perfetto trace-event JSON file")
-    fleet.add_argument("--json", action="store_true",
-                       help="print the schema-versioned fleet report as JSON")
-
     pool = sub.add_parser(
         "pool",
         help="run a sharded bootstrap workload and print the scaling table",
@@ -339,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["double", "single"],
                       help="BSK spectrum table precision")
     pool.add_argument("--seed", type=int, default=3)
-    pool.add_argument("--telemetry", metavar="DIR", default=None,
-                      help="write per-width fleet telemetry shards under "
-                           "DIR/workers<N>/ (aggregate with 'repro fleet')")
     pool.add_argument("--json", action="store_true",
                       help="print the scaling result as JSON")
     return parser
@@ -715,269 +602,6 @@ def _cmd_noise(args) -> int:
     return 0 if (functional_ok and drift_ok and budget_ok) else 1
 
 
-def _cmd_top(args) -> int:
-    from . import observability as obs
-    from .core.accelerator import MorphlingConfig
-    from .core.scheduler import run_workload
-    from .observability.bus import TelemetryBus
-    from .observability.dashboard import Dashboard, run_top
-
-    if args.from_files:
-        # Offline post-mortem: fold recorded event logs through the same
-        # aggregation a live run feeds.  A private disabled bus keeps the
-        # dashboard away from the process singletons.  With the flag
-        # repeated, the fleet aggregator merges the shards onto one
-        # timeline first (rejecting mixed schema versions).
-        from .observability.distrib import aggregate_shards
-
-        dash = Dashboard(bus=TelemetryBus())
-        try:
-            if len(args.from_files) == 1:
-                count = dash.feed_jsonl(args.from_files[0])
-            else:
-                report = aggregate_shards(args.from_files)
-                count = dash.feed_events(report.events)
-        except (OSError, ValueError) as exc:
-            source = ", ".join(args.from_files)
-            print(f"cannot replay {source}: {exc}", file=sys.stderr)
-            return 2
-        finally:
-            dash.close()
-        if args.json:
-            _print_json(dash.snapshot())
-        else:
-            print(dash.render())
-            sources = ", ".join(args.from_files)
-            print(f"(offline: {count} events from {sources})")
-        return 0
-
-    workload = _make_workload(args.workload)
-    params = get_params(args.param_set)
-    config = MorphlingConfig()
-
-    def round_(i: int) -> None:
-        if i == 0:
-            workload.announce()
-        run_workload(config, params, list(workload.layers))
-
-    with obs.telemetry():
-        if args.json:
-            dash = obs.Dashboard()
-            try:
-                for i in range(args.iterations):
-                    round_(i)
-            finally:
-                dash.close()
-            _print_json(dash.snapshot())
-        else:
-            run_top(round_, iterations=args.iterations,
-                    interval_s=args.interval)
-    return 0
-
-
-def _cmd_slo(args) -> int:
-    from . import observability as obs
-    from .analysis.failprob import estimate_app_failure
-    from .core.accelerator import MorphlingConfig
-    from .core.scheduler import run_workload
-    from .observability.flightrec import flight_recording
-    from .observability.slo import SLOMonitor
-
-    workload = _make_workload(args.workload)
-    params = get_params(args.param_set)
-    reference = MorphlingConfig.morphling()
-    run_config = MorphlingConfig.no_reuse() if args.degrade else reference
-    # Price objectives BEFORE enabling telemetry: the reference simulation
-    # publishes its own events, which must not reach the monitor.
-    slos = workload.slos(reference, params, slack=args.slack)
-    failure = estimate_app_failure(params, workload.total_bootstraps)
-    monitor = SLOMonitor(slos)
-    with obs.telemetry(), flight_recording(dump_dir=args.dump):
-        monitor.attach()
-        try:
-            workload.announce()
-            run_workload(run_config, params, list(workload.layers))
-        finally:
-            monitor.detach()
-    report = monitor.evaluate(failure=failure)
-    if args.json:
-        _print_json(report.to_jsonable())
-    else:
-        print(f"slo: workload '{workload.name}' on {run_config.name}@"
-              f"{params.name}, objectives priced from {reference.name} "
-              f"at {args.slack:g}x slack")
-        print(report.render_text())
-        if args.dump and monitor.breaches:
-            print(f"flight bundles for {len(monitor.breaches)} slo_burn "
-                  f"alert(s) under {args.dump}/")
-    return 0 if report.ok else 1
-
-
-def _cmd_record(args) -> int:
-    from . import observability as obs
-    from .core.accelerator import MorphlingConfig
-    from .core.scheduler import run_workload
-    from .observability.bus import JsonlEventLog
-    from .observability.flightrec import flight_recording
-
-    workload = _make_workload(args.workload)
-    params = get_params(args.param_set)
-    log = None
-    # Full telemetry (registry/tracer/counters/noise) so the bundle holds
-    # spans and counter samples, then the recorder armed on top of it.
-    with obs.telemetry(), flight_recording(window_s=args.window) as rec:
-        if args.jsonl:
-            log = JsonlEventLog(args.jsonl)
-        try:
-            workload.announce()
-            run_workload(MorphlingConfig(), params, list(workload.layers),
-                         latency_budget_s=args.latency_budget)
-        finally:
-            if log is not None:
-                log.close()
-        # Prefer an anomaly-triggered bundle; fall back to a manual
-        # capture of the full ring so `record` always produces one.
-        bundle = rec.last_bundle
-        if bundle is None:
-            bundle = rec.dump(args.output, "manual",
-                              workload=workload.name, params=params.name)
-        else:
-            with open(args.output, "w") as fh:
-                json.dump(bundle, fh, indent=1)
-    print(f"recorded {len(bundle['events'])} events "
-          f"(trigger: {bundle['trigger']['reason']}) -> {args.output}")
-    if args.jsonl:
-        print(f"event log: {args.jsonl} ({log.lines_written} events)")
-    return 0
-
-
-def _merge_bundles(bundles: "list") -> dict:
-    """Concatenate several flight bundles into one pseudo-bundle.
-
-    Events sort by their ``t_s``; kind counts sum; the trigger records
-    which bundles went in.  Callers must have checked that the event
-    schema versions match.
-    """
-    events = sorted(
-        (e for b in bundles for e in b.get("events", [])),
-        key=lambda e: (float(e.get("t_s", 0.0)), int(e.get("seq", 0))),
-    )
-    counts: dict = {}
-    for b in bundles:
-        for kind, count in b.get("counts", {}).items():
-            counts[kind] = counts.get(kind, 0) + count
-    return {
-        "schema_version": bundles[0]["schema_version"],
-        "kind": "flight_bundle",
-        "event_schema_version": bundles[0].get("event_schema_version"),
-        "trigger": {
-            "reason": "merged_replay",
-            "t_s": max(float(b["trigger"]["t_s"]) for b in bundles),
-            "fields": {"bundles": len(bundles),
-                       "reasons": sorted({str(b["trigger"]["reason"])
-                                          for b in bundles})},
-        },
-        "window_s": max(float(b.get("window_s", 0.0)) for b in bundles),
-        "capacity": sum(int(b.get("capacity", 0)) for b in bundles),
-        "counts": {k: counts[k] for k in sorted(counts)},
-        "events": events,
-    }
-
-
-def _cmd_replay(args) -> int:
-    from .observability.export import flight_trace_events, write_chrome_trace
-    from .observability.flightrec import load_bundle
-
-    bundles = []
-    for path in args.bundles:
-        try:
-            bundles.append(load_bundle(path))
-        except (OSError, ValueError) as exc:
-            print(f"cannot replay {path}: {exc}", file=sys.stderr)
-            return 2
-    versions = {b.get("event_schema_version") for b in bundles}
-    if len(versions) > 1:
-        detail = "; ".join(
-            f"{path}: v{b.get('event_schema_version')}"
-            for path, b in zip(args.bundles, bundles)
-        )
-        print(f"cannot replay bundles with mixed event schema versions "
-              f"({detail})", file=sys.stderr)
-        return 2
-    bundle = bundles[0] if len(bundles) == 1 else _merge_bundles(bundles)
-    source = ", ".join(args.bundles)
-    trigger = bundle["trigger"]
-    if args.chrome:
-        write_chrome_trace(
-            args.chrome, flight_trace_events(bundle),
-            metadata={"bundle": source,
-                      "trigger": trigger["reason"],
-                      "schema_version": bundle["schema_version"]},
-        )
-    if args.json:
-        summary = {
-            "schema_version": bundle["schema_version"],
-            "trigger": trigger,
-            "window_s": bundle["window_s"],
-            "counts": bundle["counts"],
-            "events": len(bundle["events"]),
-        }
-        _print_json(summary)
-        return 0
-    print(f"flight bundle {source} (schema v{bundle['schema_version']})")
-    fields = ", ".join(f"{k}={v}" for k, v in trigger["fields"].items())
-    print(f"  trigger : {trigger['reason']} at t={trigger['t_s']:.3f}s"
-          + (f" ({fields})" if fields else ""))
-    print(f"  window  : {bundle['window_s']:.1f}s, "
-          f"{len(bundle['events'])} events")
-    for kind, count in bundle["counts"].items():
-        print(f"    {kind:14s} {count}")
-    if args.chrome:
-        print(f"wrote merged timeline to {args.chrome} "
-              f"(open in ui.perfetto.dev or chrome://tracing)")
-    return 0
-
-
-def _cmd_fleet(args) -> int:
-    import os
-
-    from .observability.distrib import aggregate_shards, discover_shards
-    from .observability.export import flight_trace_events, write_chrome_trace
-
-    paths: list = []
-    for entry in args.shards:
-        if os.path.isdir(entry):
-            found = discover_shards(entry)
-            if not found:
-                print(f"no events-*.jsonl shards under {entry}",
-                      file=sys.stderr)
-                return 2
-            paths.extend(found)
-        else:
-            paths.append(entry)
-    kwargs = {} if args.miss_factor is None else {"miss_factor": args.miss_factor}
-    try:
-        report = aggregate_shards(paths, dump_dir=args.dump, **kwargs)
-    except (OSError, ValueError) as exc:
-        print(f"cannot aggregate shards: {exc}", file=sys.stderr)
-        return 2
-    if args.chrome:
-        write_chrome_trace(
-            args.chrome, flight_trace_events(report.to_bundle()),
-            metadata={"shards": len(paths),
-                      "workers": sorted(report.workers)},
-        )
-    if args.json:
-        _print_json(report.to_jsonable())
-    else:
-        print(report.render_text())
-        if args.dump and report.lost_workers:
-            print(f"worker_lost evidence bundles under {args.dump}/")
-        if args.chrome:
-            print(f"wrote merged fleet timeline to {args.chrome}")
-    return 1 if report.lost_workers else 0
-
-
 def _cmd_pool(args) -> int:
     from .pool.scaling import run_pool_scaling
 
@@ -995,7 +619,6 @@ def _cmd_pool(args) -> int:
             param_set=args.param_set, workers=workers, batch=args.batch,
             rounds=args.rounds, backend=args.backend,
             precision=args.precision, seed=args.seed,
-            telemetry_dir=args.telemetry,
         )
     except ValueError as exc:  # unknown backend / parameter set
         print(str(exc), file=sys.stderr)
@@ -1004,8 +627,6 @@ def _cmd_pool(args) -> int:
         _print_json(result.to_jsonable())
     else:
         print(result.render_text())
-        if args.telemetry:
-            print(f"fleet telemetry shards under {args.telemetry}/workers<N>/")
     return 0
 
 
@@ -1038,11 +659,6 @@ _COMMANDS = {
     "profile": _cmd_profile,
     "verify": _cmd_verify,
     "noise": _cmd_noise,
-    "top": _cmd_top,
-    "slo": _cmd_slo,
-    "record": _cmd_record,
-    "replay": _cmd_replay,
-    "fleet": _cmd_fleet,
     "pool": _cmd_pool,
 }
 

@@ -145,7 +145,7 @@ class MorphlingMachine:
             _COUNTERS.add_ops("machine/key_switches", len(out))
         if _BUS.enabled:
             # True batch occupancy: ciphertexts dispatched vs. VPE rows
-            # available — the live dashboard's occupancy bar.
+            # available.
             _BUS.publish("batch", "machine/bootstrap_batch",
                          value=float(len(out)),
                          capacity=self.config.vpe_rows)

@@ -23,8 +23,8 @@ from ..observability import (
     BUS as _BUS,
     COUNTERS as _COUNTERS,
     REGISTRY as _METRICS,
+    TIME_BUCKETS as _TIME_BUCKETS,
     TRACER as _TRACER,
-    report_anomaly as _report_anomaly,
 )
 from ..params import TFHEParams
 from .accelerator import MorphlingConfig
@@ -60,10 +60,11 @@ _SCHED_INSTRUCTIONS = _METRICS.counter(
 _SCHED_PADDING = _METRICS.counter(
     "sched_padded_slots_total", "Bootstrap slots scheduled but unused (padding)"
 )
-_SCHED_REQUEST_LATENCY = _METRICS.quantile(
+_SCHED_REQUEST_LATENCY = _METRICS.histogram(
     "sched_request_latency_seconds",
     "Simulated completion time of each scheduled bootstrap group's "
     "requests (STORE_LWE retire time since workload start)",
+    buckets=_TIME_BUCKETS,
 )
 
 
@@ -355,8 +356,7 @@ class HwScheduler:
         # instruction finishes and leave when SE drains them.
         pressure = [] if _COUNTERS.enabled else None
         # Request-latency samples: each group's STORE_LWE retire time is
-        # the completion time of its `count` requests (since t=0), the
-        # population the SLO monitor prices p50/p95/p99 over.
+        # the completion time of its `count` requests (since t=0).
         requests = [] if (_BUS.enabled or _METRICS.enabled) else None
         timeline = list_schedule(
             stream, map(self._duration, stream), lane_groups, 0.0
@@ -413,8 +413,8 @@ class HwScheduler:
                          utilization=result.utilization)
             if scheduled_slots:
                 # Scheduled-slot occupancy: the steady-state batch-fill
-                # evidence the dashboard's occupancy bar reports when a
-                # run goes through the scheduler rather than the machine.
+                # evidence when a run goes through the scheduler rather
+                # than the machine.
                 _BUS.publish("batch", "sched/slots", value=float(used_slots),
                              capacity=scheduled_slots)
         return result
@@ -479,26 +479,8 @@ def render_schedule(result: ScheduleResult, width: int = 72) -> str:
 
 def run_workload(
     config: MorphlingConfig, params: TFHEParams, layers: list,
-    verify: bool = True, latency_budget_s: Optional[float] = None,
+    verify: bool = True,
 ) -> ScheduleResult:
-    """Schedule, statically verify, and execute a workload end to end.
-
-    ``latency_budget_s`` arms the flight recorder's latency-spike
-    trigger: a makespan over the budget reports a ``latency_spike``
-    anomaly (the run still returns normally — the budget is telemetry,
-    not admission control).  Uncaught exceptions in scheduling or
-    execution are reported as ``exception`` anomalies and re-raised, so
-    a crash dump carries the events leading up to it.
-    """
-    try:
-        stream = SwScheduler(config, params).schedule(layers)
-        result = HwScheduler(config, params).execute(stream, verify=verify)
-    except Exception as exc:
-        _report_anomaly("exception", where="run_workload", error=repr(exc),
-                        config=config.name, params=params.name)
-        raise
-    if latency_budget_s is not None and result.total_seconds > latency_budget_s:
-        _report_anomaly("latency_spike", budget_s=latency_budget_s,
-                        actual_s=result.total_seconds,
-                        config=config.name, params=params.name)
-    return result
+    """Schedule, statically verify, and execute a workload end to end."""
+    stream = SwScheduler(config, params).schedule(layers)
+    return HwScheduler(config, params).execute(stream, verify=verify)

@@ -28,6 +28,7 @@ from ..observability import (
     BUS as _BUS,
     COUNTERS as _COUNTERS,
     REGISTRY as _METRICS,
+    TIME_BUCKETS as _TIME_BUCKETS,
     TRACER as _TRACER,
 )
 from ..params import TFHEParams
@@ -63,9 +64,10 @@ _SIM_GROUP_SIZE = _METRICS.gauge(
 _SIM_ACC_STREAMS = _METRICS.gauge(
     "sim_acc_streams", "Resident ACC streams per XPU in the last run"
 )
-_SIM_BOOTSTRAP_LATENCY = _METRICS.quantile(
+_SIM_BOOTSTRAP_LATENCY = _METRICS.histogram(
     "sim_bootstrap_latency_seconds",
     "Modelled single-bootstrap latency, by config and parameter set",
+    buckets=_TIME_BUCKETS,
 )
 
 

@@ -10,10 +10,7 @@ process-wide singletons are
 - :data:`COUNTERS` - the modelled hardware perf-counter bank;
 - :data:`NOISE` - the per-ciphertext noise tracker;
 - :data:`BUS` - the :class:`~repro.observability.bus.TelemetryBus` the
-  four systems above publish typed events onto, feeding
-- :data:`FLIGHT` - the always-on
-  :class:`~repro.observability.flightrec.FlightRecorder` that dumps the
-  recent event window to a JSON bundle when an anomaly trigger fires.
+  four systems above publish typed events onto.
 
 Telemetry is **off by default**: every instrumented site guards itself
 with one ``enabled`` check, so the uninstrumented code path is restored
@@ -38,52 +35,22 @@ from contextlib import contextmanager
 from .bus import (
     BUS,
     EVENT_SCHEMA_VERSION,
-    SUPPORTED_EVENT_SCHEMA_VERSIONS,
     JsonlEventLog,
     TelemetryBus,
     TelemetryEvent,
-    event_from_jsonable,
     event_to_jsonable,
     read_jsonl_events,
-    read_jsonl_header,
-)
-from .context import (
-    TraceContext,
-    extract,
-    get_worker_id,
-    inject,
-    set_worker_id,
-    start_trace,
-    use_context,
 )
 from .counters import COUNTERS, PerfCounters, counting
-from .dashboard import Dashboard, run_top
-from .distrib import (
-    FLEET_SCHEMA_VERSION,
-    FleetReport,
-    ShardWriter,
-    aggregate_shards,
-    discover_shards,
-    worker_telemetry,
-)
 from .export import (
     chrome_trace_events,
     counter_track_events,
-    flight_trace_events,
     merged_trace_events,
     noise_trace_events,
     pipeline_trace_events,
     render_prometheus,
     to_jsonable,
     write_chrome_trace,
-)
-from .flightrec import (
-    BUNDLE_SCHEMA_VERSION,
-    FLIGHT,
-    FlightRecorder,
-    flight_recording,
-    load_bundle,
-    report_anomaly,
 )
 from .noise import (
     NOISE,
@@ -101,19 +68,6 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Quantile,
-)
-from .sketch import DEFAULT_QUANTILES, DEFAULT_RELATIVE_ACCURACY, QuantileSketch
-from .slo import (
-    DEFAULT_BURN_WINDOWS,
-    SLO_REPORT_SCHEMA_VERSION,
-    FailureBudgetObjective,
-    LatencyObjective,
-    SLOMonitor,
-    SLORegistry,
-    SLOReport,
-    ThroughputObjective,
-    price_slos,
 )
 from .tracer import Span, Tracer, traced
 
@@ -123,26 +77,12 @@ __all__ = [
     "COUNTERS",
     "NOISE",
     "BUS",
-    "FLIGHT",
     "MetricsRegistry",
     "Counter",
     "Gauge",
     "Histogram",
-    "Quantile",
     "DEFAULT_BUCKETS",
     "TIME_BUCKETS",
-    "QuantileSketch",
-    "DEFAULT_QUANTILES",
-    "DEFAULT_RELATIVE_ACCURACY",
-    "SLORegistry",
-    "SLOMonitor",
-    "SLOReport",
-    "LatencyObjective",
-    "ThroughputObjective",
-    "FailureBudgetObjective",
-    "price_slos",
-    "SLO_REPORT_SCHEMA_VERSION",
-    "DEFAULT_BURN_WINDOWS",
     "Tracer",
     "Span",
     "traced",
@@ -158,31 +98,8 @@ __all__ = [
     "TelemetryEvent",
     "JsonlEventLog",
     "EVENT_SCHEMA_VERSION",
-    "SUPPORTED_EVENT_SCHEMA_VERSIONS",
     "event_to_jsonable",
-    "event_from_jsonable",
     "read_jsonl_events",
-    "read_jsonl_header",
-    "TraceContext",
-    "start_trace",
-    "use_context",
-    "inject",
-    "extract",
-    "set_worker_id",
-    "get_worker_id",
-    "ShardWriter",
-    "worker_telemetry",
-    "discover_shards",
-    "FleetReport",
-    "aggregate_shards",
-    "FLEET_SCHEMA_VERSION",
-    "FlightRecorder",
-    "BUNDLE_SCHEMA_VERSION",
-    "flight_recording",
-    "load_bundle",
-    "report_anomaly",
-    "Dashboard",
-    "run_top",
     "enable",
     "disable",
     "is_enabled",
@@ -195,7 +112,6 @@ __all__ = [
     "noise_trace_events",
     "pipeline_trace_events",
     "merged_trace_events",
-    "flight_trace_events",
     "write_chrome_trace",
 ]
 
@@ -208,13 +124,12 @@ TRACER = Tracer()
 
 def enable() -> None:
     """Switch every telemetry system on (registry, tracer, counters,
-    noise tracker, bus and flight recorder)."""
+    noise tracker and bus)."""
     REGISTRY.enable()
     TRACER.enable()
     COUNTERS.enable()
     NOISE.enable()
     BUS.enable()
-    FLIGHT.enable()
 
 
 def disable() -> None:
@@ -224,23 +139,21 @@ def disable() -> None:
     COUNTERS.disable()
     NOISE.disable()
     BUS.disable()
-    FLIGHT.disable()
 
 
 def is_enabled() -> bool:
     return (REGISTRY.enabled or TRACER.enabled or COUNTERS.enabled
-            or NOISE.enabled or BUS.enabled or FLIGHT.enabled)
+            or NOISE.enabled or BUS.enabled)
 
 
 def reset() -> None:
-    """Clear all recorded metrics, spans, counters, noise records and
-    buffered bus/flight-recorder events."""
+    """Clear all recorded metrics, spans, counters and noise records, and
+    restart the bus sequence."""
     REGISTRY.reset()
     TRACER.reset()
     COUNTERS.reset()
     NOISE.reset()
     BUS.reset()
-    FLIGHT.reset()
 
 
 @contextmanager
@@ -251,7 +164,7 @@ def telemetry(clear: bool = True):
     block observes only its own activity.
     """
     prior = (REGISTRY.enabled, TRACER.enabled, COUNTERS.enabled,
-             NOISE.enabled, BUS.enabled, FLIGHT.enabled)
+             NOISE.enabled, BUS.enabled)
     if clear:
         reset()
     enable()
@@ -259,4 +172,4 @@ def telemetry(clear: bool = True):
         yield REGISTRY, TRACER
     finally:
         (REGISTRY.enabled, TRACER.enabled, COUNTERS.enabled,
-         NOISE.enabled, BUS.enabled, FLIGHT.enabled) = prior
+         NOISE.enabled, BUS.enabled) = prior

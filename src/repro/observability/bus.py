@@ -1,32 +1,25 @@
 """Unified telemetry bus: one typed event stream for every subsystem.
 
-PRs 1/3/4 grew three parallel telemetry systems - the metrics registry,
-the span tracer, the perf-counter bank - plus the noise tracker.  Each
-kept its own buffer and its own export path, which is fine for post-hoc
-analysis but gives no single *runtime* view: nothing a live dashboard or
-an always-on flight recorder can subscribe to.  This module is that
-missing spine.
+The metrics registry, the span tracer, the perf-counter bank and the
+noise tracker each keep their own buffer and their own export path,
+which is fine for post-hoc analysis but gives no single stream of what
+happened in order.  This module is that stream.
 
 A :class:`TelemetryBus` carries :class:`TelemetryEvent` values - small
-frozen records ``(seq, t_s, kind, name, value, fields)`` plus the
-distributed identity stamped since schema v2 (``worker`` and the
-``trace_id/span_id/parent_id`` triple from
-:mod:`repro.observability.context`) - from *publishers* to
-*subscribers*:
+frozen records ``(seq, t_s, kind, name, value, fields)`` - from
+*publishers* to *subscribers*:
 
-- the four existing systems publish as a side effect of recording (a
-  counter increment becomes a ``"metric"`` event, a span a ``"span"``
-  event, a perf-counter sample a ``"sample"`` event, a noise record a
-  ``"noise"`` event), so every instrumented site built since PR 1 feeds
-  the bus with **zero new call sites**;
+- the four systems publish as a side effect of recording (a counter
+  increment becomes a ``"metric"`` event, a span a ``"span"`` event, a
+  perf-counter sample a ``"sample"`` event, a noise record a ``"noise"``
+  event), so every instrumented site feeds the bus with **zero new call
+  sites**;
 - the hot paths publish a handful of direct events: batched bootstraps
-  (``"batch"``), simulator and scheduler result summaries
-  (``"snapshot"``), machine stage boundaries (``"stage"``), workload
-  descriptors (``"workload"``) and anomalies (``"anomaly"``);
-- subscribers are plain callables: the flight recorder
-  (:mod:`repro.observability.flightrec`), the live ``repro top``
-  dashboard (:mod:`repro.observability.dashboard`), and the
-  :class:`JsonlEventLog` structured log writer.
+  (``"batch"``), request latencies (``"request"``), simulator and
+  scheduler result summaries (``"snapshot"``), machine stage boundaries
+  (``"stage"``) and workload descriptors (``"workload"``);
+- subscribers are plain callables, such as the :class:`JsonlEventLog`
+  structured log writer.
 
 Discipline matches the rest of the package: one process-wide singleton
 (:data:`BUS`), off by default, and the disabled path is a single
@@ -47,30 +40,22 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Dict, List, Optional, Tuple, Union
 
-from . import context as _context
-
 __all__ = [
     "EVENT_SCHEMA_VERSION",
-    "SUPPORTED_EVENT_SCHEMA_VERSIONS",
     "EVENT_KINDS",
     "TelemetryEvent",
     "TelemetryBus",
     "BUS",
     "JsonlEventLog",
     "event_to_jsonable",
-    "event_from_jsonable",
     "read_jsonl_events",
-    "read_jsonl_header",
 ]
 
-#: Bump on any incompatible change to the JSONL / bundle event shape.
-#: v2 added the distributed-identity fields (``worker``, ``trace_id``,
-#: ``span_id``, ``parent_id``) and the ``"heartbeat"`` kind.
-EVENT_SCHEMA_VERSION = 2
-
-#: Versions :func:`event_from_jsonable` can still read.  v1 records
-#: simply lack the distributed-identity fields; readers default them.
-SUPPORTED_EVENT_SCHEMA_VERSIONS = (1, 2)
+#: Bump on any incompatible change to the JSONL event shape.  v3 dropped
+#: the cross-process identity fields (``worker``, ``trace_id``,
+#: ``span_id``, ``parent_id``) and the ``"heartbeat"`` / ``"anomaly"``
+#: kinds that v2 had added.
+EVENT_SCHEMA_VERSION = 3
 
 #: The closed set of event kinds the bus carries.  Publishers may only
 #: use these; consumers switch on them.
@@ -85,9 +70,7 @@ EVENT_KINDS = (
     "batch",          # one batched-bootstrap dispatch (size, precision)
     "snapshot",       # end-of-run summary (simulator/scheduler reports)
     "workload",       # workload descriptor announced before a run
-    "anomaly",        # a trigger fired (drift breach, budget overrun, ...)
     "request",        # one request-latency sample (value=s, count-weighted)
-    "heartbeat",      # worker liveness beacon (distrib shards)
 )
 
 
@@ -99,11 +82,6 @@ class TelemetryEvent:
     inject a deterministic clock).  ``value`` is the event's one headline
     number when it has one (span duration, sample value, batch size);
     everything else rides in ``fields``.
-
-    Since schema v2 every event also carries its distributed identity:
-    ``worker`` is the producing process's id ("" when anonymous) and
-    ``trace_id/span_id/parent_id`` mirror the trace context active at
-    publish time (None outside any trace).
     """
 
     seq: int
@@ -111,10 +89,6 @@ class TelemetryEvent:
     kind: str
     name: str
     value: Optional[float] = None
-    worker: str = ""
-    trace_id: Optional[str] = None
-    span_id: Optional[str] = None
-    parent_id: Optional[str] = None
     fields: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -122,9 +96,8 @@ def event_to_jsonable(event: TelemetryEvent) -> Dict[str, Any]:
     """Stable-field-order plain dict for one event.
 
     The order is part of the JSONL contract (golden-tested): ``v, seq,
-    t_s, kind, name, value, worker, trace_id, span_id, parent_id,
-    fields`` - with ``fields`` keys sorted - so logs diff cleanly and
-    line-level consumers can parse positionally.
+    t_s, kind, name, value, fields`` - with ``fields`` keys sorted - so
+    logs diff cleanly and line-level consumers can parse positionally.
     """
     from .export import to_jsonable
 
@@ -135,47 +108,8 @@ def event_to_jsonable(event: TelemetryEvent) -> Dict[str, Any]:
         "kind": event.kind,
         "name": event.name,
         "value": event.value,
-        "worker": event.worker,
-        "trace_id": event.trace_id,
-        "span_id": event.span_id,
-        "parent_id": event.parent_id,
         "fields": {k: to_jsonable(event.fields[k]) for k in sorted(event.fields)},
     }
-
-
-def event_from_jsonable(record: Dict[str, Any]) -> TelemetryEvent:
-    """Rebuild a :class:`TelemetryEvent` from an exported JSONL record.
-
-    Inverse of :func:`event_to_jsonable` for offline replay (``repro top
-    --from``): the schema version must be one of
-    :data:`SUPPORTED_EVENT_SCHEMA_VERSIONS` (v1 records default the
-    distributed-identity fields) and header records are rejected -
-    filter with :func:`read_jsonl_events` first.
-    """
-    version = record.get("v")
-    if version not in SUPPORTED_EVENT_SCHEMA_VERSIONS:
-        supported = ", ".join(f"v{v}" for v in SUPPORTED_EVENT_SCHEMA_VERSIONS)
-        raise ValueError(
-            f"unsupported event schema version {version!r} "
-            f"(this build reads {supported})"
-        )
-    kind = record["kind"]
-    if kind == "jsonl_header":
-        raise ValueError("header record is not an event; skip it "
-                         "(read_jsonl_events does)")
-    value = record.get("value")
-    return TelemetryEvent(
-        seq=int(record["seq"]),
-        t_s=float(record["t_s"]),
-        kind=kind,
-        name=record["name"],
-        value=None if value is None else float(value),
-        worker=str(record.get("worker", "")),
-        trace_id=record.get("trace_id"),
-        span_id=record.get("span_id"),
-        parent_id=record.get("parent_id"),
-        fields=dict(record.get("fields", {})),
-    )
 
 
 Subscriber = Callable[[TelemetryEvent], None]
@@ -188,19 +122,14 @@ class TelemetryBus:
     whole disabled path is one attribute read and branch, nothing is
     allocated.  Subscribers run synchronously on the publishing thread in
     subscription order; a subscriber must therefore be cheap and must
-    never publish back into the bus *for the event kinds it consumes*
-    (the flight recorder publishes ``"anomaly"`` events but does not
-    re-trigger on them).
+    never publish back into the bus.
     """
 
     def __init__(self, enabled: bool = False,
-                 clock: Optional[Callable[[], float]] = None,
-                 wall_clock: Optional[Callable[[], float]] = None):
+                 clock: Optional[Callable[[], float]] = None):
         self.enabled = enabled
         self._clock = clock if clock is not None else time.perf_counter
-        self._wall_clock = wall_clock if wall_clock is not None else time.time
         self._epoch = self._clock()
-        self._epoch_unix = self._wall_clock()
         self._lock = threading.Lock()
         self._seq = 0
         self._subscribers: Tuple[Subscriber, ...] = ()
@@ -221,7 +150,6 @@ class TelemetryBus:
         with self._lock:
             self._seq = 0
             self._epoch = self._clock()
-            self._epoch_unix = self._wall_clock()
 
     # -- subscriptions ----------------------------------------------------
     def subscribe(self, fn: Subscriber) -> Subscriber:
@@ -232,8 +160,8 @@ class TelemetryBus:
         return fn
 
     def unsubscribe(self, fn: Subscriber) -> None:
-        # Equality, not identity: a bound method (`recorder._on_event`) is
-        # a fresh object on every attribute access, but compares equal.
+        # Equality, not identity: a bound method (`log._on_event`) is a
+        # fresh object on every attribute access, but compares equal.
         with self._lock:
             self._subscribers = tuple(s for s in self._subscribers if s != fn)
 
@@ -245,16 +173,6 @@ class TelemetryBus:
     def now(self) -> float:
         """Seconds since the bus epoch (the ``t_s`` of a new event)."""
         return self._clock() - self._epoch
-
-    @property
-    def epoch_unix(self) -> float:
-        """Wall-clock time (unix seconds) of the bus epoch.
-
-        Written into JSONL shard headers so the fleet aggregator can put
-        events from different processes on one global timeline:
-        ``global_t = epoch_unix + t_s``.
-        """
-        return self._epoch_unix
 
     # -- publishing -------------------------------------------------------
     def publish(self, kind: str, name: str, value: Optional[float] = None,
@@ -272,17 +190,12 @@ class TelemetryBus:
         with self._lock:
             seq = self._seq
             self._seq += 1
-        ctx = _context.current()
         event = TelemetryEvent(
             seq=seq,
             t_s=self._clock() - self._epoch,
             kind=kind,
             name=name,
             value=None if value is None else float(value),
-            worker=_context.get_worker_id(),
-            trace_id=None if ctx is None else ctx.trace_id,
-            span_id=None if ctx is None else ctx.span_id,
-            parent_id=None if ctx is None else ctx.parent_id,
             fields=fields,
         )
         for subscriber in self._subscribers:
@@ -308,19 +221,14 @@ class JsonlEventLog:
 
         with obs.telemetry(), JsonlEventLog("run.jsonl") as log:
             run_workload(...)
-        # one line per event, replayable offline
+        # one line per event
 
-    Crash safety: the log registers an ``atexit`` flush (so an
-    interpreter shutdown never strands buffered lines) and flushes
-    eagerly whenever an ``"anomaly"`` event passes through (the flight
-    recorder publishes one before cutting a bundle, so the shard on disk
-    is complete up to the moment something went wrong).  Both hooks are
-    pid-guarded: a fork child inheriting this object by accident will
-    not double-flush the parent's file handle.
+    The log registers an ``atexit`` flush so an interpreter shutdown
+    never strands buffered lines.  The hook is pid-guarded: a fork child
+    inheriting this object will not flush the parent's file handle.
     """
 
-    def __init__(self, target: Union[str, IO[str]], bus: Optional[TelemetryBus] = None,
-                 worker: Optional[str] = None):
+    def __init__(self, target: Union[str, IO[str]], bus: Optional[TelemetryBus] = None):
         self._bus = bus if bus is not None else BUS
         if isinstance(target, str):
             self._fh: IO[str] = open(target, "w")
@@ -331,21 +239,15 @@ class JsonlEventLog:
         self._lock = threading.Lock()
         self._pid = os.getpid()
         self._closed = False
-        self.worker = worker if worker is not None else _context.get_worker_id()
         self.lines_written = 0
-        self._write_header()
-        self._bus.subscribe(self._on_event)
-        atexit.register(self._atexit_flush)
-
-    def _write_header(self) -> None:
         header = {
             "v": EVENT_SCHEMA_VERSION,
             "kind": "jsonl_header",
             "producer": "repro.observability.bus",
-            "worker": self.worker,
-            "epoch_unix": self._bus.epoch_unix,
         }
         self._fh.write(json.dumps(header, separators=(", ", ": ")) + "\n")
+        self._bus.subscribe(self._on_event)
+        atexit.register(self._atexit_flush)
 
     def _on_event(self, event: TelemetryEvent) -> None:
         line = json.dumps(event_to_jsonable(event), separators=(", ", ": "),
@@ -353,10 +255,6 @@ class JsonlEventLog:
         with self._lock:
             self._fh.write(line + "\n")
             self.lines_written += 1
-            if event.kind == "anomaly":
-                # Something just went wrong; make the shard durable up
-                # to this moment in case the process dies next.
-                self._fh.flush()
 
     def flush(self) -> None:
         """Flush buffered lines to the underlying file."""
@@ -394,48 +292,16 @@ class JsonlEventLog:
         self.close()
 
 
-def read_jsonl_header(path: str) -> Optional[Dict[str, Any]]:
-    """The file's ``jsonl_header`` record, or None when absent.
-
-    The header carries the schema version, the producing worker's id,
-    and ``epoch_unix`` - everything the fleet aggregator needs before it
-    commits to reading the body.
-    """
+def read_jsonl_events(path: str) -> List[Dict[str, Any]]:
+    """Load a JSONL event log back into plain dicts (header skipped)."""
+    events: List[Dict[str, Any]] = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                return None
-            return record if record.get("kind") == "jsonl_header" else None
-    return None
-
-
-def read_jsonl_events(path: str, tolerant: bool = False) -> List[Dict[str, Any]]:
-    """Load a JSONL event log back into plain dicts (header skipped).
-
-    With ``tolerant=True`` an undecodable *final* line is silently
-    dropped: a SIGKILL'd worker can die mid-write, leaving one truncated
-    record at the tail of an otherwise-valid shard.  Corruption anywhere
-    else still raises - that is a broken file, not a crash artifact.
-    """
-    events: List[Dict[str, Any]] = []
-    with open(path) as fh:
-        lines = fh.readlines()
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
             record = json.loads(line)
-        except json.JSONDecodeError:
-            if tolerant and i == len(lines) - 1:
-                break
-            raise
-        if record.get("kind") == "jsonl_header":
-            continue
-        events.append(record)
+            if record.get("kind") == "jsonl_header":
+                continue
+            events.append(record)
     return events

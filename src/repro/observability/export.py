@@ -35,7 +35,6 @@ __all__ = [
     "noise_trace_events",
     "pipeline_trace_events",
     "merged_trace_events",
-    "flight_trace_events",
     "write_chrome_trace",
 ]
 
@@ -101,10 +100,7 @@ def render_prometheus(snapshot: dict) -> str:
     for name, metric in snapshot.items():
         if metric["help"]:
             lines.append(f"# HELP {name} {metric['help']}")
-        # Our "quantile" kind is a Prometheus *summary* (pre-computed
-        # quantiles), which is what scrapers expect the TYPE to say.
-        exposition_type = "summary" if metric["type"] == "quantile" else metric["type"]
-        lines.append(f"# TYPE {name} {exposition_type}")
+        lines.append(f"# TYPE {name} {metric['type']}")
         for series in metric["values"]:
             labels = series["labels"]
             if metric["type"] == "histogram":
@@ -113,19 +109,6 @@ def render_prometheus(snapshot: dict) -> str:
                     lines.append(f"{name}_bucket{le} {count}")
                 inf = _format_labels(labels, {"le": "+Inf"})
                 lines.append(f"{name}_bucket{inf} {series['count']}")
-                lines.append(
-                    f"{name}_sum{_format_labels(labels)} "
-                    f"{_format_value(series['sum'])}"
-                )
-                lines.append(f"{name}_count{_format_labels(labels)} {series['count']}")
-            elif metric["type"] == "quantile":
-                # Prometheus summary-style exposition: one sample per
-                # tracked quantile plus _sum/_count.
-                for q, estimate in series["quantiles"].items():
-                    if estimate is None:
-                        continue
-                    ql = _format_labels(labels, {"quantile": q})
-                    lines.append(f"{name}{ql} {_format_value(estimate)}")
                 lines.append(
                     f"{name}_sum{_format_labels(labels)} "
                     f"{_format_value(series['sum'])}"
@@ -355,150 +338,6 @@ def merged_trace_events(sections: Dict[str, List[dict]]) -> List[dict]:
         for event in section_events:
             events.append({**event, "pid": pid})
     return events
-
-
-def flight_trace_events(bundle: Dict[str, Any]) -> List[dict]:
-    """Render a flight-recorder bundle as one merged Chrome timeline.
-
-    The bundle (see :mod:`repro.observability.flightrec`) holds the last
-    window of bus events.  Each event kind maps onto the viewer concept
-    it represents, grouped into per-section process rows via
-    :func:`merged_trace_events`:
-
-    - ``span`` -> ``ph: "X"`` complete events on their recorded track
-      (simulated/wall microseconds, as the tracer stored them);
-    - ``counter``/``metric`` -> ``ph: "C"`` running-total series per
-      counter name, on the bus-time axis;
-    - ``sample`` -> ``ph: "C"`` series on the *simulated*-time axis;
-    - ``noise`` -> the waterfall (``ph: "X"`` at ts = op id, plus a
-      predicted-std counter series), sigma in the args;
-    - everything else (``stage``, ``batch``, ``snapshot``, ``workload``,
-      ``failure_point``, ``anomaly``) -> ``ph: "i"`` instants on a row
-      per kind, bus-time axis, full fields in the args.
-    """
-    records: List[Dict[str, Any]] = list(bundle.get("events", []))
-    t0 = min((float(r["t_s"]) for r in records), default=0.0)
-
-    spans: List[dict] = []
-    counters: List[dict] = []
-    noise: List[dict] = []
-    instants: List[dict] = []
-
-    span_tracks = _track_ids(
-        {str(r["fields"].get("track", "main")) for r in records
-         if r["kind"] == "span"}
-    )
-    spans.extend(_thread_metadata(span_tracks))
-    noise_tracks = _track_ids(
-        {f"noise/{r['fields']['label']}" if r["fields"].get("label") else "noise"
-         for r in records if r["kind"] == "noise"}
-    )
-    noise.extend(_thread_metadata(noise_tracks))
-    instant_tracks = _track_ids(
-        {r["kind"] for r in records
-         if r["kind"] not in ("span", "counter", "metric", "sample", "noise")}
-    )
-    instants.extend(_thread_metadata(instant_tracks))
-
-    totals: Dict[str, float] = {}
-    for r in records:
-        kind = str(r["kind"])
-        fields: Dict[str, Any] = r.get("fields", {})
-        bus_ts = (float(r["t_s"]) - t0) * 1e6
-        if kind == "span":
-            args = dict(to_jsonable(fields.get("args", {})))
-            # v2 events carry their distributed identity; surface it in
-            # the viewer so cross-process parent links are inspectable.
-            if r.get("trace_id"):
-                args["trace_id"] = r["trace_id"]
-                args["span_id"] = r.get("span_id")
-                args["parent_id"] = r.get("parent_id")
-            if r.get("worker"):
-                args["worker"] = r["worker"]
-            spans.append(
-                {
-                    "name": r["name"],
-                    "cat": fields.get("category") or "span",
-                    "ph": "X",
-                    "ts": float(fields.get("ts_us", bus_ts)),
-                    "dur": float(fields.get("dur_us", r.get("value") or 0.0)),
-                    "pid": _PID,
-                    "tid": span_tracks[str(fields.get("track", "main"))],
-                    "args": args,
-                }
-            )
-        elif kind in ("counter", "metric"):
-            name = str(r["name"])
-            totals[name] = totals.get(name, 0.0) + float(r.get("value") or 0.0)
-            counters.append(
-                {
-                    "name": name,
-                    "cat": f"flight_{kind}",
-                    "ph": "C",
-                    "ts": bus_ts,
-                    "pid": _PID,
-                    "args": {"value": totals[name]},
-                }
-            )
-        elif kind == "sample":
-            counters.append(
-                {
-                    "name": r["name"],
-                    "cat": "flight_sample",
-                    "ph": "C",
-                    "ts": float(fields.get("t_sim_s", 0.0)) * 1e6,
-                    "pid": _PID,
-                    "args": {"value": float(r.get("value") or 0.0)},
-                }
-            )
-        elif kind == "noise":
-            label = fields.get("label")
-            track = f"noise/{label}" if label else "noise"
-            ts = float(fields.get("op_id", 0))
-            noise.append(
-                {
-                    "name": r["name"],
-                    "cat": "noise",
-                    "ph": "X",
-                    "ts": ts,
-                    "dur": 1.0,
-                    "pid": _PID,
-                    "tid": noise_tracks[track],
-                    "args": {
-                        "op_id": fields.get("op_id"),
-                        "predicted_std_log2": fields.get("predicted_std_log2"),
-                        "measured": fields.get("measured"),
-                        "sigma": fields.get("sigma"),
-                    },
-                }
-            )
-            noise.append(
-                {
-                    "name": "predicted_std_log2",
-                    "cat": "noise",
-                    "ph": "C",
-                    "ts": ts,
-                    "pid": _PID,
-                    "args": {"value": fields.get("predicted_std_log2")},
-                }
-            )
-        else:
-            instants.append(
-                {
-                    "name": r["name"],
-                    "cat": f"flight_{kind}",
-                    "ph": "i",
-                    "s": "g",
-                    "ts": bus_ts,
-                    "pid": _PID,
-                    "tid": instant_tracks[kind],
-                    "args": to_jsonable({"seq": r["seq"], **fields}),
-                }
-            )
-
-    return merged_trace_events(
-        {"spans": spans, "counters": counters, "noise": noise, "events": instants}
-    )
 
 
 def write_chrome_trace(path: str, events: Iterable[dict],

@@ -27,13 +27,11 @@ import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
 
 from .bus import BUS as _BUS
-from .sketch import DEFAULT_QUANTILES, DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Quantile",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
     "TIME_BUCKETS",
@@ -187,67 +185,6 @@ class Histogram(_Metric):
                          metric="histogram", count=count, labels=labels)
 
 
-class Quantile(_Metric):
-    """Streaming quantile distribution (mergeable DDSketch per label set).
-
-    Where :class:`Histogram` answers "how many fell below X" for a fixed
-    ladder, a quantile metric answers "what is the p99" with a bounded
-    relative error, and its per-label-set sketches merge exactly across
-    shards (see :mod:`repro.observability.sketch`).  This is the metric
-    kind behind every request-latency SLO.
-    """
-
-    kind = "quantile"
-
-    def __init__(self, registry: "MetricsRegistry", name: str, help: str = "",
-                 relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-                 quantiles: Iterable[float] = DEFAULT_QUANTILES):
-        super().__init__(registry, name, help)
-        self.relative_accuracy = float(relative_accuracy)
-        self.quantiles = tuple(float(q) for q in quantiles)
-
-    def _series_snapshot(self, value: QuantileSketch) -> dict:
-        return {
-            "count": value.count,
-            "sum": value.sum,
-            "min": value.min,
-            "max": value.max,
-            "quantiles": {repr(q): value.quantile(q) for q in self.quantiles},
-        }
-
-    def observe(self, value: float, count: int = 1, **labels: Any) -> None:
-        """Fold ``count`` observations of ``value`` into the sketch."""
-        if not self.registry.enabled:
-            return
-        key = _label_key(labels)
-        with self._lock:
-            sketch = self._series.get(key)
-            if sketch is None:
-                sketch = QuantileSketch(self.relative_accuracy)
-                self._series[key] = sketch
-            sketch.add(value, count)
-        if _BUS.enabled:
-            _BUS.publish("metric", self.name, value=value,
-                         metric="quantile", count=count, labels=labels)
-
-    def sketch(self, **labels: Any) -> Optional[QuantileSketch]:
-        """Copy of the sketch behind one label set (None if never fed)."""
-        with self._lock:
-            sketch = self._series.get(_label_key(labels))
-            return sketch.copy() if sketch is not None else None
-
-    def merged(self) -> Optional[QuantileSketch]:
-        """All label sets merged into one sketch (None if never fed)."""
-        with self._lock:
-            sketches = list(self._series.values())
-        if not sketches:
-            return None
-        merged = sketches[0].copy()
-        for sketch in sketches[1:]:
-            merged.merge(sketch)
-        return merged
-
-
 class MetricsRegistry:
     """Named collection of metrics with one shared on/off switch.
 
@@ -285,13 +222,6 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "",
                   buckets: Iterable[float] = DEFAULT_BUCKETS) -> Histogram:
         return self._register(Histogram, name, help, buckets=buckets)
-
-    def quantile(self, name: str, help: str = "",
-                 relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-                 quantiles: Iterable[float] = DEFAULT_QUANTILES) -> Quantile:
-        return self._register(Quantile, name, help,
-                              relative_accuracy=relative_accuracy,
-                              quantiles=quantiles)
 
     # -- lifecycle ------------------------------------------------------
     def enable(self) -> None:

@@ -19,15 +19,6 @@ Two clock domains coexist:
 Both kinds land in the same buffer; the ``track`` field (rendered as a
 thread in trace viewers) keeps engines, pipeline stages and wall-clock
 code on separate rows.
-
-Wall-clock spans participate in distributed tracing: entering
-:meth:`Tracer.span` activates a child of the ambient
-:class:`~repro.observability.context.TraceContext` (or an explicit
-``ctx=``), so bus events published inside the span - including the
-span's own ``"span"`` event - carry its ``trace_id/span_id/parent_id``,
-and nested spans parent to it.  A worker process that entered an
-extracted carrier context therefore produces spans whose ``parent_id``
-resolves to the driver's submitting span.
 """
 
 from __future__ import annotations
@@ -39,7 +30,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Optional
 
-from . import context as _context
 from .bus import BUS as _BUS
 
 __all__ = ["Span", "Tracer", "traced"]
@@ -109,47 +99,29 @@ class Tracer:
     # -- recording ------------------------------------------------------
     @contextmanager
     def span(self, name: str, category: str = "", track: str = "main",
-             ctx: Optional[_context.TraceContext] = None,
              **args: Any) -> Iterator[Optional["Tracer"]]:
-        """Context manager timing a wall-clock span (no-op when disabled).
-
-        While the span is open, a child of the ambient trace context is
-        active (so everything published inside carries this span's
-        identity).  Pass ``ctx=`` to record with an explicit context
-        instead - the driver uses this to emit the *root* span with the
-        root context's own ids, giving remote children a span to resolve
-        their ``parent_id`` against.  Outside any trace, spans record
-        without trace identity, exactly as before.
-        """
+        """Context manager timing a wall-clock span (no-op when disabled)."""
         if not self.enabled:
             yield None
             return
-        span_ctx = ctx if ctx is not None else _context.child_of(_context.current())
-        token = None if span_ctx is None else _context.activate(span_ctx)
         start = time.perf_counter()
         try:
             yield self
         finally:
             end = time.perf_counter()
-            try:
-                # Publish while the span's context is still active so the
-                # "span" bus event carries its own span_id/parent_id.
-                self.add_span(
-                    name,
-                    ts_us=(start - self._epoch) * 1e6,
-                    dur_us=(end - start) * 1e6,
-                    category=category,
-                    track=track,
-                    args=args,
-                )
-                # Wall-clock spans also land on the seconds-ladder histogram
-                # (TIME_BUCKETS); simulated-time add_span callers do not.
-                _span_seconds_metric().observe(
-                    end - start, category=category or "uncategorized"
-                )
-            finally:
-                if token is not None:
-                    _context.deactivate(token)
+            self.add_span(
+                name,
+                ts_us=(start - self._epoch) * 1e6,
+                dur_us=(end - start) * 1e6,
+                category=category,
+                track=track,
+                args=args,
+            )
+            # Wall-clock spans also land on the seconds-ladder histogram
+            # (TIME_BUCKETS); simulated-time add_span callers do not.
+            _span_seconds_metric().observe(
+                end - start, category=category or "uncategorized"
+            )
 
     def add_span(
         self,

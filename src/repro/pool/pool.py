@@ -20,12 +20,9 @@ counter each worker reports with its results.
 
 Workers are forked (the keyset rides fork inheritance; platforms
 without fork get a clear error), each drains its own task queue, and
-all report into one result queue.  With ``telemetry_dir`` set, the
-driver opens a telemetry shard and a root trace, injects the trace
-carrier, and every worker runs under
-:func:`repro.observability.distrib.worker_telemetry` - so ``repro
-fleet`` aggregates the pool's shards into one causally-linked trace
-with exact fleet percentiles, the same machinery as the fleet demo.
+all report into one result queue.  Each lane starts from clean
+telemetry with only the metrics registry on, and its counters ride back
+in every result message (:meth:`BootstrapPool.worker_stats`).
 
 Crash safety: a worker dying (e.g. SIGKILL) is detected while waiting
 for its results; the pool shuts down and the shared segment is
@@ -39,8 +36,7 @@ import multiprocessing
 import os
 import queue as queue_mod
 import signal
-from contextlib import ExitStack
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -97,59 +93,54 @@ def _pool_worker_main(
     precision: str,
     task_q: Any,
     result_q: Any,
-    shard_dir: Optional[str],
-    carrier: Optional[str],
-    heartbeat_s: float,
     kill_after_jobs: Optional[int],
 ) -> None:
     """One pool lane: map the shared table, then drain the task queue.
 
-    Module-level so it is importable in children; runs under
-    ``worker_telemetry`` when the pool has a telemetry directory.  Tasks
-    are ``(job_id, shard_idx, a, b, tps)`` tuples; ``None`` stops the
-    lane.  ``kill_after_jobs`` is the crash drill: after that many
+    Module-level so it is importable in children.  Tasks are
+    ``(job_id, shard_idx, a, b, tps)`` tuples; ``None`` stops the lane.
+    ``kill_after_jobs`` is the crash drill: after that many
     completed jobs the lane SIGKILLs itself (no cleanup), exercising
     the driver's crash detection and segment unlink.
     """
-    from contextlib import nullcontext
-
-    from ..observability.distrib import worker_telemetry
+    from .. import observability as obs
     from ..tfhe.bootstrap import programmable_bootstrap_batch
 
+    # Nothing inherited from the driver's telemetry: its bus subscribers
+    # write the driver's files and its buffers hold the driver's data.
+    # Only the registry comes back on, so the counters in every result
+    # message are this lane's own.
+    obs.BUS._subscribers = ()
+    obs.disable()
+    obs.reset()
+    obs.REGISTRY.enable()
     _backends.set_backend(backend_name)
     # Adopting replaces the table inherited over fork (never written, so it
     # cost nothing): the only image this process holds is the shared one.
     shared = SharedSpectrumTable.attach(handle)
     shared.install(keyset)
 
-    telem = (
-        worker_telemetry(worker_id, shard_dir, carrier=carrier,
-                         heartbeat_interval_s=heartbeat_s)
-        if shard_dir is not None
-        else nullcontext(None)
-    )
     done = 0
-    with telem:
-        while True:
-            task = task_q.get()
-            if task is None:
-                result_q.put(("bye", worker_id, None, None, None, None, _worker_stats()))
-                break
-            job_id, shard_idx, a, b, tps = task
-            cts = [LweCiphertext(a[r], b[r]) for r in range(a.shape[0])]
-            outs = programmable_bootstrap_batch(cts, tps, keyset, precision=precision)
-            out_a = np.stack([ct.a for ct in outs])
-            out_b = np.asarray([ct.b for ct in outs])
-            result_q.put(
-                ("result", worker_id, job_id, shard_idx, out_a, out_b, _worker_stats())
-            )
-            done += 1
-            if kill_after_jobs is not None and done >= kill_after_jobs:
-                # Crash drill: flush the sent result (the feeder thread
-                # is async), then die without any cleanup.
-                result_q.close()
-                result_q.join_thread()
-                os.kill(os.getpid(), signal.SIGKILL)
+    while True:
+        task = task_q.get()
+        if task is None:
+            result_q.put(("bye", worker_id, None, None, None, None, _worker_stats()))
+            break
+        job_id, shard_idx, a, b, tps = task
+        cts = [LweCiphertext(a[r], b[r]) for r in range(a.shape[0])]
+        outs = programmable_bootstrap_batch(cts, tps, keyset, precision=precision)
+        out_a = np.stack([ct.a for ct in outs])
+        out_b = np.asarray([ct.b for ct in outs])
+        result_q.put(
+            ("result", worker_id, job_id, shard_idx, out_a, out_b, _worker_stats())
+        )
+        done += 1
+        if kill_after_jobs is not None and done >= kill_after_jobs:
+            # Crash drill: flush the sent result (the feeder thread
+            # is async), then die without any cleanup.
+            result_q.close()
+            result_q.join_thread()
+            os.kill(os.getpid(), signal.SIGKILL)
 
 
 class BootstrapPool:
@@ -162,9 +153,7 @@ class BootstrapPool:
 
     ``backend`` picks the compute backend every lane runs
     (:mod:`repro.transforms.backends`; ``None`` resolves the driver's
-    active backend, honouring ``REPRO_BACKEND``).  ``telemetry_dir``
-    turns on the full distributed-telemetry path: driver shard + root
-    trace + per-worker shards, aggregatable with ``repro fleet``.
+    active backend, honouring ``REPRO_BACKEND``).
     """
 
     def __init__(
@@ -173,8 +162,6 @@ class BootstrapPool:
         workers: int = 2,
         precision: str = "double",
         backend: Optional[str] = None,
-        telemetry_dir: Optional[str] = None,
-        heartbeat_s: float = 0.1,
         task_timeout_s: float = DEFAULT_TASK_TIMEOUT_S,
         kill_after_jobs: Optional[Dict[int, int]] = None,
     ) -> None:
@@ -194,15 +181,12 @@ class BootstrapPool:
             if backend is not None
             else _backends.active_backend_name()
         )
-        self.telemetry_dir = telemetry_dir
-        self.heartbeat_s = heartbeat_s
         self.task_timeout_s = task_timeout_s
         self._kill_after_jobs = dict(kill_after_jobs or {})
         self._procs: List[multiprocessing.process.BaseProcess] = []
         self._task_qs: List[Any] = []
         self._result_q: Any = None
         self._shared: Optional[SharedSpectrumTable] = None
-        self._stack: Optional[ExitStack] = None
         self._job_counter = 0
         self._last_stats: Dict[str, Dict[str, float]] = {}
         self._closed = False
@@ -222,31 +206,6 @@ class BootstrapPool:
                 "(POSIX); this platform does not provide it"
             ) from exc
 
-        self._stack = ExitStack()
-        carrier: Optional[str] = None
-        if self.telemetry_dir is not None:
-            from .. import observability as obs
-            from ..observability import context as trace_context
-            from ..observability.distrib import worker_telemetry
-
-            # The pool owns process-wide telemetry for its lifetime:
-            # driver shard + root trace, exactly like the fleet demo.
-            self._stack.enter_context(
-                worker_telemetry("driver", self.telemetry_dir,
-                                 heartbeat_interval_s=self.heartbeat_s)
-            )
-            root = trace_context.start_trace()
-            self._stack.enter_context(
-                obs.TRACER.span("pool/submit", category="pool", ctx=root,
-                                workers=self.workers, backend=self.backend,
-                                precision=self.precision)
-            )
-            carrier = trace_context.inject(root)
-            if obs.BUS.enabled:
-                obs.BUS.publish("workload", "pool/run", value=float(self.workers),
-                                workers=self.workers, backend=self.backend,
-                                precision=self.precision)
-
         self._shared = SharedSpectrumTable.publish(self.keyset, self.precision)
         # One image on the driver too: its keyset reads the segment from
         # here on, and close() gives it a private copy back.
@@ -260,7 +219,6 @@ class BootstrapPool:
                 args=(
                     f"w{i}", self.keyset, self._shared.handle, self.backend,
                     self.precision, task_q, self._result_q,
-                    self.telemetry_dir, carrier, self.heartbeat_s,
                     self._kill_after_jobs.get(i),
                 ),
             )
@@ -320,9 +278,6 @@ class BootstrapPool:
                 pass
             self._result_q = None
         self._procs = []
-        if self._stack is not None:
-            stack, self._stack = self._stack, None
-            stack.close()
 
     # -- execution ----------------------------------------------------
     def _live_worker_ids(self) -> List[int]:

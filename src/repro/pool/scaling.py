@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -102,16 +102,13 @@ def run_pool_scaling(
     backend: Optional[str] = None,
     precision: str = "double",
     seed: int = 3,
-    telemetry_dir: Optional[str] = None,
 ) -> PoolScalingResult:
     """Measure sharded-bootstrap throughput at each pool width.
 
     The single-process baseline and every pool lane run the same
     backend (resolved once, so the result names exactly one engine) on
     a warmed keyset - the shared-memory table publish is part of pool
-    startup, never of the measured window.  With ``telemetry_dir``,
-    each width writes its fleet shards into
-    ``telemetry_dir/workers<n>/``.
+    startup, never of the measured window.
     """
     params = resolve_params(param_set)
     backend_name = (
@@ -141,14 +138,8 @@ def run_pool_scaling(
         single_bootstraps_per_s=single,
     )
     for n in workers:
-        tdir = (
-            os.path.join(telemetry_dir, f"workers{n}")
-            if telemetry_dir is not None
-            else None
-        )
         with BootstrapPool(
-            ctx.keyset, workers=n, precision=precision,
-            backend=backend_name, telemetry_dir=tdir,
+            ctx.keyset, workers=n, precision=precision, backend=backend_name,
         ) as pool:
             pool.bootstrap_batch(cts, tp)  # warm every lane
             rate = _best_rate(

@@ -33,8 +33,8 @@ from ..observability import (
     BUS as _BUS,
     NOISE as _NOISE,
     REGISTRY as _METRICS,
+    TIME_BUCKETS as _TIME_BUCKETS,
     TRACER as _TRACER,
-    report_anomaly as _report_anomaly,
 )
 from ..transforms.backends import active_backend_name as _active_backend_name
 from .decomposition import decompose
@@ -72,10 +72,11 @@ _EXTERNAL_PRODUCTS = _METRICS.counter(
 _KEY_SWITCHES = _METRICS.counter(
     "tfhe_key_switches_total", "LWE key switches executed"
 )
-_BOOTSTRAP_LATENCY = _METRICS.quantile(
+_BOOTSTRAP_LATENCY = _METRICS.histogram(
     "tfhe_bootstrap_latency_seconds",
     "Wall-clock request latency of the functional bootstrap path; every "
     "request in a batch waits for the whole batch",
+    buckets=_TIME_BUCKETS,
 )
 
 
@@ -301,20 +302,15 @@ def programmable_bootstrap_batch(
     b = np.asarray([ct.b for ct in cts], dtype=TORUS_DTYPE)
     tps = np.asarray(test_polys, dtype=TORUS_DTYPE)
     t0 = time.perf_counter() if (_METRICS.enabled or _BUS.enabled) else None
-    try:
-        with _TRACER.span("programmable_bootstrap_batch", category="tfhe",
-                          batch=batch, n=params.n, N=params.N, precision=precision):
-            a_tilde = modswitch(a, 2 * params.N)
-            b_tilde = modswitch(b, 2 * params.N)
-            acc = blind_rotate_batch(
-                a_tilde, b_tilde, tps, keyset, precision=precision
-            )
-            ext_a, ext_b = sample_extract_batch(acc)
-            out_a, out_b = key_switch_batch(ext_a, ext_b, keyset.ksk)
-    except Exception as exc:
-        _report_anomaly("exception", where="programmable_bootstrap_batch",
-                        error=repr(exc), batch=batch)
-        raise
+    with _TRACER.span("programmable_bootstrap_batch", category="tfhe",
+                      batch=batch, n=params.n, N=params.N, precision=precision):
+        a_tilde = modswitch(a, 2 * params.N)
+        b_tilde = modswitch(b, 2 * params.N)
+        acc = blind_rotate_batch(
+            a_tilde, b_tilde, tps, keyset, precision=precision
+        )
+        ext_a, ext_b = sample_extract_batch(acc)
+        out_a, out_b = key_switch_batch(ext_a, ext_b, keyset.ksk)
     _BOOTSTRAPS.inc(batch)
     if t0 is not None:
         # Every request in the batch experiences the whole batch's

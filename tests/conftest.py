@@ -21,27 +21,3 @@ def ctx():
 def keyset(ctx):
     return ctx.keyset
 
-
-def pytest_runtest_makereport(item, call):
-    """On a test failure, dump the flight recorder's ring for triage.
-
-    Gated on ``REPRO_FLIGHT_DUMP_DIR`` (CI sets it and uploads the
-    directory as an artifact): whatever telemetry the failing test left
-    in the global ring is frozen into one bundle per failure, named
-    after the test.  No-op locally unless the variable is exported.
-    """
-    import os
-
-    dump_dir = os.environ.get("REPRO_FLIGHT_DUMP_DIR")
-    if not dump_dir or call.when != "call" or call.excinfo is None:
-        return
-    from repro.observability import FLIGHT
-
-    os.makedirs(dump_dir, exist_ok=True)
-    safe = item.nodeid.replace("/", "_").replace("::", "-")
-    path = os.path.join(dump_dir, f"{safe}.json")
-    try:
-        FLIGHT.dump(path, "test_failure", test=item.nodeid,
-                    error=repr(call.excinfo.value))
-    except Exception:
-        pass  # triage aid only - never mask the real failure

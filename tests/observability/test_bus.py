@@ -97,7 +97,6 @@ class TestJsonable:
         event = bus.publish("metric", "m", value=1.0, b=2, a=1)
         record = event_to_jsonable(event)
         assert list(record) == ["v", "seq", "t_s", "kind", "name", "value",
-                                "worker", "trace_id", "span_id", "parent_id",
                                 "fields"]
         assert record["v"] == EVENT_SCHEMA_VERSION
 
@@ -119,9 +118,7 @@ class TestJsonlEventLog:
         assert len(lines) == 3
         header = json.loads(lines[0])
         assert header == {"v": EVENT_SCHEMA_VERSION, "kind": "jsonl_header",
-                          "producer": "repro.observability.bus",
-                          "worker": "",
-                          "epoch_unix": _golden.FAKE_EPOCH_UNIX}
+                          "producer": "repro.observability.bus"}
         assert json.loads(lines[1])["name"] == "a"
 
     def test_close_detaches_from_bus(self, bus):
@@ -219,6 +216,7 @@ class TestSystemHooks:
                 ctx.bootstrap(ct)
             finally:
                 obs.BUS.unsubscribe(seen.append)
+                obs.NOISE.clear_debug_key()
         noise = [e for e in seen if e.kind == "noise"]
         fps = [e for e in seen if e.kind == "failure_point"]
         assert noise, "bootstrap under telemetry published no noise events"

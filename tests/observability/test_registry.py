@@ -1,10 +1,11 @@
 """Tests for the metrics registry: counters, gauges, histograms, labels."""
 
+import math
 import threading
 
 import pytest
 
-from repro.observability.registry import MetricsRegistry
+from repro.observability.registry import TIME_BUCKETS, MetricsRegistry
 
 
 @pytest.fixture()
@@ -127,3 +128,46 @@ class TestRegistry:
         for t in threads:
             t.join()
         assert c.value() == 8000
+
+
+class TestTimeBuckets:
+    def test_time_buckets_ladder_spans_microseconds_to_kiloseconds(self):
+        assert TIME_BUCKETS[0] == pytest.approx(1e-6)
+        assert TIME_BUCKETS[-1] == pytest.approx(1e3)
+        ratios = [b / a for a, b in zip(TIME_BUCKETS, TIME_BUCKETS[1:])]
+        # Log-spaced: every step is the same half-decade multiplier
+        # (bounds are rounded to 12 decimals, so compare loosely).
+        assert all(r == pytest.approx(math.sqrt(10.0), rel=1e-3) for r in ratios)
+
+    def test_tracer_spans_feed_time_bucket_histogram(self):
+        from repro import observability as obs
+
+        obs.REGISTRY.enable()
+        obs.TRACER.enable()
+        try:
+            with obs.TRACER.span("time_bucket_test_span", category="test"):
+                pass
+            snap = obs.REGISTRY.snapshot()["tracer_span_seconds"]
+            series = [v for v in snap["values"]
+                      if v["labels"].get("category") == "test"]
+            assert series and series[0]["count"] >= 1
+            assert tuple(series[0]["buckets"]) == TIME_BUCKETS
+        finally:
+            obs.disable()
+            obs.REGISTRY.reset()
+            obs.TRACER.reset()
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.tfhe.bootstrap", "tfhe_bootstrap_latency_seconds"),
+        ("repro.core.simulator", "sim_bootstrap_latency_seconds"),
+        ("repro.core.scheduler", "sched_request_latency_seconds"),
+    ])
+    def test_latency_metrics_are_time_bucket_histograms(self, module, name):
+        import importlib
+
+        from repro import observability as obs
+
+        importlib.import_module(module)
+        metric = obs.REGISTRY.get(name)
+        assert metric.kind == "histogram"
+        assert metric.buckets == TIME_BUCKETS

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro import observability as obs
-from repro.observability.distrib import aggregate_shards, discover_shards
 from repro.pool import BootstrapPool, PoolWorkerLost, leaked_segments
 from repro.tfhe.bootstrap import programmable_bootstrap_batch
 from repro.tfhe.keys import generate_keyset
@@ -83,7 +82,7 @@ class TestBitIdentity:
 
 
 class TestSharedSpectrum:
-    def test_workers_never_rerun_the_pretransform(self, ctx, workload, tmp_path):
+    def test_workers_never_rerun_the_pretransform(self, ctx, workload):
         """Each worker's own fft counters match its shard's steady-state
         cost exactly - the table pre-transform (a much larger count)
         never ran in any worker."""
@@ -116,9 +115,7 @@ class TestSharedSpectrum:
                 ))
         assert cold_forward > expected[0][0]
 
-        with BootstrapPool(
-            ctx.keyset, workers=2, telemetry_dir=str(tmp_path)
-        ) as pool:
+        with BootstrapPool(ctx.keyset, workers=2) as pool:
             pool.bootstrap_batch(cts, tp)
             stats = pool.worker_stats()
 
@@ -131,6 +128,21 @@ class TestSharedSpectrum:
             assert worker["fft_inverse"] == inv
             assert worker["fft_forward"] < cold_forward
             assert worker["bootstraps"] == len(shards[i])
+
+    def test_default_pool_lanes_report_their_counters(self, ctx, workload):
+        """With no telemetry on in the driver, every lane still counts its
+        own shard: the stats in its result messages are real."""
+        _, cts, tp = workload
+        assert not obs.is_enabled()
+        with BootstrapPool(ctx.keyset, workers=2) as pool:
+            pool.bootstrap_batch(cts, tp)
+            stats = pool.worker_stats()
+        shards = np.array_split(np.arange(len(cts)), 2)
+        for i, rows in enumerate(shards):
+            lane = stats[f"w{i}"]
+            assert lane["bootstraps"] == len(rows) > 0
+            assert lane["fft_forward"] > 0 and lane["fft_inverse"] > 0
+        assert not obs.is_enabled()  # the lanes' registry is their own
 
     def test_driver_keeps_one_image_while_the_pool_is_open(self, ctx):
         private = ctx.keyset.bsk_spectrum_table("double")
@@ -157,53 +169,6 @@ class TestSharedSpectrum:
         _assert_same(ref, out)
 
 
-class TestFleetTelemetry:
-    def test_shards_aggregate_into_one_trace(self, ctx, workload, tmp_path):
-        _, cts, tp = workload
-        jobs = 2
-        with BootstrapPool(
-            ctx.keyset, workers=2, telemetry_dir=str(tmp_path)
-        ) as pool:
-            for _ in range(jobs):
-                pool.bootstrap_batch(cts, tp)
-
-        report = aggregate_shards(discover_shards(str(tmp_path)))
-        assert sorted(report.workers) == ["driver", "w0", "w1"]
-        assert report.lost_workers == []
-
-        # One causally-linked trace: every span in every shard shares the
-        # driver's root trace id, and the root is the pool submit span.
-        spans = [e for e in report.events
-                 if e.kind == "span" and e.trace_id is not None]
-        assert spans
-        assert len({s.trace_id for s in spans}) == 1
-        roots = [s for s in spans if s.parent_id is None]
-        assert [s.name for s in roots] == ["pool/submit"]
-
-        # Exact fleet percentiles: the merged sketch holds every
-        # request observation (each batched call is count-weighted by
-        # its shard size), so the count is exactly jobs * batch.
-        assert report.sketch.count == jobs * len(cts)
-        for q, value in report.quantiles().items():
-            assert value is not None and value > 0.0
-
-    def test_workload_announce_names_backend(self, ctx, workload, tmp_path):
-        _, cts, tp = workload
-        with BootstrapPool(
-            ctx.keyset, workers=1, telemetry_dir=str(tmp_path)
-        ) as pool:
-            pool.bootstrap_batch(cts, tp)
-        report = aggregate_shards(discover_shards(str(tmp_path)))
-        announces = [e for e in report.events
-                     if e.kind == "workload" and e.name == "pool/run"]
-        assert len(announces) == 1
-        assert announces[0].fields["backend"] == "numpy"
-        requests = [e for e in report.events
-                    if e.kind == "request" and e.worker == "w0"]
-        assert requests
-        assert all(e.fields.get("backend") == "numpy" for e in requests)
-
-
 class TestLifecycleHygiene:
     def test_no_segment_leak_on_clean_shutdown(self, ctx, workload):
         _, cts, tp = workload
@@ -214,8 +179,8 @@ class TestLifecycleHygiene:
         assert leaked_segments() == before
 
     def test_sigkill_drill_unlinks_segment(self, ctx, workload):
-        """A lane SIGKILLed mid-run (the fleet_demo drill pattern) is
-        detected and the shared segment is still unlinked."""
+        """A lane SIGKILLed mid-run is detected and the shared segment is
+        still unlinked."""
         _, cts, tp = workload
         before = leaked_segments()
         pool = BootstrapPool(ctx.keyset, workers=2, kill_after_jobs={1: 1})

@@ -21,6 +21,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--set", "Z"])
 
+    @pytest.mark.parametrize("argv", [["top"], ["slo"], ["record"],
+                                      ["replay", "f.json"], ["fleet", "d"],
+                                      ["pool", "--telemetry", "d"]])
+    def test_serving_telemetry_surface_is_gone(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestCommands:
     def test_simulate(self, capsys):
@@ -304,248 +311,6 @@ class TestTraceMerge:
         assert len(pids) == 2  # one process group per section
 
 
-class TestTopCommand:
-    def test_json_snapshot(self, capsys):
-        assert main(["top", "--workload", "xgboost", "--iterations", "2",
-                     "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["workload"] == "XG-Boost"
-        assert doc["bootstraps"] > 0
-        assert doc["batch_occupancy"] is not None
-        assert doc["stage_cycle_fractions"]
-        assert doc["drift_ok"] is True
-
-    def test_panel_redraws_per_iteration(self, capsys):
-        assert main(["top", "--iterations", "2"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("repro top") == 2
-        assert "batch occupancy" in out
-
-    def test_telemetry_left_disabled_after_run(self):
-        from repro import observability as obs
-
-        assert main(["top", "--iterations", "1", "--json"]) == 0
-        assert not obs.is_enabled()
-
-
-class TestRecordReplay:
-    def test_record_writes_manual_bundle_and_jsonl(self, capsys, tmp_path):
-        bundle_path = tmp_path / "flight.json"
-        jsonl_path = tmp_path / "events.jsonl"
-        assert main(["record", "--workload", "xgboost",
-                     "-o", str(bundle_path), "--jsonl", str(jsonl_path)]) == 0
-        out = capsys.readouterr().out
-        assert "trigger: manual" in out
-        from repro.observability import load_bundle, read_jsonl_events
-
-        bundle = load_bundle(str(bundle_path))
-        kinds = set(bundle["counts"])
-        assert {"span", "counter", "workload", "snapshot"} <= kinds
-        events = read_jsonl_events(str(jsonl_path))
-        assert len(events) == len(bundle["events"])
-
-    def test_record_latency_budget_triggers_spike_bundle(self, capsys, tmp_path):
-        bundle_path = tmp_path / "flight.json"
-        assert main(["record", "--workload", "xgboost",
-                     "-o", str(bundle_path),
-                     "--latency-budget", "1e-12"]) == 0
-        assert "trigger: latency_spike" in capsys.readouterr().out
-        from repro.observability import load_bundle
-
-        bundle = load_bundle(str(bundle_path))
-        assert bundle["trigger"]["reason"] == "latency_spike"
-        assert any(e["kind"] == "anomaly" for e in bundle["events"])
-
-    def test_replay_summarizes_bundle(self, capsys, tmp_path):
-        bundle_path = tmp_path / "flight.json"
-        assert main(["record", "-o", str(bundle_path)]) == 0
-        capsys.readouterr()
-        assert main(["replay", str(bundle_path)]) == 0
-        out = capsys.readouterr().out
-        assert "trigger : manual" in out
-        assert "span" in out and "counter" in out
-
-    def test_replay_json_and_chrome_merged_timeline(self, capsys, tmp_path):
-        bundle_path = tmp_path / "flight.json"
-        chrome_path = tmp_path / "timeline.json"
-        assert main(["record", "-o", str(bundle_path)]) == 0
-        capsys.readouterr()
-        assert main(["replay", str(bundle_path), "--json",
-                     "--chrome", str(chrome_path)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["trigger"]["reason"] == "manual"
-        assert doc["events"] == sum(doc["counts"].values())
-        timeline = json.loads(chrome_path.read_text())
-        events = timeline["traceEvents"]
-        sections = {e["args"]["name"] for e in events
-                    if e.get("name") == "process_name"}
-        assert {"spans", "counters"} <= sections
-        assert {"X", "C"} <= {e["ph"] for e in events}
-
-    def test_replay_rejects_non_bundle(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"kind": "nope"}')
-        assert main(["replay", str(bad)]) == 2
-        assert "not a flight-recorder bundle" in capsys.readouterr().err
-
-    def test_replay_missing_file_exits_2(self, tmp_path, capsys):
-        assert main(["replay", str(tmp_path / "absent.json")]) == 2
-        assert "cannot replay" in capsys.readouterr().err
-
-
-def _write_cli_shard(tmp_path, worker_id, epoch, publishes):
-    """A deterministic shard for the fleet/top CLI tests."""
-    from repro.observability.bus import JsonlEventLog
-
-    from .observability import _golden
-
-    bus = _golden.make_bus(epoch_unix=epoch)
-    path = str(tmp_path / f"events-{worker_id}.jsonl")
-    with JsonlEventLog(path, bus=bus, worker=worker_id):
-        for kind, name, value, fields in publishes:
-            bus.publish(kind, name, value=value, **fields)
-    return path
-
-
-def _write_v1_cli_shard(tmp_path):
-    path = str(tmp_path / "events-old.jsonl")
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"v": 1, "kind": "jsonl_header",
-                             "producer": "repro.observability.bus"}) + "\n")
-        fh.write(json.dumps({"v": 1, "seq": 0, "t_s": 0.5, "kind": "stage",
-                             "name": "x", "value": None, "fields": {}}) + "\n")
-    return path
-
-
-class TestFleetCommand:
-    def _fleet_dir(self, tmp_path):
-        from .observability import _golden
-
-        _golden.build_fleet_shards(str(tmp_path))
-        return str(tmp_path)
-
-    def test_text_report_with_per_worker_rows(self, capsys, tmp_path):
-        assert main(["fleet", self._fleet_dir(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "fleet report" in out
-        assert "w0" in out and "w1" in out
-        assert "latency (fleet" in out
-
-    def test_json_report_is_schema_versioned(self, capsys, tmp_path):
-        from repro.observability.distrib import FLEET_SCHEMA_VERSION
-
-        assert main(["fleet", self._fleet_dir(tmp_path), "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["v"] == FLEET_SCHEMA_VERSION
-        assert doc["kind"] == "fleet_report"
-        assert [w["worker"] for w in doc["workers"]] == ["w0", "w1"]
-        assert doc["lost_workers"] == []
-
-    def test_chrome_export_writes_merged_timeline(self, capsys, tmp_path):
-        chrome = tmp_path / "fleet-trace.json"
-        assert main(["fleet", self._fleet_dir(tmp_path),
-                     "--chrome", str(chrome)]) == 0
-        doc = json.loads(chrome.read_text())
-        assert doc["traceEvents"]
-        assert doc["otherData"]["workers"] == ["w0", "w1"]
-
-    def test_empty_directory_exits_2(self, capsys, tmp_path):
-        assert main(["fleet", str(tmp_path)]) == 2
-        assert "no events-*.jsonl shards" in capsys.readouterr().err
-
-    def test_mixed_schema_versions_exit_2(self, capsys, tmp_path):
-        from .observability import _golden
-
-        old = _write_v1_cli_shard(tmp_path)
-        new = _write_cli_shard(tmp_path, "w0", _golden.FAKE_EPOCH_UNIX,
-                               [("stage", "x", None, {})])
-        assert main(["fleet", old, new]) == 2
-        err = capsys.readouterr().err
-        assert "cannot aggregate shards" in err
-        assert "mixed event schema versions" in err
-
-    def test_lost_worker_exits_1_and_dumps_evidence(self, capsys, tmp_path):
-        from .observability import _golden
-
-        _write_cli_shard(tmp_path, "w1", _golden.FAKE_EPOCH_UNIX,
-                         [("heartbeat", "worker/w1", 0.0,
-                           {"interval_s": 0.25, "final": False})])
-        _write_cli_shard(tmp_path, "driver", _golden.FAKE_EPOCH_UNIX,
-                         [("stage", f"tick{i}", None, {}) for i in range(10)])
-        dump = tmp_path / "dumps"
-        assert main(["fleet", str(tmp_path), "--dump", str(dump)]) == 1
-        out = capsys.readouterr().out
-        assert "!! worker_lost: w1" in out
-        assert (dump / "fleet-worker-lost-w1.json").exists()
-
-    def test_generous_miss_factor_keeps_exit_0(self, capsys, tmp_path):
-        from .observability import _golden
-
-        _write_cli_shard(tmp_path, "w1", _golden.FAKE_EPOCH_UNIX,
-                         [("heartbeat", "worker/w1", 0.0,
-                           {"interval_s": 0.25, "final": False})])
-        _write_cli_shard(tmp_path, "driver", _golden.FAKE_EPOCH_UNIX,
-                         [("stage", f"tick{i}", None, {}) for i in range(10)])
-        assert main(["fleet", str(tmp_path), "--miss-factor", "100"]) == 0
-
-
-class TestTopFromFleet:
-    def test_repeated_from_flags_merge_shards(self, capsys, tmp_path):
-        from .observability import _golden
-
-        a = _write_cli_shard(tmp_path, "w0", _golden.FAKE_EPOCH_UNIX,
-                             [("request", "sched/request", 0.002,
-                               {"count": 4})])
-        b = _write_cli_shard(tmp_path, "w1", _golden.FAKE_EPOCH_UNIX + 1.0,
-                             [("request", "sched/request", 0.004,
-                               {"count": 4})])
-        assert main(["top", "--from", a, "--from", b, "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert set(doc["workers"]) == {"w0", "w1"}
-        assert doc["workers"]["w0"]["requests"] == 4
-
-    def test_mixed_schema_versions_exit_2(self, capsys, tmp_path):
-        from .observability import _golden
-
-        old = _write_v1_cli_shard(tmp_path)
-        new = _write_cli_shard(tmp_path, "w0", _golden.FAKE_EPOCH_UNIX,
-                               [("stage", "x", None, {})])
-        assert main(["top", "--from", old, "--from", new]) == 2
-        assert "mixed event schema versions" in capsys.readouterr().err
-
-
-class TestReplayMultiBundle:
-    def _golden_bundle_copy(self, tmp_path, name, version=None):
-        import shutil
-
-        from .observability import _golden
-
-        path = tmp_path / name
-        shutil.copy(_golden.GOLDEN_BUNDLE, path)
-        if version is not None:
-            doc = json.loads(path.read_text())
-            doc["event_schema_version"] = version
-            path.write_text(json.dumps(doc))
-        return str(path)
-
-    def test_several_bundles_merge_onto_one_timeline(self, capsys, tmp_path):
-        a = self._golden_bundle_copy(tmp_path, "a.json")
-        b = self._golden_bundle_copy(tmp_path, "b.json")
-        chrome = tmp_path / "merged.json"
-        assert main(["replay", a, b, "--json", "--chrome", str(chrome)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["trigger"]["reason"] == "merged_replay"
-        assert doc["trigger"]["fields"]["bundles"] == 2
-        assert doc["events"] == sum(doc["counts"].values())
-        assert json.loads(chrome.read_text())["traceEvents"]
-
-    def test_mixed_schema_versions_exit_2(self, capsys, tmp_path):
-        a = self._golden_bundle_copy(tmp_path, "a.json")
-        b = self._golden_bundle_copy(tmp_path, "b.json", version=1)
-        assert main(["replay", a, b]) == 2
-        assert "mixed event schema versions" in capsys.readouterr().err
-
-
 class TestPoolCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["pool"])
@@ -587,13 +352,3 @@ class TestPoolCommand:
     def test_pool_invalid_workers_exit_2(self, capsys):
         assert main(["pool", "--workers", "zero,none"]) == 2
         assert "workers" in capsys.readouterr().err
-
-    def test_pool_telemetry_feeds_fleet(self, capsys, tmp_path):
-        tdir = tmp_path / "pool-telemetry"
-        assert main(["pool", "--workers", "2", "--batch", "4",
-                     "--rounds", "1", "--telemetry", str(tdir)]) == 0
-        capsys.readouterr()
-        assert main(["fleet", str(tdir / "workers2"), "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        workers = {w["worker"] for w in doc["workers"]}
-        assert {"driver", "w0", "w1"} <= workers

@@ -67,8 +67,9 @@ class TestGates:
         assert decrypt_bool(out, ctx.keyset) == (w1 if sel else w0)
 
     def test_mux_is_visible_to_bootstrap_telemetry(self, ctx, gate_rng):
-        """Sign bootstraps run the one pipeline, so ``repro top`` / ``slo``
-        see them: a MUX is three bootstraps in two requests."""
+        """Sign bootstraps run the one pipeline, so the bootstrap counters
+        and request events see them: a MUX is three bootstraps in two
+        requests."""
         from repro import observability as obs
 
         bits = [encrypt_bool(b, ctx.keyset, gate_rng) for b in (1, 0, 1)]
