@@ -14,7 +14,10 @@ resource model of the paper's pipelined execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import (cycle at runtime)
     from ..verify.occupancy import OccupancyProof
@@ -30,15 +33,7 @@ from ..params import TFHEParams
 from .accelerator import MorphlingConfig
 from .buffers import acc_stream_capacity
 from .hbm import HbmModel
-from .isa import (
-    DmaOp,
-    Engine,
-    Instruction,
-    InstructionStream,
-    VpuOp,
-    XpuOp,
-    engine_queue,
-)
+from .isa import OPCODES, DmaOp, Engine, InstructionStream, StreamColumns, VpuOp, XpuOp
 from .vpu import VpuModel
 from .xpu import XpuModel
 
@@ -66,6 +61,20 @@ _SCHED_REQUEST_LATENCY = _METRICS.histogram(
     "requests (STORE_LWE retire time since workload start)",
     buckets=_TIME_BUCKETS,
 )
+
+# One scheduler group's eight rows: three loads (LWE, BSK, KSK), then the
+# dependent chain MS -> BR -> SE -> KS -> STORE.  The chain's seven
+# dependency ids (MS: LWE; BR: MS, BSK; SE: BR; KS: SE, KSK; STORE: KS)
+# sit at _DEP_OFFSET past the group's first load row where _FROM_LOAD is
+# set and past its first chain row elsewhere.
+_GROUP_OPS = np.array([op.code for op in (
+    DmaOp.LOAD_LWE, DmaOp.LOAD_BSK, DmaOp.LOAD_KSK, VpuOp.MODULUS_SWITCH,
+    XpuOp.BLIND_ROTATE, VpuOp.SAMPLE_EXTRACT, VpuOp.KEY_SWITCH, DmaOp.STORE_LWE)])
+_BATCH_ROWS = np.array([1, 0, 0, 1, 1, 1, 1, 1])  # rows that count the batch
+_LWE_ROWS = np.array([1, 0, 0, 0, 0, 0, 0, 1])  # rows that move its LWEs
+_CHAIN_DEPS = [1, 2, 1, 2, 1]
+_FROM_LOAD = np.array([1, 0, 1, 0, 0, 1, 0], dtype=bool)
+_DEP_OFFSET = np.array([0, 0, 1, 1, 2, 2, 3])
 
 
 @dataclass(frozen=True)
@@ -119,78 +128,50 @@ class SwScheduler:
 
         Per layer, all DMA loads are emitted before the compute chains so
         the in-order DMA queues prefetch ahead of the XPUs - the
-        double-buffering role of the Private-A2 buffer.
+        double-buffering role of the Private-A2 buffer.  A layer of ``k``
+        groups is one block of rows: its P_ALU (if it has linear work),
+        ``3k`` loads, then ``k`` chains of five, every dependency at a
+        fixed offset from its group's first load and first chain row.
         """
         stream = InstructionStream()
-        emit = stream.emit
         p = self.params
-        lwe_bytes = p.lwe_bytes
-        bsk_bytes = p.bsk_transform_bytes
-        ksk_bytes = p.ksk_bytes
+        key_bytes = np.array([0, p.bsk_transform_bytes, p.ksk_bytes, 0, 0, 0, 0, 0])
         group_id = 0
-        barrier = ()  # ids the next layer must wait on
+        barrier = np.zeros(0, dtype=np.int64)  # ids the next layer waits on
         for layer in layers:
-            layer_tail = []
-            if layer.linear_macs:
-                palu = emit(
-                    VpuOp.P_ALU, group_id, depends_on=barrier, macs=layer.linear_macs
-                )
-                layer_tail.append(palu.inst_id)
-                linear_dep = (palu.inst_id,)
-            else:
-                linear_dep = barrier
-            # Split the layer into scheduler groups.
-            batches = []
-            remaining = layer.bootstraps
-            while remaining > 0:
-                batches.append(min(self.group_size, remaining))
-                remaining -= batches[-1]
-            if batches:
-                _SCHED_GROUPS.inc(len(batches))
-            # Phase 1: prefetch every group's operands.
-            loads = []
-            for batch in batches:
-                group = group_id + len(loads)
-                load = emit(
-                    DmaOp.LOAD_LWE, group, depends_on=linear_dep,
-                    count=batch, data_bytes=batch * lwe_bytes,
-                )
-                bsk = emit(
-                    DmaOp.LOAD_BSK, group, depends_on=linear_dep,
-                    data_bytes=bsk_bytes,
-                )
-                ksk = emit(
-                    DmaOp.LOAD_KSK, group, depends_on=linear_dep,
-                    data_bytes=ksk_bytes,
-                )
-                loads.append((load.inst_id, bsk.inst_id, ksk.inst_id))
-            # Phase 2: the dependent compute chain per group.
-            for batch, (load, bsk, ksk) in zip(batches, loads):
-                ms = emit(
-                    VpuOp.MODULUS_SWITCH, group_id, depends_on=(load,), count=batch,
-                )
-                br = emit(
-                    XpuOp.BLIND_ROTATE, group_id,
-                    depends_on=(ms.inst_id, bsk), count=batch,
-                )
-                se = emit(
-                    VpuOp.SAMPLE_EXTRACT, group_id,
-                    depends_on=(br.inst_id,), count=batch,
-                )
-                ks = emit(
-                    VpuOp.KEY_SWITCH, group_id,
-                    depends_on=(se.inst_id, ksk), count=batch,
-                )
-                store = emit(
-                    DmaOp.STORE_LWE, group_id, depends_on=(ks.inst_id,),
-                    count=batch, data_bytes=batch * lwe_bytes,
-                )
-                layer_tail.append(store.inst_id)
-                group_id += 1
-            barrier = tuple(layer_tail)
-        stream.validate_dependencies()
-        return stream
+            base = len(stream)
+            palu = np.arange(base, base + int(layer.linear_macs > 0))
+            linear_dep = palu if len(palu) else barrier
+            full, rest = divmod(layer.bootstraps, self.group_size)
+            batches = np.array([self.group_size] * full + [rest] * (rest > 0),
+                               dtype=np.int64)[:, None]
+            k = len(batches)
+            if k:
+                _SCHED_GROUPS.inc(k)
+            first = base + len(palu)
+            loads = first + 3 * np.arange(k)[:, None]
+            chains = first + 3 * k + 5 * np.arange(k)[:, None]
 
+            def rows(palu_value: int, per_group: ArrayLike) -> np.ndarray:
+                # The P_ALU row, then every group's loads, then the chains.
+                field = np.zeros((k, 8), dtype=np.int64) + per_group
+                return np.concatenate((np.full(len(palu), palu_value),
+                                       field[:, :3].ravel(), field[:, 3:].ravel()))
+
+            stream.emit_block(
+                rows(VpuOp.P_ALU.code, _GROUP_OPS),
+                rows(group_id, group_id + np.arange(k)[:, None]),
+                rows(0, batches * _BATCH_ROWS),
+                rows(0, batches * p.lwe_bytes * _LWE_ROWS + key_bytes),
+                rows(layer.linear_macs, 0),
+                rows(len(barrier), [len(linear_dep)] * 3 + _CHAIN_DEPS),
+                np.concatenate((
+                    barrier if len(palu) else barrier[:0], np.tile(linear_dep, 3 * k),
+                    (np.where(_FROM_LOAD, loads, chains) + _DEP_OFFSET).ravel())),
+            )
+            group_id += k
+            barrier = np.concatenate((palu, chains[:, 0] + 4))
+        return stream
 
     def schedule_clients(self, clients: dict) -> InstructionStream:
         """Schedule several clients' workloads (Section V-E's key rule).
@@ -205,53 +186,45 @@ class SwScheduler:
         if not clients:
             raise ValueError("need at least one client")
         merged = InstructionStream()
-        # Reuse the single-client lowering per client, then re-emit into
-        # one stream with disjoint group ids and remapped dependencies.
+        # Reuse the single-client lowering per client, then append it with
+        # its ids and group ids offset past the clients before it.
         group_base = 0
         for name, layers in clients.items():
-            sub = self.schedule(layers)
-            id_map = {}
-            max_group = -1
-            for inst in sub:
-                new = merged.emit(
-                    inst.op, group_base + inst.group,
-                    depends_on=[id_map[d] for d in inst.depends_on],
-                    count=inst.count, data_bytes=inst.data_bytes, macs=inst.macs,
-                )
-                id_map[inst.inst_id] = new.inst_id
-                max_group = max(max_group, inst.group)
-            group_base += max_group + 1
-        merged.validate_dependencies()
+            sub = self.schedule(layers).columns()
+            merged.emit_block(sub.code, sub.group + group_base, sub.count,
+                              sub.data_bytes, sub.macs, np.diff(sub.dep_ptr),
+                              sub.deps + len(merged))
+            group_base += int(sub.group.max(initial=-1)) + 1
         return merged
 
 
 def list_schedule(
-    instructions: Iterable[Instruction], durations: Iterable[float],
-    lane_groups: int, origin: float,
-) -> Iterator[Tuple[str, float, float, float]]:
-    """The list-scheduling recurrence, once: yields ``(queue, start, end,
-    duration)`` per instruction, in stream order.
+    queues: Sequence[int], deps: Iterable[Iterable[int]],
+    durations: Iterable[float], origin: float,
+) -> Tuple[List[float], List[float]]:
+    """The list-scheduling recurrence, once: ``(starts, ends)`` per row.
 
-    Each :func:`~repro.core.isa.engine_queue` issues in order, and an
-    instruction starts at ``max(queue ready, dependencies retired)``
-    counted from ``origin``.  :class:`HwScheduler` feeds modelled seconds
-    (``origin`` 0.0); the verifier's occupancy model feeds unit steps
-    (``origin`` 0).  A dependency on an id the stream never defined is
-    treated as already retired - rejecting it is the verifier's job
-    (VER001), and the occupancy pass must survive such streams.
+    ``queues[i]`` is row ``i``'s in-order queue
+    (:meth:`~repro.core.isa.StreamColumns.queues`) and ``deps[i]`` the
+    earlier rows it waits on; a row starts at ``max(queue ready,
+    dependencies retired)`` counted from ``origin``.
+    :class:`HwScheduler` feeds modelled seconds (``origin`` 0.0); the
+    verifier's occupancy model feeds unit steps (``origin`` 0).
     """
-    ready: dict = {}
-    finish: dict = {}
-    for inst, duration in zip(instructions, durations):
-        queue = engine_queue(inst, lane_groups)
-        start = ready.get(queue, origin)
-        for dep in inst.depends_on:
-            retired = finish.get(dep, origin)
+    ready = [origin] * (max(queues) + 1 if queues else 0)
+    starts: List[float] = []
+    ends: List[float] = []
+    for queue, waits, duration in zip(queues, deps, durations):
+        start = ready[queue]
+        for dep in waits:
+            retired = ends[dep]
             if retired > start:
                 start = retired
         end = start + duration
-        ready[queue] = finish[inst.inst_id] = end
-        yield queue, start, end, duration
+        ready[queue] = end
+        starts.append(start)
+        ends.append(end)
+    return starts, ends
 
 
 class HwScheduler:
@@ -279,9 +252,7 @@ class HwScheduler:
         self._bootstrap_cores = config.bootstrap_cores
         self._clock_hz = config.clock_ghz * 1e9
         self._blind_rotation_seconds = self.xpu.blind_rotation_seconds()
-        self._modulus_switch_cycles = stages.modulus_switch
-        self._sample_extract_cycles = stages.sample_extract
-        self._key_switch_cycles = stages.key_switch
+        self._stage_cycles = stages.stage_cycle_map()  # MS / SE / KS by op value
         self._xpu_bytes_per_second = self.hbm.bytes_per_second("xpu")
         self._vpu_bytes_per_second = self.hbm.bytes_per_second("vpu")
 
@@ -293,33 +264,45 @@ class HwScheduler:
         """
         from ..verify.occupancy import OccupancyModel
 
-        return OccupancyModel(self.config, self.params).analyze(list(stream))
+        return OccupancyModel(self.config, self.params).analyze(stream)
 
     # -- per-instruction timing ----------------------------------------
-    def _duration(self, inst: Instruction) -> float:
-        op = inst.op
-        engine = inst.engine
+    def _duration(self, op: object, count: int, data_bytes: int,
+                  macs: int) -> float:
+        engine = op.engine
         if engine is Engine.DMA:
             # BSK rides the XPU channel group, everything else the VPU's.
             if op is DmaOp.LOAD_BSK:
-                return inst.data_bytes / self._xpu_bytes_per_second
-            return inst.data_bytes / self._vpu_bytes_per_second
+                return data_bytes / self._xpu_bytes_per_second
+            return data_bytes / self._vpu_bytes_per_second
         if engine is Engine.XPU:
             # Blind-rotate `count` ciphertexts: ceil(count/cores) resident
             # waves, each one full blind rotation.
-            waves = -(-inst.count // self._bootstrap_cores)
+            waves = -(-count // self._bootstrap_cores)
             return waves * self._blind_rotation_seconds
         # One lane group (1/vpu_lane_groups of the MAC width) serves
         # each scheduled group, so consecutive groups post-process in
         # parallel (Section V-B: groups are programmed individually).
         scale = self.config.vpu_lane_groups
-        if op is VpuOp.MODULUS_SWITCH:
-            return scale * inst.count * self._modulus_switch_cycles / self._clock_hz
-        if op is VpuOp.SAMPLE_EXTRACT:
-            return scale * inst.count * self._sample_extract_cycles / self._clock_hz
-        if op is VpuOp.KEY_SWITCH:
-            return scale * inst.count * self._key_switch_cycles / self._clock_hz
-        return scale * self.vpu.linear_op_cycles(inst.macs) / self._clock_hz
+        if op.value in self._stage_cycles:
+            return scale * count * self._stage_cycles[op.value] / self._clock_hz
+        return scale * self.vpu.linear_op_cycles(macs) / self._clock_hz
+
+    def _durations(self, cols: StreamColumns) -> np.ndarray:
+        """Every row's duration, priced once per distinct
+        ``(op, count, data_bytes, macs)``."""
+        fields = (cols.code, cols.count, cols.data_bytes, cols.macs)
+        order = np.arange(len(cols))
+        for column in reversed(fields):  # stable: ends sorted by all four
+            order = order[np.argsort(column[order], kind="stable")]
+        rows = np.stack(fields, 1)[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(1)
+        prices = [self._duration(OPCODES[code], count, data_bytes, macs)
+                  for code, count, data_bytes, macs in rows[first].tolist()]
+        durations = np.empty(len(rows))
+        durations[order] = np.array(prices)[np.cumsum(first) - 1]
+        return durations
 
     def execute(
         self, stream: InstructionStream, record_spans: bool = False,
@@ -339,48 +322,42 @@ class HwScheduler:
             from ..verify import verify_or_raise
 
             verify_or_raise(stream, config=self.config, params=self.params)
+        cols = stream.columns()
         cores = self._bootstrap_cores
         lane_groups = self.config.vpu_lane_groups
-        busy = {"xpu": 0.0, "dma_xpu": 0.0, "dma_vpu": 0.0}
-        busy.update({f"vpu{g}": 0.0 for g in range(lane_groups)})
-        total = 0.0
-        scheduled_slots = 0
-        used_slots = 0
-        spans = [] if record_spans else None
+        queues, names = cols.queues(lane_groups)
+        seconds = self._durations(cols)
+        durations = seconds.tolist()
+        starts, ends = list_schedule(queues, cols.dep_rows(), durations, 0.0)
+        # Accumulated in stream order, as one += per instruction would.
+        busy = dict(zip(names, np.bincount(
+            queues, weights=seconds, minlength=len(names)).tolist()))
+        total = max(ends, default=0.0)
+        counts = cols.count[cols.code == XpuOp.BLIND_ROTATE.code]
+        scheduled_slots = int((cores * -(-counts // cores)).sum())
+        used_slots = int(counts.sum())
+        spans = None
+        if record_spans:
+            spans = [(names[q], OPCODES[c].value, g, start, end) for q, c, g, start, end
+                     in zip(queues, cols.code.tolist(), cols.group.tolist(), starts, ends)]
         # Read once per run: the per-instruction publishing (`_observe`)
         # stays off the path of a run nobody is watching.
-        observed = _METRICS.enabled or _TRACER.enabled or _COUNTERS.enabled
-        # Shared-buffer pressure: (time, byte delta) pairs collected while
-        # scheduling, replayed in time order afterwards into one sampled
-        # perf-counter track.  BR results land in Shared when the XPU
-        # instruction finishes and leave when SE drains them.
-        pressure = [] if _COUNTERS.enabled else None
-        # Request-latency samples: each group's STORE_LWE retire time is
-        # the completion time of its `count` requests (since t=0).
-        requests = [] if (_BUS.enabled or _METRICS.enabled) else None
-        timeline = list_schedule(
-            stream, map(self._duration, stream), lane_groups, 0.0
-        )
-        for inst, (key, start, end, duration) in zip(stream, timeline):
-            busy[key] += duration
-            if end > total:
-                total = end
-            op = inst.op
-            if op is XpuOp.BLIND_ROTATE:
-                scheduled_slots += cores * -(-inst.count // cores)
-                used_slots += inst.count
-            elif requests is not None and op is DmaOp.STORE_LWE and inst.count:
-                requests.append((end, inst.count, inst.group))
-            if spans is not None:
-                spans.append((key, op.value, inst.group, start, end))
-            if observed:
-                self._observe(inst, key, start, end, duration, pressure)
-        if pressure:
-            level = 0.0
-            _COUNTERS.sample("sched/shared_inflight_bytes", 0.0, 0.0)
-            for t, delta in sorted(pressure):
-                level += delta
-                _COUNTERS.sample("sched/shared_inflight_bytes", t, level)
+        if _METRICS.enabled or _TRACER.enabled or _COUNTERS.enabled:
+            # Shared-buffer pressure: (time, byte delta) pairs collected
+            # while publishing, replayed in time order afterwards into one
+            # sampled perf-counter track.  BR results land in Shared when
+            # the XPU instruction finishes and leave when SE drains them.
+            pressure = [] if _COUNTERS.enabled else None
+            for row in zip(cols.code.tolist(), cols.count.tolist(),
+                           cols.data_bytes.tolist(), cols.group.tolist(),
+                           queues, starts, ends, durations):
+                self._observe(names, pressure, *row)
+            if pressure:
+                level = 0.0
+                _COUNTERS.sample("sched/shared_inflight_bytes", 0.0, 0.0)
+                for t, delta in sorted(pressure):
+                    level += delta
+                    _COUNTERS.sample("sched/shared_inflight_bytes", t, level)
         waste = 1.0 - used_slots / scheduled_slots if scheduled_slots else 0.0
         if scheduled_slots:
             _SCHED_PADDING.inc(scheduled_slots - used_slots)
@@ -400,12 +377,17 @@ class HwScheduler:
             padding_waste=waste,
             spans=spans,
         )
-        if requests:
-            for end, count, group in requests:
-                _SCHED_REQUEST_LATENCY.observe(end, count=count)
+        if _BUS.enabled or _METRICS.enabled:
+            # Request latency: each group's STORE_LWE retire time is the
+            # completion time of its `count` requests (since t=0).
+            stores = np.flatnonzero((cols.code == DmaOp.STORE_LWE.code)
+                                    & (cols.count != 0)).tolist()
+            for i in stores:
+                count = int(cols.count[i])
+                _SCHED_REQUEST_LATENCY.observe(ends[i], count=count)
                 if _BUS.enabled:
-                    _BUS.publish("request", "sched/request", value=end,
-                                 count=count, group=group)
+                    _BUS.publish("request", "sched/request", value=ends[i],
+                                 count=count, group=int(cols.group[i]))
         if _BUS.enabled:
             _BUS.publish("snapshot", "sched/result", value=total,
                          instructions=result.instructions,
@@ -420,14 +402,16 @@ class HwScheduler:
         return result
 
     def _observe(
-        self, inst: Instruction, key: str, start: float, end: float,
-        duration: float, pressure: Optional[list],
+        self, names: List[str], pressure: Optional[list], code: int,
+        count: int, data_bytes: int, group: int, queue: int, start: float,
+        end: float, duration: float,
     ) -> None:
         """Publish one executed instruction to whichever telemetry is on."""
-        op = inst.op
-        if inst.engine is Engine.DMA:
+        op = OPCODES[code]
+        key = names[queue]
+        if op.engine is Engine.DMA:
             self.hbm.record_transfer(
-                inst.data_bytes, "xpu" if op is DmaOp.LOAD_BSK else "vpu"
+                data_bytes, "xpu" if op is DmaOp.LOAD_BSK else "vpu"
             )
         if _METRICS.enabled:
             _SCHED_INSTRUCTIONS.inc(op=op.value)
@@ -435,21 +419,19 @@ class HwScheduler:
             _TRACER.add_span(
                 op.value, ts_us=start * 1e6, dur_us=duration * 1e6,
                 category="schedule", track=f"hw/{key}",
-                args={"group": inst.group, "count": inst.count},
+                args={"group": group, "count": count},
             )
         if pressure is not None:
             _COUNTERS.add_cycles(f"sched/engine/{key}", duration * self._clock_hz)
             if op is XpuOp.BLIND_ROTATE:
-                waves = -(-inst.count // self._bootstrap_cores)
+                waves = -(-count // self._bootstrap_cores)
                 self.xpu.record_blind_rotations(waves * self.config.num_xpus)
-                pressure.append((end, inst.count * self.params.glwe_bytes))
-            elif op in (
-                VpuOp.MODULUS_SWITCH, VpuOp.SAMPLE_EXTRACT, VpuOp.KEY_SWITCH
-            ):
-                cycles = self.vpu.stage_cycles().stage_cycle_map()[op.value]
-                _COUNTERS.add_cycles(f"vpu/stage/{op.value}", inst.count * cycles)
+                pressure.append((end, count * self.params.glwe_bytes))
+            elif op.value in self._stage_cycles:
+                _COUNTERS.add_cycles(f"vpu/stage/{op.value}",
+                                     count * self._stage_cycles[op.value])
                 if op is VpuOp.SAMPLE_EXTRACT:
-                    pressure.append((end, -inst.count * self.params.glwe_bytes))
+                    pressure.append((end, -count * self.params.glwe_bytes))
 
 
 def render_schedule(result: ScheduleResult, width: int = 72) -> str:

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from ..core.isa import DmaOp, VpuOp, XpuOp
 from .diagnostics import Diagnostic, Severity
@@ -118,7 +120,7 @@ class StaticNoiseReport:
 
 
 def static_noise_report(
-    instructions: Sequence[object],
+    instructions: Iterable[object],
     params: object,
     margin: Optional[float] = None,
     log2_budget: Optional[float] = None,
@@ -156,29 +158,32 @@ def static_noise_report(
     ms_variance = modulus_switch_noise_variance(params)
 
     # Only BR / SE / KS / STORE results carry variance: every other
-    # instruction's output is noise-free and simply absent from the map.
-    variance: Dict[object, float] = {}
-    key_switched: Dict[float, float] = {}  # operand variance -> KS output
-    bootstraps = 0
-    terminal = 0.0  # worst fully key-switched output variance observed
-    for inst in normalise(instructions):
-        op = inst.op
-        if op is XpuOp.BLIND_ROTATE:
-            variance[inst.inst_id] = br_variance
-            bootstraps += max(inst.count, 0)
-        elif op in _PROPAGATING:
-            out = 0.0
-            for dep in inst.depends_on:
-                out = max(out, variance.get(dep, 0.0))
-            if op is VpuOp.KEY_SWITCH:
-                operand = out
-                out = key_switched.get(operand)
-                if out is None:
-                    out = key_switched[operand] = key_switch_noise_variance(
-                        params, operand
-                    )
-                terminal = max(terminal, out)
-            variance[inst.inst_id] = out
+    # row's output is noise-free, and a dependency reads the latest
+    # earlier variance-carrying row with its id (0.0 if there is none).
+    cols = normalise(instructions)
+    rotation = cols.code == XpuOp.BLIND_ROTATE.code
+    key_switch = cols.code == VpuOp.KEY_SWITCH.code
+    passing = np.isin(cols.code, [op.code for op in _PROPAGATING])
+    src = cols.resolve(cols.deps, cols.owner, among=rotation | passing)
+    reads = passing[cols.owner] & (src >= 0)
+    src, reader = src[reads], cols.owner[reads]
+    bootstraps = int(np.maximum(cols.count[rotation], 0).sum())
+    # Every edge points to an earlier row, so sweeping "each passing row
+    # takes its operands' max, a key switch adds its terms" until nothing
+    # changes reaches the in-order result after (longest chain + 1) sweeps.
+    variance = np.where(rotation, br_variance, 0.0)
+    while True:
+        out = np.zeros(len(cols))
+        np.maximum.at(out, reader, variance[src])
+        operands, at = np.unique(out[key_switch], return_inverse=True)
+        out[key_switch] = np.array([key_switch_noise_variance(params, v)
+                                    for v in operands.tolist()])[at]
+        out = np.where(passing, out, variance)
+        if np.array_equal(out, variance):
+            break
+        variance = out
+    # Worst fully key-switched output variance observed.
+    terminal = float(variance[key_switch].max(initial=0.0))
     if terminal <= 0.0:
         # No key-switch in the stream (a bare rotation program): fall
         # back to the closed-form bootstrap output variance.
@@ -221,14 +226,11 @@ def static_noise_report(
 def _check_noise_budget(ctx: VerifyContext) -> Iterator[Diagnostic]:
     if ctx.params is None:
         return
-    report = static_noise_report(ctx.instructions, ctx.params)
+    report = static_noise_report(ctx.columns, ctx.params)
     if report.bootstraps == 0 or report.within_budget:
         return
-    first_br: Optional[int] = None
-    for idx, inst in enumerate(ctx.instructions):
-        if inst.op is XpuOp.BLIND_ROTATE:
-            first_br = idx
-            break
+    rotations = np.flatnonzero(ctx.columns.code == XpuOp.BLIND_ROTATE.code)
+    first_br: Optional[int] = int(rotations[0]) if len(rotations) else None
     yield Diagnostic(
         code="VER008", severity=Severity.WARNING,
         message=(

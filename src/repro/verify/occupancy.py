@@ -35,10 +35,11 @@ verifier and the scheduler share one resource model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..core.isa import XpuOp
+import numpy as np
+
+from ..core.isa import StreamColumns, XpuOp
 from ..core.scheduler import list_schedule
 from .diagnostics import Diagnostic, Severity
 from .program import VerifyContext, normalise, register_program_pass
@@ -158,90 +159,76 @@ class OccupancyModel:
         }
 
     # -- abstract timeline ---------------------------------------------
-    def _abstract_schedule(self, instructions: Sequence[Any]) -> List[int]:
-        """Unit-duration list schedule: the step each instruction retires
-        at (it occupies its queue for the one step before that)."""
-        timeline = list_schedule(instructions, repeat(1), self.lane_groups, 0)
-        return [end for _queue, _start, end, _duration in timeline]
+    def _abstract_schedule(self, cols: StreamColumns) -> np.ndarray:
+        """Unit-duration list schedule: the step each row retires at (it
+        occupies its queue for the one step before that)."""
+        queues, _names = cols.queues(self.lane_groups)
+        _starts, ends = list_schedule(queues, cols.dep_rows(), [1] * len(cols), 0)
+        return np.array(ends, dtype=np.int64)
 
     # -- liveness intervals --------------------------------------------
     def _intervals(
-        self, instructions: Sequence[Any], end: List[int],
-    ) -> Dict[str, List[Tuple[int, int, int, int]]]:
-        """Per-buffer ``(from, to, bytes, producer index)`` live ranges."""
-        rotations = [
-            idx for idx, inst in enumerate(instructions)
-            if inst.op is XpuOp.BLIND_ROTATE
-        ]
-        results = {instructions[idx].inst_id for idx in rotations}
-        # Retire step of each rotation result's last consumer.
-        drained: Dict[object, int] = {}
-        for idx, inst in enumerate(instructions):
-            for dep in inst.depends_on:
-                if dep in results and end[idx] > drained.get(dep, 0):
-                    drained[dep] = end[idx]
-        horizon = (max(end) if end else 0) + 1
-        intervals: Dict[str, List[Tuple[int, int, int, int]]] = {
-            b: [] for b in _BUFFERS
+        self, cols: StreamColumns, end: np.ndarray,
+    ) -> Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per-buffer ``(from, to, bytes, producer row)`` live ranges."""
+        rotations = np.flatnonzero(cols.code == XpuOp.BLIND_ROTATE.code)
+        n = len(cols)
+        # Retire step of each rotation result's last consumer, keyed by
+        # the last row carrying the result's id.
+        consumed = np.isin(cols.deps, cols.ids[rotations])
+        drained = np.zeros(n + 1, dtype=np.int64)
+        np.maximum.at(drained, cols.resolve(cols.deps[consumed], n),
+                      end[cols.owner[consumed]])
+        drained = drained[cols.resolve(cols.ids[rotations], n)]
+        horizon = int(end.max(initial=0)) + 1
+        count = cols.count[rotations]
+        retired = end[rotations]
+        ones = np.ones_like(retired)
+        # ACC streams + the resident BSK slice live while rotating.  The
+        # rotation result sits in Shared until its last consumer (the SE
+        # per VER005) retires; unconsumed results leak to the end of the
+        # program.
+        return {
+            "shared": (retired, np.maximum(np.where(drained > 0, drained, horizon),
+                                           retired + 1),
+                       count * self.shared_per_ct, rotations),
+            "private_a1": (retired - 1, retired, count * self.a1_per_ct, rotations),
+            "private_a2": (retired - 1, retired, ones * self.a2_resident, rotations),
         }
-        for idx in rotations:
-            inst = instructions[idx]
-            count = inst.count
-            retired = end[idx]
-            # ACC streams + the resident BSK slice live while rotating.
-            intervals["private_a1"].append(
-                (retired - 1, retired, count * self.a1_per_ct, idx)
-            )
-            intervals["private_a2"].append(
-                (retired - 1, retired, self.a2_resident, idx)
-            )
-            # The rotation result sits in Shared until its last consumer
-            # (the SE per VER005) retires; unconsumed results leak to the
-            # end of the program.
-            intervals["shared"].append((
-                retired, max(drained.get(inst.inst_id, horizon), retired + 1),
-                count * self.shared_per_ct, idx,
-            ))
-        return intervals
 
     # -- the proof ------------------------------------------------------
     def analyze(
-        self, instructions: Sequence[object], subject: str = "<stream>"
+        self, instructions: Iterable[object], subject: str = "<stream>"
     ) -> OccupancyProof:
         """High-water-mark proof for ``instructions``."""
-        insts = normalise(instructions)
-        end = self._abstract_schedule(insts)
-        intervals = self._intervals(insts, end)
+        cols = normalise(instructions)
+        end = self._abstract_schedule(cols)
+        intervals = self._intervals(cols, end)
         marks: List[BufferHighWater] = []
         for buffer in _BUFFERS:
             # Sweep allocation/release events in time order; releases
             # sort before allocations at equal timestamps (the intervals
             # are half-open, so a consumer retiring at t frees its bytes
-            # before anything allocated at t lands).
-            events: List[Tuple[int, int, int]] = []
-            for t_from, t_to, nbytes, idx in intervals[buffer]:
-                if nbytes <= 0:
-                    continue
-                events.append((t_from, nbytes, idx))
-                events.append((t_to, -nbytes, idx))
-            level = 0
-            peak = 0
-            peak_step = 0
-            peak_idx: Optional[int] = None
-            for t, delta, idx in sorted(events, key=lambda e: (e[0], e[1])):
-                level += delta
-                if level > peak:
-                    peak = level
-                    peak_step = t
-                    peak_idx = idx
+            # before anything allocated at t lands).  Each interval
+            # contributes its allocation, then its release, in row order;
+            # the sort is stable.
+            t_from, t_to, nbytes, rows = intervals[buffer]
+            live = nbytes > 0
+            t = np.stack((t_from[live], t_to[live]), 1).ravel()
+            delta = np.stack((nbytes[live], -nbytes[live]), 1).ravel()
+            order = np.lexsort((delta, t))
+            level = np.cumsum(delta[order])
+            # The peak is where the level first reaches its maximum.
+            peak = int(level.max(initial=0))
+            at = order[np.argmax(level)] if peak else None
             marks.append(BufferHighWater(
                 buffer=buffer,
                 capacity_bytes=self.capacities[buffer],
                 high_water_bytes=peak,
-                at_step=peak_step,
-                at_instruction=peak_idx,
+                at_step=int(t[at]) if peak else 0,
+                at_instruction=int(rows[live][at // 2]) if peak else None,
             ))
-        steps = max(end) if end else 0
+        steps = int(end.max(initial=0))
         return OccupancyProof(subject=subject, steps=steps, buffers=tuple(marks))
 
     # -- admission control ---------------------------------------------
@@ -289,11 +276,11 @@ class OccupancyModel:
 def _check_occupancy(ctx: VerifyContext) -> Iterator[Diagnostic]:
     if ctx.config is None or ctx.params is None:
         return
-    proof = OccupancyModel(ctx.config, ctx.params).analyze(ctx.instructions)
+    proof = OccupancyModel(ctx.config, ctx.params).analyze(ctx.columns)
     for hw in proof.buffers:
         if hw.ok:
             continue
-        op = (ctx.instructions[hw.at_instruction].op
+        op = (ctx.columns.op(hw.at_instruction)
               if hw.at_instruction is not None else None)
         yield Diagnostic(
             code="VER007", severity=Severity.ERROR,

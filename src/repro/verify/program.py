@@ -34,10 +34,12 @@ Pass catalog
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
-from ..core.isa import DmaOp, Engine, Instruction, VpuOp, XpuOp, engine_of
+import numpy as np
+
+from ..core.isa import OPCODES, DmaOp, InstructionStream, StreamColumns, VpuOp, XpuOp
 from .diagnostics import Diagnostic, RuleInfo, Severity, VerificationError, VerifyReport
 
 __all__ = [
@@ -52,64 +54,43 @@ __all__ = [
 ]
 
 
-class _Foreign:
-    """An instruction-shaped foreign object, normalised to the
-    :class:`~repro.core.isa.Instruction` field set.
+def normalise(stream: Iterable[object]) -> StreamColumns:
+    """``stream`` as columns.
 
-    Hand-built or third-party records may lack fields or carry an opcode
-    the ISA constructor would refuse; the passes must still report on
-    them.  Missing fields take the neutral defaults here, once, so every
-    pass reads plain attributes.
+    An :class:`~repro.core.isa.InstructionStream` hands over its own
+    arrays (never copied); any other iterable of instruction-shaped
+    objects (a decoded binary, hand-built records) is converted once,
+    missing fields taking their neutral defaults.
     """
-
-    __slots__ = Instruction.__slots__
-
-    def __init__(self, index: int, inst: object) -> None:
-        self.inst_id = getattr(inst, "inst_id", index)
-        self.op = getattr(inst, "op", None)
-        self.group = getattr(inst, "group", 0)
-        self.count = getattr(inst, "count", 0)
-        self.data_bytes = getattr(inst, "data_bytes", 0)
-        self.macs = getattr(inst, "macs", 0)
-        self.depends_on = tuple(getattr(inst, "depends_on", ()))
-        self.engine = engine_of(self.op)
-
-
-_NORMAL = (Instruction, _Foreign)
-
-
-def normalise(stream: Iterable[object]) -> List[Any]:
-    """``stream`` as a list whose items all expose the instruction fields.
-
-    The stream's own :class:`~repro.core.isa.Instruction` objects are
-    kept (never copied); anything else is wrapped in a :class:`_Foreign`,
-    so passes read ``inst.op`` / ``inst.engine`` / ``inst.depends_on``
-    directly.
-    """
-    return [
-        inst if type(inst) in _NORMAL else _Foreign(idx, inst)
-        for idx, inst in enumerate(stream)
-    ]
+    if isinstance(stream, StreamColumns):
+        return stream
+    if isinstance(stream, InstructionStream):
+        return stream.columns()
+    return StreamColumns.from_records(stream)
 
 
 @dataclass
 class VerifyContext:
     """Everything a pass may inspect.
 
-    ``instructions`` is a :func:`normalise`-d list.  ``config``/``params``
+    ``columns`` is the :func:`normalise`-d program.  ``config``/``params``
     are optional: capacity and transfer-size checks degrade gracefully
     (skip) when the architectural context is unknown, so the verifier
     still works on bare decoded binaries.
     """
 
-    instructions: List[Any]
+    columns: StreamColumns
     config: Optional[object] = None
     params: Optional[object] = None
-    by_id: Dict[int, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.by_id:
-            self.by_id = {inst.inst_id: inst for inst in self.instructions}
+    @property
+    def by_id(self) -> Dict[int, int]:
+        """Row of each instruction id (the last row wins for duplicates)."""
+        return dict(zip(self.columns.ids.tolist(), range(len(self.columns))))
+
+    def is_op(self, *ops: Any) -> np.ndarray:
+        """Mask of the rows whose opcode is one of ``ops``."""
+        return np.isin(self.columns.code, [op.code for op in ops])
 
 
 PassFn = Callable[[VerifyContext], Iterator[Diagnostic]]
@@ -154,13 +135,25 @@ def program_rule_catalog() -> List[RuleInfo]:
     return [p.info for p in PROGRAM_PASSES]
 
 
-def _diag(code: str, idx: int, inst: Any, message: str,
+def _diag(code: str, cols: StreamColumns, row: int, message: str,
           severity: Severity = Severity.ERROR) -> Diagnostic:
-    op = inst.op
+    op = cols.op(row)
     return Diagnostic(
         code=code, severity=severity, message=message,
-        instruction_index=idx, op=getattr(op, "value", str(op)),
+        instruction_index=row, op=getattr(op, "value", str(op)),
     )
+
+
+def _flag(code: str, cols: StreamColumns, *checks: tuple) -> Iterator[Diagnostic]:
+    """Diagnostics of per-row checks ``(mask, message(row)[, severity])``:
+    one per flagged row and check, in row order, then check order."""
+    hits = [np.flatnonzero(check[0]) for check in checks]
+    rows = np.concatenate(hits)
+    which = np.repeat(np.arange(len(checks)), [len(h) for h in hits])
+    for k in np.lexsort((which, rows)).tolist():
+        row = int(rows[k])
+        _, message, *severity = checks[which[k]]
+        yield _diag(code, cols, row, message(row), *severity)
 
 
 # ----------------------------------------------------------------------
@@ -169,18 +162,17 @@ def _diag(code: str, idx: int, inst: Any, message: str,
 @_register("VER001", "def-before-use",
            "dependencies must reference already-emitted instructions")
 def _check_def_before_use(ctx: VerifyContext) -> Iterator[Diagnostic]:
-    seen: set = set()
-    for idx, inst in enumerate(ctx.instructions):
-        for dep in inst.depends_on:
-            if dep not in seen:
-                kind = ("forward reference" if dep in ctx.by_id
-                        else "unknown instruction")
-                yield _diag(
-                    "VER001", idx, inst,
-                    f"dependency {dep} is a {kind}: operands must be "
-                    f"defined before use",
-                )
-        seen.add(inst.inst_id)
+    cols = ctx.columns
+    undefined = cols.resolve(cols.deps, cols.owner) < 0
+    for entry in np.flatnonzero(undefined).tolist():
+        dep = int(cols.deps[entry])
+        kind = ("forward reference" if cols.resolve(dep, len(cols)) >= 0
+                else "unknown instruction")
+        yield _diag(
+            "VER001", cols, int(cols.owner[entry]),
+            f"dependency {dep} is a {kind}: operands must be "
+            f"defined before use",
+        )
 
 
 # ----------------------------------------------------------------------
@@ -189,21 +181,23 @@ def _check_def_before_use(ctx: VerifyContext) -> Iterator[Diagnostic]:
 @_register("VER002", "identity-sanity",
            "instruction ids must be unique; no self/duplicate dependencies")
 def _check_identity(ctx: VerifyContext) -> Iterator[Diagnostic]:
-    seen_ids: set = set()
-    for idx, inst in enumerate(ctx.instructions):
-        inst_id = inst.inst_id
-        if inst_id in seen_ids:
-            yield _diag("VER002", idx, inst,
-                        f"duplicate instruction id {inst_id}")
-        seen_ids.add(inst_id)
-        deps = inst.depends_on
-        if inst_id in deps:
-            yield _diag("VER002", idx, inst,
-                        f"instruction {inst_id} depends on itself")
-        if len(deps) > 1 and len(deps) != len(set(deps)):
-            yield _diag("VER002", idx, inst,
-                        f"instruction {inst_id} lists a dependency twice",
-                        Severity.WARNING)
+    cols = ctx.columns
+    ids, deps, owner = cols.ids, cols.deps, cols.owner
+    rows = np.arange(len(cols))
+    itself = np.zeros(len(cols), dtype=bool)
+    itself[owner[deps == ids[owner]]] = True
+    order = np.lexsort((deps, owner))
+    own, dep = owner[order], deps[order]
+    twice = np.zeros(len(cols), dtype=bool)
+    twice[own[1:][(own[1:] == own[:-1]) & (dep[1:] == dep[:-1])]] = True
+    yield from _flag(
+        "VER002", cols,
+        (cols.resolve(ids, rows) >= 0,
+         lambda i: f"duplicate instruction id {ids[i]}"),
+        (itself, lambda i: f"instruction {ids[i]} depends on itself"),
+        (twice, lambda i: f"instruction {ids[i]} lists a dependency twice",
+         Severity.WARNING),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -212,35 +206,26 @@ def _check_identity(ctx: VerifyContext) -> Iterator[Diagnostic]:
 @_register("VER003", "opcode-engine-compatibility",
            "payload fields must match the opcode's engine")
 def _check_opcode_engine(ctx: VerifyContext) -> Iterator[Diagnostic]:
-    for idx, inst in enumerate(ctx.instructions):
-        op = inst.op
-        engine = inst.engine
-        if engine is None:
-            yield _diag("VER003", idx, inst,
-                        f"unknown opcode {op!r}: no engine dispatches it")
-            continue
-        if engine is Engine.DMA:
-            if inst.macs:
-                yield _diag("VER003", idx, inst,
-                            "DMA instructions carry data_bytes, not MACs")
-        elif op is VpuOp.P_ALU:
-            if not inst.macs:
-                yield _diag("VER003", idx, inst,
-                            "P_ALU instruction with no MAC work")
-            if inst.count:
-                yield _diag("VER003", idx, inst,
-                            "P_ALU covers MACs, not ciphertexts")
-        else:  # XPU blind-rotate or VPU bootstrap stages
-            if not inst.count:
-                yield _diag("VER003", idx, inst,
-                            f"{engine.value.upper()} compute op covers "
-                            f"zero ciphertexts")
-            if inst.data_bytes:
-                yield _diag("VER003", idx, inst,
-                            "compute ops do not carry DMA payloads")
-            if inst.macs:
-                yield _diag("VER003", idx, inst,
-                            "bootstrap-stage ops do not carry MAC work")
+    cols = ctx.columns
+    known = cols.code >= 0
+    dma = ctx.is_op(*DmaOp)
+    palu = ctx.is_op(VpuOp.P_ALU)
+    compute = known & ~dma & ~palu  # XPU blind-rotate or VPU bootstrap stages
+    macs, count = cols.macs != 0, cols.count != 0
+    yield from _flag(
+        "VER003", cols,
+        (~known, lambda i: f"unknown opcode {cols.op(i)!r}: no engine "
+                           f"dispatches it"),
+        (dma & macs, lambda i: "DMA instructions carry data_bytes, not MACs"),
+        (palu & ~macs, lambda i: "P_ALU instruction with no MAC work"),
+        (palu & count, lambda i: "P_ALU covers MACs, not ciphertexts"),
+        (compute & ~count,
+         lambda i: f"{cols.op(i).engine.value.upper()} compute op covers "
+                   f"zero ciphertexts"),
+        (compute & (cols.data_bytes != 0),
+         lambda i: "compute ops do not carry DMA payloads"),
+        (compute & macs, lambda i: "bootstrap-stage ops do not carry MAC work"),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -255,19 +240,18 @@ def _check_capacity(ctx: VerifyContext) -> Iterator[Diagnostic]:
 
     streams = max(1, acc_stream_capacity(ctx.config, ctx.params))
     capacity = streams * ctx.config.bootstrap_cores
-    batched = (XpuOp.BLIND_ROTATE, VpuOp.MODULUS_SWITCH,
-               VpuOp.SAMPLE_EXTRACT, VpuOp.KEY_SWITCH,
-               DmaOp.LOAD_LWE, DmaOp.STORE_LWE)
-    for idx, inst in enumerate(ctx.instructions):
-        count = inst.count
-        if count > capacity and inst.op in batched:
-            yield _diag(
-                "VER004", idx, inst,
-                f"batch of {count} ciphertexts exceeds the scheduler "
-                f"group capacity of {capacity} ({streams} resident "
-                f"stream(s) x {ctx.config.bootstrap_cores} bootstrap "
-                f"cores): Private-A1/Shared residency would overflow",
-            )
+    count = ctx.columns.count
+    batched = ctx.is_op(XpuOp.BLIND_ROTATE, VpuOp.MODULUS_SWITCH,
+                        VpuOp.SAMPLE_EXTRACT, VpuOp.KEY_SWITCH,
+                        DmaOp.LOAD_LWE, DmaOp.STORE_LWE)
+    yield from _flag(
+        "VER004", ctx.columns,
+        (batched & (count > capacity),
+         lambda i: f"batch of {count[i]} ciphertexts exceeds the scheduler "
+                   f"group capacity of {capacity} ({streams} resident "
+                   f"stream(s) x {ctx.config.bootstrap_cores} bootstrap "
+                   f"cores): Private-A1/Shared residency would overflow"),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -283,43 +267,43 @@ _CHAIN = (
     VpuOp.KEY_SWITCH,
     DmaOp.STORE_LWE,
 )
+#: Stage of each opcode code (-1: not a chain op; the last entry serves
+#: unknown opcodes' code -1), and the code each stage consumes.
+_STAGE = np.full(len(OPCODES) + 1, -1)
+_STAGE[[op.code for op in _CHAIN]] = np.arange(len(_CHAIN))
+_PRODUCER = np.array([-1] + [op.code for op in _CHAIN[:-1]])
 
 
 @_register("VER005", "stage-order-hazard",
            "per-group bootstrap chains must order MS -> BR -> SE -> KS -> STORE")
 def _check_stage_order(ctx: VerifyContext) -> Iterator[Diagnostic]:
-    last_stage: Dict[int, int] = {}
-    by_id = ctx.by_id
-    for idx, inst in enumerate(ctx.instructions):
-        op = inst.op
-        if op not in _CHAIN:
-            continue
-        stage = _CHAIN.index(op)
-        group = inst.group
-        prev = last_stage.get(group)
-        if prev is not None and stage < prev:
-            yield _diag(
-                "VER005", idx, inst,
-                f"group {group} emits stage {op.value!r} after a later "
-                f"stage: the in-order engine queues would deadlock or "
-                f"reorder writes (WAR hazard)",
-            )
-        last_stage[group] = stage
-        if stage == 0:
-            continue
-        producer = _CHAIN[stage - 1]
-        for dep in inst.depends_on:
-            dep_inst = by_id.get(dep)
-            if (dep_inst is not None and dep_inst.op is producer
-                    and dep_inst.group == group):
-                break
-        else:
-            yield _diag(
-                "VER005", idx, inst,
-                f"{op.value!r} in group {group} does not depend on the "
-                f"group's {producer.value!r} result (RAW hazard: it "
-                f"would read stale buffer contents)",
-            )
+    cols = ctx.columns
+    group, stage = cols.group, _STAGE[cols.code]
+    # Each chain row against the previous chain row of its group.
+    chain = np.flatnonzero(stage >= 0)
+    chain = chain[np.argsort(group[chain], kind="stable")]
+    prev, row = chain[:-1], chain[1:]
+    later = np.zeros(len(cols), dtype=bool)
+    later[row[(group[row] == group[prev]) & (stage[row] < stage[prev])]] = True
+    # A consumer needs a dependency whose instruction (the last one with
+    # that id) is its own group's producer stage.
+    consumes = stage[cols.owner] > 0
+    owner = cols.owner[consumes]
+    src = cols.resolve(cols.deps[consumes], len(cols))
+    fed = ((src >= 0) & (cols.code[src] == _PRODUCER[stage[owner]])
+           & (group[src] == group[owner]))
+    starved = stage > 0
+    starved[owner[fed]] = False
+    yield from _flag(
+        "VER005", cols,
+        (later, lambda i: f"group {group[i]} emits stage {cols.op(i).value!r} "
+                          f"after a later stage: the in-order engine queues "
+                          f"would deadlock or reorder writes (WAR hazard)"),
+        (starved, lambda i: f"{cols.op(i).value!r} in group {group[i]} does "
+                            f"not depend on the group's "
+                            f"{_CHAIN[stage[i] - 1].value!r} result (RAW "
+                            f"hazard: it would read stale buffer contents)"),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -332,53 +316,37 @@ def _check_transfers(ctx: VerifyContext) -> Iterator[Diagnostic]:
     word = 4  # torus coefficients are 32-bit words on every channel
     if params is not None:
         word = params.coeff_bytes
+    data, count = ctx.columns.data_bytes, ctx.columns.count
+    dma = ctx.is_op(*DmaOp)
+    moves = dma & (data > 0)
+    checks = [
+        (dma & (data <= 0), lambda i: "DMA transfer moves zero bytes"),
+        (moves & (data % word != 0),
+         lambda i: f"transfer of {data[i]} B is not a multiple of the "
+                   f"{word} B coefficient word"),
+    ]
+    if params is not None:
         lwe_bytes = params.lwe_bytes
         bsk_sizes = (params.bsk_transform_bytes, params.bsk_bytes)
         ksk_bytes = params.ksk_bytes
-    for idx, inst in enumerate(ctx.instructions):
-        if inst.engine is not Engine.DMA:
-            continue
-        op = inst.op
-        data_bytes = inst.data_bytes
-        if data_bytes <= 0:
-            yield _diag("VER006", idx, inst,
-                        "DMA transfer moves zero bytes")
-            continue
-        if data_bytes % word:
-            yield _diag(
-                "VER006", idx, inst,
-                f"transfer of {data_bytes} B is not a multiple of the "
-                f"{word} B coefficient word",
-            )
-        if params is None:
-            continue
-        if op is DmaOp.LOAD_LWE or op is DmaOp.STORE_LWE:
-            count = inst.count
-            if count and data_bytes != count * lwe_bytes:
-                yield _diag(
-                    "VER006", idx, inst,
-                    f"LWE transfer of {data_bytes} B does not match "
-                    f"{count} ciphertexts x {lwe_bytes} B "
-                    f"= {count * lwe_bytes} B",
-                )
-        elif op is DmaOp.LOAD_BSK:
-            if data_bytes not in bsk_sizes:
-                yield _diag(
-                    "VER006", idx, inst,
-                    f"BSK transfer of {data_bytes} B matches neither the "
-                    f"transform-domain ({bsk_sizes[0]} B) "
-                    f"nor the coefficient-domain ({bsk_sizes[1]} B) "
-                    f"key footprint",
-                    Severity.WARNING,
-                )
-        elif op is DmaOp.LOAD_KSK:
-            if data_bytes != ksk_bytes:
-                yield _diag(
-                    "VER006", idx, inst,
-                    f"KSK transfer of {data_bytes} B does not match the "
-                    f"key footprint of {ksk_bytes} B",
-                    Severity.WARNING,
-                )
+        checks += [
+            (moves & ctx.is_op(DmaOp.LOAD_LWE, DmaOp.STORE_LWE) & (count != 0)
+             & (data != count * lwe_bytes),
+             lambda i: f"LWE transfer of {data[i]} B does not match "
+                       f"{count[i]} ciphertexts x {lwe_bytes} B "
+                       f"= {count[i] * lwe_bytes} B"),
+            (moves & ctx.is_op(DmaOp.LOAD_BSK) & ~np.isin(data, bsk_sizes),
+             lambda i: f"BSK transfer of {data[i]} B matches neither the "
+                       f"transform-domain ({bsk_sizes[0]} B) "
+                       f"nor the coefficient-domain ({bsk_sizes[1]} B) "
+                       f"key footprint",
+             Severity.WARNING),
+            (moves & ctx.is_op(DmaOp.LOAD_KSK) & (data != ksk_bytes),
+             lambda i: f"KSK transfer of {data[i]} B does not match the "
+                       f"key footprint of {ksk_bytes} B",
+             Severity.WARNING),
+        ]
+    yield from _flag("VER006", ctx.columns, *checks)
 
 
 # ----------------------------------------------------------------------

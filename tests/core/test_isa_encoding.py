@@ -102,6 +102,9 @@ class TestStream:
         hw = HwScheduler(MorphlingConfig(), get_params("I"))
         direct = hw.execute(program)
         rebuilt = InstructionStream()
-        rebuilt._instructions = decode_stream(encode_stream(program))
+        for inst in decode_stream(encode_stream(program)):
+            rebuilt.emit(inst.op, inst.group, inst.depends_on, inst.count,
+                         inst.data_bytes, inst.macs)
+        assert list(rebuilt) == list(program)
         replayed = hw.execute(rebuilt)
         assert replayed.total_seconds == pytest.approx(direct.total_seconds)

@@ -51,12 +51,42 @@ class TestInstructionStream:
         with pytest.raises(ValueError):
             s.emit(VpuOp.MODULUS_SWITCH, 0, depends_on=(99,))
 
-    def test_by_engine_filters(self):
+    def test_records_are_views_of_the_columns(self):
+        s = InstructionStream()
+        load = s.emit(DmaOp.LOAD_LWE, 0, count=2, data_bytes=64)
+        s.emit_block([XpuOp.BLIND_ROTATE.code, VpuOp.P_ALU.code], [0, 1],
+                     [2, 0], [0, 0], [0, 9], [1, 2], [0, 0, 1])
+        cols = s.columns()
+        assert cols.code.tolist() == [DmaOp.LOAD_LWE.code,
+                                      XpuOp.BLIND_ROTATE.code, VpuOp.P_ALU.code]
+        assert cols.deps.tolist() == [0, 0, 1]
+        assert cols.dep_ptr.tolist() == [0, 0, 1, 3]
+        assert list(s) == [
+            load,
+            Instruction(1, XpuOp.BLIND_ROTATE, 0, count=2, depends_on=(0,)),
+            Instruction(2, VpuOp.P_ALU, 1, macs=9, depends_on=(0, 1)),
+        ]
+        assert len(s) == 3 and s.groups() == [0, 1]
+
+    def test_block_rows_are_checked_like_emitted_ones(self):
         s = InstructionStream()
         s.emit(DmaOp.LOAD_LWE, 0)
-        s.emit(XpuOp.BLIND_ROTATE, 0)
-        assert len(s.by_engine(Engine.DMA)) == 1
-        assert len(s.by_engine(Engine.XPU)) == 1
+        with pytest.raises(ValueError, match="not yet emitted"):
+            s.emit_block([VpuOp.MODULUS_SWITCH.code] * 2, [0, 0], [1, 1],
+                         [0, 0], [0, 0], [1, 1], [0, 2])
+        with pytest.raises(ValueError, match="unknown opcode"):
+            s.emit_block([-1], [0], [0], [0], [0], [0], [])
+        with pytest.raises(ValueError, match="non-negative"):
+            s.emit_block([VpuOp.P_ALU.code], [0], [0], [0], [-5], [0], [])
+        assert len(s) == 1  # nothing was appended by the refused blocks
+
+    def test_queues_keep_their_names(self):
+        s = InstructionStream()
+        for op, group in ((XpuOp.BLIND_ROTATE, 0), (DmaOp.LOAD_BSK, 0),
+                          (DmaOp.LOAD_LWE, 0), (VpuOp.KEY_SWITCH, 5)):
+            s.emit(op, group)
+        queues, names = s.columns().queues(4)
+        assert [names[q] for q in queues] == ["xpu", "dma_xpu", "dma_vpu", "vpu1"]
 
 
 class TestSwScheduler:

@@ -284,7 +284,10 @@ class TestDriver:
         """``verify_stream`` may allocate index structures, never a
         per-instruction record: its extra peak on the DeepCNN-100 stream
         stays within what it was before the passes read fields directly
-        (5.8 MB, 1.2x the stream itself)."""
+        (5.8 MB) and below the 3.3 MB it was while they walked one
+        ``Instruction`` per row: at most 3.0 MB (1.7 MB measured; the
+        columnar stream itself is 1.7 MB, so a ratio to it no longer
+        bounds anything useful)."""
         import tracemalloc
 
         from repro.apps import deepcnn_workload
@@ -303,7 +306,7 @@ class TestDriver:
         assert report.ok
         extra = peak - stream_bytes
         assert extra <= 5_809_720
-        assert extra <= 1.2 * stream_bytes
+        assert extra <= 3_000_000
 
     def test_pass_subset_restricts_checks(self):
         # Stream violates VER003; restricting to VER001 must not see it.
