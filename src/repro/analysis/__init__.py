@@ -4,7 +4,6 @@ These modules regenerate the paper's Figure 1 motivation study from first
 principles (with the counting conventions documented per module).
 """
 
-from .calibration import NoiseMeasurement, calibrate_bootstrap_noise, calibrate_fresh_noise
 from .failprob import (
     FAILPROB_SCHEMA_VERSION,
     FailurePointEstimate,
@@ -13,7 +12,6 @@ from .failprob import (
     gaussian_tail_log2,
 )
 from .intensity import StageIntensity, bootstrap_intensity
-from .param_search import ParameterChoice, cheapest_for_modulus, search_decomposition
 from .memory import MemoryBreakdown, bootstrap_memory
 from .profile import (
     PROFILE_SCHEMA_VERSION,
@@ -28,12 +26,6 @@ from .opcount import OperationBreakdown, count_bootstrap_operations, transform_r
 
 __all__ = [
     "StageIntensity",
-    "NoiseMeasurement",
-    "calibrate_fresh_noise",
-    "calibrate_bootstrap_noise",
-    "ParameterChoice",
-    "search_decomposition",
-    "cheapest_for_modulus",
     "bootstrap_intensity",
     "MemoryBreakdown",
     "SecurityEstimate",

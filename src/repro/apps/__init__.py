@@ -2,9 +2,7 @@
 functional homomorphic building blocks (dense/ReLU layers, encrypted
 tree ensembles) that prove the lowerings on the real scheme."""
 
-from .database import EncryptedTable, database_query_workload
 from .deepcnn import deepcnn_specs, deepcnn_workload
-from .genomics import GenotypeMatcher, genome_match_workload
 from .nn_layers import (
     PBS_PER_ACTIVATION,
     ConvSpec,
@@ -25,10 +23,6 @@ from .xgboost import (
 
 __all__ = [
     "Workload",
-    "EncryptedTable",
-    "database_query_workload",
-    "GenotypeMatcher",
-    "genome_match_workload",
     "ConvSpec",
     "FcSpec",
     "PBS_PER_ACTIVATION",

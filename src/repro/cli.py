@@ -225,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     pool.add_argument("--backend", default=None,
                       help="compute backend (default: $REPRO_BACKEND or "
                            "numpy; unknown names list the available ones)")
-    pool.add_argument("--precision", default="double",
-                      choices=["double", "single"],
-                      help="BSK spectrum table precision")
     pool.add_argument("--seed", type=int, default=3)
     pool.add_argument("--json", action="store_true",
                       help="print the scaling result as JSON")
@@ -541,7 +538,7 @@ def _noise_workload_gates(ctx):
 
 def _cmd_noise(args) -> int:
     from . import observability as obs
-    from .analysis.failprob import estimate_failure_probability
+    from .analysis.failprob import DEFAULT_LOG2_BUDGET, estimate_failure_probability
     from .tfhe.ops import TfheContext
 
     params = get_params(args.param_set)
@@ -560,17 +557,21 @@ def _cmd_noise(args) -> int:
                 metadata={"param_set": params.name, "workload": args.workload},
             )
     functional_ok = decoded == expected
+    within_budget = report.meets(DEFAULT_LOG2_BUDGET)
+    status = 0 if (functional_ok and within_budget
+                   and all(d.within_envelope for d in drift)) else 1
     if args.json:
         _print_json({
             "param_set": params.name,
             "workload": args.workload,
             "functional_ok": functional_ok,
+            "within_budget": within_budget,
             "outputs": decoded,
             "noise": snapshot,
             "drift": [d.to_jsonable() for d in drift],
             "failure": report.to_jsonable(),
         })
-        return 0 if functional_ok else 1
+        return status
     if not args.fail_prob:
         mode = "measured" if args.measure else "predicted only"
         print(f"noise telemetry: workload '{args.workload}' on parameter set "
@@ -593,13 +594,12 @@ def _cmd_noise(args) -> int:
                   f"{'2^%.1f' % _log2(d.predicted_std_rms):>10s} "
                   f"{meas:>10s} {worst:>8s}  {verdict}")
     print(report.render_text())
-    budget_ok = report.meets(-20.0)
-    print(f"  within 2^-20 budget: {'yes' if budget_ok else 'NO'}")
+    print(f"  within 2^{DEFAULT_LOG2_BUDGET:.0f} budget: "
+          f"{'yes' if within_budget else 'NO'}")
     if args.chrome:
         print(f"wrote noise waterfall to {args.chrome} "
               f"(open in ui.perfetto.dev or chrome://tracing)")
-    drift_ok = all(d.within_envelope for d in drift)
-    return 0 if (functional_ok and drift_ok and budget_ok) else 1
+    return status
 
 
 def _cmd_pool(args) -> int:
@@ -617,8 +617,7 @@ def _cmd_pool(args) -> int:
     try:
         result = run_pool_scaling(
             param_set=args.param_set, workers=workers, batch=args.batch,
-            rounds=args.rounds, backend=args.backend,
-            precision=args.precision, seed=args.seed,
+            rounds=args.rounds, backend=args.backend, seed=args.seed,
         )
     except ValueError as exc:  # unknown backend / parameter set
         print(str(exc), file=sys.stderr)

@@ -15,14 +15,6 @@ from .buffers import (
 from .compiler import CompilationReport, compile_and_run, compile_program
 from .dataflow import Dataflow, DataflowCost, dataflow_cost, rank_dataflows
 from .hbm import HbmModel, TrafficBreakdown
-from .hbm_channel import (
-    BSK_PATTERN,
-    KSK_PATTERN,
-    AccessPattern,
-    HbmChannelSpec,
-    effective_bandwidth_gbs,
-    stack_bandwidth_gbs,
-)
 from .isa_encoding import (
     decode_instruction,
     decode_stream,
@@ -88,12 +80,6 @@ __all__ = [
     "trace_blind_rotation",
     "render_timeline",
     "TrafficBreakdown",
-    "HbmChannelSpec",
-    "AccessPattern",
-    "BSK_PATTERN",
-    "KSK_PATTERN",
-    "effective_bandwidth_gbs",
-    "stack_bandwidth_gbs",
     "Engine",
     "Instruction",
     "InstructionStream",

@@ -96,7 +96,7 @@ class MorphlingMachine:
             )
             for acc, (_, b_t) in zip(accs, switched)
         ]
-        table = self.keyset.bsk_spectrum_table("double")
+        table = self.keyset.bsk_table
         for i in range(params.n):
             # Rows whose switched mask element is zero skip this CMux.
             active = [

@@ -67,7 +67,7 @@ EVENT_KINDS = (
     "stage",          # ordered discrete event (machine/stages, ...)
     "noise",          # one noise-tracker provenance record
     "failure_point",  # one noise-tracker rounding-decision record
-    "batch",          # one batched-bootstrap dispatch (size, precision)
+    "batch",          # one batched-bootstrap dispatch (size, shape, backend)
     "snapshot",       # end-of-run summary (simulator/scheduler reports)
     "workload",       # workload descriptor announced before a run
     "request",        # one request-latency sample (value=s, count-weighted)

@@ -6,8 +6,8 @@
 process, and every worker runs the full MS -> BR -> SE -> KS pipeline on
 its shard.  Because the batched kernel is elementwise along the batch
 axis with a fixed MAC row order, a sharded run is bit-identical
-to the single-process batch in the default ``complex128`` precision -
-the pool changes *where* samples run, never *what* they compute.
+to the single-process batch - the pool changes *where* samples run,
+never *what* they compute.
 
 Key-material economics (the whole point): the driver publishes the
 pre-transformed BSK spectrum table once into shared memory
@@ -90,7 +90,6 @@ def _pool_worker_main(
     keyset: KeySet,
     handle: SpectrumHandle,
     backend_name: str,
-    precision: str,
     task_q: Any,
     result_q: Any,
     kill_after_jobs: Optional[int],
@@ -128,7 +127,7 @@ def _pool_worker_main(
             break
         job_id, shard_idx, a, b, tps = task
         cts = [LweCiphertext(a[r], b[r]) for r in range(a.shape[0])]
-        outs = programmable_bootstrap_batch(cts, tps, keyset, precision=precision)
+        outs = programmable_bootstrap_batch(cts, tps, keyset)
         out_a = np.stack([ct.a for ct in outs])
         out_b = np.asarray([ct.b for ct in outs])
         result_q.put(
@@ -160,20 +159,14 @@ class BootstrapPool:
         self,
         keyset: KeySet,
         workers: int = 2,
-        precision: str = "double",
         backend: Optional[str] = None,
         task_timeout_s: float = DEFAULT_TASK_TIMEOUT_S,
         kill_after_jobs: Optional[Dict[int, int]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if precision not in ("double", "single"):
-            raise ValueError(
-                f"precision must be 'double' or 'single', got {precision!r}"
-            )
         self.keyset = keyset
         self.workers = workers
-        self.precision = precision
         # Resolve eagerly so unknown names fail at construction, in the
         # driver, with the available-backend list in the message.
         self.backend = (
@@ -206,7 +199,7 @@ class BootstrapPool:
                 "(POSIX); this platform does not provide it"
             ) from exc
 
-        self._shared = SharedSpectrumTable.publish(self.keyset, self.precision)
+        self._shared = SharedSpectrumTable.publish(self.keyset)
         # One image on the driver too: its keyset reads the segment from
         # here on, and close() gives it a private copy back.
         self._shared.install(self.keyset)
@@ -218,7 +211,7 @@ class BootstrapPool:
                 target=_pool_worker_main,
                 args=(
                     f"w{i}", self.keyset, self._shared.handle, self.backend,
-                    self.precision, task_q, self._result_q,
+                    task_q, self._result_q,
                     self._kill_after_jobs.get(i),
                 ),
             )

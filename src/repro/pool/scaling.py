@@ -43,7 +43,6 @@ class PoolScalingResult:
 
     param_set: str
     backend: str
-    precision: str
     batch: int
     rounds: int
     cpus: int
@@ -54,7 +53,6 @@ class PoolScalingResult:
         return {
             "param_set": self.param_set,
             "backend": self.backend,
-            "precision": self.precision,
             "batch": self.batch,
             "rounds": self.rounds,
             "cpus": self.cpus,
@@ -72,7 +70,7 @@ class PoolScalingResult:
     def render_text(self) -> str:
         lines = [
             f"pool scaling - set={self.param_set} backend={self.backend} "
-            f"precision={self.precision} batch={self.batch} cpus={self.cpus}",
+            f"batch={self.batch} cpus={self.cpus}",
             f"  single-process: {self.single_bootstraps_per_s:9.1f} bootstraps/s",
             f"  {'workers':>7}  {'bootstraps/s':>12}  {'scaling':>7}",
         ]
@@ -100,7 +98,6 @@ def run_pool_scaling(
     batch: int = 16,
     rounds: int = 3,
     backend: Optional[str] = None,
-    precision: str = "double",
     seed: int = 3,
 ) -> PoolScalingResult:
     """Measure sharded-bootstrap throughput at each pool width.
@@ -121,26 +118,20 @@ def run_pool_scaling(
     messages = rng.integers(0, 4, size=batch)
     cts = [ctx.encrypt(int(m), 8) for m in messages]
     tp = ctx._lut_test_poly(lambda x: x, 8)
-    ctx.keyset.bsk_spectrum_table(precision)  # warm: setup out of the timing
 
     with _backends.use_backend(backend_name):
-        programmable_bootstrap_batch(cts, tp, ctx.keyset, precision=precision)
+        programmable_bootstrap_batch(cts, tp, ctx.keyset)
         single = _best_rate(
-            batch, rounds,
-            lambda: programmable_bootstrap_batch(
-                cts, tp, ctx.keyset, precision=precision
-            ),
+            batch, rounds, lambda: programmable_bootstrap_batch(cts, tp, ctx.keyset)
         )
 
     result = PoolScalingResult(
-        param_set=param_set, backend=backend_name, precision=precision,
+        param_set=param_set, backend=backend_name,
         batch=batch, rounds=rounds, cpus=os.cpu_count() or 1,
         single_bootstraps_per_s=single,
     )
     for n in workers:
-        with BootstrapPool(
-            ctx.keyset, workers=n, precision=precision, backend=backend_name,
-        ) as pool:
+        with BootstrapPool(ctx.keyset, workers=n, backend=backend_name) as pool:
             pool.bootstrap_batch(cts, tp)  # warm every lane
             rate = _best_rate(
                 batch, rounds, lambda: pool.bootstrap_batch(cts, tp)

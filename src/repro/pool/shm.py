@@ -1,6 +1,6 @@
 """Shared-memory publication of the pre-transformed BSK spectrum table.
 
-The BSK table (:meth:`repro.tfhe.keys.KeySet.bsk_spectrum_table`) is the
+The BSK table (:attr:`repro.tfhe.keys.KeySet.bsk_table`) is the
 only form of the bootstrapping key a keyset holds and by far the largest
 object a bootstrap server holds - ``n * (k+1)*l_b * (k+1) * N/2`` complex
 values.  Across worker processes, fork copy-on-write duplicates the pages as
@@ -60,7 +60,6 @@ class SpectrumHandle:
     name: str
     shape: Tuple[int, ...]
     dtype: str
-    precision: str
 
     @property
     def nbytes(self) -> int:
@@ -111,16 +110,13 @@ class SharedSpectrumTable:
         self._unlinked = False
 
     @classmethod
-    def publish(cls, keyset: "KeySet", precision: str = "double") -> "SharedSpectrumTable":
-        """Driver side: compute (or reuse) the table and copy it into SHM."""
-        table = keyset.bsk_spectrum_table(precision)
+    def publish(cls, keyset: "KeySet") -> "SharedSpectrumTable":
+        """Driver side: copy the keyset's table into SHM."""
+        table = keyset.bsk_table
         shm = shared_memory.SharedMemory(create=True, size=table.nbytes, name=_segment_name())
         arr: np.ndarray = np.ndarray(table.shape, dtype=table.dtype, buffer=shm.buf)
         arr[...] = table
-        handle = SpectrumHandle(
-            name=shm.name, shape=tuple(table.shape), dtype=table.dtype.str,
-            precision=precision,
-        )
+        handle = SpectrumHandle(name=shm.name, shape=tuple(table.shape), dtype=table.dtype.str)
         return cls(handle, shm, arr, owner=True)
 
     @classmethod
@@ -146,7 +142,7 @@ class SharedSpectrumTable:
         """Make the mapped table ``keyset``'s table (its own is released)."""
         if self.array is None:
             raise RuntimeError("shared spectrum table already closed")
-        return keyset.adopt_spectrum_table(self.array, self.handle.precision)
+        return keyset.adopt_spectrum_table(self.array)
 
     def close(self, keyset: Optional["KeySet"] = None) -> None:
         """Drop the local mapping (both sides); optionally hand ``keyset`` back.
@@ -158,9 +154,8 @@ class SharedSpectrumTable:
         tolerated - the OS reclaims the mapping at process exit - because
         close must never mask the caller's error.
         """
-        precision = self.handle.precision
-        if keyset is not None and keyset.bsk_spectrum_table(precision) is self.array:
-            keyset.adopt_spectrum_table(self.array.copy(), precision)
+        if keyset is not None and keyset.bsk_table is self.array:
+            keyset.adopt_spectrum_table(self.array.copy())
         self.array = None
         if self._shm is not None:
             try:

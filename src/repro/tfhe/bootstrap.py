@@ -95,7 +95,6 @@ def blind_rotate_batch(
     b_tilde: np.ndarray,
     test_polys: np.ndarray,
     keyset: KeySet,
-    precision: str = "double",
 ) -> np.ndarray:
     """Blind-rotate ``B`` independent accumulators through one BSK pass.
 
@@ -111,10 +110,7 @@ def blind_rotate_batch(
     the eagerly transformed BSK entry, inverse transform with the rounding
     fused into its unfold - with no intermediate :class:`GlweCiphertext`
     or digit array.  This is exactly the 2D VPE-array schedule: one BSK
-    row amortized over all in-flight bootstraps.  ``precision`` picks the
-    BSK table mode (``"double"`` is bit-identical on every backend;
-    ``"single"`` keeps the MAC in complex64, see
-    :meth:`KeySet.bsk_spectrum_table`).
+    row amortized over all in-flight bootstraps.
     """
     params = keyset.params
     k, l_b, n_poly = params.k, params.l_b, params.N
@@ -125,7 +121,7 @@ def blind_rotate_batch(
             f"the bootstrapping key's LWE dimension {params.n}"
         )
     batch = a_tilde.shape[0]
-    table = keyset.bsk_spectrum_table(precision)
+    table = keyset.bsk_table
     tp = np.broadcast_to(np.asarray(test_polys, dtype=TORUS_DTYPE), (batch, n_poly))
     acc = np.zeros((batch, k + 1, n_poly), dtype=TORUS_DTYPE)
     acc[:, k, :] = monomial_rotate_batch(tp, -np.asarray(b_tilde, dtype=np.int64))
@@ -279,7 +275,6 @@ def programmable_bootstrap_batch(
     cts: Sequence[LweCiphertext],
     test_polys: np.ndarray,
     keyset: KeySet,
-    precision: str = "double",
     noise_labels: Optional[Sequence[str]] = None,
 ) -> List[LweCiphertext]:
     """Bootstrap ``B`` independent LWE ciphertexts through one batched pass.
@@ -287,10 +282,9 @@ def programmable_bootstrap_batch(
     ``test_polys`` is one shared ``(N,)`` LUT or a per-sample ``(B, N)``
     stack (the multi-LUT case: independent bootstraps, each with its own
     test polynomial, sharing every BSK row).  All four stages run
-    vectorized over the batch; in the default ``"double"`` precision each
-    output is bit-identical to bootstrapping that sample alone.  The noise
-    tracker shadows every sample individually
-    (``noise_labels`` optionally tags sample ``r``'s records, so batched
+    vectorized over the batch, and each output is bit-identical to
+    bootstrapping that sample alone.  The noise tracker shadows every
+    sample individually (``noise_labels`` optionally tags sample ``r``'s records, so batched
     gates report the same per-gate provenance as scalar ones).
     """
     cts = list(cts)
@@ -303,12 +297,10 @@ def programmable_bootstrap_batch(
     tps = np.asarray(test_polys, dtype=TORUS_DTYPE)
     t0 = time.perf_counter() if (_METRICS.enabled or _BUS.enabled) else None
     with _TRACER.span("programmable_bootstrap_batch", category="tfhe",
-                      batch=batch, n=params.n, N=params.N, precision=precision):
+                      batch=batch, n=params.n, N=params.N):
         a_tilde = modswitch(a, 2 * params.N)
         b_tilde = modswitch(b, 2 * params.N)
-        acc = blind_rotate_batch(
-            a_tilde, b_tilde, tps, keyset, precision=precision
-        )
+        acc = blind_rotate_batch(a_tilde, b_tilde, tps, keyset)
         ext_a, ext_b = sample_extract_batch(acc)
         out_a, out_b = key_switch_batch(ext_a, ext_b, keyset.ksk)
     _BOOTSTRAPS.inc(batch)
@@ -316,16 +308,14 @@ def programmable_bootstrap_batch(
         # Every request in the batch experiences the whole batch's
         # wall-clock latency, so the sample is count-weighted by `batch`.
         elapsed = time.perf_counter() - t0
-        _BOOTSTRAP_LATENCY.observe(elapsed, count=batch,
-                                   batch=batch, precision=precision)
+        _BOOTSTRAP_LATENCY.observe(elapsed, count=batch, batch=batch)
         if _BUS.enabled:
             _BUS.publish("request", "tfhe/bootstrap_batch", value=elapsed,
                          count=batch, batch=batch, n=params.n, N=params.N,
-                         precision=precision, backend=_active_backend_name())
+                         backend=_active_backend_name())
     if _BUS.enabled:
         _BUS.publish("batch", "tfhe/bootstrap_batch", value=float(batch),
-                     n=params.n, N=params.N, precision=precision,
-                     backend=_active_backend_name())
+                     n=params.n, N=params.N, backend=_active_backend_name())
     results = [LweCiphertext(out_a[r], out_b[r]) for r in range(batch)]
     if _NOISE.enabled:
         tp_rows = np.broadcast_to(tps, (batch, params.N))

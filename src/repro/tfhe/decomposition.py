@@ -16,7 +16,6 @@ Hardware-wise this is the Decomposition Unit's bit-slice + round step
 from __future__ import annotations
 
 import numpy as np
-from numpy.typing import DTypeLike
 
 from .torus import u32
 
@@ -73,7 +72,6 @@ def decompose_folded(
     beta_bits: int,
     levels: int,
     q_bits: int = 32,
-    dtype: DTypeLike = np.complex128,
 ) -> np.ndarray:
     """The digits of :func:`decompose`, laid out as negacyclic-FFT input.
 
@@ -102,7 +100,7 @@ def decompose_folded(
     rounding = (1 << (drop_bits - 1)) if drop_bits else 0
     v = np.asarray(values, dtype=np.uint32) + u32(bias + rounding)
     half_n = v.shape[-1] // 2
-    folded = np.empty(v.shape[:-1] + (levels, half_n), dtype=dtype)
+    folded = np.empty(v.shape[:-1] + (levels, half_n), dtype=np.complex128)
     real, imag = folded.real, folded.imag
     digit = np.empty(v.shape, dtype=np.uint32)
     signed = digit.view(np.int32)

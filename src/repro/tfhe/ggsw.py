@@ -183,18 +183,15 @@ def external_product_spectrum_batch(
     inverse transform with the rounding fused into its unfold produces all
     ``B*(k+1)`` outputs.
 
-    The contraction inherits ``row_spec``'s precision: a ``complex64``
-    table runs the whole pass in single precision (the digits are small
-    centered ints, exact in float32).  With the default ``complex128``
-    table the result is bit-identical for every batch size (the row
-    order is fixed and the products, the accumulation and the transforms
-    are elementwise along the batch axis).
+    The result is bit-identical for every batch size (the row order is
+    fixed and the products, the accumulation and the transforms are
+    elementwise along the batch axis).
 
     Returns ``(B, k+1, N)`` torus data.
     """
     n = glwe_data.shape[-1]
     kp1 = glwe_data.shape[-2]
-    folded = decompose_folded(glwe_data, beta_bits, l_b, dtype=row_spec.dtype)
+    folded = decompose_folded(glwe_data, beta_bits, l_b)
     digit_spec = negacyclic_fft_folded(folded)  # (B, k+1, l_b, N/2)
     d = digit_spec.reshape(-1, kp1 * l_b, 1, n // 2)
     # The VPE pointwise MACs in POLY-ACC-REG order: one GGSW row after the

@@ -11,8 +11,8 @@ streams each block of GGSWs straight into the spectrum table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -102,12 +102,6 @@ def make_ksk(
     return KeySwitchingKey(masks, bodies, beta_ks_bits)
 
 
-def _table_dtype(precision: str) -> np.dtype:
-    if precision not in ("double", "single"):
-        raise ValueError(f"precision must be 'double' or 'single', got {precision!r}")
-    return np.dtype(np.complex128 if precision == "double" else np.complex64)
-
-
 def _table_block(params: TFHEParams) -> int:
     """GGSWs per ``STREAM_BLOCK_BYTES`` of folded complex128 input (32 on set I)."""
     return max(1, STREAM_BLOCK_BYTES // (8 * (params.k + 1) ** 2 * params.l_b * params.N))
@@ -160,56 +154,43 @@ class KeySet:
     glwe_key: GlweSecretKey
     bsk_table: np.ndarray
     ksk: KeySwitchingKey
-    _single: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.bsk_table = self._checked(self.bsk_table, "double")
+        self.bsk_table = self._checked(self.bsk_table)
 
-    def _checked(self, table: np.ndarray, precision: str) -> np.ndarray:
-        """``table`` if it fits this key as the ``precision`` table, else raise."""
-        dtype = _table_dtype(precision)
+    def _checked(self, table: np.ndarray) -> np.ndarray:
+        """``table`` if it fits this key as its spectrum table, else raise."""
         p = self.params
         expected_shape = (p.n, (p.k + 1) * p.l_b, p.k + 1, p.N // 2)
         table = np.asarray(table)
         if table.shape != expected_shape:
             raise ValueError(f"spectrum table shape {table.shape} != expected {expected_shape}")
-        if table.dtype != dtype:
-            raise ValueError(
-                f"spectrum table dtype {table.dtype} != expected "
-                f"{dtype} for precision {precision!r}"
-            )
+        if table.dtype != np.complex128:
+            raise ValueError(f"spectrum table dtype {table.dtype} != expected complex128")
         if not table.flags.c_contiguous:  # the per-step MAC reads key rows in order
             raise ValueError("spectrum table must be C-contiguous")
         return table
 
     def bsk_spectrum_table(self, precision: str = "double") -> np.ndarray:
-        """The BSK's transform-domain table in ``precision``.
+        """:attr:`bsk_table`; any ``precision`` other than ``"double"`` raises.
 
-        ``"double"`` is :attr:`bsk_table` itself (``complex128``, bit-equal
-        to the lazy per-GGSW spectra).  ``"single"`` is its cached
-        ``complex64`` cast: half the memory, with rounding noise that must
-        be validated against the noise envelope (see docs/perf.md).
+        Kept only for the repo benchmark's ``bsk_spectrum_table("double")``
+        calls (``benchmarks/e2e/pbs.py``); ROADMAP item 1(b) re-points them
+        at :attr:`bsk_table` and deletes this method.
         """
-        dtype = _table_dtype(precision)
-        if precision == "double":
-            return self.bsk_table
-        if self._single is None:
-            self._single = self.bsk_table.astype(dtype)
-        return self._single
+        if precision != "double":
+            raise ValueError(f"the BSK table is complex128 only, got precision {precision!r}")
+        return self.bsk_table
 
-    def adopt_spectrum_table(self, table: np.ndarray, precision: str = "double") -> np.ndarray:
-        """Replace the ``precision`` table with an externally held one.
+    def adopt_spectrum_table(self, table: np.ndarray) -> np.ndarray:
+        """Replace :attr:`bsk_table` with an externally held one.
 
         This is how pool workers map one shared-memory table zero-copy
         instead of keeping their own.  Shape, dtype and layout are
         validated against ``params`` so a mismatched segment fails loudly.
         """
-        table = self._checked(table, precision)
-        if precision == "double":
-            self.bsk_table, self._single = table, None  # the cast follows the table
-        else:
-            self._single = table
-        return table
+        self.bsk_table = self._checked(table)
+        return self.bsk_table
 
     def bsk_ggsw(self, i: int) -> GgswCiphertext:
         """BSK entry ``i``'s coefficient rows, recovered exactly from its table row.

@@ -5,9 +5,7 @@ The functional substrate spends most of its time in the
 :class:`ComputeBackend` interface so a run can swap the engine without
 touching any call site:
 
-- ``numpy`` (default) - ``numpy.fft``, i.e. numpy's own C++ pocketfft
-  (numpy >= 2.0; older numpy ships the C pocketfft and upcasts
-  ``complex64``, which the backend casts back).  Costs ~1 ms / 0.25 MB
+- ``numpy`` (default) - ``numpy.fft``, i.e. numpy's pocketfft.  Costs ~1 ms / 0.25 MB
   to import and is ~10x faster than the butterfly engine at bootstrap
   shapes;
 - ``radix2`` - the repo's own radix-2 butterfly engine
@@ -67,8 +65,7 @@ class ComputeBackend:
     """Uniform interface over the FFT hot path.
 
     Subclasses provide :meth:`fft`/:meth:`ifft` along the last axis of a
-    complex array (power-of-two length, dtype-preserving: ``complex64``
-    in means ``complex64`` out).
+    ``complex128`` array (power-of-two length).
     """
 
     #: Name :func:`get_backend` knows it by; subclasses override.
@@ -106,12 +103,10 @@ class NumpyBackend(ComputeBackend):
         self._np_ifft = _np_fft.ifft
 
     def fft(self, x: np.ndarray) -> np.ndarray:
-        # numpy < 2 computes complex64 input in complex128; astype is a
-        # no-op (copy=False) wherever the dtype already matches.
-        return self._np_fft(x, axis=-1).astype(x.dtype, copy=False)
+        return self._np_fft(x, axis=-1)
 
     def ifft(self, x: np.ndarray) -> np.ndarray:
-        return self._np_ifft(x, axis=-1).astype(x.dtype, copy=False)
+        return self._np_ifft(x, axis=-1)
 
 
 class Radix2Backend(ComputeBackend):

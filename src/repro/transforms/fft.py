@@ -18,8 +18,7 @@ the multi-delay-commutator pipeline modelled in
 The butterfly engine is allocation-lean: one bit-reversal gather produces
 the working array, every stage then updates it in place through a single
 reused scratch buffer (the product ``odd * twiddle``), and the twiddle
-tables are cached per ``(n, dtype)`` so ``complex64`` transforms never
-upcast.  Total allocation per transform is the output plus ``n/2``
+tables are cached per length.  Total allocation per transform is the output plus ``n/2``
 scratch elements, independent of the stage count.
 """
 
@@ -43,7 +42,7 @@ __all__ = [
 ]
 
 _PERM_CACHE: Dict[int, np.ndarray] = {}
-_TWIDDLE_CACHE: Dict[Tuple[int, np.dtype], List[np.ndarray]] = {}
+_TWIDDLE_CACHE: Dict[int, List[np.ndarray]] = {}
 
 _FFT_CALLS = _METRICS.counter(
     "transforms_fft_total", "FFT passes executed, by direction (batch-aware)"
@@ -78,22 +77,17 @@ def bit_reverse_permutation(n: int) -> np.ndarray:
     return perm
 
 
-def _stage_twiddles(n: int, dtype: np.dtype) -> List[np.ndarray]:
-    """Twiddle factors per butterfly stage for an ``n``-point DIT FFT.
-
-    Cached per ``(n, dtype)`` so single-precision transforms multiply by
-    ``complex64`` twiddles (no silent upcast to ``complex128``).
-    """
-    key = (n, np.dtype(dtype))
-    tw = _TWIDDLE_CACHE.get(key)
+def _stage_twiddles(n: int) -> List[np.ndarray]:
+    """Twiddle factors per butterfly stage for an ``n``-point DIT FFT (cached)."""
+    tw = _TWIDDLE_CACHE.get(n)
     if tw is None:
         tw = []
         size = 2
         while size <= n:
             half = size // 2
-            tw.append(np.exp(-2j * np.pi * np.arange(half) / size).astype(dtype))
+            tw.append(np.exp(-2j * np.pi * np.arange(half) / size))
             size *= 2
-        _TWIDDLE_CACHE[key] = tw
+        _TWIDDLE_CACHE[n] = tw
     return tw
 
 
@@ -112,7 +106,7 @@ def _fft_core(x: np.ndarray) -> np.ndarray:
     out = np.take(x, bit_reverse_permutation(n), axis=-1)
     batch_shape = x.shape[:-1]
     scratch = np.empty(batch_shape + (n // 2,), dtype=out.dtype)
-    for stage, tw in enumerate(_stage_twiddles(n, out.dtype)):
+    for stage, tw in enumerate(_stage_twiddles(n)):
         size = 2 << stage
         half = size // 2
         blocks = out.reshape(batch_shape + (n // size, size))
@@ -134,20 +128,11 @@ def _ifft_core(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_complex(x: np.ndarray) -> np.ndarray:
-    """View/cast input as complex, preserving single precision."""
-    x = np.asarray(x)
-    if x.dtype in (np.complex64, np.float32):
-        return np.asarray(x, dtype=np.complex64)
-    return np.asarray(x, dtype=np.complex128)
-
-
 def fft(x: np.ndarray) -> np.ndarray:
     """Forward FFT of a complex vector (or batch of vectors on axis -1).
 
     Accepts any shape; the transform runs along the last axis, which
-    must be a power of two.  ``float32`` / ``complex64`` inputs stay in
-    single precision end to end.
+    must be a power of two; the transform runs in ``complex128``.
 
     Dispatches to the active compute backend
     (:mod:`repro.transforms.backends`): pocketfft under the default
@@ -155,7 +140,7 @@ def fft(x: np.ndarray) -> np.ndarray:
     Metric counting happens here, before dispatch, so every backend is
     accounted identically.
     """
-    x = _as_complex(x)
+    x = np.asarray(x, dtype=np.complex128)
     if _METRICS.enabled:
         _count_transforms(x.shape, "forward")
     return _active_backend().fft(x)
@@ -166,7 +151,7 @@ def ifft(x: np.ndarray) -> np.ndarray:
 
     Dispatches to the active compute backend, like :func:`fft`.
     """
-    x = _as_complex(x)
+    x = np.asarray(x, dtype=np.complex128)
     if _METRICS.enabled:
         _count_transforms(x.shape, "inverse")
     return _active_backend().ifft(x)

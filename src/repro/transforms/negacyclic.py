@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from numpy.typing import DTypeLike
 
 from ..observability import REGISTRY as _METRICS
 from .fft import fft, ifft
@@ -40,9 +39,6 @@ __all__ = [
 ]
 
 _TWIST_CACHE: dict = {}
-
-#: Mapping real input dtype -> complex working dtype for the folded FFT.
-_COMPLEX_FOR_REAL = {np.dtype(np.float32): np.complex64}
 
 _NEGACYCLIC = _METRICS.counter(
     "transforms_negacyclic_total",
@@ -64,20 +60,19 @@ def transform_length(n: int) -> int:
     return n // 2
 
 
-def _twist(n: int, dtype: DTypeLike = np.complex128, inverse: bool = False) -> np.ndarray:
+def _twist(n: int, inverse: bool = False) -> np.ndarray:
     """Twisting factors ``exp(i*pi*j/n)`` for the folded transform.
 
     ``inverse`` returns their conjugates (the untwist).  Cached per
-    ``(n, dtype, inverse)`` so the ``complex64`` precision mode never
-    upcasts through a double-precision twist multiply.
+    ``(n, inverse)``.
     """
-    key = (n, np.dtype(dtype), inverse)
+    key = (n, inverse)
     tw = _TWIST_CACHE.get(key)
     if tw is None:
         if inverse:
-            tw = np.conj(_twist(n, dtype))
+            tw = np.conj(_twist(n))
         else:
-            tw = np.exp(1j * np.pi * np.arange(n // 2) / n).astype(dtype)
+            tw = np.exp(1j * np.pi * np.arange(n // 2) / n)
         _TWIST_CACHE[key] = tw
     return tw
 
@@ -87,13 +82,11 @@ def negacyclic_fft(p: np.ndarray) -> np.ndarray:
 
     Returns ``N/2`` complex points - the evaluations of ``p`` at the odd
     powers of the primitive ``2N``-th root of unity.  Batched over leading
-    axes.  ``float32`` input selects the single-precision (``complex64``)
-    path; everything else runs in ``complex128``.
+    axes; runs in ``complex128``.
     """
     p = np.asarray(p)
-    cdtype = _COMPLEX_FOR_REAL.get(p.dtype, np.complex128)
     half = transform_length(p.shape[-1])
-    folded = np.empty(p.shape[:-1] + (half,), dtype=cdtype)
+    folded = np.empty(p.shape[:-1] + (half,), dtype=np.complex128)
     folded.real = p[..., :half]
     folded.imag = p[..., half:]
     return negacyclic_fft_folded(folded)
@@ -111,7 +104,7 @@ def negacyclic_fft_folded(folded: np.ndarray) -> np.ndarray:
     n = 2 * folded.shape[-1]
     if _METRICS.enabled:
         _NEGACYCLIC.inc(_count_polys(folded.shape), direction="forward")
-    folded *= _twist(n, folded.dtype)
+    folded *= _twist(n)
     return fft(folded)
 
 
@@ -130,20 +123,15 @@ def negacyclic_ifft_folded(spectrum: np.ndarray, n: int) -> np.ndarray:
     if _METRICS.enabled:
         _NEGACYCLIC.inc(_count_polys(spectrum.shape), direction="inverse")
     folded = ifft(spectrum)
-    folded *= _twist(n, folded.dtype, inverse=True)
+    folded *= _twist(n, inverse=True)
     return folded
 
 
 def negacyclic_ifft(spectrum: np.ndarray, n: int) -> np.ndarray:
-    """Inverse negacyclic transform back to ``n`` real coefficients.
-
-    The output precision follows the spectrum: ``complex64`` spectra
-    produce ``float32`` coefficients.
-    """
+    """Inverse negacyclic transform back to ``n`` real coefficients."""
     folded = negacyclic_ifft_folded(spectrum, n)
     half = n // 2
-    real_dtype = np.float32 if folded.dtype == np.complex64 else np.float64
-    out = np.empty(spectrum.shape[:-1] + (n,), dtype=real_dtype)
+    out = np.empty(spectrum.shape[:-1] + (n,), dtype=np.float64)
     out[..., :half] = folded.real
     out[..., half:] = folded.imag
     return out

@@ -51,13 +51,7 @@ def _app_layers(factory: Callable[[], object]) -> Callable[[], list]:
 
 def shipped_targets() -> List[VerifyTarget]:
     """Every configuration the experiments/apps ship with."""
-    from ..apps import (
-        database_query_workload,
-        deepcnn_workload,
-        genome_match_workload,
-        vgg9_workload,
-        xgboost_workload,
-    )
+    from ..apps import deepcnn_workload, vgg9_workload, xgboost_workload
 
     targets = [
         VerifyTarget("xgboost@III", _app_layers(xgboost_workload)),
@@ -65,10 +59,6 @@ def shipped_targets() -> List[VerifyTarget]:
         VerifyTarget("deepcnn-50@III", _app_layers(lambda: deepcnn_workload(50))),
         VerifyTarget("deepcnn-100@III", _app_layers(lambda: deepcnn_workload(100))),
         VerifyTarget("vgg9@III", _app_layers(vgg9_workload)),
-        VerifyTarget("database-1k@III",
-                     _app_layers(lambda: database_query_workload(1024))),
-        VerifyTarget("genomics@III",
-                     _app_layers(lambda: genome_match_workload(1000, panel_size=4))),
     ]
     # The equal-resource ablation variants (Fig. 7-b) and every Table III
     # parameter set, each driving one representative workload.

@@ -61,7 +61,7 @@ class TestMorphlingMachine:
             assert np.array_equal(got.a, want.a) and got.b == want.b
         images = [v for v in vars(ctx.keyset).values()
                   if isinstance(v, np.ndarray) and np.iscomplexobj(v)]
-        assert len(images) == 1 and images[0] is ctx.keyset.bsk_spectrum_table("double")
+        assert len(images) == 1 and images[0] is ctx.keyset.bsk_table
 
     def test_rejects_oversized_batch(self, ctx, machine):
         tp = identity_test_polynomial(ctx.params, P)

@@ -25,7 +25,7 @@ OBSERVABILITY_MODULES = {
 }
 
 #: ``repro`` modules ``import repro.tfhe`` may load.
-MAX_REPRO_MODULES = 37
+MAX_REPRO_MODULES = 35
 
 
 def _loaded_repro_modules():

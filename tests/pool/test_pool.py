@@ -145,14 +145,14 @@ class TestSharedSpectrum:
         assert not obs.is_enabled()  # the lanes' registry is their own
 
     def test_driver_keeps_one_image_while_the_pool_is_open(self, ctx):
-        private = ctx.keyset.bsk_spectrum_table("double")
+        private = ctx.keyset.bsk_table
         with BootstrapPool(ctx.keyset, workers=1) as pool:
-            adopted = ctx.keyset.bsk_spectrum_table("double")
+            adopted = ctx.keyset.bsk_table
             # The keyset reads the segment; its private copy is released.
             assert adopted is pool._shared.array and adopted is not private
             np.testing.assert_array_equal(adopted, private)
         # Closing hands the keyset a private copy: the table is its only BSK.
-        after = ctx.keyset.bsk_spectrum_table("double")
+        after = ctx.keyset.bsk_table
         assert after is not adopted and after.flags.writeable
         np.testing.assert_array_equal(after, private)
 
@@ -202,5 +202,3 @@ class TestLifecycleHygiene:
     def test_invalid_configuration_rejected(self, ctx):
         with pytest.raises(ValueError, match="workers"):
             BootstrapPool(ctx.keyset, workers=0)
-        with pytest.raises(ValueError, match="precision"):
-            BootstrapPool(ctx.keyset, precision="half")

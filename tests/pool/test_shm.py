@@ -15,49 +15,49 @@ from repro.pool.shm import (
 
 class TestPublishAttach:
     def test_round_trip_equality(self, keyset):
-        table = keyset.bsk_spectrum_table("double")
-        with SharedSpectrumTable.publish(keyset, "double") as shared:
+        table = keyset.bsk_table
+        with SharedSpectrumTable.publish(keyset) as shared:
             attached = SharedSpectrumTable.attach(shared.handle)
             np.testing.assert_array_equal(attached.array, table)
             attached.close()
         assert leaked_segments() == []
 
     def test_attached_view_is_read_only(self, keyset):
-        with SharedSpectrumTable.publish(keyset, "double") as shared:
+        with SharedSpectrumTable.publish(keyset) as shared:
             attached = SharedSpectrumTable.attach(shared.handle)
             with pytest.raises((ValueError, RuntimeError)):
                 attached.array[0, 0, 0, 0] = 0
             attached.close()
 
     def test_handle_is_picklable(self, keyset):
-        with SharedSpectrumTable.publish(keyset, "double") as shared:
+        with SharedSpectrumTable.publish(keyset) as shared:
             handle = pickle.loads(pickle.dumps(shared.handle))
             assert handle == shared.handle
-            assert handle.nbytes == keyset.bsk_spectrum_table("double").nbytes
+            assert handle.nbytes == keyset.bsk_table.nbytes
 
     def test_segment_name_carries_prefix(self, keyset):
-        with SharedSpectrumTable.publish(keyset, "double") as shared:
+        with SharedSpectrumTable.publish(keyset) as shared:
             assert shared.handle.name.startswith(SEGMENT_PREFIX)
             assert leaked_segments() == [shared.handle.name]
         assert leaked_segments() == []
 
     def test_install_adopts_into_cache(self, keyset):
-        original = keyset.bsk_spectrum_table("double")
-        with SharedSpectrumTable.publish(keyset, "double") as shared:
+        original = keyset.bsk_table
+        with SharedSpectrumTable.publish(keyset) as shared:
             attached = SharedSpectrumTable.attach(shared.handle)
             adopted = attached.install(keyset)
             try:
-                assert keyset.bsk_spectrum_table("double") is adopted
+                assert keyset.bsk_table is adopted
                 assert adopted is attached.array
             finally:
                 attached.close(keyset)  # hands the keyset a private copy back
-        private = keyset.bsk_spectrum_table("double")
+        private = keyset.bsk_table
         assert private is not adopted and private is not original
         assert private.flags.writeable and private.flags.c_contiguous
         np.testing.assert_array_equal(private, original)
 
     def test_unlink_idempotent_and_attach_fails_after(self, keyset):
-        shared = SharedSpectrumTable.publish(keyset, "double")
+        shared = SharedSpectrumTable.publish(keyset)
         handle = shared.handle
         shared.unlink()
         shared.unlink()
@@ -78,16 +78,8 @@ class TestAdoptValidation:
         with pytest.raises(ValueError, match="dtype"):
             keyset.adopt_spectrum_table(np.zeros(shape, dtype=np.complex64))
 
-    def test_unknown_precision_rejected(self, keyset):
-        with pytest.raises(ValueError, match="precision"):
-            keyset.adopt_spectrum_table(
-                np.zeros((1,), dtype=np.complex128), precision="half"
-            )
-
 
 class TestSpectrumHandle:
     def test_nbytes(self):
-        handle = SpectrumHandle(
-            name="x", shape=(2, 3, 4), dtype="<c16", precision="double"
-        )
+        handle = SpectrumHandle(name="x", shape=(2, 3, 4), dtype="<c16")
         assert handle.nbytes == 2 * 3 * 4 * 16

@@ -230,6 +230,26 @@ class TestNoiseCommand:
         assert doc["noise"]["records"]
         assert all(d["within_envelope"] for d in doc["drift"])
         assert doc["failure"]["total_log2_prob"] <= -20.0
+        assert doc["within_budget"] is True
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_blown_budget_fails_in_both_modes(self, capsys, monkeypatch, json_flag):
+        from repro.analysis import failprob
+
+        blown = failprob.WorkloadFailureReport(
+            schema_version=failprob.FAILPROB_SCHEMA_VERSION, points=(),
+            total_log2_prob=failprob.DEFAULT_LOG2_BUDGET + 10.0,
+        )
+        monkeypatch.setattr(failprob, "estimate_failure_probability",
+                            lambda tracker: blown)
+        assert main(["noise", "--workload", "gates"] + json_flag) == 1
+        out = capsys.readouterr().out
+        if json_flag:
+            doc = json.loads(out)
+            assert doc["functional_ok"] is True
+            assert doc["within_budget"] is False
+        else:
+            assert "within 2^-20 budget: NO" in out
 
     def test_chrome_waterfall_export(self, capsys, tmp_path):
         path = tmp_path / "noise.json"
@@ -318,6 +338,10 @@ class TestPoolCommand:
         assert args.workers == "1,2,4"
         assert args.batch == 16
         assert args.backend is None
+
+    def test_precision_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["pool", "--precision", "single"])
 
     def test_pool_scaling_table(self, capsys):
         assert main(["pool", "--workers", "1,2", "--batch", "4",

@@ -44,7 +44,7 @@ def keyset_digests(keyset):
         "bsk_rows": _digest(keyset.bsk_ggsw(i).rows for i in range(keyset.params.n)),
         "ksk_masks": _digest([keyset.ksk.masks]),
         "ksk_bodies": _digest([keyset.ksk.bodies]),
-        "bsk_spectrum_table_double": _digest([keyset.bsk_spectrum_table("double")]),
+        "bsk_spectrum_table_double": _digest([keyset.bsk_table]),
     }
 
 

@@ -1,4 +1,4 @@
-"""Batched bootstrap pipeline: bit-identity, precision modes, reuse accounting.
+"""Batched bootstrap pipeline: bit-identity, engine differential, reuse accounting.
 
 The batch-first hot path must be a pure reshape of the scalar path: the
 same row-ordered spectrum MAC, the same FFT butterflies applied
@@ -103,6 +103,13 @@ class TestBitIdentity:
         for m, out in zip(msgs, batch):
             assert ctx.decrypt(out, P) == m
 
+    def test_double_table_matches_lazy_spectra(self, ctx):
+        """The block-streamed table is bit-compatible with the lazy per-GGSW
+        transform of the rows recovered from it."""
+        table = ctx.keyset.bsk_table
+        for i in (0, 1, ctx.params.n - 1):
+            assert np.array_equal(table[i], ctx.keyset.bsk_ggsw(i).spectrum())
+
 
 @pytest.fixture(scope="module")
 def ctx_set_one():
@@ -117,11 +124,11 @@ class TestEngineDifferential:
     between the production pocketfft engines and the radix-2 oracle.
     """
 
-    def _run(self, cts, tps, keyset, **kwargs):
+    def _run(self, cts, tps, keyset):
         outs = {}
         for engine in ENGINES:
             with use_backend(engine):
-                outs[engine] = programmable_bootstrap_batch(cts, tps, keyset, **kwargs)
+                outs[engine] = programmable_bootstrap_batch(cts, tps, keyset)
         return outs
 
     def _zero_some_digits(self, cts, n_poly):
@@ -154,16 +161,6 @@ class TestEngineDifferential:
             ]
         _assert_bit_identical(outs["numpy"], alone)
 
-    def test_single_precision_across_engines(self, ctx):
-        """complex64 error is far above one ulp of the torus, so engines
-        differ in the low bits; every engine must still decode."""
-        msgs = [0, 1, 2, 3]
-        cts = [ctx.encrypt(m, P) for m in msgs]
-        tp = identity_test_polynomial(ctx.params, P)
-        outs = self._run(cts, tp, ctx.keyset, precision="single")
-        for engine, results in outs.items():
-            assert [ctx.decrypt(out, P) for out in results] == msgs, engine
-
     def test_toy_bootstrap_matches_exact_integer_engine(self, ctx):
         """With the float error below 1/2 the rounded transform product *is*
         the integer product, so the fast path must reproduce the O(N^2)
@@ -177,42 +174,6 @@ class TestEngineDifferential:
                 _assert_bit_identical(
                     programmable_bootstrap_batch([ct], tp, ctx.keyset), [exact]
                 )
-
-
-class TestPrecisionModes:
-    def test_single_precision_decodes_correctly(self, ctx):
-        msgs = [0, 1, 2, 3]
-        cts = [ctx.encrypt(m, P) for m in msgs]
-        tp = identity_test_polynomial(ctx.params, P)
-        outs = programmable_bootstrap_batch(cts, tp, ctx.keyset, precision="single")
-        for m, out in zip(msgs, outs):
-            assert ctx.decrypt(out, P) == m
-
-    def test_tables_cached_per_precision(self, ctx):
-        double = ctx.keyset.bsk_spectrum_table("double")
-        single = ctx.keyset.bsk_spectrum_table("single")
-        assert ctx.keyset.bsk_spectrum_table("double") is double
-        assert ctx.keyset.bsk_spectrum_table("single") is single
-        assert double.dtype == np.complex128
-        assert single.dtype == np.complex64
-        p = ctx.params
-        assert double.shape == (p.n, (p.k + 1) * p.l_b, p.k + 1, p.N // 2)
-
-    def test_double_table_matches_lazy_spectra(self, ctx):
-        """The block-streamed table is bit-compatible with the lazy per-GGSW
-        transform of the rows recovered from it."""
-        table = ctx.keyset.bsk_spectrum_table("double")
-        for i in (0, 1, ctx.params.n - 1):
-            assert np.array_equal(table[i], ctx.keyset.bsk_ggsw(i).spectrum())
-
-    def test_invalid_precision_rejected(self, ctx):
-        with pytest.raises(ValueError):
-            ctx.keyset.bsk_spectrum_table("half")
-        with pytest.raises(ValueError):
-            programmable_bootstrap_batch(
-                [ctx.encrypt(0, P)], identity_test_polynomial(ctx.params, P),
-                ctx.keyset, precision="half",
-            )
 
 
 class TestTransformReuseCounters:
@@ -237,7 +198,6 @@ class TestTransformReuseCounters:
         p = ctx.params
         cts = [ctx.encrypt(m % (P // 2), P) for m in range(4)]
         tp = identity_test_polynomial(p, P)
-        ctx.keyset.bsk_spectrum_table("double")  # pre-transform outside the window
         with obs.telemetry():
             outs = programmable_bootstrap_batch(cts, tp, ctx.keyset)
         steps = self._counter("tfhe_blind_rotation_steps_total")
@@ -258,7 +218,6 @@ class TestTransformReuseCounters:
         """Shared kernel: B scalar calls cost exactly what one B-batch costs."""
         cts = [ctx.encrypt(m, P) for m in (1, 2, 3)]
         tp = identity_test_polynomial(ctx.params, P)
-        ctx.keyset.bsk_spectrum_table("double")
         with obs.telemetry():
             programmable_bootstrap_batch(cts, tp, ctx.keyset)
         batched = (

@@ -105,12 +105,6 @@ class TestCarryFreeDecomposition:
         assert folded.shape == (3, 2, levels, 32) and folded.dtype == np.complex128
         assert np.array_equal(unfold(folded), decompose(v, beta_bits, levels))
 
-    def test_single_precision_holds_the_same_digits(self, rng):
-        v = rng.integers(0, 1 << 32, size=(2, 16), dtype=np.uint64).astype(np.uint32)
-        folded = decompose_folded(v, 16, 2, dtype=np.complex64)
-        assert folded.dtype == np.complex64
-        assert np.array_equal(unfold(folded), decompose(v, 16, 2))
-
     @given(st.lists(st.integers(0, (1 << 32) - 1), min_size=2, max_size=2),
            st.sampled_from(CONFIGS))
     @settings(max_examples=300, deadline=None)

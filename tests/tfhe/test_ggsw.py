@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import repro.tfhe.ggsw as ggsw_module
 from repro.tfhe.ggsw import (
     cmux,
     external_product,
@@ -138,19 +137,6 @@ class TestSpectrumMacRowOrder:
         for r in range(batch):
             alone = external_product_spectrum_batch(spectrum, data[r : r + 1], g.beta_bits, g.l_b)
             np.testing.assert_array_equal(together[r], alone[0])
-
-    def test_a_single_precision_table_is_not_upcast(self, operands, monkeypatch):
-        g, data = operands
-        accumulators = []
-        from_spectrum = ggsw_module.from_spectrum
-        monkeypatch.setattr(
-            ggsw_module, "from_spectrum",
-            lambda spec, n: accumulators.append(spec) or from_spectrum(spec, n),
-        )
-        table = g.spectrum().astype(np.complex64)
-        out = external_product_spectrum_batch(table, data[:3], g.beta_bits, g.l_b)
-        assert [acc.dtype for acc in accumulators] == [np.complex64]
-        assert accumulators[0].shape == (3, 3, N // 2) and out.shape == (3, 3, N)
 
 
 class TestCMux:

