@@ -32,6 +32,7 @@ __all__ = [
     "Instruction",
     "InstructionStream",
     "StreamColumns",
+    "DepView",
 ]
 
 
@@ -148,6 +149,10 @@ class Instruction:
         )
 
 
+#: A program's dependencies as rows (:attr:`StreamColumns.dep_view`).
+DepView = Tuple[array, array, List[Tuple[int, array]]]
+
+
 @dataclass(frozen=True, eq=False)
 class StreamColumns:
     """A program as one array per field.
@@ -229,18 +234,24 @@ class StreamColumns:
         hit = (known[rank] == ids) & (pos >= 0) & (key // (n + 1) == rank)
         return np.where(hit, key % (n + 1), -1)
 
-    def dep_rows(self) -> Iterator[array]:
+    @cached_property
+    def dep_view(self) -> DepView:
         """Each row's dependencies as the rows they resolve to (the latest
-        earlier row with that id); an id no earlier row carries counts as
-        already retired and is dropped.  Rows are sliced lazily out of two
-        flat machine-word arrays: no per-row container outlives its use."""
+        earlier row with that id), resolved once per program: every row's
+        first and second dependency row, then ``(row, rest)`` for the few
+        rows with more.  Row ``len(self)`` stands for "none" and for an id
+        no earlier row carries (already retired)."""
+        n, ptr = len(self), self.dep_ptr
         rows = self.resolve(self.deps, self.owner)
-        kept = rows >= 0
-        ptr = array("q", np.concatenate(([0], np.cumsum(kept)))[self.dep_ptr].tobytes())
-        flat = array("q", rows[kept].tobytes())
-        return (flat[a:b] for a, b in zip(ptr, ptr[1:]))
+        rows = np.append(np.where(rows >= 0, rows, n), n)  # the last: "none"
+        width = np.diff(ptr)
+        first = rows[np.where(width > 0, ptr[:-1], -1)]
+        second = rows[np.where(width > 1, ptr[:-1] + 1, -1)]
+        return (array("q", first.tobytes()), array("q", second.tobytes()),
+                [(r, array("q", rows[ptr[r] + 2:ptr[r + 1]].tobytes()))
+                 for r in np.flatnonzero(width > 2).tolist()])
 
-    def queues(self, lane_groups: int) -> Tuple[List[int], List[str]]:
+    def queues(self, lane_groups: int) -> Tuple[np.ndarray, List[str]]:
         """In-order hardware queue of every row, and the queue names.
 
         All XPUs form one pool; the VPU is split into ``lane_groups`` lane
@@ -254,7 +265,7 @@ class StreamColumns:
         vpu = queue < 0
         queue[vpu] = len(_FIXED_QUEUES) + self.group[vpu] % lane_groups
         names = [*_FIXED_QUEUES, *(f"vpu{g}" for g in range(lane_groups))]
-        return queue.tolist(), names
+        return queue, names
 
 
 class InstructionStream:

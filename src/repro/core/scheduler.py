@@ -13,8 +13,9 @@ resource model of the paper's pipelined execution.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -33,7 +34,7 @@ from ..params import TFHEParams
 from .accelerator import MorphlingConfig
 from .buffers import acc_stream_capacity
 from .hbm import HbmModel
-from .isa import OPCODES, DmaOp, Engine, InstructionStream, StreamColumns, VpuOp, XpuOp
+from .isa import OPCODES, DepView, DmaOp, Engine, InstructionStream, StreamColumns, VpuOp, XpuOp
 from .vpu import VpuModel
 from .xpu import XpuModel
 
@@ -72,7 +73,9 @@ _GROUP_OPS = np.array([op.code for op in (
     XpuOp.BLIND_ROTATE, VpuOp.SAMPLE_EXTRACT, VpuOp.KEY_SWITCH, DmaOp.STORE_LWE)])
 _BATCH_ROWS = np.array([1, 0, 0, 1, 1, 1, 1, 1])  # rows that count the batch
 _LWE_ROWS = np.array([1, 0, 0, 0, 0, 0, 0, 1])  # rows that move its LWEs
-_CHAIN_DEPS = [1, 2, 1, 2, 1]
+_LOAD_ROWS = np.arange(8) < 3
+_CHAIN_DEPS = np.array([0, 0, 0, 1, 2, 1, 2, 1])  # dependencies per chain row
+_CHAIN_AT = np.cumsum(_CHAIN_DEPS) - _CHAIN_DEPS  # their place among the seven
 _FROM_LOAD = np.array([1, 0, 1, 0, 0, 1, 0], dtype=bool)
 _DEP_OFFSET = np.array([0, 0, 1, 1, 2, 2, 3])
 
@@ -124,53 +127,62 @@ class SwScheduler:
         self.group_size = streams * config.bootstrap_cores
 
     def schedule(self, layers: list) -> InstructionStream:
-        """Emit the instruction stream for ``layers`` (in dependency order).
+        """Emit the instruction stream for ``layers`` (in dependency order),
+        built as columns and appended as one block.
 
         Per layer, all DMA loads are emitted before the compute chains so
         the in-order DMA queues prefetch ahead of the XPUs - the
         double-buffering role of the Private-A2 buffer.  A layer of ``k``
-        groups is one block of rows: its P_ALU (if it has linear work),
-        ``3k`` loads, then ``k`` chains of five, every dependency at a
-        fixed offset from its group's first load and first chain row.
+        groups is its P_ALU (if it has linear work), ``3k`` loads, then
+        ``k`` chains of five, every chain dependency at a fixed offset from
+        its group's first load and first chain row.  The P_ALU - or, without
+        one, every load - waits on the P_ALU and stores of the last layer
+        that emitted rows.
         """
-        stream = InstructionStream()
-        p = self.params
+        p, size = self.params, self.group_size
+        boots = np.array([layer.bootstraps for layer in layers], dtype=np.int64)
+        macs = np.array([layer.linear_macs for layer in layers], dtype=np.int64)
+        has = macs > 0
+        palu, k = has.astype(np.int64), -(-boots // size)  # P_ALU rows, groups
+        width = palu + k  # barrier size (P_ALU and stores); 0: the layer is empty
+        rows = palu + 8 * k
+        base, first_group = np.cumsum(rows) - rows, np.cumsum(k) - k  # first row, group
+        bar_at = np.cumsum(width) - width
+        layer = np.repeat(np.arange(len(layers)), k)[:, None]  # per group, its layer
+        g = np.arange(len(layer))[:, None]
+        if len(g):
+            _SCHED_GROUPS.inc(len(g))
+        j = g - first_group[layer]  # index within its layer
+        loads = (base + palu)[layer] + 3 * j  # the group's first load row
+        chains = loads + 3 * k[layer] + 2 * j  # and its first chain row
+        batch = np.minimum(boots[layer] - j * size, size)
+        # Each layer waits on the barrier of the last layer before it that
+        # emitted rows (-1: none); its loads wait on its P_ALU if it has one.
+        last = np.maximum.accumulate(np.where(width > 0, np.arange(len(layers)), -1))
+        prev = np.concatenate(([-1], last))[:-1]
+        wait_n, wait_at = np.append(width, 0)[prev], bar_at[prev]
+        at = np.where(_LOAD_ROWS, loads, chains - 3) + np.arange(8)
+
+        def column(palu_value: ArrayLike, per_group: ArrayLike) -> np.ndarray:
+            out = np.empty(int(rows.sum()), dtype=np.int64)
+            out[base[has]] = palu_value
+            out[at] = per_group
+            return out
+
+        code = column(VpuOp.P_ALU.code, _GROUP_OPS)
+        barriers = np.flatnonzero((code == VpuOp.P_ALU.code) | (code == DmaOp.STORE_LWE.code))
+        n_deps = column(wait_n[has], np.where(
+            _LOAD_ROWS, np.where(has, 1, wait_n)[layer], _CHAIN_DEPS))
+        dep_at = column(wait_at[has], np.where(  # first dep in (barriers, chain deps)
+            _LOAD_ROWS, np.where(has, bar_at, wait_at)[layer], len(barriers) + 7 * g + _CHAIN_AT))
+        chain_deps = np.where(_FROM_LOAD, loads, chains) + _DEP_OFFSET
         key_bytes = np.array([0, p.bsk_transform_bytes, p.ksk_bytes, 0, 0, 0, 0, 0])
-        group_id = 0
-        barrier = np.zeros(0, dtype=np.int64)  # ids the next layer waits on
-        for layer in layers:
-            base = len(stream)
-            palu = np.arange(base, base + int(layer.linear_macs > 0))
-            linear_dep = palu if len(palu) else barrier
-            full, rest = divmod(layer.bootstraps, self.group_size)
-            batches = np.array([self.group_size] * full + [rest] * (rest > 0),
-                               dtype=np.int64)[:, None]
-            k = len(batches)
-            if k:
-                _SCHED_GROUPS.inc(k)
-            first = base + len(palu)
-            loads = first + 3 * np.arange(k)[:, None]
-            chains = first + 3 * k + 5 * np.arange(k)[:, None]
-
-            def rows(palu_value: int, per_group: ArrayLike) -> np.ndarray:
-                # The P_ALU row, then every group's loads, then the chains.
-                field = np.zeros((k, 8), dtype=np.int64) + per_group
-                return np.concatenate((np.full(len(palu), palu_value),
-                                       field[:, :3].ravel(), field[:, 3:].ravel()))
-
-            stream.emit_block(
-                rows(VpuOp.P_ALU.code, _GROUP_OPS),
-                rows(group_id, group_id + np.arange(k)[:, None]),
-                rows(0, batches * _BATCH_ROWS),
-                rows(0, batches * p.lwe_bytes * _LWE_ROWS + key_bytes),
-                rows(layer.linear_macs, 0),
-                rows(len(barrier), [len(linear_dep)] * 3 + _CHAIN_DEPS),
-                np.concatenate((
-                    barrier if len(palu) else barrier[:0], np.tile(linear_dep, 3 * k),
-                    (np.where(_FROM_LOAD, loads, chains) + _DEP_OFFSET).ravel())),
-            )
-            group_id += k
-            barrier = np.concatenate((palu, chains[:, 0] + 4))
+        stream = InstructionStream()
+        stream.emit_block(
+            code, column(first_group[has], g), column(0, batch * _BATCH_ROWS),
+            column(0, batch * p.lwe_bytes * _LWE_ROWS + key_bytes), column(macs[has], 0), n_deps,
+            np.concatenate((barriers, chain_deps.ravel()))[
+                np.arange(n_deps.sum()) + np.repeat(dep_at - np.cumsum(n_deps) + n_deps, n_deps)])
         return stream
 
     def schedule_clients(self, clients: dict) -> InstructionStream:
@@ -199,31 +211,46 @@ class SwScheduler:
 
 
 def list_schedule(
-    queues: Sequence[int], deps: Iterable[Iterable[int]],
-    durations: Iterable[float], origin: float,
+    queues: List[int], deps: DepView, durations: List[float], origin: float,
 ) -> Tuple[List[float], List[float]]:
     """The list-scheduling recurrence, once: ``(starts, ends)`` per row.
 
     ``queues[i]`` is row ``i``'s in-order queue
-    (:meth:`~repro.core.isa.StreamColumns.queues`) and ``deps[i]`` the
-    earlier rows it waits on; a row starts at ``max(queue ready,
-    dependencies retired)`` counted from ``origin``.
+    (:meth:`~repro.core.isa.StreamColumns.queues`) and ``deps`` the
+    earlier rows each row waits on
+    (:attr:`~repro.core.isa.StreamColumns.dep_view`); a row starts at
+    ``max(queue ready, dependencies retired)`` counted from ``origin``.
     :class:`HwScheduler` feeds modelled seconds (``origin`` 0.0); the
     verifier's occupancy model feeds unit steps (``origin`` 0).
     """
+    first, second, wide = deps
+    n = len(queues)
     ready = [origin] * (max(queues) + 1 if queues else 0)
-    starts: List[float] = []
-    ends: List[float] = []
-    for queue, waits, duration in zip(queues, deps, durations):
-        start = ready[queue]
-        for dep in waits:
-            retired = ends[dep]
+    starts = [origin] * n
+    ends = [origin] * (n + 1)  # ends[n]: "no dependency" retires at origin
+    lo = 0
+    # Every row compares its first two dependencies in one tight loop; a
+    # wide row's others first raise its queue's ready time (the same
+    # compare-and-keep, so the same maximum).
+    for row, rest in [*wide, (n, array("q"))]:
+        for i, queue, a, b, duration in zip(range(lo, row), queues[lo:row], first[lo:row],
+                                            second[lo:row], durations[lo:row]):
+            start = ready[queue]
+            retired = ends[a]
             if retired > start:
                 start = retired
-        end = start + duration
-        ready[queue] = end
-        starts.append(start)
-        ends.append(end)
+            retired = ends[b]
+            if retired > start:
+                start = retired
+            end = start + duration
+            ready[queue] = end
+            starts[i] = start
+            ends[i] = end
+        for dep in rest:
+            if ends[dep] > ready[queues[row]]:
+                ready[queues[row]] = ends[dep]
+        lo = row
+    del ends[n]
     return starts, ends
 
 
@@ -288,21 +315,19 @@ class HwScheduler:
             return scale * count * self._stage_cycles[op.value] / self._clock_hz
         return scale * self.vpu.linear_op_cycles(macs) / self._clock_hz
 
-    def _durations(self, cols: StreamColumns) -> np.ndarray:
-        """Every row's duration, priced once per distinct
-        ``(op, count, data_bytes, macs)``."""
+    def _durations(self, cols: StreamColumns) -> Tuple[np.ndarray, np.ndarray]:
+        """Every row's duration as ``prices[price]``: each distinct
+        ``(op, count, data_bytes, macs)`` is priced once."""
         fields = (cols.code, cols.count, cols.data_bytes, cols.macs)
-        order = np.arange(len(cols))
-        for column in reversed(fields):  # stable: ends sorted by all four
-            order = order[np.argsort(column[order], kind="stable")]
+        order = np.lexsort(fields[::-1])  # equal rows end up adjacent
         rows = np.stack(fields, 1)[order]
         first = np.ones(len(rows), dtype=bool)
         first[1:] = (rows[1:] != rows[:-1]).any(1)
         prices = [self._duration(OPCODES[code], count, data_bytes, macs)
                   for code, count, data_bytes, macs in rows[first].tolist()]
-        durations = np.empty(len(rows))
-        durations[order] = np.array(prices)[np.cumsum(first) - 1]
-        return durations
+        price = np.empty(len(rows), dtype=np.int64)
+        price[order] = np.cumsum(first) - 1
+        return np.array(prices, dtype=float), price
 
     def execute(
         self, stream: InstructionStream, record_spans: bool = False,
@@ -325,13 +350,15 @@ class HwScheduler:
         cols = stream.columns()
         cores = self._bootstrap_cores
         lane_groups = self.config.vpu_lane_groups
-        queues, names = cols.queues(lane_groups)
-        seconds = self._durations(cols)
-        durations = seconds.tolist()
-        starts, ends = list_schedule(queues, cols.dep_rows(), durations, 0.0)
+        queue_ids, names = cols.queues(lane_groups)
+        queues = queue_ids.tolist()
+        prices, price = self._durations(cols)
+        # Rows share one float object per distinct price: no per-row float.
+        durations = prices.astype(object)[price].tolist()
+        starts, ends = list_schedule(queues, cols.dep_view, durations, 0.0)
         # Accumulated in stream order, as one += per instruction would.
         busy = dict(zip(names, np.bincount(
-            queues, weights=seconds, minlength=len(names)).tolist()))
+            queue_ids, weights=prices[price], minlength=len(names)).astype(float).tolist()))
         total = max(ends, default=0.0)
         counts = cols.count[cols.code == XpuOp.BLIND_ROTATE.code]
         scheduled_slots = int((cores * -(-counts // cores)).sum())
@@ -440,7 +467,7 @@ def render_schedule(result: ScheduleResult, width: int = 72) -> str:
     One row per engine; digits mark which group occupies the engine.
     Requires the result to have been produced with ``record_spans=True``.
     """
-    if not result.spans:
+    if result.spans is None:
         raise ValueError("execute the stream with record_spans=True first")
     total = result.total_seconds
     engines = sorted({s[0] for s in result.spans})

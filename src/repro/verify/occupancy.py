@@ -163,7 +163,7 @@ class OccupancyModel:
         """Unit-duration list schedule: the step each row retires at (it
         occupies its queue for the one step before that)."""
         queues, _names = cols.queues(self.lane_groups)
-        _starts, ends = list_schedule(queues, cols.dep_rows(), [1] * len(cols), 0)
+        _starts, ends = list_schedule(queues.tolist(), cols.dep_view, [1] * len(cols), 0)
         return np.array(ends, dtype=np.int64)
 
     # -- liveness intervals --------------------------------------------

@@ -137,12 +137,33 @@ class TestSwScheduler:
         stream = sched.schedule([LayerDemand("l", 100), LayerDemand("m", 50)])
         stream.validate_dependencies()  # must not raise
 
+    def test_empty_layer_keeps_the_barrier(self):
+        """A layer with no bootstraps and no linear work emits nothing and
+        leaves the barrier as it is: the next layer still waits on the
+        layer before it."""
+        cfg, p = MorphlingConfig.morphling(), get_params("III")
+        a, b = LayerDemand("a", 200), LayerDemand("b", 200)
+        with_empty = SwScheduler(cfg, p).schedule([a, LayerDemand("z", 0), b])
+        without = SwScheduler(cfg, p).schedule([a, b])
+        got, want = with_empty.columns(), without.columns()
+        for name in ("ids", "code", "group", "count", "data_bytes", "macs",
+                     "dep_ptr", "deps"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+        hw = HwScheduler(cfg, p)
+        assert hw.execute(with_empty).total_seconds == hw.execute(without).total_seconds
+
 
 class TestHwScheduler:
     def test_empty_stream_zero_time(self):
         hw = HwScheduler(MorphlingConfig(), get_params("I"))
         res = hw.execute(InstructionStream())
         assert res.total_seconds == 0.0
+
+    def test_empty_stream_busy_times_are_floats(self):
+        hw = HwScheduler(MorphlingConfig(), get_params("I"))
+        busy = hw.execute(InstructionStream()).engine_busy_seconds
+        assert busy == {"xpu": 0.0, "vpu": 0.0, "dma_xpu": 0.0, "dma_vpu": 0.0}
+        assert all(type(v) is float for v in busy.values())
 
     def test_steady_state_approaches_simulator_throughput(self):
         """A long independent workload must match the analytic model."""

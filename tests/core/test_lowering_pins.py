@@ -30,7 +30,7 @@ APPS = {
     "VGG-9": (vgg9_workload, (),
               "4565fca4ccd2fcda8f336744f6cd78e177eb3b947d5faf5e553df4763b7fd8c7"),
 }
-CLIENTS = "b07f9609ee4fc95be0407c377e1f61f546addd3cc181f79d08b61fcdd900081e"
+CLIENTS = "5d4e6dacac15ae2651bf320b7750c0f7c5bf850c87a5779751b483afc6006433"
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,15 @@ class TestScheduleRendering:
         with pytest.raises(ValueError):
             render_schedule(plain)
 
+    def test_render_empty_program_is_the_time_axis(self):
+        from repro.core.isa import InstructionStream
+
+        cfg, p = MorphlingConfig(), get_params("I")
+        result = HwScheduler(cfg, p).execute(InstructionStream(), record_spans=True)
+        assert result.spans == []
+        art = render_schedule(result, width=20)
+        assert art == f"{'time':8s} |0{' ' * 18}|0.00 ms"
+
     def test_render_shows_all_engines(self):
         cfg, p = MorphlingConfig(), get_params("I")
         stream = SwScheduler(cfg, p).schedule([LayerDemand("a", 128)])

@@ -12,13 +12,14 @@ from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Tuple
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.accelerator import MorphlingConfig
 from repro.core.isa import OPCODES, DmaOp, Instruction, VpuOp, XpuOp
-from repro.core.scheduler import LayerDemand, SwScheduler, run_workload
+from repro.core.scheduler import HwScheduler, LayerDemand, SwScheduler, run_workload
 from repro.params import get_params
 from repro.verify import OccupancyModel, static_noise_report, verify_stream
 
@@ -130,6 +131,39 @@ def test_shipped_programs_match_the_oracle(params_name):
     assert report.diagnostics == oracle.verify(list(stream), CONFIG, params)
     model = OccupancyModel(CONFIG, params)
     assert model.analyze(stream) == oracle.analyze(model, list(stream))
+
+
+def _walk_matches_the_oracle(stream) -> int:
+    """The seconds walk of ``execute`` against the per-instruction
+    recurrence, start and end bit for bit; returns the widest row's
+    dependency count."""
+    hw = HwScheduler(CONFIG, PARAMS)
+    cols = stream.columns()
+    spans = hw.execute(stream, record_spans=True).spans
+    prices, price = hw._durations(cols)
+    want = oracle.list_schedule(list(stream), prices[price].tolist(),
+                                CONFIG.vpu_lane_groups, 0.0)
+    assert [(q, start, end) for q, _op, _group, start, end in spans] == [
+        (q, start, end) for q, start, end, _duration in want]
+    return int(np.diff(cols.dep_ptr).max(initial=0))
+
+
+def test_seconds_walk_matches_the_oracle():
+    widths = []
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(layers=layer_lists)
+    def drawn(layers):
+        widths.append(_walk_matches_the_oracle(SwScheduler(CONFIG, PARAMS).schedule(layers)))
+
+    drawn()
+    assert max(widths) > 2  # the walk's wide-row path was exercised
+    two_clients = SwScheduler(CONFIG, PARAMS).schedule_clients({
+        "a": [LayerDemand("a", 70, linear_macs=96), LayerDemand("b", 0), LayerDemand("c", 65)],
+        "b": [LayerDemand("d", 33), LayerDemand("e", 0, linear_macs=10**9), LayerDemand("f", 7)],
+    })
+    assert _walk_matches_the_oracle(two_clients) > 2
 
 
 def test_run_workload_builds_no_instruction_objects(monkeypatch):
