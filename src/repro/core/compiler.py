@@ -102,7 +102,8 @@ def compile_and_run(
     params = params or get_params("III")
     name, stream, binary = compile_program(program, config, params, verify=verify)
     result: ScheduleResult = HwScheduler(config, params).execute(stream)
-    bootstraps = sum(i.count for i in stream if i.op is XpuOp.BLIND_ROTATE)
+    cols = stream.columns()
+    bootstraps = int(cols.count[cols.code == XpuOp.BLIND_ROTATE.code].sum())
     rate = bootstraps / result.total_seconds if result.total_seconds else 0.0
     return CompilationReport(
         program_name=name,

@@ -33,6 +33,7 @@ __all__ = [
     "InstructionStream",
     "StreamColumns",
     "DepView",
+    "opcode_mask",
 ]
 
 
@@ -93,6 +94,14 @@ _QUEUE_OF_CODE = np.array([
     -1 if op.engine is Engine.VPU else 0 if op.engine is Engine.XPU
     else 1 if op is DmaOp.LOAD_BSK else 2 for op in OPCODES
 ] + [0])
+
+
+def opcode_mask(ops: Iterable[_Opcode]) -> np.ndarray:
+    """Table over opcode codes, set at ``ops``: indexed by an opcode
+    column, it masks those rows (its extra last entry serves code -1)."""
+    table = np.zeros(len(OPCODES) + 1, dtype=bool)
+    table[[op.code for op in ops]] = True
+    return table
 
 
 class Instruction:
@@ -262,8 +271,7 @@ class StreamColumns:
         agree on one resource model.
         """
         queue = _QUEUE_OF_CODE[self.code]
-        vpu = queue < 0
-        queue[vpu] = len(_FIXED_QUEUES) + self.group[vpu] % lane_groups
+        queue = np.where(queue < 0, len(_FIXED_QUEUES) + self.group % lane_groups, queue)
         names = [*_FIXED_QUEUES, *(f"vpu{g}" for g in range(lane_groups))]
         return queue, names
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple, TypeVar
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -46,6 +46,9 @@ __all__ = [
     "list_schedule",
     "run_workload",
 ]
+
+#: A schedule's clock: modelled seconds or the verifier's unit steps.
+_Time = TypeVar("_Time", int, float)
 
 _SCHED_GROUPS = _METRICS.counter(
     "sched_groups_formed_total", "Scheduler groups lowered by the SW-scheduler"
@@ -78,6 +81,12 @@ _CHAIN_DEPS = np.array([0, 0, 0, 1, 2, 1, 2, 1])  # dependencies per chain row
 _CHAIN_AT = np.cumsum(_CHAIN_DEPS) - _CHAIN_DEPS  # their place among the seven
 _FROM_LOAD = np.array([1, 0, 1, 0, 0, 1, 0], dtype=bool)
 _DEP_OFFSET = np.array([0, 0, 1, 1, 2, 2, 3])
+#: How each opcode code is priced (:meth:`HwScheduler._durations`): 0 a
+#: transfer's bytes, 1 XPU waves, 2 a VPU stage's cycles, 3 P_ALU MACs.
+_PRICING = np.array([
+    0 if op.engine is Engine.DMA else 1 if op.engine is Engine.XPU
+    else 2 if op in (VpuOp.MODULUS_SWITCH, VpuOp.SAMPLE_EXTRACT, VpuOp.KEY_SWITCH) else 3
+    for op in OPCODES])
 
 
 @dataclass(frozen=True)
@@ -211,21 +220,24 @@ class SwScheduler:
 
 
 def list_schedule(
-    queues: List[int], deps: DepView, durations: List[float], origin: float,
-) -> Tuple[List[float], List[float]]:
-    """The list-scheduling recurrence, once: ``(starts, ends)`` per row.
+    queues: List[int], n_queues: int, deps: DepView, durations: List[_Time], origin: _Time,
+) -> Tuple[List[_Time], List[_Time], List[_Time]]:
+    """The list-scheduling recurrence, once: ``(starts, ends)`` per row,
+    then each queue's ready time.
 
-    ``queues[i]`` is row ``i``'s in-order queue
-    (:meth:`~repro.core.isa.StreamColumns.queues`) and ``deps`` the
+    ``queues[i]`` is row ``i``'s in-order queue, one of ``n_queues``
+    (:meth:`~repro.core.isa.StreamColumns.queues`), and ``deps`` the
     earlier rows each row waits on
     (:attr:`~repro.core.isa.StreamColumns.dep_view`); a row starts at
     ``max(queue ready, dependencies retired)`` counted from ``origin``.
-    :class:`HwScheduler` feeds modelled seconds (``origin`` 0.0); the
-    verifier's occupancy model feeds unit steps (``origin`` 0).
+    A queue's rows retire in order, so its final ready time is its last
+    row's end (``origin`` if it ran nothing) and ``max(ready)`` is the
+    makespan.  :class:`HwScheduler` feeds modelled seconds (``origin``
+    0.0); the verifier's occupancy model feeds unit steps (``origin`` 0).
     """
     first, second, wide = deps
     n = len(queues)
-    ready = [origin] * (max(queues) + 1 if queues else 0)
+    ready = [origin] * n_queues
     starts = [origin] * n
     ends = [origin] * (n + 1)  # ends[n]: "no dependency" retires at origin
     lo = 0
@@ -251,7 +263,7 @@ def list_schedule(
                 ready[queues[row]] = ends[dep]
         lo = row
     del ends[n]
-    return starts, ends
+    return starts, ends, ready
 
 
 class HwScheduler:
@@ -280,8 +292,12 @@ class HwScheduler:
         self._clock_hz = config.clock_ghz * 1e9
         self._blind_rotation_seconds = self.xpu.blind_rotation_seconds()
         self._stage_cycles = stages.stage_cycle_map()  # MS / SE / KS by op value
-        self._xpu_bytes_per_second = self.hbm.bytes_per_second("xpu")
-        self._vpu_bytes_per_second = self.hbm.bytes_per_second("vpu")
+        # Per opcode code: the channel group a transfer streams at (the
+        # BSK rides the XPU's, everything else the VPU's) and a VPU
+        # stage's cycles per ciphertext.
+        self._bytes_per_second = np.array([self.hbm.bytes_per_second(
+            "xpu" if op is DmaOp.LOAD_BSK else "vpu") for op in OPCODES])
+        self._cycles = np.array([self._stage_cycles.get(op.value, 0.0) for op in OPCODES])
 
     def occupancy_proof(self, stream: InstructionStream) -> "OccupancyProof":
         """Static occupancy proof for ``stream`` - the admission-control
@@ -294,40 +310,27 @@ class HwScheduler:
         return OccupancyModel(self.config, self.params).analyze(stream)
 
     # -- per-instruction timing ----------------------------------------
-    def _duration(self, op: object, count: int, data_bytes: int,
-                  macs: int) -> float:
-        engine = op.engine
-        if engine is Engine.DMA:
-            # BSK rides the XPU channel group, everything else the VPU's.
-            if op is DmaOp.LOAD_BSK:
-                return data_bytes / self._xpu_bytes_per_second
-            return data_bytes / self._vpu_bytes_per_second
-        if engine is Engine.XPU:
-            # Blind-rotate `count` ciphertexts: ceil(count/cores) resident
-            # waves, each one full blind rotation.
-            waves = -(-count // self._bootstrap_cores)
-            return waves * self._blind_rotation_seconds
-        # One lane group (1/vpu_lane_groups of the MAC width) serves
-        # each scheduled group, so consecutive groups post-process in
-        # parallel (Section V-B: groups are programmed individually).
-        scale = self.config.vpu_lane_groups
-        if op.value in self._stage_cycles:
-            return scale * count * self._stage_cycles[op.value] / self._clock_hz
-        return scale * self.vpu.linear_op_cycles(macs) / self._clock_hz
-
     def _durations(self, cols: StreamColumns) -> Tuple[np.ndarray, np.ndarray]:
-        """Every row's duration as ``prices[price]``: each distinct
-        ``(op, count, data_bytes, macs)`` is priced once."""
-        fields = (cols.code, cols.count, cols.data_bytes, cols.macs)
-        order = np.lexsort(fields[::-1])  # equal rows end up adjacent
-        rows = np.stack(fields, 1)[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]).any(1)
-        prices = [self._duration(OPCODES[code], count, data_bytes, macs)
-                  for code, count, data_bytes, macs in rows[first].tolist()]
-        price = np.empty(len(rows), dtype=np.int64)
-        price[order] = np.cumsum(first) - 1
-        return np.array(prices, dtype=float), price
+        """Every row's duration as ``prices[price]``, one entry of
+        ``prices`` per distinct duration.
+
+        Each engine class is priced as arrays, each float operation in
+        the models' order: a transfer's bytes over its channel group's
+        rate; ``ceil(count / cores)`` resident waves of one full blind
+        rotation; a VPU stage's or P_ALU's cycles on one lane group
+        (1/``vpu_lane_groups`` of the MAC width serves each scheduled
+        group, so consecutive groups post-process in parallel, Section
+        V-B) over the clock.
+        """
+        code, count = cols.code, cols.count
+        kind, scale, clock = _PRICING[code], self.config.vpu_lane_groups, self._clock_hz
+        seconds = np.where(
+            kind == 0, cols.data_bytes / self._bytes_per_second[code], np.where(
+                kind == 1, -(-count // self._bootstrap_cores) * self._blind_rotation_seconds,
+                np.where(kind == 2, scale * count * self._cycles[code] / clock,
+                         scale * (cols.macs / self.config.vpu_macs_per_cycle) / clock)))
+        prices = np.unique(seconds)
+        return prices, np.searchsorted(prices, seconds)
 
     def execute(
         self, stream: InstructionStream, record_spans: bool = False,
@@ -353,16 +356,19 @@ class HwScheduler:
         queue_ids, names = cols.queues(lane_groups)
         queues = queue_ids.tolist()
         prices, price = self._durations(cols)
-        # Rows share one float object per distinct price: no per-row float.
-        durations = prices.astype(object)[price].tolist()
-        starts, ends = list_schedule(queues, cols.dep_view, durations, 0.0)
         # Accumulated in stream order, as one += per instruction would.
         busy = dict(zip(names, np.bincount(
             queue_ids, weights=prices[price], minlength=len(names)).astype(float).tolist()))
-        total = max(ends, default=0.0)
+        group = cols.group
+        if (group[1:] < group[:-1]).any():  # lowered programs are in group order
+            group = np.sort(group)
         counts = cols.count[cols.code == XpuOp.BLIND_ROTATE.code]
         scheduled_slots = int((cores * -(-counts // cores)).sum())
         used_slots = int(counts.sum())
+        # Rows share one float object per distinct price: no per-row float.
+        durations = prices.astype(object)[price].tolist()
+        starts, ends, ready = list_schedule(queues, len(names), cols.dep_view, durations, 0.0)
+        total = max(ready)
         spans = None
         if record_spans:
             spans = [(names[q], OPCODES[c].value, g, start, end) for q, c, g, start, end
@@ -400,7 +406,7 @@ class HwScheduler:
             total_seconds=total,
             engine_busy_seconds=merged,
             instructions=len(stream),
-            groups=len(stream.groups()),
+            groups=int(np.count_nonzero(group[1:] != group[:-1])) + min(len(group), 1),
             padding_waste=waste,
             spans=spans,
         )

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from ..core.isa import DmaOp, VpuOp, XpuOp
+from ..core.isa import DmaOp, VpuOp, XpuOp, opcode_mask
 from .diagnostics import Diagnostic, Severity
 from .program import VerifyContext, normalise, register_program_pass
 
@@ -45,8 +45,8 @@ __all__ = [
 STATIC_NOISE_SCHEMA_VERSION = 1
 
 #: Ops whose result carries their operand's variance onward (KEY_SWITCH
-#: adds its own terms on top).
-_PROPAGATING = (VpuOp.KEY_SWITCH, VpuOp.SAMPLE_EXTRACT, DmaOp.STORE_LWE)
+#: adds its own terms on top), as a table over opcode codes.
+_PASSING = opcode_mask((VpuOp.KEY_SWITCH, VpuOp.SAMPLE_EXTRACT, DmaOp.STORE_LWE))
 
 
 def gate_decision_margin(params: object) -> float:
@@ -160,28 +160,38 @@ def static_noise_report(
     # Only BR / SE / KS / STORE results carry variance: every other
     # row's output is noise-free, and a dependency reads the latest
     # earlier variance-carrying row with its id (0.0 if there is none).
+    # The propagation runs over those rows alone, renumbered by ``slot``.
     cols = normalise(instructions)
     rotation = cols.code == XpuOp.BLIND_ROTATE.code
-    key_switch = cols.code == VpuOp.KEY_SWITCH.code
-    passing = np.isin(cols.code, [op.code for op in _PROPAGATING])
-    src = cols.resolve(cols.deps, cols.owner, among=rotation | passing)
-    reads = passing[cols.owner] & (src >= 0)
-    src, reader = src[reads], cols.owner[reads]
+    passing = _PASSING[cols.code]
+    carries = rotation | passing
+    rows = np.flatnonzero(carries)
+    slot = np.cumsum(carries) - 1
+    mine = passing[cols.owner]  # the dependencies passing rows read
+    reader = cols.owner[mine]
+    src = cols.resolve(cols.deps[mine], reader, among=carries)
+    reads = src >= 0
+    src, reader = slot[src[reads]], slot[reader[reads]]
+    key_switch = np.flatnonzero(cols.code[rows] == VpuOp.KEY_SWITCH.code)
     bootstraps = int(np.maximum(cols.count[rotation], 0).sum())
     # Every edge points to an earlier row, so sweeping "each passing row
-    # takes its operands' max, a key switch adds its terms" until nothing
-    # changes reaches the in-order result after (longest chain + 1) sweeps.
-    variance = np.where(rotation, br_variance, 0.0)
+    # takes its operands' max, a key switch adds its terms" reaches the
+    # in-order result after (longest chain) sweeps: the last one moves
+    # no row that another reads.  A rotation's variance is fixed; a
+    # passing row's starts at 0.0.
+    fresh = np.where(rotation[rows], br_variance, 0.0)
+    variance = fresh
     while True:
-        out = np.zeros(len(cols))
+        out = fresh.copy()
         np.maximum.at(out, reader, variance[src])
-        operands, at = np.unique(out[key_switch], return_inverse=True)
-        out[key_switch] = np.array([key_switch_noise_variance(params, v)
-                                    for v in operands.tolist()])[at]
-        out = np.where(passing, out, variance)
-        if np.array_equal(out, variance):
-            break
+        operand = out[key_switch]
+        operands = np.unique(operand)
+        out[key_switch] = np.array([key_switch_noise_variance(params, v) for v in
+                                    operands.tolist()])[np.searchsorted(operands, operand)]
+        moved = out != variance
         variance = out
+        if not moved[src].any():
+            break
     # Worst fully key-switched output variance observed.
     terminal = float(variance[key_switch].max(initial=0.0))
     if terminal <= 0.0:

@@ -54,6 +54,11 @@ __all__ = [
 _BUFFERS = ("shared", "private_a1", "private_a2")
 
 
+def _steps(ends: List[int], rows: np.ndarray) -> np.ndarray:
+    """``ends`` at ``rows``, converting only those entries."""
+    return np.array([ends[row] for row in rows.tolist()], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class BufferHighWater:
     """Peak occupancy of one buffer over the program's timeline."""
@@ -159,30 +164,35 @@ class OccupancyModel:
         }
 
     # -- abstract timeline ---------------------------------------------
-    def _abstract_schedule(self, cols: StreamColumns) -> np.ndarray:
+    def _abstract_schedule(self, cols: StreamColumns) -> Tuple[List[int], int]:
         """Unit-duration list schedule: the step each row retires at (it
-        occupies its queue for the one step before that)."""
-        queues, _names = cols.queues(self.lane_groups)
-        _starts, ends = list_schedule(queues.tolist(), cols.dep_view, [1] * len(cols), 0)
-        return np.array(ends, dtype=np.int64)
+        occupies its queue for the one step before that), and the last."""
+        queues, names = cols.queues(self.lane_groups)
+        _starts, ends, ready = list_schedule(
+            queues.tolist(), len(names), cols.dep_view, [1] * len(cols), 0)
+        return ends, max(ready)
 
     # -- liveness intervals --------------------------------------------
     def _intervals(
-        self, cols: StreamColumns, end: np.ndarray,
+        self, cols: StreamColumns, ends: List[int], steps: int,
     ) -> Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Per-buffer ``(from, to, bytes, producer row)`` live ranges."""
         rotations = np.flatnonzero(cols.code == XpuOp.BLIND_ROTATE.code)
         n = len(cols)
-        # Retire step of each rotation result's last consumer, keyed by
-        # the last row carrying the result's id.
-        consumed = np.isin(cols.deps, cols.ids[rotations])
+        # A result drains when the last row naming its id retires.  Ids
+        # are keyed by the last row carrying them (-1: none), the
+        # rotations' and the dependencies' in one resolve.
+        keys = cols.resolve(np.concatenate((cols.ids[rotations], cols.deps)), n)
+        results, named = keys[:len(rotations)], keys[len(rotations):]
+        is_result = np.zeros(n + 1, dtype=bool)
+        is_result[results] = True
+        consumed = np.flatnonzero(is_result[named])
         drained = np.zeros(n + 1, dtype=np.int64)
-        np.maximum.at(drained, cols.resolve(cols.deps[consumed], n),
-                      end[cols.owner[consumed]])
-        drained = drained[cols.resolve(cols.ids[rotations], n)]
-        horizon = int(end.max(initial=0)) + 1
+        np.maximum.at(drained, named[consumed], _steps(ends, cols.owner[consumed]))
+        drained = drained[results]
+        horizon = steps + 1
         count = cols.count[rotations]
-        retired = end[rotations]
+        retired = _steps(ends, rotations)
         ones = np.ones_like(retired)
         # ACC streams + the resident BSK slice live while rotating.  The
         # rotation result sits in Shared until its last consumer (the SE
@@ -202,20 +212,20 @@ class OccupancyModel:
     ) -> OccupancyProof:
         """High-water-mark proof for ``instructions``."""
         cols = normalise(instructions)
-        end = self._abstract_schedule(cols)
-        intervals = self._intervals(cols, end)
+        ends, steps = self._abstract_schedule(cols)
+        intervals = self._intervals(cols, ends, steps)
         marks: List[BufferHighWater] = []
         for buffer in _BUFFERS:
             # Sweep allocation/release events in time order; releases
             # sort before allocations at equal timestamps (the intervals
             # are half-open, so a consumer retiring at t frees its bytes
-            # before anything allocated at t lands).  Each interval
-            # contributes its allocation, then its release, in row order;
-            # the sort is stable.
+            # before anything allocated at t lands).  The allocations,
+            # then the releases, each in row order; the sort is stable.
             t_from, t_to, nbytes, rows = intervals[buffer]
             live = nbytes > 0
-            t = np.stack((t_from[live], t_to[live]), 1).ravel()
-            delta = np.stack((nbytes[live], -nbytes[live]), 1).ravel()
+            rows = rows[live]
+            t = np.concatenate((t_from[live], t_to[live]))
+            delta = np.concatenate((nbytes[live], -nbytes[live]))
             order = np.lexsort((delta, t))
             level = np.cumsum(delta[order])
             # The peak is where the level first reaches its maximum.
@@ -226,9 +236,8 @@ class OccupancyModel:
                 capacity_bytes=self.capacities[buffer],
                 high_water_bytes=peak,
                 at_step=int(t[at]) if peak else 0,
-                at_instruction=int(rows[live][at // 2]) if peak else None,
+                at_instruction=int(rows[at % len(rows)]) if peak else None,
             ))
-        steps = int(end.max(initial=0))
         return OccupancyProof(subject=subject, steps=steps, buffers=tuple(marks))
 
     # -- admission control ---------------------------------------------

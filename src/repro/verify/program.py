@@ -35,11 +35,13 @@ Pass catalog
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Iterable, Iterator, List, Optional
 
 import numpy as np
 
-from ..core.isa import OPCODES, DmaOp, InstructionStream, StreamColumns, VpuOp, XpuOp
+from ..core.isa import (
+    OPCODES, DmaOp, InstructionStream, StreamColumns, VpuOp, XpuOp, opcode_mask,
+)
 from .diagnostics import Diagnostic, RuleInfo, Severity, VerificationError, VerifyReport
 
 __all__ = [
@@ -83,14 +85,9 @@ class VerifyContext:
     config: Optional[object] = None
     params: Optional[object] = None
 
-    @property
-    def by_id(self) -> Dict[int, int]:
-        """Row of each instruction id (the last row wins for duplicates)."""
-        return dict(zip(self.columns.ids.tolist(), range(len(self.columns))))
-
     def is_op(self, *ops: Any) -> np.ndarray:
         """Mask of the rows whose opcode is one of ``ops``."""
-        return np.isin(self.columns.code, [op.code for op in ops])
+        return opcode_mask(ops)[self.columns.code]
 
 
 PassFn = Callable[[VerifyContext], Iterator[Diagnostic]]
@@ -126,10 +123,6 @@ def register_program_pass(code: str, name: str, summary: str,
     return deco
 
 
-#: Backwards-compatible internal alias (the VER001-VER006 passes below).
-_register = register_program_pass
-
-
 def program_rule_catalog() -> List[RuleInfo]:
     """Catalog of all registered verifier passes."""
     return [p.info for p in PROGRAM_PASSES]
@@ -147,6 +140,8 @@ def _diag(code: str, cols: StreamColumns, row: int, message: str,
 def _flag(code: str, cols: StreamColumns, *checks: tuple) -> Iterator[Diagnostic]:
     """Diagnostics of per-row checks ``(mask, message(row)[, severity])``:
     one per flagged row and check, in row order, then check order."""
+    if not any(check[0].any() for check in checks):
+        return
     hits = [np.flatnonzero(check[0]) for check in checks]
     rows = np.concatenate(hits)
     which = np.repeat(np.arange(len(checks)), [len(h) for h in hits])
@@ -159,7 +154,7 @@ def _flag(code: str, cols: StreamColumns, *checks: tuple) -> Iterator[Diagnostic
 # ----------------------------------------------------------------------
 # VER001 - def-before-use
 # ----------------------------------------------------------------------
-@_register("VER001", "def-before-use",
+@register_program_pass("VER001", "def-before-use",
            "dependencies must reference already-emitted instructions")
 def _check_def_before_use(ctx: VerifyContext) -> Iterator[Diagnostic]:
     cols = ctx.columns
@@ -178,7 +173,7 @@ def _check_def_before_use(ctx: VerifyContext) -> Iterator[Diagnostic]:
 # ----------------------------------------------------------------------
 # VER002 - identity sanity
 # ----------------------------------------------------------------------
-@_register("VER002", "identity-sanity",
+@register_program_pass("VER002", "identity-sanity",
            "instruction ids must be unique; no self/duplicate dependencies")
 def _check_identity(ctx: VerifyContext) -> Iterator[Diagnostic]:
     cols = ctx.columns
@@ -186,10 +181,14 @@ def _check_identity(ctx: VerifyContext) -> Iterator[Diagnostic]:
     rows = np.arange(len(cols))
     itself = np.zeros(len(cols), dtype=bool)
     itself[owner[deps == ids[owner]]] = True
-    order = np.lexsort((deps, owner))
-    own, dep = owner[order], deps[order]
+    # A repeated dependency is adjacent once a row's dependencies are
+    # sorted.  Pairs need no sort, so only out-of-order rows of three or
+    # more do (by row, then id: the row order, and `same`, stay valid).
+    same = owner[1:] == owner[:-1]
+    if (same & (deps[1:] < deps[:-1]) & (np.diff(cols.dep_ptr)[owner[1:]] > 2)).any():
+        deps = deps[np.lexsort((deps, owner))]
     twice = np.zeros(len(cols), dtype=bool)
-    twice[own[1:][(own[1:] == own[:-1]) & (dep[1:] == dep[:-1])]] = True
+    twice[owner[1:][same & (deps[1:] == deps[:-1])]] = True
     yield from _flag(
         "VER002", cols,
         (cols.resolve(ids, rows) >= 0,
@@ -203,7 +202,7 @@ def _check_identity(ctx: VerifyContext) -> Iterator[Diagnostic]:
 # ----------------------------------------------------------------------
 # VER003 - opcode/engine compatibility
 # ----------------------------------------------------------------------
-@_register("VER003", "opcode-engine-compatibility",
+@register_program_pass("VER003", "opcode-engine-compatibility",
            "payload fields must match the opcode's engine")
 def _check_opcode_engine(ctx: VerifyContext) -> Iterator[Diagnostic]:
     cols = ctx.columns
@@ -231,7 +230,7 @@ def _check_opcode_engine(ctx: VerifyContext) -> Iterator[Diagnostic]:
 # ----------------------------------------------------------------------
 # VER004 - buffer capacity
 # ----------------------------------------------------------------------
-@_register("VER004", "buffer-capacity",
+@register_program_pass("VER004", "buffer-capacity",
            "batch sizes must fit the resident-stream capacity")
 def _check_capacity(ctx: VerifyContext) -> Iterator[Diagnostic]:
     if ctx.config is None or ctx.params is None:
@@ -274,17 +273,21 @@ _STAGE[[op.code for op in _CHAIN]] = np.arange(len(_CHAIN))
 _PRODUCER = np.array([-1] + [op.code for op in _CHAIN[:-1]])
 
 
-@_register("VER005", "stage-order-hazard",
+@register_program_pass("VER005", "stage-order-hazard",
            "per-group bootstrap chains must order MS -> BR -> SE -> KS -> STORE")
 def _check_stage_order(ctx: VerifyContext) -> Iterator[Diagnostic]:
     cols = ctx.columns
     group, stage = cols.group, _STAGE[cols.code]
     # Each chain row against the previous chain row of its group.
     chain = np.flatnonzero(stage >= 0)
-    chain = chain[np.argsort(group[chain], kind="stable")]
-    prev, row = chain[:-1], chain[1:]
+    chain_group = group[chain]
+    if (chain_group[1:] < chain_group[:-1]).any():  # lowered programs are in group order
+        order = np.argsort(chain_group, kind="stable")
+        chain, chain_group = chain[order], chain_group[order]
+    chain_stage = stage[chain]
     later = np.zeros(len(cols), dtype=bool)
-    later[row[(group[row] == group[prev]) & (stage[row] < stage[prev])]] = True
+    later[chain[1:][(chain_group[1:] == chain_group[:-1])
+                    & (chain_stage[1:] < chain_stage[:-1])]] = True
     # A consumer needs a dependency whose instruction (the last one with
     # that id) is its own group's producer stage.
     consumes = stage[cols.owner] > 0
@@ -309,7 +312,7 @@ def _check_stage_order(ctx: VerifyContext) -> Iterator[Diagnostic]:
 # ----------------------------------------------------------------------
 # VER006 - HBM transfer sanity
 # ----------------------------------------------------------------------
-@_register("VER006", "hbm-transfer-sanity",
+@register_program_pass("VER006", "hbm-transfer-sanity",
            "DMA payloads must be non-empty, word-aligned and count-consistent")
 def _check_transfers(ctx: VerifyContext) -> Iterator[Diagnostic]:
     params: Any = ctx.params
@@ -335,7 +338,8 @@ def _check_transfers(ctx: VerifyContext) -> Iterator[Diagnostic]:
              lambda i: f"LWE transfer of {data[i]} B does not match "
                        f"{count[i]} ciphertexts x {lwe_bytes} B "
                        f"= {count[i] * lwe_bytes} B"),
-            (moves & ctx.is_op(DmaOp.LOAD_BSK) & ~np.isin(data, bsk_sizes),
+            (moves & ctx.is_op(DmaOp.LOAD_BSK) & (data != bsk_sizes[0])
+             & (data != bsk_sizes[1]),
              lambda i: f"BSK transfer of {data[i]} B matches neither the "
                        f"transform-domain ({bsk_sizes[0]} B) "
                        f"nor the coefficient-domain ({bsk_sizes[1]} B) "

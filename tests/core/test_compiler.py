@@ -78,6 +78,18 @@ class TestCompileAndRun:
         report = compile_and_run([LayerDemand("x", 16)])
         assert report.total_seconds > 0
 
+    @pytest.mark.parametrize("layers", [
+        [LayerDemand("a", 1)],
+        [LayerDemand("a", 150, linear_macs=4096), LayerDemand("b", 0), LayerDemand("c", 33)],
+        [LayerDemand("a", 0, linear_macs=96), LayerDemand("b", 64), LayerDemand("c", 65)],
+    ])
+    def test_bootstraps_counted_from_the_program(self, layers):
+        """Every ciphertext of every layer is rotated once: the count read
+        off the program's columns is the layers' sum, partial groups and
+        empty layers included."""
+        report = compile_and_run(layers, params=get_params("I"))
+        assert report.total_bootstraps == sum(layer.bootstraps for layer in layers)
+
     def test_binary_smaller_than_data(self):
         report = compile_and_run(xgboost_workload(), params=get_params("III"))
         # instruction bytes are negligible next to the BSK alone

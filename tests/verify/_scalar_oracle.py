@@ -5,6 +5,8 @@ verifier read the program's columns: one Python object per instruction,
 walked one at a time.  They are kept verbatim (as ``tests/tfhe/_oracle.py``
 keeps the per-CMux bootstrap) so the columnar passes can be checked
 against them diagnostic for diagnostic (``test_scalar_oracle.py``).
+:func:`duration` is the HW-scheduler's per-instruction price, which
+``HwScheduler._durations`` now computes as arrays.
 """
 
 from __future__ import annotations
@@ -284,6 +286,30 @@ def list_schedule(instructions, durations, lane_groups, origin):
         end = start + duration
         ready[queue] = finish[inst.inst_id] = end
         yield queue, start, end, duration
+
+
+def duration(hw: Any, op: Any, count: int, data_bytes: int, macs: int) -> float:
+    """Seconds one instruction occupies its engine on ``hw``'s timing
+    models, priced from the models themselves."""
+    engine = op.engine
+    if engine is Engine.DMA:
+        # BSK rides the XPU channel group, everything else the VPU's.
+        if op is DmaOp.LOAD_BSK:
+            return data_bytes / hw.hbm.bytes_per_second("xpu")
+        return data_bytes / hw.hbm.bytes_per_second("vpu")
+    if engine is Engine.XPU:
+        # Blind-rotate `count` ciphertexts: ceil(count/cores) resident
+        # waves, each one full blind rotation.
+        waves = -(-count // hw.config.bootstrap_cores)
+        return waves * hw.xpu.blind_rotation_seconds()
+    # One lane group (1/vpu_lane_groups of the MAC width) serves each
+    # scheduled group, so consecutive groups post-process in parallel.
+    scale = hw.config.vpu_lane_groups
+    clock_hz = hw.config.clock_ghz * 1e9
+    stages = hw.vpu.stage_cycles().stage_cycle_map()
+    if op.value in stages:
+        return scale * count * stages[op.value] / clock_hz
+    return scale * hw.vpu.linear_op_cycles(macs) / clock_hz
 
 
 def _intervals(model: OccupancyModel, instructions: Sequence[Any],

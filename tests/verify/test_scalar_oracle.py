@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.accelerator import MorphlingConfig
-from repro.core.isa import OPCODES, DmaOp, Instruction, VpuOp, XpuOp
+from repro.core.isa import OPCODES, DmaOp, Instruction, InstructionStream, VpuOp, XpuOp
 from repro.core.scheduler import HwScheduler, LayerDemand, SwScheduler, run_workload
 from repro.params import get_params
 from repro.verify import OccupancyModel, static_noise_report, verify_stream
@@ -166,6 +166,43 @@ def test_seconds_walk_matches_the_oracle():
     assert _walk_matches_the_oracle(two_clients) > 2
 
 
+def _prices_match_the_oracle(stream) -> None:
+    """``execute``'s durations against the per-instruction price, row by
+    row and bit for bit."""
+    hw = HwScheduler(CONFIG, PARAMS)
+    prices, price = hw._durations(stream.columns())
+    want = np.array([oracle.duration(hw, inst.op, inst.count, inst.data_bytes, inst.macs)
+                     for inst in stream], dtype=float)
+    assert prices[price].view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+extra_rows = st.lists(st.tuples(
+    st.sampled_from(OPCODES), st.integers(0, 10**6), st.integers(0, 10**9),
+    st.integers(0, 10**12),
+), max_size=12)
+
+
+def test_prices_match_the_oracle():
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(layers=layer_lists, rows=extra_rows)
+    def drawn(layers, rows):
+        stream = SwScheduler(CONFIG, PARAMS).schedule(layers)
+        for op, count, data_bytes, macs in rows:  # every opcode, any payload
+            stream.emit(op, 0, count=count, data_bytes=data_bytes, macs=macs)
+        _prices_match_the_oracle(stream)
+
+    drawn()
+    # The two-client stream of test_seconds_walk_matches_the_oracle.
+    _prices_match_the_oracle(SwScheduler(CONFIG, PARAMS).schedule_clients({
+        "a": [LayerDemand("a", 70, linear_macs=96), LayerDemand("b", 0), LayerDemand("c", 65)],
+        "b": [LayerDemand("d", 33), LayerDemand("e", 0, linear_macs=10**9), LayerDemand("f", 7)],
+    }))
+    palu = InstructionStream()
+    palu.emit(VpuOp.P_ALU, 0, macs=10**9)
+    _prices_match_the_oracle(palu)
+
+
 def test_run_workload_builds_no_instruction_objects(monkeypatch):
     """Lowering, all eight passes and execution read the columns: a
     verified DeepCNN-100 run constructs no ``Instruction`` record."""
@@ -197,6 +234,10 @@ def test_oracle_flags_what_the_passes_flag():
         Fake(2, VpuOp.P_ALU, count=1),
         Fake(3, VpuOp.KEY_SWITCH, count=1, depends_on=(3,)),
         Fake(4, DmaOp.STORE_LWE, count=1, data_bytes=2 * lwe),
+        # Out of group order, and a repeated dependency that only a sort
+        # makes adjacent: the two sorts the passes skip on lowered programs.
+        Fake(5, DmaOp.STORE_LWE, group=1, count=1, data_bytes=lwe, depends_on=(4, 3, 4)),
+        Fake(6, VpuOp.MODULUS_SWITCH, count=1),
     ]
     codes = {d.code for d in oracle.verify(records, CONFIG, PARAMS)}
     assert codes >= {"VER001", "VER002", "VER003", "VER004", "VER005", "VER006"}
