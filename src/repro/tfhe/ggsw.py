@@ -26,7 +26,7 @@ import numpy as np
 
 from ..transforms.negacyclic import negacyclic_fft, negacyclic_fft_folded
 from .decomposition import decompose, decompose_folded
-from .glwe import GlweCiphertext, GlweSecretKey, _encrypt_zeros, _key_matrix
+from .glwe import GlweCiphertext, GlweSecretKey, _encrypt_zeros, _key_spectrum
 from .polynomial import from_spectrum, poly_mul
 from .torus import TORUS_DTYPE, to_torus
 
@@ -103,11 +103,11 @@ def ggsw_encrypt_blocks(
     All rows are zero encryptions drawn in GGSW-major, row-minor order -
     the order one :func:`ggsw_encrypt` per plaintext draws in, whatever
     ``block`` is - with the key-mask products batched against one key
-    matrix (:func:`repro.tfhe.glwe.glwe_encrypt_zeros`).
+    spectrum (:func:`repro.tfhe.glwe.glwe_encrypt_zeros`).
     """
     k, n = key.k, key.N
     plain = np.asarray(ms, dtype=np.int64)
-    matrix = _key_matrix(key)
+    spectrum = _key_spectrum(key)
     # Gadget term: add m * q/beta**(j+1) to the constant coefficient of
     # component i (row (i,j) of Z + m*G).
     weights = np.array(
@@ -115,7 +115,7 @@ def ggsw_encrypt_blocks(
     )
     for start in range(0, plain.size, block):
         chunk = plain[start : start + block]
-        rows = _encrypt_zeros(chunk.size * (k + 1) * l_b, matrix, rng, noise_log2)
+        rows = _encrypt_zeros(chunk.size * (k + 1) * l_b, spectrum, rng, noise_log2)
         rows = rows.reshape(chunk.size, k + 1, l_b, k + 1, n)
         gadget = to_torus(chunk[:, None] * weights[None, :])
         for i in range(k + 1):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..transforms.negacyclic import negacyclic_fft, negacyclic_fft_folded, negacyclic_ifft_folded
 from .lwe import LweCiphertext, gaussian_torus_noise
 from .polynomial import monomial_mul, poly_add, poly_sub
 from .torus import STREAM_BLOCK_BYTES, TORUS_DTYPE, to_torus
@@ -100,62 +101,61 @@ def glwe_keygen(k: int, N: int, rng: np.random.Generator) -> GlweSecretKey:
     return GlweSecretKey(rng.integers(0, 2, size=(k, N), dtype=np.int64))
 
 
-def _key_mask_product(masks: np.ndarray, key: GlweSecretKey) -> np.ndarray:
-    """Exact ``sum_i A_i * S_i`` with binary ``S_i`` (int64, negacyclic).
+def _key_spectrum(key: GlweSecretKey) -> np.ndarray:
+    """The key's ``(k, N/2)`` negacyclic spectrum: transformed once, reused for every mask.
 
-    Vectorized over the key's one-bits: the negacyclic shift by ``j`` is
-    the window ``[n-j, 2n-j)`` of ``concat(-a, a)``, so all shifts of one
-    mask become a single gather + sum.  Bit-identical to the per-shift
-    loop (exact integer sums in a different order).
+    :func:`_key_mask_products` rounds float64 limb products, so a key too
+    large for that rounding to be exact is refused here.  With ``L = N/2``
+    and float64's FFT error constant ``eta ~ 2**-50``, Higham's L2 bound
+    over the two forward transforms, the product with a key spectrum of
+    modulus ``<= N`` and the inverse puts every coefficient of a product
+    of ``2**16``-bounded limbs within ``6*sqrt(2)*log2(L)*eta*k*L**1.5*2**16``
+    of its integer.  With ``k*L**1.5 <= (k*N/2)**1.5`` that stays below
+    1/4 while ``k*N <= 2**17`` (measured worst case, all-ones key and
+    all-0xFFFF limbs: 2**-20.4 at ``k*N = 2**14``).
+    """
+    if key.k * key.N > 1 << 17:
+        raise ValueError(
+            f"k*N = {key.k * key.N} is too large for an exact key-mask product"
+        )
+    return negacyclic_fft(key.polys)
+
+
+def _key_mask_products(masks: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Exact ``sum_i A_i * S_i`` (int64, negacyclic) for ``(..., k, N)`` uint32 masks.
+
+    ``spectrum`` is the key's :func:`_key_spectrum`.  Each mask word is
+    split into two 16-bit limbs; a limb is folded straight into the
+    transform input, multiplied by the key spectrum, summed over the ``k``
+    components and brought back by one inverse transform whose rounding
+    is exact, so the result is ``lo + (hi << 16)``.  One folded buffer
+    serves both limbs and every temporary is about the masks' size:
+    callers pass row blocks, not a whole key.
     """
     n = masks.shape[-1]
-    acc = np.zeros(n, dtype=np.int64)
-    a64 = masks.astype(np.int64)
-    base = np.arange(n, dtype=np.int64)
-    for i in range(key.k):
-        ones = np.nonzero(key.polys[i])[0]
-        if ones.size == 0:
-            continue
-        ext = np.concatenate((-a64[i], a64[i]))
-        idx = (n - ones)[:, None] + base[None, :]
-        acc += ext[idx].sum(axis=0)
-    return acc
-
-
-def _key_matrix(key: GlweSecretKey) -> np.ndarray:
-    """The ``(k*N, N)`` negacyclic matrix of the key, as exact float64.
-
-    ``M[i*N + m, j] = S~_i[j - m]`` with ``S~`` the signed extension
-    (``X^N = -1``), so ``sum_i A_i * S_i`` for a flattened mask row is one
-    row-times-matrix product.  Entries are in ``{-1, 0, 1}`` and masks are
-    below ``2**32``, so a float64 GEMM against it is exact - every partial
-    sum is an integer of magnitude at most ``k*N*2**32 < 2**53`` whatever
-    order BLAS adds in - and a key too large for that bound is refused.
-    """
-    k, n = key.k, key.N
-    if k * n * (1 << 32) >= 1 << 53:
-        raise ValueError(
-            f"k*N = {k * n} is too large for an exact float64 key-mask product"
-        )
-    # repro: allow[RPR002] key signs in {-1, 0, 1}, not torus data
-    signed_ext = np.concatenate((-key.polys, key.polys), axis=-1).astype(np.float64)
-    windows = np.lib.stride_tricks.sliding_window_view
-    # Row m of block i is the window [N-m, 2N-m) of concat(-S_i, S_i).
-    return np.concatenate([windows(signed_ext[i], n)[n:0:-1] for i in range(k)])
-
-
-def _key_mask_products(masks: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """:func:`_key_mask_product` for a ``(R, k, N)`` stack of masks at once.
-
-    ``matrix`` is the key's :func:`_key_matrix`; the product is linear in
-    the mask coefficients, so all ``R`` rows are one exact float64 GEMM.
-    Returns the same int64 values as the per-row function.  The float
-    copy of the masks and the result are each ``R*N*8`` bytes: callers
-    pass row blocks, not a whole key.
-    """
-    # repro: allow[RPR002] uint32 masks are exact in float64 (see _key_matrix)
-    flat = masks.reshape(masks.shape[0], -1).astype(np.float64)
-    return (flat @ matrix).astype(np.int64)
+    half = n // 2
+    folded = np.empty(masks.shape[:-1] + (half,), dtype=np.complex128)
+    products = []
+    for limb, arg in ((np.right_shift, 16), (np.bitwise_and, 0xFFFF)):
+        # Declared FFT boundary: each limb is written straight into the fold.
+        limb(masks[..., :half], arg, out=folded.real, casting="unsafe")
+        limb(masks[..., half:], arg, out=folded.imag, casting="unsafe")
+        spec = negacyclic_fft_folded(folded)
+        spec *= spectrum
+        acc = spec[..., 0, :]
+        for i in range(1, spectrum.shape[0]):
+            acc += spec[..., i, :]
+        back = negacyclic_ifft_folded(acc, n)
+        products.append(np.rint(back, out=back))
+    # The rounded limb products are integers below k*N*2**16 <= 2**33, so
+    # hi * 2**16 + lo stays below 2**50: exact in float64.
+    hi, lo = products
+    hi *= 1 << 16
+    hi += lo
+    out = np.empty(masks.shape[:-2] + (n,), dtype=np.int64)
+    out[..., :half] = hi.real
+    out[..., half:] = hi.imag
+    return out
 
 
 def glwe_encrypt_zeros(
@@ -169,28 +169,27 @@ def glwe_encrypt_zeros(
     Draws from ``rng`` in the order ``count`` :func:`glwe_encrypt` calls
     would (mask, then noise, per sample), so a seed yields the same
     ciphertexts; only the key-mask products are batched, one
-    ``STREAM_BLOCK_BYTES`` row block at a time and reduced to torus words
-    as they come, so the key matrix is the only temporary larger than a
-    block.  This is what makes secure-set key generation cheap: a BSK is
-    thousands of zero encryptions plus gadget terms.
+    ``STREAM_BLOCK_BYTES`` row block at a time against one key spectrum
+    and reduced to torus words as they come, so no temporary is larger
+    than a block.  This is what makes secure-set key generation cheap: a
+    BSK is thousands of zero encryptions plus gadget terms.
     """
-    return _encrypt_zeros(count, _key_matrix(key), rng, noise_log2)
+    return _encrypt_zeros(count, _key_spectrum(key), rng, noise_log2)
 
 
 def _encrypt_zeros(
-    count: int, matrix: np.ndarray, rng: np.random.Generator, noise_log2: float
+    count: int, spectrum: np.ndarray, rng: np.random.Generator, noise_log2: float
 ) -> np.ndarray:
-    """:func:`glwe_encrypt_zeros` against a prebuilt :func:`_key_matrix`."""
-    n = matrix.shape[1]
-    k = matrix.shape[0] // n
+    """:func:`glwe_encrypt_zeros` against a prebuilt :func:`_key_spectrum`."""
+    k, n = spectrum.shape[0], 2 * spectrum.shape[1]
     data = np.empty((count, k + 1, n), dtype=TORUS_DTYPE)
     block = max(1, STREAM_BLOCK_BYTES // (8 * k * n))
     for start in range(0, count, block):
         rows = data[start : start + block]
         for row in rows:
-            row[:-1] = rng.integers(0, 1 << 32, size=(k, n), dtype=np.uint64)
+            row[:-1] = rng.integers(0, 1 << 32, size=(k, n), dtype=TORUS_DTYPE)
             row[-1] = gaussian_torus_noise(rng, noise_log2, shape=(n,))
-        rows[:, -1] += to_torus(_key_mask_products(rows[:, :-1], matrix))
+        rows[:, -1] += to_torus(_key_mask_products(rows[:, :-1], spectrum))
     return data
 
 
@@ -205,15 +204,16 @@ def glwe_encrypt(
     if m.shape != (key.N,):
         raise ValueError(f"message must have shape ({key.N},)")
     data = np.empty((key.k + 1, key.N), dtype=TORUS_DTYPE)
-    data[:-1] = rng.integers(0, 1 << 32, size=(key.k, key.N), dtype=np.uint64).astype(TORUS_DTYPE)
+    data[:-1] = rng.integers(0, 1 << 32, size=(key.k, key.N), dtype=TORUS_DTYPE)
     e = gaussian_torus_noise(rng, noise_log2, shape=(key.N,))
-    data[-1] = to_torus(_key_mask_product(data[:-1], key)) + m + e
+    data[-1] = to_torus(_key_mask_products(data[:-1], _key_spectrum(key))) + m + e
     return GlweCiphertext(data)
 
 
 def glwe_decrypt_phase(ct: GlweCiphertext, key: GlweSecretKey) -> np.ndarray:
     """Noisy phase ``B - sum A_i S_i`` (message polynomial + noise)."""
-    return (ct.body.astype(np.int64) - _key_mask_product(ct.masks, key)).astype(TORUS_DTYPE)
+    product = _key_mask_products(ct.masks, _key_spectrum(key))
+    return (ct.body.astype(np.int64) - product).astype(TORUS_DTYPE)
 
 
 def glwe_trivial(m_poly: np.ndarray, k: int) -> GlweCiphertext:

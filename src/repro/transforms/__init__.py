@@ -33,8 +33,6 @@ from .merge_split import (
     split_spectra,
 )
 from .negacyclic import (
-    negacyclic_convolve_exact,
-    negacyclic_convolve_fft,
     negacyclic_fft,
     negacyclic_ifft,
     transform_length,
@@ -65,8 +63,6 @@ __all__ = [
     "fft_real_multiplies",
     "negacyclic_fft",
     "negacyclic_ifft",
-    "negacyclic_convolve_fft",
-    "negacyclic_convolve_exact",
     "transform_length",
     "merged_fft",
     "merged_ifft",

@@ -14,9 +14,6 @@ The inverse untwists and unfolds.  This is exactly the trick Morphling's
 hardware exploits: an ``N``-coefficient polynomial costs one ``N/2``-point
 FFT pass, which is why the simulator charges ``(N/2)/lanes`` cycles per
 polynomial transform.
-
-Also provided is an exact int64 negacyclic convolution used as the
-reference ("golden") multiplier in tests and for small functional runs.
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ __all__ = [
     "negacyclic_fft_folded",
     "negacyclic_ifft",
     "negacyclic_ifft_folded",
-    "negacyclic_convolve_fft",
-    "negacyclic_convolve_exact",
     "transform_length",
 ]
 
@@ -135,42 +130,3 @@ def negacyclic_ifft(spectrum: np.ndarray, n: int) -> np.ndarray:
     out[..., :half] = folded.real
     out[..., half:] = folded.imag
     return out
-
-
-def negacyclic_convolve_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Negacyclic product of real coefficient vectors via the twisted FFT.
-
-    The result is real-valued floats; callers round and reduce modulo
-    ``q``.  Exact as long as every intermediate product magnitude stays
-    below ~2**52 (the float64 mantissa), which holds for TFHE because the
-    decomposed operand coefficients are bounded by ``beta/2``.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n = a.shape[-1]
-    if b.shape[-1] != n:
-        raise ValueError("operands must share the polynomial size")
-    spec = negacyclic_fft(a) * negacyclic_fft(b)
-    return negacyclic_ifft(spec, n)
-
-
-def negacyclic_convolve_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer negacyclic convolution (int64 / object fallback).
-
-    Schoolbook ``O(N^2)`` via a Toeplitz-style matrix-free formulation:
-    compute the full linear convolution then fold with sign flip
-    (``X^N = -1``).  Used as the golden reference for the FFT engine and
-    for functional bootstraps on small parameters.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    n = a.shape[-1]
-    if b.shape[-1] != n:
-        raise ValueError("operands must share the polynomial size")
-    # np.convolve only handles 1-D; support a single batch axis on `a`.
-    if a.ndim == 1 and b.ndim == 1:
-        full = np.convolve(a.astype(object), b.astype(object))
-        out = np.array(full[:n], dtype=object)
-        out[: n - 1] -= full[n:]
-        return out.astype(object)
-    raise ValueError("exact convolution supports 1-D operands only")

@@ -10,7 +10,8 @@ from repro.core.simulator import simulate_bootstrap
 from repro.params import get_params
 from repro.tfhe import identity_test_polynomial, programmable_bootstrap
 from repro.transforms.fft import fft, ifft
-from repro.transforms.negacyclic import negacyclic_convolve_fft
+
+from ..tfhe._oracle import negacyclic_convolve_fft
 
 
 @pytest.fixture(autouse=True)

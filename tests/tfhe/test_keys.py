@@ -10,9 +10,9 @@ from repro import TEST_PARAMS
 from repro.params import PARAM_SETS, TFHEParams, get_params
 from repro.tfhe.ggsw import ggsw_encrypt_blocks
 from repro.tfhe.glwe import (
-    _key_mask_product,
+    GlweSecretKey,
     _key_mask_products,
-    _key_matrix,
+    _key_spectrum,
     glwe_encrypt,
     glwe_encrypt_zeros,
     glwe_keygen,
@@ -25,6 +25,7 @@ from repro.transforms.backends import active_backend_name, use_backend
 from repro.transforms.negacyclic import negacyclic_fft, negacyclic_ifft_folded
 
 from ._keys_golden import GOLDEN_DOC, PARAM_SET_NAMES, SEED, keyset_digests
+from ._oracle import key_mask_product
 
 
 @pytest.fixture(scope="module")
@@ -155,24 +156,29 @@ class TestBlockStreamedKeys:
         assert table.dtype == cdtype and table.flags.c_contiguous
         np.testing.assert_array_equal(table, reference)
 
-    def test_setI_keygen_peak_is_live_bytes_plus_blocks(self):
-        params = PARAM_SETS["I"]
+    @staticmethod
+    def _assert_keygen_peak_is_live_bytes_plus_blocks(params):
         tracemalloc.start()
         keyset = generate_keyset(params, np.random.default_rng(SEED))
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         table, ksk = keyset.bsk_table, keyset.ksk
-        key_matrix = params.k * params.N * params.N * 8
-        budget = (table.nbytes + ksk.masks.nbytes + ksk.bodies.nbytes
-                  + key_matrix + 2 * STREAM_BLOCK_BYTES)
-        # The table, the KSK, the 8 MB key matrix and two 2 MB blocks: a
-        # 15.6 MB uint32 BSK held beside the table and the KSK cannot fit.
+        budget = table.nbytes + ksk.masks.nbytes + ksk.bodies.nbytes + 2 * STREAM_BLOCK_BYTES
+        # The table, the KSK and two 2 MB blocks: neither a uint32 BSK held
+        # beside them (15.6 MB on set I) nor a dense key matrix (8 MB) fits.
         bsk_words = params.n * (params.k + 1) ** 2 * params.l_b * params.N * 4
-        assert table.nbytes + ksk.masks.nbytes + bsk_words > budget
+        key_matrix = params.k * params.N * params.N * 8
+        assert table.nbytes + ksk.masks.nbytes + min(bsk_words, key_matrix) > budget
         assert peak <= budget, (
             f"keygen peaked at {peak / 2**20:.1f} MiB against a "
             f"{budget / 2**20:.1f} MiB budget"
         )
+
+    def test_setI_keygen_peak_is_live_bytes_plus_blocks(self):
+        self._assert_keygen_peak_is_live_bytes_plus_blocks(PARAM_SETS["I"])
+
+    def test_setIII_keygen_peak_is_live_bytes_plus_blocks(self):
+        self._assert_keygen_peak_is_live_bytes_plus_blocks(PARAM_SETS["III"])
 
     def test_setI_table_build_peak_is_the_table_plus_blocks(self, golden_keysets):
         """Building the table from a whole coefficient BSK (the load path)
@@ -278,17 +284,32 @@ class TestBatchedKeygen:
         key = glwe_keygen(k, n, rng)
         masks = rng.integers(0, 1 << 32, size=(5, k, n), dtype=np.uint64).astype(np.uint32)
         masks[0] = 0xFFFFFFFF  # the largest sum the exactness bound must cover
-        got = _key_mask_products(masks, _key_matrix(key))
+        got = _key_mask_products(masks, _key_spectrum(key))
         assert got.dtype == np.int64
-        for row, want in zip(got, (_key_mask_product(m, key) for m in masks)):
+        for row, want in zip(got, (key_mask_product(m, key) for m in masks)):
+            np.testing.assert_array_equal(row, want)
+
+    @pytest.mark.parametrize("backend", ["numpy", "radix2"])
+    @pytest.mark.parametrize("k,n", [(1, 1024), (1, 4096), (2, 2048), (3, 512), (4, 1024)])
+    def test_worst_case_words_equal_the_gather(self, backend, k, n):
+        """An all-ones key against the largest limbs: the sums the bound covers."""
+        key = GlweSecretKey(np.ones((k, n), dtype=np.int64))
+        masks = np.random.default_rng(k * n).integers(
+            0, 1 << 32, size=(5, k, n), dtype=np.uint32)
+        masks[0], masks[1], masks[2] = 0xFFFFFFFF, 0x8000_0000, 0xFFFF_0000
+        with use_backend(backend):
+            got = _key_mask_products(masks, _key_spectrum(key))
+        for row, want in zip(got, (key_mask_product(m, key) for m in masks)):
             np.testing.assert_array_equal(row, want)
 
     def test_exactness_bound_is_enforced(self):
-        """k*N*2**32 must stay below 2**53 for the float64 GEMM to be exact."""
-        n = 1 << 21
+        """k*N <= 2**17 keeps every rounded limb product exact (_key_spectrum)."""
+        at_bound = GlweSecretKey(np.zeros((2, 1 << 16), dtype=np.int64))
+        assert _key_spectrum(at_bound).shape == (2, 1 << 15)
+        n = 1 << 18
         key = type("Key", (), {"k": 1, "N": n, "polys": np.zeros((1, n), dtype=np.int64)})()
         with pytest.raises(ValueError, match="exact"):
-            _key_matrix(key)
+            _key_spectrum(key)
 
     def test_zero_encryptions_decrypt_to_noise(self, rng):
         from repro.tfhe.glwe import GlweCiphertext, glwe_decrypt_phase

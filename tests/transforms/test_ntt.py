@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tfhe.polynomial import poly_mul
-from repro.transforms.negacyclic import negacyclic_convolve_exact
 from repro.transforms.ntt import (
     GOLDILOCKS_PRIME,
     intt,
@@ -14,6 +13,8 @@ from repro.transforms.ntt import (
     ntt,
     primitive_root_of_unity,
 )
+
+from ..tfhe._oracle import negacyclic_convolve_exact
 
 
 class TestRoots:
