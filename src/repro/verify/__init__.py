@@ -13,10 +13,10 @@ Two heads, one diagnostic model:
 - the **domain linter** (:mod:`repro.verify.lint` +
   :mod:`repro.verify.rules`) enforces torus-arithmetic and
   transform-usage discipline over the source tree with pluggable
-  AST rules (codes ``RPR001``-``RPR006``), an alias-aware
-  reaching-definitions pass (:mod:`repro.verify.dataflow`) so the
-  numpy rules survive ``import numpy as xp``, and ruff-style inline
-  suppressions (``# repro: allow[RPR002] why``).
+  AST rules (codes ``RPR001``-``RPR006``; the numpy rules resolve
+  names through each module's imports, so ``import numpy as xp`` is
+  caught) and ruff-style inline suppressions
+  (``# repro: allow[RPR002] why``).
 
 Both run from the CLI (``repro verify``, ``repro verify --lint src``)
 and in CI with ``--strict``; the compiler runs the program verifier on
@@ -49,7 +49,6 @@ from .program import (
 # structural VER001-VER006 passes above.
 from .occupancy import OccupancyModel, OccupancyProof
 from .noisepass import StaticNoiseReport, static_noise_report
-from .dataflow import QualifiedUse, resolve_qualified_uses
 from . import rules as _rules  # noqa: F401  (registers the lint rules)
 
 __all__ = [
@@ -68,8 +67,6 @@ __all__ = [
     "OccupancyProof",
     "StaticNoiseReport",
     "static_noise_report",
-    "QualifiedUse",
-    "resolve_qualified_uses",
     "lint_source",
     "lint_file",
     "lint_paths",

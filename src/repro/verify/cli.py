@@ -171,7 +171,11 @@ def run(
         _print(_render_catalog())
         return 0
     if lint:
-        reports = [lint_paths(lint)]
+        try:
+            reports = [lint_paths(lint)]
+        except (OSError, ValueError) as exc:
+            _print(f"cannot lint: {exc}")
+            return 2
     elif binary is not None:
         try:
             reports = [verify_binary(binary)]

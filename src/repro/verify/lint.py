@@ -64,10 +64,6 @@ class LintRule:
     applies: ScopeFn
     check: CheckFn
 
-    @property
-    def code(self) -> str:
-        return self.info.code
-
 
 LINT_RULES: List[LintRule] = []
 
@@ -110,15 +106,15 @@ def lint_source(
     suppressed = collect_suppressions(source, tree)
     wanted = set(rules) if rules is not None else None
     for rule in LINT_RULES:
-        if wanted is not None and rule.code not in wanted:
+        if wanted is not None and rule.info.code not in wanted:
             continue
         if not rule.applies(scope):
             continue
         for lineno, message in rule.check(tree):
-            if is_suppressed(suppressed, lineno, rule.code):
+            if is_suppressed(suppressed, lineno, rule.info.code):
                 continue
             report.add(Diagnostic(
-                code=rule.code, severity=rule.info.severity,
+                code=rule.info.code, severity=rule.info.severity,
                 message=message, path=scope.path, line=lineno,
             ))
     return report
@@ -132,6 +128,8 @@ def lint_file(path: str, rules: Optional[Iterable[str]] = None) -> VerifyReport:
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
     """Expand files/directories into a sorted stream of ``.py`` paths."""
     for path in paths:
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"no such path: {path}")
         if os.path.isdir(path):
             for root, dirs, files in os.walk(path):
                 dirs.sort()
@@ -143,8 +141,17 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
 
 
 def lint_paths(paths: Iterable[str], rules: Optional[Iterable[str]] = None) -> VerifyReport:
-    """Lint every python file under ``paths`` into one merged report."""
+    """Lint every python file under ``paths`` into one merged report.
+
+    A missing path raises :class:`FileNotFoundError` and paths holding
+    no python file raise :class:`ValueError`: a mistyped path must not
+    pass as clean.
+    """
+    paths = [str(p) for p in paths]
+    files = list(iter_python_files(paths))
+    if not files:
+        raise ValueError(f"no python file under {', '.join(paths)}")
     merged = VerifyReport(subject="lint")
-    for path in iter_python_files(paths):
+    for path in files:
         merged.extend(lint_file(path, rules=rules).diagnostics)
     return merged

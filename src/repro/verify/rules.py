@@ -15,19 +15,19 @@ applies everywhere except ``repro/transforms`` (which implements its own
 FFT precisely so nothing else imports ``numpy.fft``).  ``RPR005``
 applies package-wide.  ``RPR006`` shares RPR001's scope: ``torus.py``
 owns the rounding conventions, so truncating divisions elsewhere are
-suspect.
+suspect.  ``RPR004``/``RPR005`` resolve names through the module's
+numpy imports (:func:`numpy_uses`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .dataflow import resolve_qualified_uses
 from .diagnostics import Severity
 from .lint import ModuleScope, lint_rule
 
-__all__ = ["NARROW_DTYPES", "FLOAT_DTYPES", "LEGACY_RNG_FUNCS"]
+__all__ = ["NARROW_DTYPES", "FLOAT_DTYPES", "LEGACY_RNG_FUNCS", "numpy_uses"]
 
 _NUMPY_NAMES = ("np", "numpy")
 
@@ -54,7 +54,7 @@ def _numpy_attr(node: ast.AST) -> str:
     return ""
 
 
-def _const_value(node: ast.AST):
+def _const_value(node: ast.AST) -> Optional[int]:
     """Fold the handful of constant spellings of q/masks: ``2**32``,
     ``1 << 32``, ``0x100000000``, ``0xFFFFFFFF``, optionally wrapped in a
     ``np.uint32``/``np.uint64`` cast."""
@@ -77,6 +77,54 @@ def _const_value(node: ast.AST):
             and _numpy_attr(node.func) in ("uint32", "uint64", "int64")):
         return _const_value(node.args[0])
     return None
+
+
+def numpy_uses(tree: ast.AST) -> List[Tuple[int, str, str, bool]]:
+    """``(line, numpy path, spelling, is_call)`` of every maximal
+    ``Name``/``Attribute`` chain in ``tree`` whose base name means numpy,
+    in line order.
+
+    A name means what a numpy import anywhere in the module binds it to:
+    ``import numpy.fft as F`` and ``from numpy import fft as F`` both
+    make ``F.rfft`` mean ``numpy.fft.rfft``.  Assignments, ``del`` and
+    parameters never rebind a name for the lint.  ``np`` and ``numpy``
+    mean numpy unless the module imports those names itself, so
+    ``import torch as np`` leaves ``np`` untracked.
+    """
+    table: Dict[str, str] = {}
+    imported: Set[str] = set()
+    inner: Set[int] = set()
+    callees: Set[int] = set()
+    chains: List[ast.expr] = []
+    for node in ast.walk(tree):  # yields a chain before its inner links
+        if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in inner:
+            chains.append(node)
+        if isinstance(node, ast.Attribute):
+            inner.add(id(node.value))
+        elif isinstance(node, ast.Call):
+            callees.add(id(node.func))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if isinstance(node, ast.Import):
+                    path = alias.name if alias.asname else name
+                else:  # a relative import binds the name, never to numpy
+                    path = "" if node.level else f"{node.module}.{alias.name}"
+                imported.add(name)
+                if path == "numpy" or path.startswith("numpy."):
+                    table[name] = path
+    table.update({n: "numpy" for n in ("np", "numpy") if n not in imported})
+    uses: List[Tuple[int, str, str, bool]] = []
+    for node in chains:
+        attrs: List[str] = []
+        base = node
+        while isinstance(base, ast.Attribute):
+            attrs.insert(0, base.attr)
+            base = base.value
+        if isinstance(base, ast.Name) and base.id in table:
+            uses.append((node.lineno, ".".join([table[base.id]] + attrs),
+                         ".".join([base.id] + attrs), id(node) in callees))
+    return sorted(uses)
 
 
 # ----------------------------------------------------------------------
@@ -153,9 +201,9 @@ def _narrow_dtype(tree: ast.AST) -> Iterator[Tuple[int, str]]:
 # ----------------------------------------------------------------------
 @lint_rule(
     "RPR004", "direct-numpy-fft",
-    "direct numpy.fft usage outside repro.transforms; use the "
-    "negacyclic/merge-split wrappers so transform counts stay observable "
-    "(alias-aware: survives `import numpy as xp` and rebinding)",
+    "direct numpy.fft usage outside repro.transforms; use its negacyclic "
+    "wrappers so transform counts stay observable (names resolve through "
+    "the module's imports: `import numpy as xp` is caught)",
     applies=lambda s: not s.in_transforms,
 )
 def _direct_fft(tree: ast.AST) -> Iterator[Tuple[int, str]]:
@@ -172,15 +220,14 @@ def _direct_fft(tree: ast.AST) -> Iterator[Tuple[int, str]]:
                         or alias.name.startswith("numpy.fft.")):
                     yield (node.lineno,
                            "import of numpy.fft; use repro.transforms")
-    for use in resolve_qualified_uses(tree):
+    for lineno, path, spelled, _ in numpy_uses(tree):
         # Strict children only: holding a reference to the module
         # (`F = np.fft`) is fine until a transform is actually called.
-        if use.path.startswith("numpy.fft."):
-            alias_note = ("" if use.spelled == use.path.replace("numpy", "np", 1)
-                          or use.spelled == use.path
-                          else f" (= {use.path})")
-            yield (use.lineno,
-                   f"{use.spelled}{alias_note} bypasses repro.transforms "
+        if path.startswith("numpy.fft."):
+            alias_note = ("" if spelled in (path, path.replace("numpy", "np", 1))
+                          else f" (= {path})")
+            yield (lineno,
+                   f"{spelled}{alias_note} bypasses repro.transforms "
                    f"(the instrumented negacyclic FFT)")
 
 
@@ -191,18 +238,18 @@ def _direct_fft(tree: ast.AST) -> Iterator[Tuple[int, str]]:
     "RPR005", "global-rng",
     "legacy np.random.* global-state call; experiments must stay "
     "reproducible - thread a seeded np.random.Generator instead "
-    "(alias-aware: survives `import numpy as xp` and rebinding)",
+    "(names resolve through the module's imports: `import numpy as xp` "
+    "is caught)",
     applies=lambda s: True,
     severity=Severity.WARNING,
 )
 def _global_rng(tree: ast.AST) -> Iterator[Tuple[int, str]]:
-    for use in resolve_qualified_uses(tree):
-        if not use.is_call or not use.path.startswith("numpy.random."):
+    for lineno, path, spelled, is_call in numpy_uses(tree):
+        if not is_call or not path.startswith("numpy.random."):
             continue
-        func = use.path[len("numpy.random."):]
-        if func in LEGACY_RNG_FUNCS:
-            yield (use.lineno,
-                   f"{use.spelled}() draws from hidden global state; use "
+        if path[len("numpy.random."):] in LEGACY_RNG_FUNCS:
+            yield (lineno,
+                   f"{spelled}() draws from hidden global state; use "
                    f"np.random.default_rng(seed)")
 
 

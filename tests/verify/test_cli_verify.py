@@ -55,6 +55,17 @@ def test_lint_suppressed_violation_passes_strict(tmp_path):
     assert main(["verify", "--strict", "--lint", str(tmp_path)]) == 0
 
 
+def test_lint_missing_or_python_free_path_is_usage_error(tmp_path, capsys):
+    # A typo in a lint gate's path must not pass as a clean lint.
+    missing = tmp_path / "does_not_exist"
+    assert main(["verify", "--strict", "--lint", str(missing)]) == 2
+    assert f"cannot lint: no such path: {missing}" in capsys.readouterr().out
+    notes = tmp_path / "README.md"
+    notes.write_text("# notes\n")
+    assert main(["verify", "--strict", "--lint", str(notes)]) == 2
+    assert f"no python file under {notes}" in capsys.readouterr().out
+
+
 def _write_encoded_stream(path):
     from repro.core.accelerator import MorphlingConfig
     from repro.core.isa_encoding import encode_stream
@@ -104,3 +115,31 @@ def test_repo_sources_lint_clean():
 
     package_dir = os.path.dirname(os.path.abspath(repro.__file__))
     assert main(["verify", "--strict", "--lint", package_dir]) == 0
+
+
+def test_repo_sources_have_no_finding_and_three_suppressions():
+    """No error or warning in ``src/repro``, and exactly the three known
+    ``allow[...]`` markers: a new suppression is a diff to this list."""
+    import os
+    import tokenize
+
+    import repro
+    from repro.verify import lint_paths
+    from repro.verify.lint import iter_python_files
+    from repro.verify.suppressions import SUPPRESS_RE
+
+    package_dir = os.path.dirname(os.path.abspath(repro.__file__))
+    assert lint_paths([package_dir]).diagnostics == []
+    markers = []
+    for path in iter_python_files([package_dir]):
+        with open(path, "rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                match = SUPPRESS_RE.search(tok.string)
+                if tok.type == tokenize.COMMENT and match:
+                    rel = os.path.relpath(path, package_dir)
+                    markers.append((rel.replace(os.sep, "/"), match.group(1)))
+    assert sorted(markers) == [
+        ("tfhe/bootstrap.py", "RPR002"),
+        ("tfhe/bootstrap.py", "RPR002"),
+        ("tfhe/polynomial.py", "RPR002"),
+    ]
