@@ -25,7 +25,6 @@ import tracemalloc
 import numpy as np
 
 from repro import TEST_PARAMS, observability as obs
-from repro.observability.bus import TelemetryBus
 from repro.observability.counters import PerfCounters
 from repro.observability.noise import NoiseTracker
 from repro.observability.registry import MetricsRegistry
@@ -94,47 +93,27 @@ class _ProbeNoise(NoiseTracker):
         pass
 
 
-class _ProbeBus(TelemetryBus):
-    """Telemetry bus whose ``enabled`` read is counted (always False)."""
-
-    checks = 0
-
-    @property
-    def enabled(self):
-        _ProbeBus.checks += 1
-        return False
-
-    @enabled.setter
-    def enabled(self, value):
-        pass
-
-
 def _count_enabled_checks(run_once) -> int:
     """How many telemetry enabled-checks one gate bootstrap performs."""
     _ProbeRegistry.checks = _ProbeTracer.checks = 0
     _ProbeCounters.checks = _ProbeNoise.checks = 0
-    _ProbeBus.checks = 0
     obs.REGISTRY.__class__ = _ProbeRegistry
     obs.TRACER.__class__ = _ProbeTracer
     obs.COUNTERS.__class__ = _ProbeCounters
     obs.NOISE.__class__ = _ProbeNoise
-    obs.BUS.__class__ = _ProbeBus
     try:
         run_once()
         return (_ProbeRegistry.checks + _ProbeTracer.checks
-                + _ProbeCounters.checks + _ProbeNoise.checks
-                + _ProbeBus.checks)
+                + _ProbeCounters.checks + _ProbeNoise.checks)
     finally:
         obs.REGISTRY.__class__ = MetricsRegistry
         obs.TRACER.__class__ = Tracer
         obs.COUNTERS.__class__ = PerfCounters
         obs.NOISE.__class__ = NoiseTracker
-        obs.BUS.__class__ = TelemetryBus
         obs.REGISTRY.enabled = False
         obs.TRACER.enabled = False
         obs.COUNTERS.enabled = False
         obs.NOISE.enabled = False
-        obs.BUS.enabled = False
 
 
 def _per_check_seconds(iterations: int = 200_000) -> float:
@@ -249,36 +228,45 @@ def test_disabled_noise_tracker_allocates_nothing_on_gate_path():
     )
 
 
-def test_disabled_bus_allocates_nothing_on_gate_and_simulator_paths():
-    """With the bus off, neither hot path may allocate in bus.py.
+def test_disabled_registry_and_tracer_allocate_nothing_on_hot_paths():
+    """With telemetry off, no hot path may allocate in the registry or
+    tracer modules.
 
-    The publish hooks live inside the four systems' already-enabled
-    paths plus a handful of direct ``if _BUS.enabled`` sites (batched
-    bootstrap, simulator/scheduler reports) - with telemetry disabled
-    none of them may construct an event, take the lock, or touch a
-    subscriber tuple.
+    Every metric update and span is guarded by one ``enabled`` read, so
+    a disabled gate bootstrap, simulator run and scheduled workload must
+    leave *zero* objects behind in ``registry.py`` and ``tracer.py``.
     """
+    from repro.apps import xgboost_workload
     from repro.core.accelerator import MorphlingConfig
+    from repro.core.scheduler import run_workload
     from repro.core.simulator import simulate_bootstrap
     from repro.params import get_params
 
     ctx = TfheContext.create(TEST_PARAMS, seed=11)
     config, params = MorphlingConfig(), get_params("I")
-    ctx.decrypt(ctx.gate("nand", ctx.encrypt(1), ctx.encrypt(0)))  # warm
-    simulate_bootstrap(config, params)  # warm
+    layers = list(xgboost_workload().layers)
+
+    def run_all():
+        ctx.decrypt(ctx.gate("nand", ctx.encrypt(1), ctx.encrypt(0)))
+        simulate_bootstrap(config, params)
+        run_workload(config, params, layers)
+
+    run_all()  # warm caches outside the trace
     obs.disable()
     tracemalloc.start()
     try:
-        ctx.decrypt(ctx.gate("nand", ctx.encrypt(1), ctx.encrypt(0)))
-        simulate_bootstrap(config, params)
+        run_all()
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    stats = snapshot.filter_traces(
-        [tracemalloc.Filter(True, "*observability/bus.py")]
-    ).statistics("filename")
+    stats = snapshot.filter_traces([
+        tracemalloc.Filter(True, "*observability/registry.py"),
+        tracemalloc.Filter(True, "*observability/tracer.py"),
+    ]).statistics("filename")
     blocks = sum(stat.count for stat in stats)
-    assert blocks == 0, f"disabled bus allocated {blocks} blocks: {stats}"
+    assert blocks == 0, (
+        f"disabled registry/tracer allocated {blocks} blocks: {stats}"
+    )
 
 
 def test_counter_recording_is_deterministic_across_runs():
@@ -300,6 +288,6 @@ if __name__ == "__main__":
     test_disabled_instrumentation_overhead_under_5_percent()
     test_disabled_counters_allocate_nothing_on_simulator_hot_path()
     test_disabled_noise_tracker_allocates_nothing_on_gate_path()
-    test_disabled_bus_allocates_nothing_on_gate_and_simulator_paths()
+    test_disabled_registry_and_tracer_allocate_nothing_on_hot_paths()
     test_counter_recording_is_deterministic_across_runs()
     print("overhead guard: OK")

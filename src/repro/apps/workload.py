@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.scheduler import LayerDemand
-from ..observability import BUS as _BUS
 
 __all__ = ["Workload"]
 
@@ -52,15 +51,3 @@ class Workload:
             f"{self.total_bootstraps:,} bootstraps, "
             f"{self.total_linear_macs:,} linear MACs"
         )
-
-    def announce(self) -> None:
-        """Publish the workload descriptor on the telemetry bus.
-
-        Runners call this before scheduling so an event log names the
-        workload the events belong to.  No-op when the bus is disabled.
-        """
-        if _BUS.enabled:
-            _BUS.publish("workload", self.name,
-                         value=float(self.total_bootstraps),
-                         layers=self.depth,
-                         linear_macs=self.total_linear_macs)

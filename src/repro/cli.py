@@ -318,7 +318,6 @@ def _cmd_workload(args) -> int:
 
     workload = _make_workload(args.name)
     params = get_params(args.param_set)
-    workload.announce()
     result = run_workload(MorphlingConfig(), params, list(workload.layers))
     cpu_s = CpuCostModel().workload_seconds(
         params, workload.total_bootstraps, workload.total_linear_macs

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..observability import BUS as _BUS, COUNTERS as _COUNTERS
+from ..observability import COUNTERS as _COUNTERS
 from ..params import TFHEParams
 from ..tfhe.bootstrap import key_switch_batch, modulus_switch
 from ..tfhe.glwe import GlweCiphertext, glwe_trivial, sample_extract_batch
@@ -143,12 +143,6 @@ class MorphlingMachine:
         out = [LweCiphertext(out_a[r], out_b[r]) for r in range(len(accs))]
         if counting:
             _COUNTERS.add_ops("machine/key_switches", len(out))
-        if _BUS.enabled:
-            # True batch occupancy: ciphertexts dispatched vs. VPE rows
-            # available.
-            _BUS.publish("batch", "machine/bootstrap_batch",
-                         value=float(len(out)),
-                         capacity=self.config.vpe_rows)
         return out
 
     def bootstrap(self, ct: LweCiphertext, test_poly: np.ndarray) -> LweCiphertext:

@@ -24,7 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import (cycle at runtime)
     from ..verify.occupancy import OccupancyProof
 
 from ..observability import (
-    BUS as _BUS,
     COUNTERS as _COUNTERS,
     REGISTRY as _METRICS,
     TIME_BUCKETS as _TIME_BUCKETS,
@@ -410,28 +409,13 @@ class HwScheduler:
             padding_waste=waste,
             spans=spans,
         )
-        if _BUS.enabled or _METRICS.enabled:
+        if _METRICS.enabled:
             # Request latency: each group's STORE_LWE retire time is the
             # completion time of its `count` requests (since t=0).
             stores = np.flatnonzero((cols.code == DmaOp.STORE_LWE.code)
                                     & (cols.count != 0)).tolist()
             for i in stores:
-                count = int(cols.count[i])
-                _SCHED_REQUEST_LATENCY.observe(ends[i], count=count)
-                if _BUS.enabled:
-                    _BUS.publish("request", "sched/request", value=ends[i],
-                                 count=count, group=int(cols.group[i]))
-        if _BUS.enabled:
-            _BUS.publish("snapshot", "sched/result", value=total,
-                         instructions=result.instructions,
-                         groups=result.groups, padding_waste=waste,
-                         utilization=result.utilization)
-            if scheduled_slots:
-                # Scheduled-slot occupancy: the steady-state batch-fill
-                # evidence when a run goes through the scheduler rather
-                # than the machine.
-                _BUS.publish("batch", "sched/slots", value=float(used_slots),
-                             capacity=scheduled_slots)
+                _SCHED_REQUEST_LATENCY.observe(ends[i], count=int(cols.count[i]))
         return result
 
     def _observe(

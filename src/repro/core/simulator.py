@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..observability import (
-    BUS as _BUS,
     COUNTERS as _COUNTERS,
     REGISTRY as _METRICS,
     TIME_BUCKETS as _TIME_BUCKETS,
@@ -285,13 +284,6 @@ class MorphlingSimulator:
             # bootstrap latency: one count-weighted sample per run.
             _SIM_BOOTSTRAP_LATENCY.observe(latency, count=group_size,
                                            config=cfg.name, params=p.name)
-        if _BUS.enabled:
-            _BUS.publish("request", "sim/bootstrap", value=latency,
-                         count=group_size, config=cfg.name, params=p.name)
-            _BUS.publish("snapshot", "sim/report", value=throughput,
-                         bottleneck=bottleneck, group_size=group_size,
-                         latency_ms=latency * 1e3, params=p.name,
-                         config=cfg.name)
 
         return SimulationReport(
             config_name=cfg.name,

@@ -1,4 +1,5 @@
-"""Unified telemetry: metrics registry, span tracer, exporters.
+"""Unified telemetry: metrics registry, span tracer, perf counters,
+noise tracker and exporters.
 
 This package is the instrumentation substrate every layer shares.  The
 process-wide singletons are
@@ -8,13 +9,13 @@ process-wide singletons are
 - :data:`TRACER` - the :class:`~repro.observability.tracer.Tracer`
   collecting wall-clock and simulated-time spans;
 - :data:`COUNTERS` - the modelled hardware perf-counter bank;
-- :data:`NOISE` - the per-ciphertext noise tracker;
-- :data:`BUS` - the :class:`~repro.observability.bus.TelemetryBus` the
-  four systems above publish typed events onto.
+- :data:`NOISE` - the per-ciphertext noise tracker.
 
-Telemetry is **off by default**: every instrumented site guards itself
-with one ``enabled`` check, so the uninstrumented code path is restored
-when disabled (see ``benchmarks/bench_observability_overhead.py``).
+Each signal has exactly one of these four stores, and the four share
+one switch.  Telemetry is **off by default**: every instrumented site
+guards itself with one ``enabled`` check, so the uninstrumented code
+path is restored when disabled (see
+``benchmarks/bench_observability_overhead.py``).
 Turn it on around a region of interest::
 
     from repro import observability as obs
@@ -24,23 +25,15 @@ Turn it on around a region of interest::
         print(obs.render_prometheus(obs.REGISTRY.snapshot()))
 
 or globally with :func:`enable` / :func:`disable`.  Exporters turn what
-was recorded into Prometheus text, JSON, JSONL event logs, or a Chrome
-trace-event file that opens in Perfetto (see ``docs/observability.md``).
+was recorded into Prometheus text, JSON, or a Chrome trace-event file
+that opens in Perfetto (see ``docs/observability.md``).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from typing import Iterator, Tuple
 
-from .bus import (
-    BUS,
-    EVENT_SCHEMA_VERSION,
-    JsonlEventLog,
-    TelemetryBus,
-    TelemetryEvent,
-    event_to_jsonable,
-    read_jsonl_events,
-)
 from .counters import COUNTERS, PerfCounters, counting
 from .export import (
     chrome_trace_events,
@@ -76,7 +69,6 @@ __all__ = [
     "TRACER",
     "COUNTERS",
     "NOISE",
-    "BUS",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -94,12 +86,6 @@ __all__ = [
     "OpClassDrift",
     "noise_tracking",
     "drift_report",
-    "TelemetryBus",
-    "TelemetryEvent",
-    "JsonlEventLog",
-    "EVENT_SCHEMA_VERSION",
-    "event_to_jsonable",
-    "read_jsonl_events",
     "enable",
     "disable",
     "is_enabled",
@@ -123,13 +109,12 @@ TRACER = Tracer()
 
 
 def enable() -> None:
-    """Switch every telemetry system on (registry, tracer, counters,
-    noise tracker and bus)."""
+    """Switch every telemetry system on (registry, tracer, counters and
+    noise tracker)."""
     REGISTRY.enable()
     TRACER.enable()
     COUNTERS.enable()
     NOISE.enable()
-    BUS.enable()
 
 
 def disable() -> None:
@@ -138,33 +123,30 @@ def disable() -> None:
     TRACER.disable()
     COUNTERS.disable()
     NOISE.disable()
-    BUS.disable()
 
 
 def is_enabled() -> bool:
     return (REGISTRY.enabled or TRACER.enabled or COUNTERS.enabled
-            or NOISE.enabled or BUS.enabled)
+            or NOISE.enabled)
 
 
 def reset() -> None:
-    """Clear all recorded metrics, spans, counters and noise records, and
-    restart the bus sequence."""
+    """Clear all recorded metrics, spans, counters and noise records."""
     REGISTRY.reset()
     TRACER.reset()
     COUNTERS.reset()
     NOISE.reset()
-    BUS.reset()
 
 
 @contextmanager
-def telemetry(clear: bool = True):
+def telemetry(clear: bool = True) -> Iterator[Tuple[MetricsRegistry, Tracer]]:
     """Enable telemetry for a ``with`` block, restoring the prior state.
 
     With ``clear`` (the default) every system is reset on entry so the
     block observes only its own activity.
     """
     prior = (REGISTRY.enabled, TRACER.enabled, COUNTERS.enabled,
-             NOISE.enabled, BUS.enabled)
+             NOISE.enabled)
     if clear:
         reset()
     enable()
@@ -172,4 +154,4 @@ def telemetry(clear: bool = True):
         yield REGISTRY, TRACER
     finally:
         (REGISTRY.enabled, TRACER.enabled, COUNTERS.enabled,
-         NOISE.enabled, BUS.enabled) = prior
+         NOISE.enabled) = prior

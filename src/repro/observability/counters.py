@@ -41,8 +41,6 @@ import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .bus import BUS as _BUS
-
 __all__ = ["PerfCounters", "COUNTERS", "counting"]
 
 
@@ -88,8 +86,6 @@ class PerfCounters:
             raise ValueError(f"cycle counter {resource} cannot decrease")
         with self._lock:
             self._cycles[resource] = self._cycles.get(resource, 0.0) + cycles
-        if _BUS.enabled:
-            _BUS.publish("counter", resource, value=cycles, unit="cycles")
 
     def add_bytes(self, channel: str, nbytes: float) -> None:
         """Accumulate bytes moved over ``channel``."""
@@ -99,8 +95,6 @@ class PerfCounters:
             raise ValueError(f"byte counter {channel} cannot decrease")
         with self._lock:
             self._bytes[channel] = self._bytes.get(channel, 0.0) + nbytes
-        if _BUS.enabled:
-            _BUS.publish("counter", channel, value=nbytes, unit="bytes")
 
     def add_ops(self, name: str, count: float = 1.0) -> None:
         """Accumulate ``count`` operations on counter ``name``."""
@@ -110,8 +104,6 @@ class PerfCounters:
             raise ValueError(f"op counter {name} cannot decrease")
         with self._lock:
             self._ops[name] = self._ops.get(name, 0.0) + count
-        if _BUS.enabled:
-            _BUS.publish("counter", name, value=count, unit="ops")
 
     def sample(self, track: str, t_s: float, value: float) -> None:
         """Record one time-resolved sample: ``value`` at simulated ``t_s``."""
@@ -119,8 +111,6 @@ class PerfCounters:
             return
         with self._lock:
             self._samples.setdefault(track, []).append((float(t_s), float(value)))
-        if _BUS.enabled:
-            _BUS.publish("sample", track, value=value, t_sim_s=float(t_s))
 
     def event(self, track: str, name: str) -> None:
         """Record one ordered discrete event on ``track``."""
@@ -128,8 +118,6 @@ class PerfCounters:
             return
         with self._lock:
             self._events.append((track, name))
-        if _BUS.enabled:
-            _BUS.publish("stage", name, track=track)
 
     # -- reads ----------------------------------------------------------
     def cycles(self, resource: str) -> float:

@@ -38,8 +38,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .bus import BUS as _BUS
-
 __all__ = [
     "NoiseRecord",
     "FailurePoint",
@@ -275,13 +273,6 @@ class NoiseTracker:
         except AttributeError:
             pass  # slotted/foreign objects simply stay untracked downstream
         self._export(record)
-        if _BUS.enabled:
-            _BUS.publish(
-                "noise", record.op, value=record.predicted_std_log2,
-                op_id=record.op_id, label=record.label,
-                predicted_std_log2=record.predicted_std_log2,
-                measured=record.measured, sigma=record.sigma,
-            )
         return record
 
     def track_linear(
@@ -335,10 +326,6 @@ class NoiseTracker:
                 label=self._current_label(),
             )
             self._failure_points.append(point)
-        if _BUS.enabled:
-            _BUS.publish("failure_point", point.kind, value=point.margin,
-                         op_id=point.op_id, variance=point.variance,
-                         label=point.label)
 
     # -- measurement ----------------------------------------------------
     def _measure(self, ct: Any, expected: int) -> Optional[float]:

@@ -26,8 +26,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
 
-from .bus import BUS as _BUS
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -108,9 +106,6 @@ class Counter(_Metric):
         key = _label_key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
-        if _BUS.enabled:
-            _BUS.publish("metric", self.name, value=amount,
-                         metric="counter", labels=labels)
 
 
 class Gauge(_Metric):
@@ -124,20 +119,13 @@ class Gauge(_Metric):
         key = _label_key(labels)
         with self._lock:
             self._series[key] = float(value)
-        if _BUS.enabled:
-            _BUS.publish("metric", self.name, value=float(value),
-                         metric="gauge", labels=labels)
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         if not self.registry.enabled:
             return
         key = _label_key(labels)
         with self._lock:
-            new_value = self._series.get(key, 0.0) + amount
-            self._series[key] = new_value
-        if _BUS.enabled:
-            _BUS.publish("metric", self.name, value=new_value,
-                         metric="gauge", labels=labels)
+            self._series[key] = self._series.get(key, 0.0) + amount
 
     def dec(self, amount: float = 1.0, **labels: Any) -> None:
         self.inc(-amount, **labels)
@@ -155,7 +143,7 @@ class Histogram(_Metric):
         if not self.buckets:
             raise ValueError("histogram needs at least one bucket bound")
 
-    def _series_snapshot(self, value) -> dict:
+    def _series_snapshot(self, value: Any) -> dict:
         count, total, per_bucket = value
         cumulative = {}
         running = 0
@@ -180,9 +168,6 @@ class Histogram(_Metric):
                 if value <= bound:
                     series[2][i] += count
                     break
-        if _BUS.enabled:
-            _BUS.publish("metric", self.name, value=value,
-                         metric="histogram", count=count, labels=labels)
 
 
 class MetricsRegistry:

@@ -30,8 +30,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Optional
 
-from .bus import BUS as _BUS
-
 __all__ = ["Span", "Tracer", "traced"]
 
 #: Lazily registered wall-clock span-duration histogram (TIME_BUCKETS
@@ -139,10 +137,6 @@ class Tracer:
                     dict(args or {}))
         with self._lock:
             self._spans.append(span)
-        if _BUS.enabled:
-            _BUS.publish("span", name, value=span.dur_us, ts_us=span.ts_us,
-                         dur_us=span.dur_us, category=category, track=track,
-                         args=span.args)
 
     # -- reads ----------------------------------------------------------
     def spans(self) -> List[Span]:

@@ -105,11 +105,9 @@ def _pool_worker_main(
     from .. import observability as obs
     from ..tfhe.bootstrap import programmable_bootstrap_batch
 
-    # Nothing inherited from the driver's telemetry: its bus subscribers
-    # write the driver's files and its buffers hold the driver's data.
-    # Only the registry comes back on, so the counters in every result
-    # message are this lane's own.
-    obs.BUS._subscribers = ()
+    # Nothing inherited over fork is kept: the telemetry buffers hold the
+    # forking process's data.  Only the registry comes back on, so the
+    # counters in every result message are this lane's own.
     obs.disable()
     obs.reset()
     obs.REGISTRY.enable()

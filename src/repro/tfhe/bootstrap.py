@@ -30,7 +30,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..observability import (
-    BUS as _BUS,
     NOISE as _NOISE,
     REGISTRY as _METRICS,
     TIME_BUCKETS as _TIME_BUCKETS,
@@ -295,7 +294,7 @@ def programmable_bootstrap_batch(
     a = np.stack([ct.a for ct in cts])
     b = np.asarray([ct.b for ct in cts], dtype=TORUS_DTYPE)
     tps = np.asarray(test_polys, dtype=TORUS_DTYPE)
-    t0 = time.perf_counter() if (_METRICS.enabled or _BUS.enabled) else None
+    t0 = time.perf_counter() if _METRICS.enabled else None
     with _TRACER.span("programmable_bootstrap_batch", category="tfhe",
                       batch=batch, n=params.n, N=params.N):
         a_tilde = modswitch(a, 2 * params.N)
@@ -308,14 +307,8 @@ def programmable_bootstrap_batch(
         # Every request in the batch experiences the whole batch's
         # wall-clock latency, so the sample is count-weighted by `batch`.
         elapsed = time.perf_counter() - t0
-        _BOOTSTRAP_LATENCY.observe(elapsed, count=batch, batch=batch)
-        if _BUS.enabled:
-            _BUS.publish("request", "tfhe/bootstrap_batch", value=elapsed,
-                         count=batch, batch=batch, n=params.n, N=params.N,
-                         backend=_active_backend_name())
-    if _BUS.enabled:
-        _BUS.publish("batch", "tfhe/bootstrap_batch", value=float(batch),
-                     n=params.n, N=params.N, backend=_active_backend_name())
+        _BOOTSTRAP_LATENCY.observe(elapsed, count=batch, batch=batch,
+                                   backend=_active_backend_name())
     results = [LweCiphertext(out_a[r], out_b[r]) for r in range(batch)]
     if _NOISE.enabled:
         tp_rows = np.broadcast_to(tps, (batch, params.N))

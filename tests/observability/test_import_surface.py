@@ -13,10 +13,9 @@ import subprocess
 import sys
 
 #: The telemetry modules ``import repro.tfhe`` loads: registry, tracer,
-#: perf counters, noise tracker, bus and exporters.
+#: perf counters, noise tracker and exporters.
 OBSERVABILITY_MODULES = {
     "repro.observability",
-    "repro.observability.bus",
     "repro.observability.counters",
     "repro.observability.export",
     "repro.observability.noise",
@@ -25,7 +24,7 @@ OBSERVABILITY_MODULES = {
 }
 
 #: ``repro`` modules ``import repro.tfhe`` may load.
-MAX_REPRO_MODULES = 35
+MAX_REPRO_MODULES = 34
 
 
 def _loaded_repro_modules():

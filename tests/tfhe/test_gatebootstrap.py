@@ -68,21 +68,20 @@ class TestGates:
 
     def test_mux_is_visible_to_bootstrap_telemetry(self, ctx, gate_rng):
         """Sign bootstraps run the one pipeline, so the bootstrap counters
-        and request events see them: a MUX is three bootstraps in two
-        requests."""
+        and the request-latency histogram see them: a MUX is three
+        bootstraps in two requests, one batch of 2 and one of 1."""
         from repro import observability as obs
 
         bits = [encrypt_bool(b, ctx.keyset, gate_rng) for b in (1, 0, 1)]
-        events = []
         with obs.telemetry() as (registry, _tracer):
-            obs.BUS.subscribe(events.append)
-            try:
-                mux_gate(*bits, ctx.keyset)
-            finally:
-                obs.BUS.unsubscribe(events.append)
+            mux_gate(*bits, ctx.keyset)
             assert registry.get("tfhe_bootstraps_total").value() == 3
             assert registry.get("tfhe_gate_bootstraps_total").value() == 3
-        assert [e.fields["batch"] for e in events if e.kind == "request"] == [2, 1]
+            latency = registry.get("tfhe_bootstrap_latency_seconds").snapshot()
+        # Samples are count-weighted by the batch, so one request of each
+        # size gives count == batch in its series.
+        assert {s["labels"]["batch"]: s["count"]
+                for s in latency["values"]} == {2: 2, 1: 1}
 
     def test_gates_compose_deeply(self, ctx, gate_rng):
         """A chain of NANDs: output noise stays fresh after each gate."""

@@ -127,16 +127,12 @@ class TestCounters:
 
         cts = [ctx.encrypt(1, 8)]
         tp = ctx._lut_test_poly(lambda x: x, 8)
-        with use_backend("radix2"), obs.telemetry():
-            events = []
-            obs.BUS.subscribe(events.append)
-            try:
-                programmable_bootstrap_batch(cts, tp, ctx.keyset)
-            finally:
-                obs.BUS.unsubscribe(events.append)
-        requests = [e for e in events if e.kind == "request"]
+        with use_backend("radix2"), obs.telemetry() as (registry, _tracer):
+            programmable_bootstrap_batch(cts, tp, ctx.keyset)
+            latency = registry.get("tfhe_bootstrap_latency_seconds").snapshot()
+        requests = latency["values"]
         assert requests
-        assert all(e.fields.get("backend") == "radix2" for e in requests)
+        assert all(s["labels"]["backend"] == "radix2" for s in requests)
 
     def test_fft_counted_identically_across_backends(self, rng):
         from repro import observability as obs
