@@ -9,7 +9,6 @@ from .failprob import (
     FailurePointEstimate,
     WorkloadFailureReport,
     estimate_failure_probability,
-    gaussian_tail_log2,
 )
 from .intensity import StageIntensity, bootstrap_intensity
 from .memory import MemoryBreakdown, bootstrap_memory
@@ -48,5 +47,4 @@ __all__ = [
     "FailurePointEstimate",
     "WorkloadFailureReport",
     "estimate_failure_probability",
-    "gaussian_tail_log2",
 ]

@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     wl.add_argument("--set", default="III", dest="param_set",
                     choices=sorted(PARAM_SETS))
     wl.add_argument("--noise", action="store_true",
-                    help="append the analytic decryption-failure budget "
-                         "(union bound over the workload's bootstraps)")
+                    help="append the VER008 static failure bound of the "
+                         "lowered program (exit 1 past the 2^-20 budget)")
     wl.add_argument("--json", action="store_true",
                     help="print the costing (and, with --noise, the "
                          "failure report) as JSON")
@@ -149,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--no-what-if", action="store_true",
                       help="skip the what-if simulator re-runs")
     prof.add_argument("--noise", action="store_true",
-                      help="append the analytic decryption-failure budget "
-                           "for one steady-state group")
+                      help="append the VER008 static failure bound of one "
+                           "lowered steady-state group")
     prof.add_argument("--json", action="store_true",
                       help="print the schema-versioned profile as JSON")
     prof.add_argument("--chrome", metavar="PATH", default=None,
@@ -314,19 +314,21 @@ def _cmd_area(args) -> int:
 def _cmd_workload(args) -> int:
     from .baselines import CpuCostModel
     from .core.accelerator import MorphlingConfig
-    from .core.scheduler import run_workload
+    from .core.scheduler import HwScheduler, SwScheduler
 
     workload = _make_workload(args.name)
     params = get_params(args.param_set)
-    result = run_workload(MorphlingConfig(), params, list(workload.layers))
+    config = MorphlingConfig()
+    stream = SwScheduler(config, params).schedule(list(workload.layers))
+    result = HwScheduler(config, params).execute(stream, verify=True)
     cpu_s = CpuCostModel().workload_seconds(
         params, workload.total_bootstraps, workload.total_linear_macs
     )
     failure = None
     if args.noise:
-        from .analysis.failprob import estimate_app_failure
+        from .verify.noisepass import static_noise_report
 
-        failure = estimate_app_failure(params, workload.total_bootstraps)
+        failure = static_noise_report(stream, params)
     if args.json:
         payload = {
             "workload": workload.name,
@@ -468,9 +470,12 @@ def _cmd_profile(args) -> int:
         )
     failure = None
     if args.noise:
-        from .analysis.failprob import estimate_app_failure
+        from .core.scheduler import LayerDemand, SwScheduler
+        from .verify.noisepass import static_noise_report
 
-        failure = estimate_app_failure(params, profile.group_size)
+        stream = SwScheduler(config, params).schedule(
+            [LayerDemand("group", profile.group_size)])
+        failure = static_noise_report(stream, params)
     if args.json:
         if failure is not None:
             from .observability import to_jsonable
@@ -537,7 +542,8 @@ def _noise_workload_gates(ctx):
 
 def _cmd_noise(args) -> int:
     from . import observability as obs
-    from .analysis.failprob import DEFAULT_LOG2_BUDGET, estimate_failure_probability
+    from .analysis.failprob import estimate_failure_probability
+    from .tfhe.noise import DEFAULT_LOG2_BUDGET
     from .tfhe.ops import TfheContext
 
     params = get_params(args.param_set)

@@ -7,10 +7,11 @@ tables at sub-window granularity and a single blind rotation serves all
 of them - each function's value sits at extraction offset ``j * s`` with
 ``s = 2N / (p * L)`` (the PBS-many-LUT technique of the TFHE literature).
 
-The price is noise headroom: the tolerated phase error shrinks from
-``1/(2p)`` to ``1/(2pL)``, i.e. the multi-LUT spends ``log2(L)`` bits of
-padding.  :func:`max_luts_for_params` says how far a parameter set can
-push ``L``.
+The price is noise headroom: the decision margin shrinks from
+``1/(2p)`` to ``1/(2pL)`` (less the modulus-switch step), i.e. the
+multi-LUT spends ``log2(L)`` bits of padding.  :func:`max_luts_for_params`
+says how far a parameter set can push ``L`` under the one decode budget
+of :mod:`repro.tfhe.noise`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from .encoding import extend_lut_antiperiodic
 from .glwe import sample_extract_batch
 from .keys import KeySet
 from .lwe import LweCiphertext
-from .noise import bootstrap_output_noise_std_log2
+from .noise import (
+    DEFAULT_LOG2_BUDGET,
+    blind_rotation_noise_variance,
+    decision_margin,
+    gaussian_tail_log2,
+    key_switch_noise_variance,
+    modulus_switch_noise_variance,
+)
 from .polynomial import monomial_mul, monomial_rotate_batch
 from .torus import encode_message
 
@@ -98,16 +106,20 @@ def multi_lut_bootstrap(ct: LweCiphertext, luts, keyset: KeySet, p: int) -> list
     return outputs
 
 
-def max_luts_for_params(params: TFHEParams, p: int, sigmas: float = 4.0) -> int:
-    """Largest ``L`` the noise budget supports for this parameter set.
+def max_luts_for_params(params: TFHEParams, p: int) -> int:
+    """Largest ``L`` whose every decision stays within the failure budget.
 
-    The blind-rotation input noise must stay below ``1/(2pL)`` with a
-    ``sigmas`` margin; we bound it by the *output* noise of a previous
-    bootstrap (the steady-state regime) plus the modulus-switch error.
+    The blind-rotation input is the output of a previous bootstrap (the
+    steady-state regime), widened by the modulus-switch rounding; each
+    decision fails when that noise crosses :func:`decision_margin` at
+    ``L`` tables.  Returns 0 when even one table misses
+    :data:`DEFAULT_LOG2_BUDGET`.
     """
-    noise_std = 2.0 ** bootstrap_output_noise_std_log2(params)
-    ms_std = ((params.n + 1) / 12.0) ** 0.5 / (2 * params.N)
-    total = (noise_std ** 2 + ms_std ** 2) ** 0.5
-    limit = 1.0 / (2 * p * sigmas * total)
+    variance = (key_switch_noise_variance(params, blind_rotation_noise_variance(params))
+                + modulus_switch_noise_variance(params))
     resolution = (2 * params.N) // p  # stride must stay >= 1
-    return max(1, min(int(limit), resolution))
+    luts = 0
+    while luts < resolution and gaussian_tail_log2(
+            decision_margin(params, p, luts + 1), variance) <= DEFAULT_LOG2_BUDGET:
+        luts += 1
+    return luts

@@ -1,4 +1,4 @@
-"""Noise variance tracking and measurement.
+"""Noise variance tracking, the decode policy, and measurement.
 
 Theoretical variance formulas follow the CGGI/TFHE analysis (paper
 references [14], [34], [35]): the external product adds noise linear in
@@ -7,6 +7,17 @@ the KSK digits.  The measurement helpers decrypt with the secret key and
 report centered phase error, letting tests assert that observed noise
 stays within the predicted budget - the same check the paper's functional
 verification performs.
+
+The decode policy lives here too, once: a decision is safe when the
+Gaussian tail (:func:`gaussian_tail_log2`) of its variance past
+:func:`decision_margin` stays within ``2**DEFAULT_LOG2_BUDGET``.  The
+static noise pass (VER008), ``repro workload --noise`` and the many-LUT
+sizing all read it.
+
+Tails are worked in log2 space: realistic margins sit hundreds of sigmas
+out, where ``erfc`` underflows double precision, so past that point the
+asymptotic expansion
+``log2 p ~= -z^2/2 * log2(e) - log2(z) + log2(sqrt(2/pi))`` takes over.
 """
 
 from __future__ import annotations
@@ -26,12 +37,26 @@ __all__ = [
     "key_switch_noise_variance",
     "modulus_switch_noise_variance",
     "bootstrap_output_noise_std_log2",
-    "max_noise_for_message_modulus",
+    "DEFAULT_LOG2_BUDGET",
+    "LOG2_PROB_FLOOR",
+    "decision_margin",
+    "gaussian_tail_log2",
     "measure_lwe_noise",
     "measure_glwe_noise",
 ]
 
 _Q = 2.0 ** 32
+
+#: Default workload failure budget: ``p_fail <= 2**-20``.
+DEFAULT_LOG2_BUDGET = -20.0
+
+#: Probabilities below ``2**LOG2_PROB_FLOOR`` are clamped: "numerically
+#: zero", and keeps the JSON output free of ``-Infinity``.
+LOG2_PROB_FLOOR = -4096.0
+
+_LOG2_E = math.log2(math.e)
+#: Above this many sigmas ``erfc(z/sqrt(2))`` underflows double precision.
+_ERFC_Z_LIMIT = 36.0
 
 
 def _var_from_log2(std_log2: float) -> float:
@@ -97,13 +122,40 @@ def bootstrap_output_noise_std_log2(params: TFHEParams) -> float:
     return 0.5 * math.log2(max(v, 1e-300))
 
 
-def max_noise_for_message_modulus(p: int) -> float:
-    """Largest tolerable |phase error| (torus units) for correct decoding.
+def decision_margin(params: TFHEParams, p: int, luts: int = 1) -> float:
+    """Worst-case margin (torus units) of one bootstrap decision.
 
-    Decoding rounds to the nearest multiple of ``1/p``; the error budget is
-    half a step.
+    A LUT over ``Z_p`` interleaving ``luts`` tables gives each input a
+    bucket ``1/(p * luts)`` wide; the expected phase sits mid-bucket, half
+    a bucket from the nearest value change.  The modulus switch to ``2N``
+    then quantizes the transition to the rotation grid, landing it up to
+    half a rounding step (``1/(4N)``) closer.  At ``p = 8`` (the boolean
+    gates' quarter-torus plaintexts behind a padding bit) this is the
+    LUT-geometry margin the runtime tracker records at each
+    ``bootstrap_decision`` point.
     """
-    return 1.0 / (2.0 * p)
+    return 1.0 / (2.0 * p * luts) - 1.0 / (4.0 * params.N)
+
+
+def gaussian_tail_log2(margin: float, variance: float) -> float:
+    """``log2 P(|N(0, variance)| > margin)``, safe far into the tail.
+
+    Returns 0.0 (probability one) for non-positive margins and
+    :data:`LOG2_PROB_FLOOR` for non-positive variance (a noiseless value
+    cannot cross the boundary).
+    """
+    if margin <= 0.0:
+        return 0.0
+    if variance <= 0.0:
+        return LOG2_PROB_FLOOR
+    z = margin / math.sqrt(variance)
+    if z < _ERFC_Z_LIMIT:
+        p = math.erfc(z / math.sqrt(2.0))
+        if p > 0.0:
+            return max(math.log2(p), LOG2_PROB_FLOOR)
+    # erfc(x) ~ exp(-x^2) / (x * sqrt(pi)) with x = z / sqrt(2):
+    log2_p = -0.5 * z * z * _LOG2_E - math.log2(z) + 0.5 * math.log2(2.0 / math.pi)
+    return max(log2_p, LOG2_PROB_FLOOR)
 
 
 def _centered_torus_error(phase: np.ndarray, expected: np.ndarray) -> np.ndarray:

@@ -14,9 +14,15 @@ live in different processes:
   samples.
 
 Formats are plain ``.npz`` archives with a version tag; no pickling.
+An archive that cannot be read back - truncated, corrupted, or holding
+the wrong arrays - raises :class:`ValueError` naming the file, with the
+underlying error chained as its cause.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 
@@ -64,6 +70,18 @@ def _common_arrays(keyset: KeySet) -> dict:
     }
 
 
+@contextmanager
+def _archive(path) -> Iterator[np.lib.npyio.NpzFile]:
+    """Open ``path``; any failure to read it back is a ``ValueError``."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            yield data
+    except FileNotFoundError:
+        raise
+    except Exception as exc:
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _check_version(data) -> None:
     version = int(data["version"][0])
     if version != FORMAT_VERSION:
@@ -101,7 +119,7 @@ def save_keyset(path, keyset: KeySet) -> None:
 
 def load_keyset(path) -> KeySet:
     """Load a full keyset saved by :func:`save_keyset`."""
-    with np.load(path, allow_pickle=False) as data:
+    with _archive(path) as data:
         _check_version(data)
         if "lwe_key" not in data:
             raise ValueError("archive holds evaluation keys only")
@@ -115,7 +133,7 @@ def save_evaluation_keys(path, keyset: KeySet) -> None:
 
 def load_evaluation_keys(path) -> KeySet:
     """Load server-side keys; the secret fields are ``None``."""
-    with np.load(path, allow_pickle=False) as data:
+    with _archive(path) as data:
         _check_version(data)
         return _rebuild_keys(data, with_secrets=False)
 
@@ -129,6 +147,6 @@ def save_ciphertext(path, ct: LweCiphertext) -> None:
 
 def load_ciphertext(path) -> LweCiphertext:
     """Load one LWE ciphertext."""
-    with np.load(path, allow_pickle=False) as data:
+    with _archive(path) as data:
         _check_version(data)
         return LweCiphertext(data["a"], data["b"][0])

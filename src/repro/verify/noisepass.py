@@ -11,10 +11,12 @@ instruction stream along its dependency edges using the
 passes it through, key-switch adds the KSK digit terms - and bounds the
 workload's decryption-failure probability as a union bound over one
 boolean-gate decision per bootstrapped ciphertext.  The decision
-geometry (:func:`gate_decision_margin`) is the same LUT-bucket margin
-the runtime tracker records at each ``bootstrap_decision`` point, so
-the static bound and the measured ``repro noise --fail-prob`` report
-agree up to the union-bound slack (``log2`` of the bootstrap count).
+geometry (:func:`repro.tfhe.noise.decision_margin` at ``p = 8``) is the
+same LUT-bucket margin the runtime tracker records at each
+``bootstrap_decision`` point, so the static bound and the measured
+``repro noise --fail-prob`` report agree up to the union-bound slack
+(``log2`` of the bootstrap count).  ``repro workload --noise`` and
+``repro profile --noise`` print this report for their lowered streams.
 
 Budget overruns are **warnings**, not errors: a parameter set that
 breaches 2^-20 at workload scale (set IV's single-level decomposition
@@ -38,7 +40,6 @@ from .program import VerifyContext, normalise, register_program_pass
 __all__ = [
     "STATIC_NOISE_SCHEMA_VERSION",
     "StaticNoiseReport",
-    "gate_decision_margin",
     "static_noise_report",
 ]
 
@@ -47,22 +48,6 @@ STATIC_NOISE_SCHEMA_VERSION = 1
 #: Ops whose result carries their operand's variance onward (KEY_SWITCH
 #: adds its own terms on top), as a table over opcode codes.
 _PASSING = opcode_mask((VpuOp.KEY_SWITCH, VpuOp.SAMPLE_EXTRACT, DmaOp.STORE_LWE))
-
-
-def gate_decision_margin(params: object) -> float:
-    """Worst-case boolean-gate decision margin for ``params`` (torus units).
-
-    The gate dialect evaluates its LUTs over ``Z_8`` (quarter-torus
-    plaintexts behind a padding bit), so the expected phase sits
-    mid-bucket: half a bucket (``1/16``) from the nearest LUT value
-    change.  The modulus switch to ``2N`` then quantizes the transition
-    to the rotation grid, landing it up to half a rounding step
-    (``1/(4N)``) closer.  This is exactly the LUT-geometry margin the
-    runtime tracker records at each ``bootstrap_decision`` point, which
-    is what makes the static and measured reports comparable.
-    """
-    n = float(getattr(params, "N", 0) or 1)
-    return 1.0 / 16.0 - 1.0 / (4.0 * n)
 
 
 @dataclass(frozen=True)
@@ -104,7 +89,7 @@ class StaticNoiseReport:
         }
 
     def render_text(self) -> str:
-        from ..analysis.failprob import LOG2_PROB_FLOOR
+        from ..tfhe.noise import LOG2_PROB_FLOOR
 
         zero = ("  (numerically zero)"
                 if self.total_log2_prob <= LOG2_PROB_FLOOR else "")
@@ -120,10 +105,7 @@ class StaticNoiseReport:
 
 
 def static_noise_report(
-    instructions: Iterable[object],
-    params: object,
-    margin: Optional[float] = None,
-    log2_budget: Optional[float] = None,
+    instructions: Iterable[object], params: object,
 ) -> StaticNoiseReport:
     """Propagate predicted variance through ``instructions`` and bound
     the workload's decryption-failure probability.
@@ -136,24 +118,21 @@ def static_noise_report(
     of each bootstrapped batch contributes one gate-decision point whose
     variance adds the modulus-switch rounding of the *next* decision
     phase (two bootstrapped operands per gate) - the union bound over
-    all of them is the reported total.  ``margin`` defaults to the
-    parameter set's :func:`gate_decision_margin`.
+    all of them is the reported total, at the gate dialect's ``p = 8``
+    :func:`~repro.tfhe.noise.decision_margin` against
+    :data:`~repro.tfhe.noise.DEFAULT_LOG2_BUDGET`.
     """
-    from ..analysis.failprob import (
+    from ..tfhe.noise import (
         DEFAULT_LOG2_BUDGET,
         LOG2_PROB_FLOOR,
-        gaussian_tail_log2,
-    )
-    from ..tfhe.noise import (
         blind_rotation_noise_variance,
+        decision_margin,
+        gaussian_tail_log2,
         key_switch_noise_variance,
         modulus_switch_noise_variance,
     )
 
-    if margin is None:
-        margin = gate_decision_margin(params)
-    if log2_budget is None:
-        log2_budget = DEFAULT_LOG2_BUDGET
+    margin = decision_margin(params, 8)
     br_variance = blind_rotation_noise_variance(params)
     ms_variance = modulus_switch_noise_variance(params)
 
@@ -220,7 +199,7 @@ def static_noise_report(
         sigmas=(margin / std if std > 0.0 else math.inf),
         per_bootstrap_log2_prob=per_point,
         total_log2_prob=total,
-        log2_budget=log2_budget,
+        log2_budget=DEFAULT_LOG2_BUDGET,
     )
 
 

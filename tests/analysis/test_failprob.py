@@ -5,12 +5,11 @@ import math
 import pytest
 
 from repro.analysis.failprob import (
-    LOG2_PROB_FLOOR,
     WorkloadFailureReport,
     estimate_failure_probability,
-    gaussian_tail_log2,
 )
 from repro.observability.noise import NoiseTracker
+from repro.tfhe.noise import LOG2_PROB_FLOOR, gaussian_tail_log2
 
 
 class TestGaussianTail:

@@ -17,6 +17,10 @@ from repro.core.scheduler import LayerDemand, SwScheduler
 from repro.params import get_params
 
 
+_BLOB = encode_stream(SwScheduler(MorphlingConfig(), get_params("I")).schedule(
+    [LayerDemand("a", 100), LayerDemand("b", 30, 5000)]))
+
+
 def roundtrip(inst):
     decoded, _ = decode_instruction(encode_instruction(inst))
     return decoded
@@ -94,6 +98,27 @@ class TestStream:
     def test_empty_stream(self):
         assert decode_stream(b"") == []
         assert encode_stream(InstructionStream()) == b""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_binary_is_refused_or_decodes(self, data):
+        """A corrupted or truncated program decodes or raises ``ValueError``."""
+        blob = _BLOB
+        if data.draw(st.booleans()):
+            corrupted = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            edits = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                                 st.integers(1, 255)),
+                                       min_size=1, max_size=3))
+            buf = bytearray(blob)
+            for pos, delta in edits:
+                buf[pos] = (buf[pos] + delta) % 256
+            corrupted = bytes(buf)
+        try:
+            decoded = decode_stream(corrupted)
+        except ValueError:
+            return
+        assert all(isinstance(inst, Instruction) for inst in decoded)
 
     def test_decoded_program_still_schedulable(self, program):
         """A shipped-and-decoded program must execute identically."""

@@ -235,10 +235,11 @@ class TestNoiseCommand:
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_blown_budget_fails_in_both_modes(self, capsys, monkeypatch, json_flag):
         from repro.analysis import failprob
+        from repro.tfhe.noise import DEFAULT_LOG2_BUDGET
 
         blown = failprob.WorkloadFailureReport(
             schema_version=failprob.FAILPROB_SCHEMA_VERSION, points=(),
-            total_log2_prob=failprob.DEFAULT_LOG2_BUDGET + 10.0,
+            total_log2_prob=DEFAULT_LOG2_BUDGET + 10.0,
         )
         monkeypatch.setattr(failprob, "estimate_failure_probability",
                             lambda tracker: blown)
@@ -271,19 +272,54 @@ class TestNoiseCommand:
 
 class TestWorkloadNoise:
     def test_noise_appends_failure_report(self, capsys):
-        assert main(["workload", "xgboost", "--noise"]) == 0
+        assert main(["workload", "xgboost", "--set", "I", "--noise"]) == 0
         out = capsys.readouterr().out
         assert "speedup" in out
         assert "log2(p_fail)" in out
         assert "within 2^-20 budget: yes" in out
 
     def test_json_with_noise_carries_failure_block(self, capsys):
-        assert main(["workload", "xgboost", "--noise", "--json"]) == 0
+        assert main(["workload", "xgboost", "--set", "I", "--noise",
+                     "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["workload"] == "XG-Boost"
         assert doc["failure"]["within_budget"] is True
         assert doc["failure"]["bootstraps"] == doc["bootstraps"]
         assert doc["failure"]["total_log2_prob"] <= -20.0
+
+    def test_set_three_breaches_the_budget_as_ver008_warns(self, capsys):
+        from repro.verify.cli import shipped_targets, verify_target
+
+        target = next(t for t in shipped_targets() if t.name == "xgboost@III")
+        ver008 = verify_target(target, noise_budget=True).attachments["noise_budget"]
+        assert main(["workload", "xgboost", "--set", "III", "--noise"]) == 1
+        out = capsys.readouterr().out
+        assert "within 2^-20 budget: NO" in out
+        assert f"log2(p_fail) <= {ver008.total_log2_prob:.1f}" in out
+
+    @pytest.mark.parametrize("param_set", ["I", "III", "IV"])
+    @pytest.mark.parametrize("app", ["xgboost", "deepcnn-20", "vgg9"])
+    def test_failure_block_is_the_ver008_report(self, capsys, app, param_set):
+        from repro.apps import deepcnn_workload, vgg9_workload, xgboost_workload
+        from repro.core.accelerator import MorphlingConfig
+        from repro.core.scheduler import SwScheduler
+        from repro.params import get_params
+        from repro.verify.cli import report_document, shipped_targets, verify_target
+        from repro.verify.noisepass import static_noise_report
+
+        factory = {"xgboost": xgboost_workload, "vgg9": vgg9_workload,
+                   "deepcnn-20": lambda: deepcnn_workload(20)}[app]
+        params = get_params(param_set)
+        stream = SwScheduler(MorphlingConfig(), params).schedule(
+            list(factory().layers))
+        main(["workload", app, "--set", param_set, "--noise", "--json"])
+        failure = json.loads(capsys.readouterr().out)["failure"]
+        assert failure == static_noise_report(stream, params).to_jsonable()
+        shipped = {t.name: t for t in shipped_targets()}
+        name = f"{app}@{param_set}"
+        if name in shipped:  # the attachment ``repro verify --json`` ships
+            doc = report_document([verify_target(shipped[name], noise_budget=True)])
+            assert failure == doc["reports"][0]["noise_budget"]
 
     def test_json_without_noise_unchanged(self, capsys):
         assert main(["workload", "xgboost", "--json"]) == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import TEST_PARAMS
+from repro import TEST_PARAMS, get_params
 from repro.tfhe.multilut import (
     make_multi_test_polynomial,
     max_luts_for_params,
@@ -66,3 +66,11 @@ class TestMultiLut:
     def test_budget_shrinks_with_more_tables(self):
         assert max_luts_for_params(TEST_PARAMS, 8) >= 2
         assert max_luts_for_params(TEST_PARAMS, 8) > max_luts_for_params(TEST_PARAMS, 32)
+
+    @pytest.mark.parametrize("name, luts", [
+        ("test", 6), ("I", 2), ("II", 2), ("III", 1), ("IV", 0),
+    ])
+    def test_sizing_under_the_decode_budget(self, name, luts):
+        # The last table count whose per-decision tail meets 2^-20; set IV
+        # misses it with one table.
+        assert max_luts_for_params(get_params(name), 8) == luts

@@ -5,12 +5,15 @@ import pytest
 from repro import TEST_PARAMS, get_params
 from repro.tfhe import identity_test_polynomial, programmable_bootstrap
 from repro.tfhe.noise import (
+    DEFAULT_LOG2_BUDGET,
     blind_rotation_noise_variance,
     bootstrap_output_noise_std_log2,
+    decision_margin,
     external_product_noise_variance,
+    gaussian_tail_log2,
     key_switch_noise_variance,
-    max_noise_for_message_modulus,
     measure_lwe_noise,
+    modulus_switch_noise_variance,
 )
 from repro.tfhe.torus import encode_message
 
@@ -41,7 +44,10 @@ class TestFormulas:
             assert std_log2 < 0  # stddev below 1 torus unit
 
     def test_decode_budget(self):
-        assert max_noise_for_message_modulus(8) == pytest.approx(1 / 16)
+        # Half a Z_8 bucket, less half a modulus-switch step.
+        assert decision_margin(TEST_PARAMS, 8) == 1 / 16 - 1 / (4 * TEST_PARAMS.N)
+        assert decision_margin(TEST_PARAMS, 8, luts=2) == \
+            1 / 32 - 1 / (4 * TEST_PARAMS.N)
 
 
 class TestMeasurement:
@@ -59,10 +65,12 @@ class TestMeasurement:
         for _ in range(5):
             out = programmable_bootstrap(ctx.encrypt(2, P), tp, ctx.keyset)
             worst = max(worst, abs(measure_lwe_noise(out, ctx.keyset.lwe_key, expected)))
-        assert worst < max_noise_for_message_modulus(P)
+        assert worst < decision_margin(ctx.params, P)
 
-    def test_predicted_std_is_sane_for_test_params(self, ctx):
-        # Predicted output noise must leave margin under the p=8 budget,
-        # otherwise the functional tests above could not be passing.
-        std = 2.0 ** bootstrap_output_noise_std_log2(TEST_PARAMS)
-        assert 4 * std < max_noise_for_message_modulus(P)
+    def test_predicted_std_is_sane_for_test_params(self):
+        # A p=8 decision on a bootstrapped input must meet the decode
+        # budget, otherwise the functional tests above could not be passing.
+        variance = (2.0 ** bootstrap_output_noise_std_log2(TEST_PARAMS)) ** 2 \
+            + modulus_switch_noise_variance(TEST_PARAMS)
+        assert gaussian_tail_log2(decision_margin(TEST_PARAMS, P), variance) \
+            <= DEFAULT_LOG2_BUDGET

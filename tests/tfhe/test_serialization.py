@@ -1,7 +1,11 @@
 """Tests for key/ciphertext serialization."""
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tfhe.serialization import (
     load_ciphertext,
@@ -117,3 +121,61 @@ class TestCiphertextRoundtrip:
         np.testing.assert_array_equal(loaded.a, ct.a)
         assert loaded.b == ct.b
         assert ctx.decrypt(loaded, P) == 3
+
+
+def _corruptions(size):
+    """A truncation, or one to three single-byte edits, of a ``size``-byte blob."""
+    truncate = st.builds(lambda n: ("truncate", n), st.integers(0, size - 1))
+    edits = st.lists(st.tuples(st.integers(0, size - 1), st.integers(1, 255)),
+                     min_size=1, max_size=3).map(lambda e: ("edit", e))
+    return st.one_of(truncate, edits)
+
+
+def _corrupt(blob, corruption):
+    kind, arg = corruption
+    if kind == "truncate":
+        return blob[:arg]
+    data = bytearray(blob)
+    for pos, delta in arg:
+        data[pos] = (data[pos] + delta) % 256
+    return bytes(data)
+
+
+def _same_keys(a, b):
+    return (a.params.name == b.params.name
+            and a.params.N == b.params.N and a.params.n == b.params.n
+            and np.array_equal(a.lwe_key.bits, b.lwe_key.bits)
+            and np.array_equal(a.glwe_key.polys, b.glwe_key.polys)
+            and np.array_equal(a.bsk_table, b.bsk_table)
+            and np.array_equal(a.ksk.masks, b.ksk.masks)
+            and np.array_equal(a.ksk.bodies, b.ksk.bodies))
+
+
+class TestCorruptedArchives:
+    """Any corruption ends in ``ValueError`` or in the keyset that was saved,
+    never in a zip/zlib error or a different keyset."""
+
+    @pytest.fixture(scope="class")
+    def blob(self, ctx):
+        buf = io.BytesIO()
+        save_keyset(buf, ctx.keyset)
+        return buf.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_keyset_is_refused_or_equal(self, ctx, blob, data):
+        corrupted = _corrupt(blob, data.draw(_corruptions(len(blob))))
+        try:
+            loaded = load_keyset(io.BytesIO(corrupted))
+        except ValueError:
+            return
+        assert _same_keys(loaded, ctx.keyset)
+
+    def test_error_names_the_file_and_chains_the_cause(self, ctx, tmp_path):
+        path = tmp_path / "keys.npz"
+        save_keyset(path, ctx.keyset)
+        path.write_bytes(path.read_bytes()[:1000])
+        for load in (load_keyset, load_evaluation_keys, load_ciphertext):
+            with pytest.raises(ValueError, match="keys.npz") as info:
+                load(path)
+            assert info.value.__cause__ is not None

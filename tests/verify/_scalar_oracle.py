@@ -19,7 +19,6 @@ from repro.verify.diagnostics import Diagnostic, Severity
 from repro.verify.noisepass import (
     STATIC_NOISE_SCHEMA_VERSION,
     StaticNoiseReport,
-    gate_decision_margin,
 )
 from repro.verify.occupancy import (
     _BUFFERS,
@@ -408,26 +407,19 @@ _PROPAGATING = (VpuOp.KEY_SWITCH, VpuOp.SAMPLE_EXTRACT, DmaOp.STORE_LWE)
 
 
 def static_noise_report(
-    instructions: Sequence[object],
-    params: object,
-    margin: Optional[float] = None,
-    log2_budget: Optional[float] = None,
+    instructions: Sequence[object], params: object,
 ) -> StaticNoiseReport:
-    from repro.analysis.failprob import (
+    from repro.tfhe.noise import (
         DEFAULT_LOG2_BUDGET,
         LOG2_PROB_FLOOR,
-        gaussian_tail_log2,
-    )
-    from repro.tfhe.noise import (
         blind_rotation_noise_variance,
+        decision_margin,
+        gaussian_tail_log2,
         key_switch_noise_variance,
         modulus_switch_noise_variance,
     )
 
-    if margin is None:
-        margin = gate_decision_margin(params)
-    if log2_budget is None:
-        log2_budget = DEFAULT_LOG2_BUDGET
+    margin = decision_margin(params, 8)
     br_variance = blind_rotation_noise_variance(params)
     ms_variance = modulus_switch_noise_variance(params)
 
@@ -476,7 +468,7 @@ def static_noise_report(
         sigmas=(margin / std if std > 0.0 else math.inf),
         per_bootstrap_log2_prob=per_point,
         total_log2_prob=total,
-        log2_budget=log2_budget,
+        log2_budget=DEFAULT_LOG2_BUDGET,
     )
 
 

@@ -13,10 +13,10 @@ import pytest
 
 from repro.core.isa import DmaOp, Instruction, VpuOp, XpuOp
 from repro.params import get_params
+from repro.tfhe.noise import decision_margin
 from repro.verify import verify_stream
 from repro.verify.noisepass import (
     STATIC_NOISE_SCHEMA_VERSION,
-    gate_decision_margin,
     static_noise_report,
 )
 
@@ -105,8 +105,8 @@ class TestStaticReport:
     def test_margin_defaults_to_lut_geometry(self):
         params = get_params("III")
         report = static_noise_report(_chain(params), params)
-        assert report.margin == gate_decision_margin(params)
-        assert gate_decision_margin(params) == \
+        assert report.margin == decision_margin(params, 8)
+        assert decision_margin(params, 8) == \
             1.0 / 16.0 - 1.0 / (4.0 * params.N)
 
     def test_jsonable_carries_the_verdict(self):
