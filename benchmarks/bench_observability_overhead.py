@@ -22,15 +22,12 @@ via pytest.
 import time
 import tracemalloc
 
-import numpy as np
-
 from repro import TEST_PARAMS, observability as obs
 from repro.observability.counters import PerfCounters
 from repro.observability.noise import NoiseTracker
 from repro.observability.registry import MetricsRegistry
 from repro.observability.tracer import Tracer
 from repro.tfhe import TfheContext
-from repro.tfhe.gatebootstrap import encrypt_bool, nand_gate
 
 MAX_DISABLED_OVERHEAD = 0.05
 
@@ -139,12 +136,10 @@ def _time_loop(run_once, repeats: int = 3, loops: int = 4) -> float:
 
 def test_disabled_instrumentation_overhead_under_5_percent():
     ctx = TfheContext.create(TEST_PARAMS, seed=11)
-    rng = np.random.default_rng(42)
-    a = encrypt_bool(1, ctx.keyset, rng)
-    b = encrypt_bool(0, ctx.keyset, rng)
+    a, b = ctx.encrypt(1), ctx.encrypt(0)
 
     def one_gate_bootstrap():
-        nand_gate(a, b, ctx.keyset)
+        ctx.gate("nand", a, b)
 
     obs.disable()
     checks = _count_enabled_checks(one_gate_bootstrap)

@@ -7,7 +7,6 @@ from .area_power import AreaPowerModel, ComponentCost, TABLE_IV_PAPER
 from .buffers import (
     A1_STREAM_OVERHEAD,
     BufferBudget,
-    DoublePointerRotator,
     acc_stream_capacity,
     buffer_budget,
     shifter_stall_cycles,
@@ -22,7 +21,6 @@ from .isa_encoding import (
     encode_stream,
     stream_size_bytes,
 )
-from .machine import MorphlingMachine
 from .isa import DmaOp, Engine, Instruction, InstructionStream, VpuOp, XpuOp
 from .noc import NocLink, NocModel
 from .reuse import (
@@ -45,7 +43,7 @@ from .scheduler import (
 )
 from .simulator import MorphlingSimulator, SimulationReport, simulate_bootstrap
 from .trace import PipelineTrace, StageSpan, render_timeline, trace_blind_rotation
-from .vpe_array import ArrayMapping, VpeArray, map_external_product
+from .vpe_array import ArrayMapping, map_external_product
 from .vpu import VpuModel, VpuStageCycles
 from .xpu import IterationBreakdown, XpuModel
 
@@ -57,7 +55,6 @@ __all__ = [
     "TABLE_IV_PAPER",
     "A1_STREAM_OVERHEAD",
     "BufferBudget",
-    "DoublePointerRotator",
     "acc_stream_capacity",
     "buffer_budget",
     "shifter_stall_cycles",
@@ -69,7 +66,6 @@ __all__ = [
     "DataflowCost",
     "dataflow_cost",
     "rank_dataflows",
-    "MorphlingMachine",
     "encode_instruction",
     "decode_instruction",
     "encode_stream",
@@ -106,7 +102,6 @@ __all__ = [
     "SimulationReport",
     "simulate_bootstrap",
     "ArrayMapping",
-    "VpeArray",
     "map_external_product",
     "VpuModel",
     "VpuStageCycles",

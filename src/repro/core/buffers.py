@@ -1,10 +1,11 @@
-"""Specialized on-chip buffers and the double-pointer rotator (Section V-C).
+"""Specialized on-chip buffers and the rotator's stall model (Section V-C).
 
 Morphling's first-level memory holds four buffer types; the performance
 model needs their capacity arithmetic (how many ACC ciphertext *streams*
-fit in Private-A1, which bounds BSK reuse), and the rotator needs a
-functional model proving the double-pointer scheme streams
-``(ACC, X^t * ACC)`` pairs with no pipeline stalls.
+fit in Private-A1, which bounds BSK reuse) and the stall cost of the
+shifter the double-pointer rotator replaces.  The rotation itself is
+:func:`~repro.tfhe.polynomial.monomial_rotate_batch`, which reads
+``X^t * ACC`` as one contiguous window of the stored coefficients.
 
 Capacity model
 --------------
@@ -23,11 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from ..observability import COUNTERS as _COUNTERS
 from ..params import TFHEParams
-from ..tfhe.polynomial import monomial_mul
 from .accelerator import MorphlingConfig
 
 __all__ = [
@@ -35,7 +32,6 @@ __all__ = [
     "BufferBudget",
     "acc_stream_capacity",
     "buffer_budget",
-    "DoublePointerRotator",
     "shifter_stall_cycles",
 ]
 
@@ -100,74 +96,6 @@ def buffer_budget(config: MorphlingConfig, params: TFHEParams,
     ksk_tile = params.l_k * (params.n + 1) * 4 * config.vpu_lanes
     b = ksk_tile + 4 * cores * params.lwe_bytes
     return BufferBudget(private_a1=a1, private_a2=a2, private_b=b, shared=shared)
-
-
-class DoublePointerRotator:
-    """Functional model of the in-buffer rotation (Section V-C).
-
-    The ACC polynomial is tiled across banks in ``vector_width`` lanes.
-    Pointer A walks the original coefficients; pointer B walks the
-    coefficients of ``X^t * ACC`` by address arithmetic on the same
-    storage (the reorder unit handles unaligned lanes and the sign flip
-    of the negacyclic wraparound).  Every cycle yields one aligned vector
-    from each pointer with *no* data movement - which is why the XPU
-    pipeline never stalls on the rotation amount.
-    """
-
-    def __init__(self, poly: np.ndarray, vector_width: int = 8) -> None:
-        poly = np.asarray(poly, dtype=np.uint32)
-        if poly.ndim != 1:
-            raise ValueError("rotator stores one polynomial at a time")
-        if poly.shape[0] % vector_width:
-            raise ValueError("polynomial size must be a multiple of the vector width")
-        self._storage = poly.copy()
-        self.vector_width = vector_width
-
-    @property
-    def n(self) -> int:
-        return self._storage.shape[0]
-
-    def read_vector(self, chunk: int, rotation: int) -> tuple:
-        """Read cycle ``chunk``: (pointer-A lanes, pointer-B lanes).
-
-        Pointer B returns the lanes of ``X^rotation * poly`` at the same
-        chunk offset, computed by address arithmetic + conditional
-        negation - not by physically rotating the buffer.
-        """
-        w, n = self.vector_width, self.n
-        start = chunk * w
-        if start >= n:
-            raise IndexError(f"chunk {chunk} beyond polynomial of size {n}")
-        lanes_a = self._storage[start : start + w].copy()
-        t = int(rotation) % (2 * n)
-        idx = (np.arange(start, start + w) - t) % (2 * n)
-        negate = idx >= n
-        src = np.where(negate, idx - n, idx)
-        lanes_b = self._storage[src].astype(np.int64)
-        lanes_b[negate] = -lanes_b[negate]
-        return lanes_a, lanes_b.astype(np.uint32)
-
-    def stream(self, rotation: int) -> tuple:
-        """Full-polynomial streams: returns ``(original, rotated)`` arrays.
-
-        The rotated stream must equal :func:`monomial_mul`; tests assert
-        this identity.
-        """
-        chunks = self.n // self.vector_width
-        a = np.empty(self.n, dtype=np.uint32)
-        b = np.empty(self.n, dtype=np.uint32)
-        for c in range(chunks):
-            la, lb = self.read_vector(c, rotation)
-            a[c * self.vector_width : (c + 1) * self.vector_width] = la
-            b[c * self.vector_width : (c + 1) * self.vector_width] = lb
-        if _COUNTERS.enabled:
-            _COUNTERS.add_ops("rotator/streams")
-            _COUNTERS.add_ops("rotator/vector_reads", chunks)
-        return a, b
-
-    def reference_rotation(self, rotation: int) -> np.ndarray:
-        """Golden rotated polynomial via the ring primitive."""
-        return monomial_mul(self._storage, rotation)
 
 
 def shifter_stall_cycles(params: TFHEParams, config: MorphlingConfig) -> float:

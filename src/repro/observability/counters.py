@@ -11,16 +11,14 @@ series) with the four value kinds a bottleneck profiler needs:
   busy-cycle accumulators, the utilization numerators;
 - **bytes** per channel (``hbm/channel/3``): traffic accumulators at
   single-HBM-channel granularity, the bandwidth numerators;
-- **ops** per unit (``rotator/vector_reads``, ``noc/hops/xpu_to_shared``):
+- **ops** per unit (``rotator/rotations``, ``noc/hops/xpu_to_shared``):
   event counts with no time dimension of their own;
 - **samples**: ``(simulated time, value)`` pairs per track
   (``buffer/shared`` occupancy, per-stage pipeline occupancy), the
   time-resolved view; high-water marks are derived from these.
 
-A fifth kind, **events**, records *ordered* discrete happenings
-(``machine/stages``: ``modulus_switch`` -> ``blind_rotate`` -> ...) so a
-dynamic execution can be checked against the static stage-order model
-(verifier pass VER005).
+A fifth kind, **events**, records *ordered* discrete happenings on a
+named track (``events_on(track)`` returns them in recording order).
 
 Discipline is identical to the registry: one process-wide singleton
 (:data:`COUNTERS`), off by default, every recording call is a single

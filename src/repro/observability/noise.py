@@ -109,14 +109,14 @@ class FailurePoint:
     """One place a workload can silently fail: a rounding decision.
 
     ``margin`` is the distance (torus units) from the noise-free value to
-    the nearest decision boundary - a decode grid edge, a sign boundary,
-    or the nearest test-polynomial bucket whose output differs.  The
+    the nearest decision boundary - a decode grid edge or the nearest
+    test-polynomial bucket whose output differs.  The
     Gaussian tail of ``variance`` past ``margin`` is the per-point
     failure probability (:mod:`repro.analysis.failprob`).
     """
 
     op_id: int
-    kind: str  # "decode" | "sign_decode" | "bootstrap_decision"
+    kind: str  # "decode" | "bootstrap_decision"
     margin: float
     variance: float
     label: str = ""

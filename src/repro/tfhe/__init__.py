@@ -58,7 +58,6 @@ from .lwe import (
     lwe_sub,
     lwe_trivial,
 )
-from .batch import LweBatch, bootstrap_batch, decrypt_batch, encrypt_batch
 from .boolean import (
     Circuit,
     Wire,
@@ -78,18 +77,6 @@ from .integer import (
     scalar_mul_integer,
 )
 from .ops import GATE_LUTS, TfheContext
-from .gatebootstrap import (
-    and_gate,
-    bootstrap_to_sign,
-    bootstrap_to_sign_batch,
-    decrypt_bool,
-    encrypt_bool,
-    mux_gate,
-    nand_gate,
-    not_gate,
-    or_gate,
-    xor_gate,
-)
 from .multilut import make_multi_test_polynomial, max_luts_for_params, multi_lut_bootstrap
 from .serialization import (
     load_ciphertext,
@@ -149,10 +136,6 @@ __all__ = [
     "lwe_add_plain",
     "TfheContext",
     "GATE_LUTS",
-    "LweBatch",
-    "encrypt_batch",
-    "decrypt_batch",
-    "bootstrap_batch",
     "Circuit",
     "Wire",
     "ripple_carry_adder",
@@ -167,16 +150,6 @@ __all__ = [
     "equals_integer",
     "less_than_integer",
     "bootstrap_cost",
-    "encrypt_bool",
-    "decrypt_bool",
-    "bootstrap_to_sign",
-    "bootstrap_to_sign_batch",
-    "nand_gate",
-    "and_gate",
-    "or_gate",
-    "xor_gate",
-    "not_gate",
-    "mux_gate",
     "make_multi_test_polynomial",
     "multi_lut_bootstrap",
     "max_luts_for_params",

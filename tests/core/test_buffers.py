@@ -1,19 +1,12 @@
-"""Tests for buffer capacity arithmetic and the double-pointer rotator."""
-
-import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+"""Tests for buffer capacity arithmetic and the shifter stall model."""
 
 from repro.core.accelerator import MorphlingConfig
 from repro.core.buffers import (
-    DoublePointerRotator,
     acc_stream_capacity,
     buffer_budget,
     shifter_stall_cycles,
 )
 from repro.params import get_params
-from repro.tfhe.polynomial import monomial_mul
 
 MIB = 1024 * 1024
 
@@ -62,51 +55,6 @@ class TestBufferBudget:
         two = buffer_budget(cfg, p, streams=2)
         assert two.private_a1 > one.private_a1
         assert two.private_a2 == one.private_a2  # A2 holds BSK_i, not streams
-
-
-class TestDoublePointerRotator:
-    @pytest.fixture()
-    def poly(self, rng):
-        return rng.integers(0, 1 << 32, size=64, dtype=np.uint64).astype(np.uint32)
-
-    def test_pointer_a_returns_original(self, poly):
-        rot = DoublePointerRotator(poly)
-        a, _ = rot.stream(rotation=17)
-        np.testing.assert_array_equal(a, poly)
-
-    @pytest.mark.parametrize("t", [0, 1, 7, 63, 64, 100, 127])
-    def test_pointer_b_matches_monomial_mul(self, poly, t):
-        rot = DoublePointerRotator(poly)
-        _, b = rot.stream(rotation=t)
-        np.testing.assert_array_equal(b, monomial_mul(poly, t))
-
-    @given(st.integers(-300, 300), st.integers(0, 2**31))
-    @settings(max_examples=50, deadline=None)
-    def test_property_all_rotations(self, t, seed):
-        r = np.random.default_rng(seed)
-        poly = r.integers(0, 1 << 32, size=32, dtype=np.uint64).astype(np.uint32)
-        rot = DoublePointerRotator(poly, vector_width=8)
-        _, b = rot.stream(rotation=t)
-        np.testing.assert_array_equal(b, monomial_mul(poly, t))
-
-    def test_storage_not_mutated_by_reads(self, poly):
-        rot = DoublePointerRotator(poly)
-        rot.stream(rotation=33)
-        _, b = rot.stream(rotation=33)
-        np.testing.assert_array_equal(b, monomial_mul(poly, 33))
-
-    def test_rejects_unaligned_size(self):
-        with pytest.raises(ValueError):
-            DoublePointerRotator(np.zeros(10, dtype=np.uint32))
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            DoublePointerRotator(np.zeros((2, 8), dtype=np.uint32))
-
-    def test_chunk_out_of_range(self, poly):
-        rot = DoublePointerRotator(poly)
-        with pytest.raises(IndexError):
-            rot.read_vector(8, 1)
 
 
 class TestShifterStalls:

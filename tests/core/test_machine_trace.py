@@ -1,77 +1,11 @@
-"""Tests for the functional machine and the pipeline trace."""
+"""Tests for the pipeline trace of blind rotation."""
 
-import numpy as np
 import pytest
 
 from repro.core.accelerator import MorphlingConfig
-from repro.core.machine import MorphlingMachine
 from repro.core.trace import render_timeline, trace_blind_rotation
 from repro.core.xpu import XpuModel
-from repro.params import TEST_PARAMS, get_params
-from repro.tfhe import (
-    TfheContext,
-    identity_test_polynomial,
-    make_test_polynomial,
-    programmable_bootstrap,
-    programmable_bootstrap_batch,
-)
-
-P = 8
-
-
-class TestMorphlingMachine:
-    """Architecture-equals-algorithm verification."""
-
-    @pytest.fixture(scope="class")
-    def machine(self, ctx):
-        return MorphlingMachine(MorphlingConfig(), ctx.keyset)
-
-    def test_single_bootstrap_decrypts_correctly(self, ctx, machine):
-        tp = identity_test_polynomial(ctx.params, P)
-        out = machine.bootstrap(ctx.encrypt(2, P), tp)
-        assert ctx.decrypt(out, P) == 2
-
-    def test_batch_bootstrap_all_rows(self, ctx, machine):
-        """All four VPE rows bootstrap together, sharing each BSK_i."""
-        tp = identity_test_polynomial(ctx.params, P)
-        msgs = [0, 1, 2, 3]
-        outs = machine.bootstrap_batch([ctx.encrypt(m, P) for m in msgs], tp)
-        assert [ctx.decrypt(o, P) for o in outs] == msgs
-
-    def test_matches_reference_bootstrap(self, ctx, machine):
-        """The machine and the scheme's golden model agree on LUT results."""
-        lut = np.array([3, 2, 1, 0], dtype=np.int64)
-        tp = make_test_polynomial(lut, ctx.params, P)
-        ct = ctx.encrypt(1, P)
-        via_machine = machine.bootstrap(ct, tp)
-        via_reference = programmable_bootstrap(ct, tp, ctx.keyset)
-        assert ctx.decrypt(via_machine, P) == ctx.decrypt(via_reference, P) == 2
-
-    def test_equals_the_batch_pipeline_word_for_word(self):
-        """The machine reads BSK_i as a row of the keyset's table: same words
-        as the scheme pipeline, and no second transform-domain image."""
-        ctx = TfheContext.create(TEST_PARAMS, seed=5)
-        machine = MorphlingMachine(MorphlingConfig(), ctx.keyset)
-        tp = identity_test_polynomial(ctx.params, P)
-        cts = [ctx.encrypt(m, P) for m in (3, 0, 2, 1)]
-        cts[1].a[:5] = 0  # a row that skips some CMuxes
-        via_machine = machine.bootstrap_batch(cts, tp)
-        via_pipeline = programmable_bootstrap_batch(cts, tp, ctx.keyset)
-        for got, want in zip(via_machine, via_pipeline):
-            assert np.array_equal(got.a, want.a) and got.b == want.b
-        images = [v for v in vars(ctx.keyset).values()
-                  if isinstance(v, np.ndarray) and np.iscomplexobj(v)]
-        assert len(images) == 1 and images[0] is ctx.keyset.bsk_table
-
-    def test_rejects_oversized_batch(self, ctx, machine):
-        tp = identity_test_polynomial(ctx.params, P)
-        cts = [ctx.encrypt(0, P)] * 5
-        with pytest.raises(ValueError):
-            machine.bootstrap_batch(cts, tp)
-
-    def test_rejects_wide_k_on_narrow_array(self, ctx):
-        with pytest.raises(ValueError):
-            MorphlingMachine(MorphlingConfig(vpe_cols=1), ctx.keyset)
+from repro.params import get_params
 
 
 class TestPipelineTrace:

@@ -24,7 +24,7 @@ OBSERVABILITY_MODULES = {
 }
 
 #: ``repro`` modules ``import repro.tfhe`` may load.
-MAX_REPRO_MODULES = 33
+MAX_REPRO_MODULES = 31
 
 
 def _loaded_repro_modules():

@@ -64,6 +64,19 @@ class TestFunctionalBootstrapTelemetry:
         names = [s.name for s in obs.TRACER.spans()]
         assert "programmable_bootstrap_batch" in names
 
+    def test_gate_levels_are_count_weighted_by_batch(self, ctx):
+        """A level of two gates, then one gate: three bootstraps in two
+        requests.  Latency samples are count-weighted by the batch, so one
+        request of each size gives count == batch in its series."""
+        x, y = ctx.encrypt(1), ctx.encrypt(0)
+        with obs.telemetry() as (registry, _tracer):
+            level = ctx.gate_batch(["nand", "xor"], [x, x], [y, y])
+            ctx.gate("and", *level)
+            assert registry.get("tfhe_bootstraps_total").value() == 3
+            latency = registry.get("tfhe_bootstrap_latency_seconds").snapshot()
+        assert {s["labels"]["batch"]: s["count"]
+                for s in latency["values"]} == {2: 2, 1: 1}
+
 
 class TestSimulatorTelemetry:
     def test_one_group_reports_nonzero_core_counters(self):

@@ -1,17 +1,16 @@
 """Functional tests on the k=2 parameter set.
 
 The paper's contribution scales with ``k`` (more reuse at k=2,3); these
-tests prove the *functional* stack - scheme, reuse datapath, and the
-architectural machine - stays correct when the GLWE dimension grows
-beyond the k=1 the prior accelerators were optimized for.
+tests prove the *functional* stack - scheme, bootstrap engines and
+gates - stays correct when the GLWE dimension grows beyond the k=1 the
+prior accelerators were optimized for (the batched pipeline at k=2 is
+``test_batch_bootstrap.py::test_batch_matches_scalar_k2``).
 """
 
 import numpy as np
 import pytest
 
 from repro import TEST_PARAMS_K2, TfheContext
-from repro.core.accelerator import MorphlingConfig
-from repro.core.machine import MorphlingMachine
 from repro.tfhe import identity_test_polynomial, make_test_polynomial, programmable_bootstrap
 
 from ._oracle import reference_bootstrap
@@ -50,16 +49,6 @@ class TestK2Scheme:
         tp = identity_test_polynomial(ctx_k2.params, P)
         out = reference_bootstrap(ctx_k2.encrypt(3, P), tp, ctx_k2.keyset, engine)
         assert ctx_k2.decrypt(out, P) == 3
-
-
-class TestK2Machine:
-    def test_machine_batch_bootstrap(self, ctx_k2):
-        """The VPE array's three output columns (k+1 = 3) compute correctly."""
-        machine = MorphlingMachine(MorphlingConfig(), ctx_k2.keyset)
-        tp = identity_test_polynomial(ctx_k2.params, P)
-        msgs = [0, 1, 2, 3]
-        outs = machine.bootstrap_batch([ctx_k2.encrypt(m, P) for m in msgs], tp)
-        assert [ctx_k2.decrypt(o, P) for o in outs] == msgs
 
     def test_sample_extract_dimension(self, ctx_k2):
         """The extracted LWE dimension is k*N = 256."""

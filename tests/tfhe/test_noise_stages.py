@@ -21,12 +21,19 @@ import pytest
 
 from repro import TEST_PARAMS, get_params
 from repro.tfhe import identity_test_polynomial
-from repro.tfhe.batch import encrypt_batch
 from repro.tfhe.bootstrap import blind_rotate_batch, key_switch_batch
 from repro.tfhe.glwe import sample_extract_batch
 from repro.tfhe.keys import generate_keyset
+from repro.tfhe.lwe import gaussian_torus_noise
 from repro.tfhe.noise import blind_rotation_noise_variance, bootstrap_output_noise_std_log2
-from repro.tfhe.torus import encode_message, modswitch, to_signed, to_torus, torus_dot
+from repro.tfhe.torus import (
+    TORUS_DTYPE,
+    encode_message,
+    modswitch,
+    to_signed,
+    to_torus,
+    torus_dot,
+)
 
 P = 8
 #: Measured / predicted std must stay inside this band.
@@ -48,9 +55,12 @@ def stage_std_ratios(params, samples, chunk=32):
     br, ks = [], []
     for start in range(0, samples, chunk):
         msgs = rng.integers(0, P // 2, min(chunk, samples - start))
-        batch = encrypt_batch(msgs, P, keyset.lwe_key, rng, params.lwe_noise_log2)
-        acc = blind_rotate_batch(modswitch(batch.a, 2 * params.N),
-                                 modswitch(batch.b, 2 * params.N), tp, keyset)
+        a = rng.integers(0, 2**32, (msgs.size, params.n), dtype=np.uint64).astype(TORUS_DTYPE)
+        e = gaussian_torus_noise(rng, params.lwe_noise_log2, shape=msgs.shape)
+        b = (torus_dot(a, keyset.lwe_key.bits[None, :]) + encode_message(msgs, P) + e
+             ).astype(TORUS_DTYPE)
+        acc = blind_rotate_batch(modswitch(a, 2 * params.N), modswitch(b, 2 * params.N),
+                                 tp, keyset)
         ext_a, ext_b = sample_extract_batch(acc)
         out_a, out_b = key_switch_batch(ext_a, ext_b, keyset.ksk)
         expected = encode_message(msgs, P).astype(np.int64)
