@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..params import TFHEParams
+from ..params import Q_BITS, TFHEParams
 
 __all__ = ["SECURITY_SLOPE", "SecurityEstimate", "estimate_security", "classify_parameter_set"]
 
@@ -32,8 +32,8 @@ __all__ = ["SECURITY_SLOPE", "SecurityEstimate", "estimate_security", "classify_
 SECURITY_SLOPE = 2.59
 
 
-def estimate_security(n: int, q_bits: int, noise_log2: float) -> float:
-    """First-order security level (bits) of one LWE instance.
+def estimate_security(n: int, noise_log2: float) -> float:
+    """First-order security level (bits) of one LWE instance over ``q = 2**Q_BITS``.
 
     ``noise_log2`` is the noise stddev as a torus fraction, so the
     modulus-to-noise ratio is ``log2(q/sigma) = -noise_log2``.
@@ -43,10 +43,10 @@ def estimate_security(n: int, q_bits: int, noise_log2: float) -> float:
     log_ratio = -noise_log2
     if log_ratio <= 0:
         raise ValueError("noise must be below the torus scale")
-    if log_ratio >= q_bits:
+    if log_ratio >= Q_BITS:
         # Noise below the quantization floor: the effective ratio is the
         # full modulus width.
-        log_ratio = q_bits
+        log_ratio = Q_BITS
     return SECURITY_SLOPE * n / log_ratio
 
 
@@ -71,8 +71,6 @@ class SecurityEstimate:
 
 def classify_parameter_set(params: TFHEParams) -> SecurityEstimate:
     """Estimate the security of both the LWE and GLWE halves of a set."""
-    lwe = estimate_security(params.n, params.q_bits, params.lwe_noise_log2)
-    glwe = estimate_security(
-        params.k * params.N, params.q_bits, params.glwe_noise_log2
-    )
+    lwe = estimate_security(params.n, params.lwe_noise_log2)
+    glwe = estimate_security(params.k * params.N, params.glwe_noise_log2)
     return SecurityEstimate(lwe_bits=lwe, glwe_bits=glwe, claimed_bits=params.lam)

@@ -123,7 +123,7 @@ def encrypted_dense_relu(
     p = p or ctx.default_p
     n = ctx.params.n
     outputs = []
-    quarter_torus = int(encode_message(p // 4, p, ctx.params.q_bits)[()])
+    quarter_torus = int(encode_message(p // 4, p)[()])
     for weights in weight_rows:
         acc = encrypted_dot(inputs, weights, n)
         # inputs encode v + p/4, so the dot product carries an extra

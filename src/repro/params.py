@@ -24,7 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+#: Width of the ciphertext modulus ``q = 2**Q_BITS`` of every parameter
+#: set: the discretized torus is held in ``uint32`` words.
+Q_BITS = 32
+
 __all__ = [
+    "Q_BITS",
     "TFHEParams",
     "SchemeProfile",
     "PARAM_SETS",
@@ -41,10 +46,11 @@ class TFHEParams:
     """A complete TFHE parameter set.
 
     Beyond the paper's Table III columns (``N``, ``n``, ``k``, ``l_b``,
-    ``lam``) the set carries everything the scheme substrate needs: the
-    ciphertext modulus, decomposition bases for the bootstrapping and
-    key-switching keys, and the noise standard deviations used at
-    encryption time (expressed as fractions of the torus).
+    ``lam``) the set carries everything the scheme substrate needs:
+    decomposition bases for the bootstrapping and key-switching keys and
+    the noise standard deviations used at encryption time (expressed as
+    fractions of the torus).  The ciphertext modulus is not a field:
+    every set computes on ``q = 2**Q_BITS``.
     """
 
     name: str
@@ -53,7 +59,6 @@ class TFHEParams:
     k: int
     l_b: int
     lam: int
-    q_bits: int = 32
     beta_bits: int = 8
     l_k: int = 4
     beta_ks_bits: int = 4
@@ -69,24 +74,29 @@ class TFHEParams:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.l_b < 1 or self.l_k < 1:
             raise ValueError("decomposition levels must be >= 1")
-        if self.beta_bits * self.l_b > self.q_bits:
+        if self.beta_bits * self.l_b > Q_BITS:
             raise ValueError(
                 "bootstrap decomposition exceeds modulus: "
-                f"beta_bits * l_b = {self.beta_bits * self.l_b} > {self.q_bits}"
+                f"beta_bits * l_b = {self.beta_bits * self.l_b} > {Q_BITS}"
             )
-        if self.beta_ks_bits * self.l_k > self.q_bits:
+        if self.beta_ks_bits * self.l_k > Q_BITS:
             raise ValueError(
                 "key-switch decomposition exceeds modulus: "
-                f"beta_ks_bits * l_k = {self.beta_ks_bits * self.l_k} > {self.q_bits}"
+                f"beta_ks_bits * l_k = {self.beta_ks_bits * self.l_k} > {Q_BITS}"
             )
 
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
     @property
+    def q_bits(self) -> int:
+        """Ciphertext modulus width: :data:`Q_BITS`, the same for every set."""
+        return Q_BITS
+
+    @property
     def q(self) -> int:
-        """Ciphertext modulus (power of two)."""
-        return 1 << self.q_bits
+        """Ciphertext modulus ``2**Q_BITS``."""
+        return 1 << Q_BITS
 
     @property
     def beta(self) -> int:
@@ -124,7 +134,7 @@ class TFHEParams:
     @property
     def coeff_bytes(self) -> int:
         """Bytes per polynomial coefficient in the standard domain."""
-        return self.q_bits // 8
+        return Q_BITS // 8
 
     @property
     def bsk_bytes(self) -> int:
@@ -167,17 +177,6 @@ class TFHEParams:
             f"{self.name}: N={self.N} n={self.n} k={self.k} "
             f"l_b={self.l_b} lambda={self.lam}-bit"
         )
-
-
-def _bootstrap_level_bases(l_b: int) -> int:
-    """Pick a decomposition base width that fits ``l_b`` levels in 32 bits.
-
-    The paper keeps ``q = 2**32`` and chooses ``beta`` per set; Concrete's
-    published sets use wider bases for fewer levels.  We mirror that: the
-    product ``beta_bits * l_b`` stays near (but below) the modulus width
-    so recomposition covers most significant bits.
-    """
-    return max(1, min(23, 32 // (l_b + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 A complete functional implementation of the TFHE operations the paper
 accelerates (Section II): LWE/GLWE/GGSW ciphertexts over the discretized
-torus, gadget decomposition, external products, and the
-MS -> BR -> SE -> KS programmable bootstrap, with interchangeable
-polynomial-multiplication engines mirroring the hardware datapath.
+torus ``q = 2**32``, gadget decomposition, and the MS -> BR -> SE -> KS
+programmable bootstrap.  Each operation is computed one way: the
+external product in the transform domain against the pre-transformed
+BSK, as Morphling's datapath computes it.  The coefficient-domain
+reference engines the kernels are tested against live beside the tests.
 """
 
 from .bootstrap import (
@@ -15,7 +17,7 @@ from .bootstrap import (
     programmable_bootstrap,
     programmable_bootstrap_batch,
 )
-from .decomposition import decompose, decomposition_error_bound, recompose
+from .decomposition import decompose
 from .encoding import (
     extend_lut_antiperiodic,
     identity_test_polynomial,
@@ -23,25 +25,12 @@ from .encoding import (
     message_to_signed,
     signed_to_message,
 )
-from .ggsw import (
-    GgswCiphertext,
-    cmux,
-    external_product,
-    external_product_spectrum_batch,
-    external_product_transform,
-    ggsw_encrypt,
-)
+from .ggsw import GgswCiphertext, external_product_spectrum_batch
 from .glwe import (
     GlweCiphertext,
     GlweSecretKey,
-    glwe_add,
     glwe_decrypt_phase,
-    glwe_encrypt,
     glwe_keygen,
-    glwe_rotate,
-    glwe_sub,
-    glwe_trivial,
-    sample_extract,
     sample_extract_batch,
 )
 from .keys import KeySet, KeySwitchingKey, generate_keyset, make_ksk
@@ -95,29 +84,17 @@ __all__ = [
     "programmable_bootstrap",
     "programmable_bootstrap_batch",
     "decompose",
-    "recompose",
-    "decomposition_error_bound",
     "make_test_polynomial",
     "identity_test_polynomial",
     "extend_lut_antiperiodic",
     "signed_to_message",
     "message_to_signed",
     "GgswCiphertext",
-    "ggsw_encrypt",
-    "external_product",
-    "external_product_transform",
     "external_product_spectrum_batch",
-    "cmux",
     "GlweCiphertext",
     "GlweSecretKey",
     "glwe_keygen",
-    "glwe_encrypt",
     "glwe_decrypt_phase",
-    "glwe_trivial",
-    "glwe_add",
-    "glwe_sub",
-    "glwe_rotate",
-    "sample_extract",
     "sample_extract_batch",
     "KeySet",
     "KeySwitchingKey",

@@ -184,7 +184,7 @@ class Circuit:
                 except KeyError:
                     raise KeyError(f"missing input {node.name!r}") from None
             elif node.kind == "const":
-                enc = int(encode_message(node.value, 8, ctx.params.q_bits)[()])
+                enc = int(encode_message(node.value, 8)[()])
                 values[node_id] = lwe_trivial(enc, ctx.params.n)
             else:  # "not"
                 values[node_id] = ctx.lwe_not(values[node.operands[0]])

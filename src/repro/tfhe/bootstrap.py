@@ -66,7 +66,7 @@ _BR_STEPS = _METRICS.counter(
     "Blind-rotation CMux iterations executed (zero digits skipped)",
 )
 _EXTERNAL_PRODUCTS = _METRICS.counter(
-    "tfhe_external_products_total", "GGSW external products executed, by engine"
+    "tfhe_external_products_total", "GGSW external products executed"
 )
 _KEY_SWITCHES = _METRICS.counter(
     "tfhe_key_switches_total", "LWE key switches executed"
@@ -147,7 +147,7 @@ def blind_rotate_batch(
     total_steps = sum(active_counts)
     if total_steps and _METRICS.enabled:
         _BR_STEPS.inc(total_steps)
-        _EXTERNAL_PRODUCTS.inc(total_steps, engine="transform")
+        _EXTERNAL_PRODUCTS.inc(total_steps)
     return acc
 
 

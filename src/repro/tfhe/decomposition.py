@@ -17,17 +17,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .torus import u32
+from .torus import Q_BITS, u32
 
 __all__ = [
     "decompose",
     "decompose_folded",
-    "recompose",
-    "decomposition_error_bound",
 ]
 
 
-def decompose(values: np.ndarray, beta_bits: int, levels: int, q_bits: int = 32) -> np.ndarray:
+def decompose(values: np.ndarray, beta_bits: int, levels: int) -> np.ndarray:
     """Balanced base-``2**beta_bits`` decomposition of torus numerators.
 
     Parameters
@@ -36,8 +34,6 @@ def decompose(values: np.ndarray, beta_bits: int, levels: int, q_bits: int = 32)
         uint32 torus numerators, any shape.
     beta_bits, levels:
         Digit width (``log2 beta``) and number of digits ``l``.
-    q_bits:
-        Ciphertext modulus width.
 
     Returns
     -------
@@ -45,12 +41,12 @@ def decompose(values: np.ndarray, beta_bits: int, levels: int, q_bits: int = 32)
     holding centered digits; digit ``j`` (0-based) carries weight
     ``q / beta**(j+1)``.
     """
-    if beta_bits * levels > q_bits:
+    if beta_bits * levels > Q_BITS:
         raise ValueError("decomposition exceeds the modulus width")
     beta = 1 << beta_bits
     v = np.asarray(values, dtype=np.uint32).astype(np.int64)
     # Round to the closest multiple of q / beta**levels (drop the low bits).
-    drop_bits = q_bits - beta_bits * levels
+    drop_bits = Q_BITS - beta_bits * levels
     if drop_bits:
         v = (v + (1 << (drop_bits - 1))) >> drop_bits
     # v now has levels*beta_bits significant bits; extract balanced digits
@@ -71,7 +67,6 @@ def decompose_folded(
     values: np.ndarray,
     beta_bits: int,
     levels: int,
-    q_bits: int = 32,
 ) -> np.ndarray:
     """The digits of :func:`decompose`, laid out as negacyclic-FFT input.
 
@@ -92,10 +87,10 @@ def decompose_folded(
     (``bias`` is pre-shifted past the dropped bits), and ``uint32``
     wraparound of that add only touches bits the masks discard.
     """
-    if beta_bits * levels > q_bits:
+    if beta_bits * levels > Q_BITS:
         raise ValueError("decomposition exceeds the modulus width")
     half_beta = 1 << (beta_bits - 1)
-    drop_bits = q_bits - beta_bits * levels
+    drop_bits = Q_BITS - beta_bits * levels
     bias = sum(half_beta << (drop_bits + beta_bits * j) for j in range(levels))
     rounding = (1 << (drop_bits - 1)) if drop_bits else 0
     v = np.asarray(values, dtype=np.uint32) + u32(bias + rounding)
@@ -107,33 +102,10 @@ def decompose_folded(
     low, high = signed[..., :half_n], signed[..., half_n:]
     for j in range(levels):
         # Level j carries weight q / beta**(j+1): level 0 is the top field.
-        np.right_shift(v, q_bits - beta_bits * (j + 1), out=digit)
+        np.right_shift(v, Q_BITS - beta_bits * (j + 1), out=digit)
         digit &= np.uint32(2 * half_beta - 1)
         signed -= half_beta
         real[..., j, :] = low
         imag[..., j, :] = high
     return folded
 
-
-def recompose(digits: np.ndarray, beta_bits: int, q_bits: int = 32) -> np.ndarray:
-    """Rebuild torus numerators from balanced digits (inverse of decompose).
-
-    ``digits`` has the level axis second-to-last, as produced by
-    :func:`decompose`.
-    """
-    levels = digits.shape[-2]
-    if beta_bits * levels > q_bits:
-        raise ValueError("decomposition exceeds the modulus width")
-    acc = np.zeros(digits.shape[:-2] + digits.shape[-1:], dtype=np.int64)
-    for j in range(levels):
-        weight = 1 << (q_bits - beta_bits * (j + 1))
-        acc += digits[..., j, :] * weight
-    return (acc & ((1 << q_bits) - 1)).astype(np.uint32)
-
-
-def decomposition_error_bound(beta_bits: int, levels: int, q_bits: int = 32) -> int:
-    """Worst-case |c - recompose(decompose(c))| as a centered distance mod q."""
-    drop_bits = q_bits - beta_bits * levels
-    if drop_bits <= 0:
-        return 0
-    return 1 << (drop_bits - 1)

@@ -53,7 +53,7 @@ def make_test_polynomial(lut_half: np.ndarray, params: TFHEParams, p: int) -> np
     full = extend_lut_antiperiodic(lut_half, p)
     j = np.arange(params.N)
     buckets = ((j * p + n2 // 2) // n2) % p
-    return encode_message(full[buckets] % p, p, params.q_bits)
+    return encode_message(full[buckets] % p, p)
 
 
 def identity_test_polynomial(params: TFHEParams, p: int) -> np.ndarray:

@@ -13,22 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..transforms.negacyclic import negacyclic_fft, negacyclic_fft_folded, negacyclic_ifft_folded
-from .lwe import LweCiphertext, gaussian_torus_noise
-from .polynomial import monomial_mul, poly_add, poly_sub
+from .lwe import gaussian_torus_noise
 from .torus import STREAM_BLOCK_BYTES, TORUS_DTYPE, to_torus
 
 __all__ = [
     "GlweSecretKey",
     "GlweCiphertext",
     "glwe_keygen",
-    "glwe_encrypt",
-    "glwe_encrypt_zeros",
     "glwe_decrypt_phase",
-    "glwe_trivial",
-    "glwe_add",
-    "glwe_sub",
-    "glwe_rotate",
-    "sample_extract",
     "sample_extract_batch",
 ]
 
@@ -56,7 +48,7 @@ class GlweSecretKey:
         return self.polys.shape[1]
 
     def extracted_lwe_bits(self) -> np.ndarray:
-        """The ``k*N`` LWE key bits matching :func:`sample_extract`.
+        """The ``k*N`` LWE key bits matching :func:`sample_extract_batch`.
 
         Extracting the constant coefficient of a GLWE phase turns the
         polynomial key into a flat LWE key whose bits are the key
@@ -158,29 +150,18 @@ def _key_mask_products(masks: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     return out
 
 
-def glwe_encrypt_zeros(
-    count: int,
-    key: GlweSecretKey,
-    rng: np.random.Generator,
-    noise_log2: float = -25.0,
-) -> np.ndarray:
-    """``count`` fresh GLWE encryptions of zero as one ``(count, k+1, N)`` array.
-
-    Draws from ``rng`` in the order ``count`` :func:`glwe_encrypt` calls
-    would (mask, then noise, per sample), so a seed yields the same
-    ciphertexts; only the key-mask products are batched, one
-    ``STREAM_BLOCK_BYTES`` row block at a time against one key spectrum
-    and reduced to torus words as they come, so no temporary is larger
-    than a block.  This is what makes secure-set key generation cheap: a
-    BSK is thousands of zero encryptions plus gadget terms.
-    """
-    return _encrypt_zeros(count, _key_spectrum(key), rng, noise_log2)
-
-
 def _encrypt_zeros(
     count: int, spectrum: np.ndarray, rng: np.random.Generator, noise_log2: float
 ) -> np.ndarray:
-    """:func:`glwe_encrypt_zeros` against a prebuilt :func:`_key_spectrum`."""
+    """``count`` fresh GLWE encryptions of zero as one ``(count, k+1, N)`` array.
+
+    ``spectrum`` is the key's :func:`_key_spectrum`.  Draws from ``rng``
+    sample by sample (mask, then noise); only the key-mask products are
+    batched, one ``STREAM_BLOCK_BYTES`` row block at a time, and reduced
+    to torus words as they come, so no temporary is larger than a block.
+    This is what makes secure-set key generation cheap: a BSK is
+    thousands of zero encryptions plus gadget terms.
+    """
     k, n = spectrum.shape[0], 2 * spectrum.shape[1]
     data = np.empty((count, k + 1, n), dtype=TORUS_DTYPE)
     block = max(1, STREAM_BLOCK_BYTES // (8 * k * n))
@@ -193,70 +174,10 @@ def _encrypt_zeros(
     return data
 
 
-def glwe_encrypt(
-    m_poly: np.ndarray,
-    key: GlweSecretKey,
-    rng: np.random.Generator,
-    noise_log2: float = -25.0,
-) -> GlweCiphertext:
-    """Encrypt a torus polynomial (uint32 numerators of length N)."""
-    m = np.asarray(m_poly, dtype=TORUS_DTYPE)
-    if m.shape != (key.N,):
-        raise ValueError(f"message must have shape ({key.N},)")
-    data = np.empty((key.k + 1, key.N), dtype=TORUS_DTYPE)
-    data[:-1] = rng.integers(0, 1 << 32, size=(key.k, key.N), dtype=TORUS_DTYPE)
-    e = gaussian_torus_noise(rng, noise_log2, shape=(key.N,))
-    data[-1] = to_torus(_key_mask_products(data[:-1], _key_spectrum(key))) + m + e
-    return GlweCiphertext(data)
-
-
 def glwe_decrypt_phase(ct: GlweCiphertext, key: GlweSecretKey) -> np.ndarray:
     """Noisy phase ``B - sum A_i S_i`` (message polynomial + noise)."""
     product = _key_mask_products(ct.masks, _key_spectrum(key))
     return (ct.body.astype(np.int64) - product).astype(TORUS_DTYPE)
-
-
-def glwe_trivial(m_poly: np.ndarray, k: int) -> GlweCiphertext:
-    """Noiseless, keyless GLWE encryption (masks = 0)."""
-    m = np.asarray(m_poly, dtype=TORUS_DTYPE)
-    data = np.zeros((k + 1, m.shape[-1]), dtype=TORUS_DTYPE)
-    data[-1] = m
-    return GlweCiphertext(data)
-
-
-def glwe_add(x: GlweCiphertext, y: GlweCiphertext) -> GlweCiphertext:
-    """Homomorphic addition."""
-    return GlweCiphertext(poly_add(x.data, y.data))
-
-
-def glwe_sub(x: GlweCiphertext, y: GlweCiphertext) -> GlweCiphertext:
-    """Homomorphic subtraction."""
-    return GlweCiphertext(poly_sub(x.data, y.data))
-
-
-def glwe_rotate(ct: GlweCiphertext, t: int) -> GlweCiphertext:
-    """Multiply every component polynomial by ``X^t`` (blind-rotation step)."""
-    return GlweCiphertext(monomial_mul(ct.data, t))
-
-
-def sample_extract(ct: GlweCiphertext, coefficient: int = 0) -> LweCiphertext:
-    """Extract the LWE encryption of one message coefficient (Algorithm 1, SE).
-
-    Pure data re-grouping: coefficient ``h`` of the phase polynomial equals
-    an LWE sample under the flattened key
-    :meth:`GlweSecretKey.extracted_lwe_bits`.
-    """
-    k, n = ct.k, ct.N
-    if not 0 <= coefficient < n:
-        raise ValueError(f"coefficient index out of range: {coefficient}")
-    h = coefficient
-    a = np.empty((k, n), dtype=np.int64)
-    masks = ct.masks.astype(np.int64)
-    for i in range(k):
-        # a'_{i,j} = A_i[h-j] for j <= h, and -A_i[N+h-j] for j > h.
-        rolled = np.concatenate((masks[i, h::-1], -masks[i, :h:-1]))
-        a[i] = rolled
-    return LweCiphertext(to_torus(a.reshape(-1)), ct.body[h])
 
 
 def sample_extract_batch(acc_data: np.ndarray) -> tuple:
@@ -264,9 +185,10 @@ def sample_extract_batch(acc_data: np.ndarray) -> tuple:
 
     ``acc_data`` holds ``B`` GLWE samples as a ``(B, k+1, N)`` torus
     array.  Returns ``(a, b)`` with ``a`` of shape ``(B, k*N)`` and ``b``
-    of shape ``(B,)`` - sample ``r``'s LWE extraction at coefficient 0,
-    identical to :func:`sample_extract` on each row (uint32 wraparound
-    negation replaces the int64 round-trip).
+    of shape ``(B,)`` - sample ``r``'s LWE extraction at coefficient 0:
+    coefficient 0 of the phase polynomial is an LWE sample under the
+    flattened key :meth:`GlweSecretKey.extracted_lwe_bits` (Algorithm 1,
+    SE; pure data re-grouping).
     """
     acc_data = np.asarray(acc_data, dtype=TORUS_DTYPE)
     batch, kp1, n = acc_data.shape

@@ -76,7 +76,6 @@ def make_ksk(
     l_k: int,
     rng: np.random.Generator,
     noise_log2: float = -15.0,
-    q_bits: int = 32,
 ) -> KeySwitchingKey:
     """Build a key-switching key from ``in_bits`` to ``out_key``.
 
@@ -95,7 +94,7 @@ def make_ksk(
     for start in range(0, m, block):
         mask_dot[start : start + block] = torus_dot(masks[start : start + block], out_key.bits)
     weights = np.array(
-        [1 << (q_bits - beta_ks_bits * (j + 1)) for j in range(l_k)], dtype=np.int64
+        [1 << (Q_BITS - beta_ks_bits * (j + 1)) for j in range(l_k)], dtype=np.int64
     )
     plain = to_torus(in_bits[:, None] * weights[None, :])
     bodies = (mask_dot + plain + noise).astype(TORUS_DTYPE)
@@ -216,11 +215,11 @@ def generate_keyset(params: TFHEParams, rng: np.random.Generator) -> KeySet:
     glwe_key = glwe_keygen(params.k, params.N, rng)
     table = _fill_table(params, ggsw_encrypt_blocks(
         lwe_key.bits, glwe_key, params.beta_bits, params.l_b, rng, _table_block(params),
-        noise_log2=params.glwe_noise_log2, q_bits=params.q_bits,
+        noise_log2=params.glwe_noise_log2,
     ))
     ksk = make_ksk(
         glwe_key.extracted_lwe_bits(), lwe_key,
         params.beta_ks_bits, params.l_k, rng,
-        noise_log2=params.lwe_noise_log2, q_bits=params.q_bits,
+        noise_log2=params.lwe_noise_log2,
     )
     return KeySet(params, lwe_key, glwe_key, table, ksk)

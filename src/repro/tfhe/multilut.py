@@ -33,7 +33,7 @@ from .noise import (
     key_switch_noise_variance,
     modulus_switch_noise_variance,
 )
-from .polynomial import monomial_mul, monomial_rotate_batch
+from .polynomial import monomial_rotate_batch
 from .torus import encode_message
 
 __all__ = [
@@ -75,7 +75,7 @@ def make_multi_test_polynomial(luts, params: TFHEParams, p: int) -> np.ndarray:
     for j in range(L):
         mask = table_idx == j
         coeffs[mask] = tables[j][message[mask]] % p
-    return encode_message(coeffs, p, params.q_bits)
+    return encode_message(coeffs, p)
 
 
 def multi_lut_bootstrap(ct: LweCiphertext, luts, keyset: KeySet, p: int) -> list:
@@ -100,7 +100,7 @@ def multi_lut_bootstrap(ct: LweCiphertext, luts, keyset: KeySet, p: int) -> list
     if _NOISE.enabled:
         for out, offset in zip(outputs, offsets.tolist()):
             _track_bootstrap(
-                out, ct, monomial_mul(test_poly, -offset), keyset,
+                out, ct, monomial_rotate_batch(test_poly, -offset), keyset,
                 "multi_lut_bootstrap",
             )
     return outputs

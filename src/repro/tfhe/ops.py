@@ -29,7 +29,7 @@ from .lwe import (
     lwe_decrypt_phase,
     lwe_scalar_mul,
 )
-from .torus import decode_message, encode_message
+from .torus import Q, decode_message, encode_message
 
 __all__ = ["TfheContext", "GATE_LUTS"]
 
@@ -77,7 +77,7 @@ class TfheContext:
         p = p or self.default_p
         if not 0 <= message < p // 2:
             raise ValueError(f"message {message} outside padded range [0, {p // 2})")
-        m_torus = encode_message(message, p, self.params.q_bits)[()]
+        m_torus = encode_message(message, p)[()]
         return lwe_encrypt(m_torus, self.keyset.lwe_key, self._rng(),
                            noise_log2=self.params.lwe_noise_log2)
 
@@ -94,15 +94,15 @@ class TfheContext:
             if record is not None:
                 # Decode rounds to the nearest multiple of q/p; the margin
                 # is half a step minus the shadow's offset from the grid.
-                scale = (1 << self.params.q_bits) // p
+                scale = Q // p
                 off = record.expected % scale
-                off = min(off, scale - off) / float(1 << self.params.q_bits)
+                off = min(off, scale - off) / float(Q)
                 _NOISE.record_failure_point(
                     "decode", 0.5 / p - off, record.predicted_variance,
                     op_id=record.op_id,
                 )
         phase = lwe_decrypt_phase(ct, self.keyset.lwe_key)
-        return int(decode_message(np.asarray(phase), p, self.params.q_bits)[()])
+        return int(decode_message(np.asarray(phase), p)[()])
 
     def decrypt_signed(self, ct: LweCiphertext, p: int = None) -> int:
         """Decrypt an offset-binary signed value."""
@@ -168,7 +168,7 @@ class TfheContext:
 
     def lwe_not(self, x: LweCiphertext) -> LweCiphertext:
         """NOT of a bit: 1 - x, linear (no bootstrap needed)."""
-        one = encode_message(1, 8, self.params.q_bits)[()]
+        one = encode_message(1, 8)[()]
         return lwe_add_plain(lwe_scalar_mul(-1, x), int(one))
 
     def relu_signed(self, ct: LweCiphertext, p: int = None) -> LweCiphertext:

@@ -14,9 +14,10 @@ live in different processes:
   samples.
 
 Formats are plain ``.npz`` archives with a version tag; no pickling.
-An archive that cannot be read back - truncated, corrupted, or holding
-the wrong arrays - raises :class:`ValueError` naming the file, with the
-underlying error chained as its cause.
+An archive that cannot be read back - truncated, corrupted, holding the
+wrong arrays, or keys over a modulus other than ``2**Q_BITS`` - raises
+:class:`ValueError` naming the file, with the underlying error chained
+as its cause.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..params import TFHEParams
+from ..params import Q_BITS, TFHEParams
 from .glwe import GlweSecretKey
 from .keys import KeySet, KeySwitchingKey, transform_bsk
 from .lwe import LweCiphertext, LweSecretKey
@@ -46,15 +47,18 @@ FORMAT_VERSION = 1
 
 
 def _params_record(params: TFHEParams) -> np.ndarray:
+    # Format 1 keeps a modulus-width slot; it always holds Q_BITS.
     return np.array([
         params.N, params.n, params.k, params.l_b, params.lam,
-        params.q_bits, params.beta_bits, params.l_k, params.beta_ks_bits,
+        Q_BITS, params.beta_bits, params.l_k, params.beta_ks_bits,
     ], dtype=np.int64)
 
 
 def _params_from_record(record: np.ndarray, name: str) -> TFHEParams:
     N, n, k, l_b, lam, q_bits, beta_bits, l_k, beta_ks_bits = (int(x) for x in record)
-    return TFHEParams(name, N=N, n=n, k=k, l_b=l_b, lam=lam, q_bits=q_bits,
+    if q_bits != Q_BITS:
+        raise ValueError(f"params record holds q = 2**{q_bits}; keys are over 2**{Q_BITS} only")
+    return TFHEParams(name, N=N, n=n, k=k, l_b=l_b, lam=lam,
                       beta_bits=beta_bits, l_k=l_k, beta_ks_bits=beta_ks_bits)
 
 

@@ -13,7 +13,14 @@ the scheme relies on.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, SupportsInt
+
 import numpy as np
+
+from ..params import Q_BITS
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "TORUS_DTYPE",
@@ -38,7 +45,6 @@ __all__ = [
 ]
 
 TORUS_DTYPE = np.uint32
-Q_BITS = 32
 Q = 1 << Q_BITS
 
 #: Byte budget of one streamed temporary.  Key generation and the BSK
@@ -49,40 +55,40 @@ Q = 1 << Q_BITS
 STREAM_BLOCK_BYTES = 1 << 21
 
 
-def u32(value) -> np.uint32:
+def u32(value: SupportsInt) -> np.uint32:
     """Reduce a python/numpy scalar into ``T_q`` without overflow warnings."""
     return TORUS_DTYPE(int(value) & 0xFFFFFFFF)
 
 
-def to_torus(values, q_bits: int = Q_BITS) -> np.ndarray:
+def to_torus(values: ArrayLike) -> np.ndarray:
     """Reduce arbitrary integers into ``T_q`` numerators (uint32)."""
     arr = np.asarray(values)
-    return (arr.astype(np.int64) & ((1 << q_bits) - 1)).astype(TORUS_DTYPE)
+    return (arr.astype(np.int64) & (Q - 1)).astype(TORUS_DTYPE)
 
 
-def from_double(x, q_bits: int = Q_BITS) -> np.ndarray:
+def from_double(x: ArrayLike) -> np.ndarray:
     """Map real numbers (interpreted mod 1) onto ``T_q`` numerators."""
     arr = np.asarray(x, dtype=np.float64)
     frac = arr - np.floor(arr)
-    return (np.round(frac * (1 << q_bits)).astype(np.int64) & ((1 << q_bits) - 1)).astype(TORUS_DTYPE)
+    return (np.round(frac * Q).astype(np.int64) & (Q - 1)).astype(TORUS_DTYPE)
 
 
-def to_double(t, q_bits: int = Q_BITS) -> np.ndarray:
+def to_double(t: ArrayLike) -> np.ndarray:
     """Torus numerators -> real representatives in [0, 1)."""
-    return np.asarray(t, dtype=np.float64) / (1 << q_bits)
+    return np.asarray(t, dtype=np.float64) / Q
 
 
-def to_signed(t) -> np.ndarray:
+def to_signed(t: ArrayLike) -> np.ndarray:
     """Lift torus numerators to centered representatives in [-q/2, q/2)."""
     return np.asarray(t, dtype=TORUS_DTYPE).astype(np.int32).astype(np.int64)
 
 
-def from_signed(s, q_bits: int = Q_BITS) -> np.ndarray:
+def from_signed(s: ArrayLike) -> np.ndarray:
     """Reduce centered representatives back into ``T_q`` numerators."""
-    return to_torus(s, q_bits)
+    return to_torus(s)
 
 
-def encode_message(m, p: int, q_bits: int = Q_BITS) -> np.ndarray:
+def encode_message(m: ArrayLike, p: int) -> np.ndarray:
     """Encode plaintext(s) ``m`` from ``Z_p`` into the torus: ``m * q/p``.
 
     ``p`` is the plaintext modulus (message space size); it must divide
@@ -90,50 +96,50 @@ def encode_message(m, p: int, q_bits: int = Q_BITS) -> np.ndarray:
     """
     if p <= 0 or p & (p - 1):
         raise ValueError(f"plaintext modulus must be a power of two, got {p}")
-    if p > (1 << q_bits):
+    if p > Q:
         raise ValueError("plaintext modulus exceeds ciphertext modulus")
-    scale = (1 << q_bits) // p
-    return to_torus(np.asarray(m, dtype=np.int64) * scale, q_bits)
+    scale = Q // p
+    return to_torus(np.asarray(m, dtype=np.int64) * scale)
 
 
-def decode_message(t, p: int, q_bits: int = Q_BITS) -> np.ndarray:
+def decode_message(t: ArrayLike, p: int) -> np.ndarray:
     """Decode noisy torus numerators back to ``Z_p`` by nearest-multiple rounding."""
     if p <= 0 or p & (p - 1):
         raise ValueError(f"plaintext modulus must be a power of two, got {p}")
-    scale = (1 << q_bits) // p
+    scale = Q // p
     t64 = np.asarray(t, dtype=np.uint32).astype(np.int64)
     return ((t64 + scale // 2) // scale) % p
 
 
-def round_to_multiple(t, scale: int) -> np.ndarray:
+def round_to_multiple(t: ArrayLike, scale: int) -> np.ndarray:
     """Round torus numerators to the nearest multiple of ``scale`` (mod q)."""
     t64 = np.asarray(t, dtype=np.uint32).astype(np.int64)
     return to_torus((t64 + scale // 2) // scale * scale)
 
 
-def torus_add(a, b) -> np.ndarray:
+def torus_add(a: ArrayLike, b: ArrayLike) -> np.ndarray:
     """Wrapping torus addition."""
     return (np.asarray(a, TORUS_DTYPE) + np.asarray(b, TORUS_DTYPE)).astype(TORUS_DTYPE)
 
 
-def torus_sub(a, b) -> np.ndarray:
+def torus_sub(a: ArrayLike, b: ArrayLike) -> np.ndarray:
     """Wrapping torus subtraction."""
     return (np.asarray(a, TORUS_DTYPE) - np.asarray(b, TORUS_DTYPE)).astype(TORUS_DTYPE)
 
 
-def torus_neg(a) -> np.ndarray:
+def torus_neg(a: ArrayLike) -> np.ndarray:
     """Torus negation."""
     return (-np.asarray(a, TORUS_DTYPE)).astype(TORUS_DTYPE)
 
 
-def torus_scalar_mul(scalar, t) -> np.ndarray:
+def torus_scalar_mul(scalar: ArrayLike, t: ArrayLike) -> np.ndarray:
     """Multiply torus elements by (signed or unsigned) integers, wrapping."""
     s = np.asarray(scalar, dtype=np.int64).astype(np.uint64)
     t64 = np.asarray(t, TORUS_DTYPE).astype(np.uint64)
     return ((s * t64) & np.uint64(Q - 1)).astype(TORUS_DTYPE)
 
 
-def torus_dot(a, b, axis: int = -1) -> np.ndarray:
+def torus_dot(a: ArrayLike, b: ArrayLike, axis: int = -1) -> np.ndarray:
     """Wrapping dot product of torus numerators along ``axis``.
 
     Products and the accumulation wrap modulo ``2**64`` before the final
@@ -146,7 +152,7 @@ def torus_dot(a, b, axis: int = -1) -> np.ndarray:
     return (prod.sum(axis=axis) & np.uint64(Q - 1)).astype(TORUS_DTYPE)
 
 
-def modswitch(t, new_modulus: int, q_bits: int = Q_BITS) -> np.ndarray:
+def modswitch(t: ArrayLike, new_modulus: int) -> np.ndarray:
     """Switch torus numerators from modulus ``q`` to ``new_modulus``.
 
     Computes ``round(new_modulus * t / q) mod new_modulus`` - the paper's
@@ -155,5 +161,4 @@ def modswitch(t, new_modulus: int, q_bits: int = Q_BITS) -> np.ndarray:
     if new_modulus <= 0:
         raise ValueError("new modulus must be positive")
     t64 = np.asarray(t, dtype=np.uint32).astype(np.int64)
-    q = 1 << q_bits
-    return ((t64 * new_modulus + q // 2) // q) % new_modulus
+    return ((t64 * new_modulus + Q // 2) // Q) % new_modulus

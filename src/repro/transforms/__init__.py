@@ -1,9 +1,10 @@
-"""Transform substrate: FFT backends, negacyclic folding, merge-split.
+"""Transform substrate: FFT backends and negacyclic folding.
 
 Functional transforms (:mod:`~repro.transforms.fft`,
-:mod:`~repro.transforms.negacyclic`, :mod:`~repro.transforms.merge_split`)
-back the TFHE scheme substrate; the pipelined hardware model
-(:mod:`~repro.transforms.pipeline_model`) backs the cycle simulator.
+:mod:`~repro.transforms.negacyclic`) back the TFHE scheme substrate; the
+pipelined hardware model (:mod:`~repro.transforms.pipeline_model`) backs
+the cycle simulator and is imported from its module, so the substrate
+does not load it.
 """
 
 from .backends import (
@@ -24,27 +25,11 @@ from .fft import (
     fft_stage_count,
     ifft,
 )
-from .merge_split import (
-    merge_spectra,
-    merged_fft,
-    merged_ifft,
-    negacyclic_fft_pair,
-    negacyclic_ifft_pair,
-    split_spectra,
-)
 from .negacyclic import (
     negacyclic_fft,
     negacyclic_ifft,
     transform_length,
 )
-from .ntt import (
-    GOLDILOCKS_PRIME,
-    intt,
-    negacyclic_ntt_multiply,
-    ntt,
-    primitive_root_of_unity,
-)
-from .pipeline_model import PipelinedFFTModel
 
 __all__ = [
     "ComputeBackend",
@@ -64,16 +49,4 @@ __all__ = [
     "negacyclic_fft",
     "negacyclic_ifft",
     "transform_length",
-    "merged_fft",
-    "merged_ifft",
-    "merge_spectra",
-    "split_spectra",
-    "negacyclic_fft_pair",
-    "negacyclic_ifft_pair",
-    "PipelinedFFTModel",
-    "GOLDILOCKS_PRIME",
-    "ntt",
-    "intt",
-    "negacyclic_ntt_multiply",
-    "primitive_root_of_unity",
 ]

@@ -12,28 +12,28 @@ from repro.params import PARAM_SETS, TEST_PARAMS, get_params
 class TestEstimator:
     def test_calibration_point(self):
         """Set IV's LWE half anchors the model at ~128 bits."""
-        assert estimate_security(742, 32, -15.0) == pytest.approx(128, rel=0.02)
+        assert estimate_security(742, -15.0) == pytest.approx(128, rel=0.02)
 
     def test_security_grows_with_dimension(self):
-        lo = estimate_security(500, 32, -15.0)
-        hi = estimate_security(1000, 32, -15.0)
+        lo = estimate_security(500, -15.0)
+        hi = estimate_security(1000, -15.0)
         assert hi == pytest.approx(2 * lo)
 
     def test_security_falls_with_smaller_noise(self):
-        noisy = estimate_security(600, 32, -10.0)
-        quiet = estimate_security(600, 32, -20.0)
+        noisy = estimate_security(600, -10.0)
+        quiet = estimate_security(600, -20.0)
         assert noisy > quiet
 
     def test_noise_clamped_at_quantization_floor(self):
-        at_floor = estimate_security(600, 32, -32.0)
-        below = estimate_security(600, 32, -40.0)
+        at_floor = estimate_security(600, -32.0)
+        below = estimate_security(600, -40.0)
         assert at_floor == below
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            estimate_security(0, 32, -15.0)
+            estimate_security(0, -15.0)
         with pytest.raises(ValueError):
-            estimate_security(100, 32, 1.0)
+            estimate_security(100, 1.0)
 
 
 class TestParameterSets:

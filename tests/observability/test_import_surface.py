@@ -1,10 +1,10 @@
 """The import surface of the TFHE substrate stays small.
 
 ``import repro.tfhe`` pays for every module it loads, in every process
-and every pool lane.  This pins the count in a fresh interpreter and
-names the only telemetry modules it may pull in, so the serving
-telemetry deleted from ``repro.observability`` cannot come back through
-an import.
+and every pool lane.  This pins the count in a fresh interpreter, names
+the only telemetry modules it may pull in, so the serving telemetry
+deleted from ``repro.observability`` cannot come back through an import,
+and keeps the transform modules the substrate does not run out of it.
 """
 
 import json
@@ -24,7 +24,15 @@ OBSERVABILITY_MODULES = {
 }
 
 #: ``repro`` modules ``import repro.tfhe`` may load.
-MAX_REPRO_MODULES = 31
+MAX_REPRO_MODULES = 28
+
+#: Modules ``import repro.tfhe`` must not load: the cycle simulator's FFT
+#: model, and the names of the reference engines that moved to the tests.
+NOT_LOADED = {
+    "repro.transforms.ntt",
+    "repro.transforms.merge_split",
+    "repro.transforms.pipeline_model",
+}
 
 
 def _loaded_repro_modules():
@@ -48,3 +56,7 @@ def test_import_repro_tfhe_loads_only_the_kept_telemetry():
     telemetry = {m for m in modules if m.startswith("repro.observability")}
     assert telemetry == OBSERVABILITY_MODULES
     assert len(modules) <= MAX_REPRO_MODULES, modules
+
+
+def test_import_repro_tfhe_loads_no_reference_or_model_transforms():
+    assert not NOT_LOADED & set(_loaded_repro_modules())

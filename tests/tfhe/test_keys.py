@@ -9,14 +9,7 @@ import pytest
 from repro import TEST_PARAMS
 from repro.params import PARAM_SETS, TFHEParams, get_params
 from repro.tfhe.ggsw import ggsw_encrypt_blocks
-from repro.tfhe.glwe import (
-    GlweSecretKey,
-    _key_mask_products,
-    _key_spectrum,
-    glwe_encrypt,
-    glwe_encrypt_zeros,
-    glwe_keygen,
-)
+from repro.tfhe.glwe import GlweSecretKey, _key_mask_products, _key_spectrum, glwe_keygen
 from repro.tfhe.keys import KeySet, KeySwitchingKey, generate_keyset, make_ksk, transform_bsk
 from repro.tfhe.lwe import lwe_keygen
 from repro.tfhe.serialization import load_keyset, save_keyset
@@ -25,7 +18,7 @@ from repro.transforms.backends import active_backend_name, use_backend
 from repro.transforms.negacyclic import negacyclic_fft, negacyclic_ifft_folded
 
 from ._keys_golden import GOLDEN_DOC, PARAM_SET_NAMES, SEED, keyset_digests
-from ._oracle import key_mask_product
+from ._oracle import ggsw_spectrum, glwe_encrypt, glwe_encrypt_zeros, key_mask_product
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +55,11 @@ class TestKeySetStructure:
         assert keyset.ksk.l_k == p.l_k
 
     def test_bsk_spectra_cached(self, keyset):
-        """A recovered GGSW's lazy spectrum is its table row, bit for bit,
-        and recovering it leaves nothing behind on the keyset."""
+        """The keyset's table is the only cache of the BSK spectra: a
+        recovered GGSW transforms back to its table row, bit for bit, and
+        recovering it leaves nothing behind on the keyset."""
         before = dict(vars(keyset))
-        g = keyset.bsk_ggsw(1)
-        spectrum = g.spectrum()
-        assert g.spectrum() is spectrum
+        spectrum = ggsw_spectrum(keyset.bsk_ggsw(1))
         assert np.array_equal(spectrum, keyset.bsk_table[1])
         assert vars(keyset).keys() == before.keys()
         assert all(vars(keyset)[name] is value for name, value in before.items())
@@ -137,7 +129,7 @@ def _one_shot_bsk_rows(params, seed):
     glwe_key = glwe_keygen(params.k, params.N, rng)
     (rows,) = ggsw_encrypt_blocks(
         lwe_key.bits, glwe_key, params.beta_bits, params.l_b, rng, params.n,
-        noise_log2=params.glwe_noise_log2, q_bits=params.q_bits,
+        noise_log2=params.glwe_noise_log2,
     )
     return rows
 
@@ -257,7 +249,7 @@ def _row_by_row_keyset(params, rng, ggsw_indices):
             wanted[index] = rows
     ksk = make_ksk(
         glwe_key.extracted_lwe_bits(), lwe_key, params.beta_ks_bits, params.l_k, rng,
-        noise_log2=params.lwe_noise_log2, q_bits=params.q_bits,
+        noise_log2=params.lwe_noise_log2,
     )
     return wanted, ksk
 

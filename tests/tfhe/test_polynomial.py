@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tfhe.polynomial import (
-    from_spectrum,
+from repro.tfhe.polynomial import from_spectrum, monomial_rotate_batch, zeros
+from repro.tfhe.torus import to_torus
+
+from ._oracle import (
     monomial_mul,
-    monomial_rotate_batch,
     poly_add,
     poly_mul,
     poly_mul_spectrum,
     poly_neg,
     poly_sub,
     to_spectrum,
-    zeros,
 )
-from repro.tfhe.torus import to_torus
 
 N = 64
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.params import TEST_PARAMS, TFHEParams
 from repro.tfhe.serialization import (
     load_ciphertext,
     load_evaluation_keys,
@@ -179,3 +180,33 @@ class TestCorruptedArchives:
             with pytest.raises(ValueError, match="keys.npz") as info:
                 load(path)
             assert info.value.__cause__ is not None
+
+
+class TestModulusWidth:
+    """q = 2**32 is not a parameter.  A q_bits knob used to decrypt wrong
+    at any other width: on the toy set, bootstraps of 0..3 decoded as
+    scrambled values at 24 bits and as all zeros at 40."""
+
+    def test_params_take_no_modulus_width(self):
+        with pytest.raises(TypeError):
+            TFHEParams("q24", N=256, n=16, k=1, l_b=3, lam=0, q_bits=24)
+        with pytest.raises(TypeError):
+            TEST_PARAMS.with_overrides(q_bits=24)
+        p = TEST_PARAMS
+        assert (p.q_bits, p.q, p.coeff_bytes) == (32, 1 << 32, 4)
+
+    def test_archive_records_32(self, ctx, tmp_path):
+        save_evaluation_keys(tmp_path / "eval.npz", ctx.keyset)
+        with np.load(tmp_path / "eval.npz") as data:
+            assert int(data["params"][5]) == 32
+
+    @pytest.mark.parametrize("q_bits", [24, 40])
+    def test_archive_over_another_modulus_is_refused(self, ctx, tmp_path, q_bits):
+        save_keyset(tmp_path / "keys.npz", ctx.keyset)
+        with np.load(tmp_path / "keys.npz") as data:
+            arrays = dict(data)
+        arrays["params"][5] = q_bits
+        np.savez(tmp_path / "other_q.npz", **arrays)
+        for load in (load_keyset, load_evaluation_keys):
+            with pytest.raises(ValueError, match=rf"other_q\.npz: .*q = 2\*\*{q_bits}"):
+                load(tmp_path / "other_q.npz")

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.transforms import (
-    fft,
+from repro.transforms import fft, negacyclic_fft
+
+from ._merge_split import (
     merge_spectra,
     merged_fft,
     merged_ifft,
-    negacyclic_fft,
     negacyclic_fft_pair,
     negacyclic_ifft_pair,
     split_spectra,

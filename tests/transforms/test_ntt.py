@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tfhe.polynomial import poly_mul
-from repro.transforms.ntt import (
+from ..tfhe._oracle import negacyclic_convolve_exact, poly_mul
+from ._ntt import (
     GOLDILOCKS_PRIME,
     intt,
     negacyclic_ntt_multiply,
     ntt,
     primitive_root_of_unity,
 )
-
-from ..tfhe._oracle import negacyclic_convolve_exact
 
 
 class TestRoots:

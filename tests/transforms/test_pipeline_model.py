@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.transforms import PipelinedFFTModel
+from repro.transforms.pipeline_model import PipelinedFFTModel
 
 
 class TestConstruction:
