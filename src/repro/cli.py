@@ -7,14 +7,6 @@ Commands
 ``area``         print the area/power breakdown of a configuration
 ``workload``     cost an application workload on the accelerator model
 ``demo``         run a functional encrypt/bootstrap/decrypt round-trip
-``trace``        render the XPU pipeline timeline (``--chrome`` exports
-                 a Perfetto/chrome://tracing trace-event file)
-``metrics``      run one telemetry-enabled bootstrap group and print the
-                 metrics snapshot (Prometheus text or ``--json``)
-``profile``      run the perf-counter profiler: bottleneck attribution,
-                 roofline position, and what-if upgrade estimates
-                 (``--json`` for the schema-versioned report, ``--chrome``
-                 for counter tracks in a trace-event file)
 ``verify``       statically verify compiled instruction streams for the
                  shipped configurations (``--strict`` fails on errors),
                  lint source trees for torus-discipline violations
@@ -22,41 +14,63 @@ Commands
                  blob end to end (``--binary FILE``); ``--occupancy`` /
                  ``--noise-budget`` attach the abstract-interpretation
                  proofs (buffer high-water marks, static failure bound)
-``noise``        run a boolean-gate workload under noise telemetry:
-                 per-op predicted noise, drift verdicts, and the
-                 decryption-failure probability (``--measure`` decrypts
-                 with the debug key for predicted-vs-measured pairs;
-                 ``--json``/``--chrome`` export the noise waterfall)
+``obs``          the observability verbs, each printing a text report,
+                 a ``--json`` document or a ``--chrome PATH``
+                 Perfetto/chrome://tracing trace-event file:
+
+                 ``obs metrics``  one telemetry-enabled bootstrap group:
+                 the metrics snapshot (Prometheus text) and its spans
+                 ``obs trace``    the XPU pipeline timeline (``--merge``
+                 adds the perf-counter tracks to the trace file)
+                 ``obs profile``  the perf-counter profiler: bottleneck
+                 attribution, roofline position, what-if upgrades
+                 ``obs noise``    a boolean-gate workload under noise
+                 telemetry: per-op predicted (``--measure``: and
+                 measured) noise, drift verdicts, the decryption-failure
+                 bound, and the noise waterfall
 ``pool``         shard bootstrap batches over forked worker lanes and
                  print the scaling table
+
+Every ``--json`` document carries one top-level ``schema_version``
+(:func:`repro.observability.json_document`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from .params import PARAM_SETS, get_params
+from .params import PARAM_SETS, TFHEParams, get_params
+
+if TYPE_CHECKING:
+    from .core.accelerator import MorphlingConfig
+    from .tfhe.ops import TfheContext
 
 __all__ = ["main", "build_parser"]
 
+#: A trace file's events and its ``otherData`` metadata.
+_Trace = Tuple[List[dict], Dict[str, Any]]
 
-def _print_json(payload) -> None:
-    """The one ``--json`` serializer every report command shares."""
-    from .observability import to_jsonable
 
-    print(json.dumps(to_jsonable(payload), indent=2, sort_keys=True))
+def _print_json(payload: Any) -> None:
+    """The one ``--json`` printer: ``payload`` in the versioned envelope."""
+    from .observability import json_document
+
+    print(json.dumps(json_document(payload), indent=2, sort_keys=True))
 
 
 #: Workload names ``workload`` accepts.
 _WORKLOADS = ("xgboost", "deepcnn-20", "deepcnn-50", "deepcnn-100", "vgg9")
 
 
-def _make_workload(name: str):
+def _make_workload(name: str) -> Any:
     from .apps import deepcnn_workload, vgg9_workload, xgboost_workload
 
-    factories = {
+    factories: Dict[str, Callable[[], Any]] = {
         "xgboost": xgboost_workload,
         "deepcnn-20": lambda: deepcnn_workload(20),
         "deepcnn-50": lambda: deepcnn_workload(50),
@@ -74,22 +88,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="simulate bootstrap performance")
+    sim.set_defaults(run=_cmd_simulate)
     sim.add_argument("--set", default="I", dest="param_set",
                      choices=sorted(PARAM_SETS) + ["fig1"],
                      help="TFHE parameter set (Table III)")
-    _add_config_args(sim)
+    _add_config_args(sim, machine=True)
     sim.add_argument("--json", action="store_true",
                      help="print the full SimulationReport as JSON")
 
     exp = sub.add_parser("experiments", help="regenerate paper tables/figures")
+    exp.set_defaults(run=_cmd_experiments)
     exp.add_argument("--id", default=None, dest="experiment_id",
                      help="one experiment id (e.g. table5); default: all")
     exp.add_argument("--list", action="store_true", help="list experiment ids")
 
     area = sub.add_parser("area", help="area/power breakdown")
+    area.set_defaults(run=_cmd_area)
     area.add_argument("--xpus", type=int, default=4)
 
     wl = sub.add_parser("workload", help="cost an application workload")
+    wl.set_defaults(run=_cmd_workload)
     wl.add_argument("name", choices=sorted(_WORKLOADS))
     wl.add_argument("--set", default="III", dest="param_set",
                     choices=sorted(PARAM_SETS))
@@ -101,66 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
                          "failure report) as JSON")
 
     demo = sub.add_parser("demo", help="functional encrypt/bootstrap/decrypt")
+    demo.set_defaults(run=_cmd_demo)
     demo.add_argument("--message", type=int, default=3)
     demo.add_argument("--seed", type=int, default=0)
-
-    trace = sub.add_parser("trace", help="render the XPU pipeline timeline")
-    trace.add_argument("--set", default="I", dest="param_set",
-                       choices=sorted(PARAM_SETS))
-    trace.add_argument("--iterations", type=int, default=5)
-    trace.add_argument("--reuse", default="input+output",
-                       choices=["none", "input", "input+output"])
-    trace.add_argument("--no-merge-split", action="store_true")
-    trace.add_argument("--chrome", metavar="PATH", default=None,
-                       help="also write a Chrome/Perfetto trace-event JSON "
-                            "file of the pipeline (open in ui.perfetto.dev)")
-    trace.add_argument("--merge", action="store_true",
-                       help="with --chrome: merge the pipeline timeline and "
-                            "the perf-counter tracks into one file (each "
-                            "system gets its own process group)")
-
-    met = sub.add_parser(
-        "metrics",
-        help="simulate one bootstrap group with telemetry on, print metrics",
-    )
-    met.add_argument("--set", default="I", dest="param_set",
-                     choices=sorted(PARAM_SETS) + ["fig1"])
-    _add_config_args(met)
-    met.add_argument("--functional", action="store_true",
-                     help="also run a real (test-parameter) bootstrap so the "
-                          "TFHE/transform counters fire")
-    met.add_argument("--json", action="store_true",
-                     help="print the snapshot as JSON instead of Prometheus "
-                          "text exposition")
-    met.add_argument("--chrome", metavar="PATH", default=None,
-                     help="write the recorded spans as a Chrome/Perfetto "
-                          "trace-event JSON file")
-
-    prof = sub.add_parser(
-        "profile",
-        help="perf-counter profiler: bottleneck attribution + what-ifs",
-    )
-    prof.add_argument("--config", default="morphling",
-                      choices=["morphling", "no-reuse", "input-reuse"],
-                      help="named accelerator configuration")
-    prof.add_argument("--set", "--params", default="I", dest="param_set",
-                      choices=sorted(PARAM_SETS) + ["fig1"],
-                      help="TFHE parameter set (Table III)")
-    prof.add_argument("--no-what-if", action="store_true",
-                      help="skip the what-if simulator re-runs")
-    prof.add_argument("--noise", action="store_true",
-                      help="append the VER008 static failure bound of one "
-                           "lowered steady-state group")
-    prof.add_argument("--json", action="store_true",
-                      help="print the schema-versioned profile as JSON")
-    prof.add_argument("--chrome", metavar="PATH", default=None,
-                      help="write the counter tracks as a Chrome/Perfetto "
-                           "trace-event JSON file")
 
     ver = sub.add_parser(
         "verify",
         help="static program verifier + domain linter (repro.verify)",
     )
+    ver.set_defaults(run=_cmd_verify)
     ver.add_argument("--strict", action="store_true",
                      help="exit non-zero when any error-severity finding "
                           "is reported (the CI gate)")
@@ -185,35 +152,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="attach the VER008 static noise-budget report "
                           "(predicted failure probability) to each report")
 
-    noi = sub.add_parser(
-        "noise",
-        help="noise telemetry: run a gate workload, report predicted "
-             "(and, with --measure, measured) noise + failure probability",
-    )
-    noi.add_argument("--set", default="test", dest="param_set",
-                     choices=sorted(PARAM_SETS) + ["test"],
-                     help="TFHE parameter set (default: the fast test set)")
-    noi.add_argument("--workload", default="adder",
-                     choices=["adder", "gates"],
-                     help="boolean workload: a 2-bit ripple-carry adder "
-                          "circuit, or one of each basic gate")
-    noi.add_argument("--seed", type=int, default=7)
-    noi.add_argument("--measure", action="store_true",
-                     help="register the debug secret key so every tracked "
-                          "op also records its measured phase error")
-    noi.add_argument("--fail-prob", action="store_true",
-                     help="print only the decryption-failure report")
-    noi.add_argument("--json", action="store_true",
-                     help="print the full noise snapshot (records, drift, "
-                          "failure probability) as JSON")
-    noi.add_argument("--chrome", metavar="PATH", default=None,
-                     help="write the noise waterfall as a Chrome/Perfetto "
-                          "trace-event JSON file")
+    obs = sub.add_parser(
+        "obs", help="observability: metrics, trace, profile, noise")
+    obs.set_defaults(run=_cmd_obs)
+    verbs = obs.add_subparsers(dest="verb", required=True)
+    _add_obs_parsers(verbs)
 
     pool = sub.add_parser(
         "pool",
         help="run a sharded bootstrap workload and print the scaling table",
     )
+    pool.set_defaults(run=_cmd_pool)
     pool.add_argument("--set", default="test", dest="param_set",
                       help="parameter set name ('test' or a shipped set)")
     pool.add_argument("--workers", default="1,2,4", metavar="N[,N...]",
@@ -231,11 +180,94 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_config_args(parser: argparse.ArgumentParser) -> None:
-    """Accelerator-configuration flags shared by simulate/metrics."""
-    parser.add_argument("--xpus", type=int, default=4, help="number of XPUs")
-    parser.add_argument("--a1-kib", type=int, default=4096,
-                        help="Private-A1 capacity in KiB")
+def _add_obs_parsers(verbs: Any) -> None:
+    """The ``repro obs`` verbs; ``observe`` builds each one's report."""
+    met = verbs.add_parser(
+        "metrics",
+        help="simulate one bootstrap group with telemetry on, print metrics",
+    )
+    met.set_defaults(observe=_observe_metrics)
+    met.add_argument("--set", default="I", dest="param_set",
+                     choices=sorted(PARAM_SETS) + ["fig1"])
+    _add_config_args(met, machine=True)
+    met.add_argument("--functional", action="store_true",
+                     help="also run a real (test-parameter) bootstrap so the "
+                          "TFHE/transform counters fire")
+    met.add_argument("--json", action="store_true",
+                     help="print the snapshot as JSON instead of Prometheus "
+                          "text exposition")
+    _add_chrome_arg(met, "the recorded spans")
+
+    trace = verbs.add_parser("trace", help="render the XPU pipeline timeline")
+    trace.set_defaults(observe=_observe_trace)
+    trace.add_argument("--set", default="I", dest="param_set",
+                       choices=sorted(PARAM_SETS))
+    trace.add_argument("--iterations", type=int, default=5)
+    _add_config_args(trace, machine=False)
+    _add_chrome_arg(trace, "the pipeline")
+    trace.add_argument("--merge", action="store_true",
+                       help="with --chrome: merge the pipeline timeline and "
+                            "the perf-counter tracks into one file (each "
+                            "system gets its own process group)")
+
+    prof = verbs.add_parser(
+        "profile",
+        help="perf-counter profiler: bottleneck attribution + what-ifs",
+    )
+    prof.set_defaults(observe=_observe_profile)
+    prof.add_argument("--config", default="morphling",
+                      choices=["morphling", "no-reuse", "input-reuse"],
+                      help="named accelerator configuration")
+    prof.add_argument("--set", "--params", default="I", dest="param_set",
+                      choices=sorted(PARAM_SETS) + ["fig1"],
+                      help="TFHE parameter set (Table III)")
+    prof.add_argument("--no-what-if", action="store_true",
+                      help="skip the what-if simulator re-runs")
+    prof.add_argument("--noise", action="store_true",
+                      help="append the VER008 static failure bound of one "
+                           "lowered steady-state group")
+    prof.add_argument("--json", action="store_true",
+                      help="print the profile as JSON")
+    _add_chrome_arg(prof, "the counter tracks")
+
+    noi = verbs.add_parser(
+        "noise",
+        help="noise telemetry: run a gate workload, report predicted "
+             "(and, with --measure, measured) noise + failure probability",
+    )
+    noi.set_defaults(observe=_observe_noise)
+    noi.add_argument("--set", default="test", dest="param_set",
+                     choices=sorted(PARAM_SETS) + ["test"],
+                     help="TFHE parameter set (default: the fast test set)")
+    noi.add_argument("--workload", default="adder",
+                     choices=["adder", "gates"],
+                     help="boolean workload: a 2-bit ripple-carry adder "
+                          "circuit, or one of each basic gate")
+    noi.add_argument("--seed", type=int, default=7)
+    noi.add_argument("--measure", action="store_true",
+                     help="register the debug secret key so every tracked "
+                          "op also records its measured phase error")
+    noi.add_argument("--fail-prob", action="store_true",
+                     help="print only the decryption-failure report")
+    noi.add_argument("--json", action="store_true",
+                     help="print the full noise snapshot (records, drift, "
+                          "failure probability) as JSON")
+    _add_chrome_arg(noi, "the noise waterfall")
+
+
+def _add_chrome_arg(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument("--chrome", metavar="PATH", default=None,
+                        help=f"write {what} as a Chrome/Perfetto trace-event "
+                             "JSON file (open in ui.perfetto.dev)")
+
+
+def _add_config_args(parser: argparse.ArgumentParser, machine: bool) -> None:
+    """Accelerator-configuration flags: the transform options, and with
+    ``machine`` the XPU count and Private-A1 size."""
+    if machine:
+        parser.add_argument("--xpus", type=int, default=4, help="number of XPUs")
+        parser.add_argument("--a1-kib", type=int, default=4096,
+                            help="Private-A1 capacity in KiB")
     parser.add_argument("--reuse", default="input+output",
                         choices=["none", "input", "input+output"],
                         help="transform-domain reuse class")
@@ -243,7 +275,8 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                         help="disable the merge-split FFT")
 
 
-def _config_from_args(args) -> "MorphlingConfig":
+def _config_from_args(args: argparse.Namespace) -> "MorphlingConfig":
+    """The configuration ``_add_config_args``'s flags describe."""
     from .core.accelerator import MorphlingConfig
     from .core.reuse import ReuseType
 
@@ -252,15 +285,14 @@ def _config_from_args(args) -> "MorphlingConfig":
         "input": ReuseType.INPUT_REUSE,
         "input+output": ReuseType.INPUT_OUTPUT_REUSE,
     }[args.reuse]
-    return MorphlingConfig(
-        num_xpus=args.xpus,
-        private_a1_bytes=args.a1_kib * 1024,
-        reuse=reuse,
-        merge_split=not args.no_merge_split,
-    )
+    config = MorphlingConfig(reuse=reuse, merge_split=not args.no_merge_split)
+    if "xpus" in args:
+        config = config.with_overrides(num_xpus=args.xpus,
+                                       private_a1_bytes=args.a1_kib * 1024)
+    return config
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> int:
     from .core.simulator import simulate_bootstrap
 
     report = simulate_bootstrap(_config_from_args(args), get_params(args.param_set))
@@ -268,16 +300,11 @@ def _cmd_simulate(args) -> int:
         _print_json(report)
         return 0
     print(f"parameter set {args.param_set}:")
-    print(f"  bootstrap latency : {report.bootstrap_latency_ms:.3f} ms")
-    print(f"  throughput        : {report.throughput_bs:,.0f} bootstraps/s")
-    print(f"  bottleneck        : {report.bottleneck}")
-    print(f"  scheduler group   : {report.group_size} ciphertexts "
-          f"({report.acc_streams} resident streams)")
-    print(f"  BSK/KSK reuse     : {report.bsk_reuse}x / {report.ksk_reuse}x")
+    print("\n".join(report.summary_lines()))
     return 0
 
 
-def _cmd_experiments(args) -> int:
+def _cmd_experiments(args: argparse.Namespace) -> int:
     from .experiments import ALL_EXPERIMENTS
 
     if args.list:
@@ -299,7 +326,7 @@ def _cmd_experiments(args) -> int:
     return 0
 
 
-def _cmd_area(args) -> int:
+def _cmd_area(args: argparse.Namespace) -> int:
     from .core.accelerator import MorphlingConfig
     from .core.area_power import AreaPowerModel
 
@@ -311,7 +338,7 @@ def _cmd_area(args) -> int:
     return 0
 
 
-def _cmd_workload(args) -> int:
+def _cmd_workload(args: argparse.Namespace) -> int:
     from .baselines import CpuCostModel
     from .core.accelerator import MorphlingConfig
     from .core.scheduler import HwScheduler, SwScheduler
@@ -329,6 +356,7 @@ def _cmd_workload(args) -> int:
         from .verify.noisepass import static_noise_report
 
         failure = static_noise_report(stream, params)
+    status = 0 if failure is None or failure.within_budget else 1
     if args.json:
         payload = {
             "workload": workload.name,
@@ -343,9 +371,9 @@ def _cmd_workload(args) -> int:
             "speedup": cpu_s / result.total_seconds,
         }
         if failure is not None:
-            payload["failure"] = failure.to_jsonable()
+            payload["failure"] = failure
         _print_json(payload)
-        return 0 if failure is None or failure.within_budget else 1
+        return status
     print(workload.summary())
     print(f"  Morphling : {result.total_seconds:.3f} s "
           f"(XPU utilization {result.utilization['xpu']:.0%})")
@@ -353,11 +381,10 @@ def _cmd_workload(args) -> int:
     print(f"  speedup    : {cpu_s / result.total_seconds:.0f}x")
     if failure is not None:
         print(failure.render_text())
-        return 0 if failure.within_budget else 1
-    return 0
+    return status
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args: argparse.Namespace) -> int:
     from .tfhe.ops import TfheContext
 
     ctx = TfheContext.create(get_params("test"), seed=args.seed)
@@ -373,44 +400,71 @@ def _cmd_demo(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    from .core.trace import render_timeline, trace_blind_rotation
-    from .core.xpu import XpuModel
-    from .observability import pipeline_trace_events, write_chrome_trace
+def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify.cli import collect_reports, render_catalog, report_document
 
-    config = _config_from_args_for_trace(args)
-    params = get_params(args.param_set)
-    trace = trace_blind_rotation(config, params, iterations=args.iterations)
-    print(render_timeline(trace))
-    analytic = XpuModel(config, params).iteration_cycles()
-    print(f"steady state: {trace.steady_state_interval():.0f} cycles/iteration "
-          f"(analytic {analytic:.0f}); bottleneck: {trace.bottleneck()}")
-    if args.chrome:
-        events = pipeline_trace_events(trace)
-        if args.merge:
-            from . import observability as obs
-            from .core.simulator import simulate_bootstrap
-            from .observability import counter_track_events, merged_trace_events
-
-            with obs.counting() as bank:
-                simulate_bootstrap(config, params)
-                counter_events = counter_track_events(bank)
-            events = merged_trace_events(
-                {"pipeline": events, "counters": counter_events}
-            )
-        write_chrome_trace(
-            args.chrome,
-            events,
-            metadata={"param_set": params.name, "config": config.name,
-                      "iterations": trace.iterations, "merged": args.merge},
+    if args.list_rules:
+        print(render_catalog())
+        return 0
+    try:
+        reports = collect_reports(
+            lint=args.lint, binary=args.binary, target=args.target,
+            occupancy=args.occupancy, noise_budget=args.noise_budget,
         )
-        kind = "merged Chrome trace" if args.merge else "Chrome trace"
-        print(f"wrote {kind} to {args.chrome} "
-              f"(open in ui.perfetto.dev or chrome://tracing)")
-    return 0
+    except ValueError as exc:
+        print(exc)
+        return 2
+    if args.json:
+        _print_json(report_document(reports))
+    else:
+        for report in reports:
+            print(report.render())
+    return 1 if args.strict and not all(r.ok for r in reports) else 0
 
 
-def _cmd_metrics(args) -> int:
+# ----------------------------------------------------------------------
+# repro obs
+# ----------------------------------------------------------------------
+@dataclass
+class _Observation:
+    """What one ``repro obs`` verb saw: its text report, its ``--json``
+    payload, and (built only for ``--chrome``) its trace file."""
+
+    text: str
+    trace: Callable[[], _Trace]
+    payload: Any = None
+    status: int = 0
+
+
+def _cmd_obs(args: argparse.Namespace) -> int:
+    """Run one ``repro obs`` verb and print what it saw: the one
+    ``--json`` path and the one ``--chrome`` path."""
+    from .observability import write_chrome_trace
+
+    seen = args.observe(args)
+    if args.chrome:
+        events, metadata = seen.trace()
+        write_chrome_trace(args.chrome, events, metadata=metadata)
+        print(f"wrote Chrome trace to {args.chrome} "
+              f"(open in ui.perfetto.dev or chrome://tracing)", file=sys.stderr)
+    if vars(args).get("json"):
+        _print_json(seen.payload)
+    else:
+        print(seen.text)
+    return seen.status
+
+
+def _counter_tracks(config: "MorphlingConfig", params: TFHEParams) -> List[dict]:
+    """The perf-counter tracks of one counted simulator run."""
+    from . import observability as obs
+    from .core.simulator import simulate_bootstrap
+
+    with obs.counting() as bank:
+        simulate_bootstrap(config, params)
+        return obs.counter_track_events(bank)
+
+
+def _observe_metrics(args: argparse.Namespace) -> _Observation:
     from . import observability as obs
     from .core.simulator import simulate_bootstrap
 
@@ -429,87 +483,70 @@ def _cmd_metrics(args) -> int:
         spans = obs.TRACER.spans()
     finally:
         obs.disable()
-    if args.chrome:
-        obs.write_chrome_trace(
-            args.chrome, obs.chrome_trace_events(spans),
-            metadata={"param_set": params.name, "config": config.name},
-        )
-    if args.json:
-        _print_json({"param_set": params.name, "config": config.name,
-                     "metrics": snapshot})
-    else:
-        print(obs.render_prometheus(snapshot), end="")
-        if args.chrome:
-            print(f"# wrote Chrome trace to {args.chrome}")
-    return 0
+    return _Observation(
+        text=obs.render_prometheus(snapshot).rstrip("\n"),
+        payload={"param_set": params.name, "config": config.name,
+                 "metrics": snapshot},
+        trace=lambda: (obs.chrome_trace_events(spans),
+                       {"param_set": params.name, "config": config.name}),
+    )
 
 
-def _cmd_profile(args) -> int:
-    from .analysis.profile import collect_profile
-    from .core.accelerator import MorphlingConfig
+def _observe_trace(args: argparse.Namespace) -> _Observation:
+    from .core.trace import render_timeline, trace_blind_rotation
+    from .core.xpu import XpuModel
+    from .observability import merged_trace_events, pipeline_trace_events
 
-    factories = {
-        "morphling": MorphlingConfig.morphling,
-        "no-reuse": MorphlingConfig.no_reuse,
-        "input-reuse": MorphlingConfig.input_reuse,
-    }
-    config = factories[args.config]()
+    config = _config_from_args(args)
+    params = get_params(args.param_set)
+    trace = trace_blind_rotation(config, params, iterations=args.iterations)
+    analytic = XpuModel(config, params).iteration_cycles()
+
+    def chrome() -> _Trace:
+        events = pipeline_trace_events(trace)
+        if args.merge:
+            events = merged_trace_events(
+                {"pipeline": events, "counters": _counter_tracks(config, params)})
+        return events, {"param_set": params.name, "config": config.name,
+                        "iterations": trace.iterations, "merged": args.merge}
+
+    return _Observation(
+        text=(f"{render_timeline(trace)}\nsteady state: "
+              f"{trace.steady_state_interval():.0f} cycles/iteration "
+              f"(analytic {analytic:.0f}); bottleneck: {trace.bottleneck()}"),
+        trace=chrome,
+    )
+
+
+def _observe_profile(args: argparse.Namespace) -> _Observation:
+    from .observability import to_jsonable
+    from .observability.profile import collect_profile
+    from .verify.cli import named_config
+
+    config = named_config(args.config)
     params = get_params(args.param_set)
     profile = collect_profile(config, params, what_ifs=not args.no_what_if)
-    if args.chrome:
-        from . import observability as obs
-        from .core.simulator import simulate_bootstrap
-
-        with obs.counting() as bank:
-            simulate_bootstrap(config, params)
-            events = obs.counter_track_events(bank)
-        obs.write_chrome_trace(
-            args.chrome, events,
-            metadata={"param_set": params.name, "config": config.name,
-                      "counters_digest": profile.counters_digest},
-        )
-    failure = None
+    payload = to_jsonable(profile)
+    text = profile.render_text()
     if args.noise:
         from .core.scheduler import LayerDemand, SwScheduler
         from .verify.noisepass import static_noise_report
 
         stream = SwScheduler(config, params).schedule(
-            [LayerDemand("group", profile.group_size)])
+            [LayerDemand("group", profile.simulation.group_size)])
         failure = static_noise_report(stream, params)
-    if args.json:
-        if failure is not None:
-            from .observability import to_jsonable
-
-            _print_json({"profile": to_jsonable(profile),
-                         "failure": failure.to_jsonable()})
-        else:
-            _print_json(profile)
-    else:
-        print(profile.render_text())
-        if failure is not None:
-            print(failure.render_text())
-        if args.chrome:
-            print(f"wrote counter tracks to {args.chrome} "
-                  f"(open in ui.perfetto.dev or chrome://tracing)")
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    from .verify.cli import run
-
-    return run(
-        lint=args.lint,
-        strict=args.strict,
-        as_json=args.json,
-        list_rules=args.list_rules,
-        target=args.target,
-        binary=args.binary,
-        occupancy=args.occupancy,
-        noise_budget=args.noise_budget,
+        payload["failure"] = failure
+        text += "\n" + failure.render_text()
+    return _Observation(
+        text=text,
+        payload=payload,
+        trace=lambda: (_counter_tracks(config, params),
+                       {"param_set": params.name, "config": config.name,
+                        "counters_digest": profile.counters_digest}),
     )
 
 
-def _noise_workload_adder(ctx):
+def _noise_workload_adder(ctx: "TfheContext") -> Tuple[dict, dict]:
     """2-bit ripple-carry adder: the boolean-gate reference workload."""
     from .tfhe.boolean import Circuit, ripple_carry_adder
 
@@ -528,22 +565,26 @@ def _noise_workload_adder(ctx):
     return decoded, expected
 
 
-def _noise_workload_gates(ctx):
+def _noise_workload_gates(ctx: "TfheContext") -> Tuple[dict, dict]:
     """One of each basic gate over fresh bit ciphertexts."""
-    decoded, expected = {}, {}
-    for name in ("and", "or", "xor", "nand", "nor", "xnor"):
-        from .tfhe.ops import GATE_LUTS
+    from .tfhe.ops import GATE_LUTS
 
+    decoded: Dict[str, int] = {}
+    expected: Dict[str, int] = {}
+    for name in ("and", "or", "xor", "nand", "nor", "xnor"):
         x, y = ctx.encrypt(1), ctx.encrypt(0)
         decoded[name] = ctx.decrypt(ctx.gate(name, x, y))
         expected[name] = GATE_LUTS[name](1)
     return decoded, expected
 
 
-def _cmd_noise(args) -> int:
+def _log2(value: float) -> float:
+    return math.log2(value) if value > 0 else float("-inf")
+
+
+def _observe_noise(args: argparse.Namespace) -> _Observation:
     from . import observability as obs
-    from .analysis.failprob import estimate_failure_probability
-    from .tfhe.noise import DEFAULT_LOG2_BUDGET
+    from .observability.failprob import estimate_failure_probability
     from .tfhe.ops import TfheContext
 
     params = get_params(args.param_set)
@@ -556,38 +597,20 @@ def _cmd_noise(args) -> int:
         drift = obs.drift_report(tracker)
         report = estimate_failure_probability(tracker)
         snapshot = tracker.snapshot()
-        if args.chrome:
-            obs.write_chrome_trace(
-                args.chrome, obs.noise_trace_events(snapshot),
-                metadata={"param_set": params.name, "workload": args.workload},
-            )
+        ops = len(tracker.records())
     functional_ok = decoded == expected
-    within_budget = report.meets(DEFAULT_LOG2_BUDGET)
-    status = 0 if (functional_ok and within_budget
-                   and all(d.within_envelope for d in drift)) else 1
-    if args.json:
-        _print_json({
-            "param_set": params.name,
-            "workload": args.workload,
-            "functional_ok": functional_ok,
-            "within_budget": within_budget,
-            "outputs": decoded,
-            "noise": snapshot,
-            "drift": [d.to_jsonable() for d in drift],
-            "failure": report.to_jsonable(),
-        })
-        return status
+    lines: List[str] = []
     if not args.fail_prob:
         mode = "measured" if args.measure else "predicted only"
-        print(f"noise telemetry: workload '{args.workload}' on parameter set "
-              f"{params.name} ({mode})")
-        print(f"  outputs {decoded} "
-              f"{'==' if functional_ok else '!='} expected {expected}")
-        print(f"  {len(tracker.records())} tracked ops, "
-              f"{len(tracker.failure_points())} decision points")
-        header = (f"  {'op class':28s} {'count':>5s} {'pred std':>10s} "
-                  f"{'meas rms':>10s} {'worst σ':>8s}  verdict")
-        print(header)
+        lines += [
+            f"noise telemetry: workload '{args.workload}' on parameter set "
+            f"{params.name} ({mode})",
+            f"  outputs {decoded} "
+            f"{'==' if functional_ok else '!='} expected {expected}",
+            f"  {ops} tracked ops, {len(report.points)} decision points",
+            f"  {'op class':28s} {'count':>5s} {'pred std':>10s} "
+            f"{'meas rms':>10s} {'worst σ':>8s}  verdict",
+        ]
         for d in drift:
             meas = (f"2^{_log2(d.measured_rms):.1f}" if d.measured_count
                     else "-")
@@ -595,19 +618,24 @@ def _cmd_noise(args) -> int:
             verdict = "ok" if d.within_envelope else "DRIFT"
             if not d.measured_count:
                 verdict = "unmeasured"
-            print(f"  {d.op:28s} {d.count:5d} "
-                  f"{'2^%.1f' % _log2(d.predicted_std_rms):>10s} "
-                  f"{meas:>10s} {worst:>8s}  {verdict}")
-    print(report.render_text())
-    print(f"  within 2^{DEFAULT_LOG2_BUDGET:.0f} budget: "
-          f"{'yes' if within_budget else 'NO'}")
-    if args.chrome:
-        print(f"wrote noise waterfall to {args.chrome} "
-              f"(open in ui.perfetto.dev or chrome://tracing)")
-    return status
+            lines.append(f"  {d.op:28s} {d.count:5d} "
+                         f"{'2^%.1f' % _log2(d.predicted_std_rms):>10s} "
+                         f"{meas:>10s} {worst:>8s}  {verdict}")
+    lines.append(report.render_text())
+    ok = (functional_ok and report.within_budget
+          and all(d.within_envelope for d in drift))
+    return _Observation(
+        text="\n".join(lines),
+        payload={"param_set": params.name, "workload": args.workload,
+                 "functional_ok": functional_ok, "outputs": decoded,
+                 "noise": snapshot, "drift": drift, "failure": report},
+        trace=lambda: (obs.noise_trace_events(snapshot),
+                       {"param_set": params.name, "workload": args.workload}),
+        status=0 if ok else 1,
+    )
 
 
-def _cmd_pool(args) -> int:
+def _cmd_pool(args: argparse.Namespace) -> int:
     from .pool.scaling import run_pool_scaling
 
     try:
@@ -628,48 +656,16 @@ def _cmd_pool(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     if args.json:
-        _print_json(result.to_jsonable())
+        _print_json(result)
     else:
         print(result.render_text())
     return 0
 
 
-def _log2(value: float) -> float:
-    import math
-
-    return math.log2(value) if value > 0 else float("-inf")
-
-
-def _config_from_args_for_trace(args) -> "MorphlingConfig":
-    from .core.accelerator import MorphlingConfig
-    from .core.reuse import ReuseType
-
-    reuse = {
-        "none": ReuseType.NO_REUSE,
-        "input": ReuseType.INPUT_REUSE,
-        "input+output": ReuseType.INPUT_OUTPUT_REUSE,
-    }[args.reuse]
-    return MorphlingConfig(reuse=reuse, merge_split=not args.no_merge_split)
-
-
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "experiments": _cmd_experiments,
-    "area": _cmd_area,
-    "workload": _cmd_workload,
-    "demo": _cmd_demo,
-    "trace": _cmd_trace,
-    "metrics": _cmd_metrics,
-    "profile": _cmd_profile,
-    "verify": _cmd_verify,
-    "noise": _cmd_noise,
-    "pool": _cmd_pool,
-}
-
-
-def main(argv=None) -> int:
+def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    status: int = args.run(args)
+    return status
 
 
 if __name__ == "__main__":

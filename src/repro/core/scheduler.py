@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple, TypeVar
+from typing import List, Optional, Tuple, TypeVar
 
 import numpy as np
 from numpy.typing import ArrayLike
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import (cycle at runtime)
-    from ..verify.occupancy import OccupancyProof
 
 from ..observability import (
     COUNTERS as _COUNTERS,
@@ -297,16 +294,6 @@ class HwScheduler:
         self._bytes_per_second = np.array([self.hbm.bytes_per_second(
             "xpu" if op is DmaOp.LOAD_BSK else "vpu") for op in OPCODES])
         self._cycles = np.array([self._stage_cycles.get(op.value, 0.0) for op in OPCODES])
-
-    def occupancy_proof(self, stream: InstructionStream) -> "OccupancyProof":
-        """Static occupancy proof for ``stream`` - the admission-control
-        view of :class:`repro.verify.occupancy.OccupancyModel`, shared
-        with the VER007 verifier pass so scheduler and verifier agree on
-        one resource model.
-        """
-        from ..verify.occupancy import OccupancyModel
-
-        return OccupancyModel(self.config, self.params).analyze(stream)
 
     # -- per-instruction timing ----------------------------------------
     def _durations(self, cols: StreamColumns) -> Tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,7 @@ percent (see EXPERIMENTS.md); every other experiment reuses it unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 from ..observability import (
     COUNTERS as _COUNTERS,
@@ -96,6 +97,17 @@ class SimulationReport:
     @property
     def bootstrap_latency_ms(self) -> float:
         return self.bootstrap_latency_s * 1e3
+
+    def summary_lines(self) -> List[str]:
+        """The headline numbers ``repro simulate`` and ``repro obs profile`` print."""
+        return [
+            f"  bootstrap latency : {self.bootstrap_latency_ms:.3f} ms",
+            f"  throughput        : {self.throughput_bs:,.0f} bootstraps/s",
+            f"  bottleneck        : {self.bottleneck}",
+            f"  scheduler group   : {self.group_size} ciphertexts "
+            f"({self.acc_streams} resident streams)",
+            f"  BSK/KSK reuse     : {self.bsk_reuse}x / {self.ksk_reuse}x",
+        ]
 
     def resource_times(self) -> dict:
         """Busy seconds of the four overlapped group resources."""

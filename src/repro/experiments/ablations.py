@@ -8,7 +8,7 @@ rotator (Section V-C), the BSK/KSK reuse factors vs HBM pressure
 
 from __future__ import annotations
 
-from ..analysis.security import classify_parameter_set
+from ..security import classify_parameter_set
 from ..core.accelerator import MorphlingConfig
 from ..core.dataflow import Dataflow, dataflow_cost
 from ..core.hbm import HbmModel

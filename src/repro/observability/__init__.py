@@ -36,8 +36,10 @@ from typing import Iterator, Tuple
 
 from .counters import COUNTERS, PerfCounters, counting
 from .export import (
+    SCHEMA_VERSION,
     chrome_trace_events,
     counter_track_events,
+    json_document,
     merged_trace_events,
     noise_trace_events,
     pipeline_trace_events,
@@ -91,6 +93,8 @@ __all__ = [
     "is_enabled",
     "reset",
     "telemetry",
+    "SCHEMA_VERSION",
+    "json_document",
     "to_jsonable",
     "render_prometheus",
     "chrome_trace_events",

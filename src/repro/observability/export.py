@@ -7,7 +7,8 @@ Three consumers, one data model:
 - :func:`to_jsonable` is the single serializer behind every ``--json``
   CLI surface: it converts dataclasses (``SimulationReport``,
   ``IterationBreakdown``...), numpy scalars/arrays, enums and nested
-  containers into plain JSON types;
+  containers into plain JSON types, and :func:`json_document` wraps the
+  result in the one versioned envelope every printed document shares;
 - the ``*_trace_events`` family renders spans - recorded by the tracer
   or replayed from a :class:`~repro.core.trace.PipelineTrace` - as
   Chrome trace-event dicts (``ph: "X"`` complete events plus ``ph: "M"``
@@ -28,6 +29,8 @@ import math
 from typing import Any, Dict, Iterable, List, Optional
 
 __all__ = [
+    "SCHEMA_VERSION",
+    "json_document",
     "to_jsonable",
     "render_prometheus",
     "chrome_trace_events",
@@ -43,13 +46,20 @@ __all__ = [
 # JSON serialization (shared by CLI --json and the snapshot exporter)
 # ---------------------------------------------------------------------------
 def to_jsonable(obj: Any) -> Any:
-    """Recursively convert ``obj`` into JSON-serializable plain types."""
+    """Recursively convert ``obj`` into JSON-serializable plain types.
+
+    An object with its own ``to_jsonable()`` (the verify, noise and pool
+    reports) is serialized through it.
+    """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         return obj
     if isinstance(obj, enum.Enum):
         return obj.value
+    own = getattr(obj, "to_jsonable", None)
+    if callable(own) and not isinstance(obj, type):  # a report's own shape
+        return to_jsonable(own())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: to_jsonable(getattr(obj, f.name))
@@ -67,6 +77,18 @@ def to_jsonable(obj: Any) -> Any:
     if callable(tolist):
         return to_jsonable(tolist())
     return str(obj)
+
+
+#: Version of the envelope every JSON document the CLI prints shares: a
+#: top-level ``schema_version`` beside the command's own fields, and no
+#: version inside nested sections.  Any change to field names or nesting
+#: bumps it and regenerates the verify golden (``tests/verify/_golden.py``).
+SCHEMA_VERSION = 3
+
+
+def json_document(payload: Any) -> Dict[str, Any]:
+    """``payload``'s fields under the one top-level ``schema_version``."""
+    return {"schema_version": SCHEMA_VERSION, **to_jsonable(payload)}
 
 
 def _key(k: Any) -> str:

@@ -20,7 +20,7 @@ On top of the records the module provides :func:`drift_report` (flag op
 classes whose measured noise leaves the analytic envelope - a model
 miscalibration or an implementation bug) and the raw **failure points**
 (decision margins at bootstraps and decode points) that
-:mod:`repro.analysis.failprob` turns into a decryption-failure
+:mod:`repro.observability.failprob` turns into a decryption-failure
 probability.
 
 Discipline is identical to the counters: one process-wide singleton
@@ -112,7 +112,7 @@ class FailurePoint:
     the nearest decision boundary - a decode grid edge or the nearest
     test-polynomial bucket whose output differs.  The
     Gaussian tail of ``variance`` past ``margin`` is the per-point
-    failure probability (:mod:`repro.analysis.failprob`).
+    failure probability (:mod:`repro.observability.failprob`).
     """
 
     op_id: int

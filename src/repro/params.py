@@ -23,6 +23,7 @@ All parameters follow the paper's notation (its Table II):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Any
 
 #: Width of the ciphertext modulus ``q = 2**Q_BITS`` of every parameter
 #: set: the discretized torus is held in ``uint32`` words.
@@ -167,7 +168,7 @@ class TFHEParams:
         """One GLWE ciphertext (the ACC working set of one bootstrap)."""
         return (self.k + 1) * self.N * self.coeff_bytes
 
-    def with_overrides(self, **kwargs) -> "TFHEParams":
+    def with_overrides(self, **kwargs: Any) -> "TFHEParams":
         """Return a copy with selected fields replaced (for sweeps)."""
         return replace(self, **kwargs)
 

@@ -10,9 +10,11 @@ verification performs.
 
 The decode policy lives here too, once: a decision is safe when the
 Gaussian tail (:func:`gaussian_tail_log2`) of its variance past
-:func:`decision_margin` stays within ``2**DEFAULT_LOG2_BUDGET``.  The
-static noise pass (VER008), ``repro workload --noise`` and the many-LUT
-sizing all read it.
+:func:`decision_margin` stays within ``2**DEFAULT_LOG2_BUDGET``, and a
+workload is safe when the union bound over its decisions is
+(:class:`FailureBound`).  The static noise pass (VER008), the runtime
+estimate behind ``repro obs noise``, ``repro workload --noise`` and the
+many-LUT sizing all read it.
 
 Tails are worked in log2 space: realistic margins sit hundreds of sigmas
 out, where ``erfc`` underflows double precision, so past that point the
@@ -23,6 +25,8 @@ asymptotic expansion
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -41,6 +45,8 @@ __all__ = [
     "LOG2_PROB_FLOOR",
     "decision_margin",
     "gaussian_tail_log2",
+    "union_bound_log2",
+    "FailureBound",
     "measure_lwe_noise",
     "measure_glwe_noise",
 ]
@@ -156,6 +162,60 @@ def gaussian_tail_log2(margin: float, variance: float) -> float:
     # erfc(x) ~ exp(-x^2) / (x * sqrt(pi)) with x = z / sqrt(2):
     log2_p = -0.5 * z * z * _LOG2_E - math.log2(z) + 0.5 * math.log2(2.0 / math.pi)
     return max(log2_p, LOG2_PROB_FLOOR)
+
+
+def union_bound_log2(terms: Iterable[Tuple[float, int]]) -> float:
+    """``log2 sum(count * 2**log2_p)`` over ``(log2_p, count)`` terms.
+
+    The union bound on a workload's failure probability, summed in log2
+    space so deep tails do not vanish: :data:`LOG2_PROB_FLOOR` when every
+    term is at the floor (or there is none), capped at 0 (probability
+    one) above.
+    """
+    terms = list(terms)
+    top = max((log2_p for log2_p, _ in terms), default=LOG2_PROB_FLOOR)
+    if top <= LOG2_PROB_FLOOR:
+        return LOG2_PROB_FLOOR
+    total = top + math.log2(sum(count * 2.0 ** (log2_p - top) for log2_p, count in terms))
+    return min(total, 0.0)
+
+
+@dataclass(frozen=True)
+class FailureBound:
+    """A workload's decryption-failure bound against the decode budget.
+
+    ``total_log2_prob`` is a :func:`union_bound_log2`; the static VER008
+    report and the runtime estimate over tracked decision points both
+    extend this type, adding the lines :meth:`_lines` renders and the
+    fields :meth:`to_jsonable` lists.
+    """
+
+    total_log2_prob: float
+
+    @property
+    def within_budget(self) -> bool:
+        """True when the failure probability is ``<= 2**DEFAULT_LOG2_BUDGET``."""
+        return self.total_log2_prob <= DEFAULT_LOG2_BUDGET
+
+    def _lines(self) -> List[str]:
+        return []
+
+    def render_text(self) -> str:
+        """The report's own lines, then the bound and its verdict."""
+        zero = ("  (numerically zero)"
+                if self.total_log2_prob <= LOG2_PROB_FLOOR else "")
+        return "\n".join(self._lines() + [
+            f"  log2(p_fail) <= {self.total_log2_prob:.1f}{zero}",
+            f"  within 2^{DEFAULT_LOG2_BUDGET:.0f} budget: "
+            f"{'yes' if self.within_budget else 'NO'}",
+        ])
+
+    def to_jsonable(self) -> dict:
+        return {
+            "total_log2_prob": self.total_log2_prob,
+            "log2_budget": DEFAULT_LOG2_BUDGET,
+            "within_budget": self.within_budget,
+        }
 
 
 def _centered_torus_error(phase: np.ndarray, expected: np.ndarray) -> np.ndarray:

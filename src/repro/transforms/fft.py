@@ -158,7 +158,7 @@ def ifft(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Operation accounting (used by repro.analysis.opcount)
+# Operation accounting (used by repro.experiments.fig1)
 # ---------------------------------------------------------------------------
 def fft_stage_count(n: int) -> int:
     """Number of butterfly stages in an ``n``-point radix-2 FFT."""

@@ -24,7 +24,6 @@ every compile unless asked not to (``verify=False``).
 """
 
 from .diagnostics import (
-    VERIFY_SCHEMA_VERSION,
     Diagnostic,
     RuleInfo,
     Severity,
@@ -52,7 +51,6 @@ from .noisepass import StaticNoiseReport, static_noise_report
 from . import rules as _rules  # noqa: F401  (registers the lint rules)
 
 __all__ = [
-    "VERIFY_SCHEMA_VERSION",
     "Severity",
     "Diagnostic",
     "RuleInfo",

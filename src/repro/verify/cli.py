@@ -1,4 +1,4 @@
-"""Driver behind ``repro verify``.
+"""The reports behind ``repro verify``.
 
 Three modes, sharing one diagnostic pipeline:
 
@@ -13,25 +13,31 @@ Three modes, sharing one diagnostic pipeline:
 - ``--list-rules``: print the combined rule catalog.
 
 ``--strict`` turns error findings into a non-zero exit status - the CI
-correctness gate.  Warnings never fail the build.
+correctness gate (:mod:`repro.cli` prints the reports and sets the exit
+status).  Warnings never fail the build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
-from .diagnostics import VERIFY_SCHEMA_VERSION, VerifyReport
+from .diagnostics import VerifyReport
 from .lint import lint_paths, lint_rule_catalog
 from .program import program_rule_catalog, verify_stream
+
+if TYPE_CHECKING:
+    from ..core.accelerator import MorphlingConfig
 
 __all__ = [
     "VerifyTarget",
     "shipped_targets",
     "verify_target",
+    "named_config",
     "verify_binary",
     "report_document",
-    "run",
+    "render_catalog",
+    "collect_reports",
 ]
 
 
@@ -75,7 +81,8 @@ def shipped_targets() -> List[VerifyTarget]:
     return targets
 
 
-def _make_config(name: str):
+def named_config(name: str) -> "MorphlingConfig":
+    """The shipped configuration or equal-resource variant called ``name``."""
     from ..core.accelerator import MorphlingConfig
 
     return {
@@ -99,7 +106,7 @@ def verify_target(
     from ..core.scheduler import SwScheduler
     from ..params import get_params
 
-    config = _make_config(target.config_name)
+    config = named_config(target.config_name)
     params = get_params(target.param_set)
     stream = SwScheduler(config, params).schedule(target.make_layers())
     report = verify_stream(stream, config=config, params=params,
@@ -119,7 +126,8 @@ def verify_target(
     return report
 
 
-def _render_catalog() -> str:
+def render_catalog() -> str:
+    """The combined verifier-pass and lint-rule catalog."""
     lines = ["Program verifier passes:"]
     lines += [f"  {info}" for info in program_rule_catalog()]
     lines.append("Domain lint rules:")
@@ -143,64 +151,40 @@ def verify_binary(path: str) -> VerifyReport:
 
 
 def report_document(reports: List[VerifyReport]) -> dict:
-    """The versioned ``repro verify --json`` document for ``reports``.
-
-    Schema pinned by :data:`repro.verify.diagnostics.VERIFY_SCHEMA_VERSION`
-    and the golden file under ``tests/verify/golden/``.
-    """
+    """The ``repro verify --json`` payload for ``reports`` (the CLI wraps
+    it in :func:`repro.observability.json_document`; the golden file
+    under ``tests/verify/golden/`` pins the result)."""
     return {
-        "schema_version": VERIFY_SCHEMA_VERSION,
         "ok": all(r.ok for r in reports),
         "reports": [r.to_jsonable() for r in reports],
     }
 
 
-def run(
+def collect_reports(
     lint: Optional[List[str]] = None,
-    strict: bool = False,
-    as_json: bool = False,
-    list_rules: bool = False,
-    target: Optional[str] = None,
     binary: Optional[str] = None,
+    target: Optional[str] = None,
     occupancy: bool = False,
     noise_budget: bool = False,
-    _print: Callable[[str], None] = print,
-) -> int:
-    """Execute the verify command; returns the process exit code."""
-    if list_rules:
-        _print(_render_catalog())
-        return 0
+) -> List[VerifyReport]:
+    """The reports ``repro verify`` prints: a lint run over ``lint``, the
+    verified ``binary``, or the shipped targets matching ``target``.
+
+    Raises :class:`ValueError` (with the message the CLI prints) when
+    there is nothing to verify.
+    """
     if lint:
         try:
-            reports = [lint_paths(lint)]
+            return [lint_paths(lint)]
         except (OSError, ValueError) as exc:
-            _print(f"cannot lint: {exc}")
-            return 2
-    elif binary is not None:
+            raise ValueError(f"cannot lint: {exc}") from exc
+    if binary is not None:
         try:
-            reports = [verify_binary(binary)]
+            return [verify_binary(binary)]
         except (OSError, ValueError) as exc:
-            _print(f"cannot verify {binary}: {exc}")
-            return 2
-    else:
-        targets = shipped_targets()
-        if target is not None:
-            targets = [t for t in targets if target in t.name]
-            if not targets:
-                _print(f"no shipped target matches {target!r}")
-                return 2
-        reports = [
-            verify_target(t, occupancy=occupancy, noise_budget=noise_budget)
-            for t in targets
-        ]
-    failed = sum(0 if r.ok else 1 for r in reports)
-    if as_json:
-        import json
-
-        _print(json.dumps(report_document(reports), indent=2, sort_keys=True))
-    else:
-        for report in reports:
-            _print(report.render())
-    if strict and failed:
-        return 1
-    return 0
+            raise ValueError(f"cannot verify {binary}: {exc}") from exc
+    targets = [t for t in shipped_targets() if target is None or target in t.name]
+    if not targets:
+        raise ValueError(f"no shipped target matches {target!r}")
+    return [verify_target(t, occupancy=occupancy, noise_budget=noise_budget)
+            for t in targets]

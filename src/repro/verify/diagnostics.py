@@ -16,22 +16,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 __all__ = [
-    "VERIFY_SCHEMA_VERSION",
     "Severity",
     "Diagnostic",
     "VerifyReport",
     "VerificationError",
     "RuleInfo",
 ]
-
-#: Version of the ``repro verify --json`` document shape.  v1 was the
-#: unversioned PR-2 layout (``{"ok", "reports": [{subject, ok,
-#: diagnostics}]}``); v2 adds this marker plus optional per-report
-#: ``occupancy``/``noise_budget`` attachment sections.  Any change to
-#: field names or nesting must bump this and regenerate the golden file
-#: (``tests/verify/_golden.py``).
-VERIFY_SCHEMA_VERSION = 2
-
 
 class Severity(enum.Enum):
     """How bad a finding is.

@@ -1,8 +1,8 @@
 """VER008: static noise-budget bounds - the compile-time twin of
-``repro noise``.
+``repro obs noise``.
 
 The runtime noise telemetry (:mod:`repro.observability.noise` +
-:mod:`repro.analysis.failprob`) measures failure probability from
+:mod:`repro.observability.failprob`) measures failure probability from
 ciphertexts an execution actually produced.  This pass derives the same
 bound *statically*: it propagates predicted CGGI variance through the
 instruction stream along its dependency edges using the
@@ -14,9 +14,11 @@ boolean-gate decision per bootstrapped ciphertext.  The decision
 geometry (:func:`repro.tfhe.noise.decision_margin` at ``p = 8``) is the
 same LUT-bucket margin the runtime tracker records at each
 ``bootstrap_decision`` point, so the static bound and the measured
-``repro noise --fail-prob`` report agree up to the union-bound slack
-(``log2`` of the bootstrap count).  ``repro workload --noise`` and
-``repro profile --noise`` print this report for their lowered streams.
+``repro obs noise --fail-prob`` report agree up to the union-bound
+slack (``log2`` of the bootstrap count); both are a
+:class:`~repro.tfhe.noise.FailureBound`.  ``repro workload --noise`` and
+``repro obs profile --noise`` print this report for their lowered
+streams.
 
 Budget overruns are **warnings**, not errors: a parameter set that
 breaches 2^-20 at workload scale (set IV's single-level decomposition
@@ -29,21 +31,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from ..core.isa import DmaOp, VpuOp, XpuOp, opcode_mask
+from ..tfhe.noise import (
+    DEFAULT_LOG2_BUDGET,
+    LOG2_PROB_FLOOR,
+    FailureBound,
+    blind_rotation_noise_variance,
+    decision_margin,
+    gaussian_tail_log2,
+    key_switch_noise_variance,
+    modulus_switch_noise_variance,
+    union_bound_log2,
+)
 from .diagnostics import Diagnostic, Severity
 from .program import VerifyContext, normalise, register_program_pass
 
 __all__ = [
-    "STATIC_NOISE_SCHEMA_VERSION",
     "StaticNoiseReport",
     "static_noise_report",
 ]
-
-STATIC_NOISE_SCHEMA_VERSION = 1
 
 #: Ops whose result carries their operand's variance onward (KEY_SWITCH
 #: adds its own terms on top), as a table over opcode codes.
@@ -51,10 +61,9 @@ _PASSING = opcode_mask((VpuOp.KEY_SWITCH, VpuOp.SAMPLE_EXTRACT, DmaOp.STORE_LWE)
 
 
 @dataclass(frozen=True)
-class StaticNoiseReport:
+class StaticNoiseReport(FailureBound):
     """Statically derived failure-probability bound for one stream."""
 
-    schema_version: int
     params_name: str
     bootstraps: int
     margin: float
@@ -64,16 +73,10 @@ class StaticNoiseReport:
     decision_std_log2: float
     sigmas: float
     per_bootstrap_log2_prob: float
-    total_log2_prob: float
-    log2_budget: float
-
-    @property
-    def within_budget(self) -> bool:
-        return self.total_log2_prob <= self.log2_budget
 
     def to_jsonable(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            **super().to_jsonable(),
             "params": self.params_name,
             "bootstraps": self.bootstraps,
             "margin": self.margin,
@@ -83,25 +86,15 @@ class StaticNoiseReport:
             "decision_std_log2": self.decision_std_log2,
             "sigmas": self.sigmas,
             "per_bootstrap_log2_prob": self.per_bootstrap_log2_prob,
-            "total_log2_prob": self.total_log2_prob,
-            "log2_budget": self.log2_budget,
-            "within_budget": self.within_budget,
         }
 
-    def render_text(self) -> str:
-        from ..tfhe.noise import LOG2_PROB_FLOOR
-
-        zero = ("  (numerically zero)"
-                if self.total_log2_prob <= LOG2_PROB_FLOOR else "")
-        return "\n".join([
+    def _lines(self) -> List[str]:
+        return [
             f"static noise budget ({self.params_name}, "
             f"{self.bootstraps:,} bootstraps):",
             f"  decision margin {self.margin:.4g}, std "
             f"2^{self.decision_std_log2:.1f} ({self.sigmas:.1f} sigma)",
-            f"  log2(p_fail) <= {self.total_log2_prob:.1f}{zero}",
-            f"  within 2^{self.log2_budget:.0f} budget: "
-            f"{'yes' if self.within_budget else 'NO'}",
-        ])
+        ]
 
 
 def static_noise_report(
@@ -122,16 +115,6 @@ def static_noise_report(
     :func:`~repro.tfhe.noise.decision_margin` against
     :data:`~repro.tfhe.noise.DEFAULT_LOG2_BUDGET`.
     """
-    from ..tfhe.noise import (
-        DEFAULT_LOG2_BUDGET,
-        LOG2_PROB_FLOOR,
-        blind_rotation_noise_variance,
-        decision_margin,
-        gaussian_tail_log2,
-        key_switch_noise_variance,
-        modulus_switch_noise_variance,
-    )
-
     margin = decision_margin(params, 8)
     br_variance = blind_rotation_noise_variance(params)
     ms_variance = modulus_switch_noise_variance(params)
@@ -184,11 +167,8 @@ def static_noise_report(
     decision_variance = 2.0 * terminal + ms_variance
     std = math.sqrt(decision_variance) if decision_variance > 0.0 else 0.0
     per_point = gaussian_tail_log2(margin, decision_variance)
-    count = max(bootstraps, 1)
-    total = min(per_point + math.log2(count), 0.0)
-    total = max(total, LOG2_PROB_FLOOR)
     return StaticNoiseReport(
-        schema_version=STATIC_NOISE_SCHEMA_VERSION,
+        total_log2_prob=union_bound_log2([(per_point, max(bootstraps, 1))]),
         params_name=str(getattr(params, "name", "<params>")),
         bootstraps=bootstraps,
         margin=margin,
@@ -198,8 +178,6 @@ def static_noise_report(
         decision_std_log2=(math.log2(std) if std > 0.0 else LOG2_PROB_FLOOR),
         sigmas=(margin / std if std > 0.0 else math.inf),
         per_bootstrap_log2_prob=per_point,
-        total_log2_prob=total,
-        log2_budget=DEFAULT_LOG2_BUDGET,
     )
 
 
@@ -224,7 +202,7 @@ def _check_noise_budget(ctx: VerifyContext) -> Iterator[Diagnostic]:
         code="VER008", severity=Severity.WARNING,
         message=(
             f"static failure bound log2(p) <= {report.total_log2_prob:.1f} "
-            f"breaches the 2^{report.log2_budget:.0f} budget over "
+            f"breaches the 2^{DEFAULT_LOG2_BUDGET:.0f} budget over "
             f"{report.bootstraps:,} bootstraps under {report.params_name} "
             f"({report.sigmas:.1f} sigma decision margin): the parameter "
             f"regime, not the program, is the risk"

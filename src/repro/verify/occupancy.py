@@ -25,11 +25,8 @@ interval-domain occupancy of the three bootstrap buffers:
 
 The result is a per-buffer high-water-mark **proof**: the peak
 occupancy, when it happens, and which instruction produced the peak.
-Because the model is a pure function of the instruction stream and the
-architecture - no timing models, no simulation - the same
-:class:`OccupancyModel` doubles as the admission-control oracle for a
-serving scheduler (:meth:`OccupancyModel.admissible_batch`): the
-verifier and the scheduler share one resource model.
+The model is a pure function of the instruction stream and the
+architecture - no timing models, no simulation.
 """
 
 from __future__ import annotations
@@ -239,39 +236,6 @@ class OccupancyModel:
                 at_instruction=int(rows[at % len(rows)]) if peak else None,
             ))
         return OccupancyProof(subject=subject, steps=steps, buffers=tuple(marks))
-
-    # -- admission control ---------------------------------------------
-    def fits_batch(self, count: int) -> bool:
-        """Can one group of ``count`` ciphertexts run without overflow?
-
-        Steady state keeps two rotation results in Shared (the producing
-        group plus the one draining - exactly the double buffering the
-        capacity formula provisions) and one group's ACC streams in
-        Private-A1.
-        """
-        if count <= 0:
-            return False
-        return (
-            2 * count * self.shared_per_ct <= self.capacities["shared"]
-            and count * self.a1_per_ct <= self.capacities["private_a1"]
-            and self.a2_resident <= self.capacities["private_a2"]
-        )
-
-    def admissible_batch(self) -> int:
-        """Largest per-group ciphertext count every buffer can sustain.
-
-        The serving scheduler's admission bound: work beyond this must
-        queue rather than be scheduled, or the stream it compiles into
-        would fail its own occupancy proof.
-        """
-        if self.a2_resident > self.capacities["private_a2"]:
-            return 0
-        if self.shared_per_ct <= 0 or self.a1_per_ct <= 0:
-            return 0
-        return min(
-            self.capacities["shared"] // (2 * self.shared_per_ct),
-            self.capacities["private_a1"] // self.a1_per_ct,
-        )
 
 
 # ----------------------------------------------------------------------

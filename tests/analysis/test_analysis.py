@@ -1,13 +1,13 @@
-"""Tests for the Fig. 1 analysis layer: op counts, memory, intensity."""
+"""Tests for the Fig. 1 accounting: op counts, memory, intensity."""
 
 import pytest
 
-from repro.analysis import (
+from repro.experiments.fig1 import (
     bootstrap_intensity,
-    bootstrap_memory,
     count_bootstrap_operations,
     transform_real_mults,
 )
+from repro.memory import bootstrap_memory
 from repro.params import FIG1_PARAMS, get_params
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis.failprob import (
+from repro.observability.failprob import (
     WorkloadFailureReport,
     estimate_failure_probability,
 )
@@ -64,7 +64,7 @@ class TestWorkloadReport:
         assert report.points == ()
         assert report.total_log2_prob == LOG2_PROB_FLOOR
         assert report.worst is None
-        assert report.meets(-20.0)
+        assert report.within_budget
 
     def test_single_point_totals_its_own_tail(self):
         report = estimate_failure_probability(
@@ -94,7 +94,7 @@ class TestWorkloadReport:
         report = estimate_failure_probability(
             tracker_with_points([("decode", 0.0, 1e-6)] * 4))
         assert report.total_log2_prob == 0.0
-        assert not report.meets(-20.0)
+        assert not report.within_budget
 
     def test_jsonable_and_text_renderings(self):
         report = estimate_failure_probability(
@@ -108,7 +108,12 @@ class TestWorkloadReport:
         assert "sign_decode" in text
 
     def test_meets_is_a_hard_threshold(self):
-        report = WorkloadFailureReport(
-            schema_version=1, points=(), total_log2_prob=-20.0)
-        assert report.meets(-20.0)
-        assert not report.meets(-20.1)
+        assert WorkloadFailureReport(total_log2_prob=-20.0).within_budget
+        assert not WorkloadFailureReport(total_log2_prob=-19.9).within_budget
+
+    def test_text_ends_with_the_shared_bound_and_verdict(self):
+        report = estimate_failure_probability(
+            tracker_with_points([("decode", 2e-3, 1e-6)]))
+        *_, bound, verdict = report.render_text().splitlines()
+        assert bound.startswith("  log2(p_fail) <= ")
+        assert verdict == "  within 2^-20 budget: NO"

@@ -1,4 +1,4 @@
-"""Tests for the bottleneck-attribution profiler (repro.analysis.profile)."""
+"""Tests for the bottleneck-attribution profiler (repro.observability.profile)."""
 
 import json
 
@@ -6,14 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.profile import (
-    PROFILE_SCHEMA_VERSION,
-    collect_profile,
-    what_if_catalog,
-)
+from repro.observability.profile import collect_profile, what_if_catalog
 from repro.core.accelerator import MorphlingConfig
 from repro.core.simulator import simulate_bootstrap
-from repro.observability import COUNTERS, to_jsonable
+from repro.observability import COUNTERS, SCHEMA_VERSION, json_document, to_jsonable
 from repro.params import get_params
 
 
@@ -24,13 +20,13 @@ def profile():
 
 class TestProfileShape:
     def test_schema_version_and_identity(self, profile):
-        assert profile.schema_version == PROFILE_SCHEMA_VERSION
-        assert profile.config_name == "morphling"
-        assert profile.params_name == "I"
-        assert profile.clock_ghz == pytest.approx(1.2)
+        assert not hasattr(profile, "schema_version")  # the CLI envelope's
+        assert profile.simulation.config_name == "morphling"
+        assert profile.simulation.params_name == "I"
+        assert profile.simulation.clock_ghz == pytest.approx(1.2)
 
     def test_bottleneck_utilization_is_one(self, profile):
-        assert profile.utilization[profile.bottleneck] == pytest.approx(1.0)
+        assert profile.utilization[profile.simulation.bottleneck] == pytest.approx(1.0)
         for resource, util in profile.utilization.items():
             assert 0.0 < util <= 1.0 + 1e-9, resource
 
@@ -59,13 +55,14 @@ class TestProfileShape:
 
     def test_roofline_sections(self, profile):
         assert set(profile.roofline_balance) == {"xpu", "vpu"}
-        names = {p["name"] for p in profile.roofline_points}
+        names = {p.name for p in profile.roofline_points}
         assert names == {"blind_rotation", "key_switch"}
 
     def test_jsonable_and_renderable(self, profile):
         payload = to_jsonable(profile)
-        text = json.dumps(payload, sort_keys=True)
-        assert '"schema_version": 1' in text
+        text = json.dumps(json_document(payload), sort_keys=True)
+        assert f'"schema_version": {SCHEMA_VERSION}' in text
+        assert text.count("schema_version") == 1
         rendered = profile.render_text()
         assert "bottleneck" in rendered
         assert "what-if" in rendered
@@ -116,7 +113,7 @@ class TestWhatIfs:
         params = get_params(param_set)
         prof = collect_profile(config, params)
         baseline = simulate_bootstrap(config, params)
-        assert prof.throughput_bs == pytest.approx(baseline.throughput_bs)
+        assert prof.simulation.throughput_bs == pytest.approx(baseline.throughput_bs)
         for wi in prof.what_ifs:
             rerun = simulate_bootstrap(
                 config.with_overrides(**wi.overrides), params

@@ -1,8 +1,8 @@
-"""Tests for the roofline analysis."""
+"""Tests for the roofline analysis behind ``repro obs profile``."""
 
 import pytest
 
-from repro.analysis.roofline import attainable_rate, machine_balance, workload_points
+from repro.observability.profile import attainable_rate, machine_balance, workload_points
 from repro.core.accelerator import MorphlingConfig
 from repro.params import get_params
 

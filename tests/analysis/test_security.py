@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.security import (
+from repro.security import (
     classify_parameter_set,
     estimate_security,
 )

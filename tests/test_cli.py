@@ -28,6 +28,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
+    @pytest.mark.parametrize("verb", ["metrics", "trace", "profile", "noise"])
+    def test_observability_verbs_live_under_obs(self, verb):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([verb])
+        assert build_parser().parse_args(["obs", verb]).verb == verb
+
 
 class TestCommands:
     def test_simulate(self, capsys):
@@ -78,20 +84,20 @@ class TestCommands:
 
 class TestTraceCommand:
     def test_trace_renders(self, capsys):
-        assert main(["trace", "--set", "II", "--iterations", "4"]) == 0
+        assert main(["obs", "trace", "--set", "II", "--iterations", "4"]) == 0
         out = capsys.readouterr().out
         assert "rotation" in out
         assert "steady state" in out
 
     def test_trace_reuse_override(self, capsys):
-        assert main(["trace", "--reuse", "none", "--no-merge-split"]) == 0
+        assert main(["obs", "trace", "--reuse", "none", "--no-merge-split"]) == 0
         out = capsys.readouterr().out
         assert "bottleneck" in out
 
     def test_trace_chrome_export(self, capsys, tmp_path):
         path = tmp_path / "pipeline.json"
-        assert main(["trace", "--iterations", "4", "--chrome", str(path)]) == 0
-        assert "wrote Chrome trace" in capsys.readouterr().out
+        assert main(["obs", "trace", "--iterations", "4", "--chrome", str(path)]) == 0
+        assert "wrote Chrome trace" in capsys.readouterr().err
         doc = json.loads(path.read_text())
         events = doc["traceEvents"]
         complete = [e for e in events if e["ph"] == "X"]
@@ -109,7 +115,7 @@ class TestJsonReports:
         assert report["traffic"]["bsk_bytes"] > 0
 
     def test_metrics_json_snapshot(self, capsys):
-        assert main(["metrics", "--set", "I", "--json"]) == 0
+        assert main(["obs", "metrics", "--set", "I", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         metrics = doc["metrics"]
         values = {
@@ -125,7 +131,7 @@ class TestJsonReports:
 
 class TestProfileCommand:
     def test_text_report(self, capsys):
-        assert main(["profile", "--set", "I"]) == 0
+        assert main(["obs", "profile", "--set", "I"]) == 0
         out = capsys.readouterr().out
         assert "bottleneck" in out
         assert "xpu_compute" in out
@@ -133,17 +139,19 @@ class TestProfileCommand:
         assert "counters digest" in out
 
     def test_named_config_variants(self, capsys):
-        assert main(["profile", "--config", "no-reuse", "--set", "III",
+        assert main(["obs", "profile", "--config", "no-reuse", "--set", "III",
                      "--no-what-if"]) == 0
         out = capsys.readouterr().out
         assert "no-reuse @ set III" in out
         assert "what-if" not in out
 
     def test_json_schema_versioned(self, capsys):
-        assert main(["profile", "--set", "I", "--json"]) == 0
+        from repro.observability import SCHEMA_VERSION
+
+        assert main(["obs", "profile", "--set", "I", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == 1
-        assert doc["bottleneck"] == "xpu_compute"
+        assert doc["schema_version"] == SCHEMA_VERSION
+        assert doc["simulation"]["bottleneck"] == "xpu_compute"
         assert doc["utilization"]["xpu_compute"] == pytest.approx(1.0)
         assert len(doc["counters_digest"]) == 64
         names = {wi["name"] for wi in doc["what_ifs"]}
@@ -155,9 +163,9 @@ class TestProfileCommand:
 
     def test_chrome_counter_tracks(self, capsys, tmp_path):
         path = tmp_path / "counters.json"
-        assert main(["profile", "--set", "I", "--no-what-if",
+        assert main(["obs", "profile", "--set", "I", "--no-what-if",
                      "--chrome", str(path)]) == 0
-        assert "wrote counter tracks" in capsys.readouterr().out
+        assert "wrote Chrome trace" in capsys.readouterr().err
         doc = json.loads(path.read_text())
         events = doc["traceEvents"]
         tracks = {e["name"] for e in events if e["ph"] == "C"}
@@ -167,27 +175,27 @@ class TestProfileCommand:
     def test_counters_left_disabled_after_run(self):
         from repro import observability as obs
 
-        assert main(["profile", "--set", "I", "--no-what-if"]) == 0
+        assert main(["obs", "profile", "--set", "I", "--no-what-if"]) == 0
         assert not obs.COUNTERS.enabled
 
 
 class TestMetricsCommand:
     def test_prometheus_text_default(self, capsys):
-        assert main(["metrics", "--set", "I"]) == 0
+        assert main(["obs", "metrics", "--set", "I"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE sim_bootstraps_total counter" in out
         assert "sim_bootstraps_total 64" in out
         assert 'hbm_bytes_total{channel="xpu"}' in out
 
     def test_functional_fires_tfhe_counters(self, capsys):
-        assert main(["metrics", "--set", "I", "--functional"]) == 0
+        assert main(["obs", "metrics", "--set", "I", "--functional"]) == 0
         out = capsys.readouterr().out
         assert "tfhe_bootstraps_total 1" in out
         assert 'transforms_fft_total{direction="forward"}' in out
 
     def test_chrome_span_export(self, capsys, tmp_path):
         path = tmp_path / "spans.json"
-        assert main(["metrics", "--chrome", str(path)]) == 0
+        assert main(["obs", "metrics", "--chrome", str(path)]) == 0
         doc = json.loads(path.read_text())
         names = {e.get("name") for e in doc["traceEvents"]}
         assert "xpu_compute" in names
@@ -195,13 +203,13 @@ class TestMetricsCommand:
     def test_telemetry_left_disabled_after_run(self):
         from repro import observability as obs
 
-        assert main(["metrics", "--set", "I"]) == 0
+        assert main(["obs", "metrics", "--set", "I"]) == 0
         assert not obs.is_enabled()
 
 
 class TestNoiseCommand:
     def test_gates_workload_predicted_only(self, capsys):
-        assert main(["noise", "--workload", "gates"]) == 0
+        assert main(["obs", "noise", "--workload", "gates"]) == 0
         out = capsys.readouterr().out
         assert "noise telemetry" in out
         assert "programmable_bootstrap" in out
@@ -209,20 +217,20 @@ class TestNoiseCommand:
         assert "within 2^-20 budget: yes" in out
 
     def test_adder_workload_measured(self, capsys):
-        assert main(["noise", "--workload", "adder", "--measure"]) == 0
+        assert main(["obs", "noise", "--workload", "adder", "--measure"]) == 0
         out = capsys.readouterr().out
         assert "'carry': 1" in out  # 3 + 1 = 4 -> carry set
         assert "ok" in out and "DRIFT" not in out
         assert "log2(p_fail)" in out
 
     def test_fail_prob_only_skips_the_drift_table(self, capsys):
-        assert main(["noise", "--workload", "gates", "--fail-prob"]) == 0
+        assert main(["obs", "noise", "--workload", "gates", "--fail-prob"]) == 0
         out = capsys.readouterr().out
         assert "op class" not in out
         assert "decision points" in out
 
     def test_json_snapshot(self, capsys):
-        assert main(["noise", "--workload", "gates", "--measure",
+        assert main(["obs", "noise", "--workload", "gates", "--measure",
                      "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["functional_ok"] is True
@@ -230,33 +238,32 @@ class TestNoiseCommand:
         assert doc["noise"]["records"]
         assert all(d["within_envelope"] for d in doc["drift"])
         assert doc["failure"]["total_log2_prob"] <= -20.0
-        assert doc["within_budget"] is True
+        assert doc["failure"]["within_budget"] is True
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_blown_budget_fails_in_both_modes(self, capsys, monkeypatch, json_flag):
-        from repro.analysis import failprob
+        from repro.observability import failprob
         from repro.tfhe.noise import DEFAULT_LOG2_BUDGET
 
         blown = failprob.WorkloadFailureReport(
-            schema_version=failprob.FAILPROB_SCHEMA_VERSION, points=(),
-            total_log2_prob=DEFAULT_LOG2_BUDGET + 10.0,
+            points=(), total_log2_prob=DEFAULT_LOG2_BUDGET + 10.0,
         )
         monkeypatch.setattr(failprob, "estimate_failure_probability",
                             lambda tracker: blown)
-        assert main(["noise", "--workload", "gates"] + json_flag) == 1
+        assert main(["obs", "noise", "--workload", "gates"] + json_flag) == 1
         out = capsys.readouterr().out
         if json_flag:
             doc = json.loads(out)
             assert doc["functional_ok"] is True
-            assert doc["within_budget"] is False
+            assert doc["failure"]["within_budget"] is False
         else:
             assert "within 2^-20 budget: NO" in out
 
     def test_chrome_waterfall_export(self, capsys, tmp_path):
         path = tmp_path / "noise.json"
-        assert main(["noise", "--workload", "gates", "--chrome",
+        assert main(["obs", "noise", "--workload", "gates", "--chrome",
                      str(path)]) == 0
-        assert "noise waterfall" in capsys.readouterr().out
+        assert "wrote Chrome trace" in capsys.readouterr().err
         doc = json.loads(path.read_text())
         events = doc["traceEvents"]
         assert any(e.get("cat") == "noise" and e["ph"] == "X" for e in events)
@@ -265,7 +272,7 @@ class TestNoiseCommand:
     def test_tracker_left_disabled_after_run(self):
         from repro import observability as obs
 
-        assert main(["noise", "--workload", "gates"]) == 0
+        assert main(["obs", "noise", "--workload", "gates"]) == 0
         assert not obs.NOISE.enabled
         assert not obs.NOISE.measuring
 
@@ -303,6 +310,7 @@ class TestWorkloadNoise:
         from repro.apps import deepcnn_workload, vgg9_workload, xgboost_workload
         from repro.core.accelerator import MorphlingConfig
         from repro.core.scheduler import SwScheduler
+        from repro.observability import json_document
         from repro.params import get_params
         from repro.verify.cli import report_document, shipped_targets, verify_target
         from repro.verify.noisepass import static_noise_report
@@ -318,7 +326,8 @@ class TestWorkloadNoise:
         shipped = {t.name: t for t in shipped_targets()}
         name = f"{app}@{param_set}"
         if name in shipped:  # the attachment ``repro verify --json`` ships
-            doc = report_document([verify_target(shipped[name], noise_budget=True)])
+            doc = json_document(report_document(
+                [verify_target(shipped[name], noise_budget=True)]))
             assert failure == doc["reports"][0]["noise_budget"]
 
     def test_json_without_noise_unchanged(self, capsys):
@@ -330,33 +339,34 @@ class TestWorkloadNoise:
 
 class TestProfileNoise:
     def test_noise_appends_failure_report(self, capsys):
-        assert main(["profile", "--set", "I", "--no-what-if",
+        assert main(["obs", "profile", "--set", "I", "--no-what-if",
                      "--noise"]) == 0
         out = capsys.readouterr().out
         assert "bottleneck" in out
         assert "log2(p_fail)" in out
 
     def test_json_shape_with_noise(self, capsys):
-        assert main(["profile", "--set", "I", "--no-what-if", "--noise",
+        assert main(["obs", "profile", "--set", "I", "--no-what-if", "--noise",
                      "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert set(doc) == {"profile", "failure"}
-        assert doc["profile"]["schema_version"] >= 1
+        assert {"schema_version", "simulation", "failure"} <= set(doc)
+        assert doc["schema_version"] >= 1
+        assert "schema_version" not in doc["failure"]
         assert doc["failure"]["params"] == "I"
 
     def test_json_shape_without_noise_unchanged(self, capsys):
-        assert main(["profile", "--set", "I", "--no-what-if", "--json"]) == 0
+        assert main(["obs", "profile", "--set", "I", "--no-what-if", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert "profile" not in doc  # profile fields stay at top level
+        assert "failure" not in doc  # profile fields stay at top level
         assert "schema_version" in doc
 
 
 class TestTraceMerge:
     def test_merged_chrome_trace_has_process_groups(self, capsys, tmp_path):
         path = tmp_path / "merged.json"
-        assert main(["trace", "--iterations", "3", "--chrome", str(path),
+        assert main(["obs", "trace", "--iterations", "3", "--chrome", str(path),
                      "--merge"]) == 0
-        assert "merged Chrome trace" in capsys.readouterr().out
+        assert "wrote Chrome trace" in capsys.readouterr().err
         doc = json.loads(path.read_text())
         assert doc["otherData"]["merged"] is True
         events = doc["traceEvents"]

@@ -14,9 +14,12 @@ from repro.tfhe import (
     identity_test_polynomial,
     programmable_bootstrap,
 )
+from repro.tfhe.bootstrap import blind_rotate_batch, key_switch_batch
+from repro.tfhe.decomposition import decompose
+from repro.tfhe.glwe import sample_extract_batch
 from repro.tfhe.keys import KeySet
 from repro.tfhe.lwe import lwe_decrypt_phase, lwe_scalar_mul
-from repro.tfhe.torus import decode_message
+from repro.tfhe.torus import decode_message, modswitch, to_torus
 
 P = 8
 
@@ -58,20 +61,31 @@ class TestWrongKeys:
 
 
 class TestCorruptedKeys:
-    def test_corrupted_ksk_breaks_decryption(self, ctx, rng):
+    def test_corrupted_ksk_breaks_decryption(self, ctx):
+        """A KSK whose bodies are all off by 2^28 shifts every key-switched
+        body by exactly -2^28 times the sample's digit sum, masks untouched.
+
+        2^28 is one plaintext slot at p = 8, so the shift is a whole number
+        of slots: a sample decodes wrongly unless its digit sum is 0 mod 16.
+        """
         import copy
 
-        broken = copy.deepcopy(ctx.keyset.ksk)
+        params, keyset = ctx.params, ctx.keyset
+        broken = copy.deepcopy(keyset.ksk)
         broken.bodies = broken.bodies + np.uint32(1 << 28)  # blast the bodies
-        franken = KeySet(ctx.params, ctx.keyset.lwe_key, ctx.keyset.glwe_key,
-                         ctx.keyset.bsk_table, broken)
-        tp = identity_test_polynomial(ctx.params, P)
-        wrong = 0
-        for m in range(4):
-            out = programmable_bootstrap(ctx.encrypt(m, P), tp, franken)
-            if ctx.decrypt(out, P) != m:
-                wrong += 1
-        assert wrong >= 2
+        cts = [ctx.encrypt(m, P) for m in range(4)]
+        a = np.stack([ct.a for ct in cts])
+        b = np.asarray([ct.b for ct in cts], dtype=np.uint32)
+        acc = blind_rotate_batch(
+            modswitch(a, 2 * params.N), modswitch(b, 2 * params.N),
+            identity_test_polynomial(params, P), keyset)
+        ext_a, ext_b = sample_extract_batch(acc)
+        clean_a, clean_b = key_switch_batch(ext_a, ext_b, keyset.ksk)
+        bad_a, bad_b = key_switch_batch(ext_a, ext_b, broken)
+        np.testing.assert_array_equal(bad_a, clean_a)
+        digit_sums = decompose(ext_a, broken.beta_ks_bits, broken.l_k).sum(axis=(1, 2))
+        np.testing.assert_array_equal(
+            bad_b - clean_b, to_torus(-(1 << 28) * digit_sums))
 
     def test_corrupted_serialized_keys_detected(self, ctx, tmp_path):
         from repro.tfhe.serialization import save_keyset, load_keyset

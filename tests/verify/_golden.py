@@ -3,8 +3,8 @@
 The golden file pins the ``repro verify --json`` document shape: field
 names, nesting, and the per-report ``occupancy``/``noise_budget``
 attachment sections.  Any change to that shape is a schema change and
-must come with a ``VERIFY_SCHEMA_VERSION`` bump and a regenerated
-golden (run ``python tests/verify/_golden.py``).  The scenario is a
+must come with a ``repro.observability.SCHEMA_VERSION`` bump and a
+regenerated golden (run ``python tests/verify/_golden.py``).  The scenario is a
 pure function of the committed source - a fixed workload compiled under
 the default architecture, a deliberately malformed stream, and a fixed
 lint snippet - so reruns reproduce the document exactly (floats up to
@@ -40,9 +40,10 @@ class _BadInstruction:
 
 
 def build_document():
-    """The full schema-versioned verify document for the golden scenario."""
+    """The ``repro verify --json`` document for the golden scenario."""
     from repro.core.accelerator import MorphlingConfig
     from repro.core.scheduler import LayerDemand, SwScheduler
+    from repro.observability import json_document
     from repro.params import get_params
     from repro.verify import lint_source, verify_stream
     from repro.verify.cli import report_document
@@ -64,7 +65,7 @@ def build_document():
     )
     bad = verify_stream([_BadInstruction()], subject="golden-bad")
     lint = lint_source(LINT_SNIPPET, path="golden/tfhe/sample.py")
-    return report_document([program, bad, lint])
+    return json_document(report_document([program, bad, lint]))
 
 
 def regenerate():

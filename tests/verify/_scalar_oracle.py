@@ -16,10 +16,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.isa import DmaOp, Engine, Instruction, VpuOp, XpuOp
 from repro.verify.diagnostics import Diagnostic, Severity
-from repro.verify.noisepass import (
-    STATIC_NOISE_SCHEMA_VERSION,
-    StaticNoiseReport,
-)
+from repro.tfhe.noise import DEFAULT_LOG2_BUDGET
+from repro.verify.noisepass import StaticNoiseReport
 from repro.verify.occupancy import (
     _BUFFERS,
     BufferHighWater,
@@ -410,7 +408,6 @@ def static_noise_report(
     instructions: Sequence[object], params: object,
 ) -> StaticNoiseReport:
     from repro.tfhe.noise import (
-        DEFAULT_LOG2_BUDGET,
         LOG2_PROB_FLOOR,
         blind_rotation_noise_variance,
         decision_margin,
@@ -457,7 +454,6 @@ def static_noise_report(
     total = min(per_point + math.log2(count), 0.0)
     total = max(total, LOG2_PROB_FLOOR)
     return StaticNoiseReport(
-        schema_version=STATIC_NOISE_SCHEMA_VERSION,
         params_name=str(getattr(params, "name", "<params>")),
         bootstraps=bootstraps,
         margin=margin,
@@ -468,7 +464,6 @@ def static_noise_report(
         sigmas=(margin / std if std > 0.0 else math.inf),
         per_bootstrap_log2_prob=per_point,
         total_log2_prob=total,
-        log2_budget=DEFAULT_LOG2_BUDGET,
     )
 
 
@@ -487,7 +482,7 @@ def _check_noise_budget(ctx: VerifyContext) -> Iterator[Diagnostic]:
         code="VER008", severity=Severity.WARNING,
         message=(
             f"static failure bound log2(p) <= {report.total_log2_prob:.1f} "
-            f"breaches the 2^{report.log2_budget:.0f} budget over "
+            f"breaches the 2^{DEFAULT_LOG2_BUDGET:.0f} budget over "
             f"{report.bootstraps:,} bootstraps under {report.params_name} "
             f"({report.sigmas:.1f} sigma decision margin): the parameter "
             f"regime, not the program, is the risk"

@@ -4,7 +4,8 @@ schema downstream tooling can depend on.
 Structure (keys, nesting, types) must match the golden byte-for-byte in
 shape; float *values* are compared with tolerance (libm ``erfc``/``log2``
 may differ in the last ulp across platforms).  An intentional schema
-change bumps ``VERIFY_SCHEMA_VERSION`` and regenerates the golden via
+change bumps ``repro.observability.SCHEMA_VERSION`` (the one envelope
+every ``--json`` document shares) and regenerates the golden via
 ``python tests/verify/_golden.py``.
 """
 
@@ -13,7 +14,7 @@ import math
 
 import pytest
 
-from repro.verify import VERIFY_SCHEMA_VERSION
+from repro.observability import SCHEMA_VERSION, json_document
 from repro.verify.cli import report_document
 
 from ._golden import GOLDEN_DOC, build_document
@@ -49,10 +50,10 @@ def test_document_matches_golden():
 
 def test_document_carries_schema_version():
     doc = build_document()
-    assert doc["schema_version"] == VERIFY_SCHEMA_VERSION
+    assert doc["schema_version"] == SCHEMA_VERSION
     with open(GOLDEN_DOC) as fh:
         golden = json.load(fh)
-    assert golden["schema_version"] == VERIFY_SCHEMA_VERSION, (
+    assert golden["schema_version"] == SCHEMA_VERSION, (
         "schema version changed without regenerating the golden file "
         "(python tests/verify/_golden.py)"
     )
@@ -64,8 +65,8 @@ def test_document_round_trips_through_json():
 
 
 def test_empty_report_list_is_ok():
-    doc = report_document([])
-    assert doc == {"schema_version": VERIFY_SCHEMA_VERSION, "ok": True,
+    doc = json_document(report_document([]))
+    assert doc == {"schema_version": SCHEMA_VERSION, "ok": True,
                    "reports": []}
 
 
@@ -74,7 +75,7 @@ def test_attachment_sections_are_nested_per_report(section):
     doc = build_document()
     program_report = doc["reports"][0]
     assert section in program_report
-    assert "schema_version" in program_report[section] or section == "occupancy"
+    assert "schema_version" not in program_report[section]  # top level only
     # Reports without attachments must not carry the sections at all.
     assert section not in doc["reports"][1]
     assert section not in doc["reports"][2]

@@ -1,7 +1,7 @@
 """VER008 / static_noise_report: the compile-time noise-budget bound.
 
 The acceptance case ties the static bound to the runtime telemetry: the
-same 2-bit adder the ``repro noise`` CLI runs, compiled to an
+same 2-bit adder the ``repro obs noise`` CLI runs, compiled to an
 instruction stream on one side and executed with the noise tracker on
 the other, must agree on ``log2(p_fail)`` within one order of magnitude
 (the union-bound slack).
@@ -15,10 +15,7 @@ from repro.core.isa import DmaOp, Instruction, VpuOp, XpuOp
 from repro.params import get_params
 from repro.tfhe.noise import decision_margin
 from repro.verify import verify_stream
-from repro.verify.noisepass import (
-    STATIC_NOISE_SCHEMA_VERSION,
-    static_noise_report,
-)
+from repro.verify.noisepass import static_noise_report
 
 
 def _chain(params, group=0, count=4, base=0):
@@ -82,7 +79,7 @@ class TestStaticReport:
         report = static_noise_report(stream, params)
         assert report.bootstraps == 12
         assert report.params_name == "III"
-        assert report.schema_version == STATIC_NOISE_SCHEMA_VERSION
+        assert "schema_version" not in report.to_jsonable()  # the envelope's
 
     def test_union_bound_scales_with_count(self):
         params = get_params("III")
@@ -125,7 +122,7 @@ class TestStaticReport:
 
 class TestStaticMatchesRuntime:
     def test_adder_bound_agrees_with_noise_telemetry(self):
-        """Acceptance: static VER008 bound vs `repro noise --fail-prob`.
+        """Acceptance: static VER008 bound vs `repro obs noise --fail-prob`.
 
         Compile the reference 2-bit adder to an instruction stream and
         bound it statically; run the same circuit through the functional
@@ -135,7 +132,7 @@ class TestStaticMatchesRuntime:
         (log2(10)): per-point tails are identical by construction, so
         the only slack is union bound vs log-sum-exp.
         """
-        from repro.analysis.failprob import estimate_failure_probability
+        from repro.observability.failprob import estimate_failure_probability
         from repro.core.accelerator import MorphlingConfig
         from repro.core.compiler import compile_program
         from repro.observability import noise_tracking

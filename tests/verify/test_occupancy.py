@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.accelerator import MorphlingConfig
 from repro.core.isa import DmaOp, Instruction, VpuOp, XpuOp
-from repro.core.scheduler import HwScheduler, LayerDemand, SwScheduler
+from repro.core.scheduler import LayerDemand, SwScheduler
 from repro.params import get_params
 from repro.verify import OccupancyModel, verify_stream
 
@@ -109,15 +109,6 @@ class TestScheduledTargetsStayClean:
         )
         assert verify_stream(stream, config=config, params=params).ok
 
-    def test_hw_scheduler_exposes_the_proof(self, config, params):
-        stream = SwScheduler(config, params).schedule(
-            [LayerDemand("l0", bootstraps=64, linear_macs=128)]
-        )
-        proof = HwScheduler(config, params).occupancy_proof(stream)
-        assert proof.ok
-        assert {b.buffer for b in proof.buffers} == {
-            "shared", "private_a1", "private_a2"}
-
 
 class TestProofContents:
     def test_unconsumed_rotation_leaks_to_program_end(self, params, model):
@@ -162,23 +153,15 @@ class TestProofContents:
 
 
 class TestAdmissionControl:
-    def test_admissible_batch_matches_capacity_formulas(self, config, params,
-                                                        model):
-        # Shared double-buffers two live results; A1 pins the stream
-        # residency overhead.  morphling/III bottoms out at one group of
-        # 32 (2 streams x 16 cores - the same number VER004 enforces).
-        assert model.admissible_batch() == 32
-
-    def test_fits_batch_agrees_with_the_bound(self, model):
-        bound = model.admissible_batch()
-        assert model.fits_batch(bound)
-        assert not model.fits_batch(bound + 1)
-        assert not model.fits_batch(0)
-
-    def test_admitted_batch_compiles_to_a_clean_proof(self, config, params,
-                                                      model):
+    def test_admitted_batch_compiles_to_a_clean_proof(self, config, params):
+        # One layer of exactly one full group - 32 ciphertexts on set III
+        # (2 resident streams x 16 cores, the capacity VER004 enforces) -
+        # stays within every buffer: Shared double-buffers its result.
+        group = SwScheduler(config, params).group_size
+        assert group == 32
         stream = SwScheduler(config, params).schedule(
-            [LayerDemand("serve", bootstraps=model.admissible_batch(),
-                         linear_macs=64)]
+            [LayerDemand("serve", bootstraps=group, linear_macs=64)]
         )
-        assert model.analyze(list(stream), subject="serve").ok
+        assert verify_stream(stream, config=config, params=params,
+                             passes=["VER007"]).ok
+
