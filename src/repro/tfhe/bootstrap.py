@@ -99,8 +99,8 @@ def blind_rotate_batch(
 
     ``a_tilde`` has shape ``(B, n)`` and ``b_tilde`` shape ``(B,)`` (both
     already modulus-switched to ``Z_{2N}``); ``test_polys`` is ``(N,)``
-    (shared) or ``(B, N)`` (per-sample LUTs).  Returns the ``(B, k+1, N)``
-    accumulator data.
+    (shared) or ``(B, N)`` (per-sample LUTs); other counts raise
+    ``ValueError``.  Returns the ``(B, k+1, N)`` accumulator data.
 
     Per BSK row ``i`` the samples whose digit ``a~_i`` is non-zero are
     gathered and pushed through one pass - rotate-diff as a contiguous
@@ -120,20 +120,28 @@ def blind_rotate_batch(
             f"the bootstrapping key's LWE dimension {params.n}"
         )
     batch = a_tilde.shape[0]
+    b_tilde = np.asarray(b_tilde, dtype=np.int64)
+    test_polys = np.asarray(test_polys, dtype=TORUS_DTYPE)
+    luts = test_polys.shape[0] if test_polys.ndim == 2 else batch
+    if b_tilde.shape != (batch,) or luts != batch:
+        raise ValueError(
+            f"{b_tilde.size} bodies and {luts} test polynomials for {batch} ciphertexts: "
+            "pass one body per ciphertext and one shared (N,) LUT or one per ciphertext"
+        )
     table = keyset.bsk_table
-    tp = np.broadcast_to(np.asarray(test_polys, dtype=TORUS_DTYPE), (batch, n_poly))
+    tp = np.broadcast_to(test_polys, (batch, n_poly))
     acc = np.zeros((batch, k + 1, n_poly), dtype=TORUS_DTYPE)
-    acc[:, k, :] = monomial_rotate_batch(tp, -np.asarray(b_tilde, dtype=np.int64))
+    acc[:, k, :] = monomial_rotate_batch(tp, -b_tilde)
+    exponents = a_tilde.T[:, :, None]  # step i's (B, 1) per-sample exponents
     active_counts = np.count_nonzero(a_tilde, axis=0).tolist()
     for i, steps in enumerate(active_counts):
         if steps == 0:
             continue
-        t = a_tilde[:, i]
         if steps == batch:
-            sub, shifts = acc, t[:, None]
+            sub, shifts = acc, exponents[i]
         else:
-            active = np.nonzero(t)[0]
-            sub, shifts = acc[active], t[active, None]
+            active = np.nonzero(a_tilde[:, i])[0]
+            sub, shifts = acc[active], exponents[i][active]
         # Fused rotate-diff: diff = X^{a~_i} * ACC - ACC.
         diff = monomial_rotate_batch(sub, shifts)
         diff -= sub

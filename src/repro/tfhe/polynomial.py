@@ -17,7 +17,7 @@ last.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+import math
 
 import numpy as np
 
@@ -25,15 +25,9 @@ from ..transforms.negacyclic import negacyclic_ifft_folded
 from .torus import TORUS_DTYPE
 
 __all__ = [
-    "zeros",
     "monomial_rotate_batch",
     "from_spectrum",
 ]
-
-
-def zeros(shape: Union[int, Sequence[int]]) -> np.ndarray:
-    """Zero polynomial(s) with the given shape (last axis = N)."""
-    return np.zeros(shape, dtype=TORUS_DTYPE)
 
 
 def monomial_rotate_batch(p: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -43,20 +37,30 @@ def monomial_rotate_batch(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     to ``p.shape[:-1]`` with entries taken modulo ``2N``.  Against the
     signed extension ``ext = concat(p, -p, p)`` (index ``>= N`` reads the
     ``X^N = -1`` wraparound) the rotation is one contiguous read per row:
-    ``out = ext[s : s + N]`` with ``s = -t mod 2N``.  This is the batched
-    double-pointer rotator: every VPE row reads the same accumulator
-    layout at its own offset - no per-coefficient index is ever built.
+    ``out = ext[s : s + N]`` with ``s = -t mod 2N``.  Rows along whose
+    trailing axes ``t`` has length 1 share an exponent and are copied as
+    one 2-D slice: ``(B, k+1, N)`` accumulators with per-sample ``(B, 1)``
+    exponents take ``B`` copies.  This is the batched double-pointer
+    rotator: every VPE row reads the same accumulator layout at its own
+    offset - no per-coefficient index is ever built.
     """
     p = np.asarray(p, dtype=TORUS_DTYPE)
-    n = p.shape[-1]
-    ext = np.concatenate((p, np.negative(p), p), axis=-1).reshape(-1, 3 * n)
-    starts = np.zeros(p.shape[:-1], dtype=np.int64)
-    starts -= t  # broadcasts t over the rows that share an exponent
-    starts &= 2 * n - 1
-    out = np.empty_like(p)
-    rows = out.reshape(-1, n)
-    for r, s in enumerate(starts.reshape(-1).tolist()):
-        rows[r] = ext[r, s : s + n]
+    t = np.asarray(t, dtype=np.int64)
+    n, rows = p.shape[-1], p.shape[:-1]
+    dims = (1,) * (len(rows) - t.ndim) + t.shape
+    split = len(dims)  # rows[split:] share one exponent
+    while split and dims[split - 1] == 1:
+        split -= 1
+    exps = t.reshape(dims[:split])
+    if exps.shape != rows[:split]:
+        exps = np.broadcast_to(exps, rows[:split])  # ValueError if it cannot
+    groups = (exps.size, math.prod(rows[split:]))
+    ext = np.concatenate((p, np.negative(p), p), axis=-1).reshape(groups + (3 * n,))
+    out = np.empty(p.shape, dtype=TORUS_DTYPE)
+    out_groups = out.reshape(groups + (n,))
+    for g, e in enumerate(exps.reshape(-1).tolist()):
+        s = -e & (2 * n - 1)
+        out_groups[g] = ext[g, :, s : s + n]
     return out
 
 

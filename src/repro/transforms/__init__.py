@@ -27,7 +27,6 @@ from .fft import (
 )
 from .negacyclic import (
     negacyclic_fft,
-    negacyclic_ifft,
     transform_length,
 )
 
@@ -47,6 +46,5 @@ __all__ = [
     "fft_complex_multiplies",
     "fft_real_multiplies",
     "negacyclic_fft",
-    "negacyclic_ifft",
     "transform_length",
 ]

@@ -54,9 +54,7 @@ _FFT_POINTS = _METRICS.histogram(
 
 def _count_transforms(shape: Tuple[int, ...], direction: str) -> None:
     """Account one batched FFT call: ``prod(shape[:-1])`` transforms."""
-    count = 1
-    for dim in shape[:-1]:
-        count *= int(dim)
+    count = math.prod(shape[:-1])
     _FFT_CALLS.inc(count, direction=direction)
     _FFT_POINTS.observe(shape[-1], count=count)
 

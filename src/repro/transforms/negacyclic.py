@@ -18,7 +18,7 @@ polynomial transform.
 
 from __future__ import annotations
 
-from typing import Tuple
+import math
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .fft import fft, ifft
 __all__ = [
     "negacyclic_fft",
     "negacyclic_fft_folded",
-    "negacyclic_ifft",
     "negacyclic_ifft_folded",
     "transform_length",
 ]
@@ -39,13 +38,6 @@ _NEGACYCLIC = _METRICS.counter(
     "transforms_negacyclic_total",
     "Negacyclic polynomial transforms, by direction (batch-aware)",
 )
-
-
-def _count_polys(shape: Tuple[int, ...]) -> int:
-    count = 1
-    for dim in shape[:-1]:
-        count *= int(dim)
-    return count
 
 
 def transform_length(n: int) -> int:
@@ -98,7 +90,7 @@ def negacyclic_fft_folded(folded: np.ndarray) -> np.ndarray:
     """
     n = 2 * folded.shape[-1]
     if _METRICS.enabled:
-        _NEGACYCLIC.inc(_count_polys(folded.shape), direction="forward")
+        _NEGACYCLIC.inc(math.prod(folded.shape[:-1]), direction="forward")
     folded *= _twist(n)
     return fft(folded)
 
@@ -107,8 +99,8 @@ def negacyclic_ifft_folded(spectrum: np.ndarray, n: int) -> np.ndarray:
     """Inverse negacyclic transform, left folded.
 
     Returns the ``N/2`` complex points ``p[j] + i * p[j + N/2]`` of the
-    ``n`` real coefficients; :func:`negacyclic_ifft` unfolds them, callers
-    that round anyway fuse the unfold into the rounding.
+    ``n`` real coefficients; callers round anyway, so they fuse the unfold
+    into the rounding (:func:`repro.tfhe.polynomial.from_spectrum`).
     """
     half = transform_length(n)
     if spectrum.shape[-1] != half:
@@ -116,17 +108,7 @@ def negacyclic_ifft_folded(spectrum: np.ndarray, n: int) -> np.ndarray:
             f"spectrum length {spectrum.shape[-1]} != N/2 = {half}"
         )
     if _METRICS.enabled:
-        _NEGACYCLIC.inc(_count_polys(spectrum.shape), direction="inverse")
+        _NEGACYCLIC.inc(math.prod(spectrum.shape[:-1]), direction="inverse")
     folded = ifft(spectrum)
     folded *= _twist(n, inverse=True)
     return folded
-
-
-def negacyclic_ifft(spectrum: np.ndarray, n: int) -> np.ndarray:
-    """Inverse negacyclic transform back to ``n`` real coefficients."""
-    folded = negacyclic_ifft_folded(spectrum, n)
-    half = n // 2
-    out = np.empty(spectrum.shape[:-1] + (n,), dtype=np.float64)
-    out[..., :half] = folded.real
-    out[..., half:] = folded.imag
-    return out

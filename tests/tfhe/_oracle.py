@@ -6,7 +6,8 @@ batched read, keygen's key-mask product through one key spectrum.  The
 coefficient-domain references here are what those kernels are checked
 against:
 
-- ring ops: wrapping add/sub/neg, the scalar monomial multiply, and
+- ring ops: zero polynomials, wrapping add/sub/neg, the scalar monomial
+  multiply, and
   ``poly_mul`` with three engines - ``"fft"`` (the float twisted
   transform, rounded), ``"exact"`` (int64 schoolbook) and ``"ntt"``
   (Goldilocks-prime NTT, ``tests/transforms/_ntt.py``);
@@ -15,8 +16,9 @@ against:
   extraction at any coefficient;
 - scalar GGSW encryption, its spectrum, the per-row external product,
   the one-GGSW transform-domain external product and CMux;
-- the per-CMux reference bootstrap (the batch pipeline's oracle), the
-  gather key-mask product (keygen's oracle) and the two reference
+- the per-CMux reference blind rotation and bootstrap (the batch
+  pipeline's oracles), the gather key-mask product (keygen's oracle) and
+  the unrounded inverse negacyclic transform and the two reference
   negacyclic convolutions (the transforms' oracles).
 """
 
@@ -28,7 +30,7 @@ from repro.tfhe.ggsw import GgswCiphertext, external_product_spectrum_batch, ggs
 from repro.tfhe.glwe import GlweCiphertext, _encrypt_zeros, _key_mask_products, _key_spectrum
 from repro.tfhe.lwe import LweCiphertext, gaussian_torus_noise
 from repro.tfhe.torus import Q_BITS, TORUS_DTYPE, to_torus
-from repro.transforms.negacyclic import negacyclic_fft, negacyclic_ifft
+from repro.transforms.negacyclic import negacyclic_fft, negacyclic_ifft_folded
 
 MUL_ENGINES = ("fft", "exact", "ntt")
 
@@ -36,6 +38,11 @@ MUL_ENGINES = ("fft", "exact", "ntt")
 # ---------------------------------------------------------------------------
 # Ring operations
 # ---------------------------------------------------------------------------
+def zeros(shape):
+    """Zero polynomial(s) with the given shape (last axis = N)."""
+    return np.zeros(shape, dtype=TORUS_DTYPE)
+
+
 def poly_add(a, b):
     """Coefficient-wise wrapping addition."""
     return (np.asarray(a, TORUS_DTYPE) + np.asarray(b, TORUS_DTYPE)).astype(TORUS_DTYPE)
@@ -287,14 +294,27 @@ def reference_bootstrap(ct, test_poly, keyset, engine):
     transforms) or ``"exact"`` (O(N^2) integer reference).  Each CMux
     reads its GGSW's coefficient rows recovered from the table.
     """
+    a_tilde, b_tilde = modulus_switch(ct, keyset.params.N)
+    acc = reference_blind_rotate(a_tilde, b_tilde, test_poly, keyset, engine)
+    return key_switch(sample_extract(acc, 0), keyset.ksk)
+
+
+def reference_blind_rotate(a_tilde, b_tilde, test_poly, keyset, engine="transform", ggsws=None):
+    """One sample's blind rotation, one scalar CMux per non-zero digit.
+
+    ``a_tilde`` (``(n,)``) and ``b_tilde`` are already in ``Z_{2N}``;
+    returns the accumulator :class:`GlweCiphertext`.  ``ggsws`` optionally
+    supplies the BSK entries (a sequence indexed like the key), so a
+    caller rotating many samples recovers each entry once.
+    """
     params = keyset.params
-    a_tilde, b_tilde = modulus_switch(ct, params.N)
-    acc = glwe_rotate(glwe_trivial(test_poly, params.k), -b_tilde)
+    acc = glwe_rotate(glwe_trivial(test_poly, params.k), -int(b_tilde))
     for i in range(params.n):
         t = int(a_tilde[i])
         if t:
-            acc = cmux(keyset.bsk_ggsw(i), acc, glwe_rotate(acc, t), engine=engine)
-    return key_switch(sample_extract(acc, 0), keyset.ksk)
+            ggsw = keyset.bsk_ggsw(i) if ggsws is None else ggsws[i]
+            acc = cmux(ggsw, acc, glwe_rotate(acc, t), engine=engine)
+    return acc
 
 
 def key_mask_product(masks, key):
@@ -317,6 +337,20 @@ def key_mask_product(masks, key):
         idx = (n - ones)[:, None] + base[None, :]
         acc += ext[idx].sum(axis=0)
     return acc
+
+
+def negacyclic_ifft(spectrum, n):
+    """Inverse negacyclic transform back to ``n`` real coefficients.
+
+    The unrounded unfold of :func:`repro.transforms.negacyclic.negacyclic_ifft_folded`
+    (the library rounds inside the unfold instead).
+    """
+    folded = negacyclic_ifft_folded(spectrum, n)
+    half = n // 2
+    out = np.empty(spectrum.shape[:-1] + (n,), dtype=np.float64)
+    out[..., :half] = folded.real
+    out[..., half:] = folded.imag
+    return out
 
 
 def negacyclic_convolve_fft(a, b):

@@ -22,6 +22,7 @@ from repro import observability as obs
 from repro.params import PARAM_SETS, TEST_PARAMS_K2
 from repro.tfhe import (
     KeySwitchingKey,
+    blind_rotate_batch,
     identity_test_polynomial,
     key_switch_batch,
     make_test_polynomial,
@@ -33,7 +34,7 @@ from repro.tfhe.ops import TfheContext
 from repro.tfhe.torus import STREAM_BLOCK_BYTES, TORUS_DTYPE, to_torus
 from repro.transforms.backends import use_backend
 
-from ._oracle import ggsw_spectrum, reference_bootstrap
+from ._oracle import ggsw_spectrum, reference_blind_rotate, reference_bootstrap
 
 P = 8
 
@@ -114,6 +115,38 @@ class TestBitIdentity:
 @pytest.fixture(scope="module")
 def ctx_set_one():
     return TfheContext.create(PARAM_SETS["I"], seed=1)
+
+
+class TestBlindRotateAgainstPerCmuxOracle:
+    """``blind_rotate_batch`` equals one scalar CMux per non-zero digit, word
+    for word: every batch width, per-sample rotations of the ``k+1`` rows,
+    and the gather path when only some samples have a non-zero digit."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("set_name", ["test", "I"])
+    def test_matches_oracle(self, set_name, batch, ctx, ctx_set_one):
+        keyset = (ctx if set_name == "test" else ctx_set_one).keyset
+        params = keyset.params
+        rng = np.random.default_rng([batch, params.n])
+        a_tilde = rng.integers(0, 2 * params.N, size=(batch, params.n))
+        b_tilde = rng.integers(0, 2 * params.N, size=batch)
+        lut = identity_test_polynomial(params, P)
+        tps = lut
+        if batch == 3:
+            # Partial-active steps: each sample skips different digits, and
+            # one column is all zero. Per-sample LUTs ride along.
+            a_tilde[0, ::2] = 0
+            a_tilde[1, 1::3] = 0
+            a_tilde[:, 4] = 0
+            tps = np.stack([lut, np.roll(lut, 5), np.roll(lut, -7)])
+            active = np.count_nonzero(a_tilde, axis=0)
+            assert np.any((active > 0) & (active < batch))
+        acc = blind_rotate_batch(a_tilde, b_tilde, tps, keyset)
+        ggsws = [keyset.bsk_ggsw(i) for i in range(params.n)]
+        tp_rows = np.broadcast_to(tps, (batch, params.N))
+        for r in range(batch):
+            ref = reference_blind_rotate(a_tilde[r], b_tilde[r], tp_rows[r], keyset, ggsws=ggsws)
+            assert np.array_equal(acc[r], ref.data)
 
 
 class TestEngineDifferential:

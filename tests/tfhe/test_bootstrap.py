@@ -5,6 +5,7 @@ import pytest
 
 from repro.tfhe import (
     LweCiphertext,
+    blind_rotate_batch,
     identity_test_polynomial,
     key_switch,
     make_test_polynomial,
@@ -122,3 +123,19 @@ class TestProgrammableBootstrap:
         for _ in range(2):
             ct = programmable_bootstrap(ct, tp, ctx.keyset)
         assert ctx.decrypt(ct, P) == 3
+
+    def test_body_and_lut_counts_must_match_the_batch(self, ctx):
+        """One body against a batch of masks used to bootstrap every sample
+        with that body, and a mismatched LUT stack of height 1 to broadcast:
+        both now name the two counts instead of answering."""
+        n, two_n = ctx.params.n, 2 * ctx.params.N
+        a_tilde = np.arange(4 * n).reshape(4, n) % two_n
+        tp = identity_test_polynomial(ctx.params, P)
+        for bodies in ([5], [5, 6]):
+            with pytest.raises(ValueError, match=f"{len(bodies)} bodies and 4 test polynomials for 4"):
+                blind_rotate_batch(a_tilde, bodies, tp, ctx.keyset)
+        for rows in (1, 3):
+            with pytest.raises(ValueError, match=f"4 bodies and {rows} test polynomials for 4"):
+                blind_rotate_batch(a_tilde, [5] * 4, np.stack([tp] * rows), ctx.keyset)
+        assert blind_rotate_batch(a_tilde, [5] * 4, np.stack([tp] * 4), ctx.keyset).shape == (
+            4, ctx.params.k + 1, ctx.params.N)

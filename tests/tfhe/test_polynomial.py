@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tfhe.polynomial import from_spectrum, monomial_rotate_batch, zeros
+from repro.tfhe.polynomial import from_spectrum, monomial_rotate_batch
 from repro.tfhe.torus import to_torus
 
 from ._oracle import (
     monomial_mul,
+    negacyclic_ifft,
     poly_add,
     poly_mul,
     poly_mul_spectrum,
     poly_neg,
     poly_sub,
     to_spectrum,
+    zeros,
 )
 
 N = 64
@@ -102,6 +104,18 @@ class TestMonomialRotateBatch:
         for b in range(4):
             np.testing.assert_array_equal(got[b], monomial_mul(p[b], int(t[b, 0])))
 
+    @pytest.mark.parametrize("t_shape", [(), (1,), (4, 1), (1, 3), (3,), (4, 3)])
+    def test_exponents_broadcast_over_any_row_axes(self, t_shape, rng):
+        """Rows sharing an exponent (trailing length-1 axes of ``t``) are
+        copied together; every other broadcast goes row by row."""
+        p = np.stack([[random_torus_poly(rng) for _ in range(3)] for _ in range(4)])
+        t = rng.integers(-2 * N, 4 * N, size=t_shape)
+        got = monomial_rotate_batch(p, t)
+        full = np.broadcast_to(t, (4, 3))
+        for b in range(4):
+            for c in range(3):
+                np.testing.assert_array_equal(got[b, c], monomial_mul(p[b, c], int(full[b, c])))
+
     def test_scalar_exponent_and_single_row(self, rng):
         p = random_torus_poly(rng)
         np.testing.assert_array_equal(monomial_rotate_batch(p, 7), monomial_mul(p, 7))
@@ -169,7 +183,7 @@ class TestSpectrumPath:
 
     def test_from_spectrum_rounds_half_to_even_and_wraps(self):
         """The fused round+unfold equals rounding the unfolded coefficients."""
-        from repro.transforms.negacyclic import negacyclic_fft, negacyclic_ifft
+        from repro.transforms.negacyclic import negacyclic_fft
 
         coeffs = np.array([0.5, 1.5, -0.5, -1.5, 2.0**32 + 3, -(2.0**31), 2.0**40 + 1, -7.0])
         spec = negacyclic_fft(coeffs)

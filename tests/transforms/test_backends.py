@@ -96,6 +96,39 @@ class TestDtypeContract:
         assert backend.ifft(x).dtype == dtype
 
 
+def _library_transform_shapes():
+    """Every shape the library transforms: ``(B, k+1, l_b, N/2)`` digit
+    spectra and ``(B, k+1, N/2)`` accumulator spectra, per set and batch."""
+    from repro.params import get_params
+
+    for name in ("test", "I", "II", "III", "C"):
+        p = get_params(name)
+        for batch in (1, 8):
+            yield f"{name}-b{batch}-digits", (batch, p.k + 1, p.l_b, p.N // 2)
+            yield f"{name}-b{batch}-acc", (batch, p.k + 1, p.N // 2)
+
+
+class TestNumpyEngineIsNumpyFft:
+    """The production engine calls pocketfft's gufunc directly; its spectra
+    are ``np.fft.fft`` / ``ifft``'s bit for bit, at every library shape."""
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize(
+        "shape", [s for _, s in _library_transform_shapes()],
+        ids=[i for i, _ in _library_transform_shapes()],
+    )
+    def test_bit_identical_to_np_fft(self, shape, dtype, rng):
+        x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+        saved = x.copy()
+        backend = get_backend("numpy")
+        fwd, inv = backend.fft(x), backend.ifft(x)
+        np.testing.assert_array_equal(x, saved)
+        for got, want in ((fwd, np.fft.fft(x)), (inv, np.fft.ifft(x))):
+            assert got.dtype == want.dtype == dtype
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+
 class TestRadix2Oracle:
     """The production engine is certified against the in-repo butterflies."""
 

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from repro.transforms import (
     negacyclic_fft,
-    negacyclic_ifft,
     transform_length,
 )
 
-from ..tfhe._oracle import negacyclic_convolve_exact, negacyclic_convolve_fft
+from ..tfhe._oracle import negacyclic_convolve_exact, negacyclic_convolve_fft, negacyclic_ifft
 
 
 def naive_negacyclic(a, b):
