@@ -28,8 +28,6 @@ Commands
                  telemetry: per-op predicted (``--measure``: and
                  measured) noise, drift verdicts, the decryption-failure
                  bound, and the noise waterfall
-``pool``         shard bootstrap batches over forked worker lanes and
-                 print the scaling table
 
 Every ``--json`` document carries one top-level ``schema_version``
 (:func:`repro.observability.json_document`).
@@ -158,25 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     verbs = obs.add_subparsers(dest="verb", required=True)
     _add_obs_parsers(verbs)
 
-    pool = sub.add_parser(
-        "pool",
-        help="run a sharded bootstrap workload and print the scaling table",
-    )
-    pool.set_defaults(run=_cmd_pool)
-    pool.add_argument("--set", default="test", dest="param_set",
-                      help="parameter set name ('test' or a shipped set)")
-    pool.add_argument("--workers", default="1,2,4", metavar="N[,N...]",
-                      help="comma-separated pool widths to sweep")
-    pool.add_argument("--batch", type=int, default=16,
-                      help="ciphertexts per sharded batch")
-    pool.add_argument("--rounds", type=int, default=3,
-                      help="timing repetitions (best-of)")
-    pool.add_argument("--backend", default=None,
-                      help="compute backend (default: $REPRO_BACKEND or "
-                           "numpy; unknown names list the available ones)")
-    pool.add_argument("--seed", type=int, default=3)
-    pool.add_argument("--json", action="store_true",
-                      help="print the scaling result as JSON")
     return parser
 
 
@@ -633,33 +612,6 @@ def _observe_noise(args: argparse.Namespace) -> _Observation:
                        {"param_set": params.name, "workload": args.workload}),
         status=0 if ok else 1,
     )
-
-
-def _cmd_pool(args: argparse.Namespace) -> int:
-    from .pool.scaling import run_pool_scaling
-
-    try:
-        workers = [int(w) for w in str(args.workers).split(",") if w.strip()]
-    except ValueError:
-        print(f"invalid --workers list: {args.workers!r}", file=sys.stderr)
-        return 2
-    if not workers or any(w < 1 for w in workers):
-        print(f"--workers needs positive integers, got {args.workers!r}",
-              file=sys.stderr)
-        return 2
-    try:
-        result = run_pool_scaling(
-            param_set=args.param_set, workers=workers, batch=args.batch,
-            rounds=args.rounds, backend=args.backend, seed=args.seed,
-        )
-    except ValueError as exc:  # unknown backend / parameter set
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.json:
-        _print_json(result)
-    else:
-        print(result.render_text())
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

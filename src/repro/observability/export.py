@@ -48,7 +48,7 @@ __all__ = [
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert ``obj`` into JSON-serializable plain types.
 
-    An object with its own ``to_jsonable()`` (the verify, noise and pool
+    An object with its own ``to_jsonable()`` (the verify and noise
     reports) is serialized through it.
     """
     if obj is None or isinstance(obj, (bool, int, str)):

@@ -109,8 +109,8 @@ def _table_block(params: TFHEParams) -> int:
 def _fill_table(params: TFHEParams, blocks: Iterable[np.ndarray]) -> np.ndarray:
     """Fold and transform GGSW row blocks, in key order, into one table.
 
-    Filling a preallocated table keeps it C-ordered (the per-step MAC and
-    pool workers mapping it rely on that) whatever the backend hands back.
+    Filling a preallocated table keeps it C-ordered (the per-step MAC
+    relies on that) whatever the backend hands back.
     """
     half = params.N // 2
     table = np.empty((params.n, (params.k + 1) * params.l_b, params.k + 1, half), np.complex128)
@@ -155,20 +155,16 @@ class KeySet:
     ksk: KeySwitchingKey
 
     def __post_init__(self) -> None:
-        self.bsk_table = self._checked(self.bsk_table)
-
-    def _checked(self, table: np.ndarray) -> np.ndarray:
-        """``table`` if it fits this key as its spectrum table, else raise."""
         p = self.params
         expected_shape = (p.n, (p.k + 1) * p.l_b, p.k + 1, p.N // 2)
-        table = np.asarray(table)
+        table = np.asarray(self.bsk_table)
         if table.shape != expected_shape:
             raise ValueError(f"spectrum table shape {table.shape} != expected {expected_shape}")
         if table.dtype != np.complex128:
             raise ValueError(f"spectrum table dtype {table.dtype} != expected complex128")
         if not table.flags.c_contiguous:  # the per-step MAC reads key rows in order
             raise ValueError("spectrum table must be C-contiguous")
-        return table
+        self.bsk_table = table
 
     def bsk_spectrum_table(self, precision: str = "double") -> np.ndarray:
         """:attr:`bsk_table`; any ``precision`` other than ``"double"`` raises.
@@ -179,16 +175,6 @@ class KeySet:
         """
         if precision != "double":
             raise ValueError(f"the BSK table is complex128 only, got precision {precision!r}")
-        return self.bsk_table
-
-    def adopt_spectrum_table(self, table: np.ndarray) -> np.ndarray:
-        """Replace :attr:`bsk_table` with an externally held one.
-
-        This is how pool workers map one shared-memory table zero-copy
-        instead of keeping their own.  Shape, dtype and layout are
-        validated against ``params`` so a mismatched segment fails loudly.
-        """
-        self.bsk_table = self._checked(table)
         return self.bsk_table
 
     def bsk_ggsw(self, i: int) -> GgswCiphertext:

@@ -32,13 +32,9 @@ __all__ = [
     "from_double",
     "to_double",
     "to_signed",
-    "from_signed",
     "encode_message",
     "decode_message",
     "round_to_multiple",
-    "torus_add",
-    "torus_sub",
-    "torus_neg",
     "torus_scalar_mul",
     "torus_dot",
     "modswitch",
@@ -83,11 +79,6 @@ def to_signed(t: ArrayLike) -> np.ndarray:
     return np.asarray(t, dtype=TORUS_DTYPE).astype(np.int32).astype(np.int64)
 
 
-def from_signed(s: ArrayLike) -> np.ndarray:
-    """Reduce centered representatives back into ``T_q`` numerators."""
-    return to_torus(s)
-
-
 def encode_message(m: ArrayLike, p: int) -> np.ndarray:
     """Encode plaintext(s) ``m`` from ``Z_p`` into the torus: ``m * q/p``.
 
@@ -115,21 +106,6 @@ def round_to_multiple(t: ArrayLike, scale: int) -> np.ndarray:
     """Round torus numerators to the nearest multiple of ``scale`` (mod q)."""
     t64 = np.asarray(t, dtype=np.uint32).astype(np.int64)
     return to_torus((t64 + scale // 2) // scale * scale)
-
-
-def torus_add(a: ArrayLike, b: ArrayLike) -> np.ndarray:
-    """Wrapping torus addition."""
-    return (np.asarray(a, TORUS_DTYPE) + np.asarray(b, TORUS_DTYPE)).astype(TORUS_DTYPE)
-
-
-def torus_sub(a: ArrayLike, b: ArrayLike) -> np.ndarray:
-    """Wrapping torus subtraction."""
-    return (np.asarray(a, TORUS_DTYPE) - np.asarray(b, TORUS_DTYPE)).astype(TORUS_DTYPE)
-
-
-def torus_neg(a: ArrayLike) -> np.ndarray:
-    """Torus negation."""
-    return (-np.asarray(a, TORUS_DTYPE)).astype(TORUS_DTYPE)
 
 
 def torus_scalar_mul(scalar: ArrayLike, t: ArrayLike) -> np.ndarray:

@@ -1,10 +1,10 @@
 """The import surface of the TFHE substrate stays small.
 
-``import repro.tfhe`` pays for every module it loads, in every process
-and every pool lane.  This pins the count in a fresh interpreter, names
-the only telemetry modules it may pull in, so the serving telemetry
-deleted from ``repro.observability`` cannot come back through an import,
-and keeps the transform modules the substrate does not run out of it.
+``import repro.tfhe`` pays for every module it loads, in every process.
+This pins the count in a fresh interpreter, names the only telemetry
+modules it may pull in, so the serving telemetry deleted from
+``repro.observability`` cannot come back through an import, and keeps
+the transform modules the substrate does not run out of it.
 """
 
 import json

@@ -23,10 +23,11 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [["top"], ["slo"], ["record"],
                                       ["replay", "f.json"], ["fleet", "d"],
-                                      ["pool", "--telemetry", "d"]])
+                                      ["pool", "--telemetry", "d"], ["pool"]])
     def test_serving_telemetry_surface_is_gone(self, argv):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("verb", ["metrics", "trace", "profile", "noise"])
     def test_observability_verbs_live_under_obs(self, verb):
@@ -375,50 +376,3 @@ class TestTraceMerge:
         assert names == {"counters", "pipeline"}
         pids = {e["pid"] for e in events}
         assert len(pids) == 2  # one process group per section
-
-
-class TestPoolCommand:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["pool"])
-        assert args.param_set == "test"
-        assert args.workers == "1,2,4"
-        assert args.batch == 16
-        assert args.backend is None
-
-    def test_precision_flag_is_gone(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["pool", "--precision", "single"])
-
-    def test_pool_scaling_table(self, capsys):
-        assert main(["pool", "--workers", "1,2", "--batch", "4",
-                     "--rounds", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "workers" in out
-        assert "bootstraps/s" in out
-        assert "single-process" in out
-
-    def test_pool_json(self, capsys):
-        assert main(["pool", "--workers", "1", "--batch", "4",
-                     "--rounds", "1", "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["param_set"] == "test"
-        assert doc["backend"] == "numpy"
-        assert doc["batch"] == 4
-        assert [e["workers"] for e in doc["entries"]] == [1]
-        assert doc["entries"][0]["bootstraps_per_s"] > 0
-
-    def test_pool_radix2_backend_stamped(self, capsys):
-        assert main(["pool", "--workers", "1", "--batch", "4",
-                     "--rounds", "1", "--backend", "radix2", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["backend"] == "radix2"
-
-    def test_pool_unknown_backend_exit_2(self, capsys):
-        assert main(["pool", "--workers", "1", "--batch", "4",
-                     "--backend", "warp-drive"]) == 2
-        err = capsys.readouterr().err
-        assert "warp-drive" in err
-        assert "numpy" in err
-
-    def test_pool_invalid_workers_exit_2(self, capsys):
-        assert main(["pool", "--workers", "zero,none"]) == 2
-        assert "workers" in capsys.readouterr().err

@@ -82,8 +82,6 @@ class TestSpectrumTableCache:
         table = fresh.bsk_table
         assert _transform_images(fresh) == [table]
         assert not any(isinstance(v, list) for v in vars(fresh).values())
-        adopted = fresh.adopt_spectrum_table(table.copy())
-        assert _transform_images(fresh) == [adopted]
 
 
 class TestSpectrumTableLayout:
@@ -97,14 +95,18 @@ class TestSpectrumTableLayout:
             table = fresh.bsk_spectrum_table(precision)
         assert table.flags.c_contiguous
 
-    def test_adopt_rejects_a_non_contiguous_table(self, keyset):
+    @pytest.mark.parametrize("mismatch", ["shape", "complex64", "non-contiguous"])
+    def test_constructor_rejects_a_mismatched_table(self, keyset, mismatch):
         table = keyset.bsk_table
         transposed = np.ascontiguousarray(table.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
-        assert transposed.shape == table.shape and not transposed.flags.c_contiguous
-        fresh = generate_keyset(TEST_PARAMS, np.random.default_rng(3))
-        with pytest.raises(ValueError, match="C-contiguous"):
-            fresh.adopt_spectrum_table(transposed)
-        assert fresh.adopt_spectrum_table(table) is table
+        bad, match = {
+            "shape": (np.zeros((2, 2), dtype=np.complex128), "shape"),
+            "complex64": (table.astype(np.complex64), "dtype"),
+            "non-contiguous": (transposed, "C-contiguous"),
+        }[mismatch]
+        with pytest.raises(ValueError, match=match):
+            KeySet(keyset.params, None, None, bad, keyset.ksk)
+        assert KeySet(keyset.params, None, None, table, keyset.ksk).bsk_table is table
 
 
 class TestKeysGolden:

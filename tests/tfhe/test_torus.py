@@ -15,10 +15,7 @@ from repro.tfhe.torus import (
     to_double,
     to_signed,
     to_torus,
-    torus_add,
-    torus_neg,
     torus_scalar_mul,
-    torus_sub,
     u32,
 )
 
@@ -79,24 +76,6 @@ class TestEncoding:
 
 
 class TestArithmetic:
-    @given(u32s, u32s)
-    @settings(max_examples=100, deadline=None)
-    def test_add_sub_inverse(self, a, b):
-        x, y = np.uint32(a), np.uint32(b)
-        assert torus_sub(torus_add(x, y), y)[()] == a
-
-    @given(u32s)
-    @settings(max_examples=100, deadline=None)
-    def test_neg_is_additive_inverse(self, a):
-        x = np.uint32(a)
-        assert torus_add(x, torus_neg(x))[()] == 0
-
-    @given(u32s, u32s, u32s)
-    @settings(max_examples=100, deadline=None)
-    def test_add_associative(self, a, b, c):
-        x, y, z = map(np.uint32, (a, b, c))
-        assert torus_add(torus_add(x, y), z)[()] == torus_add(x, torus_add(y, z))[()]
-
     @given(st.integers(-1000, 1000), u32s)
     @settings(max_examples=100, deadline=None)
     def test_scalar_mul_matches_repeated_add(self, s, a):
