@@ -34,7 +34,6 @@ from typing import Dict
 from ..baselines import CpuCostModel
 from ..memory import bootstrap_memory
 from ..params import FIG1_PARAMS, TFHEParams
-from ..transforms.fft import fft_stage_count
 from .common import ExperimentResult
 
 __all__ = [
@@ -51,10 +50,17 @@ PAPER_CPU_MS = {"blind_rotation": 37.7, "key_switch": 6.4}
 PAPER_MEMORY_MB = {"bsk": 101.4, "ksk": 33.8}
 
 
+def _fft_stage_count(n: int) -> int:
+    """Number of butterfly stages in an ``n``-point radix-2 FFT."""
+    if n <= 0 or n & (n - 1):
+        raise ValueError(f"length must be a power of two, got {n}")
+    return n.bit_length() - 1
+
+
 def transform_real_mults(N: int) -> int:
     """Real multiplications of one negacyclic transform (N/2-pt FFT + twist)."""
     points = N // 2
-    butterfly_cmults = (points // 2) * fft_stage_count(points)
+    butterfly_cmults = (points // 2) * _fft_stage_count(points)
     twist_cmults = points
     return 4 * (butterfly_cmults + twist_cmults)
 

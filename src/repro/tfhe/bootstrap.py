@@ -35,7 +35,6 @@ from ..observability import (
     TIME_BUCKETS as _TIME_BUCKETS,
     TRACER as _TRACER,
 )
-from ..transforms.backends import active_backend_name as _active_backend_name
 from .decomposition import decompose
 from .ggsw import external_product_spectrum_batch
 from .glwe import sample_extract_batch
@@ -315,8 +314,7 @@ def programmable_bootstrap_batch(
         # Every request in the batch experiences the whole batch's
         # wall-clock latency, so the sample is count-weighted by `batch`.
         elapsed = time.perf_counter() - t0
-        _BOOTSTRAP_LATENCY.observe(elapsed, count=batch, batch=batch,
-                                   backend=_active_backend_name())
+        _BOOTSTRAP_LATENCY.observe(elapsed, count=batch, batch=batch)
     results = [LweCiphertext(out_a[r], out_b[r]) for r in range(batch)]
     if _NOISE.enabled:
         tp_rows = np.broadcast_to(tps, (batch, params.N))

@@ -110,7 +110,7 @@ def _fill_table(params: TFHEParams, blocks: Iterable[np.ndarray]) -> np.ndarray:
     """Fold and transform GGSW row blocks, in key order, into one table.
 
     Filling a preallocated table keeps it C-ordered (the per-step MAC
-    relies on that) whatever the backend hands back.
+    relies on that) whatever layout the transform hands back.
     """
     half = params.N // 2
     table = np.empty((params.n, (params.k + 1) * params.l_b, params.k + 1, half), np.complex128)

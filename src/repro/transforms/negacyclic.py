@@ -14,16 +14,24 @@ The inverse untwists and unfolds.  This is exactly the trick Morphling's
 hardware exploits: an ``N``-coefficient polynomial costs one ``N/2``-point
 FFT pass, which is why the simulator charges ``(N/2)/lanes`` cycles per
 polynomial transform.
+
+This module is the one place a transform runs.  The FFT is numpy's
+pocketfft, called through the gufuncs behind ``np.fft.fft`` / ``ifft``
+(numpy >= 2.0): their spectra bit for bit, without the Python wrapper.
+``transforms_fft_total{direction}`` counts every polynomial transform at
+the negacyclic boundary, whatever engine :func:`_fft` / :func:`_ifft`
+are bound to (the tests swap in a radix-2 oracle).
 """
 
 from __future__ import annotations
 
 import math
+from types import ModuleType
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..observability import REGISTRY as _METRICS
-from .fft import fft, ifft
 
 __all__ = [
     "negacyclic_fft",
@@ -33,11 +41,39 @@ __all__ = [
 ]
 
 _TWIST_CACHE: dict = {}
+_INVERSE_SCALES: Dict[Tuple[int, np.dtype], np.floating] = {}
+_POCKETFFT: Optional[ModuleType] = None
 
-_NEGACYCLIC = _METRICS.counter(
-    "transforms_negacyclic_total",
-    "Negacyclic polynomial transforms, by direction (batch-aware)",
+_FFT_CALLS = _METRICS.counter(
+    "transforms_fft_total", "FFT passes executed, by direction (batch-aware)"
 )
+
+
+def _pocketfft() -> ModuleType:
+    # Late import: numpy >= 2 loads numpy.fft lazily, so `import repro`
+    # stays as cheap for callers that never transform.
+    global _POCKETFFT
+    if _POCKETFFT is None:
+        from numpy.fft import _pocketfft_umath
+
+        _POCKETFFT = _pocketfft_umath
+    return _POCKETFFT
+
+
+def _fft(x: np.ndarray) -> np.ndarray:
+    """Forward FFT along the last axis: fresh, C-contiguous, input dtype."""
+    return (_POCKETFFT or _pocketfft()).fft(x, 1, out=np.empty(x.shape, dtype=x.dtype))
+
+
+def _ifft(x: np.ndarray) -> np.ndarray:
+    """Inverse FFT along the last axis (``_ifft(_fft(x)) == x``)."""
+    # 1/n in the input's real dtype, as `np.fft.ifft` passes it (a Python
+    # float would run complex64 input through the complex128 loop).
+    key = (x.shape[-1], x.dtype)
+    scale = _INVERSE_SCALES.get(key)
+    if scale is None:
+        scale = _INVERSE_SCALES[key] = np.reciprocal(key[0], dtype=x.real.dtype)
+    return (_POCKETFFT or _pocketfft()).ifft(x, scale, out=np.empty(x.shape, dtype=x.dtype))
 
 
 def transform_length(n: int) -> int:
@@ -80,7 +116,7 @@ def negacyclic_fft(p: np.ndarray) -> np.ndarray:
 
 
 def negacyclic_fft_folded(folded: np.ndarray) -> np.ndarray:
-    """Forward negacyclic transform of already-folded input.
+    """Forward negacyclic transform of already-folded ``complex128`` input.
 
     ``folded[..., j] = p[j] + i * p[j + N/2]`` (step 1 of the module
     docstring) for ``N = 2 * folded.shape[-1]``; callers that produce
@@ -88,15 +124,14 @@ def negacyclic_fft_folded(folded: np.ndarray) -> np.ndarray:
     and skip the fold copy.  ``folded`` is twisted **in place** and must
     not be reused.
     """
-    n = 2 * folded.shape[-1]
     if _METRICS.enabled:
-        _NEGACYCLIC.inc(math.prod(folded.shape[:-1]), direction="forward")
-    folded *= _twist(n)
-    return fft(folded)
+        _FFT_CALLS.inc(math.prod(folded.shape[:-1]), direction="forward")
+    folded *= _twist(2 * folded.shape[-1])
+    return _fft(folded)
 
 
 def negacyclic_ifft_folded(spectrum: np.ndarray, n: int) -> np.ndarray:
-    """Inverse negacyclic transform, left folded.
+    """Inverse negacyclic transform of a ``complex128`` spectrum, left folded.
 
     Returns the ``N/2`` complex points ``p[j] + i * p[j + N/2]`` of the
     ``n`` real coefficients; callers round anyway, so they fuse the unfold
@@ -108,7 +143,7 @@ def negacyclic_ifft_folded(spectrum: np.ndarray, n: int) -> np.ndarray:
             f"spectrum length {spectrum.shape[-1]} != N/2 = {half}"
         )
     if _METRICS.enabled:
-        _NEGACYCLIC.inc(math.prod(spectrum.shape[:-1]), direction="inverse")
-    folded = ifft(spectrum)
+        _FFT_CALLS.inc(math.prod(spectrum.shape[:-1]), direction="inverse")
+    folded = _ifft(spectrum)
     folded *= _twist(n, inverse=True)
     return folded

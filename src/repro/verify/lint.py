@@ -42,7 +42,7 @@ class ModuleScope:
 
     path: str
     in_tfhe: bool
-    in_transforms: bool
+    is_negacyclic: bool
     is_torus: bool
 
 
@@ -51,7 +51,7 @@ def module_scope(path: str) -> ModuleScope:
     return ModuleScope(
         path=norm,
         in_tfhe="/tfhe/" in norm or norm.startswith("tfhe/"),
-        in_transforms="/transforms/" in norm or norm.startswith("transforms/"),
+        is_negacyclic=norm.endswith("transforms/negacyclic.py"),
         is_torus=norm.endswith("tfhe/torus.py"),
     )
 

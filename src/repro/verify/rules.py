@@ -11,8 +11,8 @@ Scopes
 ``RPR001``/``RPR002`` apply to ``repro/tfhe`` outside ``torus.py`` (the
 one module allowed to spell out raw reductions - it *defines* the
 discipline).  ``RPR003`` applies to all tfhe modules.  ``RPR004``
-applies everywhere except ``repro/transforms`` (which implements its own
-FFT precisely so nothing else imports ``numpy.fft``).  ``RPR005``
+applies everywhere except ``repro/transforms/negacyclic.py`` (the one
+module that runs a transform, so nothing else imports ``numpy.fft``).  ``RPR005``
 applies package-wide.  ``RPR006`` shares RPR001's scope: ``torus.py``
 owns the rounding conventions, so truncating divisions elsewhere are
 suspect.  ``RPR004``/``RPR005`` resolve names through the module's
@@ -204,7 +204,7 @@ def _narrow_dtype(tree: ast.AST) -> Iterator[Tuple[int, str]]:
     "direct numpy.fft usage outside repro.transforms; use its negacyclic "
     "wrappers so transform counts stay observable (names resolve through "
     "the module's imports: `import numpy as xp` is caught)",
-    applies=lambda s: not s.in_transforms,
+    applies=lambda s: not s.is_negacyclic,
 )
 def _direct_fft(tree: ast.AST) -> Iterator[Tuple[int, str]]:
     for node in ast.walk(tree):

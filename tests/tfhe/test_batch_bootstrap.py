@@ -32,14 +32,11 @@ from repro.tfhe import (
 from repro.tfhe.decomposition import decompose
 from repro.tfhe.ops import TfheContext
 from repro.tfhe.torus import STREAM_BLOCK_BYTES, TORUS_DTYPE, to_torus
-from repro.transforms.backends import use_backend
 
+from ..transforms._radix2 import ENGINES, radix2_engine, transform_engine
 from ._oracle import ggsw_spectrum, reference_blind_rotate, reference_bootstrap
 
 P = 8
-
-#: Both transform engines; ``radix2`` is the oracle.
-ENGINES = ("radix2", "numpy")
 
 
 def _assert_bit_identical(batch_outs, scalar_outs):
@@ -160,7 +157,7 @@ class TestEngineDifferential:
     def _run(self, cts, tps, keyset):
         outs = {}
         for engine in ENGINES:
-            with use_backend(engine):
+            with transform_engine(engine):
                 outs[engine] = programmable_bootstrap_batch(cts, tps, keyset)
         return outs
 
@@ -187,12 +184,26 @@ class TestEngineDifferential:
         for engine in ENGINES[1:]:
             _assert_bit_identical(outs[engine], outs[ENGINES[0]])
         # Per-sample LUTs, partial batches and B=1 are views of one kernel.
-        with use_backend("numpy"):
-            alone = [
-                programmable_bootstrap_batch([ct], tp, c.keyset)[0]
-                for ct, tp in zip(cts, tps)
-            ]
+        alone = [
+            programmable_bootstrap_batch([ct], tp, c.keyset)[0]
+            for ct, tp in zip(cts, tps)
+        ]
         _assert_bit_identical(outs["numpy"], alone)
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("which", ["toy", "setI"])
+    def test_oracle_bootstraps_equal_pocketfft(self, which, batch, ctx, ctx_set_one):
+        """Whole bootstraps with every transform on the radix-2 butterflies
+        give pocketfft's words, on the batch and the single-sample shape."""
+        c = ctx if which == "toy" else ctx_set_one
+        msgs = [m % (P // 2) for m in range(batch)]
+        cts = [c.encrypt(m, P) for m in msgs]
+        tp = identity_test_polynomial(c.params, P)
+        want = programmable_bootstrap_batch(cts, tp, c.keyset)
+        with radix2_engine():
+            got = programmable_bootstrap_batch(cts, tp, c.keyset)
+        _assert_bit_identical(got, want)
+        assert [c.decrypt(out, P) for out in got] == msgs
 
     def test_toy_bootstrap_matches_exact_integer_engine(self, ctx):
         """With the float error below 1/2 the rounded transform product *is*
@@ -203,7 +214,7 @@ class TestEngineDifferential:
         tp = identity_test_polynomial(ctx.params, P)
         exact = reference_bootstrap(ct, tp, ctx.keyset, "exact")
         for engine in ENGINES:
-            with use_backend(engine):
+            with transform_engine(engine):
                 _assert_bit_identical(
                     programmable_bootstrap_batch([ct], tp, ctx.keyset), [exact]
                 )

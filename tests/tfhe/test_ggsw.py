@@ -11,9 +11,9 @@ import pytest
 from repro.tfhe.ggsw import external_product_spectrum_batch
 from repro.tfhe.glwe import GlweCiphertext, glwe_decrypt_phase, glwe_keygen
 from repro.tfhe.torus import encode_message
-from repro.transforms.backends import use_backend
 from repro.transforms.negacyclic import negacyclic_fft
 
+from ..transforms._radix2 import transform_engine
 from ._oracle import (
     cmux,
     external_product,
@@ -120,7 +120,7 @@ class TestSpectrumMacRowOrder:
     @pytest.mark.parametrize("engine", ["numpy", "radix2"])
     def test_equals_the_exact_coefficient_domain_product(self, engine, operands):
         g, data = operands
-        with use_backend(engine):
+        with transform_engine(engine):
             spectrum = negacyclic_fft(g.rows.view(np.int32))
             got = external_product_spectrum_batch(spectrum, data[:3], g.beta_bits, g.l_b)
         for sample, out in zip(data[:3], got):

@@ -10,16 +10,16 @@ V-A3) with a small Coef buffer, an adder and a shifter, doubling the FFT
 unit's effective throughput.  The library only prices it
 (``repro/transforms/pipeline_model.py``, ``merge_split=True``); these
 functional references check the identity the price relies on, for the
-plain (cyclic) FFT and for the negacyclic transform the TFHE substrate
-runs.
+plain (cyclic) FFT - the radix-2 butterflies, the hardware's functional
+twin - and for the negacyclic transform the TFHE substrate runs.
 """
 
 import numpy as np
 
-from repro.transforms.fft import fft, ifft
 from repro.transforms.negacyclic import negacyclic_fft
 
 from ..tfhe._oracle import negacyclic_ifft
+from ._radix2 import fft, ifft
 
 
 def merged_fft(p, r):

@@ -1,18 +1,13 @@
-"""Unit and property tests for the from-scratch radix-2 FFT."""
+"""Unit and property tests for the radix-2 oracle FFT (``_radix2.py``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.transforms import (
-    bit_reverse_permutation,
-    fft,
-    fft_complex_multiplies,
-    fft_real_multiplies,
-    fft_stage_count,
-    ifft,
-)
+from repro.experiments.fig1 import _fft_stage_count, transform_real_mults
+
+from ._radix2 import bit_reverse_permutation, fft, ifft, stage_twiddles
 
 SIZES = [2, 4, 8, 16, 64, 256, 1024]
 
@@ -119,15 +114,23 @@ class TestFFTProperties:
 
 
 class TestOperationCounts:
+    """Fig. 1 charges a transform the multiplies these butterflies perform."""
+
     def test_stage_count(self):
-        assert fft_stage_count(1024) == 10
+        assert _fft_stage_count(1024) == 10
+        assert len(stage_twiddles(1024)) == 10
 
     def test_complex_multiplies(self):
-        assert fft_complex_multiplies(512) == 256 * 9
+        # Each stage multiplies every odd slot, n/2 of them, by a twiddle.
+        n = 512
+        per_stage = [(n // (2 * tw.size)) * tw.size for tw in stage_twiddles(n)]
+        assert sum(per_stage) == (n // 2) * _fft_stage_count(n) == 256 * 9
 
     def test_real_multiplies_are_4x_complex(self):
-        assert fft_real_multiplies(256) == 4 * fft_complex_multiplies(256)
+        # A 1024-coefficient polynomial folds into a 512-point FFT + twist.
+        butterflies = sum((512 // (2 * tw.size)) * tw.size for tw in stage_twiddles(512))
+        assert transform_real_mults(1024) == 4 * (butterflies + 512)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            fft_stage_count(100)
+            _fft_stage_count(100)

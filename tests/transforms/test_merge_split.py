@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.transforms import fft, negacyclic_fft
+from repro.transforms import negacyclic_fft
 
 from ._merge_split import (
     merge_spectra,
@@ -15,6 +15,7 @@ from ._merge_split import (
     negacyclic_ifft_pair,
     split_spectra,
 )
+from ._radix2 import fft
 
 
 class TestMergeSplit:

@@ -124,6 +124,13 @@ class TestRpr004DirectFft:
                       rules=["RPR004"])
         assert report.diagnostics == []
 
+    def test_rest_of_transforms_package_caught(self):
+        # Only the negacyclic module runs a transform.
+        report = lint("spec = np.fft.rfft(x)\n",
+                      path="src/repro/transforms/pipeline_model.py",
+                      rules=["RPR004"])
+        assert not report.ok
+
     def test_wrapper_usage_clean(self):
         report = lint(
             """\
