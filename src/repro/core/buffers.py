@@ -4,7 +4,7 @@ Morphling's first-level memory holds four buffer types; the performance
 model needs their capacity arithmetic (how many ACC ciphertext *streams*
 fit in Private-A1, which bounds BSK reuse) and the stall cost of the
 shifter the double-pointer rotator replaces.  The rotation itself is
-:func:`~repro.tfhe.polynomial.monomial_rotate_batch`, which reads
+:func:`~repro.tfhe.polynomial.rotate_rows`, which reads
 ``X^t * ACC`` as one contiguous window of the stored coefficients.
 
 Capacity model

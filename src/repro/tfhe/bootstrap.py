@@ -35,7 +35,7 @@ from ..observability import (
     TIME_BUCKETS as _TIME_BUCKETS,
     TRACER as _TRACER,
 )
-from .decomposition import decompose
+from .decomposition import _digits, decompose
 from .ggsw import external_product_spectrum_batch
 from .glwe import sample_extract_batch
 from .keys import KeySet, KeySwitchingKey
@@ -45,7 +45,7 @@ from .noise import (
     key_switch_noise_variance,
     modulus_switch_noise_variance,
 )
-from .polynomial import monomial_rotate_batch
+from .polynomial import monomial_rotate_batch, rotate_rows
 from .torus import STREAM_BLOCK_BYTES, TORUS_DTYPE, modswitch, to_signed, to_torus, u32
 
 __all__ = [
@@ -56,6 +56,11 @@ __all__ = [
     "programmable_bootstrap",
     "programmable_bootstrap_batch",
 ]
+
+#: Widest batch whose key switch runs as a 32-bit wraparound ``einsum``
+#: against the resident key; wider batches take the block GEMM.  From the
+#: crossover measured on set I and the toy set (docs/perf.md, lever ledger).
+KS_NARROW_BATCH = 2
 
 _BOOTSTRAPS = _METRICS.counter(
     "tfhe_bootstraps_total", "Programmable bootstraps executed (functional path)"
@@ -101,11 +106,13 @@ def blind_rotate_batch(
     (shared) or ``(B, N)`` (per-sample LUTs); other counts raise
     ``ValueError``.  Returns the ``(B, k+1, N)`` accumulator data.
 
-    Per BSK row ``i`` the samples whose digit ``a~_i`` is non-zero are
-    gathered and pushed through one pass - rotate-diff as a contiguous
-    read of the signed extension, carry-free decomposition written
-    straight into the FFT input, forward transform, row-ordered MAC against
-    the eagerly transformed BSK entry, inverse transform with the rounding
+    Every step's per-sample read offsets ``-a~ mod 2N`` are computed once
+    per call, as Python ints.  Per BSK row ``i`` the samples whose digit
+    ``a~_i`` is non-zero are gathered and pushed through one pass -
+    rotate-diff as one contiguous read per sample of the signed extension
+    (:func:`repro.tfhe.polynomial.rotate_rows`), carry-free decomposition
+    written straight into the FFT input, forward transform, MAC against the
+    eagerly transformed BSK entry, inverse transform with the rounding
     fused into its unfold - with no intermediate :class:`GlweCiphertext`
     or digit array.  This is exactly the 2D VPE-array schedule: one BSK
     row amortized over all in-flight bootstraps.
@@ -131,30 +138,28 @@ def blind_rotate_batch(
     tp = np.broadcast_to(test_polys, (batch, n_poly))
     acc = np.zeros((batch, k + 1, n_poly), dtype=TORUS_DTYPE)
     acc[:, k, :] = monomial_rotate_batch(tp, -b_tilde)
-    exponents = a_tilde.T[:, :, None]  # step i's (B, 1) per-sample exponents
-    active_counts = np.count_nonzero(a_tilde, axis=0).tolist()
-    for i, steps in enumerate(active_counts):
-        if steps == 0:
-            continue
-        if steps == batch:
-            sub, shifts = acc, exponents[i]
-        else:
-            active = np.nonzero(a_tilde[:, i])[0]
-            sub, shifts = acc[active], exponents[i][active]
+    # Step i reads sample r at offset -a~[r, i] mod 2N; offset 0 (a~ = 0)
+    # means the sample skips the step.
+    offsets = (-a_tilde & (2 * n_poly - 1)).T.tolist()
+    for row, offs in zip(table, offsets):
         # Fused rotate-diff: diff = X^{a~_i} * ACC - ACC.
-        diff = monomial_rotate_batch(sub, shifts)
-        diff -= sub
-        update = external_product_spectrum_batch(
-            table[i], diff, params.beta_bits, l_b
-        )
-        if steps == batch:
-            acc += update
-        else:
-            acc[active] = sub + update
-    total_steps = sum(active_counts)
-    if total_steps and _METRICS.enabled:
-        _BR_STEPS.inc(total_steps)
-        _EXTERNAL_PRODUCTS.inc(total_steps)
+        if all(offs):
+            diff = rotate_rows(acc, offs)
+            diff -= acc
+            acc += external_product_spectrum_batch(row, diff, params.beta_bits, l_b)
+        elif any(offs):
+            active = [r for r, s in enumerate(offs) if s]
+            sub = acc[active]
+            diff = rotate_rows(sub, [offs[r] for r in active])
+            diff -= sub
+            acc[active] = sub + external_product_spectrum_batch(
+                row, diff, params.beta_bits, l_b
+            )
+    if _METRICS.enabled:
+        total_steps = int(np.count_nonzero(a_tilde))
+        if total_steps:
+            _BR_STEPS.inc(total_steps)
+            _EXTERNAL_PRODUCTS.inc(total_steps)
     return acc
 
 
@@ -166,20 +171,35 @@ def key_switch_batch(
     """Switch ``B`` extracted LWE samples back to the original key.
 
     ``a`` has shape ``(B, kN)``, ``b`` shape ``(B,)``.  The contraction
-    ``out = -sum_{m,j} d[b,m,j] * KSK[m,j]`` runs as the paper's KSK reuse
-    (Section V-B): an exact float64 GEMM of the ``(B, kN*l_k)`` digit
-    matrix against the key, one ``STREAM_BLOCK_BYTES`` row block at a time
-    through one reused buffer, so every block is read once for all ``B``
-    ciphertexts and no KSK-sized temporary exists.  Key words are read as
-    centred int32 (that moves each product by a multiple of ``2**32``,
-    which :func:`to_torus` discards); with |digit| <= beta_ks/2 every
-    partial sum is then an integer below ``2**53`` whatever order BLAS
-    adds in - :class:`KeySwitchingKey` refuses a key that breaks the bound.
+    ``out = -sum_{m,j} d[b,m,j] * KSK[m,j]`` runs in one of two layouts,
+    picked by the batch width, with the same torus words from both:
+
+    - ``B <= KS_NARROW_BATCH``: the centred digits, as uint32 words,
+      against the resident uint32 key in ``np.einsum``.  Products and sums
+      wrap modulo ``2**32``, which is the torus, so the result is exact by
+      construction; no key word is converted and nothing key-sized or
+      block-sized is allocated.  Einsum walks the key once per sample,
+      which is why it stops paying past two samples.
+    - wider batches: the paper's KSK reuse (Section V-B), an exact float64
+      GEMM of the ``(B, kN*l_k)`` digit matrix against the key, one
+      ``STREAM_BLOCK_BYTES`` row block at a time through one reused
+      buffer, so every block is read once for all ``B`` ciphertexts.  Key words are read as
+      centred int32 (that moves each product by a multiple of ``2**32``,
+      which :func:`to_torus` discards); with |digit| <= beta_ks/2 every
+      partial sum is then an integer below ``2**53`` whatever order BLAS
+      adds in - :class:`KeySwitchingKey` refuses a key that breaks the
+      bound.
     """
     a = np.asarray(a, dtype=TORUS_DTYPE)
     if a.shape[-1] != ksk.in_dimension:
         raise ValueError("ciphertext dimension does not match KSK input dimension")
     batch, n = a.shape[0], ksk.out_dimension
+    _KEY_SWITCHES.inc(batch)
+    if batch <= KS_NARROW_BATCH:
+        words = _digits(a, ksk.beta_ks_bits, ksk.l_k).transpose(0, 2, 1).view(TORUS_DTYPE)
+        mask_dot = np.einsum("bml,mln->bn", words, ksk.masks)
+        body_dot = np.einsum("bml,ml->b", words, ksk.bodies)
+        return np.negative(mask_dot), to_torus(b) - body_dot
     digits = decompose(a, ksk.beta_ks_bits, ksk.l_k).transpose(0, 2, 1)  # (B, kN, l_k)
     # repro: allow[RPR002] GEMM boundary: |digit| <= beta_ks/2 is exact in float64
     digits = digits.astype(np.float64, order="C").reshape(batch, -1)
@@ -194,7 +214,6 @@ def key_switch_batch(
     # repro: allow[RPR002] GEMM boundary: centred 32-bit bodies are exact in float64
     body_dot = digits @ ksk.bodies.reshape(-1).view(np.int32).astype(np.float64)
     body_acc = np.asarray(b).astype(np.int64) - body_dot.astype(np.int64)
-    _KEY_SWITCHES.inc(batch)
     return to_torus(-mask_acc.astype(np.int64)), to_torus(body_acc)
 
 

@@ -33,6 +33,11 @@ __all__ = [
     "external_product_spectrum_batch",
 ]
 
+#: Largest temporary of the one-shot spectrum MAC (multiply + reduce);
+#: larger ones take the row loop.  From the crossovers measured on sets
+#: I, II, III, C and the toy set (docs/perf.md, lever ledger).
+MAC_ONE_SHOT_BYTES = 256 * 1024
+
 
 @dataclass
 class GgswCiphertext:
@@ -124,9 +129,20 @@ def external_product_spectrum_batch(
     inverse transform with the rounding fused into its unfold produces all
     ``B*(k+1)`` outputs.
 
-    The result is bit-identical for every batch size (the row order is
-    fixed and the products, the accumulation and the transforms are
-    elementwise along the batch axis).
+    The MAC has two layouts, picked by the size of the one-shot multiply's
+    temporary (``B * (k+1)*l_b * (k+1) * N/2`` complex128):
+
+    - at most ``MAC_ONE_SHOT_BYTES``: one broadcast multiply of every digit
+      spectrum by every row, then ``np.add.reduce`` over the row axis -
+      two numpy calls, where a narrow batch's step is dispatch-bound;
+    - above it: a loop over the GGSW rows, each adding its product into the
+      ``(B, k+1, N/2)`` accumulator, so no temporary outgrows it (the big
+      temporary costs more in cache misses than the loop in calls).
+
+    Both add the products in row order, element by element, so the result
+    is the same for either layout and bit-identical for every batch size
+    (the products, the accumulation and the transforms are elementwise
+    along the batch axis).
 
     Returns ``(B, k+1, N)`` torus data.
     """
@@ -135,11 +151,10 @@ def external_product_spectrum_batch(
     folded = decompose_folded(glwe_data, beta_bits, l_b)
     digit_spec = negacyclic_fft_folded(folded)  # (B, k+1, l_b, N/2)
     d = digit_spec.reshape(-1, kp1 * l_b, 1, n // 2)
-    # The VPE pointwise MACs in POLY-ACC-REG order: one GGSW row after the
-    # other, so no temporary outgrows the accumulator (a one-shot multiply
-    # + reduce needs a (rows x outputs) one and is slower inside the loop).
-    acc_spec = d[:, 0] * row_spec[0]  # (B, k+1, N/2)
-    for r in range(1, kp1 * l_b):
-        acc_spec += d[:, r] * row_spec[r]
+    if d.shape[0] * row_spec.nbytes <= MAC_ONE_SHOT_BYTES:
+        acc_spec = np.add.reduce(d * row_spec, axis=1)  # (B, k+1, N/2)
+    else:
+        acc_spec = d[:, 0] * row_spec[0]
+        for r in range(1, kp1 * l_b):
+            acc_spec += d[:, r] * row_spec[r]
     return from_spectrum(acc_spec, n)
-

@@ -12,7 +12,8 @@ and applications read naturally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,6 +34,9 @@ from .torus import Q, decode_message, encode_message
 
 __all__ = ["TfheContext", "GATE_LUTS"]
 
+#: A LUT over ``[0, p/2)``: a function of the message or its table.
+LutHalf = Union[Callable[[int], int], Sequence[int]]
+
 #: LUTs over the two-bit sum ``x = b1 + b2`` (values 0..2), message space p=8.
 GATE_LUTS = {
     "nand": lambda x: 1 if x < 2 else 0,
@@ -49,44 +53,49 @@ class TfheContext:
     """A keyset plus the encode/encrypt/bootstrap conveniences.
 
     ``default_p`` is the message modulus used by :meth:`encrypt` when none
-    is given; gates always use ``p = 8`` internally.
+    is given; gates always use ``p = 8`` internally.  ``rng`` draws every
+    encryption's mask and noise; a context built around an existing keyset
+    seeds it from OS entropy.
     """
 
     keyset: KeySet
     default_p: int = 8
+    # A lambda, so that importing the module does not load numpy.random.
+    rng: np.random.Generator = field(
+        default_factory=lambda: np.random.default_rng(), repr=False, compare=False
+    )
 
     # -- construction -------------------------------------------------
     @classmethod
-    def create(cls, params: TFHEParams, seed: int = 0, **kwargs) -> "TfheContext":
-        """Generate fresh keys for ``params`` with a deterministic seed."""
+    def create(cls, params: TFHEParams, seed: int = 0, **kwargs: Any) -> "TfheContext":
+        """Generate fresh keys for ``params`` with a deterministic seed.
+
+        Encryptions continue the same seeded generator after keygen's
+        draws, so one seed reproduces the keys and every ciphertext.
+        """
         rng = np.random.default_rng(seed)
-        return cls(generate_keyset(params, rng), **kwargs)
+        return cls(generate_keyset(params, rng), rng=rng, **kwargs)
 
     @property
     def params(self) -> TFHEParams:
         return self.keyset.params
 
-    def _rng(self) -> np.random.Generator:
-        # Encryption randomness; fresh generator per call keeps the context
-        # stateless while staying reproducible under a fixed OS seed.
-        return np.random.default_rng()
-
     # -- encrypt / decrypt --------------------------------------------
-    def encrypt(self, message: int, p: int = None) -> LweCiphertext:
+    def encrypt(self, message: int, p: Optional[int] = None) -> LweCiphertext:
         """Encrypt ``message`` in ``Z_p`` (must stay below p/2: padding bit)."""
         p = p or self.default_p
         if not 0 <= message < p // 2:
             raise ValueError(f"message {message} outside padded range [0, {p // 2})")
         m_torus = encode_message(message, p)[()]
-        return lwe_encrypt(m_torus, self.keyset.lwe_key, self._rng(),
+        return lwe_encrypt(m_torus, self.keyset.lwe_key, self.rng,
                            noise_log2=self.params.lwe_noise_log2)
 
-    def encrypt_signed(self, value: int, p: int = None) -> LweCiphertext:
+    def encrypt_signed(self, value: int, p: Optional[int] = None) -> LweCiphertext:
         """Encrypt a signed value in ``[-p/4, p/4)`` via offset binary."""
         p = p or self.default_p
         return self.encrypt(signed_to_message(value, p), p)
 
-    def decrypt(self, ct: LweCiphertext, p: int = None) -> int:
+    def decrypt(self, ct: LweCiphertext, p: Optional[int] = None) -> int:
         """Decrypt and decode back to ``Z_p``."""
         p = p or self.default_p
         if _NOISE.enabled:
@@ -104,23 +113,26 @@ class TfheContext:
         phase = lwe_decrypt_phase(ct, self.keyset.lwe_key)
         return int(decode_message(np.asarray(phase), p)[()])
 
-    def decrypt_signed(self, ct: LweCiphertext, p: int = None) -> int:
+    def decrypt_signed(self, ct: LweCiphertext, p: Optional[int] = None) -> int:
         """Decrypt an offset-binary signed value."""
         p = p or self.default_p
         return message_to_signed(self.decrypt(ct, p), p)
 
     # -- bootstrapped operations ---------------------------------------
-    def apply_lut(self, ct: LweCiphertext, lut_half, p: int = None) -> LweCiphertext:
+    def apply_lut(
+        self, ct: LweCiphertext, lut_half: LutHalf, p: Optional[int] = None
+    ) -> LweCiphertext:
         """Programmable bootstrap evaluating ``lut_half`` over ``[0, p/2)``."""
         return self.apply_lut_batch([ct], [lut_half], p)[0]
 
-    def _lut_test_poly(self, lut_half, p: int) -> np.ndarray:
+    def _lut_test_poly(self, lut_half: LutHalf, p: int) -> np.ndarray:
         lut = np.asarray([lut_half(x) if callable(lut_half) else lut_half[x]
                           for x in range(p // 2)], dtype=np.int64)
         return make_test_polynomial(lut, self.params, p)
 
-    def apply_lut_batch(self, cts: list, lut_halves: list, p: int = None,
-                        noise_labels: list = None) -> list:
+    def apply_lut_batch(self, cts: Sequence[LweCiphertext], lut_halves: Sequence[LutHalf],
+                        p: Optional[int] = None,
+                        noise_labels: Optional[Sequence[str]] = None) -> List[LweCiphertext]:
         """Bootstrap several ciphertexts in one batched pass.
 
         ``lut_halves[r]`` programs sample ``r`` (per-sample test
@@ -157,7 +169,7 @@ class TfheContext:
         labels = [f"gate:{name}" for name in names] if _NOISE.enabled else None
         return self.apply_lut_batch(sums, luts, p=8, noise_labels=labels)
 
-    def bootstrap(self, ct: LweCiphertext, p: int = None) -> LweCiphertext:
+    def bootstrap(self, ct: LweCiphertext, p: Optional[int] = None) -> LweCiphertext:
         """Noise-refresh bootstrap (identity LUT)."""
         p = p or self.default_p
         return self.apply_lut(ct, lambda x: x, p)
@@ -171,13 +183,15 @@ class TfheContext:
         one = encode_message(1, 8)[()]
         return lwe_add_plain(lwe_scalar_mul(-1, x), int(one))
 
-    def relu_signed(self, ct: LweCiphertext, p: int = None) -> LweCiphertext:
+    def relu_signed(self, ct: LweCiphertext, p: Optional[int] = None) -> LweCiphertext:
         """ReLU on an offset-binary signed value (single bootstrap)."""
         p = p or self.default_p
         quarter = p // 4
         return self.apply_lut(ct, lambda x: max(x - quarter, 0) + quarter, p)
 
-    def compare_ge(self, ct: LweCiphertext, threshold: int, p: int = None) -> LweCiphertext:
+    def compare_ge(
+        self, ct: LweCiphertext, threshold: int, p: Optional[int] = None
+    ) -> LweCiphertext:
         """``1`` if the signed value >= ``threshold`` else ``0`` (one bootstrap).
 
         Output is a bit in message space p=8 so it feeds directly into

@@ -304,26 +304,35 @@ class TestKeySwitchMemory:
             assert out_b[r] == ref_b
 
     def test_peak_allocation_regression(self):
-        """Set-III shapes at B = 8: one block buffer, no KSK-sized temporary."""
+        """Set-III shapes: no KSK-sized temporary at B = 8 (one block
+        buffer) and no block-sized one at B = 1 (the narrow contraction
+        reads the resident key words as they are)."""
         rng = np.random.default_rng(3)
-        m, l_k, n, batch = 2048, 4, 592, 8
+        m, l_k, n = 2048, 4, 592
         ksk = self._make_ksk(rng, m, l_k, n)
-        a = rng.integers(0, 1 << 32, size=(batch, m), dtype=np.uint64).astype(TORUS_DTYPE)
-        b = rng.integers(0, 1 << 32, size=(batch,), dtype=np.uint64).astype(TORUS_DTYPE)
-        key_switch_batch(a, b, ksk)  # warm caches outside the measured window
-        tracemalloc.start()
-        key_switch_batch(a, b, ksk)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        # The design's own budget: the block buffer (twice over, for slack),
-        # the int64 digits with their float64 copy, and the output words.
-        digit_bytes = batch * m * l_k * 8
-        budget = 2 * STREAM_BLOCK_BYTES + 2 * digit_bytes + batch * (n + 1) * 8
-        assert budget < ksk.masks.nbytes / 3  # so no KSK-sized temporary fits in it
-        assert peak <= budget, (
-            f"key_switch_batch peaked at {peak / 2**20:.1f} MiB against a "
-            f"{budget / 2**20:.1f} MiB budget; the KSK is {ksk.masks.nbytes / 2**20:.1f} MiB"
-        )
+        for batch in (8, 1):
+            a = rng.integers(0, 1 << 32, size=(batch, m), dtype=np.uint64).astype(TORUS_DTYPE)
+            b = rng.integers(0, 1 << 32, size=(batch,), dtype=np.uint64).astype(TORUS_DTYPE)
+            key_switch_batch(a, b, ksk)  # warm caches outside the measured window
+            tracemalloc.start()
+            key_switch_batch(a, b, ksk)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            # The design's own budget: the int64 digits with their float64
+            # copy (B = 8) or the digit words with their extraction
+            # temporaries (B = 1), the output words, and at B = 8 the block
+            # buffer (twice over, for slack).
+            digit_bytes = batch * m * l_k * 8
+            budget = 2 * digit_bytes + batch * (n + 1) * 8
+            if batch > bootstrap_module.KS_NARROW_BATCH:
+                budget += 2 * STREAM_BLOCK_BYTES
+                assert budget < ksk.masks.nbytes / 3  # so no KSK-sized temporary fits in it
+            else:
+                assert budget < STREAM_BLOCK_BYTES / 8  # nor a float64-lifted block
+            assert peak <= budget, (
+                f"key_switch_batch at B = {batch} peaked at {peak / 2**20:.2f} MiB against a "
+                f"{budget / 2**20:.2f} MiB budget; the KSK is {ksk.masks.nbytes / 2**20:.1f} MiB"
+            )
 
 
 def _int64_key_switch(a, b, ksk):
@@ -335,7 +344,9 @@ def _int64_key_switch(a, b, ksk):
 
 
 class TestKeySwitchExactness:
-    """The float64 GEMM is exact at its bound, not only on random inputs."""
+    """Both contractions - 32-bit wraparound at B <= KS_NARROW_BATCH, the
+    float64 GEMM above it - are exact at the GEMM's bound, not only on
+    random inputs."""
 
     @pytest.mark.parametrize("name", ["I", "II", "III", "IV"])
     def test_worst_case_operands_on_the_secure_shapes(self, name):
@@ -347,6 +358,8 @@ class TestKeySwitchExactness:
         kept = p.beta_ks_bits * p.l_k
         all_low = -half_beta * sum(1 << (p.beta_ks_bits * j) for j in range(p.l_k))
         word = (all_low % (1 << kept)) << (32 - kept)
+        widths = (1, 2, 3, 8)  # both sides of KS_NARROW_BATCH
+        assert min(widths) <= bootstrap_module.KS_NARROW_BATCH < max(widths)
         a = np.full((8, m), word, dtype=TORUS_DTYPE)
         assert np.all(decompose(a, p.beta_ks_bits, p.l_k) == -half_beta)
         b = np.arange(8, dtype=TORUS_DTYPE)
@@ -358,7 +371,7 @@ class TestKeySwitchExactness:
         for extreme in (0x8000_0000, 0x7FFF_FFFF):
             ksk.masks[...] = extreme
             ksk.bodies[...] = extreme
-            for batch in (1, 8):
+            for batch in widths:
                 got_a, got_b = key_switch_batch(a[:batch], b[:batch], ksk)
                 ref_a, ref_b = _int64_key_switch(a[:batch], b[:batch], ksk)
                 assert np.array_equal(got_a, ref_a)

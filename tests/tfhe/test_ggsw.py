@@ -8,13 +8,15 @@ against (``tests/tfhe/_oracle.py``).
 import numpy as np
 import pytest
 
-from repro.tfhe.ggsw import external_product_spectrum_batch
+from repro.tfhe.decomposition import decompose
+from repro.tfhe.ggsw import MAC_ONE_SHOT_BYTES, external_product_spectrum_batch
 from repro.tfhe.glwe import GlweCiphertext, glwe_decrypt_phase, glwe_keygen
-from repro.tfhe.torus import encode_message
+from repro.tfhe.torus import encode_message, to_torus
 from repro.transforms.negacyclic import negacyclic_fft
 
 from ..transforms._radix2 import transform_engine
 from ._oracle import (
+    _exact_negacyclic_int64,
     cmux,
     external_product,
     external_product_transform,
@@ -106,15 +108,41 @@ class TestExternalProduct:
         assert phase_error(glwe_decrypt_phase(out, gkey), m) < (1 << 16)
 
 
+#: (k, N, beta_bits, l_b) of the MAC shapes under test: a small k = 2
+#: shape, set I and set C.
+MAC_SHAPES = {"k2": (2, N, BETA_BITS, 3), "I": (1, 1024, 10, 2), "C": (3, 512, 7, 3)}
+
+
+@pytest.fixture(scope="module")
+def mac_operands():
+    """Per shape: a GGSW, eight random GLWE accumulators and their exact
+    coefficient-domain products (built on first use)."""
+    cache = {}
+
+    def get(shape):
+        if shape not in cache:
+            k, n, beta_bits, l_b = MAC_SHAPES[shape]
+            rng = np.random.default_rng(17)
+            g = ggsw_encrypt(1, glwe_keygen(k, n, rng), beta_bits, l_b, rng, noise_log2=NOISE)
+            data = rng.integers(0, 1 << 32, size=(8, k + 1, n), dtype=np.uint32)
+            digits = decompose(data, beta_bits, l_b)  # (8, k+1, l_b, N)
+            rows = g.rows.view(np.int32).reshape(k + 1, l_b, k + 1, n)
+            products = _exact_negacyclic_int64(digits[:, :, :, None, :], rows[None])
+            cache[shape] = g, data, to_torus(products.sum(axis=(1, 2)))
+        return cache[shape]
+
+    return get
+
+
 class TestSpectrumMacRowOrder:
-    """The row-ordered MAC on a shape that is not set I's: k = 2, l_b = 3
-    (nine GGSW rows into three output polynomials)."""
+    """The spectrum MAC in both layouts (one-shot multiply + reduce up to
+    ``MAC_ONE_SHOT_BYTES`` of temporary, the row loop above it) on a k = 2,
+    l_b = 3 shape (nine GGSW rows into three output polynomials) and on
+    sets I and C, at widths on both sides of the threshold."""
 
     @pytest.fixture(scope="class")
-    def operands(self):
-        rng = np.random.default_rng(17)
-        g = ggsw_encrypt(1, glwe_keygen(2, N, rng), BETA_BITS, 3, rng, noise_log2=NOISE)
-        data = rng.integers(0, 1 << 32, size=(8, 3, N), dtype=np.uint32)
+    def operands(self, mac_operands):
+        g, data, _ = mac_operands("k2")
         return g, data
 
     @pytest.mark.parametrize("engine", ["numpy", "radix2"])
@@ -127,15 +155,29 @@ class TestSpectrumMacRowOrder:
             want = external_product(g, GlweCiphertext(sample), engine="exact")
             np.testing.assert_array_equal(out, want.data)
 
-    @pytest.mark.parametrize("batch", [1, 3, 8])
-    def test_a_batch_equals_its_samples_one_at_a_time(self, batch, operands):
-        g, data = operands
+    def test_the_widths_sit_on_both_sides_of_the_threshold(self, mac_operands):
+        """k2 stays one-shot through B = 8; set I switches to the row loop
+        after B = 4 and set C after B = 1."""
+        for shape, last_one_shot in (("k2", 8), ("I", 4), ("C", 1)):
+            per_sample = ggsw_spectrum(mac_operands(shape)[0]).nbytes
+            assert last_one_shot * per_sample <= MAC_ONE_SHOT_BYTES
+            if shape != "k2":
+                assert (last_one_shot + 1) * per_sample > MAC_ONE_SHOT_BYTES
+
+    @pytest.mark.parametrize(
+        "shape, batch",
+        [pytest.param("k2", b, id=str(b)) for b in (1, 3, 8)]
+        + [(shape, b) for shape in ("I", "C") for b in (1, 4, 5, 8)],
+    )
+    def test_a_batch_equals_its_samples_one_at_a_time(self, shape, batch, mac_operands):
+        g, data, exact = mac_operands(shape)
         spectrum = ggsw_spectrum(g)
         assert spectrum.dtype == np.complex128
         together = external_product_spectrum_batch(spectrum, data[:batch], g.beta_bits, g.l_b)
         for r in range(batch):
             alone = external_product_spectrum_batch(spectrum, data[r : r + 1], g.beta_bits, g.l_b)
             np.testing.assert_array_equal(together[r], alone[0])
+            np.testing.assert_array_equal(together[r], exact[r])
 
 
 class TestCMux:

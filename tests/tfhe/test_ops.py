@@ -1,7 +1,9 @@
 """Tests for gate-level and LUT-level homomorphic operations."""
 
+import numpy as np
 import pytest
 
+from repro import TEST_PARAMS, TfheContext
 from repro.tfhe.ops import GATE_LUTS
 
 
@@ -87,3 +89,28 @@ class TestMessageValidation:
             ctx.encrypt(4)  # p=8 -> messages < 4
         with pytest.raises(ValueError):
             ctx.encrypt(-1)
+
+
+class TestSeededContexts:
+    """One seed reproduces the keys and every ciphertext encrypted after them."""
+
+    MESSAGES = (0, 3, 1, 1, 2)
+
+    @classmethod
+    def _encryptions(cls, ctx):
+        cts = [ctx.encrypt(m) for m in cls.MESSAGES]
+        return b"".join(ct.a.tobytes() + np.uint32(ct.b).tobytes() for ct in cts)
+
+    def test_one_seed_gives_byte_equal_encryptions(self):
+        first = TfheContext.create(TEST_PARAMS, seed=11)
+        second = TfheContext.create(TEST_PARAMS, seed=11)
+        other = TfheContext.create(TEST_PARAMS, seed=12)
+        ours = self._encryptions(first)
+        assert ours == self._encryptions(second)
+        assert ours != self._encryptions(other)
+        for m, ct in zip(self.MESSAGES, [first.encrypt(m) for m in self.MESSAGES]):
+            assert first.decrypt(ct) == m
+
+    def test_a_context_around_a_keyset_draws_fresh_entropy(self, ctx):
+        direct = [TfheContext(ctx.keyset) for _ in range(2)]
+        assert self._encryptions(direct[0]) != self._encryptions(direct[1])
