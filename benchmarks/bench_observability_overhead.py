@@ -23,7 +23,6 @@ import time
 import tracemalloc
 
 from repro import TEST_PARAMS, observability as obs
-from repro.observability.counters import PerfCounters
 from repro.observability.noise import NoiseTracker
 from repro.observability.registry import MetricsRegistry
 from repro.observability.tracer import Tracer
@@ -60,21 +59,6 @@ class _ProbeTracer(Tracer):
         pass
 
 
-class _ProbeCounters(PerfCounters):
-    """Perf-counter bank whose ``enabled`` read is counted (always False)."""
-
-    checks = 0
-
-    @property
-    def enabled(self):
-        _ProbeCounters.checks += 1
-        return False
-
-    @enabled.setter
-    def enabled(self, value):
-        pass
-
-
 class _ProbeNoise(NoiseTracker):
     """Noise tracker whose ``enabled`` read is counted (always False)."""
 
@@ -92,24 +76,19 @@ class _ProbeNoise(NoiseTracker):
 
 def _count_enabled_checks(run_once) -> int:
     """How many telemetry enabled-checks one gate bootstrap performs."""
-    _ProbeRegistry.checks = _ProbeTracer.checks = 0
-    _ProbeCounters.checks = _ProbeNoise.checks = 0
+    _ProbeRegistry.checks = _ProbeTracer.checks = _ProbeNoise.checks = 0
     obs.REGISTRY.__class__ = _ProbeRegistry
     obs.TRACER.__class__ = _ProbeTracer
-    obs.COUNTERS.__class__ = _ProbeCounters
     obs.NOISE.__class__ = _ProbeNoise
     try:
         run_once()
-        return (_ProbeRegistry.checks + _ProbeTracer.checks
-                + _ProbeCounters.checks + _ProbeNoise.checks)
+        return _ProbeRegistry.checks + _ProbeTracer.checks + _ProbeNoise.checks
     finally:
         obs.REGISTRY.__class__ = MetricsRegistry
         obs.TRACER.__class__ = Tracer
-        obs.COUNTERS.__class__ = PerfCounters
         obs.NOISE.__class__ = NoiseTracker
         obs.REGISTRY.enabled = False
         obs.TRACER.enabled = False
-        obs.COUNTERS.enabled = False
         obs.NOISE.enabled = False
 
 
@@ -166,43 +145,12 @@ def test_disabled_instrumentation_overhead_under_5_percent():
     assert fraction < MAX_DISABLED_OVERHEAD
 
 
-def test_disabled_counters_allocate_nothing_on_simulator_hot_path():
-    """With the perf counters off the simulator must not touch them at all.
-
-    Stronger than the timing bound: ``tracemalloc`` filtered to the
-    counters module proves the disabled path allocates *zero* objects
-    there across a full simulator run - the single read-and-branch
-    discipline, enforced.
-    """
-    from repro.core.accelerator import MorphlingConfig
-    from repro.core.simulator import simulate_bootstrap
-    from repro.params import get_params
-
-    config, params = MorphlingConfig(), get_params("I")
-    simulate_bootstrap(config, params)  # warm caches outside the trace
-    obs.disable()
-    counters_file = obs.COUNTERS.__class__.__module__.replace(".", "/")
-    tracemalloc.start()
-    try:
-        simulate_bootstrap(config, params)
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    stats = snapshot.filter_traces(
-        [tracemalloc.Filter(True, f"*{counters_file.rsplit('/', 1)[-1]}.py")]
-    ).statistics("filename")
-    blocks = sum(stat.count for stat in stats)
-    assert blocks == 0, (
-        f"disabled perf counters allocated {blocks} blocks: {stats}"
-    )
-
-
 def test_disabled_noise_tracker_allocates_nothing_on_gate_path():
     """With tracking off the tfhe gate path must not touch the tracker.
 
-    Same contract as the counters: ``tracemalloc`` filtered to the noise
-    module proves a full gate bootstrap (encrypt -> linear ops ->
-    bootstrap -> decode) allocates *zero* objects there while disabled.
+    Same contract as the registry and tracer: ``tracemalloc`` filtered to
+    the noise module proves a full gate bootstrap (encrypt -> linear ops
+    -> bootstrap -> decode) allocates *zero* objects there while disabled.
     """
     ctx = TfheContext.create(TEST_PARAMS, seed=11)
     x, y = ctx.encrypt(1), ctx.encrypt(0)
@@ -264,25 +212,8 @@ def test_disabled_registry_and_tracer_allocate_nothing_on_hot_paths():
     )
 
 
-def test_counter_recording_is_deterministic_across_runs():
-    """Two identical simulator runs must produce byte-identical digests."""
-    from repro.core.accelerator import MorphlingConfig
-    from repro.core.simulator import simulate_bootstrap
-    from repro.params import get_params
-
-    config, params = MorphlingConfig(), get_params("II")
-    digests = []
-    for _ in range(2):
-        with obs.counting() as bank:
-            simulate_bootstrap(config, params)
-            digests.append(bank.digest())
-    assert digests[0] == digests[1]
-
-
 if __name__ == "__main__":
     test_disabled_instrumentation_overhead_under_5_percent()
-    test_disabled_counters_allocate_nothing_on_simulator_hot_path()
     test_disabled_noise_tracker_allocates_nothing_on_gate_path()
     test_disabled_registry_and_tracer_allocate_nothing_on_hot_paths()
-    test_counter_recording_is_deterministic_across_runs()
     print("overhead guard: OK")

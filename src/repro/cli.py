@@ -21,8 +21,8 @@ Commands
                  ``obs metrics``  one telemetry-enabled bootstrap group:
                  the metrics snapshot (Prometheus text) and its spans
                  ``obs trace``    the XPU pipeline timeline (``--merge``
-                 adds the perf-counter tracks to the trace file)
-                 ``obs profile``  the perf-counter profiler: bottleneck
+                 adds the profile's counter tracks to the trace file)
+                 ``obs profile``  the bottleneck profiler: bottleneck
                  attribution, roofline position, what-if upgrades
                  ``obs noise``    a boolean-gate workload under noise
                  telemetry: per-op predicted (``--measure``: and
@@ -186,12 +186,12 @@ def _add_obs_parsers(verbs: Any) -> None:
     _add_chrome_arg(trace, "the pipeline")
     trace.add_argument("--merge", action="store_true",
                        help="with --chrome: merge the pipeline timeline and "
-                            "the perf-counter tracks into one file (each "
+                            "the profile's counter tracks into one file (each "
                             "system gets its own process group)")
 
     prof = verbs.add_parser(
         "profile",
-        help="perf-counter profiler: bottleneck attribution + what-ifs",
+        help="bottleneck profiler: stage-model attribution + what-ifs",
     )
     prof.set_defaults(observe=_observe_profile)
     prof.add_argument("--config", default="morphling",
@@ -433,16 +433,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return seen.status
 
 
-def _counter_tracks(config: "MorphlingConfig", params: TFHEParams) -> List[dict]:
-    """The perf-counter tracks of one counted simulator run."""
-    from . import observability as obs
-    from .core.simulator import simulate_bootstrap
-
-    with obs.counting() as bank:
-        simulate_bootstrap(config, params)
-        return obs.counter_track_events(bank)
-
-
 def _observe_metrics(args: argparse.Namespace) -> _Observation:
     from . import observability as obs
     from .core.simulator import simulate_bootstrap
@@ -474,7 +464,8 @@ def _observe_metrics(args: argparse.Namespace) -> _Observation:
 def _observe_trace(args: argparse.Namespace) -> _Observation:
     from .core.trace import render_timeline, trace_blind_rotation
     from .core.xpu import XpuModel
-    from .observability import merged_trace_events, pipeline_trace_events
+    from .observability import (
+        merged_trace_events, pipeline_trace_events, profile_trace_events)
 
     config = _config_from_args(args)
     params = get_params(args.param_set)
@@ -484,8 +475,10 @@ def _observe_trace(args: argparse.Namespace) -> _Observation:
     def chrome() -> _Trace:
         events = pipeline_trace_events(trace)
         if args.merge:
-            events = merged_trace_events(
-                {"pipeline": events, "counters": _counter_tracks(config, params)})
+            from .observability.profile import collect_profile
+
+            counters = profile_trace_events(collect_profile(config, params, what_ifs=False))
+            events = merged_trace_events({"pipeline": events, "counters": counters})
         return events, {"param_set": params.name, "config": config.name,
                         "iterations": trace.iterations, "merged": args.merge}
 
@@ -498,7 +491,7 @@ def _observe_trace(args: argparse.Namespace) -> _Observation:
 
 
 def _observe_profile(args: argparse.Namespace) -> _Observation:
-    from .observability import to_jsonable
+    from .observability import profile_trace_events, to_jsonable
     from .observability.profile import collect_profile
     from .verify.cli import named_config
 
@@ -519,9 +512,8 @@ def _observe_profile(args: argparse.Namespace) -> _Observation:
     return _Observation(
         text=text,
         payload=payload,
-        trace=lambda: (_counter_tracks(config, params),
-                       {"param_set": params.name, "config": config.name,
-                        "counters_digest": profile.counters_digest}),
+        trace=lambda: (profile_trace_events(profile),
+                       {"param_set": params.name, "config": config.name}),
     )
 
 

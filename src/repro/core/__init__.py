@@ -11,7 +11,7 @@ from .buffers import (
     buffer_budget,
     shifter_stall_cycles,
 )
-from .compiler import CompilationReport, compile_and_run, compile_program
+from .compiler import compile_program
 from .dataflow import Dataflow, DataflowCost, dataflow_cost, rank_dataflows
 from .hbm import HbmModel, TrafficBreakdown
 from .isa_encoding import (
@@ -60,9 +60,7 @@ __all__ = [
     "shifter_stall_cycles",
     "HbmModel",
     "Dataflow",
-    "CompilationReport",
     "compile_program",
-    "compile_and_run",
     "DataflowCost",
     "dataflow_cost",
     "rank_dataflows",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..observability import COUNTERS as _COUNTERS, REGISTRY as _METRICS
+from ..observability import REGISTRY as _METRICS
 from ..params import TFHEParams
 from .accelerator import MorphlingConfig
 
@@ -85,7 +85,7 @@ class HbmModel:
         return gbs * 1e9
 
     def record_transfer(self, data_bytes: float, group: str) -> None:
-        """Account one modelled transfer on the metrics and perf counters.
+        """Account one modelled transfer on the metrics registry.
 
         Called by whoever *executes* the transfer: the ``*_transfer_seconds``
         pair below, and the HW-scheduler, which prices DMA instructions
@@ -94,8 +94,6 @@ class HbmModel:
         if _METRICS.enabled:
             _HBM_BYTES.inc(data_bytes, channel=group)
             _HBM_TRANSFERS.inc(channel=group)
-        if _COUNTERS.enabled:
-            self._count_channel_bytes(data_bytes, group=group)
 
     def xpu_transfer_seconds(self, data_bytes: float) -> float:
         """Seconds to move ``data_bytes`` over the XPU channel group."""
@@ -106,24 +104,6 @@ class HbmModel:
         """Seconds to move ``data_bytes`` over the VPU channel group."""
         self.record_transfer(data_bytes, "vpu")
         return data_bytes / self.bytes_per_second("vpu")
-
-    def _count_channel_bytes(self, data_bytes: float, group: str) -> None:
-        """Per-channel perf counters: traffic interleaves evenly in-group.
-
-        Channel ids follow the paper's priority split: channels
-        ``0 .. xpu_hbm_channels-1`` serve the XPUs (BSK), the rest serve
-        the VPU (KSK / LWE / test polynomials).
-        """
-        cfg = self.config
-        if group == "xpu":
-            base, width = 0, cfg.xpu_hbm_channels
-        else:
-            base, width = cfg.xpu_hbm_channels, cfg.vpu_hbm_channels
-        if width < 1:
-            return
-        share = data_bytes / width
-        for ch in range(base, base + width):
-            _COUNTERS.add_bytes(f"hbm/channel/{ch}", share)
 
     def sustainable_bootstrap_rate(
         self, params: TFHEParams, bsk_reuse: int, ksk_reuse: int

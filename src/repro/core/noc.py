@@ -90,8 +90,8 @@ class NocModel:
         rotated pairs from A1 and receives the broadcast BSK_i; per
         finished bootstrap ``(k+1)`` result polynomials cross to Shared
         and on to the VPU, and the KSK tile plus LWE operands cross the
-        Private-B link once per group.  These are the perf-counter
-        ``noc/hops/*`` denominators the profiler reports.
+        Private-B link once per group.  These are the NoC hops the
+        profiler reports.
         """
         if group_size < 1 or streams < 1:
             raise ValueError("group_size and streams must be >= 1")

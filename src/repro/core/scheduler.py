@@ -21,7 +21,6 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from ..observability import (
-    COUNTERS as _COUNTERS,
     REGISTRY as _METRICS,
     TIME_BUCKETS as _TIME_BUCKETS,
     TRACER as _TRACER,
@@ -283,17 +282,16 @@ class HwScheduler:
         self.xpu = XpuModel(config, params)
         self.vpu = VpuModel(config, params)
         self.hbm = HbmModel(config)
-        stages = self.vpu.stage_cycles()
         self._bootstrap_cores = config.bootstrap_cores
         self._clock_hz = config.clock_ghz * 1e9
         self._blind_rotation_seconds = self.xpu.blind_rotation_seconds()
-        self._stage_cycles = stages.stage_cycle_map()  # MS / SE / KS by op value
         # Per opcode code: the channel group a transfer streams at (the
         # BSK rides the XPU's, everything else the VPU's) and a VPU
         # stage's cycles per ciphertext.
         self._bytes_per_second = np.array([self.hbm.bytes_per_second(
             "xpu" if op is DmaOp.LOAD_BSK else "vpu") for op in OPCODES])
-        self._cycles = np.array([self._stage_cycles.get(op.value, 0.0) for op in OPCODES])
+        stage_cycles = self.vpu.stage_cycles().stage_cycle_map()  # MS / SE / KS by op value
+        self._cycles = np.array([stage_cycles.get(op.value, 0.0) for op in OPCODES])
 
     # -- per-instruction timing ----------------------------------------
     def _durations(self, cols: StreamColumns) -> Tuple[np.ndarray, np.ndarray]:
@@ -328,9 +326,10 @@ class HwScheduler:
         ``(engine, op, group, start, end)`` tuples for Gantt rendering
         (:func:`render_schedule`).  With ``verify`` the stream must
         first pass the static program verifier (raises
-        :class:`repro.verify.VerificationError` otherwise); the compile
-        facade verifies by default, so this is off here to avoid
-        re-checking the same stream.
+        :class:`repro.verify.VerificationError` otherwise);
+        :func:`run_workload` and :func:`repro.core.compiler.compile_program`
+        verify by default, so this is off here to avoid re-checking the
+        same stream.
         """
         if verify:
             from ..verify import verify_or_raise
@@ -361,22 +360,11 @@ class HwScheduler:
                      in zip(queues, cols.code.tolist(), cols.group.tolist(), starts, ends)]
         # Read once per run: the per-instruction publishing (`_observe`)
         # stays off the path of a run nobody is watching.
-        if _METRICS.enabled or _TRACER.enabled or _COUNTERS.enabled:
-            # Shared-buffer pressure: (time, byte delta) pairs collected
-            # while publishing, replayed in time order afterwards into one
-            # sampled perf-counter track.  BR results land in Shared when
-            # the XPU instruction finishes and leave when SE drains them.
-            pressure = [] if _COUNTERS.enabled else None
+        if _METRICS.enabled or _TRACER.enabled:
             for row in zip(cols.code.tolist(), cols.count.tolist(),
                            cols.data_bytes.tolist(), cols.group.tolist(),
-                           queues, starts, ends, durations):
-                self._observe(names, pressure, *row)
-            if pressure:
-                level = 0.0
-                _COUNTERS.sample("sched/shared_inflight_bytes", 0.0, 0.0)
-                for t, delta in sorted(pressure):
-                    level += delta
-                    _COUNTERS.sample("sched/shared_inflight_bytes", t, level)
+                           queues, starts, durations):
+                self._observe(names, *row)
         waste = 1.0 - used_slots / scheduled_slots if scheduled_slots else 0.0
         if scheduled_slots:
             _SCHED_PADDING.inc(scheduled_slots - used_slots)
@@ -406,13 +394,11 @@ class HwScheduler:
         return result
 
     def _observe(
-        self, names: List[str], pressure: Optional[list], code: int,
-        count: int, data_bytes: int, group: int, queue: int, start: float,
-        end: float, duration: float,
+        self, names: List[str], code: int, count: int, data_bytes: int,
+        group: int, queue: int, start: float, duration: float,
     ) -> None:
         """Publish one executed instruction to whichever telemetry is on."""
         op = OPCODES[code]
-        key = names[queue]
         if op.engine is Engine.DMA:
             self.hbm.record_transfer(
                 data_bytes, "xpu" if op is DmaOp.LOAD_BSK else "vpu"
@@ -422,20 +408,9 @@ class HwScheduler:
         if _TRACER.enabled:
             _TRACER.add_span(
                 op.value, ts_us=start * 1e6, dur_us=duration * 1e6,
-                category="schedule", track=f"hw/{key}",
+                category="schedule", track=f"hw/{names[queue]}",
                 args={"group": group, "count": count},
             )
-        if pressure is not None:
-            _COUNTERS.add_cycles(f"sched/engine/{key}", duration * self._clock_hz)
-            if op is XpuOp.BLIND_ROTATE:
-                waves = -(-count // self._bootstrap_cores)
-                self.xpu.record_blind_rotations(waves * self.config.num_xpus)
-                pressure.append((end, count * self.params.glwe_bytes))
-            elif op.value in self._stage_cycles:
-                _COUNTERS.add_cycles(f"vpu/stage/{op.value}",
-                                     count * self._stage_cycles[op.value])
-                if op is VpuOp.SAMPLE_EXTRACT:
-                    pressure.append((end, -count * self.params.glwe_bytes))
 
 
 def render_schedule(result: ScheduleResult, width: int = 72) -> str:

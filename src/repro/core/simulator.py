@@ -23,22 +23,23 @@ percent (see EXPERIMENTS.md); every other experiment reuses it unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from ..observability import (
-    COUNTERS as _COUNTERS,
     REGISTRY as _METRICS,
     TIME_BUCKETS as _TIME_BUCKETS,
     TRACER as _TRACER,
 )
 from ..params import TFHEParams
 from .accelerator import MorphlingConfig
-from .buffers import A1_STREAM_OVERHEAD, acc_stream_capacity, buffer_budget
+from .buffers import A1_STREAM_OVERHEAD, acc_stream_capacity
 from .hbm import HbmModel, TrafficBreakdown
-from .noc import NocModel
 from .reuse import bsk_reuse_factor, transforms_per_bootstrap
 from .vpu import VpuModel, VpuStageCycles
 from .xpu import IterationBreakdown, XpuModel
+
+if TYPE_CHECKING:
+    from ..verify import VerifyReport
 
 __all__ = ["SimulationReport", "MorphlingSimulator", "simulate_bootstrap"]
 
@@ -152,7 +153,7 @@ class MorphlingSimulator:
         self.hbm = HbmModel(config)
 
     # ------------------------------------------------------------------
-    def verify(self):
+    def verify(self) -> "VerifyReport":
         """Statically verify the canonical steady-state group program.
 
         Lowers one full scheduler group (the exact program whose timing
@@ -248,41 +249,9 @@ class MorphlingSimulator:
                     args={"group_size": group_size,
                           "bottleneck": resource == bottleneck},
                 )
-        if _COUNTERS.enabled:
-            # The simulator *executes* one steady-state group: account the
-            # scheduled work (every XPU runs `streams` blind rotations,
-            # the VPU post-processes the whole group) and sample the
-            # time-resolved tracks at the group boundaries.
-            self.xpu.record_blind_rotations(streams * cfg.num_xpus)
-            self.vpu.record_stage_work(group_size)
-            for stage, frac in iteration.occupancy().items():
-                track = f"xpu/occupancy/{stage}"
-                _COUNTERS.sample(track, 0.0, frac)
-                _COUNTERS.sample(track, group_time, frac)
-            xpu_util = bsk_transfer / group_time
-            vpu_util = ksk_transfer / group_time
-            for ch in range(cfg.xpu_hbm_channels + cfg.vpu_hbm_channels):
-                util = xpu_util if ch < cfg.xpu_hbm_channels else vpu_util
-                track = f"hbm/channel/{ch}/utilization"
-                _COUNTERS.sample(track, 0.0, util)
-                _COUNTERS.sample(track, group_time, util)
-            budget = buffer_budget(cfg, p, streams)
-            for name, used in (
-                ("private_a1", budget.private_a1),
-                ("private_a2", budget.private_a2),
-                ("private_b", budget.private_b),
-                ("shared", budget.shared),
-            ):
-                track = f"buffer/{name}"
-                _COUNTERS.sample(track, 0.0, float(used))
-                _COUNTERS.sample(track, group_time, float(used))
-            hops = NocModel(cfg).hops_per_group(p, group_size, streams)
-            for link, count in hops.items():
-                _COUNTERS.add_ops(f"noc/hops/{link}", float(count))
-
         # Pure arithmetic (not `vpu_transfer_seconds`): the latency walk is
         # a model evaluation, not executed traffic, and must not be
-        # accounted on the byte counters.
+        # accounted on the HBM byte metrics.
         ksk_tail = p.ksk_bytes / (cfg.vpu_bandwidth_gbs * 1e9) / ksk_reuse
         latency = (
             br_seconds * stall

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..observability import COUNTERS as _COUNTERS
 from ..params import TFHEParams
 from .accelerator import MorphlingConfig
 
@@ -32,7 +31,7 @@ class VpuStageCycles:
         return self.modulus_switch + self.sample_extract + self.key_switch
 
     def stage_cycle_map(self) -> dict:
-        """Stage name -> cycles, in bootstrap order (perf-counter keys)."""
+        """Stage name -> cycles, in bootstrap order (the profile's keys)."""
         return {
             "modulus_switch": self.modulus_switch,
             "sample_extract": self.sample_extract,
@@ -63,18 +62,6 @@ class VpuModel:
         se = p.k * p.N / macs
         ks = p.k * p.N * p.l_k * (p.n + 1) / macs
         return VpuStageCycles(modulus_switch=ms, sample_extract=se, key_switch=ks)
-
-    def record_stage_work(self, batch: int) -> None:
-        """Account ``batch`` ciphertexts' MS/SE/KS cycles on the perf counters.
-
-        Called by whoever *executes* the modelled work (the simulator per
-        steady-state group, the HW-scheduler per instruction) so model
-        evaluations are never confused with scheduled cycles.
-        """
-        if not _COUNTERS.enabled:
-            return
-        for stage, cycles in self.stage_cycles().stage_cycle_map().items():
-            _COUNTERS.add_cycles(f"vpu/stage/{stage}", batch * cycles)
 
     def bootstrap_tail_cycles(self, batch: int) -> float:
         """VPU cycles to post-process ``batch`` ciphertexts (SE + KS) plus

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..observability import COUNTERS as _COUNTERS
 from ..params import TFHEParams
 from ..transforms.pipeline_model import PipelinedFFTModel
 from .accelerator import MorphlingConfig
@@ -60,7 +59,7 @@ class IterationBreakdown:
         )
 
     def stage_cycle_map(self) -> dict:
-        """Stage name -> cycles, in dataflow order (perf-counter keys)."""
+        """Stage name -> cycles, in dataflow order (the profile's keys)."""
         return {
             "rotation": self.rotation,
             "decomposition": self.decomposition,
@@ -178,30 +177,6 @@ class XpuModel:
         """Cycles for one full blind rotation (n iterations + fill)."""
         fill = self.fft.fill_latency + self.ifft.fill_latency
         return self.params.n * self.iteration_cycles() + fill
-
-    def record_blind_rotations(self, count: int = 1) -> None:
-        """Account ``count`` scheduled blind rotations on the perf counters.
-
-        One blind rotation is this XPU's unit of scheduled work (a
-        resident batch of ``vpe_rows`` bootstraps): per-stage busy cycles
-        over all ``n`` iterations, the modelled double-pointer rotations,
-        and the pipeline fill.  Whoever *executes* the modelled work (the
-        simulator per steady-state group, the HW-scheduler per XPU
-        instruction) calls this, so model evaluations never inflate the
-        counters.
-        """
-        if not _COUNTERS.enabled or count <= 0:
-            return
-        bd = self.iteration_breakdown()
-        fill = self.fft.fill_latency + self.ifft.fill_latency
-        n = self.params.n
-        for stage, cycles in bd.stage_cycle_map().items():
-            _COUNTERS.add_cycles(f"xpu/stage/{stage}", count * n * cycles)
-        _COUNTERS.add_cycles("xpu/stage/overhead", count * n * bd.overhead)
-        _COUNTERS.add_cycles("xpu/fill", count * fill)
-        _COUNTERS.add_ops(
-            "rotator/rotations", count * n * self.rows * (self.params.k + 1)
-        )
 
     def blind_rotation_seconds(self) -> float:
         """Wall-clock blind rotation time for the resident batch."""

@@ -1,5 +1,5 @@
-"""Unified telemetry: metrics registry, span tracer, perf counters,
-noise tracker and exporters.
+"""Unified telemetry: metrics registry, span tracer, noise tracker and
+exporters.
 
 This package is the instrumentation substrate every layer shares.  The
 process-wide singletons are
@@ -8,10 +8,9 @@ process-wide singletons are
   all hot paths register their counters/gauges/histograms on;
 - :data:`TRACER` - the :class:`~repro.observability.tracer.Tracer`
   collecting wall-clock and simulated-time spans;
-- :data:`COUNTERS` - the modelled hardware perf-counter bank;
 - :data:`NOISE` - the per-ciphertext noise tracker.
 
-Each signal has exactly one of these four stores, and the four share
+Each signal has exactly one of these three stores, and the three share
 one switch.  Telemetry is **off by default**: every instrumented site
 guards itself with one ``enabled`` check, so the uninstrumented code
 path is restored when disabled (see
@@ -34,15 +33,14 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Tuple
 
-from .counters import COUNTERS, PerfCounters, counting
 from .export import (
     SCHEMA_VERSION,
     chrome_trace_events,
-    counter_track_events,
     json_document,
     merged_trace_events,
     noise_trace_events,
     pipeline_trace_events,
+    profile_trace_events,
     render_prometheus,
     to_jsonable,
     write_chrome_trace,
@@ -69,7 +67,6 @@ from .tracer import Span, Tracer, traced
 __all__ = [
     "REGISTRY",
     "TRACER",
-    "COUNTERS",
     "NOISE",
     "MetricsRegistry",
     "Counter",
@@ -80,8 +77,6 @@ __all__ = [
     "Tracer",
     "Span",
     "traced",
-    "PerfCounters",
-    "counting",
     "NoiseTracker",
     "NoiseRecord",
     "FailurePoint",
@@ -98,9 +93,9 @@ __all__ = [
     "to_jsonable",
     "render_prometheus",
     "chrome_trace_events",
-    "counter_track_events",
     "noise_trace_events",
     "pipeline_trace_events",
+    "profile_trace_events",
     "merged_trace_events",
     "write_chrome_trace",
 ]
@@ -113,11 +108,10 @@ TRACER = Tracer()
 
 
 def enable() -> None:
-    """Switch every telemetry system on (registry, tracer, counters and
-    noise tracker)."""
+    """Switch every telemetry system on (registry, tracer and noise
+    tracker)."""
     REGISTRY.enable()
     TRACER.enable()
-    COUNTERS.enable()
     NOISE.enable()
 
 
@@ -125,20 +119,17 @@ def disable() -> None:
     """Switch every telemetry system off."""
     REGISTRY.disable()
     TRACER.disable()
-    COUNTERS.disable()
     NOISE.disable()
 
 
 def is_enabled() -> bool:
-    return (REGISTRY.enabled or TRACER.enabled or COUNTERS.enabled
-            or NOISE.enabled)
+    return REGISTRY.enabled or TRACER.enabled or NOISE.enabled
 
 
 def reset() -> None:
-    """Clear all recorded metrics, spans, counters and noise records."""
+    """Clear all recorded metrics, spans and noise records."""
     REGISTRY.reset()
     TRACER.reset()
-    COUNTERS.reset()
     NOISE.reset()
 
 
@@ -149,13 +140,11 @@ def telemetry(clear: bool = True) -> Iterator[Tuple[MetricsRegistry, Tracer]]:
     With ``clear`` (the default) every system is reset on entry so the
     block observes only its own activity.
     """
-    prior = (REGISTRY.enabled, TRACER.enabled, COUNTERS.enabled,
-             NOISE.enabled)
+    prior = (REGISTRY.enabled, TRACER.enabled, NOISE.enabled)
     if clear:
         reset()
     enable()
     try:
         yield REGISTRY, TRACER
     finally:
-        (REGISTRY.enabled, TRACER.enabled, COUNTERS.enabled,
-         NOISE.enabled) = prior
+        REGISTRY.enabled, TRACER.enabled, NOISE.enabled = prior

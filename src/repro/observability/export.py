@@ -34,9 +34,9 @@ __all__ = [
     "to_jsonable",
     "render_prometheus",
     "chrome_trace_events",
-    "counter_track_events",
     "noise_trace_events",
     "pipeline_trace_events",
+    "profile_trace_events",
     "merged_trace_events",
     "write_chrome_trace",
 ]
@@ -221,43 +221,26 @@ def pipeline_trace_events(trace: Any, clock_ghz: Optional[float] = None) -> List
     return events
 
 
-def counter_track_events(counters: Any) -> List[dict]:
-    """Render perf-counter sampled tracks as Chrome counter events.
+def profile_trace_events(profile: Any) -> List[dict]:
+    """Render a bottleneck profile's levels as Chrome counter tracks.
 
-    ``counters`` is a :class:`~repro.observability.counters.PerfCounters`
-    (or anything with a compatible ``snapshot()``).  Each sampled track
-    becomes a ``ph: "C"`` counter series (drawn by Perfetto as a
-    step-line row); ordered events become ``ph: "i"`` instants on their
-    own row.  Sample times are simulated seconds -> trace microseconds.
+    ``profile`` is a :class:`~repro.observability.profile.BootstrapProfile`.
+    Each buffer high-water mark, HBM channel utilization and XPU stage
+    occupancy holds for the whole steady-state group, so it becomes a
+    ``ph: "C"`` series (a Perfetto step-line row, in sorted track order)
+    with one sample at the group's start and one at its end.
     """
-    snapshot = counters.snapshot() if hasattr(counters, "snapshot") else counters
-    events: List[dict] = []
-    for track, samples in snapshot.get("samples", {}).items():
-        for t_s, value in samples:
-            events.append(
-                {
-                    "name": track,
-                    "cat": "perf_counter",
-                    "ph": "C",
-                    "ts": t_s * 1e6,
-                    "pid": _PID,
-                    "args": {"value": value},
-                }
-            )
-    for seq, (track, name) in enumerate(snapshot.get("events", [])):
-        events.append(
-            {
-                "name": name,
-                "cat": "perf_event",
-                "ph": "i",
-                "s": "g",
-                "ts": float(seq),
-                "pid": _PID,
-                "tid": 0,
-                "args": {"track": track, "seq": seq},
-            }
-        )
-    return events
+    levels = {f"buffer/{name}": v for name, v in profile.buffer_watermarks.items()}
+    levels.update({f"{ch}/utilization": v
+                   for ch, v in profile.hbm_channel_utilization.items()})
+    levels.update({f"xpu/occupancy/{stage}": v
+                   for stage, v in profile.xpu_occupancy.items()})
+    end_us = profile.simulation.group_time_s * 1e6
+    return [
+        {"name": track, "cat": "perf_counter", "ph": "C", "ts": ts,
+         "pid": _PID, "args": {"value": float(value)}}
+        for track, value in sorted(levels.items()) for ts in (0.0, end_us)
+    ]
 
 
 def noise_trace_events(tracker: Any) -> List[dict]:

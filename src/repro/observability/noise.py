@@ -1,6 +1,6 @@
 """Runtime noise telemetry: per-ciphertext provenance and drift detection.
 
-The perf-counter bank (:mod:`repro.observability.counters`) made the
+The bottleneck profiler (:mod:`repro.observability.profile`) makes the
 *performance* model observable; this module is its counterpart on the
 *correctness* axis.  A :class:`NoiseTracker` attaches a provenance record
 to every LWE ciphertext the functional TFHE path produces, carrying
@@ -23,7 +23,7 @@ miscalibration or an implementation bug) and the raw **failure points**
 :mod:`repro.observability.failprob` turns into a decryption-failure
 probability.
 
-Discipline is identical to the counters: one process-wide singleton
+Discipline is identical to the metrics registry: one process-wide singleton
 (:data:`NOISE`), off by default, every instrumented site is a single
 ``enabled`` read-and-branch when disabled, and nothing is allocated on
 the disabled path (``benchmarks/bench_observability_overhead.py`` holds

@@ -1,24 +1,22 @@
-"""``repro obs profile``: bottleneck attribution on the perf-counter bank.
+"""``repro obs profile``: bottleneck attribution from the stage models.
 
-``collect_profile`` runs one steady-state bootstrap group with the
-:mod:`repro.observability.counters` bank enabled and condenses what the
-counters saw into one report beside the :class:`SimulationReport` it
-profiled (whose headline numbers ``repro simulate`` prints):
+``collect_profile`` runs one steady-state bootstrap group and condenses
+what the XPU / VPU / HBM / NoC / buffer models say about it into one
+report beside the :class:`SimulationReport` it profiled (whose headline
+numbers ``repro simulate`` prints):
 
 - **utilization** per overlapped group resource (XPU compute, BSK
   bandwidth, VPU compute, KSK bandwidth) - busy seconds over the group
   time, so the bottleneck row reads 1.0;
 - **stage cycles and occupancy** inside the XPU pipeline and the VPU,
-  the paper's Fig. 7-a component view at counter granularity;
-- **per-HBM-channel traffic** and the sampled buffer high-water marks;
+  the paper's Fig. 7-a component view, summed over the group;
+- **per-HBM-channel traffic**, NoC hops and the buffer high-water marks;
 - **roofline position** of the two big stages at the achieved reuse
   factors (:func:`workload_points` against :func:`machine_balance`);
 - **what-if estimates**: each candidate upgrade (2x XPU HBM bandwidth,
   2x FFT units, ...) is priced by *actually re-running the simulator*
   with the perturbed configuration - no analytical shortcut that could
-  drift from the model - and reported as a speedup over the baseline;
-- the counter **digest**, the fingerprint the benchmark-regression
-  harness compares across commits.
+  drift from the model - and reported as a speedup over the baseline.
 
 The roofline is Section III's compute-vs-memory split made
 quantitative: a machine's *balance point* is its peak compute rate over
@@ -31,14 +29,15 @@ stages across their balance points (Section IV-C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Tuple
 
 from ..core.accelerator import MorphlingConfig
+from ..core.buffers import buffer_budget
+from ..core.noc import NocModel
 from ..core.simulator import SimulationReport, simulate_bootstrap
 from ..experiments.fig1 import count_bootstrap_operations
 from ..params import TFHEParams
-from .counters import counting
 
 __all__ = [
     "RooflinePoint",
@@ -160,7 +159,6 @@ class BootstrapProfile:
     rotator_ops: Dict[str, float]
     roofline_balance: Dict[str, float]
     roofline_points: List[RooflinePoint]
-    counters_digest: str
     what_ifs: List[WhatIf] = field(default_factory=list)
 
     def render_text(self) -> str:
@@ -196,7 +194,6 @@ class BootstrapProfile:
                     f"    {wi.name:16s} {wi.speedup:5.2f}x  "
                     f"({wi.description}{shift})"
                 )
-        lines.append(f"  counters digest   : {self.counters_digest[:16]}...")
         return "\n".join(lines)
 
 
@@ -208,51 +205,23 @@ def what_if_catalog(config: MorphlingConfig) -> List[Tuple[str, str, Dict[str, A
     target group's share (integral for any starting split), so each
     what-if isolates exactly one resource.
     """
+    hbm_2x = {"hbm_bandwidth_gbs": config.hbm_bandwidth_gbs * 2,
+              "hbm_channels": config.hbm_channels * 2}
     return [
-        (
-            "xpu_hbm_2x",
-            "2x XPU HBM bandwidth, VPU bandwidth unchanged",
-            {
-                "hbm_bandwidth_gbs": config.hbm_bandwidth_gbs * 2,
-                "hbm_channels": config.hbm_channels * 2,
-                "xpu_hbm_channels": config.xpu_hbm_channels * 2,
-            },
-        ),
-        (
-            "vpu_hbm_2x",
-            "2x VPU HBM bandwidth, XPU bandwidth unchanged",
-            {
-                "hbm_bandwidth_gbs": config.hbm_bandwidth_gbs * 2,
-                "hbm_channels": config.hbm_channels * 2,
-                "vpu_hbm_channels": config.vpu_hbm_channels * 2,
-            },
-        ),
-        (
-            "fft_units_2x",
-            "2x FFT and IFFT units per XPU",
-            {
-                "fft_units_per_xpu": config.fft_units_per_xpu * 2,
-                "ifft_units_per_xpu": config.ifft_units_per_xpu * 2,
-            },
-        ),
-        (
-            "vpu_macs_2x",
-            "2x VPU MAC throughput",
-            {"vpu_lanes_per_group": config.vpu_lanes_per_group * 2},
-        ),
-        (
-            "clock_1p5x",
-            "1.5x core clock, memory system unchanged",
-            {"clock_ghz": config.clock_ghz * 1.5},
-        ),
-        (
-            "a1_2x",
-            "2x Private-A1 capacity and stream cap",
-            {
-                "private_a1_bytes": config.private_a1_bytes * 2,
-                "max_acc_streams": config.max_acc_streams * 2,
-            },
-        ),
+        ("xpu_hbm_2x", "2x XPU HBM bandwidth, VPU bandwidth unchanged",
+         {**hbm_2x, "xpu_hbm_channels": config.xpu_hbm_channels * 2}),
+        ("vpu_hbm_2x", "2x VPU HBM bandwidth, XPU bandwidth unchanged",
+         {**hbm_2x, "vpu_hbm_channels": config.vpu_hbm_channels * 2}),
+        ("fft_units_2x", "2x FFT and IFFT units per XPU",
+         {"fft_units_per_xpu": config.fft_units_per_xpu * 2,
+          "ifft_units_per_xpu": config.ifft_units_per_xpu * 2}),
+        ("vpu_macs_2x", "2x VPU MAC throughput",
+         {"vpu_lanes_per_group": config.vpu_lanes_per_group * 2}),
+        ("clock_1p5x", "1.5x core clock, memory system unchanged",
+         {"clock_ghz": config.clock_ghz * 1.5}),
+        ("a1_2x", "2x Private-A1 capacity and stream cap",
+         {"private_a1_bytes": config.private_a1_bytes * 2,
+          "max_acc_streams": config.max_acc_streams * 2}),
     ]
 
 
@@ -279,13 +248,6 @@ def _evaluate_what_ifs(
     return results
 
 
-def _under(values: Dict[str, float], prefix: str, strip: bool = True) -> Dict[str, float]:
-    """The entries of ``values`` whose key starts with ``prefix``, keyed
-    without it when ``strip``."""
-    return {key[len(prefix):] if strip else key: value
-            for key, value in values.items() if key.startswith(prefix)}
-
-
 def collect_profile(
     config: MorphlingConfig,
     params: TFHEParams,
@@ -293,38 +255,41 @@ def collect_profile(
 ) -> BootstrapProfile:
     """Profile one steady-state group of ``config`` running ``params``.
 
-    Runs the simulator once under :func:`repro.observability.counting`
-    (the global bank is cleared first and restored to its prior enabled
-    state after), then optionally prices the what-if catalog with the
-    counters *disabled* so the perturbed re-runs cannot contaminate the
-    baseline's counter digest.
+    Every XPU runs ``acc_streams`` blind rotations of ``n`` iterations
+    and the VPU post-processes the whole group; each traffic group
+    interleaves evenly over its HBM channels.  With ``what_ifs`` the
+    catalog is priced by re-running the simulator.
     """
-    with counting() as bank:
-        report = simulate_bootstrap(config, params)
-        snapshot = bank.snapshot()
-        digest = bank.digest()
-
-    times = report.resource_times()
-    watermarks: Dict[str, float] = snapshot["watermarks"]
+    report = simulate_bootstrap(config, params)
+    iteration, n = report.iteration, params.n
+    rotations = report.acc_streams * config.num_xpus
+    xpu_stages = {**iteration.stage_cycle_map(), "overhead": iteration.overhead}
+    group_bytes = {"xpu": report.traffic.xpu_bytes * report.group_size,
+                   "vpu": report.traffic.vpu_bytes * report.group_size}
+    busy = {"xpu": report.bsk_transfer_s / report.group_time_s,
+            "vpu": report.ksk_transfer_s / report.group_time_s}
+    widths = {"xpu": config.xpu_hbm_channels, "vpu": config.vpu_hbm_channels}
+    channels = list(enumerate(["xpu"] * widths["xpu"] + ["vpu"] * widths["vpu"]))
+    hops = NocModel(config).hops_per_group(params, report.group_size, report.acc_streams)
+    budget = buffer_budget(config, params, report.acc_streams)
     return BootstrapProfile(
         simulation=report,
-        utilization={k: v / report.group_time_s for k, v in times.items()},
+        utilization={k: v / report.group_time_s for k, v in report.resource_times().items()},
         latency_fractions=report.latency_fractions(),
-        xpu_stage_cycles=_under(snapshot["cycles"], "xpu/stage/"),
-        xpu_occupancy=report.iteration.occupancy(),
-        vpu_stage_cycles=_under(snapshot["cycles"], "vpu/stage/"),
-        hbm_channel_bytes=_under(snapshot["bytes"], "hbm/channel/", strip=False),
-        hbm_channel_utilization={
-            key.rsplit("/", 1)[0]: value
-            for key, value in _under(watermarks, "hbm/channel/", strip=False).items()
-            if key.endswith("/utilization")
-        },
-        noc_hops=_under(snapshot["ops"], "noc/hops/"),
-        buffer_watermarks=_under(watermarks, "buffer/"),
-        rotator_ops=_under(snapshot["ops"], "rotator/", strip=False),
+        xpu_stage_cycles={stage: float(rotations * n * cycles)
+                          for stage, cycles in sorted(xpu_stages.items())},
+        xpu_occupancy=iteration.occupancy(),
+        vpu_stage_cycles={stage: float(report.group_size * cycles) for stage, cycles
+                          in sorted(report.vpu_stages.stage_cycle_map().items())},
+        hbm_channel_bytes={f"hbm/channel/{ch}": group_bytes[g] / widths[g]
+                           for ch, g in channels},
+        hbm_channel_utilization={f"hbm/channel/{ch}": busy[g] for ch, g in channels},
+        noc_hops={link: float(count) for link, count in sorted(hops.items())},
+        buffer_watermarks={name: float(used) for name, used in asdict(budget).items()},
+        rotator_ops={"rotator/rotations":
+                     float(rotations * n * config.vpe_rows * (params.k + 1))},
         roofline_balance=machine_balance(config),
         roofline_points=workload_points(
             config, params, bsk_reuse=report.bsk_reuse, ksk_reuse=report.ksk_reuse),
-        counters_digest=digest,
         what_ifs=_evaluate_what_ifs(config, params, report) if what_ifs else [],
     )

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from repro.observability.profile import collect_profile, what_if_catalog
 from repro.core.accelerator import MorphlingConfig
 from repro.core.simulator import simulate_bootstrap
-from repro.observability import COUNTERS, SCHEMA_VERSION, json_document, to_jsonable
+from repro import observability as obs
+from repro.observability import SCHEMA_VERSION, json_document, to_jsonable
 from repro.params import get_params
 
 
@@ -48,7 +49,6 @@ class TestProfileShape:
         }
         assert profile.noc_hops["private_a1_to_xpu"] > 0
         assert profile.rotator_ops["rotator/rotations"] > 0
-        assert len(profile.counters_digest) == 64
 
     def test_latency_fractions_sum_to_one(self, profile):
         assert sum(profile.latency_fractions.values()) == pytest.approx(1.0)
@@ -68,7 +68,7 @@ class TestProfileShape:
         assert "what-if" in rendered
 
     def test_collect_does_not_leave_counters_enabled(self, profile):
-        assert not COUNTERS.enabled
+        assert not obs.is_enabled()
 
 
 class TestWhatIfs:
@@ -135,4 +135,6 @@ class TestWhatIfs:
         without = collect_profile(
             MorphlingConfig(), get_params("I"), what_ifs=False
         )
-        assert with_wi.counters_digest == without.counters_digest
+        assert with_wi.simulation == without.simulation
+        assert with_wi.xpu_stage_cycles == without.xpu_stage_cycles
+        assert with_wi.hbm_channel_bytes == without.hbm_channel_bytes

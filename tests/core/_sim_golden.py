@@ -5,12 +5,12 @@ five Table VI applications on set III under the ``morphling`` and
 ``no_reuse`` configurations: makespan and every engine's busy time as
 ``float.hex`` (bit-exact), instruction and group counts, padding waste.
 The ``telemetry`` entry pins what the same path *publishes* with every
-telemetry system on (XG-Boost, ``morphling``): the perf-counter snapshot
-digest, ``sched_instructions_total`` by op and a digest of the span list.
-The ``bootstrap`` entry pins ``simulate_bootstrap`` itself on the six
-canonical pairs (``morphling`` on sets I-IV, ``no-reuse`` and
-``input-reuse`` on set III): throughput and latency as ``float.hex``, the
-bottleneck and scheduler shape, and the ``counting()`` digest of the call.
+telemetry system on (XG-Boost, ``morphling``): ``sched_instructions_total``
+by op and a digest of the span list.  The ``bootstrap`` entry pins
+``simulate_bootstrap`` itself on the six canonical pairs (``morphling`` on
+sets I-IV, ``no-reuse`` and ``input-reuse`` on set III): throughput and
+latency as ``float.hex``, the bottleneck and scheduler shape, and a digest
+of the bottleneck profile's model sections (:data:`PROFILE_SECTIONS`).
 A host-side speed-up of the scheduler or verifier must leave the file
 untouched; a deliberate timing-model change regenerates it with
 ``PYTHONPATH=src python tests/core/_sim_golden.py``.
@@ -21,6 +21,11 @@ import json
 import os
 
 GOLDEN_DOC = os.path.join(os.path.dirname(__file__), "golden", "sim_apps.json")
+
+#: The profile sections built from the stage models, hashed per pair.
+PROFILE_SECTIONS = ("xpu_stage_cycles", "vpu_stage_cycles", "hbm_channel_bytes",
+                    "hbm_channel_utilization", "noc_hops", "buffer_watermarks",
+                    "rotator_ops")
 
 
 def build_document():
@@ -51,17 +56,18 @@ def build_document():
 
 
 def _bootstrap_section():
-    from repro.core import MorphlingConfig, simulate_bootstrap
-    from repro.observability import counting
+    from repro.core import MorphlingConfig
+    from repro.observability.profile import collect_profile
     from repro.params import get_params
 
     pairs = [(MorphlingConfig.morphling(), pset) for pset in ("I", "II", "III", "IV")]
     pairs += [(MorphlingConfig.no_reuse(), "III"), (MorphlingConfig.input_reuse(), "III")]
     section = {}
     for config, pset in pairs:
-        with counting() as bank:
-            report = simulate_bootstrap(config, get_params(pset))
-            digest = bank.digest()
+        profile = collect_profile(config, get_params(pset), what_ifs=False)
+        report = profile.simulation
+        sections = {name: getattr(profile, name) for name in PROFILE_SECTIONS}
+        payload = json.dumps(sections, sort_keys=True, separators=(",", ":"))
         section[f"{config.name}@{pset}"] = {
             "throughput_bs": report.throughput_bs.hex(),
             "bootstrap_latency_ms": report.bootstrap_latency_ms.hex(),
@@ -70,7 +76,7 @@ def _bootstrap_section():
             "acc_streams": report.acc_streams,
             "bsk_reuse": report.bsk_reuse,
             "ksk_reuse": report.ksk_reuse,
-            "counters_digest": digest,
+            "profile_digest": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
         }
     return section
 
@@ -81,7 +87,6 @@ def _telemetry_section(params, app):
 
     with obs.telemetry():
         run_workload(MorphlingConfig.morphling(), params, list(app.layers), verify=True)
-        counters = obs.COUNTERS.digest()
         by_op = {
             row["labels"]["op"]: row["value"]
             for row in obs.REGISTRY.get("sched_instructions_total").snapshot()["values"]
@@ -95,7 +100,6 @@ def _telemetry_section(params, app):
     payload = json.dumps(spans, separators=(",", ":"))
     return {
         "workload": app.name,
-        "counters_digest": counters,
         "sched_instructions_total": by_op,
         "spans": len(spans),
         "spans_digest": hashlib.sha256(payload.encode("utf-8")).hexdigest(),

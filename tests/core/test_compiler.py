@@ -1,11 +1,13 @@
-"""Tests for the end-to-end compilation facade."""
+"""Tests for the compiler front end and the compile -> run path."""
 
 import pytest
 
 from repro.apps import Workload, xgboost_workload
 from repro.core.accelerator import MorphlingConfig
-from repro.core.compiler import compile_and_run, compile_program
-from repro.core.scheduler import LayerDemand
+from repro.core.compiler import compile_program
+from repro.core.isa import XpuOp
+from repro.core.isa_encoding import decode_stream, encode_stream
+from repro.core.scheduler import LayerDemand, run_workload
 from repro.core.simulator import simulate_bootstrap
 from repro.params import get_params
 from repro.tfhe.boolean import Circuit, ripple_carry_adder
@@ -33,8 +35,6 @@ class TestCompileProgram:
             adder_circuit(), MorphlingConfig(), get_params("I")
         )
         assert name == "circuit"
-        from repro.core.isa import XpuOp
-
         total = sum(i.count for i in stream if i.op is XpuOp.BLIND_ROTATE)
         assert total == adder_circuit().gate_count()
 
@@ -45,8 +45,6 @@ class TestCompileProgram:
         assert name == "layers"
 
     def test_binary_decodes_back(self):
-        from repro.core.isa_encoding import decode_stream
-
         _, stream, binary = compile_program(
             xgboost_workload(), MorphlingConfig(), get_params("III")
         )
@@ -60,23 +58,16 @@ class TestCompileProgram:
 
 
 class TestCompileAndRun:
-    def test_report_fields(self):
-        report = compile_and_run(xgboost_workload(), params=get_params("III"))
-        assert report.total_bootstraps == xgboost_workload().total_bootstraps
-        assert report.total_seconds > 0
-        assert 0 < report.xpu_utilization <= 1
-        assert "XG-Boost" in report.summary()
+    """Programs compiled by ``compile_program`` and executed by
+    ``run_workload``, the lower -> verify -> execute path every caller uses."""
 
     def test_rate_bounded_by_simulator(self):
         params = get_params("I")
         big = Workload("big", tuple([LayerDemand("l", 64 * 20)]))
-        report = compile_and_run(big, params=params)
+        result = run_workload(MorphlingConfig(), params, list(big.layers))
+        bootstraps_per_second = big.total_bootstraps / result.total_seconds
         analytic = simulate_bootstrap(MorphlingConfig(), params).throughput_bs
-        assert report.bootstraps_per_second <= analytic * 1.05
-
-    def test_defaults_applied(self):
-        report = compile_and_run([LayerDemand("x", 16)])
-        assert report.total_seconds > 0
+        assert bootstraps_per_second <= analytic * 1.05
 
     @pytest.mark.parametrize("layers", [
         [LayerDemand("a", 1)],
@@ -87,10 +78,14 @@ class TestCompileAndRun:
         """Every ciphertext of every layer is rotated once: the count read
         off the program's columns is the layers' sum, partial groups and
         empty layers included."""
-        report = compile_and_run(layers, params=get_params("I"))
-        assert report.total_bootstraps == sum(layer.bootstraps for layer in layers)
+        _, stream, _ = compile_program(layers, MorphlingConfig(), get_params("I"))
+        cols = stream.columns()
+        rotated = int(cols.count[cols.code == XpuOp.BLIND_ROTATE.code].sum())
+        assert rotated == sum(layer.bootstraps for layer in layers)
 
     def test_binary_smaller_than_data(self):
-        report = compile_and_run(xgboost_workload(), params=get_params("III"))
+        _, stream, _ = compile_program(
+            xgboost_workload(), MorphlingConfig(), get_params("III"))
+        binary = encode_stream(stream)
         # instruction bytes are negligible next to the BSK alone
-        assert report.binary_bytes < get_params("III").bsk_bytes / 100
+        assert len(binary) < get_params("III").bsk_bytes / 100

@@ -1,167 +1,46 @@
-"""Unit tests for the perf-counter subsystem (repro.observability.counters)."""
+"""The bottleneck profile's counter sections and their Chrome counter tracks.
 
-import json
+``collect_profile`` derives every per-stage, per-channel, per-link and
+per-buffer figure from the XPU / VPU / HBM / NoC / buffer models; these
+tests hold those figures to the models and to the simulator report, and
+``profile_trace_events`` to the ``ph: "C"`` track shape Perfetto draws.
+"""
 
 import pytest
 
-from repro import observability as obs
-from repro.observability import COUNTERS, PerfCounters, counting, counter_track_events
 from repro.core.accelerator import MorphlingConfig
-from repro.core.simulator import simulate_bootstrap
+from repro.observability import profile_trace_events
+from repro.observability.profile import collect_profile
 from repro.params import get_params
-
-
-class TestPerfCounters:
-    def test_disabled_records_nothing(self):
-        bank = PerfCounters()
-        bank.add_cycles("xpu", 10.0)
-        bank.add_bytes("hbm/channel/0", 64.0)
-        bank.add_ops("rotator/streams")
-        bank.sample("buffer/shared", 0.0, 1.0)
-        bank.event("machine/stages", "blind_rotate")
-        assert len(bank) == 0
-        assert bank.cycles("xpu") == 0.0
-
-    def test_all_five_kinds_record_when_enabled(self):
-        bank = PerfCounters(enabled=True)
-        bank.add_cycles("xpu", 10.0)
-        bank.add_cycles("xpu", 5.0)
-        bank.add_bytes("hbm/channel/0", 64.0)
-        bank.add_ops("rotator/streams", 3.0)
-        bank.sample("buffer/shared", 0.0, 1.0)
-        bank.sample("buffer/shared", 1.0, 4.0)
-        bank.sample("buffer/shared", 2.0, 2.0)
-        bank.event("machine/stages", "modulus_switch")
-        bank.event("machine/stages", "blind_rotate")
-        assert bank.cycles("xpu") == 15.0
-        assert bank.bytes_moved("hbm/channel/0") == 64.0
-        assert bank.ops("rotator/streams") == 3.0
-        assert bank.samples_on("buffer/shared") == [(0.0, 1.0), (1.0, 4.0), (2.0, 2.0)]
-        assert bank.watermark("buffer/shared") == 4.0
-        assert bank.events_on("machine/stages") == ["modulus_switch", "blind_rotate"]
-        assert bank.tracks() == ["buffer/shared"]
-
-    def test_negative_increments_rejected(self):
-        bank = PerfCounters(enabled=True)
-        with pytest.raises(ValueError):
-            bank.add_cycles("xpu", -1.0)
-        with pytest.raises(ValueError):
-            bank.add_bytes("hbm/channel/0", -1.0)
-        with pytest.raises(ValueError):
-            bank.add_ops("rotator/streams", -1.0)
-
-    def test_reset_clears_values_but_not_enabled(self):
-        bank = PerfCounters(enabled=True)
-        bank.add_cycles("xpu", 1.0)
-        bank.event("machine/stages", "key_switch")
-        bank.reset()
-        assert len(bank) == 0
-        assert bank.enabled
-
-    def test_snapshot_shape_and_sorted_keys(self):
-        bank = PerfCounters(enabled=True)
-        bank.add_cycles("b", 1.0)
-        bank.add_cycles("a", 2.0)
-        bank.sample("track", 0.5, 3.0)
-        bank.event("t", "e")
-        snap = bank.snapshot()
-        assert set(snap) == {"cycles", "bytes", "ops", "samples",
-                             "watermarks", "events"}
-        assert list(snap["cycles"]) == ["a", "b"]
-        assert snap["samples"] == {"track": [[0.5, 3.0]]}
-        assert snap["watermarks"] == {"track": 3.0}
-        assert snap["events"] == [["t", "e"]]
-        json.dumps(snap)  # must already be plain JSON types
-
-    def test_digest_is_stable_and_content_sensitive(self):
-        a, b = PerfCounters(enabled=True), PerfCounters(enabled=True)
-        for bank in (a, b):
-            bank.add_cycles("xpu", 7.0)
-            bank.sample("buffer/shared", 0.0, 2.0)
-        assert a.digest() == b.digest()
-        b.add_ops("rotator/streams")
-        assert a.digest() != b.digest()
-
-
-class TestCountingContext:
-    def test_counting_enables_and_restores(self):
-        assert not COUNTERS.enabled
-        with counting() as bank:
-            assert bank is COUNTERS
-            assert COUNTERS.enabled
-            COUNTERS.add_cycles("x", 1.0)
-        assert not COUNTERS.enabled
-        assert COUNTERS.cycles("x") == 1.0
-        COUNTERS.reset()
-
-    def test_counting_clears_by_default_but_can_append(self):
-        with counting():
-            COUNTERS.add_cycles("x", 1.0)
-        with counting(clear=False):
-            COUNTERS.add_cycles("x", 1.0)
-        assert COUNTERS.cycles("x") == 2.0
-        with counting():
-            pass
-        assert COUNTERS.cycles("x") == 0.0
-
-    def test_counting_private_bank(self):
-        bank = PerfCounters()
-        with counting(counters=bank) as active:
-            assert active is bank
-            bank.add_ops("op")
-        assert not bank.enabled
-        assert not COUNTERS.enabled
-        assert bank.ops("op") == 1.0
-
-    def test_observability_toggles_include_counters(self):
-        obs.enable()
-        try:
-            assert COUNTERS.enabled
-            assert obs.is_enabled()
-        finally:
-            obs.disable()
-            obs.reset()
-        assert not COUNTERS.enabled
 
 
 class TestSimulatorCounters:
     def test_simulator_populates_every_counter_kind(self):
-        with counting() as bank:
-            report = simulate_bootstrap(MorphlingConfig(), get_params("I"))
-            snap = bank.snapshot()
-        assert snap["cycles"]["xpu/stage/rotation"] > 0
-        assert snap["cycles"]["vpu/stage/key_switch"] > 0
         cfg = MorphlingConfig()
+        profile = collect_profile(cfg, get_params("I"), what_ifs=False)
+        assert profile.xpu_stage_cycles["rotation"] > 0
+        assert profile.vpu_stage_cycles["key_switch"] > 0
         for ch in range(cfg.xpu_hbm_channels + cfg.vpu_hbm_channels):
-            assert snap["bytes"][f"hbm/channel/{ch}"] > 0
-        assert snap["ops"]["noc/hops/private_a1_to_xpu"] > 0
-        assert snap["ops"]["rotator/rotations"] > 0
-        assert snap["watermarks"]["buffer/shared"] > 0
+            assert profile.hbm_channel_bytes[f"hbm/channel/{ch}"] > 0
+        assert profile.noc_hops["private_a1_to_xpu"] > 0
+        assert profile.rotator_ops["rotator/rotations"] > 0
+        assert profile.buffer_watermarks["shared"] > 0
         # The bottleneck stage paces the pipeline: its occupancy approaches
         # 1.0 (the per-iteration overhead cycles keep it just below).
-        paced = max(
-            snap["watermarks"][k]
-            for k in snap["watermarks"]
-            if k.startswith("xpu/occupancy/")
-        )
-        assert 0.9 < paced <= 1.0
-        assert report.group_size >= 1
+        assert 0.9 < max(profile.xpu_occupancy.values()) <= 1.0
+        assert profile.simulation.group_size >= 1
 
     def test_two_identical_runs_identical_snapshots(self):
-        snaps = []
-        for _ in range(2):
-            with counting() as bank:
-                simulate_bootstrap(MorphlingConfig(), get_params("III"))
-                snaps.append((bank.snapshot(), bank.digest()))
-        assert snaps[0] == snaps[1]
+        profiles = [collect_profile(MorphlingConfig(), get_params("III"), what_ifs=False)
+                    for _ in range(2)]
+        assert profiles[0] == profiles[1]
 
     def test_xpu_byte_counters_match_traffic_model(self):
-        cfg, params = MorphlingConfig(), get_params("I")
-        with counting() as bank:
-            report = simulate_bootstrap(cfg, params)
-            snap = bank.snapshot()
+        cfg = MorphlingConfig()
+        profile = collect_profile(cfg, get_params("I"), what_ifs=False)
+        report = profile.simulation
         xpu_total = sum(
-            snap["bytes"][f"hbm/channel/{ch}"]
+            profile.hbm_channel_bytes[f"hbm/channel/{ch}"]
             for ch in range(cfg.xpu_hbm_channels)
         )
         expected = report.traffic.xpu_bytes * report.group_size
@@ -170,20 +49,16 @@ class TestSimulatorCounters:
 
 class TestCounterTrackEvents:
     def test_sample_and_event_shapes(self):
-        bank = PerfCounters(enabled=True)
-        bank.sample("buffer/shared", 1e-6, 42.0)
-        bank.event("machine/stages", "blind_rotate")
-        events = counter_track_events(bank)
-        kinds = {e["ph"] for e in events}
-        assert kinds == {"C", "i"}
-        counter = next(e for e in events if e["ph"] == "C")
-        assert counter["name"] == "buffer/shared"
-        assert counter["ts"] == pytest.approx(1.0)  # seconds -> microseconds
-        assert counter["args"]["value"] == 42.0
-        instant = next(e for e in events if e["ph"] == "i")
-        assert instant["name"] == "blind_rotate"
-
-    def test_accepts_snapshot_dict(self):
-        bank = PerfCounters(enabled=True)
-        bank.sample("t", 0.0, 1.0)
-        assert counter_track_events(bank.snapshot()) == counter_track_events(bank)
+        profile = collect_profile(MorphlingConfig(), get_params("I"), what_ifs=False)
+        events = profile_trace_events(profile)
+        assert {e["ph"] for e in events} == {"C"}
+        names = [e["name"] for e in events]
+        assert names == sorted(names)
+        shared = [e for e in events if e["name"] == "buffer/shared"]
+        # One sample at the group's start and one at its end, in microseconds.
+        assert [e["ts"] for e in shared] == [
+            0.0, pytest.approx(profile.simulation.group_time_s * 1e6)]
+        assert {e["args"]["value"] for e in shared} == {profile.buffer_watermarks["shared"]}
+        assert len(events) == 2 * (len(profile.buffer_watermarks)
+                                   + len(profile.hbm_channel_utilization)
+                                   + len(profile.xpu_occupancy))

@@ -15,10 +15,9 @@ import subprocess
 import sys
 
 #: The telemetry modules ``import repro.tfhe`` loads: registry, tracer,
-#: perf counters, noise tracker and exporters.
+#: noise tracker and exporters.
 OBSERVABILITY_MODULES = {
     "repro.observability",
-    "repro.observability.counters",
     "repro.observability.export",
     "repro.observability.noise",
     "repro.observability.registry",
@@ -26,7 +25,7 @@ OBSERVABILITY_MODULES = {
 }
 
 #: ``repro`` modules ``import repro.tfhe`` may load.
-MAX_REPRO_MODULES = 26
+MAX_REPRO_MODULES = 25
 
 #: Modules ``import repro.tfhe`` must not load: the cycle simulator's FFT
 #: model, the names of the reference engines that moved to the tests, and
