@@ -18,8 +18,9 @@ Commands
                  a ``--json`` document or a ``--chrome PATH``
                  Perfetto/chrome://tracing trace-event file:
 
-                 ``obs metrics``  one telemetry-enabled bootstrap group:
-                 the metrics snapshot (Prometheus text) and its spans
+                 ``obs metrics``  one telemetry-enabled bootstrap batch
+                 on the TFHE substrate: its counters (Prometheus text)
+                 and spans
                  ``obs trace``    the XPU pipeline timeline (``--merge``
                  adds the profile's counter tracks to the trace file)
                  ``obs profile``  the bottleneck profiler: bottleneck
@@ -42,7 +43,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from .params import PARAM_SETS, TFHEParams, get_params
+from .params import PARAM_SETS, get_params
 
 if TYPE_CHECKING:
     from .core.accelerator import MorphlingConfig
@@ -163,15 +164,13 @@ def _add_obs_parsers(verbs: Any) -> None:
     """The ``repro obs`` verbs; ``observe`` builds each one's report."""
     met = verbs.add_parser(
         "metrics",
-        help="simulate one bootstrap group with telemetry on, print metrics",
+        help="bootstrap one batch with telemetry on, print the substrate "
+             "counters and spans",
     )
     met.set_defaults(observe=_observe_metrics)
-    met.add_argument("--set", default="I", dest="param_set",
-                     choices=sorted(PARAM_SETS) + ["fig1"])
-    _add_config_args(met, machine=True)
-    met.add_argument("--functional", action="store_true",
-                     help="also run a real (test-parameter) bootstrap so the "
-                          "TFHE/transform counters fire")
+    met.add_argument("--set", default="test", dest="param_set",
+                     choices=sorted(PARAM_SETS) + ["test"],
+                     help="TFHE parameter set (default: the fast test set)")
     met.add_argument("--json", action="store_true",
                      help="print the snapshot as JSON instead of Prometheus "
                           "text exposition")
@@ -435,29 +434,23 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def _observe_metrics(args: argparse.Namespace) -> _Observation:
     from . import observability as obs
-    from .core.simulator import simulate_bootstrap
+    from .tfhe.ops import TfheContext
 
-    config = _config_from_args(args)
     params = get_params(args.param_set)
-    obs.reset()
-    obs.enable()
-    try:
-        simulate_bootstrap(config, params)
-        if args.functional:
-            from .tfhe.ops import TfheContext
-
-            ctx = TfheContext.create(get_params("test"), seed=0)
-            ctx.bootstrap(ctx.encrypt(1))
+    ctx = TfheContext.create(params, seed=0)
+    # One batch: every message of the padded Z_8 range through the identity LUT.
+    cts = [ctx.encrypt(m) for m in range(ctx.default_p // 2)]
+    with obs.telemetry():
+        ctx.apply_lut_batch(cts, [lambda x: x] * len(cts))
         snapshot = obs.REGISTRY.snapshot()
         spans = obs.TRACER.spans()
-    finally:
-        obs.disable()
+    meta = {"param_set": params.name, "batch": len(cts)}
+    lines = [obs.render_prometheus(snapshot).rstrip("\n")]
+    lines += [f"# span {s.name} {s.dur_us / 1e3:.3f} ms {s.args}" for s in spans]
     return _Observation(
-        text=obs.render_prometheus(snapshot).rstrip("\n"),
-        payload={"param_set": params.name, "config": config.name,
-                 "metrics": snapshot},
-        trace=lambda: (obs.chrome_trace_events(spans),
-                       {"param_set": params.name, "config": config.name}),
+        text="\n".join(lines),
+        payload={**meta, "metrics": snapshot, "spans": spans},
+        trace=lambda: (obs.chrome_trace_events(spans), meta),
     )
 
 

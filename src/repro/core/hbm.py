@@ -11,19 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..observability import REGISTRY as _METRICS
 from ..params import TFHEParams
 from .accelerator import MorphlingConfig
 
 __all__ = ["TrafficBreakdown", "HbmModel"]
-
-_HBM_BYTES = _METRICS.counter(
-    "hbm_bytes_total", "Modelled HBM traffic in bytes, by channel group"
-)
-_HBM_TRANSFERS = _METRICS.counter(
-    "hbm_transfers_total", "Modelled HBM transfers accounted, by channel group"
-)
-
 
 @dataclass(frozen=True)
 class TrafficBreakdown:
@@ -84,25 +75,12 @@ class HbmModel:
         gbs = cfg.xpu_bandwidth_gbs if group == "xpu" else cfg.vpu_bandwidth_gbs
         return gbs * 1e9
 
-    def record_transfer(self, data_bytes: float, group: str) -> None:
-        """Account one modelled transfer on the metrics registry.
-
-        Called by whoever *executes* the transfer: the ``*_transfer_seconds``
-        pair below, and the HW-scheduler, which prices DMA instructions
-        from the cached :meth:`bytes_per_second`.
-        """
-        if _METRICS.enabled:
-            _HBM_BYTES.inc(data_bytes, channel=group)
-            _HBM_TRANSFERS.inc(channel=group)
-
     def xpu_transfer_seconds(self, data_bytes: float) -> float:
         """Seconds to move ``data_bytes`` over the XPU channel group."""
-        self.record_transfer(data_bytes, "xpu")
         return data_bytes / self.bytes_per_second("xpu")
 
     def vpu_transfer_seconds(self, data_bytes: float) -> float:
         """Seconds to move ``data_bytes`` over the VPU channel group."""
-        self.record_transfer(data_bytes, "vpu")
         return data_bytes / self.bytes_per_second("vpu")
 
     def sustainable_bootstrap_rate(

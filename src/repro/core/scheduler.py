@@ -20,11 +20,6 @@ from typing import List, Optional, Tuple, TypeVar
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ..observability import (
-    REGISTRY as _METRICS,
-    TIME_BUCKETS as _TIME_BUCKETS,
-    TRACER as _TRACER,
-)
 from ..params import TFHEParams
 from .accelerator import MorphlingConfig
 from .buffers import acc_stream_capacity
@@ -44,22 +39,6 @@ __all__ = [
 
 #: A schedule's clock: modelled seconds or the verifier's unit steps.
 _Time = TypeVar("_Time", int, float)
-
-_SCHED_GROUPS = _METRICS.counter(
-    "sched_groups_formed_total", "Scheduler groups lowered by the SW-scheduler"
-)
-_SCHED_INSTRUCTIONS = _METRICS.counter(
-    "sched_instructions_total", "Instructions executed by the HW-scheduler, by op"
-)
-_SCHED_PADDING = _METRICS.counter(
-    "sched_padded_slots_total", "Bootstrap slots scheduled but unused (padding)"
-)
-_SCHED_REQUEST_LATENCY = _METRICS.histogram(
-    "sched_request_latency_seconds",
-    "Simulated completion time of each scheduled bootstrap group's "
-    "requests (STORE_LWE retire time since workload start)",
-    buckets=_TIME_BUCKETS,
-)
 
 # One scheduler group's eight rows: three loads (LWE, BSK, KSK), then the
 # dependent chain MS -> BR -> SE -> KS -> STORE.  The chain's seven
@@ -154,8 +133,6 @@ class SwScheduler:
         bar_at = np.cumsum(width) - width
         layer = np.repeat(np.arange(len(layers)), k)[:, None]  # per group, its layer
         g = np.arange(len(layer))[:, None]
-        if len(g):
-            _SCHED_GROUPS.inc(len(g))
         j = g - first_group[layer]  # index within its layer
         loads = (base + palu)[layer] + 3 * j  # the group's first load row
         chains = loads + 3 * k[layer] + 2 * j  # and its first chain row
@@ -358,16 +335,7 @@ class HwScheduler:
         if record_spans:
             spans = [(names[q], OPCODES[c].value, g, start, end) for q, c, g, start, end
                      in zip(queues, cols.code.tolist(), cols.group.tolist(), starts, ends)]
-        # Read once per run: the per-instruction publishing (`_observe`)
-        # stays off the path of a run nobody is watching.
-        if _METRICS.enabled or _TRACER.enabled:
-            for row in zip(cols.code.tolist(), cols.count.tolist(),
-                           cols.data_bytes.tolist(), cols.group.tolist(),
-                           queues, starts, durations):
-                self._observe(names, *row)
         waste = 1.0 - used_slots / scheduled_slots if scheduled_slots else 0.0
-        if scheduled_slots:
-            _SCHED_PADDING.inc(scheduled_slots - used_slots)
         # Collapse the per-lane-group VPU engines into one "vpu" row,
         # normalized so utilization stays a fraction of the whole unit.
         merged = {
@@ -376,7 +344,7 @@ class HwScheduler:
             "dma_xpu": busy["dma_xpu"],
             "dma_vpu": busy["dma_vpu"],
         }
-        result = ScheduleResult(
+        return ScheduleResult(
             total_seconds=total,
             engine_busy_seconds=merged,
             instructions=len(stream),
@@ -384,33 +352,6 @@ class HwScheduler:
             padding_waste=waste,
             spans=spans,
         )
-        if _METRICS.enabled:
-            # Request latency: each group's STORE_LWE retire time is the
-            # completion time of its `count` requests (since t=0).
-            stores = np.flatnonzero((cols.code == DmaOp.STORE_LWE.code)
-                                    & (cols.count != 0)).tolist()
-            for i in stores:
-                _SCHED_REQUEST_LATENCY.observe(ends[i], count=int(cols.count[i]))
-        return result
-
-    def _observe(
-        self, names: List[str], code: int, count: int, data_bytes: int,
-        group: int, queue: int, start: float, duration: float,
-    ) -> None:
-        """Publish one executed instruction to whichever telemetry is on."""
-        op = OPCODES[code]
-        if op.engine is Engine.DMA:
-            self.hbm.record_transfer(
-                data_bytes, "xpu" if op is DmaOp.LOAD_BSK else "vpu"
-            )
-        if _METRICS.enabled:
-            _SCHED_INSTRUCTIONS.inc(op=op.value)
-        if _TRACER.enabled:
-            _TRACER.add_span(
-                op.value, ts_us=start * 1e6, dur_us=duration * 1e6,
-                category="schedule", track=f"hw/{names[queue]}",
-                args={"group": group, "count": count},
-            )
 
 
 def render_schedule(result: ScheduleResult, width: int = 72) -> str:

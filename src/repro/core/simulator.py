@@ -25,16 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List
 
-from ..observability import (
-    REGISTRY as _METRICS,
-    TIME_BUCKETS as _TIME_BUCKETS,
-    TRACER as _TRACER,
-)
 from ..params import TFHEParams
 from .accelerator import MorphlingConfig
 from .buffers import A1_STREAM_OVERHEAD, acc_stream_capacity
 from .hbm import HbmModel, TrafficBreakdown
-from .reuse import bsk_reuse_factor, transforms_per_bootstrap
+from .reuse import bsk_reuse_factor
 from .vpu import VpuModel, VpuStageCycles
 from .xpu import IterationBreakdown, XpuModel
 
@@ -42,35 +37,6 @@ if TYPE_CHECKING:
     from ..verify import VerifyReport
 
 __all__ = ["SimulationReport", "MorphlingSimulator", "simulate_bootstrap"]
-
-_SIM_RUNS = _METRICS.counter(
-    "sim_runs_total", "Simulator runs executed, by parameter set"
-)
-_SIM_GROUPS = _METRICS.counter(
-    "sim_groups_total", "Scheduler groups formed by the simulator"
-)
-_SIM_BOOTSTRAPS = _METRICS.counter(
-    "sim_bootstraps_total", "Bootstraps accounted by the performance simulator"
-)
-_SIM_TRANSFORMS = _METRICS.counter(
-    "sim_transforms_total",
-    "Domain transforms the modelled group performs, by direction",
-)
-_SIM_BOTTLENECK = _METRICS.counter(
-    "sim_bottleneck_total", "Group-time bottleneck decisions, by resource"
-)
-_SIM_GROUP_SIZE = _METRICS.gauge(
-    "sim_group_size", "Ciphertexts per scheduler group in the last run"
-)
-_SIM_ACC_STREAMS = _METRICS.gauge(
-    "sim_acc_streams", "Resident ACC streams per XPU in the last run"
-)
-_SIM_BOOTSTRAP_LATENCY = _METRICS.histogram(
-    "sim_bootstrap_latency_seconds",
-    "Modelled single-bootstrap latency, by config and parameter set",
-    buckets=_TIME_BUCKETS,
-)
-
 
 @dataclass(frozen=True)
 class SimulationReport:
@@ -229,29 +195,7 @@ class MorphlingSimulator:
         group_time = times[bottleneck]
         throughput = group_size / group_time
 
-        if _METRICS.enabled:
-            _SIM_RUNS.inc(params=p.name)
-            _SIM_GROUPS.inc()
-            _SIM_BOOTSTRAPS.inc(group_size)
-            _SIM_BOTTLENECK.inc(resource=bottleneck)
-            _SIM_GROUP_SIZE.set(group_size)
-            _SIM_ACC_STREAMS.set(streams)
-            counts = transforms_per_bootstrap(p, cfg.reuse)
-            _SIM_TRANSFORMS.inc(counts.forward * group_size, direction="forward")
-            _SIM_TRANSFORMS.inc(counts.inverse * group_size, direction="inverse")
-        if _TRACER.enabled:
-            # One steady-state group, resources overlapped from t=0: the
-            # slowest row is the group time the throughput is quoted at.
-            for resource, seconds in times.items():
-                _TRACER.add_span(
-                    resource, ts_us=0.0, dur_us=seconds * 1e6,
-                    category="simulator", track=f"sim/{resource}",
-                    args={"group_size": group_size,
-                          "bottleneck": resource == bottleneck},
-                )
-        # Pure arithmetic (not `vpu_transfer_seconds`): the latency walk is
-        # a model evaluation, not executed traffic, and must not be
-        # accounted on the HBM byte metrics.
+        # Bandwidth before reuse: the float order the pinned latencies hold.
         ksk_tail = p.ksk_bytes / (cfg.vpu_bandwidth_gbs * 1e9) / ksk_reuse
         latency = (
             br_seconds * stall
@@ -259,13 +203,6 @@ class MorphlingSimulator:
             / clock_hz
             + ksk_tail
         )
-
-        if _METRICS.enabled:
-            # Every request in the modelled group experiences the same
-            # bootstrap latency: one count-weighted sample per run.
-            _SIM_BOOTSTRAP_LATENCY.observe(latency, count=group_size,
-                                           config=cfg.name, params=p.name)
-
         return SimulationReport(
             config_name=cfg.name,
             params_name=p.name,

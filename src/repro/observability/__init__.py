@@ -5,22 +5,23 @@ This package is the instrumentation substrate every layer shares.  The
 process-wide singletons are
 
 - :data:`REGISTRY` - the :class:`~repro.observability.registry.MetricsRegistry`
-  all hot paths register their counters/gauges/histograms on;
+  the substrate's hot paths register their counters of executed work on;
 - :data:`TRACER` - the :class:`~repro.observability.tracer.Tracer`
-  collecting wall-clock and simulated-time spans;
+  collecting wall-clock spans of executed work;
 - :data:`NOISE` - the per-ciphertext noise tracker.
 
 Each signal has exactly one of these three stores, and the three share
-one switch.  Telemetry is **off by default**: every instrumented site
-guards itself with one ``enabled`` check, so the uninstrumented code
-path is restored when disabled (see
+one switch.  The models (simulator, schedulers, HBM) publish nothing
+here: their numbers are the reports they return.  Telemetry is **off by
+default**: every instrumented site guards itself with one ``enabled``
+check, so the uninstrumented code path is restored when disabled (see
 ``benchmarks/bench_observability_overhead.py``).
 Turn it on around a region of interest::
 
     from repro import observability as obs
 
     with obs.telemetry():
-        simulate_bootstrap(config, params)
+        ctx.bootstrap(ctx.encrypt(1))
         print(obs.render_prometheus(obs.REGISTRY.snapshot()))
 
 or globally with :func:`enable` / :func:`disable`.  Exporters turn what
@@ -54,14 +55,7 @@ from .noise import (
     drift_report,
     noise_tracking,
 )
-from .registry import (
-    DEFAULT_BUCKETS,
-    TIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from .registry import Counter, MetricsRegistry
 from .tracer import Span, Tracer, traced
 
 __all__ = [
@@ -70,10 +64,6 @@ __all__ = [
     "NOISE",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
-    "Histogram",
-    "DEFAULT_BUCKETS",
-    "TIME_BUCKETS",
     "Tracer",
     "Span",
     "traced",

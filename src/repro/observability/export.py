@@ -100,13 +100,10 @@ def _key(k: Any) -> str:
 # ---------------------------------------------------------------------------
 # Prometheus text exposition
 # ---------------------------------------------------------------------------
-def _format_labels(labels: dict, extra: Optional[dict] = None) -> str:
-    merged = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
+def _format_labels(labels: dict) -> str:
+    if not labels:
         return ""
-    body = ",".join(f'{k}="{v}"' for k, v in sorted(merged.items()))
+    body = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
     return "{" + body + "}"
 
 
@@ -117,30 +114,18 @@ def _format_value(value: float) -> str:
 
 
 def render_prometheus(snapshot: dict) -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` in text exposition format."""
+    """Render a :meth:`MetricsRegistry.snapshot` (counters) in text
+    exposition format."""
     lines: List[str] = []
     for name, metric in snapshot.items():
         if metric["help"]:
             lines.append(f"# HELP {name} {metric['help']}")
         lines.append(f"# TYPE {name} {metric['type']}")
         for series in metric["values"]:
-            labels = series["labels"]
-            if metric["type"] == "histogram":
-                for bound, count in series["buckets"].items():
-                    le = _format_labels(labels, {"le": _format_value(bound)})
-                    lines.append(f"{name}_bucket{le} {count}")
-                inf = _format_labels(labels, {"le": "+Inf"})
-                lines.append(f"{name}_bucket{inf} {series['count']}")
-                lines.append(
-                    f"{name}_sum{_format_labels(labels)} "
-                    f"{_format_value(series['sum'])}"
-                )
-                lines.append(f"{name}_count{_format_labels(labels)} {series['count']}")
-            else:
-                lines.append(
-                    f"{name}{_format_labels(labels)} "
-                    f"{_format_value(series['value'])}"
-                )
+            lines.append(
+                f"{name}{_format_labels(series['labels'])} "
+                f"{_format_value(series['value'])}"
+            )
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -51,10 +51,6 @@ __all__ = [
 _Q = float(1 << 32)
 _MASK = (1 << 32) - 1
 
-#: Histogram buckets for torus-unit noise magnitudes: powers of two from
-#: 2^-36 up to 2^-2 (fresh TFHE noise lives around 2^-15..2^-30).
-NOISE_STD_BUCKETS = tuple(2.0 ** -e for e in range(36, 1, -2))
-
 
 @dataclass
 class NoiseRecord:
@@ -272,7 +268,6 @@ class NoiseTracker:
             setattr(ct, self.ATTR, record)
         except AttributeError:
             pass  # slotted/foreign objects simply stay untracked downstream
-        self._export(record)
         return record
 
     def track_linear(
@@ -345,38 +340,6 @@ class NoiseTracker:
         if diff >= 1 << 31:
             diff -= 1 << 32
         return diff / _Q
-
-    def _export(self, record: NoiseRecord) -> None:
-        """Mirror one record into the registry histograms and the tracer."""
-        from . import REGISTRY, TRACER
-
-        if REGISTRY.enabled:
-            predicted = REGISTRY.histogram(
-                "tfhe_noise_predicted_std",
-                "Predicted per-op noise stddev (torus units), by op",
-                buckets=NOISE_STD_BUCKETS,
-            )
-            predicted.observe(record.predicted_std, op=record.op)
-            if record.measured is not None:
-                measured = REGISTRY.histogram(
-                    "tfhe_noise_measured_abs",
-                    "Measured |centered phase error| (torus units), by op",
-                    buckets=NOISE_STD_BUCKETS,
-                )
-                measured.observe(abs(record.measured), op=record.op)
-        if TRACER.enabled:
-            TRACER.add_span(
-                f"noise/{record.op}",
-                ts_us=float(record.op_id),
-                dur_us=1.0,
-                category="noise",
-                track="noise" if not record.label else f"noise/{record.label}",
-                args={
-                    "predicted_std_log2": record.predicted_std_log2,
-                    "measured": record.measured,
-                    "sigma": record.sigma,
-                },
-            )
 
     # -- reads ----------------------------------------------------------
     def record_of(self, ct: Any) -> Optional[NoiseRecord]:

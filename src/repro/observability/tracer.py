@@ -5,20 +5,15 @@ named spans - ``(name, category, start, duration, track, args)`` - that
 the exporters (:mod:`repro.observability.export`) turn into Chrome
 trace-event JSON for Perfetto / ``chrome://tracing``.
 
-Two clock domains coexist:
-
-- *wall-clock spans* from :meth:`Tracer.span` (a context manager) or the
-  :func:`traced` decorator, timed with ``time.perf_counter`` relative to
-  the tracer's epoch - used around real work such as a functional
-  bootstrap;
-- *simulated-time spans* from :meth:`Tracer.add_span`, where the caller
-  supplies start/duration in microseconds of modelled time - used by the
-  performance simulator and the HW-scheduler, whose events never happen
-  in wall time at all.
-
-Both kinds land in the same buffer; the ``track`` field (rendered as a
-thread in trace viewers) keeps engines, pipeline stages and wall-clock
-code on separate rows.
+Spans time executed work: :meth:`Tracer.span` (a context manager) or the
+:func:`traced` decorator measure ``time.perf_counter`` relative to the
+tracer's epoch, around real work such as a functional bootstrap.
+:meth:`Tracer.add_span` records a span whose start and duration the
+caller supplies.  The models' timelines (the HW-scheduler's
+``execute(record_spans=True)``, the XPU pipeline trace, the profile's
+counter tracks) are values they return and render themselves; they are
+not recorded here.  The ``track`` field (rendered as a thread in trace
+viewers) keeps separate rows apart.
 """
 
 from __future__ import annotations
@@ -31,26 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Optional
 
 __all__ = ["Span", "Tracer", "traced"]
-
-#: Lazily registered wall-clock span-duration histogram (TIME_BUCKETS
-#: seconds ladder).  Lazy because the process registry singleton lives in
-#: the package ``__init__`` which imports this module.
-_SPAN_SECONDS: Optional[Any] = None
-
-
-def _span_seconds_metric() -> Any:
-    global _SPAN_SECONDS
-    if _SPAN_SECONDS is None:
-        from . import REGISTRY
-        from .registry import TIME_BUCKETS
-
-        _SPAN_SECONDS = REGISTRY.histogram(
-            "tracer_span_seconds",
-            "Wall-clock span durations recorded by the tracer, by category",
-            buckets=TIME_BUCKETS,
-        )
-    return _SPAN_SECONDS
-
 
 @dataclass(frozen=True)
 class Span:
@@ -115,11 +90,6 @@ class Tracer:
                 track=track,
                 args=args,
             )
-            # Wall-clock spans also land on the seconds-ladder histogram
-            # (TIME_BUCKETS); simulated-time add_span callers do not.
-            _span_seconds_metric().observe(
-                end - start, category=category or "uncategorized"
-            )
 
     def add_span(
         self,
@@ -127,10 +97,10 @@ class Tracer:
         ts_us: float,
         dur_us: float,
         category: str = "",
-        track: str = "sim",
+        track: str = "main",
         args: Optional[dict] = None,
     ) -> None:
-        """Record a span with explicit timestamps (simulated-time friendly)."""
+        """Record a span with explicit timestamps (microseconds)."""
         if not self.enabled:
             return
         span = Span(name, float(ts_us), float(dur_us), category, track,

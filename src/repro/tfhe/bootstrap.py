@@ -13,7 +13,7 @@ The four stages map one-to-one onto Morphling's hardware:
 :func:`programmable_bootstrap_batch` is the one place they are composed
 with telemetry; executed work is measured where it is dispatched
 (``transforms_fft_total``, ``tfhe_blind_rotation_steps_total``,
-``tfhe_external_products_total``, ``tfhe_key_switches_total``).
+``tfhe_key_switches_total``).
 
 The pipeline is *batch-first*: :func:`blind_rotate_batch` runs ``B``
 independent accumulators through every BSK row together - the software
@@ -24,7 +24,6 @@ scalar entry points are batch-of-one calls of the same pipeline.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +31,6 @@ import numpy as np
 from ..observability import (
     NOISE as _NOISE,
     REGISTRY as _METRICS,
-    TIME_BUCKETS as _TIME_BUCKETS,
     TRACER as _TRACER,
 )
 from .decomposition import _digits, decompose
@@ -69,17 +67,8 @@ _BR_STEPS = _METRICS.counter(
     "tfhe_blind_rotation_steps_total",
     "Blind-rotation CMux iterations executed (zero digits skipped)",
 )
-_EXTERNAL_PRODUCTS = _METRICS.counter(
-    "tfhe_external_products_total", "GGSW external products executed"
-)
 _KEY_SWITCHES = _METRICS.counter(
     "tfhe_key_switches_total", "LWE key switches executed"
-)
-_BOOTSTRAP_LATENCY = _METRICS.histogram(
-    "tfhe_bootstrap_latency_seconds",
-    "Wall-clock request latency of the functional bootstrap path; every "
-    "request in a batch waits for the whole batch",
-    buckets=_TIME_BUCKETS,
 )
 
 
@@ -159,7 +148,6 @@ def blind_rotate_batch(
         total_steps = int(np.count_nonzero(a_tilde))
         if total_steps:
             _BR_STEPS.inc(total_steps)
-            _EXTERNAL_PRODUCTS.inc(total_steps)
     return acc
 
 
@@ -320,7 +308,6 @@ def programmable_bootstrap_batch(
     a = np.stack([ct.a for ct in cts])
     b = np.asarray([ct.b for ct in cts], dtype=TORUS_DTYPE)
     tps = np.asarray(test_polys, dtype=TORUS_DTYPE)
-    t0 = time.perf_counter() if _METRICS.enabled else None
     with _TRACER.span("programmable_bootstrap_batch", category="tfhe",
                       batch=batch, n=params.n, N=params.N):
         a_tilde = modswitch(a, 2 * params.N)
@@ -329,11 +316,6 @@ def programmable_bootstrap_batch(
         ext_a, ext_b = sample_extract_batch(acc)
         out_a, out_b = key_switch_batch(ext_a, ext_b, keyset.ksk)
     _BOOTSTRAPS.inc(batch)
-    if t0 is not None:
-        # Every request in the batch experiences the whole batch's
-        # wall-clock latency, so the sample is count-weighted by `batch`.
-        elapsed = time.perf_counter() - t0
-        _BOOTSTRAP_LATENCY.observe(elapsed, count=batch, batch=batch)
     results = [LweCiphertext(out_a[r], out_b[r]) for r in range(batch)]
     if _NOISE.enabled:
         tp_rows = np.broadcast_to(tps, (batch, params.N))

@@ -8,6 +8,7 @@ body are uint32 torus numerators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -68,7 +69,9 @@ class LweCiphertext:
         return LweCiphertext(self.a.copy(), self.b)
 
 
-def gaussian_torus_noise(rng: np.random.Generator, std_log2: float, shape=()) -> np.ndarray:
+def gaussian_torus_noise(
+    rng: np.random.Generator, std_log2: float, shape: Tuple[int, ...] = ()
+) -> np.ndarray:
     """Sample discretized-Gaussian torus noise with stddev ``2**std_log2``.
 
     The stddev is expressed as a fraction of the torus, as is conventional

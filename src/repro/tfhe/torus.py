@@ -29,7 +29,6 @@ __all__ = [
     "Q",
     "STREAM_BLOCK_BYTES",
     "to_torus",
-    "from_double",
     "to_double",
     "to_signed",
     "encode_message",
@@ -60,13 +59,6 @@ def to_torus(values: ArrayLike) -> np.ndarray:
     """Reduce arbitrary integers into ``T_q`` numerators (uint32)."""
     arr = np.asarray(values)
     return (arr.astype(np.int64) & (Q - 1)).astype(TORUS_DTYPE)
-
-
-def from_double(x: ArrayLike) -> np.ndarray:
-    """Map real numbers (interpreted mod 1) onto ``T_q`` numerators."""
-    arr = np.asarray(x, dtype=np.float64)
-    frac = arr - np.floor(arr)
-    return (np.round(frac * Q).astype(np.int64) & (Q - 1)).astype(TORUS_DTYPE)
 
 
 def to_double(t: ArrayLike) -> np.ndarray:

@@ -4,9 +4,7 @@ The golden file pins what ``run_workload(verify=True)`` computes for the
 five Table VI applications on set III under the ``morphling`` and
 ``no_reuse`` configurations: makespan and every engine's busy time as
 ``float.hex`` (bit-exact), instruction and group counts, padding waste.
-The ``telemetry`` entry pins what the same path *publishes* with every
-telemetry system on (XG-Boost, ``morphling``): ``sched_instructions_total``
-by op and a digest of the span list.  The ``bootstrap`` entry pins
+The ``bootstrap`` entry pins
 ``simulate_bootstrap`` itself on the six canonical pairs (``morphling`` on
 sets I-IV, ``no-reuse`` and ``input-reuse`` on set III): throughput and
 latency as ``float.hex``, the bottleneck and scheduler shape, and a digest
@@ -50,7 +48,6 @@ def build_document():
                 "groups": result.groups,
                 "padding_waste": result.padding_waste.hex(),
             }
-    document["telemetry"] = _telemetry_section(params, apps[0])
     document["bootstrap"] = _bootstrap_section()
     return document
 
@@ -79,31 +76,6 @@ def _bootstrap_section():
             "profile_digest": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
         }
     return section
-
-
-def _telemetry_section(params, app):
-    from repro import observability as obs
-    from repro.core import MorphlingConfig, run_workload
-
-    with obs.telemetry():
-        run_workload(MorphlingConfig.morphling(), params, list(app.layers), verify=True)
-        by_op = {
-            row["labels"]["op"]: row["value"]
-            for row in obs.REGISTRY.get("sched_instructions_total").snapshot()["values"]
-        }
-        spans = [
-            [s.name, s.ts_us.hex(), s.dur_us.hex(), s.category, s.track,
-             sorted(s.args.items())]
-            for s in obs.TRACER.spans() if s.category == "schedule"
-        ]
-    obs.reset()
-    payload = json.dumps(spans, separators=(",", ":"))
-    return {
-        "workload": app.name,
-        "sched_instructions_total": by_op,
-        "spans": len(spans),
-        "spans_digest": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
-    }
 
 
 def regenerate():

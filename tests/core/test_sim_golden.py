@@ -1,6 +1,6 @@
-"""The scheduler's numbers and what it publishes are pinned bit-exactly
-(``tests/core/golden/sim_apps.json``, recorded before the host-time work
-of ISSUE 14), and the cost table is per instance."""
+"""The scheduler's and simulator's numbers are pinned bit-exactly
+(``tests/core/golden/sim_apps.json``), and the cost table is per
+instance."""
 
 import json
 
@@ -11,7 +11,7 @@ from repro.params import get_params
 from ._sim_golden import GOLDEN_DOC, build_document
 
 
-def test_table_vi_results_and_telemetry_match_the_golden():
+def test_table_vi_results_match_the_golden():
     with open(GOLDEN_DOC) as fh:
         golden = json.load(fh)
     document = build_document()

@@ -203,17 +203,12 @@ class TestExport:
         assert counters[0]["args"]["value"] == pytest.approx(
             math.log2(1e-7), abs=0.01)
 
-    def test_records_mirror_into_registry_and_tracer(self):
-        obs.enable()
-        try:
-            obs.reset()
+    def test_records_stay_in_the_tracker(self):
+        """A record lands in the tracker alone: no registry series and no
+        span mirror it (the waterfall renders from the records)."""
+        with obs.telemetry():
             obs.NOISE.track(ct(), "lwe_encrypt", 1e-14, 100)
-            hist = obs.REGISTRY.get("tfhe_noise_predicted_std")
-            assert hist is not None
-            (span,) = obs.TRACER.spans()
-            assert span.name == "noise/lwe_encrypt"
-            assert span.args["predicted_std_log2"] == pytest.approx(
-                math.log2(1e-7), abs=0.01)
-        finally:
-            obs.disable()
-            obs.reset()
+            assert len(obs.NOISE) == 1
+            assert not any(m["values"] for m in obs.REGISTRY.snapshot().values())
+            assert obs.TRACER.spans() == []
+        obs.reset()

@@ -105,20 +105,16 @@ class TestToJsonable:
 
 
 class TestPrometheus:
-    def test_counter_gauge_histogram_exposition(self):
+    def test_counter_exposition(self):
         reg = MetricsRegistry(enabled=True)
         reg.counter("c_total", "counts things").inc(3, kind="a")
-        reg.gauge("g").set(1.5)
-        reg.histogram("h", buckets=(1, 10)).observe(5)
+        reg.counter("g_total").inc(1.5)
         text = render_prometheus(reg.snapshot())
         assert "# HELP c_total counts things" in text
         assert "# TYPE c_total counter" in text
         assert 'c_total{kind="a"} 3' in text
-        assert "g 1.5" in text
-        assert 'h_bucket{le="10"} 1' in text
-        assert 'h_bucket{le="+Inf"} 1' in text
-        assert "h_sum 5" in text
-        assert "h_count 1" in text
+        assert "# HELP g_total" not in text
+        assert "g_total 1.5" in text
 
     def test_empty_snapshot_renders_empty(self):
         assert render_prometheus({}) == ""

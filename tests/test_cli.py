@@ -118,16 +118,22 @@ class TestJsonReports:
     def test_metrics_json_snapshot(self, capsys):
         assert main(["obs", "metrics", "--set", "I", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert (doc["param_set"], doc["batch"]) == ("I", 4)
         metrics = doc["metrics"]
+        assert {metric["type"] for metric in metrics.values()} == {"counter"}
         values = {
             name: {tuple(sorted(v["labels"].items())): v["value"]
                    for v in metric["values"]}
             for name, metric in metrics.items()
-            if metric["type"] == "counter"
         }
-        assert values["sim_bootstraps_total"][()] == 64
-        assert values["hbm_bytes_total"][(("channel", "xpu"),)] > 0
-        assert values["sim_transforms_total"][(("direction", "forward"),)] > 0
+        assert values["tfhe_bootstraps_total"][()] == 4
+        assert values["tfhe_key_switches_total"][()] == 4
+        assert 0 < values["tfhe_blind_rotation_steps_total"][()] <= 4 * 500
+        assert values["transforms_fft_total"][(("direction", "forward"),)] > 0
+        assert not any(name.startswith(("sim_", "sched_", "hbm_")) for name in metrics)
+        (span,) = doc["spans"]
+        assert span["name"] == "programmable_bootstrap_batch"
+        assert span["args"]["batch"] == 4
 
 
 class TestProfileCommand:
@@ -182,29 +188,42 @@ class TestProfileCommand:
 
 class TestMetricsCommand:
     def test_prometheus_text_default(self, capsys):
-        assert main(["obs", "metrics", "--set", "I"]) == 0
+        assert main(["obs", "metrics"]) == 0
         out = capsys.readouterr().out
-        assert "# TYPE sim_bootstraps_total counter" in out
-        assert "sim_bootstraps_total 64" in out
-        assert 'hbm_bytes_total{channel="xpu"}' in out
+        assert "# TYPE tfhe_bootstraps_total counter" in out
+        assert "tfhe_bootstraps_total 4" in out
+        assert "# span programmable_bootstrap_batch" in out
+        assert "_bucket" not in out
 
     def test_functional_fires_tfhe_counters(self, capsys):
-        assert main(["obs", "metrics", "--set", "I", "--functional"]) == 0
+        """The test set's one batch of 4: every step runs l_b (k + 1) = 6
+        forward and k + 1 = 2 inverse transforms per sample it moves."""
+        assert main(["obs", "metrics", "--set", "test"]) == 0
         out = capsys.readouterr().out
-        assert "tfhe_bootstraps_total 1" in out
-        assert 'transforms_fft_total{direction="forward"}' in out
+        steps = next(int(line.split()[1]) for line in out.splitlines()
+                     if line.startswith("tfhe_blind_rotation_steps_total "))
+        assert 0 < steps <= 4 * 16
+        assert f'transforms_fft_total{{direction="forward"}} {6 * steps}' in out
+        assert f'transforms_fft_total{{direction="inverse"}} {2 * steps}' in out
+
+    def test_model_options_are_gone(self):
+        for argv in (["--xpus", "2"], ["--a1-kib", "64"], ["--reuse", "none"],
+                     ["--no-merge-split"], ["--functional"], ["--set", "fig1"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["obs", "metrics", *argv])
 
     def test_chrome_span_export(self, capsys, tmp_path):
         path = tmp_path / "spans.json"
         assert main(["obs", "metrics", "--chrome", str(path)]) == 0
         doc = json.loads(path.read_text())
         names = {e.get("name") for e in doc["traceEvents"]}
-        assert "xpu_compute" in names
+        assert "programmable_bootstrap_batch" in names
+        assert doc["otherData"] == {"param_set": "test", "batch": 4}
 
     def test_telemetry_left_disabled_after_run(self):
         from repro import observability as obs
 
-        assert main(["obs", "metrics", "--set", "I"]) == 0
+        assert main(["obs", "metrics"]) == 0
         assert not obs.is_enabled()
 
 

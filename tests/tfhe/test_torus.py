@@ -9,7 +9,6 @@ from repro.tfhe.torus import (
     Q,
     decode_message,
     encode_message,
-    from_double,
     modswitch,
     round_to_multiple,
     to_double,
@@ -31,8 +30,11 @@ class TestConversions:
         assert to_signed(np.uint32(5))[()] == 5
 
     def test_double_roundtrip(self):
-        vals = np.array([0.0, 0.25, 0.5, 0.75])
-        np.testing.assert_allclose(to_double(from_double(vals)), vals)
+        numerators = np.array([0, Q // 4, Q // 2, 3 * Q // 4, Q - 1], dtype=np.uint32)
+        vals = to_double(numerators)
+        np.testing.assert_array_equal(vals[:4], [0.0, 0.25, 0.5, 0.75])
+        assert vals[4] == 1.0 - 2.0**-32  # every numerator is exact in float64
+        assert np.array_equal(to_torus(vals * Q), numerators)
 
     def test_u32_wraps(self):
         assert u32(Q + 3) == 3
