@@ -172,33 +172,26 @@ def test_disabled_noise_tracker_allocates_nothing_on_gate_path():
 
 
 def test_disabled_registry_and_tracer_allocate_nothing_on_hot_paths():
-    """With telemetry off, no hot path may allocate in the registry or
-    tracer modules.
+    """With telemetry off, the gate bootstrap may not allocate in the
+    registry or tracer modules.
 
     Every metric update and span is guarded by one ``enabled`` read, so
-    a disabled gate bootstrap, simulator run and scheduled workload must
-    leave *zero* objects behind in ``registry.py`` and ``tracer.py``.
+    a disabled gate bootstrap must leave *zero* objects behind in
+    ``registry.py`` and ``tracer.py``.  The simulator and the schedulers
+    publish no telemetry at all (``test_models_do_not_import_telemetry``
+    in ``tests/observability/test_instrumentation.py``), so they have
+    nothing to measure here.
     """
-    from repro.apps import xgboost_workload
-    from repro.core.accelerator import MorphlingConfig
-    from repro.core.scheduler import run_workload
-    from repro.core.simulator import simulate_bootstrap
-    from repro.params import get_params
-
     ctx = TfheContext.create(TEST_PARAMS, seed=11)
-    config, params = MorphlingConfig(), get_params("I")
-    layers = list(xgboost_workload().layers)
 
-    def run_all():
+    def gate_bootstrap():
         ctx.decrypt(ctx.gate("nand", ctx.encrypt(1), ctx.encrypt(0)))
-        simulate_bootstrap(config, params)
-        run_workload(config, params, layers)
 
-    run_all()  # warm caches outside the trace
+    gate_bootstrap()  # warm caches outside the trace
     obs.disable()
     tracemalloc.start()
     try:
-        run_all()
+        gate_bootstrap()
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()

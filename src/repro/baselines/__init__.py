@@ -1,12 +1,7 @@
 """Baselines: calibrated CPU model, published reference rows, and
 prior-accelerator-style simulator configurations."""
 
-from .accelerators import (
-    equal_resource_variants,
-    matcha_like,
-    morphling_config,
-    strix_like,
-)
+from .accelerators import equal_resource_variants
 from .cpu import CpuBootstrapTime, CpuCostModel
 from .reference import (
     TABLE_V_MORPHLING_PAPER,
@@ -24,8 +19,5 @@ __all__ = [
     "TABLE_V_MORPHLING_PAPER",
     "references_for",
     "speedup_range",
-    "matcha_like",
-    "strix_like",
-    "morphling_config",
     "equal_resource_variants",
 ]

@@ -10,45 +10,29 @@ throughput differences isolate the paper's contribution.
 
 from __future__ import annotations
 
+from typing import Any, Dict
+
 from ..core.accelerator import MorphlingConfig
 from ..core.reuse import ReuseType
 
-__all__ = [
-    "matcha_like",
-    "strix_like",
-    "morphling_config",
-    "equal_resource_variants",
-]
+__all__ = ["equal_resource_variants"]
 
 
-def morphling_config(**overrides) -> MorphlingConfig:
-    """Morphling: input+output reuse, merge-split FFT."""
-    return MorphlingConfig.morphling(**overrides)
-
-
-def matcha_like(**overrides) -> MorphlingConfig:
-    """No-Reuse class with Morphling's resources (MATCHA-style datapath)."""
-    return MorphlingConfig.no_reuse(**overrides)
-
-
-def strix_like(**overrides) -> MorphlingConfig:
-    """Input-Reuse class with Morphling's resources (Strix-style datapath)."""
-    return MorphlingConfig.input_reuse(**overrides)
-
-
-def equal_resource_variants(**overrides) -> dict:
+def equal_resource_variants(**overrides: Any) -> Dict[str, MorphlingConfig]:
     """The Fig. 7-b ladder: same resources, increasing reuse, then +MS-FFT.
 
-    Returns an ordered mapping; ``morphling+ms`` is the shipped design.
+    Returns an ordered mapping: MATCHA's No-Reuse class, Strix's
+    Input-Reuse class, Morphling without merge-split, then the shipped
+    design.
     """
     return {
-        "no-reuse": matcha_like(**overrides),
-        "input-reuse": strix_like(**overrides),
+        "no-reuse": MorphlingConfig.no_reuse(**overrides),
+        "input-reuse": MorphlingConfig.input_reuse(**overrides),
         "input+output-reuse": MorphlingConfig(
             name="input+output-reuse", reuse=ReuseType.INPUT_OUTPUT_REUSE,
             merge_split=False, **overrides,
         ),
-        "input+output-reuse+ms-fft": morphling_config(
+        "input+output-reuse+ms-fft": MorphlingConfig.morphling(
             name="input+output-reuse+ms-fft", **overrides
         ),
     }

@@ -14,14 +14,8 @@ from .buffers import (
 from .compiler import compile_program
 from .dataflow import Dataflow, DataflowCost, dataflow_cost, rank_dataflows
 from .hbm import HbmModel, TrafficBreakdown
-from .isa_encoding import (
-    decode_instruction,
-    decode_stream,
-    encode_instruction,
-    encode_stream,
-    stream_size_bytes,
-)
-from .isa import DmaOp, Engine, Instruction, InstructionStream, VpuOp, XpuOp
+from .isa_encoding import decode_stream, encode_stream, stream_size_bytes
+from .isa import DmaOp, Engine, InstructionStream, StreamColumns, VpuOp, XpuOp
 from .noc import NocLink, NocModel
 from .reuse import (
     ReuseType,
@@ -64,8 +58,6 @@ __all__ = [
     "DataflowCost",
     "dataflow_cost",
     "rank_dataflows",
-    "encode_instruction",
-    "decode_instruction",
     "encode_stream",
     "decode_stream",
     "stream_size_bytes",
@@ -75,8 +67,8 @@ __all__ = [
     "render_timeline",
     "TrafficBreakdown",
     "Engine",
-    "Instruction",
     "InstructionStream",
+    "StreamColumns",
     "XpuOp",
     "VpuOp",
     "DmaOp",

@@ -6,10 +6,10 @@ Instructions are deliberately coarse-grained - one XPU instruction is a
 whole blind rotation of a resident batch - matching the granularity the
 paper schedules at (Fig. 6).
 
-A program is stored as columns (:class:`StreamColumns`: one array per
-field, dependencies as offsets into one flat id array); the schedulers
-and the verifier read the arrays, and :class:`Instruction` is the record
-view built on demand (binary encoding, hand-built programs, tests).
+A program is columns and nothing else (:class:`StreamColumns`: one
+array per field, dependencies as offsets into one flat id array): the
+SW-scheduler builds them through :class:`InstructionStream`, and the
+HW-scheduler, the verifier and the binary encoding read the arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import enum
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -29,9 +29,10 @@ __all__ = [
     "VpuOp",
     "DmaOp",
     "OPCODES",
-    "Instruction",
     "InstructionStream",
     "StreamColumns",
+    "Program",
+    "as_columns",
     "DepView",
     "opcode_mask",
 ]
@@ -97,65 +98,12 @@ _QUEUE_OF_CODE = np.array([
 
 
 def opcode_mask(ops: Iterable[_Opcode]) -> np.ndarray:
-    """Table over opcode codes, set at ``ops``: indexed by an opcode
-    column, it masks those rows (its extra last entry serves code -1)."""
+    """Table over opcode codes, set at ``ops``: indexed by
+    :attr:`StreamColumns.slot`, it masks those rows (its extra last entry
+    serves unknown codes)."""
     table = np.zeros(len(OPCODES) + 1, dtype=bool)
     table[[op.code for op in ops]] = True
     return table
-
-
-class Instruction:
-    """One scheduled operation: the record view of a program row.
-
-    ``count`` is the number of ciphertexts the op covers (batch size for
-    XPU/VPU ops); ``data_bytes`` the DMA payload; ``macs`` the P-ALU work.
-    ``depends_on`` lists instruction ids that must retire first.
-    ``engine`` is the opcode's engine, resolved once here.
-
-    Slotted (no per-instance ``__dict__``).  Instructions are values -
-    compared and hashed by their fields - and nothing mutates one after
-    construction.
-    """
-
-    __slots__ = ("inst_id", "op", "group", "count", "data_bytes", "macs",
-                 "depends_on", "engine")
-
-    def __init__(
-        self, inst_id: int, op: object, group: int, count: int = 0,
-        data_bytes: int = 0, macs: int = 0, depends_on: Tuple[int, ...] = (),
-    ) -> None:
-        if not isinstance(op, _Opcode):
-            raise ValueError(f"unknown opcode: {op!r}")
-        if count < 0 or data_bytes < 0 or macs < 0:
-            raise ValueError("instruction sizes must be non-negative")
-        self.inst_id = inst_id
-        self.op = op
-        self.group = group
-        self.count = count
-        self.data_bytes = data_bytes
-        self.macs = macs
-        self.depends_on = depends_on
-        self.engine = op.engine
-
-    def _fields(self) -> tuple:
-        return (self.inst_id, self.op, self.group, self.count,
-                self.data_bytes, self.macs, self.depends_on)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Instruction):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"Instruction(inst_id={self.inst_id!r}, op={self.op!r}, "
-            f"group={self.group!r}, count={self.count!r}, "
-            f"data_bytes={self.data_bytes!r}, macs={self.macs!r}, "
-            f"depends_on={self.depends_on!r})"
-        )
 
 
 #: A program's dependencies as rows (:attr:`StreamColumns.dep_view`).
@@ -167,10 +115,9 @@ class StreamColumns:
     """A program as one array per field.
 
     Row ``i`` is the instruction with id ``ids[i]`` and opcode
-    ``OPCODES[code[i]]`` (code -1: an opcode no engine dispatches); its
-    dependency ids are ``deps[dep_ptr[i]:dep_ptr[i + 1]]``.  ``ops`` keeps
-    foreign records' own opcode objects for messages; a stream's are
-    implied by ``code``.
+    ``OPCODES[code[i]]`` (a code outside ``OPCODES``, as a hand-built
+    program may carry, is an opcode no engine dispatches); its dependency
+    ids are ``deps[dep_ptr[i]:dep_ptr[i + 1]]``.
     """
 
     ids: np.ndarray
@@ -181,34 +128,22 @@ class StreamColumns:
     macs: np.ndarray
     dep_ptr: np.ndarray
     deps: np.ndarray
-    ops: Optional[Sequence[object]] = None
-
-    @classmethod
-    def from_records(cls, records: Iterable[object]) -> "StreamColumns":
-        """Columns of instruction-shaped records, converted once: a missing
-        field takes its neutral default (the id is the position)."""
-        records = list(records)
-        ops = [getattr(r, "op", None) for r in records]
-        deps = [tuple(getattr(r, "depends_on", ())) for r in records]
-
-        def column(values: Iterable[int]) -> np.ndarray:
-            return np.array(list(values), dtype=np.int64)
-
-        return cls(
-            column(getattr(r, "inst_id", i) for i, r in enumerate(records)),
-            column(op.code if isinstance(op, _Opcode) else -1 for op in ops),
-            *(column(getattr(r, name, 0) for r in records)
-              for name in ("group", "count", "data_bytes", "macs")),
-            np.cumsum([0] + [len(d) for d in deps]),
-            column(d for ds in deps for d in ds),
-            ops,
-        )
 
     def __len__(self) -> int:
         return len(self.code)
 
-    def op(self, row: int) -> object:
-        return self.ops[row] if self.ops is not None else OPCODES[self.code[row]]
+    @cached_property
+    def slot(self) -> np.ndarray:
+        """``code`` as an index into the per-opcode tables
+        (:func:`opcode_mask`): a code outside ``OPCODES`` reads -1, their
+        extra last entry."""
+        unknown = (self.code < 0) | (self.code >= len(OPCODES))
+        return np.where(unknown, -1, self.code) if unknown.any() else self.code
+
+    def op_name(self, row: int) -> str:
+        """Row ``row``'s opcode name; an unknown code is named by its number."""
+        slot = int(self.slot[row])
+        return OPCODES[slot].value if slot >= 0 else str(self.code[row])
 
     @cached_property
     def owner(self) -> np.ndarray:
@@ -270,19 +205,18 @@ class StreamColumns:
         and the verifier's occupancy model both queue through here, so they
         agree on one resource model.
         """
-        queue = _QUEUE_OF_CODE[self.code]
+        queue = _QUEUE_OF_CODE[self.slot]
         queue = np.where(queue < 0, len(_FIXED_QUEUES) + self.group % lane_groups, queue)
         names = [*_FIXED_QUEUES, *(f"vpu{g}" for g in range(lane_groups))]
         return queue, names
 
 
 class InstructionStream:
-    """An append-only, dependency-checked program, stored as columns.
+    """An append-only, dependency-checked program, built block by block.
 
     Instruction ids are emission indices, so "already emitted" is an
-    integer comparison rather than a set of seen ids.  Iterating yields
-    :class:`Instruction` records built on demand; the schedulers and the
-    verifier read :meth:`columns` instead.
+    integer comparison rather than a set of seen ids.  Readers take the
+    program as :meth:`columns`.
     """
 
     def __init__(self) -> None:
@@ -290,22 +224,6 @@ class InstructionStream:
         self._blocks: List[tuple] = [(np.zeros(0, dtype=np.int64),) * 7]
         self._len = 0
         self._columns: Optional[StreamColumns] = None
-
-    def emit(
-        self,
-        op: object,
-        group: int,
-        depends_on: Iterable[int] = (),
-        count: int = 0,
-        data_bytes: int = 0,
-        macs: int = 0,
-    ) -> Instruction:
-        """Append an instruction; dependencies must already exist."""
-        deps = tuple(depends_on)
-        inst = Instruction(self._len, op, group, count, data_bytes, macs, deps)
-        self.emit_block([op.code], [group], [count], [data_bytes], [macs],
-                        [len(deps)], deps)
-        return inst
 
     def emit_block(self, code: ArrayLike, group: ArrayLike, count: ArrayLike,
                    data_bytes: ArrayLike, macs: ArrayLike, n_deps: ArrayLike,
@@ -339,25 +257,19 @@ class InstructionStream:
             )
         return self._columns
 
-    def __iter__(self) -> Iterator[Instruction]:
-        cols = self.columns()
-        ptr, deps = cols.dep_ptr.tolist(), cols.deps.tolist()
-        rows = zip(cols.code.tolist(), cols.group.tolist(), cols.count.tolist(),
-                   cols.data_bytes.tolist(), cols.macs.tolist())
-        for i, (code, group, count, data_bytes, macs) in enumerate(rows):
-            yield Instruction(i, OPCODES[code], group, count, data_bytes, macs,
-                              tuple(deps[ptr[i]:ptr[i + 1]]))
-
     def __len__(self) -> int:
         return self._len
 
     def groups(self) -> List[int]:
         return np.unique(self.columns().group).tolist()
 
-    def validate_dependencies(self) -> None:
-        """Check the stream is a DAG in emission order (deps point backwards)."""
-        cols = self.columns()
-        late = np.flatnonzero((cols.deps < 0) | (cols.deps >= cols.owner))
-        if len(late):
-            raise ValueError(f"instruction {cols.owner[late[0]]} depends on "
-                             f"unretired {cols.deps[late[0]]}")
+
+#: A program as its readers take it: a stream, or columns built elsewhere
+#: (a decoded binary, a hand-built program).
+Program = Union[InstructionStream, StreamColumns]
+
+
+def as_columns(program: Program) -> StreamColumns:
+    """``program`` as columns: a stream hands over its own arrays (never
+    copied)."""
+    return program if isinstance(program, StreamColumns) else program.columns()

@@ -56,7 +56,7 @@ from .noise import (
     noise_tracking,
 )
 from .registry import Counter, MetricsRegistry
-from .tracer import Span, Tracer, traced
+from .tracer import Span, Tracer
 
 __all__ = [
     "REGISTRY",
@@ -66,7 +66,6 @@ __all__ = [
     "Counter",
     "Tracer",
     "Span",
-    "traced",
     "NoiseTracker",
     "NoiseRecord",
     "FailurePoint",

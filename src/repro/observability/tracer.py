@@ -5,9 +5,9 @@ named spans - ``(name, category, start, duration, track, args)`` - that
 the exporters (:mod:`repro.observability.export`) turn into Chrome
 trace-event JSON for Perfetto / ``chrome://tracing``.
 
-Spans time executed work: :meth:`Tracer.span` (a context manager) or the
-:func:`traced` decorator measure ``time.perf_counter`` relative to the
-tracer's epoch, around real work such as a functional bootstrap.
+Spans time executed work: :meth:`Tracer.span` (a context manager)
+measures ``time.perf_counter`` relative to the tracer's epoch, around
+real work such as a functional bootstrap.
 :meth:`Tracer.add_span` records a span whose start and duration the
 caller supplies.  The models' timelines (the HW-scheduler's
 ``execute(record_spans=True)``, the XPU pipeline trace, the profile's
@@ -18,14 +18,13 @@ viewers) keeps separate rows apart.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Iterator, List, Optional
 
-__all__ = ["Span", "Tracer", "traced"]
+__all__ = ["Span", "Tracer"]
 
 @dataclass(frozen=True)
 class Span:
@@ -117,33 +116,3 @@ class Tracer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._spans)
-
-
-def traced(name: Optional[str] = None, category: str = "", track: str = "main",
-           tracer: Optional[Tracer] = None) -> Callable[[Callable], Callable]:
-    """Decorator recording one span per call on the (global) tracer.
-
-    ``@traced()`` uses the function's qualified name; pass ``name=`` to
-    override and ``tracer=`` to target a non-global tracer (tests).
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        span_name = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            active = tracer if tracer is not None else _global_tracer()
-            if not active.enabled:
-                return fn(*args, **kwargs)
-            with active.span(span_name, category=category, track=track):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
-
-
-def _global_tracer() -> Tracer:
-    from . import TRACER
-
-    return TRACER

@@ -116,13 +116,11 @@ def verify_target(
 
         report.attachments["occupancy"] = OccupancyModel(
             config, params
-        ).analyze(list(stream), subject=target.name)
+        ).analyze(stream, subject=target.name)
     if noise_budget:
         from .noisepass import static_noise_report
 
-        report.attachments["noise_budget"] = static_noise_report(
-            list(stream), params
-        )
+        report.attachments["noise_budget"] = static_noise_report(stream, params)
     return report
 
 

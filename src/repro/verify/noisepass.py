@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
-from ..core.isa import DmaOp, VpuOp, XpuOp, opcode_mask
+from ..core.isa import DmaOp, Program, VpuOp, XpuOp, as_columns, opcode_mask
 from ..tfhe.noise import (
     DEFAULT_LOG2_BUDGET,
     LOG2_PROB_FLOOR,
@@ -48,7 +48,7 @@ from ..tfhe.noise import (
     union_bound_log2,
 )
 from .diagnostics import Diagnostic, Severity
-from .program import VerifyContext, normalise, register_program_pass
+from .program import VerifyContext, register_program_pass
 
 __all__ = [
     "StaticNoiseReport",
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 #: Ops whose result carries their operand's variance onward (KEY_SWITCH
-#: adds its own terms on top), as a table over opcode codes.
+#: adds its own terms on top), as a table over opcode slots.
 _PASSING = opcode_mask((VpuOp.KEY_SWITCH, VpuOp.SAMPLE_EXTRACT, DmaOp.STORE_LWE))
 
 
@@ -98,7 +98,7 @@ class StaticNoiseReport(FailureBound):
 
 
 def static_noise_report(
-    instructions: Iterable[object], params: object,
+    instructions: Program, params: object,
 ) -> StaticNoiseReport:
     """Propagate predicted variance through ``instructions`` and bound
     the workload's decryption-failure probability.
@@ -123,9 +123,9 @@ def static_noise_report(
     # row's output is noise-free, and a dependency reads the latest
     # earlier variance-carrying row with its id (0.0 if there is none).
     # The propagation runs over those rows alone, renumbered by ``slot``.
-    cols = normalise(instructions)
+    cols = as_columns(instructions)
     rotation = cols.code == XpuOp.BLIND_ROTATE.code
-    passing = _PASSING[cols.code]
+    passing = _PASSING[cols.slot]
     carries = rotation | passing
     rows = np.flatnonzero(carries)
     slot = np.cumsum(carries) - 1

@@ -32,14 +32,14 @@ architecture - no timing models, no simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.isa import StreamColumns, XpuOp
+from ..core.isa import Program, StreamColumns, XpuOp, as_columns
 from ..core.scheduler import list_schedule
 from .diagnostics import Diagnostic, Severity
-from .program import VerifyContext, normalise, register_program_pass
+from .program import VerifyContext, register_program_pass
 
 __all__ = [
     "BufferHighWater",
@@ -205,10 +205,10 @@ class OccupancyModel:
 
     # -- the proof ------------------------------------------------------
     def analyze(
-        self, instructions: Iterable[object], subject: str = "<stream>"
+        self, instructions: Program, subject: str = "<stream>"
     ) -> OccupancyProof:
         """High-water-mark proof for ``instructions``."""
-        cols = normalise(instructions)
+        cols = as_columns(instructions)
         ends, steps = self._abstract_schedule(cols)
         intervals = self._intervals(cols, ends, steps)
         marks: List[BufferHighWater] = []
@@ -253,8 +253,7 @@ def _check_occupancy(ctx: VerifyContext) -> Iterator[Diagnostic]:
     for hw in proof.buffers:
         if hw.ok:
             continue
-        op = (ctx.columns.op(hw.at_instruction)
-              if hw.at_instruction is not None else None)
+        at = hw.at_instruction
         yield Diagnostic(
             code="VER007", severity=Severity.ERROR,
             message=(
@@ -264,6 +263,6 @@ def _check_occupancy(ctx: VerifyContext) -> Iterator[Diagnostic]:
                 f"producers and their consumers (per-instruction batches "
                 f"fit, the aggregate does not)"
             ),
-            instruction_index=hw.at_instruction,
-            op=getattr(op, "value", str(op)) if op is not None else None,
+            instruction_index=at,
+            op=ctx.columns.op_name(at) if at is not None else None,
         )

@@ -1,8 +1,9 @@
 """Head 1: static verifier for compiled ISA instruction streams.
 
-A pass pipeline over :class:`repro.core.isa.InstructionStream` (or any
-iterable of instruction-shaped objects, e.g. a decoded binary program)
-that runs before the HW-scheduler executes the stream.  Each pass owns a
+A pass pipeline over a program's columns - an
+:class:`repro.core.isa.InstructionStream`, or a
+:class:`repro.core.isa.StreamColumns` such as a decoded binary - that
+runs before the HW-scheduler executes the stream.  Each pass owns a
 stable ``VERxxx`` code; a violation is reported with the instruction
 index, the source op, and a severity.  The pipeline is pure analysis -
 it never mutates the stream - so it is safe to run on every compile
@@ -40,13 +41,12 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional
 import numpy as np
 
 from ..core.isa import (
-    OPCODES, DmaOp, InstructionStream, StreamColumns, VpuOp, XpuOp, opcode_mask,
+    OPCODES, DmaOp, Program, StreamColumns, VpuOp, XpuOp, as_columns, opcode_mask,
 )
 from .diagnostics import Diagnostic, RuleInfo, Severity, VerificationError, VerifyReport
 
 __all__ = [
     "VerifyContext",
-    "normalise",
     "ProgramPass",
     "PROGRAM_PASSES",
     "register_program_pass",
@@ -56,26 +56,11 @@ __all__ = [
 ]
 
 
-def normalise(stream: Iterable[object]) -> StreamColumns:
-    """``stream`` as columns.
-
-    An :class:`~repro.core.isa.InstructionStream` hands over its own
-    arrays (never copied); any other iterable of instruction-shaped
-    objects (a decoded binary, hand-built records) is converted once,
-    missing fields taking their neutral defaults.
-    """
-    if isinstance(stream, StreamColumns):
-        return stream
-    if isinstance(stream, InstructionStream):
-        return stream.columns()
-    return StreamColumns.from_records(stream)
-
-
 @dataclass
 class VerifyContext:
     """Everything a pass may inspect.
 
-    ``columns`` is the :func:`normalise`-d program.  ``config``/``params``
+    ``columns`` is the program as columns.  ``config``/``params``
     are optional: capacity and transfer-size checks degrade gracefully
     (skip) when the architectural context is unknown, so the verifier
     still works on bare decoded binaries.
@@ -87,7 +72,7 @@ class VerifyContext:
 
     def is_op(self, *ops: Any) -> np.ndarray:
         """Mask of the rows whose opcode is one of ``ops``."""
-        return opcode_mask(ops)[self.columns.code]
+        return opcode_mask(ops)[self.columns.slot]
 
 
 PassFn = Callable[[VerifyContext], Iterator[Diagnostic]]
@@ -130,10 +115,9 @@ def program_rule_catalog() -> List[RuleInfo]:
 
 def _diag(code: str, cols: StreamColumns, row: int, message: str,
           severity: Severity = Severity.ERROR) -> Diagnostic:
-    op = cols.op(row)
     return Diagnostic(
         code=code, severity=severity, message=message,
-        instruction_index=row, op=getattr(op, "value", str(op)),
+        instruction_index=row, op=cols.op_name(row),
     )
 
 
@@ -206,20 +190,20 @@ def _check_identity(ctx: VerifyContext) -> Iterator[Diagnostic]:
            "payload fields must match the opcode's engine")
 def _check_opcode_engine(ctx: VerifyContext) -> Iterator[Diagnostic]:
     cols = ctx.columns
-    known = cols.code >= 0
+    known = cols.slot >= 0
     dma = ctx.is_op(*DmaOp)
     palu = ctx.is_op(VpuOp.P_ALU)
     compute = known & ~dma & ~palu  # XPU blind-rotate or VPU bootstrap stages
     macs, count = cols.macs != 0, cols.count != 0
     yield from _flag(
         "VER003", cols,
-        (~known, lambda i: f"unknown opcode {cols.op(i)!r}: no engine "
+        (~known, lambda i: f"unknown opcode {cols.code[i]}: no engine "
                            f"dispatches it"),
         (dma & macs, lambda i: "DMA instructions carry data_bytes, not MACs"),
         (palu & ~macs, lambda i: "P_ALU instruction with no MAC work"),
         (palu & count, lambda i: "P_ALU covers MACs, not ciphertexts"),
         (compute & ~count,
-         lambda i: f"{cols.op(i).engine.value.upper()} compute op covers "
+         lambda i: f"{OPCODES[cols.code[i]].engine.value.upper()} compute op covers "
                    f"zero ciphertexts"),
         (compute & (cols.data_bytes != 0),
          lambda i: "compute ops do not carry DMA payloads"),
@@ -266,8 +250,8 @@ _CHAIN = (
     VpuOp.KEY_SWITCH,
     DmaOp.STORE_LWE,
 )
-#: Stage of each opcode code (-1: not a chain op; the last entry serves
-#: unknown opcodes' code -1), and the code each stage consumes.
+#: Stage of each opcode slot (-1: not a chain op; the last entry serves
+#: unknown codes), and the code each stage consumes.
 _STAGE = np.full(len(OPCODES) + 1, -1)
 _STAGE[[op.code for op in _CHAIN]] = np.arange(len(_CHAIN))
 _PRODUCER = np.array([-1] + [op.code for op in _CHAIN[:-1]])
@@ -277,7 +261,7 @@ _PRODUCER = np.array([-1] + [op.code for op in _CHAIN[:-1]])
            "per-group bootstrap chains must order MS -> BR -> SE -> KS -> STORE")
 def _check_stage_order(ctx: VerifyContext) -> Iterator[Diagnostic]:
     cols = ctx.columns
-    group, stage = cols.group, _STAGE[cols.code]
+    group, stage = cols.group, _STAGE[cols.slot]
     # Each chain row against the previous chain row of its group.
     chain = np.flatnonzero(stage >= 0)
     chain_group = group[chain]
@@ -299,10 +283,10 @@ def _check_stage_order(ctx: VerifyContext) -> Iterator[Diagnostic]:
     starved[owner[fed]] = False
     yield from _flag(
         "VER005", cols,
-        (later, lambda i: f"group {group[i]} emits stage {cols.op(i).value!r} "
+        (later, lambda i: f"group {group[i]} emits stage {cols.op_name(i)!r} "
                           f"after a later stage: the in-order engine queues "
                           f"would deadlock or reorder writes (WAR hazard)"),
-        (starved, lambda i: f"{cols.op(i).value!r} in group {group[i]} does "
+        (starved, lambda i: f"{cols.op_name(i)!r} in group {group[i]} does "
                             f"not depend on the group's "
                             f"{_CHAIN[stage[i] - 1].value!r} result (RAW "
                             f"hazard: it would read stale buffer contents)"),
@@ -357,7 +341,7 @@ def _check_transfers(ctx: VerifyContext) -> Iterator[Diagnostic]:
 # Driver
 # ----------------------------------------------------------------------
 def verify_stream(
-    stream: Iterable[object],
+    stream: Program,
     config: Optional[object] = None,
     params: Optional[object] = None,
     passes: Optional[Iterable[str]] = None,
@@ -366,10 +350,10 @@ def verify_stream(
     """Run the pass pipeline over ``stream`` and collect diagnostics.
 
     ``passes`` optionally restricts the run to a subset of ``VERxxx``
-    codes.  The stream may be an :class:`InstructionStream`, a decoded
-    binary program, or any list of instruction-shaped objects.
+    codes.  The stream may be an :class:`InstructionStream` or columns
+    built elsewhere (a decoded binary program, a hand-built one).
     """
-    ctx = VerifyContext(normalise(stream), config=config, params=params)
+    ctx = VerifyContext(as_columns(stream), config=config, params=params)
     report = VerifyReport(subject=subject)
     wanted = set(passes) if passes is not None else None
     for p in PROGRAM_PASSES:
@@ -380,7 +364,7 @@ def verify_stream(
 
 
 def verify_or_raise(
-    stream: Iterable[object],
+    stream: Program,
     config: Optional[object] = None,
     params: Optional[object] = None,
     subject: str = "<stream>",

@@ -7,11 +7,10 @@ from repro.baselines import (
     TABLE_V_MORPHLING_PAPER,
     TABLE_V_REFERENCES,
     equal_resource_variants,
-    matcha_like,
     references_for,
     speedup_range,
-    strix_like,
 )
+from repro.core.accelerator import MorphlingConfig
 from repro.core.reuse import ReuseType
 from repro.core.simulator import simulate_bootstrap
 from repro.params import FIG1_PARAMS, get_params
@@ -83,8 +82,6 @@ class TestSpeedups:
 
     @pytest.fixture(scope="class")
     def morphling(self):
-        from repro.core.accelerator import MorphlingConfig
-
         return {
             s: simulate_bootstrap(MorphlingConfig(), get_params(s)).throughput_bs
             for s in ["I", "II", "III", "IV"]
@@ -127,8 +124,8 @@ def _ladder(pset):
 
 class TestAcceleratorVariants:
     def test_reuse_classes(self):
-        assert matcha_like().reuse is ReuseType.NO_REUSE
-        assert strix_like().reuse is ReuseType.INPUT_REUSE
+        assert MorphlingConfig.no_reuse().reuse is ReuseType.NO_REUSE
+        assert MorphlingConfig.input_reuse().reuse is ReuseType.INPUT_REUSE
 
     def test_equal_resource_ladder_ordered(self):
         variants = equal_resource_variants()

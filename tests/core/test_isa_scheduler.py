@@ -3,57 +3,68 @@
 import pytest
 
 from repro.core.accelerator import MorphlingConfig
-from repro.core.isa import DmaOp, Engine, Instruction, InstructionStream, VpuOp, XpuOp
+from repro.core.isa import OPCODES, DmaOp, Engine, InstructionStream, VpuOp, XpuOp
 from repro.core.scheduler import HwScheduler, LayerDemand, SwScheduler, run_workload
 from repro.core.simulator import simulate_bootstrap
 from repro.params import get_params
+from repro.verify import verify_stream
+
+from .._programs import Row, columns, rows, stream as emitted
+
+
+def _one_row(code, count=0, macs=0):
+    """A stream of ``code`` (no dependencies) appended as a block."""
+    s = InstructionStream()
+    s.emit_block([code], [0], [count], [0], [macs], [0], [])
+    return s
 
 
 class TestInstruction:
     def test_engine_dispatch(self):
-        assert Instruction(0, XpuOp.BLIND_ROTATE, 0).engine is Engine.XPU
-        assert Instruction(0, VpuOp.KEY_SWITCH, 0).engine is Engine.VPU
-        assert Instruction(0, DmaOp.LOAD_BSK, 0).engine is Engine.DMA
+        assert XpuOp.BLIND_ROTATE.engine is Engine.XPU
+        assert VpuOp.KEY_SWITCH.engine is Engine.VPU
+        assert DmaOp.LOAD_BSK.engine is Engine.DMA
+        assert [op.code for op in OPCODES] == list(range(len(OPCODES)))
 
     def test_rejects_negative_sizes(self):
-        with pytest.raises(ValueError):
-            Instruction(0, VpuOp.P_ALU, 0, macs=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            _one_row(VpuOp.P_ALU.code, macs=-1)
 
     def test_rejects_unknown_opcode(self):
-        with pytest.raises(ValueError):
-            Instruction(0, "not-an-op", 0)
+        for code in (-1, len(OPCODES), 99):
+            with pytest.raises(ValueError, match="unknown opcode"):
+                _one_row(code)
 
     def test_every_opcode_carries_its_engine(self):
         assert {op.engine for op in XpuOp} == {Engine.XPU}
         assert {op.engine for op in VpuOp} == {Engine.VPU}
         assert {op.engine for op in DmaOp} == {Engine.DMA}
 
-    def test_instances_are_slotted_values(self):
-        # No per-instance __dict__: a Table VI stream is tens of
-        # thousands of these.
-        inst = Instruction(3, VpuOp.KEY_SWITCH, 1, count=2, depends_on=(1, 2))
-        assert not hasattr(inst, "__dict__")
-        twin = Instruction(3, VpuOp.KEY_SWITCH, 1, count=2, depends_on=(1, 2))
-        assert inst == twin and hash(inst) == hash(twin)
-        assert inst != Instruction(4, VpuOp.KEY_SWITCH, 1, count=2, depends_on=(1, 2))
-        assert "KEY_SWITCH" in repr(inst)
+    @pytest.mark.parametrize("code", [-1, len(OPCODES), 99])
+    def test_unknown_code_reads_as_unknown(self, code):
+        """A hand-built code outside ``OPCODES`` indexes the tables' extra
+        last entry and is named by its number."""
+        cols = columns([Row(0, DmaOp.LOAD_LWE), Row(1, code)])
+        assert cols.slot.tolist() == [DmaOp.LOAD_LWE.code, -1]
+        assert [cols.op_name(0), cols.op_name(1)] == ["load_lwe", str(code)]
+        queues, names = cols.queues(2)
+        assert [names[q] for q in queues] == ["dma_vpu", "xpu"]
 
 
 class TestInstructionStream:
     def test_emit_assigns_sequential_ids(self):
-        s = InstructionStream()
-        a = s.emit(DmaOp.LOAD_LWE, 0)
-        b = s.emit(VpuOp.MODULUS_SWITCH, 0, depends_on=(a.inst_id,))
-        assert b.inst_id == a.inst_id + 1
+        s = emitted([Row(0, DmaOp.LOAD_LWE, 0)])
+        s.emit_block([VpuOp.MODULUS_SWITCH.code] * 2, [0, 0], [1, 1], [0, 0],
+                     [0, 0], [1, 1], [0, 1])
+        assert s.columns().ids.tolist() == [0, 1, 2]
 
     def test_forward_dependency_rejected(self):
         s = InstructionStream()
-        with pytest.raises(ValueError):
-            s.emit(VpuOp.MODULUS_SWITCH, 0, depends_on=(99,))
+        with pytest.raises(ValueError, match="not yet emitted"):
+            s.emit_block([VpuOp.MODULUS_SWITCH.code], [0], [0], [0], [0], [1], [99])
 
-    def test_records_are_views_of_the_columns(self):
-        s = InstructionStream()
-        load = s.emit(DmaOp.LOAD_LWE, 0, count=2, data_bytes=64)
+    def test_blocks_append_as_columns(self):
+        s = emitted([Row(0, DmaOp.LOAD_LWE, 0, count=2, data_bytes=64)])
         s.emit_block([XpuOp.BLIND_ROTATE.code, VpuOp.P_ALU.code], [0, 1],
                      [2, 0], [0, 0], [0, 9], [1, 2], [0, 0, 1])
         cols = s.columns()
@@ -61,16 +72,15 @@ class TestInstructionStream:
                                       XpuOp.BLIND_ROTATE.code, VpuOp.P_ALU.code]
         assert cols.deps.tolist() == [0, 0, 1]
         assert cols.dep_ptr.tolist() == [0, 0, 1, 3]
-        assert list(s) == [
-            load,
-            Instruction(1, XpuOp.BLIND_ROTATE, 0, count=2, depends_on=(0,)),
-            Instruction(2, VpuOp.P_ALU, 1, macs=9, depends_on=(0, 1)),
+        assert rows(s) == [
+            Row(0, DmaOp.LOAD_LWE, 0, count=2, data_bytes=64),
+            Row(1, XpuOp.BLIND_ROTATE, 0, count=2, depends_on=(0,)),
+            Row(2, VpuOp.P_ALU, 1, macs=9, depends_on=(0, 1)),
         ]
         assert len(s) == 3 and s.groups() == [0, 1]
 
     def test_block_rows_are_checked_like_emitted_ones(self):
-        s = InstructionStream()
-        s.emit(DmaOp.LOAD_LWE, 0)
+        s = emitted([Row(0, DmaOp.LOAD_LWE, 0)])
         with pytest.raises(ValueError, match="not yet emitted"):
             s.emit_block([VpuOp.MODULUS_SWITCH.code] * 2, [0, 0], [1, 1],
                          [0, 0], [0, 0], [1, 1], [0, 2])
@@ -81,10 +91,9 @@ class TestInstructionStream:
         assert len(s) == 1  # nothing was appended by the refused blocks
 
     def test_queues_keep_their_names(self):
-        s = InstructionStream()
-        for op, group in ((XpuOp.BLIND_ROTATE, 0), (DmaOp.LOAD_BSK, 0),
-                          (DmaOp.LOAD_LWE, 0), (VpuOp.KEY_SWITCH, 5)):
-            s.emit(op, group)
+        s = emitted([Row(i, op, group) for i, (op, group) in enumerate((
+            (XpuOp.BLIND_ROTATE, 0), (DmaOp.LOAD_BSK, 0), (DmaOp.LOAD_LWE, 0),
+            (VpuOp.KEY_SWITCH, 5)))])
         queues, names = s.columns().queues(4)
         assert [names[q] for q in queues] == ["xpu", "dma_xpu", "dma_vpu", "vpu1"]
 
@@ -99,7 +108,7 @@ class TestSwScheduler:
         assert sched.group_size == 64
 
     def test_dependency_chain_per_group(self, sched):
-        stream = sched.schedule([LayerDemand("l", 64)])
+        stream = rows(sched.schedule([LayerDemand("l", 64)]))
         ops = [i.op for i in stream]
         # One group: 3 loads, MS, BR, SE, KS, store.
         assert ops.count(XpuOp.BLIND_ROTATE) == 1
@@ -112,13 +121,13 @@ class TestSwScheduler:
         assert se.inst_id in ks.depends_on
 
     def test_large_layer_splits_into_groups(self, sched):
-        stream = sched.schedule([LayerDemand("l", 200)])
+        stream = rows(sched.schedule([LayerDemand("l", 200)]))
         brs = [i for i in stream if i.op is XpuOp.BLIND_ROTATE]
         assert len(brs) == 4  # ceil(200/64)
         assert sum(i.count for i in brs) == 200
 
     def test_layer_barrier_enforced(self, sched):
-        stream = sched.schedule([LayerDemand("a", 10), LayerDemand("b", 10)])
+        stream = rows(sched.schedule([LayerDemand("a", 10), LayerDemand("b", 10)]))
         stores = [i for i in stream if i.op is DmaOp.STORE_LWE]
         second_layer_loads = [
             i for i in stream
@@ -128,14 +137,16 @@ class TestSwScheduler:
         assert stores[0].inst_id in second_layer_loads[0].depends_on
 
     def test_linear_macs_emit_palu(self, sched):
-        stream = sched.schedule([LayerDemand("l", 10, linear_macs=1000)])
+        stream = rows(sched.schedule([LayerDemand("l", 10, linear_macs=1000)]))
         palu = [i for i in stream if i.op is VpuOp.P_ALU]
         assert len(palu) == 1
         assert palu[0].macs == 1000
 
     def test_stream_validates(self, sched):
         stream = sched.schedule([LayerDemand("l", 100), LayerDemand("m", 50)])
-        stream.validate_dependencies()  # must not raise
+        cols = stream.columns()
+        assert (cols.deps < cols.owner).all()  # a DAG in emission order
+        assert verify_stream(stream, passes=["VER001", "VER002"]).diagnostics == []
 
     def test_empty_layer_keeps_the_barrier(self):
         """A layer with no bootstraps and no linear work emits nothing and

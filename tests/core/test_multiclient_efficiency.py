@@ -1,5 +1,6 @@
 """Tests for multi-client scheduling and the derived efficiency metrics."""
 
+import numpy as np
 import pytest
 
 from repro.core.accelerator import MorphlingConfig
@@ -26,10 +27,10 @@ class TestMultiClientScheduling:
             "alice": [LayerDemand("a", 32)],
             "bob": [LayerDemand("b", 32)],
         })
+        cols = stream.columns()
         groups_by_br = {}
-        for inst in stream:
-            if inst.op is XpuOp.BLIND_ROTATE:
-                groups_by_br.setdefault(inst.group, inst.count)
+        for row in np.flatnonzero(cols.code == XpuOp.BLIND_ROTATE.code).tolist():
+            groups_by_br.setdefault(int(cols.group[row]), int(cols.count[row]))
         # Two separate half-filled groups, not one merged full group.
         assert len(groups_by_br) == 2
         assert all(count == 32 for count in groups_by_br.values())
@@ -48,7 +49,7 @@ class TestMultiClientScheduling:
             "alice": [LayerDemand("a", 32)],
             "bob": [LayerDemand("b", 32)],
         })
-        bsk_loads = lambda s: sum(1 for i in s if i.op is DmaOp.LOAD_BSK)
+        bsk_loads = lambda s: int((s.columns().code == DmaOp.LOAD_BSK.code).sum())
         assert bsk_loads(two) == 2 * bsk_loads(one)
 
     def test_multi_tenancy_padding_slows_execution(self, sched, hw):
@@ -67,7 +68,10 @@ class TestMultiClientScheduling:
             "alice": [LayerDemand("a1", 16), LayerDemand("a2", 16)],
             "bob": [LayerDemand("b1", 16)],
         })
-        stream.validate_dependencies()
+        cols = stream.columns()
+        assert (cols.deps < cols.owner).all()  # a DAG in emission order
+        bob = cols.group >= 2  # alice's two layers take groups 0 and 1
+        assert (bob[cols.deps] == bob[cols.owner]).all()
 
     def test_empty_clients_rejected(self, sched):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from repro.observability import (
     pipeline_trace_events,
     render_prometheus,
     to_jsonable,
-    traced,
     write_chrome_trace,
 )
 from repro.params import get_params
@@ -50,27 +49,6 @@ class TestTracer:
         tr = Tracer(enabled=True)
         tr.add_span("x", 0, 1)
         tr.reset()
-        assert len(tr) == 0
-
-    def test_traced_decorator(self):
-        tr = Tracer(enabled=True)
-
-        @traced(name="named", category="deco", tracer=tr)
-        def fn(x):
-            return x + 1
-
-        assert fn(1) == 2
-        (span,) = tr.spans()
-        assert span.name == "named"
-
-    def test_traced_decorator_disabled_passthrough(self):
-        tr = Tracer(enabled=False)
-
-        @traced(tracer=tr)
-        def fn():
-            return "ok"
-
-        assert fn() == "ok"
         assert len(tr) == 0
 
 

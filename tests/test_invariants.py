@@ -122,7 +122,8 @@ class TestSchedulerConservation:
 
         sched = SwScheduler(MorphlingConfig(), get_params("I"))
         stream = sched.schedule([LayerDemand("l", n_pbs)])
-        total = sum(i.count for i in stream if i.op is XpuOp.BLIND_ROTATE)
+        cols = stream.columns()
+        total = int(cols.count[cols.code == XpuOp.BLIND_ROTATE.code].sum())
         assert total == n_pbs
 
     @given(st.lists(st.integers(1, 100), min_size=1, max_size=4))

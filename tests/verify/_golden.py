@@ -27,21 +27,12 @@ LINT_SNIPPET = "\n".join([
 ])
 
 
-class _BadInstruction:
-    """Instruction-shaped and deliberately ill-formed (pins diagnostics)."""
-
-    inst_id = 0
-    op = "bogus_op"
-    group = 0
-    count = 0
-    data_bytes = 0
-    macs = 0
-    depends_on = (0,)
-
-
 def build_document():
     """The ``repro verify --json`` document for the golden scenario."""
+    import numpy as np
+
     from repro.core.accelerator import MorphlingConfig
+    from repro.core.isa import StreamColumns
     from repro.core.scheduler import LayerDemand, SwScheduler
     from repro.observability import json_document
     from repro.params import get_params
@@ -58,12 +49,15 @@ def build_document():
     program = verify_stream(stream, config=config, params=params,
                             subject="golden-program")
     program.attachments["occupancy"] = OccupancyModel(config, params).analyze(
-        list(stream), subject="golden-program"
+        stream, subject="golden-program"
     )
-    program.attachments["noise_budget"] = static_noise_report(
-        list(stream), params
-    )
-    bad = verify_stream([_BadInstruction()], subject="golden-bad")
+    program.attachments["noise_budget"] = static_noise_report(stream, params)
+    # One deliberately ill-formed row (pins diagnostics): an unknown
+    # opcode code that depends on itself.
+    zero = np.zeros(1, dtype=np.int64)
+    bad = verify_stream(StreamColumns(zero, zero - 1, zero, zero, zero, zero,
+                                      np.array([0, 1]), zero),
+                        subject="golden-bad")
     lint = lint_source(LINT_SNIPPET, path="golden/tfhe/sample.py")
     return json_document(report_document([program, bad, lint]))
 

@@ -2,9 +2,10 @@
 
 These are the VER001-VER008 bodies as they were written before the
 verifier read the program's columns: one Python object per instruction,
-walked one at a time.  They are kept verbatim (as ``tests/tfhe/_oracle.py``
-keeps the per-CMux bootstrap) so the columnar passes can be checked
-against them diagnostic for diagnostic (``test_scalar_oracle.py``).
+walked one at a time.  They are kept (as ``tests/tfhe/_oracle.py`` keeps
+the per-CMux bootstrap) so the columnar passes can be checked against
+them diagnostic for diagnostic (``test_scalar_oracle.py``); they read the
+same columns, one ``tests._programs.Row`` per row.
 :func:`duration` is the HW-scheduler's per-instruction price, which
 ``HwScheduler._durations`` now computes as arrays.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.isa import DmaOp, Engine, Instruction, VpuOp, XpuOp
+from repro.core.isa import DmaOp, Engine, VpuOp, XpuOp
 from repro.verify.diagnostics import Diagnostic, Severity
 from repro.tfhe.noise import DEFAULT_LOG2_BUDGET
 from repro.verify.noisepass import StaticNoiseReport
@@ -25,42 +26,13 @@ from repro.verify.occupancy import (
     OccupancyProof,
 )
 
-
-def engine_of(op: object) -> Optional[Engine]:
-    """Engine an opcode dispatches to, or ``None`` for unknown opcodes."""
-    return op.engine if isinstance(op, (XpuOp, VpuOp, DmaOp)) else None
-
-
-class _Foreign:
-    """An instruction-shaped foreign object, normalised to the
-    :class:`~repro.core.isa.Instruction` field set."""
-
-    __slots__ = Instruction.__slots__
-
-    def __init__(self, index: int, inst: object) -> None:
-        self.inst_id = getattr(inst, "inst_id", index)
-        self.op = getattr(inst, "op", None)
-        self.group = getattr(inst, "group", 0)
-        self.count = getattr(inst, "count", 0)
-        self.data_bytes = getattr(inst, "data_bytes", 0)
-        self.macs = getattr(inst, "macs", 0)
-        self.depends_on = tuple(getattr(inst, "depends_on", ()))
-        self.engine = engine_of(self.op)
-
-
-_NORMAL = (Instruction, _Foreign)
-
-
-def normalise(stream) -> List[Any]:
-    return [
-        inst if type(inst) in _NORMAL else _Foreign(idx, inst)
-        for idx, inst in enumerate(stream)
-    ]
+from .._programs import rows
 
 
 class VerifyContext:
-    def __init__(self, instructions, config=None, params=None) -> None:
-        self.instructions = instructions
+    def __init__(self, program, config=None, params=None) -> None:
+        self.program = program
+        self.instructions = rows(program)
         self.config = config
         self.params = params
         self.by_id = {inst.inst_id: inst for inst in self.instructions}
@@ -342,9 +314,9 @@ def _intervals(model: OccupancyModel, instructions: Sequence[Any],
     return intervals
 
 
-def analyze(model: OccupancyModel, instructions: Sequence[object],
+def analyze(model: OccupancyModel, program: Any,
             subject: str = "<stream>") -> OccupancyProof:
-    insts = normalise(instructions)
+    insts = rows(program)
     timeline = list_schedule(insts, [1] * len(insts), model.lane_groups, 0)
     end = [end for _queue, _start, end, _duration in timeline]
     intervals = _intervals(model, insts, end)
@@ -380,7 +352,7 @@ def analyze(model: OccupancyModel, instructions: Sequence[object],
 def _check_occupancy(ctx: VerifyContext) -> Iterator[Diagnostic]:
     if ctx.config is None or ctx.params is None:
         return
-    proof = analyze(OccupancyModel(ctx.config, ctx.params), ctx.instructions)
+    proof = analyze(OccupancyModel(ctx.config, ctx.params), ctx.program)
     for hw in proof.buffers:
         if hw.ok:
             continue
@@ -404,9 +376,7 @@ def _check_occupancy(ctx: VerifyContext) -> Iterator[Diagnostic]:
 _PROPAGATING = (VpuOp.KEY_SWITCH, VpuOp.SAMPLE_EXTRACT, DmaOp.STORE_LWE)
 
 
-def static_noise_report(
-    instructions: Sequence[object], params: object,
-) -> StaticNoiseReport:
+def static_noise_report(program: Any, params: object) -> StaticNoiseReport:
     from repro.tfhe.noise import (
         LOG2_PROB_FLOOR,
         blind_rotation_noise_variance,
@@ -424,7 +394,7 @@ def static_noise_report(
     key_switched: Dict[float, float] = {}  # operand variance -> KS output
     bootstraps = 0
     terminal = 0.0  # worst fully key-switched output variance observed
-    for inst in normalise(instructions):
+    for inst in rows(program):
         op = inst.op
         if op is XpuOp.BLIND_ROTATE:
             variance[inst.inst_id] = br_variance
@@ -470,7 +440,7 @@ def static_noise_report(
 def _check_noise_budget(ctx: VerifyContext) -> Iterator[Diagnostic]:
     if ctx.params is None:
         return
-    report = static_noise_report(ctx.instructions, ctx.params)
+    report = static_noise_report(ctx.program, ctx.params)
     if report.bootstraps == 0 or report.within_budget:
         return
     first_br: Optional[int] = None
@@ -504,7 +474,7 @@ PASSES = (
 )
 
 
-def verify(stream, config=None, params=None) -> List[Diagnostic]:
-    """Every diagnostic of ``stream``, in pipeline order."""
-    ctx = VerifyContext(normalise(stream), config=config, params=params)
+def verify(program, config=None, params=None) -> List[Diagnostic]:
+    """Every diagnostic of ``program``, in pipeline order."""
+    ctx = VerifyContext(program, config=config, params=params)
     return [d for _code, run in PASSES for d in run(ctx)]

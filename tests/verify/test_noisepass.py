@@ -11,32 +11,18 @@ import math
 
 import pytest
 
-from repro.core.isa import DmaOp, Instruction, VpuOp, XpuOp
+from repro.core.isa import DmaOp, XpuOp
 from repro.params import get_params
 from repro.tfhe.noise import decision_margin
 from repro.verify import verify_stream
 from repro.verify.noisepass import static_noise_report
 
+from .._programs import Row, chain, stream as emitted
 
-def _chain(params, group=0, count=4, base=0):
-    """A well-formed single-group bootstrap chain (loads + MS..STORE)."""
-    lwe = count * params.lwe_bytes
-    return [
-        Instruction(base + 0, DmaOp.LOAD_LWE, group, count=count, data_bytes=lwe),
-        Instruction(base + 1, DmaOp.LOAD_BSK, group,
-                    data_bytes=params.bsk_transform_bytes),
-        Instruction(base + 2, DmaOp.LOAD_KSK, group, data_bytes=params.ksk_bytes),
-        Instruction(base + 3, VpuOp.MODULUS_SWITCH, group, count=count,
-                    depends_on=(base + 0,)),
-        Instruction(base + 4, XpuOp.BLIND_ROTATE, group, count=count,
-                    depends_on=(base + 3, base + 1)),
-        Instruction(base + 5, VpuOp.SAMPLE_EXTRACT, group, count=count,
-                    depends_on=(base + 4,)),
-        Instruction(base + 6, VpuOp.KEY_SWITCH, group, count=count,
-                    depends_on=(base + 5, base + 2)),
-        Instruction(base + 7, DmaOp.STORE_LWE, group, count=count,
-                    data_bytes=lwe, depends_on=(base + 6,)),
-    ]
+
+def _chain(params, **kw):
+    """The bootstrap chain of ``_programs.chain`` as a stream."""
+    return emitted(chain(params, **kw))
 
 
 class TestVer008Pass:
@@ -65,8 +51,8 @@ class TestVer008Pass:
 
     def test_skipped_without_bootstraps(self):
         params = get_params("IV")
-        stream = [Instruction(0, DmaOp.LOAD_LWE, 0, count=1,
-                              data_bytes=params.lwe_bytes)]
+        stream = emitted([Row(0, DmaOp.LOAD_LWE, 0, count=1,
+                                  data_bytes=params.lwe_bytes)])
         assert verify_stream(stream, params=params,
                              passes=["VER008"]).diagnostics == []
 
@@ -74,8 +60,8 @@ class TestVer008Pass:
 class TestStaticReport:
     def test_counts_every_bootstrapped_ciphertext(self):
         params = get_params("III")
-        stream = _chain(params, group=0, count=5) + _chain(
-            params, group=1, count=7, base=8)
+        stream = emitted(chain(params, group=0, count=5)
+                         + chain(params, group=1, count=7, base=8))
         report = static_noise_report(stream, params)
         assert report.bootstraps == 12
         assert report.params_name == "III"
@@ -93,7 +79,7 @@ class TestStaticReport:
         # No key-switch in the stream: the terminal variance must still
         # be the closed-form bootstrap output, not zero.
         params = get_params("III")
-        stream = [Instruction(0, XpuOp.BLIND_ROTATE, 0, count=4)]
+        stream = emitted([Row(0, XpuOp.BLIND_ROTATE, 0, count=4)])
         bare = static_noise_report(stream, params)
         full = static_noise_report(_chain(params, count=4), params)
         assert bare.bootstrap_output_variance == \
@@ -151,7 +137,7 @@ class TestStaticMatchesRuntime:
 
         _, stream, _ = compile_program(
             circuit, MorphlingConfig.morphling(), params)
-        static = static_noise_report(list(stream), params)
+        static = static_noise_report(stream, params)
 
         ctx = TfheContext.create(params, seed=7)
         inputs = {"a0": 1, "a1": 1, "b0": 1, "b1": 0}

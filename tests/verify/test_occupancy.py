@@ -10,10 +10,12 @@ analysis sees that.
 import pytest
 
 from repro.core.accelerator import MorphlingConfig
-from repro.core.isa import DmaOp, Instruction, VpuOp, XpuOp
+from repro.core.isa import DmaOp, InstructionStream, VpuOp, XpuOp
 from repro.core.scheduler import LayerDemand, SwScheduler
 from repro.params import get_params
 from repro.verify import OccupancyModel, verify_stream
+
+from .._programs import Row, stream as emitted
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +40,11 @@ def _hoarding_stream(params, groups=3, count=32):
     its own group's RAW edge), but it keeps every rotation result parked
     in Shared until the final rotation lands.
     """
-    stream = []
+    rows = []
 
     def emit(op, group, **kw):
-        inst = Instruction(len(stream), op, group, **kw)
-        stream.append(inst)
-        return inst.inst_id
+        rows.append(Row(len(rows), op, group, **kw))
+        return len(rows) - 1
 
     br, ksk = {}, {}
     lwe = count * params.lwe_bytes
@@ -59,7 +60,7 @@ def _hoarding_stream(params, groups=3, count=32):
         se = emit(VpuOp.SAMPLE_EXTRACT, g, count=count, depends_on=deps)
         ks = emit(VpuOp.KEY_SWITCH, g, count=count, depends_on=(se, ksk[g]))
         emit(DmaOp.STORE_LWE, g, count=count, data_bytes=lwe, depends_on=(ks,))
-    return stream
+    return emitted(rows)
 
 
 class TestVer007CatchesWhatVer004Misses:
@@ -97,7 +98,7 @@ class TestScheduledTargetsStayClean:
             [LayerDemand(f"l{i}", bootstraps=96, linear_macs=256)
              for i in range(3)]
         )
-        proof = model.analyze(list(stream), subject="layers")
+        proof = model.analyze(stream, subject="layers")
         assert proof.ok
         # SEs keep pace with BRs: only one result resident at the peak.
         shared = proof.high_water("shared")
@@ -114,11 +115,11 @@ class TestProofContents:
     def test_unconsumed_rotation_leaks_to_program_end(self, params, model):
         # Two rotations, only the second drained: the first result has
         # no consumer and must stay live, so both peaks stack.
-        stream = [
-            Instruction(0, XpuOp.BLIND_ROTATE, 0, count=8),
-            Instruction(1, XpuOp.BLIND_ROTATE, 1, count=8),
-            Instruction(2, VpuOp.SAMPLE_EXTRACT, 1, count=8, depends_on=(1,)),
-        ]
+        stream = emitted([
+            Row(0, XpuOp.BLIND_ROTATE, 0, count=8),
+            Row(1, XpuOp.BLIND_ROTATE, 1, count=8),
+            Row(2, VpuOp.SAMPLE_EXTRACT, 1, count=8, depends_on=(1,)),
+        ])
         proof = model.analyze(stream, subject="leak")
         assert proof.high_water("shared").high_water_bytes == \
             2 * 8 * params.glwe_bytes
@@ -128,7 +129,7 @@ class TestProofContents:
         proof = model.analyze(stream, subject="hoard")
         shared = proof.high_water("shared")
         assert not shared.ok
-        assert stream[shared.at_instruction].op is XpuOp.BLIND_ROTATE
+        assert stream.columns().code[shared.at_instruction] == XpuOp.BLIND_ROTATE.code
         assert shared.high_water_bytes == 3 * 32 * params.glwe_bytes
         assert shared.utilization == pytest.approx(1.5)
 
@@ -142,7 +143,7 @@ class TestProofContents:
         assert "OVERFLOW" in proof.render_text()
 
     def test_empty_stream_is_trivially_ok(self, model):
-        proof = model.analyze([], subject="empty")
+        proof = model.analyze(InstructionStream(), subject="empty")
         assert proof.ok
         assert proof.steps == 0
         assert all(b.high_water_bytes == 0 for b in proof.buffers)

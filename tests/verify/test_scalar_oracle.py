@@ -3,14 +3,12 @@
 ``_scalar_oracle.py`` holds the VER001-VER008 bodies that walked one
 object per instruction.  Over randomly mutated programs - dropped,
 forward, duplicate and self dependencies, reordered stages, zeroed
-payloads, unknown opcodes, records missing fields - the columnar passes
-must report exactly the oracle's diagnostics, in the same order, and the
-same occupancy proof and static noise report.
+payloads, unknown opcode codes - the columnar passes must report exactly
+the oracle's diagnostics, in the same order, and the same occupancy proof
+and static noise report.
 """
 
-from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
-from typing import Tuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,34 +16,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.accelerator import MorphlingConfig
-from repro.core.isa import OPCODES, DmaOp, Instruction, InstructionStream, VpuOp, XpuOp
-from repro.core.scheduler import HwScheduler, LayerDemand, SwScheduler, run_workload
+from repro.core.isa import OPCODES, DmaOp, InstructionStream, VpuOp, XpuOp
+from repro.core.scheduler import HwScheduler, LayerDemand, SwScheduler
 from repro.params import get_params
 from repro.verify import OccupancyModel, static_noise_report, verify_stream
 
+from .._programs import Row, columns, rows
 from . import _scalar_oracle as oracle
 
 CONFIG = MorphlingConfig.morphling()
 PARAMS = get_params("III")
-FIELDS = ("inst_id", "op", "group", "count", "data_bytes", "macs", "depends_on")
-
-
-@dataclass(frozen=True)
-class Fake:
-    """Instruction-shaped record free of the ISA constructor's checks."""
-
-    inst_id: int
-    op: object
-    group: int = 0
-    count: int = 0
-    data_bytes: int = 0
-    macs: int = 0
-    depends_on: Tuple[int, ...] = field(default_factory=tuple)
-
-
-def _records(layers):
-    stream = SwScheduler(CONFIG, PARAMS).schedule(layers)
-    return [Fake(*(getattr(inst, f) for f in FIELDS)) for inst in stream]
+#: Codes no opcode has: below, just past and far past ``OPCODES``.
+UNKNOWN_CODES = (-1, -7, len(OPCODES), 99)
 
 
 def _mutate(records, data):
@@ -55,13 +37,11 @@ def _mutate(records, data):
     row = st.integers(0, n - 1)
     for kind in data.draw(st.lists(st.sampled_from([
         "drop_dep", "forward_dep", "duplicate_id", "self_dep", "repeat_dep",
-        "swap", "zero_payload", "unknown_op", "missing_fields", "regroup",
+        "swap", "zero_payload", "unknown_op", "regroup",
         "oversize", "reop", "huge_rotation",
     ]), max_size=6)):
         i = data.draw(row)
         r = records[i]
-        if not isinstance(r, Fake) and kind != "swap":
-            continue  # a record missing fields stays as it is
         if kind == "drop_dep" and r.depends_on:
             deps = list(r.depends_on)
             deps.pop(data.draw(st.integers(0, len(deps) - 1)))
@@ -82,10 +62,7 @@ def _mutate(records, data):
             name = data.draw(st.sampled_from(["count", "data_bytes", "macs"]))
             records[i] = replace(r, **{name: 0})
         elif kind == "unknown_op":
-            records[i] = replace(r, op=data.draw(st.sampled_from(["bogus_op", None, 3])))
-        elif kind == "missing_fields":
-            kept = data.draw(st.sets(st.sampled_from(FIELDS)))
-            records[i] = SimpleNamespace(**{f: getattr(r, f) for f in kept})
+            records[i] = replace(r, op=data.draw(st.sampled_from(UNKNOWN_CODES)))
         elif kind == "regroup":
             records[i] = replace(r, group=data.draw(st.integers(-2, 5)))
         elif kind == "huge_rotation":  # VER004 and VER007's overflow
@@ -108,29 +85,30 @@ layer_lists = st.lists(st.builds(
           suppress_health_check=[HealthCheck.too_slow])
 @given(layers=layer_lists, data=st.data())
 def test_columnar_passes_match_the_oracle(layers, data):
-    records = _records(layers)
+    records = rows(SwScheduler(CONFIG, PARAMS).schedule(layers))
     if records:
         records = _mutate(records, data)
+    program = columns(records)
     for config, params in ((CONFIG, PARAMS), (None, get_params("IV")), (None, None)):
-        got = verify_stream(records, config=config, params=params).diagnostics
-        assert got == oracle.verify(records, config=config, params=params)
+        got = verify_stream(program, config=config, params=params).diagnostics
+        assert got == oracle.verify(program, config=config, params=params)
     model = OccupancyModel(CONFIG, PARAMS)
-    assert model.analyze(records) == oracle.analyze(model, records)
-    assert static_noise_report(records, PARAMS) == oracle.static_noise_report(
-        records, PARAMS)
+    assert model.analyze(program) == oracle.analyze(model, program)
+    assert static_noise_report(program, PARAMS) == oracle.static_noise_report(
+        program, PARAMS)
 
 
 @pytest.mark.parametrize("params_name", ["I", "III", "IV"])
 def test_shipped_programs_match_the_oracle(params_name):
-    """A scheduled stream (its own arrays, not records) agrees too."""
+    """A scheduled stream (its own arrays, not rebuilt columns) agrees too."""
     params = get_params(params_name)
     layers = [LayerDemand("a", 150, linear_macs=4096), LayerDemand("b", 0),
               LayerDemand("c", 33)]
     stream = SwScheduler(CONFIG, params).schedule(layers)
     report = verify_stream(stream, config=CONFIG, params=params)
-    assert report.diagnostics == oracle.verify(list(stream), CONFIG, params)
+    assert report.diagnostics == oracle.verify(stream, CONFIG, params)
     model = OccupancyModel(CONFIG, params)
-    assert model.analyze(stream) == oracle.analyze(model, list(stream))
+    assert model.analyze(stream) == oracle.analyze(model, stream)
 
 
 def _walk_matches_the_oracle(stream) -> int:
@@ -141,7 +119,7 @@ def _walk_matches_the_oracle(stream) -> int:
     cols = stream.columns()
     spans = hw.execute(stream, record_spans=True).spans
     prices, price = hw._durations(cols)
-    want = oracle.list_schedule(list(stream), prices[price].tolist(),
+    want = oracle.list_schedule(rows(cols), prices[price].tolist(),
                                 CONFIG.vpu_lane_groups, 0.0)
     assert [(q, start, end) for q, _op, _group, start, end in spans] == [
         (q, start, end) for q, start, end, _duration in want]
@@ -172,7 +150,7 @@ def _prices_match_the_oracle(stream) -> None:
     hw = HwScheduler(CONFIG, PARAMS)
     prices, price = hw._durations(stream.columns())
     want = np.array([oracle.duration(hw, inst.op, inst.count, inst.data_bytes, inst.macs)
-                     for inst in stream], dtype=float)
+                     for inst in rows(stream)], dtype=float)
     assert prices[price].view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
@@ -185,11 +163,11 @@ extra_rows = st.lists(st.tuples(
 def test_prices_match_the_oracle():
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(layers=layer_lists, rows=extra_rows)
-    def drawn(layers, rows):
+    @given(layers=layer_lists, extra=extra_rows)
+    def drawn(layers, extra):
         stream = SwScheduler(CONFIG, PARAMS).schedule(layers)
-        for op, count, data_bytes, macs in rows:  # every opcode, any payload
-            stream.emit(op, 0, count=count, data_bytes=data_bytes, macs=macs)
+        for op, count, data_bytes, macs in extra:  # every opcode, any payload
+            stream.emit_block([op.code], [0], [count], [data_bytes], [macs], [0], [])
         _prices_match_the_oracle(stream)
 
     drawn()
@@ -199,29 +177,8 @@ def test_prices_match_the_oracle():
         "b": [LayerDemand("d", 33), LayerDemand("e", 0, linear_macs=10**9), LayerDemand("f", 7)],
     }))
     palu = InstructionStream()
-    palu.emit(VpuOp.P_ALU, 0, macs=10**9)
+    palu.emit_block([VpuOp.P_ALU.code], [0], [0], [0], [10**9], [0], [])
     _prices_match_the_oracle(palu)
-
-
-def test_run_workload_builds_no_instruction_objects(monkeypatch):
-    """Lowering, all eight passes and execution read the columns: a
-    verified DeepCNN-100 run constructs no ``Instruction`` record."""
-    from repro.apps import deepcnn_workload
-
-    built = []
-    original = Instruction.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(Instruction, "__init__", counting_init)
-    layers = list(deepcnn_workload(100).layers)
-    result = run_workload(CONFIG, PARAMS, layers, verify=True)
-    assert result.instructions == 18_736
-    assert built == []
-    Instruction(0, XpuOp.BLIND_ROTATE, 0)  # the probe itself counts
-    assert built == [1]
 
 
 def test_oracle_flags_what_the_passes_flag():
@@ -229,17 +186,18 @@ def test_oracle_flags_what_the_passes_flag():
     diagnostics from every structural pass."""
     lwe = PARAMS.lwe_bytes
     records = [
-        Fake(0, DmaOp.LOAD_LWE, count=1, data_bytes=7),
-        Fake(0, VpuOp.MODULUS_SWITCH, count=10**6, depends_on=(0, 0, 5)),
-        Fake(2, VpuOp.P_ALU, count=1),
-        Fake(3, VpuOp.KEY_SWITCH, count=1, depends_on=(3,)),
-        Fake(4, DmaOp.STORE_LWE, count=1, data_bytes=2 * lwe),
+        Row(0, DmaOp.LOAD_LWE, count=1, data_bytes=7),
+        Row(0, VpuOp.MODULUS_SWITCH, count=10**6, depends_on=(0, 0, 5)),
+        Row(2, VpuOp.P_ALU, count=1),
+        Row(3, VpuOp.KEY_SWITCH, count=1, depends_on=(3,)),
+        Row(4, DmaOp.STORE_LWE, count=1, data_bytes=2 * lwe),
         # Out of group order, and a repeated dependency that only a sort
         # makes adjacent: the two sorts the passes skip on lowered programs.
-        Fake(5, DmaOp.STORE_LWE, group=1, count=1, data_bytes=lwe, depends_on=(4, 3, 4)),
-        Fake(6, VpuOp.MODULUS_SWITCH, count=1),
+        Row(5, DmaOp.STORE_LWE, group=1, count=1, data_bytes=lwe, depends_on=(4, 3, 4)),
+        Row(6, VpuOp.MODULUS_SWITCH, count=1),
     ]
-    codes = {d.code for d in oracle.verify(records, CONFIG, PARAMS)}
+    program = columns(records)
+    codes = {d.code for d in oracle.verify(program, CONFIG, PARAMS)}
     assert codes >= {"VER001", "VER002", "VER003", "VER004", "VER005", "VER006"}
-    assert verify_stream(records, CONFIG, PARAMS).diagnostics == oracle.verify(
-        records, CONFIG, PARAMS)
+    assert verify_stream(program, CONFIG, PARAMS).diagnostics == oracle.verify(
+        program, CONFIG, PARAMS)

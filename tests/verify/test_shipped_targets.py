@@ -62,8 +62,8 @@ class TestVerifyOnCompile:
         params = get_params("III")
         stream = InstructionStream()
         # BR with no MS feeding it: VER005 RAW hazard.
-        stream.emit(XpuOp.BLIND_ROTATE, group=0, count=1)
-        stream.emit(VpuOp.SAMPLE_EXTRACT, group=0, count=1)
+        stream.emit_block([XpuOp.BLIND_ROTATE.code, VpuOp.SAMPLE_EXTRACT.code],
+                          [0, 0], [1, 1], [0, 0], [0, 0], [0, 0], [])
         with pytest.raises(VerificationError):
             HwScheduler(config, params).execute(stream, verify=True)
 
